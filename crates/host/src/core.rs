@@ -24,7 +24,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -212,37 +212,12 @@ impl ResilienceConfig {
     }
 }
 
-/// Batching configuration for Host→AM decision queries (the
-/// `/protection/v1/decisions` channel), applied with
-/// [`HostCore::set_decision_batching`].
-///
-/// Cache-miss queries collected by one [`HostCore::enforce_batch`] call
-/// are grouped per (AM, host token, owner) and flushed in two ways:
-///
-/// * **flush-on-size** — every `max_batch` queries fill a batch request
-///   and go out immediately;
-/// * **flush-on-deadline** — a final partial batch waits `max_delay_ms`
-///   for stragglers that never come. The wait is charged to the
-///   [`SimClock`] (once per enforcement round, since partial batches
-///   against different AMs wait concurrently), keeping runs deterministic
-///   and replayable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Maximum queries per batch request, clamped to
-    /// [`protocol::MAX_BATCH`] (the AM-side cap).
-    pub max_batch: usize,
-    /// Deadline (ms) a partial batch waits before flushing.
-    pub max_delay_ms: u64,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            max_batch: 8,
-            max_delay_ms: 5,
-        }
-    }
-}
+/// How long (ms) the final partial chunks of a batched enforcement round
+/// wait for stragglers before flushing ([`HostCore::enforce_batch`]). The
+/// wait is charged to the [`SimClock`] once per round, since partial
+/// batches against different AMs wait concurrently, keeping runs
+/// deterministic and replayable.
+const BATCH_DEADLINE_MS: u64 = 5;
 
 /// One access attempt inside a batched enforcement round — the same
 /// tuple [`HostCore::enforce`] takes, owned so a round can carry many.
@@ -626,8 +601,8 @@ pub struct PepStats {
     pub fallback_queries: u64,
     /// Extra dispatch attempts spent retrying transport failures.
     pub am_retries: u64,
-    /// Batch decision requests flushed to an AM (each carries up to
-    /// [`BatchConfig::max_batch`] queries in one round trip).
+    /// Batch decision requests flushed to an AM (each carries up to the
+    /// round's `max_batch` queries in one round trip).
     pub batch_flushes: u64,
     /// Accesses granted by the tier-1 capability sieve: a lock-free
     /// snapshot read that touched no cache, no state lock and no log
@@ -864,6 +839,11 @@ impl AtomicPepStats {
                 revalidations: self.revalidations.load(Ordering::Relaxed),
                 revalidations_unchanged: self.revalidations_unchanged.load(Ordering::Relaxed),
             };
+            // An Acquire load does not keep the Relaxed loads above from
+            // moving after it; the fence does. It pairs with the Release
+            // fence in `reset`: a snapshot that read any zeroing store
+            // reads the odd (or a later) generation here and retries.
+            fence(Ordering::Acquire);
             if self.generation.load(Ordering::Acquire) == before {
                 return stats;
             }
@@ -872,8 +852,12 @@ impl AtomicPepStats {
     }
 
     fn reset(&self) {
-        // Odd generation: snapshots in flight will discard and retry.
+        // Odd generation: snapshots in flight will discard and retry. A
+        // Release RMW does not keep the Relaxed zeroing stores below from
+        // moving before it; the fence (paired with the Acquire fence in
+        // `snapshot`) does.
         self.generation.fetch_add(1, Ordering::AcqRel);
+        fence(Ordering::Release);
         self.am_queries.store(0, Ordering::Relaxed);
         self.cache_hits.store(0, Ordering::Relaxed);
         self.redirects.store(0, Ordering::Relaxed);
@@ -1115,9 +1099,6 @@ pub struct HostCore {
     /// Opt-in Host→AM resilience knobs (DESIGN.md §10). Read-mostly:
     /// taken once per decision query, never on the warm cache path.
     resilience: RwLock<ResilienceConfig>,
-    /// Opt-in decision-query batching (`None` = off, the seed behaviour:
-    /// one round trip per cache miss).
-    batching: RwLock<Option<BatchConfig>>,
     /// Per-AM circuit state; only touched when a breaker is configured.
     breaker_states: Mutex<HashMap<String, BreakerState>>,
     /// High-water mark of staleness (ms past expiry) ever served by
@@ -1162,7 +1143,6 @@ impl HostCore {
             log: Mutex::new(Vec::new()),
             stats: AtomicPepStats::default(),
             resilience: RwLock::new(ResilienceConfig::default()),
-            batching: RwLock::new(None),
             breaker_states: Mutex::new(HashMap::new()),
             max_served_staleness_ms: AtomicU64::new(0),
             sieve: Mutex::new(Arc::new(SieveSnapshot::default())),
@@ -1654,15 +1634,6 @@ impl HostCore {
         self.resilience.read().clone()
     }
 
-    /// Enables (or disables, with `None`) decision-query batching for
-    /// [`HostCore::enforce_batch`] rounds. Off by default — and
-    /// [`HostCore::enforce`] always takes the single-query path, so
-    /// per-request latency is unchanged whenever batching is off or a
-    /// round holds a single miss.
-    pub fn set_decision_batching(&self, config: Option<BatchConfig>) {
-        *self.batching.write() = config;
-    }
-
     /// The maximum staleness (ms past TTL expiry) degraded mode has ever
     /// served — the invariant gauge for the chaos soak: it must never
     /// exceed the configured grace window.
@@ -1864,6 +1835,10 @@ impl HostCore {
     }
 
     // -- the PEP ---------------------------------------------------------------
+    //
+    // Both enforcement routes run one pipeline: `classify` settles every
+    // access that needs no AM round trip, `query` asks the AM (failing
+    // over to a fallback), and `settle_decision` concludes the answer.
 
     /// Enforces access control for one request against `resource_id`.
     ///
@@ -1874,6 +1849,10 @@ impl HostCore {
     ///   are checked against the decision cache and, on a miss, through an
     ///   AM decision query (Fig. 6).
     /// * Undelegated resources fall back to the built-in legacy ACLs.
+    ///
+    /// A miss is one single-decision query, never a batch of one: only
+    /// that route carries the `if_epoch` precondition of conditional
+    /// revalidation (DESIGN.md §16).
     #[allow(clippy::too_many_arguments)] // the PEP consumes the full request tuple
     pub fn enforce(
         &self,
@@ -1886,6 +1865,163 @@ impl HostCore {
         return_url: &Url,
     ) -> Enforcement {
         let now = self.clock.now_ms();
+        let miss = match self.classify(
+            net,
+            requester,
+            subject,
+            resource_id,
+            action,
+            bearer,
+            return_url,
+            now,
+        ) {
+            Classified::Settled(enforcement) => return enforcement,
+            Classified::Miss(miss) => miss,
+        };
+        // DESIGN.md §16: with conditional revalidation on, a TTL-expired
+        // but epoch-fresh entry for this same token turns the full query
+        // into an `if_epoch` precondition the AM can collapse to a tiny
+        // *unchanged* reply.
+        let if_epoch = if self.conditional_revalidation.load(Ordering::Relaxed) {
+            self.cache
+                .read()
+                .revalidation_epoch(&miss.cache_key, &miss.token_digest, now)
+        } else {
+            None
+        };
+        if if_epoch.is_some() {
+            self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
+        }
+        let resilience = self.resilience.read().clone();
+        let (resp, decided_by) =
+            self.query(net, &resilience, &miss, None, "decision", &|to, primary| {
+                // Never conditional against the fallback: the cached
+                // entry's epoch lives in the *primary* AM's epoch space,
+                // and a numerically equal epoch at the mirror would
+                // falsely re-arm it.
+                let if_epoch = if_epoch.filter(|_| primary);
+                let path = if if_epoch.is_some() {
+                    protocol::DECISION_V2_PATH
+                } else {
+                    protocol::DECISION_PATH
+                };
+                let (requester, resource_id, action) = &miss.cache_key;
+                let mut req = Request::new(Method::Post, &format!("https://{}{path}", to.am))
+                    .with_param("host_token", &to.host_token)
+                    .with_param("token", miss.token)
+                    .with_param("resource", resource_id)
+                    .with_param("action", &action.to_string())
+                    .with_param("requester", requester);
+                if let Some(epoch) = if_epoch {
+                    req = req.with_param("if_epoch", &epoch.to_string());
+                }
+                req
+            });
+        self.settle_decision(
+            net,
+            classify_decision(&resp),
+            miss,
+            if_epoch,
+            &decided_by,
+            now,
+        )
+    }
+
+    /// Enforces a whole round of access attempts, coalescing the decision
+    /// queries of its misses into `/protection/v1/decisions` batch
+    /// requests of up to `max_batch` queries (clamped to
+    /// [`protocol::MAX_BATCH`]).
+    ///
+    /// Every attempt is classified exactly as [`HostCore::enforce`]
+    /// classifies it. The misses are grouped by (AM, host token, owner);
+    /// every full chunk flushes immediately, and the final partial chunks
+    /// wait out a fixed 5 ms deadline — charged to the shared
+    /// [`SimClock`] **once** per round, since partial batches against
+    /// different AMs wait concurrently — before flushing. N misses
+    /// against one AM thus cost ⌈N/B⌉ round trips (experiment E7b).
+    /// Batch items carry no `if_epoch` precondition, so an expired cached
+    /// permit is re-learned in full.
+    pub fn enforce_batch(
+        &self,
+        net: &dyn Transport,
+        attempts: &[AccessAttempt],
+        max_batch: usize,
+    ) -> Vec<Enforcement> {
+        let now = self.clock.now_ms();
+        let mut results: Vec<Option<Enforcement>> = Vec::with_capacity(attempts.len());
+        // Group per (AM, host token, owner): one batch request carries one
+        // host token, and keying on owner keeps the per-owner fallback
+        // lookup unambiguous. BTreeMap iteration keeps rounds replayable.
+        let mut groups: BTreeMap<(String, String, String), Vec<(usize, Miss<'_>)>> =
+            BTreeMap::new();
+        for (index, attempt) in attempts.iter().enumerate() {
+            match self.classify(
+                net,
+                &attempt.requester,
+                attempt.subject.as_deref(),
+                &attempt.resource_id,
+                &attempt.action,
+                attempt.bearer.as_deref(),
+                &attempt.return_url,
+                now,
+            ) {
+                Classified::Settled(enforcement) => results.push(Some(enforcement)),
+                Classified::Miss(miss) => {
+                    results.push(None);
+                    let key = (
+                        miss.delegation.am.clone(),
+                        miss.delegation.host_token.clone(),
+                        miss.owner.clone(),
+                    );
+                    groups.entry(key).or_default().push((index, miss));
+                }
+            }
+        }
+        let max_batch = max_batch.clamp(1, protocol::MAX_BATCH);
+        let (mut full_chunks, mut partial_chunks) = (Vec::new(), Vec::new());
+        for queries in groups.into_values() {
+            let mut queries = queries.into_iter().peekable();
+            while queries.peek().is_some() {
+                let chunk: Vec<_> = queries.by_ref().take(max_batch).collect();
+                if chunk.len() == max_batch {
+                    full_chunks.push(chunk);
+                } else {
+                    partial_chunks.push(chunk);
+                }
+            }
+        }
+        // flush-on-size: full chunks go out first …
+        let resilience = self.resilience.read().clone();
+        self.flush(net, &resilience, full_chunks, &mut results);
+        if !partial_chunks.is_empty() {
+            // … and flush-on-deadline: the stragglers that would fill the
+            // partial chunks never arrive, so they wait out the deadline
+            // (all of them concurrently: one clock charge) and flush.
+            self.clock.advance_ms(BATCH_DEADLINE_MS);
+            self.flush(net, &resilience, partial_chunks, &mut results);
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every attempt in the round settles exactly once"))
+            .collect()
+    }
+
+    /// The classification step of both enforcement routes. Settles every
+    /// access that needs no AM round trip — tier-1 sieve hit, 404, owner
+    /// session, legacy ACL, redirect to the AM (Fig. 5), decision cache
+    /// hit (§V.B.6) — and hands the rest back as a [`Miss`].
+    #[allow(clippy::too_many_arguments)]
+    fn classify<'t>(
+        &self,
+        net: &dyn Transport,
+        requester: &str,
+        subject: Option<&str>,
+        resource_id: &str,
+        action: &Action,
+        bearer: Option<&'t str>,
+        return_url: &Url,
+        now: u64,
+    ) -> Classified<'t> {
         // Tier-1 (DESIGN.md §12): an AM-pushed sieve entry for exactly
         // this (token, resource, action, requester) grants before any
         // lock is taken. Entries only exist for resources that were
@@ -1894,413 +2030,44 @@ impl HostCore {
         // purges, so a hit is as trustworthy as a decision-cache hit.
         if let Some(token) = bearer {
             if self.sieve_probe(net, requester, resource_id, action, token, now) {
-                return Enforcement::Grant;
+                return Classified::Settled(Enforcement::Grant);
             }
         }
         let state = self.state.read();
         let Some(resource) = state.resources.get(resource_id) else {
-            return Enforcement::Block(Response::not_found(resource_id));
+            return Classified::Settled(Enforcement::Block(Response::not_found(resource_id)));
         };
 
         // The owner manages their own data.
         if subject == Some(resource.owner.as_str()) {
-            return Enforcement::Grant;
+            return Classified::Settled(Enforcement::Grant);
         }
 
-        let delegation = state
+        let Some(delegation) = state
             .resource_delegations
             .get(resource_id)
-            .or_else(|| state.user_delegations.get(&resource.owner));
-        match delegation {
-            Some(delegation) => {
-                // §V.B.6 warm path: a bearer whose decision is cached is
-                // granted while everything is still borrowed from the one
-                // state read — no resource/delegation clones, no dispatch.
-                if let Some(token) = bearer {
-                    let cache_key = (requester.to_owned(), resource_id.to_owned(), action.clone());
-                    let digest = token_digest(token);
-                    if self.cache.read().lookup(&cache_key, &digest, now) {
-                        drop(state);
-                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        net.trace().note_with(&self.authority, || {
-                            format!("decision cache hit: {requester} {action} {resource_id}")
-                        });
-                        self.record(
-                            now,
-                            requester,
-                            resource_id,
-                            action,
-                            true,
-                            DecisionPath::Cache,
-                        );
-                        return Enforcement::Grant;
-                    }
-                }
-                // Redirect or decision query: clone out what the slow path
-                // needs and release the state lock before dispatching.
-                let delegation = delegation.clone();
-                let resource = resource.clone();
-                drop(state);
-                self.enforce_delegated(
-                    net,
-                    &delegation,
-                    &resource,
-                    requester,
-                    resource_id,
-                    action,
-                    bearer,
-                    return_url,
-                    now,
-                )
-            }
-            None => {
-                let resource = resource.clone();
-                drop(state);
-                self.enforce_legacy(subject, requester, &resource, action, now)
-            }
-        }
-    }
-
-    /// Enforces a whole round of access attempts, coalescing cache-miss
-    /// decision queries into `/protection/v1/decisions` batch requests.
-    ///
-    /// With batching disabled ([`HostCore::set_decision_batching`]`(None)`,
-    /// the default) this is exactly [`HostCore::enforce`] applied in
-    /// order — same round trips, same responses, same log entries. With
-    /// batching on, misses are grouped by (AM, host token, owner); every
-    /// full `max_batch`-sized chunk flushes immediately, and the final
-    /// partial chunks wait out `max_delay_ms` — charged to the shared
-    /// [`SimClock`] **once** per round, since partial batches against
-    /// different AMs wait concurrently — before flushing. N misses
-    /// against one AM thus cost ⌈N/B⌉ round trips (experiment E7b).
-    pub fn enforce_batch(
-        &self,
-        net: &dyn Transport,
-        attempts: &[AccessAttempt],
-    ) -> Vec<Enforcement> {
-        let batching = *self.batching.read();
-        let Some(config) = batching else {
-            return attempts
-                .iter()
-                .map(|a| {
-                    self.enforce(
-                        net,
-                        &a.requester,
-                        a.subject.as_deref(),
-                        &a.resource_id,
-                        &a.action,
-                        a.bearer.as_deref(),
-                        &a.return_url,
-                    )
-                })
-                .collect();
-        };
-
-        let now = self.clock.now_ms();
-        let mut results: Vec<Option<Enforcement>> = (0..attempts.len()).map(|_| None).collect();
-        let mut is_pending = vec![false; attempts.len()];
-        let mut pending: Vec<PendingQuery> = Vec::new();
-        {
-            // One state read to sieve the round: only cache-missing,
-            // token-bearing, delegated accesses need an AM round trip.
-            let state = self.state.read();
-            for (index, attempt) in attempts.iter().enumerate() {
-                let Some(resource) = state.resources.get(&attempt.resource_id) else {
-                    continue;
-                };
-                if attempt.subject.as_deref() == Some(resource.owner.as_str()) {
-                    continue;
-                }
-                let Some(delegation) = state
-                    .resource_delegations
-                    .get(&attempt.resource_id)
-                    .or_else(|| state.user_delegations.get(&resource.owner))
-                else {
-                    continue;
-                };
-                let Some(token) = attempt.bearer.as_deref() else {
-                    continue;
-                };
-                // Tier-1 first, mirroring `enforce`: a sieve hit settles
-                // the attempt here and never joins a batch.
-                if self.sieve_probe(
-                    net,
-                    &attempt.requester,
-                    &attempt.resource_id,
-                    &attempt.action,
-                    token,
-                    now,
-                ) {
-                    results[index] = Some(Enforcement::Grant);
-                    continue;
-                }
-                let cache_key = (
-                    attempt.requester.clone(),
-                    attempt.resource_id.clone(),
-                    attempt.action.clone(),
-                );
-                let digest = token_digest(token);
-                if self.cache.read().lookup(&cache_key, &digest, now) {
-                    continue;
-                }
-                is_pending[index] = true;
-                pending.push(PendingQuery {
-                    index,
-                    delegation: delegation.clone(),
-                    owner: resource.owner.clone(),
-                    token: token.to_owned(),
-                    cache_key,
-                    token_digest: digest,
-                });
-            }
-        }
-
-        // Everything the scan skipped (404s, owner sessions, legacy
-        // ACLs, redirects, cache hits) settles through the single path —
-        // none of it involves an AM round trip. Sieve hits already
-        // settled above.
-        for (index, attempt) in attempts.iter().enumerate() {
-            if results[index].is_none() && !is_pending[index] {
-                results[index] = Some(self.enforce(
-                    net,
-                    &attempt.requester,
-                    attempt.subject.as_deref(),
-                    &attempt.resource_id,
-                    &attempt.action,
-                    attempt.bearer.as_deref(),
-                    &attempt.return_url,
-                ));
-            }
-        }
-
-        // Group per (AM, host token, owner): one batch request carries one
-        // host token, and keying on owner keeps the per-owner fallback
-        // lookup unambiguous. BTreeMap iteration keeps rounds replayable.
-        let resilience = self.resilience.read().clone();
-        let mut groups: BTreeMap<(String, String, String), Vec<PendingQuery>> = BTreeMap::new();
-        for query in pending {
-            let key = (
-                query.delegation.am.clone(),
-                query.delegation.host_token.clone(),
-                query.owner.clone(),
-            );
-            groups.entry(key).or_default().push(query);
-        }
-        let max_batch = config.max_batch.clamp(1, protocol::MAX_BATCH);
-        let mut full_chunks: Vec<Vec<PendingQuery>> = Vec::new();
-        let mut partial_chunks: Vec<Vec<PendingQuery>> = Vec::new();
-        for (_, queries) in groups {
-            // flush-on-size: full chunks go out first …
-            let mut queries = queries.into_iter();
-            loop {
-                let chunk: Vec<PendingQuery> = queries.by_ref().take(max_batch).collect();
-                if chunk.is_empty() {
-                    break;
-                }
-                if chunk.len() == max_batch {
-                    full_chunks.push(chunk);
-                } else {
-                    partial_chunks.push(chunk);
-                    break;
-                }
-            }
-        }
-        self.flush_batches(net, &resilience, full_chunks, &mut results);
-        if !partial_chunks.is_empty() {
-            // … and flush-on-deadline: the stragglers that would fill the
-            // partial chunks never arrive, so they wait out the deadline
-            // (all of them concurrently: one clock charge) and flush.
-            self.clock.advance_ms(config.max_delay_ms);
-            self.flush_batches(net, &resilience, partial_chunks, &mut results);
-        }
-
-        results
-            .into_iter()
-            .map(|r| r.expect("every attempt in the round settles exactly once"))
-            .collect()
-    }
-
-    /// Flushes a round's batch chunks. With plain resilience (no breaker,
-    /// no retry policy) the chunks are independent wire requests, so they
-    /// go out through [`Transport::dispatch_pipelined`]: over HTTP each
-    /// AM's chunks share one buffered write on its persistent connection,
-    /// over [`SimNet`](ucam_webenv::SimNet) the default implementation
-    /// dispatches them sequentially — identical responses, identical
-    /// accounting, on either backend. A breaker or retry policy makes
-    /// each dispatch outcome feed the next admission decision, so those
-    /// configurations keep the serialized per-chunk path.
-    fn flush_batches(
-        &self,
-        net: &dyn Transport,
-        resilience: &ResilienceConfig,
-        chunks: Vec<Vec<PendingQuery>>,
-        results: &mut [Option<Enforcement>],
-    ) {
-        if chunks.len() <= 1 || resilience.breaker.is_some() || resilience.am_retry.is_some() {
-            for chunk in chunks {
-                self.flush_batch(net, resilience, chunk, results);
-            }
-            return;
-        }
-        let mut reqs = Vec::with_capacity(chunks.len());
-        for chunk in &chunks {
-            let am = chunk[0].delegation.am.as_str();
-            let items = batch_items(chunk);
-            self.stats.batch_flushes.fetch_add(1, Ordering::Relaxed);
-            self.stats.am_queries.fetch_add(1, Ordering::Relaxed);
-            net.trace().note_with(&self.authority, || {
-                format!("batch flush: {} decision queries -> {am}", items.len())
-            });
-            reqs.push(
-                Request::new(
-                    Method::Post,
-                    &format!("https://{am}{}", protocol::BATCH_DECISIONS_PATH),
-                )
-                .with_param("host_token", &chunk[0].delegation.host_token)
-                .with_body(protocol::encode_batch_request(&items).as_str()),
-            );
-        }
-        let resps = net.dispatch_pipelined(&self.authority, reqs);
-        for (chunk, mut resp) in chunks.into_iter().zip(resps) {
-            let mut answered_by = chunk[0].delegation.am.clone();
-            if resp.transport_error().is_some() {
-                if let Some(fallback) =
-                    resilience.fallback_for(&chunk[0].delegation.am, &chunk[0].owner)
-                {
-                    self.stats.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                    let am = chunk[0].delegation.am.clone();
-                    net.trace().note_with(&self.authority, || {
-                        format!("failing over batch query: {am} -> {}", fallback.am)
-                    });
-                    let body = protocol::encode_batch_request(&batch_items(&chunk));
-                    let fallback_am = fallback.am.clone();
-                    let fallback_token = fallback.host_token.clone();
-                    resp = self.dispatch_protected(net, resilience, &fallback_am, &|| {
-                        Request::new(
-                            Method::Post,
-                            &format!("https://{fallback_am}{}", protocol::BATCH_DECISIONS_PATH),
-                        )
-                        .with_param("host_token", &fallback_token)
-                        .with_body(body.as_str())
-                    });
-                    answered_by = fallback_am;
-                }
-            }
-            self.settle_batch_chunk(net, &resp, chunk, &answered_by, results);
-        }
-    }
-
-    /// Dispatches one batch chunk — all members share an (AM, host token,
-    /// owner) — and settles every member through the shared decision path.
-    fn flush_batch(
-        &self,
-        net: &dyn Transport,
-        resilience: &ResilienceConfig,
-        chunk: Vec<PendingQuery>,
-        results: &mut [Option<Enforcement>],
-    ) {
-        let am = chunk[0].delegation.am.clone();
-        let host_token = chunk[0].delegation.host_token.clone();
-        let owner = chunk[0].owner.clone();
-        let items = batch_items(&chunk);
-        self.stats.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        net.trace().note_with(&self.authority, || {
-            format!("batch flush: {} decision queries -> {am}", items.len())
-        });
-        let body = protocol::encode_batch_request(&items);
-        let mut resp = self.dispatch_protected(net, resilience, &am, &|| {
-            Request::new(
-                Method::Post,
-                &format!("https://{am}{}", protocol::BATCH_DECISIONS_PATH),
-            )
-            .with_param("host_token", &host_token)
-            .with_body(body.as_str())
-        });
-        let mut answered_by = am.clone();
-        if resp.transport_error().is_some() {
-            if let Some(fallback) = resilience.fallback_for(&am, &owner) {
-                self.stats.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                net.trace().note_with(&self.authority, || {
-                    format!("failing over batch query: {am} -> {}", fallback.am)
-                });
-                let fallback_am = fallback.am.clone();
-                let fallback_token = fallback.host_token.clone();
-                resp = self.dispatch_protected(net, resilience, &fallback_am, &|| {
-                    Request::new(
-                        Method::Post,
-                        &format!("https://{fallback_am}{}", protocol::BATCH_DECISIONS_PATH),
-                    )
-                    .with_param("host_token", &fallback_token)
-                    .with_body(body.as_str())
-                });
-                answered_by = fallback_am;
-            }
-        }
-        self.settle_batch_chunk(net, &resp, chunk, &answered_by, results);
-    }
-
-    /// Settles every member of one answered batch chunk through the
-    /// shared decision path — common tail of the serialized and
-    /// pipelined flush paths.
-    fn settle_batch_chunk(
-        &self,
-        net: &dyn Transport,
-        resp: &Response,
-        chunk: Vec<PendingQuery>,
-        decided_by: &str,
-        results: &mut [Option<Enforcement>],
-    ) {
-        let now = self.clock.now_ms();
-        let outcomes = classify_batch(resp, chunk.len());
-        for (query, outcome) in chunk.into_iter().zip(outcomes) {
-            let PendingQuery {
-                index,
-                owner,
-                token,
-                cache_key,
-                token_digest,
-                ..
-            } = query;
-            let requester = cache_key.0.clone();
-            let resource_id = cache_key.1.clone();
-            let action = cache_key.2.clone();
-            let fingerprint =
-                sieve_fingerprint_memo(&token, &resource_id, action_label(&action), &requester);
-            results[index] = Some(self.settle_decision(
-                net,
-                outcome,
-                &owner,
-                &requester,
-                &resource_id,
-                &action,
-                cache_key,
-                token_digest,
-                fingerprint,
-                // Batch queries never carry an `if_epoch` precondition,
-                // so a stray *unchanged* item fails closed.
-                None,
-                decided_by,
+            .or_else(|| state.user_delegations.get(&resource.owner))
+        else {
+            drop(state);
+            return Classified::Settled(self.enforce_legacy(
+                subject,
+                requester,
+                resource_id,
+                action,
                 now,
             ));
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn enforce_delegated(
-        &self,
-        net: &dyn Transport,
-        delegation: &DelegationConfig,
-        resource: &Resource,
-        requester: &str,
-        resource_id: &str,
-        action: &Action,
-        bearer: Option<&str>,
-        return_url: &Url,
-        now: u64,
-    ) -> Enforcement {
+        };
         let Some(token) = bearer else {
             // Fig. 5: "a Host redirects a Requester to the AM along with
             // information about the Host and the resource".
+            let authorize = Url::new(&delegation.am, "/authorize")
+                .with_query("host", &self.authority)
+                .with_query("owner", &resource.owner)
+                .with_query("resource", resource_id)
+                .with_query("action", &action.to_string())
+                .with_query("requester", requester)
+                .with_query("return", &return_url.to_string());
+            drop(state);
             self.record(
                 now,
                 requester,
@@ -2310,25 +2077,21 @@ impl HostCore {
                 DecisionPath::RedirectedToAm,
             );
             self.stats.redirects.fetch_add(1, Ordering::Relaxed);
-            let authorize = Url::new(&delegation.am, "/authorize")
-                .with_query("host", &self.authority)
-                .with_query("owner", &resource.owner)
-                .with_query("resource", resource_id)
-                .with_query("action", &action.to_string())
-                .with_query("requester", requester)
-                .with_query("return", &return_url.to_string());
-            return Enforcement::Block(
+            return Classified::Settled(Enforcement::Block(
                 Response::redirect(&authorize)
                     .with_header("www-authenticate", "Bearer realm=\"ucam\""),
-            );
+            ));
         };
 
-        // §V.B.6: consult the cached decision first. The hit is only
-        // valid for the same bearer token (by digest), within its TTL,
-        // and while the owner's policy epoch is unchanged.
+        // §V.B.6 warm path: a cached decision is valid only for the same
+        // bearer token (by digest), within its TTL, and while the owner's
+        // policy epoch is unchanged. A hit is granted while everything is
+        // still borrowed from the one state read — no resource/delegation
+        // clones, no dispatch.
         let cache_key = (requester.to_owned(), resource_id.to_owned(), action.clone());
         let token_digest = token_digest(token);
         if self.cache.read().lookup(&cache_key, &token_digest, now) {
+            drop(state);
             self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             // Lazy label: free (one atomic load) while tracing is off.
             net.trace().note_with(&self.authority, || {
@@ -2342,85 +2105,119 @@ impl HostCore {
                 true,
                 DecisionPath::Cache,
             );
-            return Enforcement::Grant;
+            return Classified::Settled(Enforcement::Grant);
         }
-
-        // DESIGN.md §16: with conditional revalidation on, a TTL-expired
-        // but epoch-fresh entry for this same token turns the full query
-        // into an `if_epoch` precondition the AM can collapse to a tiny
-        // *unchanged* reply.
-        let if_epoch = if self.conditional_revalidation.load(Ordering::Relaxed) {
-            self.cache
-                .read()
-                .revalidation_epoch(&cache_key, &token_digest, now)
-        } else {
-            None
-        };
-        if if_epoch.is_some() {
-            self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
-        }
-
-        // Fig. 6: decision query to the AM — hardened per DESIGN.md §10.
-        // The primary is tried under the breaker and retry policy; a
-        // transport failure falls over to the configured fallback AM. Only
-        // transport failures can reach degraded mode below: an AM that
-        // *answers* (permit, deny, 401, even an application 5xx) is always
-        // taken at its word.
-        let resilience = self.resilience.read().clone();
-        let mut answered_by = delegation.am.clone();
-        let mut resp = self.query_decision(
-            net,
-            &resilience,
-            delegation,
+        Classified::Miss(Miss {
+            delegation: delegation.clone(),
+            owner: resource.owner.clone(),
             token,
-            resource_id,
-            action,
-            requester,
-            if_epoch,
-        );
+            cache_key,
+            token_digest,
+        })
+    }
+
+    /// Fig. 6, hardened per DESIGN.md §10: sends `build`'s request to
+    /// `head`'s primary AM under the breaker and retry policy — unless
+    /// `sent` already holds the primary's answer (a pipelined flush) —
+    /// and on a transport failure fails over to the owner's fallback AM.
+    /// `build` gets the delegation the request goes to and whether that
+    /// is the primary. Only transport failures fail over: an AM that
+    /// *answers* (permit, deny, 401, even an application 5xx) is always
+    /// taken at its word. Returns the response and the authority of the
+    /// AM that answered it.
+    fn query(
+        &self,
+        net: &dyn Transport,
+        resilience: &ResilienceConfig,
+        head: &Miss<'_>,
+        sent: Option<Response>,
+        what: &str,
+        build: &dyn Fn(&DelegationConfig, bool) -> Request,
+    ) -> (Response, String) {
+        let primary = &head.delegation;
+        let resp = sent.unwrap_or_else(|| {
+            self.dispatch_protected(net, resilience, &primary.am, &|| build(primary, true))
+        });
         if resp.transport_error().is_some() {
-            if let Some(fallback) = resilience.fallback_for(&delegation.am, &resource.owner) {
+            if let Some(fallback) = resilience.fallback_for(&primary.am, &head.owner) {
                 self.stats.fallback_queries.fetch_add(1, Ordering::Relaxed);
                 net.trace().note_with(&self.authority, || {
                     format!(
-                        "failing over decision query: {} -> {}",
-                        delegation.am, fallback.am
+                        "failing over {what} query: {} -> {}",
+                        primary.am, fallback.am
                     )
                 });
-                // Never conditional against the fallback: the cached
-                // entry's epoch lives in the *primary* AM's epoch space,
-                // and a numerically equal epoch at the mirror would
-                // falsely re-arm it.
-                answered_by = fallback.am.clone();
-                resp = self.query_decision(
-                    net,
-                    &resilience,
-                    fallback,
-                    token,
-                    resource_id,
-                    action,
-                    requester,
-                    None,
-                );
+                let resp = self
+                    .dispatch_protected(net, resilience, &fallback.am, &|| build(fallback, false));
+                return (resp, fallback.am.clone());
             }
         }
+        (resp, primary.am.clone())
+    }
 
-        let fingerprint =
-            sieve_fingerprint_memo(token, resource_id, action_label(action), requester);
-        self.settle_decision(
-            net,
-            classify_decision(&resp),
-            &resource.owner,
-            requester,
-            resource_id,
-            action,
-            cache_key,
-            token_digest,
-            fingerprint,
-            if_epoch,
-            &answered_by,
-            now,
-        )
+    /// Flushes a round's batch chunks — the members of one chunk share an
+    /// (AM, host token, owner) — and settles every member, stamped after
+    /// its chunk's answer. With plain resilience (no breaker, no retry
+    /// policy) the chunks are independent wire requests, so they go out
+    /// through [`Transport::dispatch_pipelined`]: over HTTP each AM's
+    /// chunks share one buffered write on its persistent connection, over
+    /// [`SimNet`](ucam_webenv::SimNet) the default implementation
+    /// dispatches them sequentially — identical responses, identical
+    /// accounting, on either backend. A breaker or retry policy makes
+    /// each dispatch outcome feed the next admission decision, so those
+    /// configurations send one chunk at a time.
+    fn flush(
+        &self,
+        net: &dyn Transport,
+        resilience: &ResilienceConfig,
+        chunks: Vec<Vec<(usize, Miss<'_>)>>,
+        results: &mut [Option<Enforcement>],
+    ) {
+        let bodies: Vec<String> = chunks
+            .iter()
+            .map(|chunk| protocol::encode_batch_request(&batch_items(chunk)))
+            .collect();
+        let mut sent = Vec::new();
+        if chunks.len() > 1 && resilience.breaker.is_none() && resilience.am_retry.is_none() {
+            let reqs = chunks
+                .iter()
+                .zip(&bodies)
+                .map(|(chunk, body)| {
+                    self.note_flush(net, chunk);
+                    self.stats.am_queries.fetch_add(1, Ordering::Relaxed);
+                    batch_request(&chunk[0].1.delegation, body)
+                })
+                .collect();
+            sent = net.dispatch_pipelined(&self.authority, reqs);
+        }
+        let mut sent = sent.into_iter();
+        for (chunk, body) in chunks.into_iter().zip(&bodies) {
+            let sent = sent.next();
+            if sent.is_none() {
+                self.note_flush(net, &chunk);
+            }
+            let (resp, decided_by) =
+                self.query(net, resilience, &chunk[0].1, sent, "batch", &|to, _| {
+                    batch_request(to, body)
+                });
+            let now = self.clock.now_ms();
+            let outcomes = classify_batch(&resp, chunk.len());
+            for ((index, miss), outcome) in chunk.into_iter().zip(outcomes) {
+                // Batch queries never carry an `if_epoch` precondition,
+                // so a stray *unchanged* item fails closed.
+                results[index] =
+                    Some(self.settle_decision(net, outcome, miss, None, &decided_by, now));
+            }
+        }
+    }
+
+    /// Counts and traces one batch flush.
+    fn note_flush(&self, net: &dyn Transport, chunk: &[(usize, Miss<'_>)]) {
+        self.stats.batch_flushes.fetch_add(1, Ordering::Relaxed);
+        let am = &chunk[0].1.delegation.am;
+        net.trace().note_with(&self.authority, || {
+            format!("batch flush: {} decision queries -> {am}", chunk.len())
+        });
     }
 
     /// Concludes one decision query (or batch item) from its normalized
@@ -2431,22 +2228,23 @@ impl HostCore {
     /// *unchanged* reply re-arms the cached permit at exactly that epoch
     /// (the reply does not echo it; the AM only says "unchanged" when
     /// the epochs are equal).
-    #[allow(clippy::too_many_arguments)]
     fn settle_decision(
         &self,
         net: &dyn Transport,
         outcome: DecisionOutcome,
-        owner: &str,
-        requester: &str,
-        resource_id: &str,
-        action: &Action,
-        cache_key: CacheKey,
-        token_digest: [u8; 32],
-        fingerprint: protocol::SieveFingerprint,
+        miss: Miss<'_>,
         if_epoch: Option<u64>,
         decided_by: &str,
         now: u64,
     ) -> Enforcement {
+        let Miss {
+            owner,
+            token,
+            cache_key,
+            token_digest,
+            ..
+        } = miss;
+        let (requester, resource_id, action) = &cache_key;
         match outcome {
             DecisionOutcome::Unchanged(body) => {
                 // DESIGN.md §16: the AM confirmed the expired permit is
@@ -2501,36 +2299,6 @@ impl HostCore {
                 )
             }
             DecisionOutcome::Body(body) if body.is_permit() => {
-                let cacheable_ms = body.cacheable_ms.unwrap_or(0);
-                if cacheable_ms > 0 {
-                    // One write lock for the whole insert: the enabled
-                    // flag is re-checked inside, so a concurrent
-                    // `set_cache_enabled(false)` cannot be overtaken.
-                    let mut cache = self.cache.write();
-                    let epoch = body.policy_epoch.unwrap_or(0);
-                    if let Some(epoch) = body.policy_epoch {
-                        cache.note_epoch(owner, epoch);
-                    }
-                    cache.insert(
-                        cache_key,
-                        CachedDecision {
-                            expires_at_ms: now + cacheable_ms,
-                            token_digest,
-                            owner: owner.to_owned(),
-                            am: decided_by.to_owned(),
-                            epoch,
-                            fingerprint,
-                            referenced: AtomicBool::new(false),
-                        },
-                        now,
-                    );
-                    net.trace().note_with(&self.authority, || {
-                        format!(
-                            "cached permit: {requester} {action} {resource_id} \
-                             ({cacheable_ms} ms)"
-                        )
-                    });
-                }
                 self.record(
                     now,
                     requester,
@@ -2539,6 +2307,38 @@ impl HostCore {
                     true,
                     DecisionPath::AmQuery,
                 );
+                let cacheable_ms = body.cacheable_ms.unwrap_or(0);
+                if cacheable_ms > 0 {
+                    net.trace().note_with(&self.authority, || {
+                        format!(
+                            "cached permit: {requester} {action} {resource_id} \
+                             ({cacheable_ms} ms)"
+                        )
+                    });
+                    let fingerprint =
+                        sieve_fingerprint_memo(token, resource_id, action_label(action), requester);
+                    // One write lock for the whole insert: the enabled
+                    // flag is re-checked inside, so a concurrent
+                    // `set_cache_enabled(false)` cannot be overtaken.
+                    let mut cache = self.cache.write();
+                    let epoch = body.policy_epoch.unwrap_or(0);
+                    if let Some(epoch) = body.policy_epoch {
+                        cache.note_epoch(&owner, epoch);
+                    }
+                    cache.insert(
+                        cache_key,
+                        CachedDecision {
+                            expires_at_ms: now + cacheable_ms,
+                            token_digest,
+                            owner,
+                            am: decided_by.to_owned(),
+                            epoch,
+                            fingerprint,
+                            referenced: AtomicBool::new(false),
+                        },
+                        now,
+                    );
+                }
                 Enforcement::Grant
             }
             DecisionOutcome::Body(body) if body.is_error() => {
@@ -2661,44 +2461,6 @@ impl HostCore {
         )
     }
 
-    /// Sends one decision query to `delegation`'s AM under the breaker
-    /// and retry policy. Breaker fast-fails synthesize an
-    /// [`TransportError::Unreachable`] response without dispatching.
-    /// With `if_epoch` set, the query goes to the v2 conditional route
-    /// carrying the precondition; without it, the v1 wire request is
-    /// byte-identical to what it always was.
-    #[allow(clippy::too_many_arguments)]
-    fn query_decision(
-        &self,
-        net: &dyn Transport,
-        resilience: &ResilienceConfig,
-        delegation: &DelegationConfig,
-        token: &str,
-        resource_id: &str,
-        action: &Action,
-        requester: &str,
-        if_epoch: Option<u64>,
-    ) -> Response {
-        let am = delegation.am.as_str();
-        let path = if if_epoch.is_some() {
-            protocol::DECISION_V2_PATH
-        } else {
-            protocol::DECISION_PATH
-        };
-        self.dispatch_protected(net, resilience, am, &|| {
-            let mut req = Request::new(Method::Post, &format!("https://{am}{path}"))
-                .with_param("host_token", &delegation.host_token)
-                .with_param("token", token)
-                .with_param("resource", resource_id)
-                .with_param("action", &action.to_string())
-                .with_param("requester", requester);
-            if let Some(epoch) = if_epoch {
-                req = req.with_param("if_epoch", &epoch.to_string());
-            }
-            req
-        })
-    }
-
     /// Dispatches one AM request under the breaker and retry policy —
     /// shared by the single-query and batch paths. Breaker fast-fails
     /// synthesize a [`TransportError::Unreachable`] response without
@@ -2771,14 +2533,14 @@ impl HostCore {
         &self,
         subject: Option<&str>,
         requester: &str,
-        resource: &Resource,
+        resource_id: &str,
         action: &Action,
         now: u64,
     ) -> Enforcement {
         self.stats.legacy_checks.fetch_add(1, Ordering::Relaxed);
-        let acl = self.legacy_acl(&resource.id).unwrap_or_default();
+        let acl = self.legacy_acl(resource_id).unwrap_or_default();
         let mut access =
-            AccessRequest::new(&self.authority, &resource.id, action.clone()).via_app(requester);
+            AccessRequest::new(&self.authority, resource_id, action.clone()).via_app(requester);
         if let Some(subject) = subject {
             access = access.by_user(subject);
         }
@@ -2787,7 +2549,7 @@ impl HostCore {
         self.record(
             now,
             requester,
-            &resource.id,
+            resource_id,
             action,
             granted,
             DecisionPath::LegacyAcl,
@@ -2891,30 +2653,51 @@ fn classify_batch(resp: &Response, expected: usize) -> Vec<DecisionOutcome> {
         .collect()
 }
 
-/// A cache-missing, token-bearing delegated access waiting on its AM
-/// round trip inside a batched enforcement round.
-struct PendingQuery {
-    /// Position in the round's `attempts` slice.
-    index: usize,
+/// A delegated, token-bearing access that classification could not
+/// settle locally: it needs an AM decision. Carries what the query and
+/// [`HostCore::settle_decision`] need; the access tuple is the cache key.
+struct Miss<'t> {
+    /// The delegation governing the resource (primary AM, host token).
     delegation: DelegationConfig,
+    /// The resource owner.
     owner: String,
-    token: String,
+    /// The bearer token presented.
+    token: &'t str,
     cache_key: CacheKey,
+    /// SHA-256 of `token`.
     token_digest: [u8; 32],
+}
+
+/// What [`HostCore::classify`] made of one access.
+enum Classified<'t> {
+    /// Decided without an AM round trip.
+    Settled(Enforcement),
+    /// Needs an AM decision query.
+    Miss(Miss<'t>),
 }
 
 /// Encodes one batch chunk's members as `/protection/v1/decisions`
 /// request items.
-fn batch_items(chunk: &[PendingQuery]) -> Vec<BatchItem> {
+fn batch_items(chunk: &[(usize, Miss<'_>)]) -> Vec<BatchItem> {
     chunk
         .iter()
-        .map(|q| BatchItem {
-            token: q.token.clone(),
-            resource: q.cache_key.1.clone(),
-            action: q.cache_key.2.to_string(),
-            requester: q.cache_key.0.clone(),
+        .map(|(_, miss)| BatchItem {
+            token: miss.token.to_owned(),
+            resource: miss.cache_key.1.clone(),
+            action: miss.cache_key.2.to_string(),
+            requester: miss.cache_key.0.clone(),
         })
         .collect()
+}
+
+/// A `/protection/v1/decisions` request carrying `body` to `to`'s AM.
+fn batch_request(to: &DelegationConfig, body: &str) -> Request {
+    Request::new(
+        Method::Post,
+        &format!("https://{}{}", to.am, protocol::BATCH_DECISIONS_PATH),
+    )
+    .with_param("host_token", &to.host_token)
+    .with_body(body)
 }
 
 /// Extracts `cacheable_ms` from a decision response body; 0 unless the
@@ -3610,15 +3393,11 @@ mod tests {
             h.put_resource(&format!("r{i}"), "bob", "file", b"data".to_vec())
                 .unwrap();
         }
-        h.set_decision_batching(Some(BatchConfig {
-            max_batch: 2,
-            max_delay_ms: 5,
-        }));
         let attempts: Vec<AccessAttempt> = (1..=5)
             .map(|i| read_attempt("req", &format!("r{i}"), "good"))
             .collect();
 
-        let results = h.enforce_batch(&net, &attempts);
+        let results = h.enforce_batch(&net, &attempts, 2);
         assert!(results.iter().all(Enforcement::is_grant));
         // N=5 misses at B=2: exactly ⌈5/2⌉ = 3 wire round trips — two
         // full flushes plus one deadline flush.
@@ -3627,38 +3406,10 @@ mod tests {
         assert_eq!(h.stats().am_queries, 3);
 
         // The whole round is now cached: a repeat costs zero round trips.
-        let results = h.enforce_batch(&net, &attempts);
+        let results = h.enforce_batch(&net, &attempts, 2);
         assert!(results.iter().all(Enforcement::is_grant));
         assert_eq!(net.stats().edge("h.example", "am.example"), 3);
         assert_eq!(h.stats().cache_hits, 5);
-    }
-
-    #[test]
-    fn batching_off_round_matches_single_path_exactly() {
-        let run = |batching: Option<BatchConfig>| {
-            let net = SimNet::new();
-            let am = FakeAm::new();
-            am.grant("good", &permit_body(60_000, 1));
-            net.register(am.clone());
-            let h = delegated_host(&net);
-            h.put_resource("r2", "bob", "file", b"data".to_vec())
-                .unwrap();
-            h.set_decision_batching(batching);
-            let attempts = vec![
-                read_attempt("req", "r1", "good"),
-                read_attempt("req", "r2", "good"),
-            ];
-            let grants = h
-                .enforce_batch(&net, &attempts)
-                .iter()
-                .filter(|e| e.is_grant())
-                .count();
-            (grants, net.stats().edge("h.example", "am.example"))
-        };
-        // Off: one round trip per miss, bit-identical to serial enforce().
-        assert_eq!(run(None), (2, 2));
-        // On with a roomy batch: the same round costs one round trip.
-        assert_eq!(run(Some(BatchConfig::default())), (2, 1));
     }
 
     #[test]
@@ -3681,10 +3432,6 @@ mod tests {
                 delegation_id: "d-2".into(),
             },
         );
-        h.set_decision_batching(Some(BatchConfig {
-            max_batch: 8,
-            max_delay_ms: 7,
-        }));
         let before = net.clock().now_ms();
         let results = h.enforce_batch(
             &net,
@@ -3692,11 +3439,12 @@ mod tests {
                 read_attempt("req", "r1", "good"),
                 read_attempt("req", "r2", "good"),
             ],
+            8,
         );
         assert!(results.iter().all(Enforcement::is_grant));
         // Two partial batches (one per AM) wait out the deadline
         // concurrently: the clock moves once, not twice.
-        assert_eq!(net.clock().now_ms() - before, 7);
+        assert_eq!(net.clock().now_ms() - before, BATCH_DEADLINE_MS);
         assert_eq!(h.stats().batch_flushes, 2);
     }
 
@@ -3709,13 +3457,13 @@ mod tests {
         let h = delegated_host(&net);
         h.put_resource("r2", "bob", "file", b"data".to_vec())
             .unwrap();
-        h.set_decision_batching(Some(BatchConfig::default()));
         let results = h.enforce_batch(
             &net,
             &[
                 read_attempt("req", "r1", "good"),
                 read_attempt("req", "r2", "expired"),
             ],
+            8,
         );
         assert!(results[0].is_grant());
         match &results[1] {
@@ -3848,10 +3596,6 @@ mod tests {
                     },
                 ),
         );
-        h.set_decision_batching(Some(BatchConfig {
-            max_batch: 8,
-            max_delay_ms: 7,
-        }));
         net.set_offline("am.example", true);
         net.set_offline("am-b.example", true);
         let before = net.clock().now_ms();
@@ -3861,11 +3605,12 @@ mod tests {
                 read_attempt("req", "r1", "tok-bob"),
                 read_attempt("req", "r2", "tok-carol"),
             ],
+            8,
         );
         assert!(results.iter().all(Enforcement::is_grant));
-        // One 7 ms deadline charge for both chunks, despite two distinct
+        // One deadline charge for both chunks, despite two distinct
         // primaries failing over to two distinct mirrors.
-        assert_eq!(net.clock().now_ms() - before, 7);
+        assert_eq!(net.clock().now_ms() - before, BATCH_DEADLINE_MS);
         assert_eq!(h.stats().batch_flushes, 2);
         assert_eq!(h.stats().fallback_queries, 2);
         assert_eq!(net.stats().edge("h.example", "am-c.example"), 1);
@@ -3877,9 +3622,12 @@ mod tests {
         // Regression for the snapshot/reset tear: reset() used to zero
         // each counter independently, so a concurrent stats() could see
         // am_queries already zeroed while cache_hits still held its old
-        // value. The writer below always bumps the two counters in
-        // lock-step, so any coherent snapshot (reset or not) satisfies
-        // |am_queries − cache_hits| ≤ 1; a torn one shows a gap.
+        // value. Increments still race a snapshot, so the writer bumps
+        // cache_hits before am_queries and the snapshot loads am_queries
+        // first: any coherent snapshot (reset or not) then has
+        // cache_hits >= am_queries, however many writer iterations land
+        // between its two loads. A snapshot torn across a reset (cache_hits
+        // zeroed, am_queries not) breaks that.
         let h = Arc::new(HostCore::new("h.example", SimClock::new()));
         let stop = Arc::new(AtomicBool::new(false));
         let writer = {
@@ -3888,8 +3636,8 @@ mod tests {
             std::thread::spawn(move || {
                 let mut i: u64 = 0;
                 while !stop.load(Ordering::Relaxed) {
-                    h.stats.am_queries.fetch_add(1, Ordering::Relaxed);
                     h.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    h.stats.am_queries.fetch_add(1, Ordering::Relaxed);
                     i += 1;
                     if i.is_multiple_of(64) {
                         h.reset_stats();
@@ -3900,7 +3648,7 @@ mod tests {
         for _ in 0..200_000 {
             let snap = h.stats();
             assert!(
-                snap.am_queries.abs_diff(snap.cache_hits) <= 1,
+                snap.cache_hits >= snap.am_queries,
                 "torn snapshot: am_queries={} cache_hits={}",
                 snap.am_queries,
                 snap.cache_hits
@@ -4270,7 +4018,6 @@ mod tests {
         let h = delegated_host(&net);
         h.put_resource("r2", "bob", "file", b"data".to_vec())
             .unwrap();
-        h.set_decision_batching(Some(BatchConfig::default()));
         assert!(h.install_sieve(&sieve_of(
             1,
             60_000,
@@ -4282,10 +4029,45 @@ mod tests {
                 read_attempt("req", "r1", "tok"),
                 read_attempt("req", "r2", "tok"),
             ],
+            8,
         );
         assert!(results.iter().all(Enforcement::is_grant));
         assert_eq!(net.stats().edge("h.example", "am.example"), 0);
         assert_eq!(h.stats().sieve_hits, 2);
         assert_eq!(h.stats().batch_flushes, 0);
+    }
+
+    #[test]
+    fn batched_cache_hit_counts_like_a_single_enforce() {
+        // A batched round classifies each attempt once, exactly as
+        // `enforce` does: a cache hit behind an installed sieve is one
+        // sieve miss and one cache hit on either route, never a second
+        // probe of the sieve.
+        let net = SimNet::new();
+        let am = FakeAm::new();
+        am.grant("good", &permit_body(60_000, 1));
+        net.register(am.clone());
+        let h = delegated_host(&net);
+        // A sieve for some other tuple: installed, so every probe counts.
+        assert!(h.install_sieve(&sieve_of(1, 60_000, &[("other", "r1", "read", "req")])));
+        let url = Url::new("h.example", "/r1");
+        let single = || {
+            h.enforce(&net, "req", None, "r1", &Action::Read, Some("good"), &url)
+                .is_grant()
+        };
+        assert!(single(), "the first access learns the permit");
+
+        h.reset_stats();
+        assert!(single());
+        let enforced = h.stats();
+        assert_eq!((enforced.sieve_misses, enforced.cache_hits), (1, 1));
+
+        h.reset_stats();
+        let results = h.enforce_batch(&net, &[read_attempt("req", "r1", "good")], 8);
+        assert!(results[0].is_grant());
+        let batched = h.stats();
+        assert_eq!((batched.sieve_misses, batched.cache_hits), (1, 1));
+        assert_eq!(batched, enforced);
+        assert_eq!(net.stats().edge("h.example", "am.example"), 1);
     }
 }

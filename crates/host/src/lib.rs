@@ -34,8 +34,8 @@ pub mod webstorage;
 pub mod webvideos;
 
 pub use crate::core::{
-    AccessAttempt, BatchConfig, BreakerConfig, DecisionPath, DelegationConfig, Enforcement,
-    HostCore, HostError, HostLogEntry, PepStats, ResilienceConfig, Resource,
+    AccessAttempt, BreakerConfig, DecisionPath, DelegationConfig, Enforcement, HostCore, HostError,
+    HostLogEntry, PepStats, ResilienceConfig, Resource,
 };
 pub use crate::image::Image;
 pub use crate::shell::AppShell;

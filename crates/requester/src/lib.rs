@@ -357,13 +357,7 @@ impl RequesterClient {
         let mut reqs: Vec<Request> = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
             if let Some(token) = self.tokens.get(&self.cache_key(spec)) {
-                // Same request `send` would build for a cache hit.
-                reqs.push(
-                    Request::to_url(spec.method, spec.url.clone())
-                        .with_header("x-requester", &self.label)
-                        .with_body(spec.body.clone())
-                        .with_bearer(token),
-                );
+                reqs.push(self.host_request(spec, Some(token)));
                 warm.push(i);
                 self.stats.accesses += 1;
                 self.stats.cache_hits += 1;
@@ -438,7 +432,7 @@ impl RequesterClient {
         self.stats.token_requests += chunks.len() as u64;
         let resps: Vec<Response> = if self.retry.is_some() || reqs.len() == 1 {
             reqs.into_iter()
-                .map(|req| self.dispatch_retrying(net, || req.clone()))
+                .map(|req| self.dispatch_retrying(net, req))
                 .collect()
         } else {
             net.dispatch_pipelined(&self.label, reqs)
@@ -543,32 +537,35 @@ impl RequesterClient {
         )
     }
 
-    fn send(&mut self, net: &dyn Transport, spec: &AccessSpec, bearer: Option<&str>) -> Response {
-        let label = self.label.clone();
-        let build = move || {
-            let mut req = Request::to_url(spec.method, spec.url.clone())
-                .with_header("x-requester", &label)
-                .with_body(spec.body.clone());
-            if let Some(token) = bearer {
-                req = req.with_bearer(token);
-            }
-            req
-        };
-        self.dispatch_retrying(net, build)
+    /// The Host-bound request for one access, as both [`Self::access`]
+    /// and [`Self::access_batch`] send it.
+    fn host_request(&self, spec: &AccessSpec, bearer: Option<&str>) -> Request {
+        let req = Request::to_url(spec.method, spec.url.clone())
+            .with_header("x-requester", &self.label)
+            .with_body(spec.body.clone());
+        match bearer {
+            Some(token) => req.with_bearer(token),
+            None => req,
+        }
     }
 
-    /// Dispatches under the client's retry policy (if any). Only
-    /// transport failures are retried; application responses return
-    /// after the first attempt.
-    fn dispatch_retrying(&mut self, net: &dyn Transport, build: impl Fn() -> Request) -> Response {
-        match self.retry.clone() {
+    fn send(&mut self, net: &dyn Transport, spec: &AccessSpec, bearer: Option<&str>) -> Response {
+        let req = self.host_request(spec, bearer);
+        self.dispatch_retrying(net, req)
+    }
+
+    /// Dispatches `req` under the client's retry policy (if any), sending
+    /// a copy per attempt. Only transport failures are retried;
+    /// application responses return after the first attempt.
+    fn dispatch_retrying(&mut self, net: &dyn Transport, req: Request) -> Response {
+        match &self.retry {
             Some(policy) => {
                 let (resp, report) =
-                    policy.run(net.clock(), |_| net.dispatch(&self.label, build()));
+                    policy.run(net.clock(), |_| net.dispatch(&self.label, req.clone()));
                 self.stats.retries += u64::from(report.attempts.saturating_sub(1));
                 resp
             }
-            None => net.dispatch(&self.label, build()),
+            None => net.dispatch(&self.label, req),
         }
     }
 
@@ -603,7 +600,7 @@ impl RequesterClient {
         if !self.claim_tokens.is_empty() {
             url = url.with_query("claims", &self.claim_tokens.join(","));
         }
-        let mut resp = self.dispatch_retrying(net, || Request::to_url(Method::Get, url.clone()));
+        let mut resp = self.dispatch_retrying(net, Request::to_url(Method::Get, url.clone()));
         // Multi-AM failover: when the primary's authorize endpoint is
         // unreachable at the transport level (after any retries), re-home
         // the authorize URL to the configured secondary AM and try there.
@@ -611,8 +608,7 @@ impl RequesterClient {
             if let Some(secondary) = self.fallback_ams.get(&am).cloned() {
                 self.stats.failovers += 1;
                 let rehomed = rehome(&url, &secondary);
-                resp =
-                    self.dispatch_retrying(net, || Request::to_url(Method::Get, rehomed.clone()));
+                resp = self.dispatch_retrying(net, Request::to_url(Method::Get, rehomed));
             }
         }
         match resp.status {

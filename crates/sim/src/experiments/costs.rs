@@ -13,7 +13,7 @@ use std::sync::Arc;
 use ucam_am::{Account, AuthorizationManager, AuthorizeOutcome, AuthorizeRequest};
 use ucam_baselines::siloed::SiloedWorld;
 use ucam_baselines::{authz_state, oauth10a, wrap, FlowCosts};
-use ucam_host::{AccessAttempt, BatchConfig, DelegationConfig, HostCore};
+use ucam_host::{AccessAttempt, DelegationConfig, HostCore};
 use ucam_policy::{Action, PolicyBody, ResourceRef, Rule, RulePolicy, Subject};
 use ucam_webenv::{LatencyModel, SimNet, Url};
 
@@ -126,8 +126,10 @@ pub struct BatchRow {
 
 /// Builds a Host + real AM rig with `n` delegated, permit-all-read
 /// resources and one pre-authorized bearer token per resource, then
-/// replays the same cold burst through [`HostCore::enforce_batch`].
-fn batched_burst(n: usize, batch: Option<BatchConfig>) -> BatchRow {
+/// replays the same cold burst through [`HostCore::enforce_batch`] at
+/// batch size `batch`, or through [`HostCore::enforce`] per attempt (the
+/// "off" baseline) when `batch` is `None`.
+fn batched_burst(n: usize, batch: Option<usize>) -> BatchRow {
     const HOST: &str = "batch-host.example";
     const AM: &str = "batch-am.example";
     const OWNER: &str = "bob";
@@ -194,10 +196,25 @@ fn batched_burst(n: usize, batch: Option<BatchConfig>) -> BatchRow {
         });
     }
 
-    core.set_decision_batching(batch);
     net.reset_stats();
     let before_ms = clock.now_ms();
-    let results = core.enforce_batch(&net, &attempts);
+    let results = match batch {
+        Some(max_batch) => core.enforce_batch(&net, &attempts, max_batch),
+        None => attempts
+            .iter()
+            .map(|a| {
+                core.enforce(
+                    &net,
+                    &a.requester,
+                    a.subject.as_deref(),
+                    &a.resource_id,
+                    &a.action,
+                    a.bearer.as_deref(),
+                    &a.return_url,
+                )
+            })
+            .collect(),
+    };
     assert!(
         results.iter().all(ucam_host::Enforcement::is_grant),
         "every pre-authorized access must be granted"
@@ -205,10 +222,7 @@ fn batched_burst(n: usize, batch: Option<BatchConfig>) -> BatchRow {
 
     let (label, predicted) = match batch {
         None => ("off".to_owned(), n as u64),
-        Some(config) => (
-            config.max_batch.to_string(),
-            (n as u64).div_ceil(config.max_batch as u64),
-        ),
+        Some(b) => (b.to_string(), (n as u64).div_ceil(b as u64)),
     };
     BatchRow {
         batch: label,
@@ -226,13 +240,7 @@ fn batched_burst(n: usize, batch: Option<BatchConfig>) -> BatchRow {
 pub fn e7b_batched_decisions(cold_misses: usize, batch_sizes: &[usize]) -> Vec<BatchRow> {
     let mut rows = vec![batched_burst(cold_misses, None)];
     for &b in batch_sizes {
-        rows.push(batched_burst(
-            cold_misses,
-            Some(BatchConfig {
-                max_batch: b,
-                max_delay_ms: 5,
-            }),
-        ));
+        rows.push(batched_burst(cold_misses, Some(b)));
     }
     rows
 }
@@ -632,13 +640,7 @@ mod tests {
             assert_eq!(row.deadline_charge_ms, 0, "batch={}", row.batch);
         }
         // An uneven burst pays exactly one deadline charge for its tail.
-        let tail = batched_burst(
-            5,
-            Some(BatchConfig {
-                max_batch: 2,
-                max_delay_ms: 5,
-            }),
-        );
+        let tail = batched_burst(5, Some(2));
         assert_eq!(tail.decision_round_trips, 3);
         assert_eq!(tail.deadline_charge_ms, 5);
         assert_eq!(e7b_table(8, &[2, 4, 8]).len(), 4);

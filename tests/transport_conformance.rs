@@ -315,10 +315,9 @@ fn batched_decisions_are_transport_agnostic() {
             attempt("albums/rome/photo-0", Action::Read, None),
         ];
         let core = &world.pics.shell().core;
-        core.set_decision_batching(Some(ucam::host::BatchConfig::default()));
         core.reset_stats();
         let batched: Vec<String> = core
-            .enforce_batch(world.net.as_ref(), &attempts)
+            .enforce_batch(world.net.as_ref(), &attempts, 8)
             .iter()
             .map(enforcement_label)
             .collect();
