@@ -280,11 +280,15 @@ struct AmState {
     idp: Option<IdentityVerifier>,
 }
 
+/// `(requester, subject, resource, action)`: one access tuple, in the
+/// shape the use counts are keyed by.
+type UseKey = (String, Option<String>, ResourceRef, Action);
+
 /// One shard of the per-requester evaluation context.
 #[derive(Default)]
 struct CtxShard {
-    /// (requester, subject, resource, action) -> granted uses so far.
-    use_counts: HashMap<(String, Option<String>, ResourceRef, Action), u32>,
+    /// Granted uses so far, per access tuple.
+    use_counts: HashMap<UseKey, u32>,
     /// Claims verified at token-issuance time, reused at decision time,
     /// keyed by (requester, resource).
     satisfied_claims: HashMap<(String, ResourceRef), Vec<Claim>>,
@@ -333,6 +337,25 @@ struct DecidedSet {
 }
 
 type DecidedShard = HashMap<String, DecidedSet>;
+
+/// What phase A gathers for one access tuple (see
+/// [`AuthorizationManager::gather`]): the tuple itself, the owner's
+/// consent, and the requester's satisfied claims and prior uses.
+struct Gathered {
+    key: UseKey,
+    consent_granted: bool,
+    claims: Vec<Claim>,
+    prior_uses: u32,
+}
+
+/// One tuple a push compiler asks about: a live token's grant applied
+/// to one resource and action.
+struct Candidate<'a> {
+    token: &'a str,
+    grant: &'a AuthzGrant,
+    resource_id: &'a str,
+    action: &'a Action,
+}
 
 /// A dynamically registered Host or Requester (`/protection/v2/register`,
 /// in the spirit of OAuth dynamic client registration). The secret is
@@ -732,11 +755,12 @@ impl AuthorizationManager {
     }
 
     /// Compiles the capability sieve for one (host, owner) delegation:
-    /// replays every live issued token through the same phase-A/phase-B
-    /// evaluation as [`Self::decide`] and keeps the permits. Returns the
-    /// raw `(entries, epoch, host_token)` triple; the pump decides whether
-    /// to ship it as a full [`protocol::SieveBody`] or as a delta against
-    /// the last confirmed ship.
+    /// replays every live issued token through [`Self::cacheable_until`]
+    /// — the evaluation step [`Self::decide`] runs — and keeps the
+    /// cacheable permits. Returns the raw `(entries, epoch, host_token)`
+    /// triple; the pump decides whether to ship it as a full
+    /// [`protocol::SieveBody`] or as a delta against the last confirmed
+    /// ship.
     ///
     /// Returns `None` when no host token was ever retained for the pair
     /// (nothing to sign with — the push goes out plain). A *revoked*
@@ -757,17 +781,8 @@ impl AuthorizationManager {
         owner: &str,
     ) -> Option<(Vec<protocol::SieveEntry>, u64, String)> {
         let now = self.clock.now_ms();
-
-        // Scope 1 — central read: signing key and trust status.
-        let (host_token, trusted) = {
-            let state = self.state.read();
-            let token = state
-                .host_tokens
-                .get(&(host.to_owned(), owner.to_owned()))?
-                .clone();
-            (token, state.trust.check(host, owner).is_ok())
-        };
-        // Scope 1b — issued shard: the owner's live grants for this host.
+        let (host_token, trusted) = self.push_key(host, owner)?;
+        // Issued shard: the owner's live grants for this host.
         let grants: Vec<(String, AuthzGrant)> = if trusted {
             self.issued_for(owner)
                 .lock()
@@ -782,18 +797,18 @@ impl AuthorizationManager {
         } else {
             Vec::new()
         };
-        if !trusted || grants.is_empty() {
+        if grants.is_empty() {
             // Epoch 0 never beats an installed sieve; read the real epoch
             // so an empty sieve still supersedes older entries.
             let epoch = self.policy_epoch(owner);
             return Some((Vec::new(), epoch, host_token));
         }
 
-        // Scope 2 — shard read: expand realm grants to their member
-        // resources on this host. A realm token passes the binding check
-        // for any resource (the PDP re-evaluates per resource), so the
-        // candidate set is the realm's members — an underapproximation is
-        // safe, misses just take tier-2.
+        // Shard read: expand realm grants to their member resources on
+        // this host. A realm token passes the binding check for any
+        // resource (the PDP re-evaluates per resource), so the candidate
+        // set is the realm's members — an underapproximation is safe,
+        // misses just take tier-2.
         let realm_resources: HashMap<String, Vec<String>> = {
             let shard = self.shard_for(owner).read();
             let slot = shard.get(owner)?;
@@ -819,118 +834,47 @@ impl AuthorizationManager {
         // Candidate tuples: every (token, resource, built-in action). The
         // web layer maps unknown action strings to `Action::Custom`, which
         // the compiler cannot enumerate — custom actions stay tier-2.
-        struct Candidate {
-            token: String,
-            grant: AuthzGrant,
-            resource_id: String,
-            action: Action,
-        }
-        let mut candidates: Vec<Candidate> = Vec::new();
+        let builtin = Action::BUILTIN;
+        let mut candidates = Vec::new();
         for (token, grant) in &grants {
-            let mut resources = vec![grant.resource_id.clone()];
+            let mut resources = vec![grant.resource_id.as_str()];
             if let Some(realm) = &grant.realm {
                 for id in realm_resources.get(realm).into_iter().flatten() {
-                    if !resources.contains(id) {
-                        resources.push(id.clone());
+                    if !resources.contains(&id.as_str()) {
+                        resources.push(id);
                     }
                 }
             }
             for resource_id in resources {
-                for action in Action::BUILTIN {
+                for action in &builtin {
                     candidates.push(Candidate {
-                        token: token.clone(),
-                        grant: grant.clone(),
-                        resource_id: resource_id.clone(),
+                        token,
+                        grant,
+                        resource_id,
                         action,
                     });
                 }
             }
         }
 
-        // Scope 3 — sharded reads: the same consent/claims/use-count
-        // context `decide` gathers in its phase A, per candidate.
-        let contexts: Vec<(bool, Vec<Claim>, u32)> = candidates
+        let (until, epoch) = self.cacheable_until(host, owner, now, &candidates)?;
+        let entries = candidates
             .iter()
-            .map(|c| {
-                let resource = ResourceRef::new(host, &c.resource_id);
-                let consent_granted = self.consent.is_granted(
-                    owner,
-                    &c.grant.requester,
-                    c.grant.subject.as_deref(),
-                    &resource,
-                    &c.action,
-                );
-                let ctx = self.ctx_for(&c.grant.requester).read();
-                let claims = ctx
-                    .satisfied_claims
-                    .get(&(c.grant.requester.clone(), resource.clone()))
-                    .cloned()
-                    .unwrap_or_default();
-                let prior_uses = ctx
-                    .use_counts
-                    .get(&(
-                        c.grant.requester.clone(),
-                        c.grant.subject.clone(),
-                        resource,
-                        c.action.clone(),
-                    ))
-                    .copied()
-                    .unwrap_or(0);
-                (consent_granted, claims, prior_uses)
-            })
-            .collect();
-
-        // Scope 4 — shard read: evaluate every candidate exactly as
-        // `decide`'s phase B would, stamping the sieve with the epoch and
-        // cache TTL read in the same scope.
-        let (entries, epoch) = {
-            let shard = self.shard_for(owner).read();
-            let slot = shard.get(owner)?;
-            let account = &slot.account;
-            let cache_ttl_ms = account.cache_ttl_ms();
-            let oracle = account.group_oracle();
-            let mut entries = Vec::new();
-            for (c, (consent_granted, claims, prior_uses)) in candidates.iter().zip(&contexts) {
-                let access = build_access_request(
-                    host,
-                    &c.resource_id,
-                    &c.action,
-                    c.grant.subject.as_deref(),
-                    &c.grant.requester,
-                );
-                let mut ctx = EvalContext::new(&access, now)
-                    .with_groups(&oracle)
-                    .with_claims(claims)
-                    .with_prior_uses(*prior_uses);
-                if *consent_granted {
-                    ctx = ctx.with_consent();
-                }
-                let decision = PolicyEngine::evaluate(account.policies(), &ctx);
-                if !matches!(decision.outcome, Outcome::Permit) {
-                    continue;
-                }
-                // Mirror `decide`'s cache bound: never beyond the token's
-                // remaining life, and an uncacheable permit (0) compiles
-                // to no entry at all.
-                let cacheable_ms = cache_ttl_ms.min(c.grant.expires_at_ms.saturating_sub(now));
-                if cacheable_ms == 0 {
-                    continue;
-                }
-                let action_label = c.action.to_string();
-                entries.push(protocol::SieveEntry {
+            .zip(until)
+            .filter_map(|(c, until)| {
+                let expires_at_ms = until?;
+                Some(protocol::SieveEntry {
                     fingerprint: protocol::sieve_fingerprint(
-                        &c.token,
-                        &c.resource_id,
-                        &action_label,
+                        c.token,
+                        c.resource_id,
+                        &c.action.to_string(),
                         &c.grant.requester,
                     ),
-                    resource: c.resource_id.clone(),
-                    expires_at_ms: now + cacheable_ms,
-                });
-            }
-            (entries, slot.epoch)
-        };
-
+                    resource: c.resource_id.to_owned(),
+                    expires_at_ms,
+                })
+            })
+            .collect();
         Some((entries, epoch, host_token))
     }
 
@@ -970,12 +914,12 @@ impl AuthorizationManager {
     }
 
     /// Compiles the decision-level invalidation list for one (host,
-    /// owner) delegation: re-evaluates every outstanding cacheable permit
-    /// recorded for the pair (same phase-A/phase-B evaluation as
-    /// [`Self::decide`], minus its side effects) and returns the
-    /// fingerprints that no longer hold, plus the epoch and signing key.
-    /// An empty list is meaningful — signed proof that the epoch advance
-    /// killed none of this Host's entries.
+    /// owner) delegation: re-asks [`Self::cacheable_until`] — the
+    /// evaluation step [`Self::decide`] runs, minus its side effects —
+    /// about every outstanding cacheable permit recorded for the pair and
+    /// returns the fingerprints that no longer hold, plus the epoch and
+    /// signing key. An empty list is meaningful — signed proof that the
+    /// epoch advance killed none of this Host's entries.
     ///
     /// Returns `None` when the list cannot be *exact*: no host token was
     /// ever retained for the pair, the owner is unknown, or the
@@ -992,19 +936,10 @@ impl AuthorizationManager {
         owner: &str,
     ) -> Option<(Vec<protocol::SieveFingerprint>, u64, String)> {
         let now = self.clock.now_ms();
+        let (host_token, trusted) = self.push_key(host, owner)?;
 
-        // Scope 1 — central read: signing key and trust status.
-        let (host_token, trusted) = {
-            let state = self.state.read();
-            let token = state
-                .host_tokens
-                .get(&(host.to_owned(), owner.to_owned()))?
-                .clone();
-            (token, state.trust.check(host, owner).is_ok())
-        };
-
-        // Scope 1b — outstanding registry: prune expired tuples (their
-        // cached copies died on their own) and take this host's slice.
+        // Outstanding registry: prune expired tuples (their cached copies
+        // died on their own) and take this host's slice.
         let tuples: Vec<(protocol::SieveFingerprint, DecidedTuple)> = {
             let mut shard = self.decided_for(owner).lock();
             let Some(set) = shard.get_mut(owner) else {
@@ -1029,111 +964,94 @@ impl AuthorizationManager {
             return Some((dead, self.policy_epoch(owner), host_token));
         }
 
-        // Scope 2 — sharded reads: the same consent/claims/use-count
-        // context `decide` gathers in its phase A, per tuple. Token
-        // validation happens here too: an expired or rebound token means
-        // the cached entry is dead regardless of policy.
-        struct TupleCtx {
-            grant: Option<AuthzGrant>,
-            consent_granted: bool,
-            claims: Vec<Claim>,
-            prior_uses: u32,
-        }
-        let contexts: Vec<TupleCtx> = tuples
+        // An expired or rebound token means the cached entry is dead
+        // regardless of policy; only tuples whose token still validates
+        // are evaluated.
+        let grants: Vec<Option<AuthzGrant>> = tuples
             .iter()
             .map(|(_, t)| {
-                let grant = match self.tokens.validate_authz_token(
-                    &t.token,
-                    host,
-                    &t.resource_id,
-                    &t.requester,
-                ) {
-                    Ok(g) if g.owner == owner => Some(g),
-                    _ => None,
-                };
-                let Some(grant) = grant else {
-                    return TupleCtx {
-                        grant: None,
-                        consent_granted: false,
-                        claims: Vec::new(),
-                        prior_uses: 0,
-                    };
-                };
-                let resource = ResourceRef::new(host, &t.resource_id);
-                let consent_granted = self.consent.is_granted(
-                    owner,
-                    &t.requester,
-                    grant.subject.as_deref(),
-                    &resource,
-                    &t.action,
-                );
-                let ctx = self.ctx_for(&t.requester).read();
-                let claims = ctx
-                    .satisfied_claims
-                    .get(&(t.requester.clone(), resource.clone()))
-                    .cloned()
-                    .unwrap_or_default();
-                let prior_uses = ctx
-                    .use_counts
-                    .get(&(
-                        t.requester.clone(),
-                        grant.subject.clone(),
-                        resource,
-                        t.action.clone(),
-                    ))
-                    .copied()
-                    .unwrap_or(0);
-                TupleCtx {
-                    grant: Some(grant),
-                    consent_granted,
-                    claims,
-                    prior_uses,
-                }
+                self.tokens
+                    .validate_authz_token(&t.token, host, &t.resource_id, &t.requester)
+                    .ok()
+                    .filter(|grant| grant.owner == owner)
             })
             .collect();
-
-        // Scope 3 — shard read: re-evaluate each tuple exactly as
-        // `decide`'s phase B would; whatever no longer yields a cacheable
-        // permit is the invalidation list. Stamped with the epoch read in
-        // the same scope.
-        let (dead, epoch) = {
-            let shard = self.shard_for(owner).read();
-            let slot = shard.get(owner)?;
-            let account = &slot.account;
-            let cache_ttl_ms = account.cache_ttl_ms();
-            let oracle = account.group_oracle();
-            let mut dead = Vec::new();
-            for ((fp, t), tc) in tuples.iter().zip(&contexts) {
-                let still_cacheable = match &tc.grant {
-                    None => false,
-                    Some(grant) => {
-                        let access = build_access_request(
-                            host,
-                            &t.resource_id,
-                            &t.action,
-                            grant.subject.as_deref(),
-                            &t.requester,
-                        );
-                        let mut ctx = EvalContext::new(&access, now)
-                            .with_groups(&oracle)
-                            .with_claims(&tc.claims)
-                            .with_prior_uses(tc.prior_uses);
-                        if tc.consent_granted {
-                            ctx = ctx.with_consent();
-                        }
-                        let decision = PolicyEngine::evaluate(account.policies(), &ctx);
-                        matches!(decision.outcome, Outcome::Permit)
-                            && cache_ttl_ms.min(grant.expires_at_ms.saturating_sub(now)) > 0
-                    }
-                };
-                if !still_cacheable {
-                    dead.push(*fp);
-                }
-            }
-            (dead, slot.epoch)
-        };
-
+        let candidates: Vec<Candidate<'_>> = tuples
+            .iter()
+            .zip(&grants)
+            .filter_map(|((_, t), grant)| {
+                Some(Candidate {
+                    token: &t.token,
+                    grant: grant.as_ref()?,
+                    resource_id: &t.resource_id,
+                    action: &t.action,
+                })
+            })
+            .collect();
+        let (until, epoch) = self.cacheable_until(host, owner, now, &candidates)?;
+        // A tuple is dead when its token no longer validates or `decide`
+        // would no longer answer it with a cacheable permit. `until`
+        // answers the validated tuples only, in order, so it advances
+        // only past those.
+        let mut until = until.into_iter();
+        let dead = tuples
+            .iter()
+            .zip(&grants)
+            .filter(|(_, grant)| grant.is_none() || until.next().flatten().is_none())
+            .map(|((fp, _), _)| *fp)
+            .collect();
         Some((dead, epoch, host_token))
+    }
+
+    /// The push compilers' central read: the delegation's retained host
+    /// token, which signs the push body (`None` when none was ever
+    /// retained for the pair), and whether the delegation is still
+    /// trusted.
+    fn push_key(&self, host: &str, owner: &str) -> Option<(String, bool)> {
+        let state = self.state.read();
+        let token = state
+            .host_tokens
+            .get(&(host.to_owned(), owner.to_owned()))?;
+        Some((token.clone(), state.trust.check(host, owner).is_ok()))
+    }
+
+    /// The question both push compilers ask: which `candidates` would
+    /// [`Self::decide`] still answer with a cacheable permit, and until
+    /// when? Each candidate goes through phase A ([`Self::gather`]), then
+    /// all of them through one phase B ([`Self::evaluate`]) — `decide`'s
+    /// own evaluation without its audit record and use-count bump.
+    /// Returns each candidate's cache expiry (`None`: not a cacheable
+    /// permit) and the epoch read with the policies; `None` when the
+    /// owner is unknown.
+    fn cacheable_until(
+        &self,
+        host: &str,
+        owner: &str,
+        now: u64,
+        candidates: &[Candidate<'_>],
+    ) -> Option<(Vec<Option<u64>>, u64)> {
+        let gathered: Vec<Gathered> = candidates
+            .iter()
+            .map(|c| {
+                let key = (
+                    c.grant.requester.clone(),
+                    c.grant.subject.clone(),
+                    ResourceRef::new(host, c.resource_id),
+                    c.action.clone(),
+                );
+                self.gather(owner, key)
+            })
+            .collect();
+        let (decisions, cache_ttl_ms, epoch) = self.evaluate(owner, now, &gathered)?;
+        let until = candidates
+            .iter()
+            .zip(decisions)
+            .map(|(c, decision)| {
+                let cacheable_ms = cacheable_ms(cache_ttl_ms, c.grant, now);
+                (decision.is_permit() && cacheable_ms > 0).then_some(now + cacheable_ms)
+            })
+            .collect();
+        Some((until, epoch))
     }
 
     /// Undelivered epoch pushes (due or backing off).
@@ -1354,18 +1272,94 @@ impl AuthorizationManager {
         Ok(f(&slot.account))
     }
 
+    // -- policy evaluation (phases A and B) -------------------------------------
+
+    /// Phase A for one access tuple: the owner's consent (consent hub),
+    /// then the requester's satisfied claims and prior uses (one
+    /// context-shard read). Each is its own lock scope; nothing is
+    /// written. `key` is the tuple; it comes back inside the result so
+    /// `decide` bumps exactly the use count it read.
+    fn gather(&self, owner: &str, key: UseKey) -> Gathered {
+        let (requester, subject, resource, action) = &key;
+        let consent = &self.consent;
+        let consent_granted =
+            consent.is_granted(owner, requester, subject.as_deref(), resource, action);
+        let (claims, prior_uses) = {
+            let ctx = self.ctx_for(requester).read();
+            let claims = ctx
+                .satisfied_claims
+                .get(&(requester.clone(), resource.clone()))
+                .cloned()
+                .unwrap_or_default();
+            (claims, ctx.use_counts.get(&key).copied().unwrap_or(0))
+        };
+        Gathered {
+            key,
+            consent_granted,
+            claims,
+            prior_uses,
+        }
+    }
+
+    /// Phase B: evaluates gathered tuples against `owner`'s policies under
+    /// one owner-shard read, so it runs concurrently with evaluations for
+    /// owners on other shards and with central bookkeeping. Returns the
+    /// decisions in order, with the owner's cache TTL and the policy epoch
+    /// read in that same scope; `None` when the owner is unknown.
+    fn evaluate<'g>(
+        &self,
+        owner: &str,
+        now: u64,
+        tuples: impl IntoIterator<Item = &'g Gathered>,
+    ) -> Option<(Vec<EngineDecision>, u64, u64)> {
+        let shard = self.shard_for(owner).read();
+        let slot = shard.get(owner)?;
+        let account = &slot.account;
+        let oracle = account.group_oracle();
+        let decisions = tuples
+            .into_iter()
+            .map(|g| {
+                let (requester, subject, resource, action) = &g.key;
+                let mut access = AccessRequest::new(&resource.host, &resource.id, action.clone())
+                    .via_app(requester);
+                if let Some(subject) = subject {
+                    access = access.by_user(subject);
+                }
+                let mut ctx = EvalContext::new(&access, now)
+                    .with_groups(&oracle)
+                    .with_claims(&g.claims)
+                    .with_prior_uses(g.prior_uses);
+                if g.consent_granted {
+                    ctx = ctx.with_consent();
+                }
+                PolicyEngine::evaluate(account.policies(), &ctx)
+            })
+            .collect();
+        Some((decisions, account.cache_ttl_ms(), slot.epoch))
+    }
+
+    /// [`Self::evaluate`] for a single tuple.
+    fn evaluate_one(
+        &self,
+        owner: &str,
+        now: u64,
+        g: &Gathered,
+    ) -> Option<(EngineDecision, u64, u64)> {
+        let (mut decisions, cache_ttl_ms, epoch) = self.evaluate(owner, now, [g])?;
+        Some((decisions.pop()?, cache_ttl_ms, epoch))
+    }
+
     // -- token issuance (Fig. 5) ----------------------------------------------
 
     /// Evaluates an access request and, if policy allows, issues an
     /// authorization token bound to it (§V.B.3).
     pub fn authorize(&self, request: &AuthorizeRequest) -> AuthorizeOutcome {
         let now = self.clock.now_ms();
-        let resource = ResourceRef::new(&request.host, &request.resource_id);
 
-        // Phase A — central read (trust, claim verification), then the
-        // consent hub and the requester's context shard. Each is its own
-        // lock scope; none of them is written here.
-        let mut claims = {
+        // Phase A — central read (trust, claim verification), then
+        // `gather`. Freshly verified claims go first, then those the
+        // requester satisfied earlier.
+        let verified = {
             let state = self.state.read();
             if state.trust.check(&request.host, &request.owner).is_err() {
                 return AuthorizeOutcome::Denied(format!(
@@ -1375,58 +1369,21 @@ impl AuthorizationManager {
             }
             state.claim_verifier.verify_all(&request.claim_tokens)
         };
-        let consent_granted = self.consent.is_granted(
-            &request.owner,
-            &request.requester,
-            request.subject.as_deref(),
-            &resource,
-            &request.action,
+        let key = (
+            request.requester.clone(),
+            request.subject.clone(),
+            ResourceRef::new(&request.host, &request.resource_id),
+            request.action.clone(),
         );
-        let prior_uses = {
-            let ctx = self.ctx_for(&request.requester).read();
-            if let Some(previous) = ctx
-                .satisfied_claims
-                .get(&(request.requester.clone(), resource.clone()))
-            {
-                claims.extend(previous.iter().cloned());
-            }
-            ctx.use_counts
-                .get(&(
-                    request.requester.clone(),
-                    request.subject.clone(),
-                    resource.clone(),
-                    request.action.clone(),
-                ))
-                .copied()
-                .unwrap_or(0)
-        };
+        let mut gathered = self.gather(&request.owner, key);
+        let previous = std::mem::replace(&mut gathered.claims, verified);
+        gathered.claims.extend(previous);
 
-        // Phase B — shard read: policy evaluation touches only the
-        // owner's shard, so it runs concurrently with evaluations for
-        // owners on other shards and with central bookkeeping.
-        let decision = {
-            let shard = self.shard_for(&request.owner).read();
-            let Some(slot) = shard.get(&request.owner) else {
-                return AuthorizeOutcome::Denied(format!("unknown owner {}", request.owner));
-            };
-            let account = &slot.account;
-            let access = build_access_request(
-                &request.host,
-                &request.resource_id,
-                &request.action,
-                request.subject.as_deref(),
-                &request.requester,
-            );
-            let oracle = account.group_oracle();
-            let mut ctx = EvalContext::new(&access, now)
-                .with_groups(&oracle)
-                .with_claims(&claims)
-                .with_prior_uses(prior_uses);
-            if consent_granted {
-                ctx = ctx.with_consent();
-            }
-            PolicyEngine::evaluate(account.policies(), &ctx)
+        // Phase B — owner-shard read.
+        let Some((decision, ..)) = self.evaluate_one(&request.owner, now, &gathered) else {
+            return AuthorizeOutcome::Denied(format!("unknown owner {}", request.owner));
         };
+        let (resource, claims) = (&gathered.key.2, gathered.claims);
 
         // Phase C — act on the outcome. All bookkeeping goes to sharded
         // or striped structures; the central lock is never taken.
@@ -1456,7 +1413,7 @@ impl AuthorizationManager {
                     issued.push_back((token.clone(), grant.clone()));
                 }
                 self.audit
-                    .record(audit_token_entry(now, request, &resource, true, &decision));
+                    .record(audit_token_entry(now, request, resource, true, &decision));
                 AuthorizeOutcome::Token { token, grant }
             }
             Outcome::RequiresConsent => {
@@ -1498,12 +1455,12 @@ impl AuthorizationManager {
             Outcome::Deny(ref reason) => {
                 let reason = reason.to_string();
                 self.audit
-                    .record(audit_token_entry(now, request, &resource, false, &decision));
+                    .record(audit_token_entry(now, request, resource, false, &decision));
                 AuthorizeOutcome::Denied(reason)
             }
             Outcome::NotApplicable => {
                 self.audit
-                    .record(audit_token_entry(now, request, &resource, false, &decision));
+                    .record(audit_token_entry(now, request, resource, false, &decision));
                 AuthorizeOutcome::Denied("no applicable policy".to_owned())
             }
         }
@@ -1545,60 +1502,20 @@ impl AuthorizationManager {
             ))));
         }
 
-        let resource = ResourceRef::new(&host_grant.host, &query.resource_id);
-        let use_key = (
+        // Phase A (consent hub, context shard), then phase B (owner
+        // shard): the cache TTL and the epoch the decision is stamped
+        // with are read together with the policies. No central lock.
+        let key = (
             query.requester.clone(),
             grant.subject.clone(),
-            resource.clone(),
+            ResourceRef::new(&host_grant.host, &query.resource_id),
             query.action.clone(),
         );
-
-        // Phase A — sharded reads: consent (by owner), cached claims and
-        // use counts (by requester). No central lock.
-        let consent_granted = self.consent.is_granted(
-            &grant.owner,
-            &query.requester,
-            grant.subject.as_deref(),
-            &resource,
-            &query.action,
-        );
-        let (claims, prior_uses) = {
-            let ctx = self.ctx_for(&query.requester).read();
-            let claims = ctx
-                .satisfied_claims
-                .get(&(query.requester.clone(), resource.clone()))
-                .cloned()
-                .unwrap_or_default();
-            let prior_uses = ctx.use_counts.get(&use_key).copied().unwrap_or(0);
-            (claims, prior_uses)
-        };
-
-        // Phase B — shard read: evaluate against the owner's policies and
-        // capture the cache TTL plus the policy epoch the decision is
-        // stamped with.
-        let (engine_decision, cache_ttl_ms, policy_epoch) = {
-            let shard = self.shard_for(&grant.owner).read();
-            let Some(slot) = shard.get(&grant.owner) else {
-                return Err(AmError::UnknownUser(grant.owner.clone()));
-            };
-            let account = &slot.account;
-            let access = build_access_request(
-                &host_grant.host,
-                &query.resource_id,
-                &query.action,
-                grant.subject.as_deref(),
-                &query.requester,
-            );
-            let oracle = account.group_oracle();
-            let mut ctx = EvalContext::new(&access, now)
-                .with_groups(&oracle)
-                .with_claims(&claims)
-                .with_prior_uses(prior_uses);
-            if consent_granted {
-                ctx = ctx.with_consent();
-            }
-            let engine_decision = PolicyEngine::evaluate(account.policies(), &ctx);
-            (engine_decision, account.cache_ttl_ms(), slot.epoch)
+        let gathered = self.gather(&grant.owner, key);
+        let Some((engine_decision, cache_ttl_ms, policy_epoch)) =
+            self.evaluate_one(&grant.owner, now, &gathered)
+        else {
+            return Err(AmError::UnknownUser(grant.owner.clone()));
         };
 
         // Phase C — striped audit record plus a context-shard use-count
@@ -1612,24 +1529,23 @@ impl AuthorizationManager {
                 outcome: engine_decision.outcome.clone(),
             },
         )
-        .on_resource(resource)
+        .on_resource(gathered.key.2.clone())
         .by_requester(&query.requester, grant.subject.as_deref())
         .for_action(query.action.clone());
         entry = entry.with_policies(contributing_policies(&engine_decision));
         self.audit.record(entry);
-        if matches!(engine_decision.outcome, Outcome::Permit) {
+        if engine_decision.is_permit() {
             *self
                 .ctx_for(&query.requester)
                 .write()
                 .use_counts
-                .entry(use_key)
+                .entry(gathered.key)
                 .or_insert(0) += 1;
         }
 
         match engine_decision.outcome {
             Outcome::Permit => {
-                // A cached permit must not outlive the token it answers for.
-                let cacheable_ms = cache_ttl_ms.min(grant.expires_at_ms.saturating_sub(now));
+                let cacheable_ms = cacheable_ms(cache_ttl_ms, &grant, now);
                 if cacheable_ms > 0 && self.invalidation_push.load(Ordering::Relaxed) {
                     // The Host may cache this verdict; remember the exact
                     // tuple so a later epoch advance can invalidate it
@@ -1687,6 +1603,12 @@ impl AuthorizationManager {
     /// Returns the parse failure as a string when the snapshot is invalid.
     pub fn import_account(&self, snapshot: &str) -> Result<String, String> {
         let account: Account = serde_json::from_str(snapshot).map_err(|e| e.to_string())?;
+        Ok(self.install_account(account))
+    }
+
+    /// Installs a parsed account snapshot in place of any local account
+    /// of the same owner, returning the owner.
+    fn install_account(&self, account: Account) -> String {
         let user = account.user().to_owned();
         let epoch = {
             let mut shard = self.shard_for(&user).write();
@@ -1695,7 +1617,7 @@ impl AuthorizationManager {
             epoch
         };
         self.schedule_epoch_push(&user, epoch);
-        Ok(user)
+        user
     }
 
     // -- consent (§V.D) --------------------------------------------------------
@@ -1811,18 +1733,11 @@ fn decision_wire(decision: &Decision) -> DecisionBody {
     }
 }
 
-fn build_access_request(
-    host: &str,
-    resource_id: &str,
-    action: &Action,
-    subject: Option<&str>,
-    requester: &str,
-) -> AccessRequest {
-    let mut access = AccessRequest::new(host, resource_id, action.clone()).via_app(requester);
-    if let Some(subject) = subject {
-        access = access.by_user(subject);
-    }
-    access
+/// How long a Host may cache a permit answered under `grant`: the
+/// owner's cache TTL, clamped so a cached permit never outlives the
+/// token it answers for.
+fn cacheable_ms(cache_ttl_ms: u64, grant: &AuthzGrant, now: u64) -> u64 {
+    cache_ttl_ms.min(grant.expires_at_ms.saturating_sub(now))
 }
 
 fn contributing_policies(decision: &EngineDecision) -> Vec<ucam_policy::PolicyId> {
@@ -1937,9 +1852,15 @@ impl WebApp for AuthorizationManager {
                 }
                 None => Response::bad_request("owner required"),
             },
-            "/account/import" => match self.import_account(&req.body) {
-                Ok(owner) => Response::with_status(Status::Created).with_body(owner),
-                Err(e) => Response::bad_request(&e),
+            // Importing replaces the snapshot owner's account, so only
+            // that owner (or a custodian) may do it.
+            "/account/import" => match serde_json::from_str::<Account>(&req.body) {
+                Ok(account) => match self.require_user(req, account.user(), true) {
+                    Ok(()) => Response::with_status(Status::Created)
+                        .with_body(self.install_account(account)),
+                    Err(resp) => resp,
+                },
+                Err(e) => Response::bad_request(&e.to_string()),
             },
             // R4's consolidated audit view.
             "/audit/view" => self.web_audit_view(req),
@@ -2130,20 +2051,9 @@ impl AuthorizationManager {
     }
 
     fn web_decision(&self, req: &Request) -> Response {
-        let query = match (
-            req.param("host_token"),
-            req.param("token"),
-            req.param("resource"),
-            req.param("requester"),
-        ) {
-            (Some(ht), Some(t), Some(r), Some(rq)) => DecisionQuery {
-                host_token: ht.to_owned(),
-                authz_token: t.to_owned(),
-                resource_id: r.to_owned(),
-                action: parse_action(req.param("action")),
-                requester: rq.to_owned(),
-            },
-            _ => return Response::bad_request("host_token, token, resource, requester required"),
+        let query = match parse_decision_query(req) {
+            Ok(query) => query,
+            Err(resp) => return resp,
         };
         match self.decide(&query) {
             Ok(decision) => Response::ok().with_body(decision_wire(&decision).to_json()),
@@ -2203,20 +2113,9 @@ impl AuthorizationManager {
                 Err(_) => return Response::bad_request("if_epoch must be an unsigned integer"),
             },
         };
-        let query = match (
-            req.param("host_token"),
-            req.param("token"),
-            req.param("resource"),
-            req.param("requester"),
-        ) {
-            (Some(ht), Some(t), Some(r), Some(rq)) => DecisionQuery {
-                host_token: ht.to_owned(),
-                authz_token: t.to_owned(),
-                resource_id: r.to_owned(),
-                action: parse_action(req.param("action")),
-                requester: rq.to_owned(),
-            },
-            _ => return Response::bad_request("host_token, token, resource, requester required"),
+        let query = match parse_decision_query(req) {
+            Ok(query) => query,
+            Err(resp) => return resp,
         };
         match self.decide(&query) {
             Ok(Decision::Permit {
@@ -2545,10 +2444,13 @@ impl AuthorizationManager {
     }
 
     fn web_consent_pending(&self, req: &Request) -> Response {
-        match req.param("owner") {
-            Some(owner) => Response::ok().with_body(self.pending_consents(owner).join(",")),
-            None => Response::bad_request("owner required"),
+        let Some(owner) = req.param("owner") else {
+            return Response::bad_request("owner required");
+        };
+        if let Err(resp) = self.require_user(req, owner, true) {
+            return resp;
         }
+        Response::ok().with_body(self.pending_consents(owner).join(","))
     }
 
     fn web_consent_settle(&self, req: &Request, grant: bool) -> Response {
@@ -2572,6 +2474,28 @@ impl AuthorizationManager {
             Ok(()) => Response::ok().with_body("settled"),
             Err(e) => Response::bad_request(&e),
         }
+    }
+}
+
+/// Parses the decision query both decision routes (v1 and v2) carry in
+/// their params; a missing param is a 400.
+fn parse_decision_query(req: &Request) -> Result<DecisionQuery, Response> {
+    match (
+        req.param("host_token"),
+        req.param("token"),
+        req.param("resource"),
+        req.param("requester"),
+    ) {
+        (Some(ht), Some(t), Some(r), Some(rq)) => Ok(DecisionQuery {
+            host_token: ht.to_owned(),
+            authz_token: t.to_owned(),
+            resource_id: r.to_owned(),
+            action: parse_action(req.param("action")),
+            requester: rq.to_owned(),
+        }),
+        _ => Err(Response::bad_request(
+            "host_token, token, resource, requester required",
+        )),
     }
 }
 

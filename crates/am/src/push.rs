@@ -11,7 +11,7 @@
 //!
 //! At population scale the channel is a **fan-out**, not a list: one AM
 //! serves up to thousands of Hosts, but any one owner's resources live on
-//! a handful of them. [`PushFanOut`] therefore keeps *per-owner
+//! a handful of them. `PushFanOut` therefore keeps *per-owner
 //! subscription sets* (plus a legacy global target list for small rigs):
 //! an epoch advance fans out only to the Hosts subscribed to that owner,
 //! and the pending queue is sharded by (host, owner) hash with O(1)
@@ -30,7 +30,7 @@
 //! * **Determinism** — backoff is a fixed doubling schedule with no
 //!   jitter, and due pushes are drained in sorted (host, owner) order, so
 //!   a seeded run replays exactly.
-//! * **Bounded drain** — [`PushFanOut::take_due`] accepts a batch limit;
+//! * **Bounded drain** — `PushFanOut::take_due` accepts a batch limit;
 //!   the excess stays queued (still due), so one pump call over a
 //!   million-owner backlog does O(limit) deliveries, not O(backlog).
 //!

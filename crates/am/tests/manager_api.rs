@@ -1,13 +1,16 @@
 //! Tests of the Authorization Manager's native API and Web interface.
 
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 use ucam_am::claims::ClaimIssuer;
 use ucam_am::consent::ConsentState;
+use ucam_am::tokens::AUTHZ_TOKEN_TTL_MS;
 use ucam_am::{AuthorizationManager, AuthorizeOutcome, AuthorizeRequest, Decision, DecisionQuery};
 use ucam_policy::prelude::*;
 use ucam_webenv::identity::IdentityProvider;
-use ucam_webenv::{Method, Request, SimClock, SimNet, Status};
+use ucam_webenv::protocol::{self, InvalidationBody, SieveBody};
+use ucam_webenv::{Method, Request, Response, SimClock, SimNet, Status, Transport, WebApp};
 
 const HOST: &str = "webpics.example";
 const PHOTO: &str = "photo-1";
@@ -567,6 +570,98 @@ fn web_owner_routes_require_authentication_when_idp_configured() {
             .with_param("subject_token", &bob),
     );
     assert_eq!(resp.status, Status::Ok, "{}", resp.body);
+
+    // An account snapshot for Bob that makes his photo public-read.
+    let forge = AuthorizationManager::new("forge.example", SimClock::new());
+    forge.register_user("bob");
+    forge
+        .pap("bob", |account| {
+            let id = account.create_policy(
+                "public-read",
+                PolicyBody::Rules(
+                    RulePolicy::new().with_rule(
+                        Rule::permit()
+                            .for_subject(Subject::Public)
+                            .for_action(Action::Read),
+                    ),
+                ),
+            );
+            account
+                .link_specific(ResourceRef::new(HOST, PHOTO), &id)
+                .unwrap();
+        })
+        .unwrap();
+    let snapshot = forge.export_account("bob").unwrap();
+    let import = |subject_token: Option<&str>| {
+        let mut req =
+            Request::new(Method::Post, "https://am.example/account/import").with_body(&snapshot);
+        if let Some(token) = subject_token {
+            req = req.with_param("subject_token", token);
+        }
+        net.dispatch("browser:importer", req)
+    };
+    let mallory_reads = || {
+        am.authorize(&AuthorizeRequest::new(
+            HOST,
+            "bob",
+            PHOTO,
+            Action::Read,
+            "requester:mallory",
+        ))
+    };
+    let before = am.export_account("bob").unwrap();
+
+    // Anonymous import: 401. Mallory importing *Bob's* account: 403, and
+    // Bob's policies stay as they were.
+    assert_eq!(import(None).status, Status::Unauthorized);
+    assert_eq!(import(Some(&mallory)).status, Status::Forbidden);
+    assert_eq!(am.export_account("bob").unwrap(), before);
+    assert!(matches!(mallory_reads(), AuthorizeOutcome::Denied(_)));
+
+    // Bob importing his own snapshot: 201, and it takes effect.
+    let resp = import(Some(&bob));
+    assert_eq!(resp.status, Status::Created, "{}", resp.body);
+    assert!(matches!(mallory_reads(), AuthorizeOutcome::Token { .. }));
+
+    // Bob's pending consent requests are his to list, not Mallory's.
+    am.pap("bob", |account| {
+        let id = account.create_policy(
+            "gate",
+            PolicyBody::Rules(
+                RulePolicy::new().with_rule(
+                    Rule::permit()
+                        .for_subject(Subject::Public)
+                        .for_action(Action::Read)
+                        .with_condition(Condition::RequiresConsent),
+                ),
+            ),
+        );
+        account
+            .link_specific(ResourceRef::new(HOST, "guarded"), &id)
+            .unwrap();
+    })
+    .unwrap();
+    let AuthorizeOutcome::PendingConsent { consent_id } = am.authorize(&AuthorizeRequest::new(
+        HOST,
+        "bob",
+        "guarded",
+        Action::Read,
+        "requester:x",
+    )) else {
+        panic!("expected pending consent");
+    };
+    let pending = |subject_token: &str| {
+        net.dispatch(
+            "browser:lister",
+            Request::new(Method::Get, "https://am.example/consent/pending")
+                .with_param("owner", "bob")
+                .with_param("subject_token", subject_token),
+        )
+    };
+    assert_eq!(pending(&mallory).status, Status::Forbidden);
+    let resp = pending(&bob);
+    assert_eq!(resp.status, Status::Ok, "{}", resp.body);
+    assert_eq!(resp.body, consent_id);
 }
 
 #[test]
@@ -1292,4 +1387,301 @@ fn route_hits_count_every_decision_surface() {
     assert_eq!(hits.legacy_decision, 3);
     assert_eq!(hits.v1_decision, 2);
     assert_eq!(hits.v2_decision, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Compiled pushes agree with `decide`
+// ---------------------------------------------------------------------------
+
+/// Stands at the Host's authority and records the body of every epoch
+/// push the AM delivers.
+struct PushCapture {
+    bodies: Mutex<Vec<String>>,
+}
+
+impl WebApp for PushCapture {
+    fn authority(&self) -> &str {
+        HOST
+    }
+
+    fn handle(&self, _net: &dyn Transport, req: &Request) -> Response {
+        if req.url.path() == protocol::EPOCH_PUSH_PATH && !req.body.is_empty() {
+            self.bodies.lock().unwrap().push(req.body.clone());
+        }
+        Response::ok().with_body("epoch noted")
+    }
+}
+
+/// One access tuple a compiled push may name.
+struct PushTuple {
+    token: String,
+    requester: &'static str,
+    resource: &'static str,
+    action: Action,
+}
+
+impl PushTuple {
+    fn fingerprint(&self) -> protocol::SieveFingerprint {
+        protocol::sieve_fingerprint(
+            &self.token,
+            self.resource,
+            &self.action.to_string(),
+            self.requester,
+        )
+    }
+
+    fn query(&self, host_token: &str) -> DecisionQuery {
+        DecisionQuery {
+            host_token: host_token.to_owned(),
+            authz_token: self.token.clone(),
+            resource_id: self.resource.to_owned(),
+            action: self.action.clone(),
+            requester: self.requester.to_owned(),
+        }
+    }
+}
+
+/// Every resource the push rig's owner holds at `HOST`.
+const PUSH_RESOURCES: [&str; 6] = ["album/1", "album/2", "doc", "shared", "guarded", "paid"];
+
+/// Bob, delegated to `HOST`, under one policy of every kind a compiled
+/// push must agree with `decide` on: a realm grant (`album/*`), a
+/// per-resource policy (`doc`), a group subject (`shared`), a consent
+/// gate (`guarded`) and a claims gate (`paid`). No use limits: `decide`
+/// bumps use counts, which would move later answers.
+struct PushRig {
+    net: SimNet,
+    am: Arc<AuthorizationManager>,
+    capture: Arc<PushCapture>,
+    host_token: String,
+    payments: ClaimIssuer,
+}
+
+impl PushRig {
+    fn new() -> Self {
+        let net = SimNet::new();
+        let am = Arc::new(AuthorizationManager::new("am.example", net.clock().clone()));
+        let capture = Arc::new(PushCapture {
+            bodies: Mutex::new(Vec::new()),
+        });
+        net.register(am.clone());
+        net.register(capture.clone());
+        am.register_user("bob");
+        let (_, host_token) = am.establish_delegation(HOST, "bob").unwrap();
+        let payments = ClaimIssuer::new("payments.example");
+        am.trust_claim_issuer(&payments);
+        let read_for =
+            |subject: Subject| Rule::permit().for_subject(subject).for_action(Action::Read);
+        am.pap("bob", |account| {
+            let mut policy = |name: &str, rule: Rule| {
+                account.create_policy(name, PolicyBody::Rules(RulePolicy::new().with_rule(rule)))
+            };
+            let album = policy("album", read_for(Subject::User("alice".into())));
+            let public = policy("public", read_for(Subject::Public));
+            let friends = policy("friends", read_for(Subject::Group("friends".into())));
+            let gate = policy(
+                "gate",
+                read_for(Subject::User("dave".into())).with_condition(Condition::RequiresConsent),
+            );
+            let paid = policy(
+                "paid",
+                read_for(Subject::Public).with_condition(Condition::RequiresClaims(vec![
+                    ClaimRequirement::from_issuer("payment", "payments.example"),
+                ])),
+            );
+            account.add_group_member("friends", "carol");
+            account.assign_realm(ResourceRef::new(HOST, "album/1"), "album");
+            account.assign_realm(ResourceRef::new(HOST, "album/2"), "album");
+            account.link_general("album", &album).unwrap();
+            for (resource, id) in [
+                ("doc", &public),
+                ("shared", &friends),
+                ("guarded", &gate),
+                ("paid", &paid),
+            ] {
+                account
+                    .link_specific(ResourceRef::new(HOST, resource), id)
+                    .unwrap();
+            }
+        })
+        .unwrap();
+        PushRig {
+            net,
+            am,
+            capture,
+            host_token,
+            payments,
+        }
+    }
+
+    /// Issues a read token for `requester` (driven by `subject`) on
+    /// `resource`.
+    fn token(
+        &self,
+        resource: &'static str,
+        requester: &'static str,
+        subject: Option<&str>,
+    ) -> PushTuple {
+        let mut req = AuthorizeRequest::new(HOST, "bob", resource, Action::Read, requester);
+        req.subject = subject.map(str::to_owned);
+        if resource == "paid" {
+            req = req.with_claim_token(&self.payments.issue("payment", "ref-1"));
+        }
+        let outcome = self.am.authorize(&req);
+        let AuthorizeOutcome::Token { token, .. } = outcome else {
+            panic!("expected a token for {resource}: {outcome:?}");
+        };
+        PushTuple {
+            token,
+            requester,
+            resource,
+            action: Action::Read,
+        }
+    }
+
+    /// One token per policy kind (Bob grants Dave's consent first).
+    fn tokens(&self) -> Vec<PushTuple> {
+        let parked = self.am.authorize(
+            &AuthorizeRequest::new(HOST, "bob", "guarded", Action::Read, "requester:dave-app")
+                .with_subject("dave"),
+        );
+        let AuthorizeOutcome::PendingConsent { consent_id } = parked else {
+            panic!("expected pending consent: {parked:?}");
+        };
+        self.am.grant_consent(&consent_id).unwrap();
+        vec![
+            self.token("album/1", "requester:alice-app", Some("alice")),
+            self.token("doc", "requester:anon", None),
+            self.token("shared", "requester:carol-app", Some("carol")),
+            self.token("guarded", "requester:dave-app", Some("dave")),
+            self.token("paid", "requester:buyer", None),
+        ]
+    }
+
+    /// Subscribes `HOST` to Bob's pushes, runs `trigger`, pumps, and
+    /// returns the last pushed body.
+    fn push(&self, trigger: impl FnOnce()) -> String {
+        self.am.subscribe_epoch_push(HOST, "bob");
+        trigger();
+        assert_eq!(self.am.pump_epoch_pushes(&self.net), 1);
+        self.capture
+            .bodies
+            .lock()
+            .unwrap()
+            .pop()
+            .expect("a push body")
+    }
+}
+
+#[test]
+fn compiled_pushes_agree_with_decide() {
+    sieve_entries_are_permits_decide_agrees_with();
+    invalidations_name_exactly_the_permits_decide_withdrew();
+}
+
+/// Sieve half: every entry of a full sieve body is a cacheable permit
+/// `decide` agrees with.
+fn sieve_entries_are_permits_decide_agrees_with() {
+    let rig = PushRig::new();
+    rig.am.set_sieve_push(true);
+    // A token that expires before the compile must not be listed.
+    let expired = rig.token("doc", "requester:early", None);
+    rig.net.clock().advance_ms(AUTHZ_TOKEN_TTL_MS + 1);
+    let issued = rig.tokens();
+
+    let body = rig.push(|| rig.am.schedule_sieve_refresh());
+    let sieve = SieveBody::from_json(&body).unwrap();
+    assert!(sieve.verify(rig.host_token.as_bytes()));
+
+    // Every tuple the issued tokens could name, by fingerprint.
+    let mut known = HashMap::new();
+    for t in issued.iter().chain([&expired]) {
+        for resource in PUSH_RESOURCES {
+            for action in Action::BUILTIN {
+                let tuple = PushTuple {
+                    token: t.token.clone(),
+                    requester: t.requester,
+                    resource,
+                    action,
+                };
+                known.insert(tuple.fingerprint(), tuple);
+            }
+        }
+    }
+    // Each entry must be a cacheable permit `decide` agrees with, and
+    // expire no later than that permit's cache lifetime. (Only this
+    // direction holds: a realm token also passes `decide` outside its
+    // realm, which the compiler never lists.)
+    let now = rig.net.clock().now_ms();
+    let mut covered = HashSet::new();
+    for entry in &sieve.entries {
+        let tuple = known
+            .get(&entry.fingerprint)
+            .expect("every entry names an issued tuple");
+        assert_eq!(entry.resource, tuple.resource);
+        match rig.am.decide(&tuple.query(&rig.host_token)) {
+            Ok(Decision::Permit { cacheable_ms, .. }) => {
+                assert!(cacheable_ms > 0, "{} {}", tuple.requester, tuple.resource);
+                assert!(entry.expires_at_ms <= now + cacheable_ms);
+            }
+            other => panic!(
+                "sieve lists {} {} for {}; decide says {other:?}",
+                tuple.action, tuple.resource, tuple.requester
+            ),
+        }
+        covered.insert(tuple.resource);
+    }
+    // Every policy kind contributed, the realm grant for both members.
+    assert_eq!(covered.len(), PUSH_RESOURCES.len(), "{covered:?}");
+}
+
+/// Invalidation half: after a narrowing edit, the pushed list names
+/// exactly the decided permits `decide` now withdraws.
+fn invalidations_name_exactly_the_permits_decide_withdrew() {
+    let rig = PushRig::new();
+    rig.am.set_invalidation_push(true);
+    let mut decided = rig.tokens();
+    // Alice's realm token, presented for the realm's other member.
+    decided.push(PushTuple {
+        resource: "album/2",
+        ..rig.token("album/1", "requester:alice-app", Some("alice"))
+    });
+    let cacheable = |tuple: &PushTuple| {
+        matches!(
+            rig.am.decide(&tuple.query(&rig.host_token)),
+            Ok(Decision::Permit { cacheable_ms, .. }) if cacheable_ms > 0
+        )
+    };
+    for tuple in &decided {
+        assert!(cacheable(tuple), "{} {}", tuple.requester, tuple.resource);
+    }
+
+    // One narrowing edit: Carol leaves the friends group.
+    let body = rig.push(|| {
+        rig.am
+            .pap("bob", |account| {
+                account.remove_group_member("friends", "carol")
+            })
+            .unwrap();
+    });
+    let invalidation = InvalidationBody::from_json(&body).unwrap();
+    assert!(invalidation.verify(rig.host_token.as_bytes()));
+
+    // The clock has not moved, so every decided tuple is still inside
+    // its cache lifetime: each is listed exactly when `decide` no longer
+    // answers it with a cacheable permit.
+    let mut withdrawn = 0;
+    for tuple in &decided {
+        let listed = invalidation.invalidated.contains(&tuple.fingerprint());
+        assert_eq!(
+            listed,
+            !cacheable(tuple),
+            "{} {}",
+            tuple.requester,
+            tuple.resource
+        );
+        withdrawn += usize::from(listed);
+    }
+    assert_eq!(withdrawn, 1, "the edit withdraws Carol's permit alone");
+    assert_eq!(invalidation.invalidated.len(), 1);
 }

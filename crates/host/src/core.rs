@@ -976,6 +976,47 @@ impl SieveSnapshot {
         }
     }
 
+    /// Whether the sieve installed for `owner` was compiled under an
+    /// epoch older than `epoch`.
+    fn is_behind(&self, owner: &str, epoch: u64) -> bool {
+        self.owner_epochs
+            .get(owner)
+            .is_some_and(|&installed| installed < epoch)
+    }
+
+    /// The owner-floor advance: when `owner`'s installed sieve is behind
+    /// `epoch`, purges the owner and raises their floor to `epoch`.
+    fn advance_floor(&mut self, owner: &str, epoch: u64) {
+        if self.is_behind(owner, epoch) {
+            self.purge_owner(owner);
+            self.owner_epochs.insert(owner.to_owned(), epoch);
+        }
+    }
+
+    /// Inserts vouched `entries` for `owner` with their index rows and
+    /// stamps the owner's sieve with `epoch`. A fingerprint already
+    /// present (a delta moving an entry's deadline, or a body repeating
+    /// one) only moves its expiry; the indexes already know it.
+    fn install(&mut self, owner: &str, epoch: u64, entries: &[protocol::SieveEntry]) {
+        for entry in entries {
+            if self
+                .entries
+                .insert(entry.fingerprint, entry.expires_at_ms)
+                .is_none()
+            {
+                self.owner_index
+                    .entry(owner.to_owned())
+                    .or_default()
+                    .push(entry.fingerprint);
+                self.resource_index
+                    .entry(entry.resource.clone())
+                    .or_default()
+                    .push(entry.fingerprint);
+            }
+        }
+        self.owner_epochs.insert(owner.to_owned(), epoch);
+    }
+
     /// Drops a specific fingerprint set (a delta's `removed` list).
     /// Removal only narrows access, so no ownership check is needed —
     /// the worst a bad list can do is force extra tier-2 round trips.
@@ -1197,28 +1238,11 @@ impl HostCore {
     /// way — both tiers go stale together.
     pub fn note_policy_epoch(&self, owner: &str, epoch: u64) {
         self.cache.write().note_epoch(owner, epoch);
-        let needs_purge = {
-            let current = self.sieve.lock();
-            current
-                .owner_epochs
-                .get(owner)
-                .is_some_and(|&installed| installed < epoch)
-        };
-        if needs_purge {
-            let mut slot = self.sieve.lock();
-            // Re-check under the lock: a concurrent install may have
-            // brought the owner up to (or past) this epoch already.
-            if slot
-                .owner_epochs
-                .get(owner)
-                .is_some_and(|&installed| installed < epoch)
-            {
-                let mut next = (**slot).clone();
-                next.purge_owner(owner);
-                next.owner_epochs.insert(owner.to_owned(), epoch);
-                *slot = Arc::new(next);
-                self.sieve_gen.fetch_add(1, Ordering::Release);
-            }
+        let behind = |sieve: &SieveSnapshot| sieve.is_behind(owner, epoch);
+        if behind(&self.sieve.lock()) {
+            // Re-checked under the swap lock: a concurrent install may
+            // have brought the owner up to (or past) this epoch already.
+            self.update_sieve(behind, |sieve| sieve.advance_floor(owner, epoch));
         }
     }
 
@@ -1287,25 +1311,17 @@ impl HostCore {
             .fetch_add(1, Ordering::Relaxed);
         let sieve_work = {
             let current = self.sieve.lock();
-            let has_dead = dead.iter().any(|fp| current.entries.contains_key(fp));
-            let stale = current
-                .owner_epochs
-                .get(owner)
-                .is_some_and(|&installed| installed < epoch);
-            has_dead || stale
+            dead.iter().any(|fp| current.entries.contains_key(fp))
+                || current.is_behind(owner, epoch)
         };
         if sieve_work {
-            self.update_sieve(|sieve| {
-                sieve.remove_fingerprints(dead);
-                if sieve
-                    .owner_epochs
-                    .get(owner)
-                    .is_some_and(|&installed| installed < epoch)
-                {
-                    sieve.purge_owner(owner);
-                    sieve.owner_epochs.insert(owner.to_owned(), epoch);
-                }
-            });
+            self.update_sieve(
+                |_| true,
+                |sieve| {
+                    sieve.remove_fingerprints(dead);
+                    sieve.advance_floor(owner, epoch);
+                },
+            );
         }
     }
 
@@ -1343,14 +1359,23 @@ impl HostCore {
         })
     }
 
-    /// Applies `mutate` to a copy of the sieve and swaps it in. Cold path
-    /// only (installs and purges).
-    fn update_sieve(&self, mutate: impl FnOnce(&mut SieveSnapshot)) {
+    /// Applies `mutate` to a copy of the sieve and swaps it in, if
+    /// `admit` holds for the current sieve under the swap lock. Returns
+    /// whether it swapped. Cold path only (installs and purges).
+    fn update_sieve(
+        &self,
+        admit: impl FnOnce(&SieveSnapshot) -> bool,
+        mutate: impl FnOnce(&mut SieveSnapshot),
+    ) -> bool {
         let mut slot = self.sieve.lock();
+        if !admit(&slot) {
+            return false;
+        }
         let mut next = (**slot).clone();
         mutate(&mut next);
         *slot = Arc::new(next);
         self.sieve_gen.fetch_add(1, Ordering::Release);
+        true
     }
 
     /// Drops `owner`'s sieve entries (their delegation changed, so the
@@ -1358,7 +1383,7 @@ impl HostCore {
     fn purge_sieve_owner(&self, owner: &str) {
         let has_entries = self.sieve.lock().owner_index.contains_key(owner);
         if has_entries {
-            self.update_sieve(|sieve| sieve.purge_owner(owner));
+            self.update_sieve(|_| true, |sieve| sieve.purge_owner(owner));
         }
     }
 
@@ -1366,101 +1391,81 @@ impl HostCore {
     fn purge_sieve_resource(&self, resource_id: &str) {
         let has_entries = self.sieve.lock().resource_index.contains_key(resource_id);
         if has_entries {
-            self.update_sieve(|sieve| sieve.purge_resource(resource_id));
+            self.update_sieve(|_| true, |sieve| sieve.purge_resource(resource_id));
         }
+    }
+
+    /// The trust step both sieve installs share: returns `entries` only
+    /// when `verify` accepts the body under the `host_token` of the
+    /// delegation this Host itself holds for `owner` — the shared secret
+    /// from the delegation handshake, which only the real AM knows — and
+    /// that signer speaks for every entry. Per entry, the resource must
+    /// exist here and belong to the owner, must not be re-delegated under
+    /// another secret (a per-resource override pointing at a different
+    /// AM means the signer does not govern it), and the entry must be
+    /// unexpired. One bad entry rejects the whole body: a well-behaved AM
+    /// never compiles one, so it is either corruption or forgery.
+    fn vouched_entries<'e>(
+        &self,
+        owner: &str,
+        verify: impl FnOnce(&[u8]) -> bool,
+        entries: &'e [protocol::SieveEntry],
+    ) -> Option<&'e [protocol::SieveEntry]> {
+        let now = self.clock.now_ms();
+        let state = self.state.read();
+        let config = state.user_delegations.get(owner)?;
+        let vouched = verify(config.host_token.as_bytes())
+            && entries.iter().all(|entry| {
+                let resource_ok = state
+                    .resources
+                    .get(&entry.resource)
+                    .is_some_and(|r| r.owner == owner);
+                let delegation_ok = state
+                    .resource_delegations
+                    .get(&entry.resource)
+                    .is_none_or(|over| over.host_token == config.host_token);
+                resource_ok && delegation_ok && entry.expires_at_ms > now
+            });
+        vouched.then_some(entries)
+    }
+
+    /// The freshest policy epoch the decision cache has seen for `owner`
+    /// — one of the floors a pushed sieve must clear.
+    fn cache_epoch(&self, owner: &str) -> u64 {
+        let cache = self.cache.read();
+        cache.owner_epochs.get(owner).copied().unwrap_or(0)
     }
 
     /// Installs a pushed capability sieve, fail-closed on any doubt.
     /// Returns `true` iff the sieve was installed.
     ///
     /// Trust chain: the body must verify under the `host_token` of the
-    /// delegation this Host itself holds for the claimed owner — the
-    /// shared secret from the delegation handshake, which only the real
-    /// AM knows. Per entry, the resource must exist here, belong to the
-    /// owner, and be governed by that same delegation (a per-resource
-    /// override pointing at a different AM means the signer does not
-    /// speak for it). The body's epoch must be no older than the freshest
-    /// epoch this Host has seen for the owner from *either* tier, so a
-    /// delayed push can never resurrect revoked permits.
+    /// delegation this Host itself holds for the claimed owner, and that
+    /// signer must speak for every entry — each resource exists here,
+    /// belongs to the owner and is not re-delegated under another secret,
+    /// and each entry is unexpired. The body's epoch must be no older
+    /// than the freshest epoch this Host has seen for the owner from
+    /// *either* tier, so a delayed push can never resurrect revoked
+    /// permits.
     pub fn install_sieve(&self, sieve: &protocol::SieveBody) -> bool {
-        let now = self.clock.now_ms();
-        let accepted: Option<Vec<&protocol::SieveEntry>> = {
-            let state = self.state.read();
-            match state.user_delegations.get(&sieve.owner) {
-                Some(config) if sieve.verify(config.host_token.as_bytes()) => {
-                    let mut entries = Vec::with_capacity(sieve.entries.len());
-                    let mut all_valid = true;
-                    for entry in &sieve.entries {
-                        let resource_ok = state
-                            .resources
-                            .get(&entry.resource)
-                            .is_some_and(|r| r.owner == sieve.owner);
-                        let delegation_ok = match state.resource_delegations.get(&entry.resource) {
-                            // A per-resource override must still point at
-                            // the same shared secret the body verified
-                            // under; otherwise the signer doesn't govern
-                            // this resource.
-                            Some(over) => over.host_token == config.host_token,
-                            None => true,
-                        };
-                        if resource_ok && delegation_ok && entry.expires_at_ms > now {
-                            entries.push(entry);
-                        } else {
-                            // One bad entry poisons the whole body: a
-                            // well-behaved AM never compiles one, so this
-                            // is either corruption or forgery.
-                            all_valid = false;
-                            break;
-                        }
-                    }
-                    all_valid.then_some(entries)
-                }
-                _ => None,
-            }
-        };
-        let Some(accepted) = accepted else {
+        let verify = |key: &[u8]| sieve.verify(key);
+        let Some(accepted) = self.vouched_entries(&sieve.owner, verify, &sieve.entries) else {
             self.stats.sieve_rejects.fetch_add(1, Ordering::Relaxed);
             return false;
         };
         // Epoch floor: freshest epoch known from the decision cache or a
         // previously installed sieve.
-        let cache_epoch = self
-            .cache
-            .read()
-            .owner_epochs
-            .get(&sieve.owner)
-            .copied()
-            .unwrap_or(0);
-        let installed = {
-            let mut slot = self.sieve.lock();
-            let floor = slot
-                .owner_epochs
-                .get(&sieve.owner)
-                .copied()
-                .unwrap_or(0)
-                .max(cache_epoch);
-            if sieve.epoch < floor {
-                false
-            } else {
-                let mut next = (**slot).clone();
+        let cache_epoch = self.cache_epoch(&sieve.owner);
+        let installed = self.update_sieve(
+            |current| {
+                let installed = current.owner_epochs.get(&sieve.owner).copied();
+                sieve.epoch >= installed.unwrap_or(0).max(cache_epoch)
+            },
+            |next| {
                 next.purge_owner(&sieve.owner);
-                for entry in accepted {
-                    next.entries.insert(entry.fingerprint, entry.expires_at_ms);
-                    next.owner_index
-                        .entry(sieve.owner.clone())
-                        .or_default()
-                        .push(entry.fingerprint);
-                    next.resource_index
-                        .entry(entry.resource.clone())
-                        .or_default()
-                        .push(entry.fingerprint);
-                }
-                next.owner_epochs.insert(sieve.owner.clone(), sieve.epoch);
-                *slot = Arc::new(next);
-                self.sieve_gen.fetch_add(1, Ordering::Release);
-                true
-            }
-        };
+                next.install(&sieve.owner, sieve.epoch, accepted);
+            },
+        );
         if installed {
             // Keep the decision cache's epoch floor in step.
             self.cache.write().note_epoch(&sieve.owner, sieve.epoch);
@@ -1473,106 +1478,44 @@ impl HostCore {
 
     /// Applies a pushed sieve *delta* on top of the installed base
     /// (DESIGN.md §13). Trust rules are identical to
-    /// [`HostCore::install_sieve`] — same signing key (under the delta's
-    /// own domain separator), same per-entry owner/delegation/expiry
-    /// validation for everything `added`. On top of that, a delta only
-    /// applies when the installed sieve for the owner sits **exactly** at
-    /// the delta's `base_epoch` and the delta's epoch clears every epoch
-    /// floor; any mismatch returns
-    /// [`SieveDeltaOutcome::BaseMismatch`] so the caller can request a
-    /// full-body resync. Removals need no ownership proof: dropping an
-    /// entry can only narrow access.
+    /// [`HostCore::install_sieve`] — the same signature and per-entry
+    /// check (under the delta's own domain separator) for everything
+    /// `added`. On top of that, a delta only applies when the installed
+    /// sieve for the owner sits **exactly** at the delta's `base_epoch`
+    /// and the delta's epoch clears every epoch floor; any mismatch
+    /// returns [`SieveDeltaOutcome::BaseMismatch`] so the caller can
+    /// request a full-body resync. Removals need no ownership proof:
+    /// dropping an entry can only narrow access.
     pub fn install_sieve_delta(&self, delta: &protocol::SieveDeltaBody) -> SieveDeltaOutcome {
-        let now = self.clock.now_ms();
-        let accepted: Option<Vec<&protocol::SieveEntry>> = {
-            let state = self.state.read();
-            match state.user_delegations.get(&delta.owner) {
-                Some(config) if delta.verify(config.host_token.as_bytes()) => {
-                    let mut entries = Vec::with_capacity(delta.added.len());
-                    let mut all_valid = true;
-                    for entry in &delta.added {
-                        let resource_ok = state
-                            .resources
-                            .get(&entry.resource)
-                            .is_some_and(|r| r.owner == delta.owner);
-                        let delegation_ok = match state.resource_delegations.get(&entry.resource) {
-                            Some(over) => over.host_token == config.host_token,
-                            None => true,
-                        };
-                        if resource_ok && delegation_ok && entry.expires_at_ms > now {
-                            entries.push(entry);
-                        } else {
-                            all_valid = false;
-                            break;
-                        }
-                    }
-                    all_valid.then_some(entries)
-                }
-                _ => None,
-            }
-        };
-        let Some(accepted) = accepted else {
+        let verify = |key: &[u8]| delta.verify(key);
+        let Some(accepted) = self.vouched_entries(&delta.owner, verify, &delta.added) else {
             self.stats.sieve_rejects.fetch_add(1, Ordering::Relaxed);
             return SieveDeltaOutcome::Rejected;
         };
-        let cache_epoch = self
-            .cache
-            .read()
-            .owner_epochs
-            .get(&delta.owner)
-            .copied()
-            .unwrap_or(0);
-        let outcome = {
-            let mut slot = self.sieve.lock();
-            let base = slot.owner_epochs.get(&delta.owner).copied();
+        let cache_epoch = self.cache_epoch(&delta.owner);
+        let applied = self.update_sieve(
             // Exact base match, and the result must clear both epoch
             // floors — a delta that would rewind either tier resyncs.
-            if base != Some(delta.base_epoch)
-                || delta.epoch < delta.base_epoch
-                || delta.epoch < cache_epoch
-            {
-                SieveDeltaOutcome::BaseMismatch
-            } else {
-                let mut next = (**slot).clone();
+            |current| {
+                current.owner_epochs.get(&delta.owner) == Some(&delta.base_epoch)
+                    && delta.epoch >= delta.base_epoch
+                    && delta.epoch >= cache_epoch
+            },
+            |next| {
                 next.remove_fingerprints(&delta.removed);
-                for entry in accepted {
-                    // `insert` returning a prior expiry means the entry
-                    // only moved its deadline; the indexes already know
-                    // the fingerprint.
-                    if next
-                        .entries
-                        .insert(entry.fingerprint, entry.expires_at_ms)
-                        .is_none()
-                    {
-                        next.owner_index
-                            .entry(delta.owner.clone())
-                            .or_default()
-                            .push(entry.fingerprint);
-                        next.resource_index
-                            .entry(entry.resource.clone())
-                            .or_default()
-                            .push(entry.fingerprint);
-                    }
-                }
-                next.owner_epochs.insert(delta.owner.clone(), delta.epoch);
-                *slot = Arc::new(next);
-                self.sieve_gen.fetch_add(1, Ordering::Release);
-                SieveDeltaOutcome::Installed
-            }
-        };
-        match outcome {
-            SieveDeltaOutcome::Installed => {
-                self.cache.write().note_epoch(&delta.owner, delta.epoch);
-                self.stats
-                    .sieve_delta_installs
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            SieveDeltaOutcome::BaseMismatch => {
-                self.stats.sieve_resyncs.fetch_add(1, Ordering::Relaxed);
-            }
-            SieveDeltaOutcome::Rejected => {}
+                next.install(&delta.owner, delta.epoch, accepted);
+            },
+        );
+        if applied {
+            self.cache.write().note_epoch(&delta.owner, delta.epoch);
+            self.stats
+                .sieve_delta_installs
+                .fetch_add(1, Ordering::Relaxed);
+            SieveDeltaOutcome::Installed
+        } else {
+            self.stats.sieve_resyncs.fetch_add(1, Ordering::Relaxed);
+            SieveDeltaOutcome::BaseMismatch
         }
-        outcome
     }
 
     /// Tier-1 probe: grants iff the sieve holds an unexpired entry for

@@ -2,7 +2,7 @@
 //!
 //! `HttpTransport` serves the same [`WebApp`] handlers that run on
 //! [`SimNet`](crate::net::SimNet), but over actual sockets. The wire
-//! format is owned by the canonical [`codec`](crate::codec) module
+//! format is owned by the canonical [`codec`] module
 //! (DESIGN.md §14); this module is the fast path that moves those bytes
 //! (DESIGN.md §15):
 //!

@@ -32,7 +32,7 @@
 //! shared lock** when tracing and loss injection are off:
 //!
 //! * the routing table, latency model and offline set live in one
-//!   immutable [`ConfigSnapshot`] behind a generation stamp; each thread
+//!   immutable `ConfigSnapshot` behind a generation stamp; each thread
 //!   caches the current snapshot and revalidates it with a single atomic
 //!   load, so registration churn never stalls in-flight dispatches;
 //! * statistics land in per-thread **stat shards** (relaxed atomics plus

@@ -810,7 +810,7 @@ pub struct SieveBody {
     /// Pre-authorized access tuples. May be empty: an empty signed sieve
     /// is how the AM propagates "nothing is pre-authorized anymore".
     pub entries: Vec<SieveEntry>,
-    /// Hex HMAC-SHA256 over [`signing payload`](Self::signing_payload).
+    /// Hex HMAC-SHA256 over the canonical signing payload.
     pub sig: String,
 }
 
@@ -825,10 +825,7 @@ impl SieveBody {
             entries,
             sig: String::new(),
         };
-        let mac = ucam_crypto::hmac_sha256(key, body.signing_payload().as_bytes());
-        let mut sig = String::with_capacity(64);
-        push_hex(&mut sig, &mac);
-        body.sig = sig;
+        body.sig = sign(key, &body.signing_payload());
         body
     }
 
@@ -837,30 +834,15 @@ impl SieveBody {
     /// sieve must be discarded whole.
     #[must_use]
     pub fn verify(&self, key: &[u8]) -> bool {
-        let Some(sig) = hex_decode::<32>(&self.sig) else {
-            return false;
-        };
-        let mac = ucam_crypto::hmac_sha256(key, self.signing_payload().as_bytes());
-        ucam_crypto::ct_eq(&mac, &sig)
+        verify_sig(key, &self.signing_payload(), &self.sig)
     }
 
-    /// The canonical byte string the signature covers. Variable-length
-    /// fields are length-prefixed so no two distinct sieves serialize to
-    /// the same payload.
+    /// The canonical byte string the signature covers: the shared
+    /// [`signing_head`], then one line per entry.
     fn signing_payload(&self) -> String {
-        let mut out = String::with_capacity(64 + self.entries.len() * 64);
-        out.push_str("ucam-sieve-v1\n");
-        out.push_str(&format!("{}:{}\n", self.owner.len(), self.owner));
-        out.push_str(&format!("{}\n", self.epoch));
-        for entry in &self.entries {
-            push_hex(&mut out, &entry.fingerprint);
-            out.push_str(&format!(
-                " {} {}:{}\n",
-                entry.expires_at_ms,
-                entry.resource.len(),
-                entry.resource
-            ));
-        }
+        let capacity = 64 + self.entries.len() * 64;
+        let mut out = signing_head("ucam-sieve-v1", &self.owner, self.epoch, capacity);
+        push_entry_lines(&mut out, "", &self.entries);
         out
     }
 
@@ -869,27 +851,9 @@ impl SieveBody {
     /// triples.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96 + self.entries.len() * 72);
-        out.push_str("{\"owner\":");
-        push_json_string(&mut out, &self.owner);
-        out.push_str(",\"epoch\":");
-        out.push_str(&self.epoch.to_string());
-        out.push_str(",\"entries\":[");
-        for (i, entry) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("[\"");
-            push_hex(&mut out, &entry.fingerprint);
-            out.push_str("\",");
-            out.push_str(&entry.expires_at_ms.to_string());
-            out.push(',');
-            push_json_string(&mut out, &entry.resource);
-            out.push(']');
-        }
-        out.push_str("],\"sig\":");
-        push_json_string(&mut out, &self.sig);
-        out.push('}');
+        let mut out = json_head(&self.owner, self.epoch, 96 + self.entries.len() * 72);
+        push_entries_json(&mut out, "entries", &self.entries);
+        json_close(&mut out, &self.sig);
         out
     }
 
@@ -902,50 +866,12 @@ impl SieveBody {
     /// Returns [`WireError`] on malformed JSON, missing or ill-typed
     /// fields, or a fingerprint that is not exactly 32 hex characters.
     pub fn from_json(body: &str) -> Result<Self, WireError> {
-        let Json::Object(fields) = parse_json(body)? else {
-            return Err(WireError::new("sieve body is not a JSON object"));
-        };
-        let owner = match find(&fields, "owner") {
-            Some(Json::String(s)) => s.clone(),
-            _ => return Err(WireError::new("sieve owner missing or not a string")),
-        };
-        let epoch =
-            opt_u64(&fields, "epoch")?.ok_or_else(|| WireError::new("sieve epoch missing"))?;
-        let sig = match find(&fields, "sig") {
-            Some(Json::String(s)) => s.clone(),
-            _ => return Err(WireError::new("sieve sig missing or not a string")),
-        };
-        let Some(Json::Array(raw_entries)) = find(&fields, "entries") else {
-            return Err(WireError::new("sieve entries missing or not an array"));
-        };
-        let mut entries = Vec::with_capacity(raw_entries.len());
-        for raw in raw_entries {
-            let Json::Array(triple) = raw else {
-                return Err(WireError::new("sieve entry is not an array"));
-            };
-            let [Json::String(fp_hex), Json::Number(expires), Json::String(resource)] =
-                triple.as_slice()
-            else {
-                return Err(WireError::new(
-                    "sieve entry is not a [fp, expires, resource] triple",
-                ));
-            };
-            let fingerprint = hex_decode::<16>(fp_hex)
-                .ok_or_else(|| WireError::new("sieve entry fingerprint is not 32 hex chars"))?;
-            let expires_at_ms = expires
-                .parse::<u64>()
-                .map_err(|_| WireError::new("sieve entry expiry is not an unsigned integer"))?;
-            entries.push(SieveEntry {
-                fingerprint,
-                resource: resource.clone(),
-                expires_at_ms,
-            });
-        }
+        let head = PushHead::parse(body, "sieve")?;
         Ok(Self {
-            owner,
-            epoch,
-            entries,
-            sig,
+            entries: entries_from_json(&head.fields, "entries", "sieve")?,
+            owner: head.owner,
+            epoch: head.epoch,
+            sig: head.sig,
         })
     }
 }
@@ -1004,10 +930,7 @@ impl SieveDeltaBody {
             removed,
             sig: String::new(),
         };
-        let mac = ucam_crypto::hmac_sha256(key, body.signing_payload().as_bytes());
-        let mut sig = String::with_capacity(64);
-        push_hex(&mut sig, &mac);
-        body.sig = sig;
+        body.sig = sign(key, &body.signing_payload());
         body
     }
 
@@ -1015,36 +938,19 @@ impl SieveDeltaBody {
     /// `host_token`. Constant-time; any mismatch discards the delta whole.
     #[must_use]
     pub fn verify(&self, key: &[u8]) -> bool {
-        let Some(sig) = hex_decode::<32>(&self.sig) else {
-            return false;
-        };
-        let mac = ucam_crypto::hmac_sha256(key, self.signing_payload().as_bytes());
-        ucam_crypto::ct_eq(&mac, &sig)
+        verify_sig(key, &self.signing_payload(), &self.sig)
     }
 
-    /// The canonical byte string the signature covers; same
-    /// length-prefixing discipline as [`SieveBody`], under its own domain
-    /// separator.
+    /// The canonical byte string the signature covers: the shared
+    /// [`signing_head`] under its own domain separator (the epoch line
+    /// also carries `base_epoch`), then `+` lines for additions and `-`
+    /// lines for removals.
     fn signing_payload(&self) -> String {
-        let mut out = String::with_capacity(80 + self.added.len() * 64 + self.removed.len() * 33);
-        out.push_str("ucam-sieve-delta-v1\n");
-        out.push_str(&format!("{}:{}\n", self.owner.len(), self.owner));
-        out.push_str(&format!("{} {}\n", self.epoch, self.base_epoch));
-        for entry in &self.added {
-            out.push('+');
-            push_hex(&mut out, &entry.fingerprint);
-            out.push_str(&format!(
-                " {} {}:{}\n",
-                entry.expires_at_ms,
-                entry.resource.len(),
-                entry.resource
-            ));
-        }
-        for fp in &self.removed {
-            out.push('-');
-            push_hex(&mut out, fp);
-            out.push('\n');
-        }
+        let capacity = 80 + self.added.len() * 64 + self.removed.len() * 33;
+        let epochs = format!("{} {}", self.epoch, self.base_epoch);
+        let mut out = signing_head("ucam-sieve-delta-v1", &self.owner, epochs, capacity);
+        push_entry_lines(&mut out, "+", &self.added);
+        push_fingerprint_lines(&mut out, '-', &self.removed);
         out
     }
 
@@ -1053,38 +959,13 @@ impl SieveDeltaBody {
     /// `entries`, so the two body kinds can never be confused on parse.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.added.len() * 72 + self.removed.len() * 36);
-        out.push_str("{\"owner\":");
-        push_json_string(&mut out, &self.owner);
-        out.push_str(",\"epoch\":");
-        out.push_str(&self.epoch.to_string());
+        let capacity = 128 + self.added.len() * 72 + self.removed.len() * 36;
+        let mut out = json_head(&self.owner, self.epoch, capacity);
         out.push_str(",\"base_epoch\":");
         out.push_str(&self.base_epoch.to_string());
-        out.push_str(",\"added\":[");
-        for (i, entry) in self.added.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("[\"");
-            push_hex(&mut out, &entry.fingerprint);
-            out.push_str("\",");
-            out.push_str(&entry.expires_at_ms.to_string());
-            out.push(',');
-            push_json_string(&mut out, &entry.resource);
-            out.push(']');
-        }
-        out.push_str("],\"removed\":[");
-        for (i, fp) in self.removed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            push_hex(&mut out, fp);
-            out.push('"');
-        }
-        out.push_str("],\"sig\":");
-        push_json_string(&mut out, &self.sig);
-        out.push('}');
+        push_entries_json(&mut out, "added", &self.added);
+        push_fingerprints_json(&mut out, "removed", &self.removed);
+        json_close(&mut out, &self.sig);
         out
     }
 
@@ -1097,69 +978,16 @@ impl SieveDeltaBody {
     /// Returns [`WireError`] on malformed JSON, missing or ill-typed
     /// fields, or malformed fingerprints.
     pub fn from_json(body: &str) -> Result<Self, WireError> {
-        let Json::Object(fields) = parse_json(body)? else {
-            return Err(WireError::new("sieve delta body is not a JSON object"));
-        };
-        let owner = match find(&fields, "owner") {
-            Some(Json::String(s)) => s.clone(),
-            _ => return Err(WireError::new("sieve delta owner missing or not a string")),
-        };
-        let epoch = opt_u64(&fields, "epoch")?
-            .ok_or_else(|| WireError::new("sieve delta epoch missing"))?;
-        let base_epoch = opt_u64(&fields, "base_epoch")?
+        let head = PushHead::parse(body, "sieve delta")?;
+        let base_epoch = opt_u64(&head.fields, "base_epoch")?
             .ok_or_else(|| WireError::new("sieve delta base_epoch missing"))?;
-        let sig = match find(&fields, "sig") {
-            Some(Json::String(s)) => s.clone(),
-            _ => return Err(WireError::new("sieve delta sig missing or not a string")),
-        };
-        let Some(Json::Array(raw_added)) = find(&fields, "added") else {
-            return Err(WireError::new("sieve delta added missing or not an array"));
-        };
-        let mut added = Vec::with_capacity(raw_added.len());
-        for raw in raw_added {
-            let Json::Array(triple) = raw else {
-                return Err(WireError::new("sieve delta added entry is not an array"));
-            };
-            let [Json::String(fp_hex), Json::Number(expires), Json::String(resource)] =
-                triple.as_slice()
-            else {
-                return Err(WireError::new(
-                    "sieve delta added entry is not a [fp, expires, resource] triple",
-                ));
-            };
-            let fingerprint = hex_decode::<16>(fp_hex)
-                .ok_or_else(|| WireError::new("sieve delta fingerprint is not 32 hex chars"))?;
-            let expires_at_ms = expires.parse::<u64>().map_err(|_| {
-                WireError::new("sieve delta entry expiry is not an unsigned integer")
-            })?;
-            added.push(SieveEntry {
-                fingerprint,
-                resource: resource.clone(),
-                expires_at_ms,
-            });
-        }
-        let Some(Json::Array(raw_removed)) = find(&fields, "removed") else {
-            return Err(WireError::new(
-                "sieve delta removed missing or not an array",
-            ));
-        };
-        let mut removed = Vec::with_capacity(raw_removed.len());
-        for raw in raw_removed {
-            let Json::String(fp_hex) = raw else {
-                return Err(WireError::new("sieve delta removed entry is not a string"));
-            };
-            removed
-                .push(hex_decode::<16>(fp_hex).ok_or_else(|| {
-                    WireError::new("sieve delta fingerprint is not 32 hex chars")
-                })?);
-        }
         Ok(Self {
-            owner,
-            epoch,
             base_epoch,
-            added,
-            removed,
-            sig,
+            added: entries_from_json(&head.fields, "added", "sieve delta")?,
+            removed: fingerprints_from_json(&head.fields, "removed", "sieve delta")?,
+            owner: head.owner,
+            epoch: head.epoch,
+            sig: head.sig,
         })
     }
 }
@@ -1207,10 +1035,7 @@ impl InvalidationBody {
             invalidated,
             sig: String::new(),
         };
-        let mac = ucam_crypto::hmac_sha256(key, body.signing_payload().as_bytes());
-        let mut sig = String::with_capacity(64);
-        push_hex(&mut sig, &mac);
-        body.sig = sig;
+        body.sig = sign(key, &body.signing_payload());
         body
     }
 
@@ -1218,27 +1043,17 @@ impl InvalidationBody {
     /// `host_token`. Constant-time; any mismatch discards the body whole.
     #[must_use]
     pub fn verify(&self, key: &[u8]) -> bool {
-        let Some(sig) = hex_decode::<32>(&self.sig) else {
-            return false;
-        };
-        let mac = ucam_crypto::hmac_sha256(key, self.signing_payload().as_bytes());
-        ucam_crypto::ct_eq(&mac, &sig)
+        verify_sig(key, &self.signing_payload(), &self.sig)
     }
 
-    /// The canonical byte string the signature covers; same
-    /// length-prefixing discipline as the sieve bodies, under its own
-    /// domain separator so an invalidation can never be replayed as a
-    /// sieve or a delta (or vice versa).
+    /// The canonical byte string the signature covers: the shared
+    /// [`signing_head`] under its own domain separator, so an
+    /// invalidation can never be replayed as a sieve or a delta (or vice
+    /// versa), then one `!` line per fingerprint.
     fn signing_payload(&self) -> String {
-        let mut out = String::with_capacity(48 + self.invalidated.len() * 34);
-        out.push_str("ucam-inval-v1\n");
-        out.push_str(&format!("{}:{}\n", self.owner.len(), self.owner));
-        out.push_str(&format!("{}\n", self.epoch));
-        for fp in &self.invalidated {
-            out.push('!');
-            push_hex(&mut out, fp);
-            out.push('\n');
-        }
+        let capacity = 48 + self.invalidated.len() * 34;
+        let mut out = signing_head("ucam-inval-v1", &self.owner, self.epoch, capacity);
+        push_fingerprint_lines(&mut out, '!', &self.invalidated);
         out
     }
 
@@ -1248,23 +1063,9 @@ impl InvalidationBody {
     /// never be confused on the shared epoch-push route.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96 + self.invalidated.len() * 36);
-        out.push_str("{\"owner\":");
-        push_json_string(&mut out, &self.owner);
-        out.push_str(",\"epoch\":");
-        out.push_str(&self.epoch.to_string());
-        out.push_str(",\"invalidated\":[");
-        for (i, fp) in self.invalidated.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            push_hex(&mut out, fp);
-            out.push('"');
-        }
-        out.push_str("],\"sig\":");
-        push_json_string(&mut out, &self.sig);
-        out.push('}');
+        let mut out = json_head(&self.owner, self.epoch, 96 + self.invalidated.len() * 36);
+        push_fingerprints_json(&mut out, "invalidated", &self.invalidated);
+        json_close(&mut out, &self.sig);
         out
     }
 
@@ -1278,42 +1079,215 @@ impl InvalidationBody {
     /// Returns [`WireError`] on malformed JSON, missing or ill-typed
     /// fields, or malformed fingerprints.
     pub fn from_json(body: &str) -> Result<Self, WireError> {
-        let Json::Object(fields) = parse_json(body)? else {
-            return Err(WireError::new("invalidation body is not a JSON object"));
-        };
-        let owner = match find(&fields, "owner") {
-            Some(Json::String(s)) => s.clone(),
-            _ => return Err(WireError::new("invalidation owner missing or not a string")),
-        };
-        let epoch = opt_u64(&fields, "epoch")?
-            .ok_or_else(|| WireError::new("invalidation epoch missing"))?;
-        let sig = match find(&fields, "sig") {
-            Some(Json::String(s)) => s.clone(),
-            _ => return Err(WireError::new("invalidation sig missing or not a string")),
-        };
-        let Some(Json::Array(raw)) = find(&fields, "invalidated") else {
-            return Err(WireError::new(
-                "invalidation invalidated missing or not an array",
-            ));
-        };
-        let mut invalidated = Vec::with_capacity(raw.len());
-        for value in raw {
-            let Json::String(fp_hex) = value else {
-                return Err(WireError::new("invalidation fingerprint is not a string"));
-            };
-            invalidated.push(
-                hex_decode::<16>(fp_hex).ok_or_else(|| {
-                    WireError::new("invalidation fingerprint is not 32 hex chars")
-                })?,
-            );
-        }
+        let head = PushHead::parse(body, "invalidation")?;
         Ok(Self {
+            invalidated: fingerprints_from_json(&head.fields, "invalidated", "invalidation")?,
+            owner: head.owner,
+            epoch: head.epoch,
+            sig: head.sig,
+        })
+    }
+}
+
+// -- the codec the three push bodies share ------------------------------------
+
+/// Hex HMAC-SHA256 of a push body's signing payload under the shared
+/// delegation `host_token` bytes.
+fn sign(key: &[u8], payload: &str) -> String {
+    let mut sig = String::with_capacity(64);
+    push_hex(&mut sig, &ucam_crypto::hmac_sha256(key, payload.as_bytes()));
+    sig
+}
+
+/// Checks a push body's hex `sig` against its signing payload in
+/// constant time; a `sig` that is not exactly 32 hex-encoded bytes fails.
+fn verify_sig(key: &[u8], payload: &str, sig: &str) -> bool {
+    let Some(sig) = hex_decode::<32>(sig) else {
+        return false;
+    };
+    let mac = ucam_crypto::hmac_sha256(key, payload.as_bytes());
+    ucam_crypto::ct_eq(&mac, &sig)
+}
+
+/// The signing payload every push body opens with: its domain separator
+/// line, the length-prefixed owner, and its epoch line. Variable-length
+/// fields are length-prefixed so no two distinct bodies serialize to the
+/// same payload.
+fn signing_head(
+    domain: &str,
+    owner: &str,
+    epoch_line: impl core::fmt::Display,
+    capacity: usize,
+) -> String {
+    let mut out = String::with_capacity(capacity);
+    out.push_str(&format!(
+        "{domain}\n{}:{owner}\n{epoch_line}\n",
+        owner.len()
+    ));
+    out
+}
+
+/// Appends one signing-payload line per entry, each opened by `marker`:
+/// fingerprint, expiry and length-prefixed resource.
+fn push_entry_lines(out: &mut String, marker: &str, entries: &[SieveEntry]) {
+    for entry in entries {
+        out.push_str(marker);
+        push_hex(out, &entry.fingerprint);
+        let resource = &entry.resource;
+        out.push_str(&format!(
+            " {} {}:{resource}\n",
+            entry.expires_at_ms,
+            resource.len()
+        ));
+    }
+}
+
+/// Appends one signing-payload line per fingerprint, each opened by
+/// `marker`.
+fn push_fingerprint_lines(out: &mut String, marker: char, fingerprints: &[SieveFingerprint]) {
+    for fp in fingerprints {
+        out.push(marker);
+        push_hex(out, fp);
+        out.push('\n');
+    }
+}
+
+/// Opens a push body's wire JSON: `{"owner":…,"epoch":N`.
+fn json_head(owner: &str, epoch: u64, capacity: usize) -> String {
+    let mut out = String::with_capacity(capacity);
+    out.push_str("{\"owner\":");
+    push_json_string(&mut out, owner);
+    out.push_str(",\"epoch\":");
+    out.push_str(&epoch.to_string());
+    out
+}
+
+/// Closes a push body's wire JSON with its signature: `,"sig":"…"}`.
+fn json_close(out: &mut String, sig: &str) {
+    out.push_str(",\"sig\":");
+    push_json_string(out, sig);
+    out.push('}');
+}
+
+/// Appends `,"<field>":[…]` with each entry as a
+/// `["<fp hex>", expires_at_ms, "resource"]` triple.
+fn push_entries_json(out: &mut String, field: &str, entries: &[SieveEntry]) {
+    out.push_str(&format!(",\"{field}\":["));
+    for (i, entry) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("[\"");
+        push_hex(out, &entry.fingerprint);
+        out.push_str("\",");
+        out.push_str(&entry.expires_at_ms.to_string());
+        out.push(',');
+        push_json_string(out, &entry.resource);
+        out.push(']');
+    }
+    out.push(']');
+}
+
+/// Appends `,"<field>":[…]` with each fingerprint as a hex string.
+fn push_fingerprints_json(out: &mut String, field: &str, fingerprints: &[SieveFingerprint]) {
+    out.push_str(&format!(",\"{field}\":["));
+    for (i, fp) in fingerprints.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        push_hex(out, fp);
+        out.push('"');
+    }
+    out.push(']');
+}
+
+/// The fields every push body carries, parsed fail-closed, plus the rest
+/// of the object for the body-specific fields.
+struct PushHead {
+    fields: Vec<(String, Json)>,
+    owner: String,
+    epoch: u64,
+    sig: String,
+}
+
+impl PushHead {
+    /// Parses `body` as a JSON object with a string `owner`, an unsigned
+    /// `epoch` and a string `sig`; `kind` names the body in errors.
+    fn parse(body: &str, kind: &str) -> Result<Self, WireError> {
+        let fail = |what: &str| WireError::new(&format!("{kind} {what}"));
+        let Json::Object(fields) = parse_json(body)? else {
+            return Err(fail("body is not a JSON object"));
+        };
+        let Some(Json::String(owner)) = find(&fields, "owner").cloned() else {
+            return Err(fail("owner missing or not a string"));
+        };
+        let epoch = opt_u64(&fields, "epoch")?.ok_or_else(|| fail("epoch missing"))?;
+        let Some(Json::String(sig)) = find(&fields, "sig").cloned() else {
+            return Err(fail("sig missing or not a string"));
+        };
+        Ok(Self {
+            fields,
             owner,
             epoch,
-            invalidated,
             sig,
         })
     }
+}
+
+/// Decodes a push body's `field` entry list, fail-closed: one entry that
+/// is not a `[fp, expires, resource]` triple with a 32-hex-char
+/// fingerprint and an unsigned expiry rejects the whole list.
+fn entries_from_json(
+    fields: &[(String, Json)],
+    field: &str,
+    kind: &str,
+) -> Result<Vec<SieveEntry>, WireError> {
+    let fail = |what: &str| WireError::new(&format!("{kind} {what}"));
+    let Some(Json::Array(raw)) = find(fields, field) else {
+        return Err(fail(&format!("{field} missing or not an array")));
+    };
+    raw.iter()
+        .map(|value| {
+            let Json::Array(triple) = value else {
+                return Err(fail("entry is not an array"));
+            };
+            let [Json::String(fp_hex), Json::Number(expires), Json::String(resource)] =
+                triple.as_slice()
+            else {
+                return Err(fail("entry is not a [fp, expires, resource] triple"));
+            };
+            Ok(SieveEntry {
+                fingerprint: hex_decode::<16>(fp_hex)
+                    .ok_or_else(|| fail("entry fingerprint is not 32 hex chars"))?,
+                resource: resource.clone(),
+                expires_at_ms: expires
+                    .parse::<u64>()
+                    .map_err(|_| fail("entry expiry is not an unsigned integer"))?,
+            })
+        })
+        .collect()
+}
+
+/// Decodes a push body's `field` fingerprint list, fail-closed: one
+/// element that is not a 32-hex-char string rejects the whole list.
+fn fingerprints_from_json(
+    fields: &[(String, Json)],
+    field: &str,
+    kind: &str,
+) -> Result<Vec<SieveFingerprint>, WireError> {
+    let fail = |what: &str| WireError::new(&format!("{kind} {what}"));
+    let Some(Json::Array(raw)) = find(fields, field) else {
+        return Err(fail(&format!("{field} missing or not an array")));
+    };
+    raw.iter()
+        .map(|value| match value {
+            Json::String(fp_hex) => {
+                hex_decode::<16>(fp_hex).ok_or_else(|| fail("fingerprint is not 32 hex chars"))
+            }
+            _ => Err(fail("fingerprint is not a string")),
+        })
+        .collect()
 }
 
 fn push_hex(out: &mut String, bytes: &[u8]) {
