@@ -374,9 +374,9 @@ struct Registrant {
 pub struct RouteHits {
     /// Hits on the pre-versioning `/decision` alias.
     pub legacy_decision: u64,
-    /// Hits on the canonical `/protection/v1/decision` route.
+    /// Hits on the `/protection/v1/decision` route.
     pub v1_decision: u64,
-    /// Hits on the conditional `/protection/v2/decision` route.
+    /// Hits on the `/protection/v2/decision` route Hosts send.
     pub v2_decision: u64,
 }
 
@@ -1782,16 +1782,13 @@ impl WebApp for AuthorizationManager {
             // Fig. 5: a Requester asks for an authorization token.
             "/authorize" => self.web_authorize(req),
             "/authorize/status" => self.web_authorize_status(req),
-            // Fig. 6: a Host queries for a decision. The versioned
-            // `/protection/v1/decision` route is canonical; the bare
-            // `/decision` path is the pre-versioning alias, parity-tested
-            // and hit-counted so retirement is data-driven (§16).
-            protocol::DECISION_PATH | protocol::LEGACY_DECISION_PATH => {
-                if req.url.path() == protocol::LEGACY_DECISION_PATH {
-                    self.legacy_decision_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.v1_decision_hits.fetch_add(1, Ordering::Relaxed);
-                }
+            // Fig. 6: a Host queries for a decision. Hosts send
+            // `/protection/v2/decision`; the v1 route and the bare
+            // `/decision` alias answer the same query, parity-tested and
+            // hit-counted so retirement is data-driven (§16).
+            protocol::DECISION_V2_PATH
+            | protocol::DECISION_PATH
+            | protocol::LEGACY_DECISION_PATH => {
                 let resp = self.web_decision(req);
                 // Lazy label: while tracing is off (every hot loop) this
                 // is one atomic load and no formatting.
@@ -1800,6 +1797,8 @@ impl WebApp for AuthorizationManager {
                         "permit"
                     } else if resp.body.contains("\"decision\":\"deny\"") {
                         "deny"
+                    } else if resp.body.starts_with("{\"unchanged\":true") {
+                        "unchanged"
                     } else {
                         "refused"
                     };
@@ -1824,12 +1823,8 @@ impl WebApp for AuthorizationManager {
                 });
                 resp
             }
-            // Protocol v2 (DESIGN.md §16): conditional decision queries,
-            // batch authorize, and dynamic registration.
-            protocol::DECISION_V2_PATH => {
-                self.v2_decision_hits.fetch_add(1, Ordering::Relaxed);
-                self.web_decision_v2(req)
-            }
+            // Protocol v2 (DESIGN.md §16): batch authorize and dynamic
+            // registration.
             protocol::BATCH_AUTHORIZE_PATH => self.web_authorize_batch(req),
             protocol::REGISTER_PATH => self.web_register(req),
             protocol::REGISTER_ROTATE_PATH => self.web_register_rotate(req),
@@ -2050,12 +2045,41 @@ impl AuthorizationManager {
         }
     }
 
+    /// Handles the single-decision routes, counting each in
+    /// [`RouteHits`]. `/protection/v2/decision` also takes an optional
+    /// `if_epoch` parameter carrying the epoch the Host's cached entry
+    /// was stamped with; v1 and the legacy alias ignore it. The decision
+    /// is evaluated in full either way (audit records and use counts must
+    /// not drift between routes); only the *serialization* is conditional
+    /// — a permit whose epoch still matches collapses to the compact
+    /// [`protocol::UnchangedBody`] instead of re-shipping the verdict.
     fn web_decision(&self, req: &Request) -> Response {
+        let (hits, conditional) = match req.url.path() {
+            protocol::DECISION_V2_PATH => (&self.v2_decision_hits, true),
+            protocol::DECISION_PATH => (&self.v1_decision_hits, false),
+            _ => (&self.legacy_decision_hits, false),
+        };
+        hits.fetch_add(1, Ordering::Relaxed);
+        let if_epoch = match req.param("if_epoch").filter(|_| conditional) {
+            None => None,
+            // Fail closed: an unparseable epoch is a malformed request,
+            // not an unconditional one.
+            Some(raw) => match raw.parse::<u64>() {
+                Ok(epoch) => Some(epoch),
+                Err(_) => return Response::bad_request("if_epoch must be an unsigned integer"),
+            },
+        };
         let query = match parse_decision_query(req) {
             Ok(query) => query,
             Err(resp) => return resp,
         };
         match self.decide(&query) {
+            Ok(Decision::Permit {
+                cacheable_ms,
+                policy_epoch,
+            }) if if_epoch == Some(policy_epoch) => {
+                Response::ok().with_body(protocol::UnchangedBody { cacheable_ms }.to_json())
+            }
             Ok(decision) => Response::ok().with_body(decision_wire(&decision).to_json()),
             Err(e) => Response::with_status(Status::Unauthorized).with_body(e.to_string()),
         }
@@ -2094,39 +2118,6 @@ impl AuthorizationManager {
             })
             .collect();
         Response::ok().with_body(protocol::encode_batch_response(&bodies))
-    }
-
-    /// Handles `/protection/v2/decision`: the v1 decision query plus an
-    /// optional `if_epoch` parameter carrying the epoch the Host's cached
-    /// entry was stamped with. The decision is evaluated in full either
-    /// way (audit records and use counts must not drift between v1 and
-    /// v2); only the *serialization* is conditional — a permit whose
-    /// epoch still matches collapses to the compact
-    /// [`protocol::UnchangedBody`] instead of re-shipping the verdict.
-    fn web_decision_v2(&self, req: &Request) -> Response {
-        let if_epoch = match req.param("if_epoch") {
-            None => None,
-            // Fail closed: an unparseable epoch is a malformed request,
-            // not an unconditional one.
-            Some(raw) => match raw.parse::<u64>() {
-                Ok(epoch) => Some(epoch),
-                Err(_) => return Response::bad_request("if_epoch must be an unsigned integer"),
-            },
-        };
-        let query = match parse_decision_query(req) {
-            Ok(query) => query,
-            Err(resp) => return resp,
-        };
-        match self.decide(&query) {
-            Ok(Decision::Permit {
-                cacheable_ms,
-                policy_epoch,
-            }) if if_epoch == Some(policy_epoch) => {
-                Response::ok().with_body(protocol::UnchangedBody { cacheable_ms }.to_json())
-            }
-            Ok(decision) => Response::ok().with_body(decision_wire(&decision).to_json()),
-            Err(e) => Response::with_status(Status::Unauthorized).with_body(e.to_string()),
-        }
     }
 
     /// Handles `/protection/v2/authorize`: the requester-side sibling of
@@ -2477,8 +2468,8 @@ impl AuthorizationManager {
     }
 }
 
-/// Parses the decision query both decision routes (v1 and v2) carry in
-/// their params; a missing param is a 400.
+/// Parses the decision query the single-decision routes carry in their
+/// params; a missing param is a 400.
 fn parse_decision_query(req: &Request) -> Result<DecisionQuery, Response> {
     match (
         req.param("host_token"),

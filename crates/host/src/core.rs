@@ -24,7 +24,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -32,8 +32,8 @@ use parking_lot::{Mutex, RwLock};
 use ucam_crypto::sha256;
 use ucam_policy::{AccessRequest, AclMatrix, Action, EvalContext, Outcome, ResourceRef};
 use ucam_webenv::{
-    protocol, BatchItem, DecisionBody, Method, Request, Response, RetryPolicy, SimClock, Status,
-    Transport, TransportError, Url,
+    protocol, BatchItem, Counters, DecisionBody, Method, Request, Response, RetryPolicy, SimClock,
+    Status, Transport, TransportError, Url,
 };
 
 /// A stored Web resource.
@@ -293,6 +293,12 @@ struct CachedDecision {
     referenced: AtomicBool,
 }
 
+/// Whether `entry` was stamped before its owner's freshest known policy
+/// epoch: such an entry is dead for every use.
+fn behind_floor(owner_epochs: &HashMap<String, u64>, entry: &CachedDecision) -> bool {
+    entry.epoch < owner_epochs.get(&entry.owner).copied().unwrap_or(0)
+}
+
 /// The bounded decision cache. Eviction is second-chance (clock) over
 /// insertion order — deterministic for a deterministic request sequence,
 /// unlike anything keyed on map iteration order.
@@ -326,22 +332,27 @@ impl DecisionCache {
         }
     }
 
+    /// The entry for `key` if it is bound to `token_digest` and not
+    /// behind its owner's epoch floor: the validity every lookup,
+    /// revalidation and re-arm shares before its own TTL or epoch test.
+    fn bound_entry(&self, key: &CacheKey, token_digest: &[u8; 32]) -> Option<&CachedDecision> {
+        let entry = self.entries.get(key)?;
+        (&entry.token_digest == token_digest && !behind_floor(&self.owner_epochs, entry))
+            .then_some(entry)
+    }
+
     /// Serves a hit iff enabled, unexpired, token-bound, and epoch-fresh.
     fn lookup(&self, key: &CacheKey, token_digest: &[u8; 32], now: u64) -> bool {
         if !self.enabled {
             return false;
         }
-        let Some(entry) = self.entries.get(key) else {
-            return false;
-        };
-        if entry.expires_at_ms <= now || &entry.token_digest != token_digest {
-            return false;
+        match self.bound_entry(key, token_digest) {
+            Some(entry) if entry.expires_at_ms > now => {
+                entry.referenced.store(true, Ordering::Relaxed);
+                true
+            }
+            _ => false,
         }
-        if entry.epoch < self.owner_epochs.get(&entry.owner).copied().unwrap_or(0) {
-            return false;
-        }
-        entry.referenced.store(true, Ordering::Relaxed);
-        true
     }
 
     /// Degraded-mode lookup: serves an **expired** permit that is still
@@ -354,16 +365,10 @@ impl DecisionCache {
         if !self.enabled || self.stale_grace_ms == 0 {
             return None;
         }
-        let entry = self.entries.get(key)?;
-        if &entry.token_digest != token_digest {
-            return None;
-        }
+        // A policy change (epoch advance) always fails closed.
+        let entry = self.bound_entry(key, token_digest)?;
         // Past the grace window: fail closed, the permit is gone.
         if now >= entry.expires_at_ms.saturating_add(self.stale_grace_ms) {
-            return None;
-        }
-        // A policy change (epoch advance) always fails closed.
-        if entry.epoch < self.owner_epochs.get(&entry.owner).copied().unwrap_or(0) {
             return None;
         }
         entry.referenced.store(true, Ordering::Relaxed);
@@ -396,8 +401,7 @@ impl DecisionCache {
         let grace = self.stale_grace_ms;
         self.order.retain(|key| {
             let live = entries.get(key).is_some_and(|e| {
-                e.expires_at_ms.saturating_add(grace) > now
-                    && e.epoch >= owner_epochs.get(&e.owner).copied().unwrap_or(0)
+                e.expires_at_ms.saturating_add(grace) > now && !behind_floor(owner_epochs, e)
             });
             if !live {
                 entries.remove(key);
@@ -503,14 +507,8 @@ impl DecisionCache {
         if !self.enabled {
             return None;
         }
-        let entry = self.entries.get(key)?;
-        if entry.expires_at_ms > now || &entry.token_digest != token_digest {
-            return None;
-        }
-        if entry.epoch < self.owner_epochs.get(&entry.owner).copied().unwrap_or(0) {
-            return None;
-        }
-        Some(entry.epoch)
+        let entry = self.bound_entry(key, token_digest)?;
+        (entry.expires_at_ms <= now).then_some(entry.epoch)
     }
 
     /// Re-arms an expired entry after the AM confirmed it unchanged:
@@ -524,18 +522,17 @@ impl DecisionCache {
         epoch: u64,
         expires_at_ms: u64,
     ) -> bool {
-        let Some(entry) = self.entries.get_mut(key) else {
-            return false;
-        };
-        if &entry.token_digest != token_digest || entry.epoch != epoch {
-            return false;
+        let valid = self
+            .bound_entry(key, token_digest)
+            .is_some_and(|entry| entry.epoch == epoch);
+        match self.entries.get_mut(key) {
+            Some(entry) if valid => {
+                entry.expires_at_ms = expires_at_ms;
+                entry.referenced.store(true, Ordering::Relaxed);
+                true
+            }
+            _ => false,
         }
-        if entry.epoch < self.owner_epochs.get(&entry.owner).copied().unwrap_or(0) {
-            return false;
-        }
-        entry.expires_at_ms = expires_at_ms;
-        entry.referenced.store(true, Ordering::Relaxed);
-        true
     }
 
     fn clear(&mut self) {
@@ -704,183 +701,38 @@ struct HostState {
     legacy_acls: HashMap<String, AclMatrix>,
 }
 
-/// Stripe count for the tier-1 sieve hit/miss counters. The sieve hot
-/// path is the one place where *every* thread bumps a counter on *every*
-/// access, so a single shared cache line would serialize the very path
-/// this PR un-serializes. Threads are spread round-robin over the
-/// stripes; `snapshot()` sums them.
-const SIEVE_STAT_SHARDS: usize = 16;
-
-/// One cache-line-aligned stripe of sieve counters, so two stripes never
-/// false-share a line.
-#[repr(align(64))]
-#[derive(Default)]
-struct SieveStatShard {
-    hits: AtomicU64,
-    misses: AtomicU64,
+/// The PEP counter cells behind [`PepStats`], in bump order: where one
+/// path bumps two counters, the later one sits at the higher index, so a
+/// snapshot (highest index first) never shows it without the earlier.
+#[derive(Clone, Copy)]
+enum Pep {
+    SieveHits,
+    SieveMisses,
+    CacheHits,
+    Redirects,
+    LegacyChecks,
+    Revalidations,
+    BatchFlushes,
+    BreakerFastFails,
+    AmQueries,
+    AmRetries,
+    FallbackQueries,
+    RevalidationsUnchanged,
+    StaleServed,
+    SieveInstalls,
+    SieveRejects,
+    SieveDeltaInstalls,
+    SieveResyncs,
+    InvalidatedEvictions,
+    InvalidationsApplied,
 }
 
-/// Round-robin source for each thread's stripe assignment.
-static NEXT_SIEVE_SHARD: AtomicUsize = AtomicUsize::new(0);
+/// Number of [`Pep`] cells.
+const PEP_CELLS: usize = Pep::InvalidationsApplied as usize + 1;
 
-thread_local! {
-    /// This thread's stripe index, fixed at first use.
-    static SIEVE_SHARD_INDEX: usize =
-        NEXT_SIEVE_SHARD.fetch_add(1, Ordering::Relaxed) % SIEVE_STAT_SHARDS;
-}
-
-/// Lock-free PEP counters: the enforcement hot path bumps these without
-/// touching any lock the store or the cache is behind.
-///
-/// `snapshot()`/`reset()` form a seqlock: `generation` is odd while a
-/// reset is mid-flight, and a snapshot retries until it reads the same
-/// even generation before and after its loads. Without this, a reader
-/// racing `reset()` could observe a half-reset snapshot (some counters
-/// zeroed, others not) — torn totals that break any invariant relating
-/// two counters. Ordinary increments still race a snapshot (each counter
-/// is independently `Relaxed`), which is inherent and fine: a snapshot
-/// is a point-in-time reading, not a barrier.
-struct AtomicPepStats {
-    /// Seqlock generation; odd ⇒ a reset is in progress.
-    generation: AtomicU64,
-    am_queries: AtomicU64,
-    cache_hits: AtomicU64,
-    redirects: AtomicU64,
-    legacy_checks: AtomicU64,
-    stale_served: AtomicU64,
-    breaker_fast_fails: AtomicU64,
-    fallback_queries: AtomicU64,
-    am_retries: AtomicU64,
-    batch_flushes: AtomicU64,
-    sieve_installs: AtomicU64,
-    sieve_rejects: AtomicU64,
-    sieve_delta_installs: AtomicU64,
-    sieve_resyncs: AtomicU64,
-    invalidations_applied: AtomicU64,
-    invalidated_evictions: AtomicU64,
-    revalidations: AtomicU64,
-    revalidations_unchanged: AtomicU64,
-    /// Striped tier-1 hit/miss counters (see [`SIEVE_STAT_SHARDS`]).
-    /// Inside this struct so the seqlock covers them too.
-    sieve_shards: [SieveStatShard; SIEVE_STAT_SHARDS],
-}
-
-impl Default for AtomicPepStats {
-    fn default() -> Self {
-        AtomicPepStats {
-            generation: AtomicU64::new(0),
-            am_queries: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            redirects: AtomicU64::new(0),
-            legacy_checks: AtomicU64::new(0),
-            stale_served: AtomicU64::new(0),
-            breaker_fast_fails: AtomicU64::new(0),
-            fallback_queries: AtomicU64::new(0),
-            am_retries: AtomicU64::new(0),
-            batch_flushes: AtomicU64::new(0),
-            sieve_installs: AtomicU64::new(0),
-            sieve_rejects: AtomicU64::new(0),
-            sieve_delta_installs: AtomicU64::new(0),
-            sieve_resyncs: AtomicU64::new(0),
-            invalidations_applied: AtomicU64::new(0),
-            invalidated_evictions: AtomicU64::new(0),
-            revalidations: AtomicU64::new(0),
-            revalidations_unchanged: AtomicU64::new(0),
-            sieve_shards: std::array::from_fn(|_| SieveStatShard::default()),
-        }
-    }
-}
-
-impl AtomicPepStats {
-    /// Records a tier-1 sieve hit on this thread's stripe.
-    fn bump_sieve_hit(&self) {
-        SIEVE_SHARD_INDEX.with(|&i| self.sieve_shards[i].hits.fetch_add(1, Ordering::Relaxed));
-    }
-
-    /// Records a tier-1 sieve miss on this thread's stripe.
-    fn bump_sieve_miss(&self) {
-        SIEVE_SHARD_INDEX.with(|&i| self.sieve_shards[i].misses.fetch_add(1, Ordering::Relaxed));
-    }
-
-    fn snapshot(&self) -> PepStats {
-        loop {
-            let before = self.generation.load(Ordering::Acquire);
-            if before & 1 == 1 {
-                // A reset is mid-flight; wait for it to finish.
-                std::hint::spin_loop();
-                continue;
-            }
-            let stats = PepStats {
-                am_queries: self.am_queries.load(Ordering::Relaxed),
-                cache_hits: self.cache_hits.load(Ordering::Relaxed),
-                redirects: self.redirects.load(Ordering::Relaxed),
-                legacy_checks: self.legacy_checks.load(Ordering::Relaxed),
-                stale_served: self.stale_served.load(Ordering::Relaxed),
-                breaker_fast_fails: self.breaker_fast_fails.load(Ordering::Relaxed),
-                fallback_queries: self.fallback_queries.load(Ordering::Relaxed),
-                am_retries: self.am_retries.load(Ordering::Relaxed),
-                batch_flushes: self.batch_flushes.load(Ordering::Relaxed),
-                sieve_hits: self
-                    .sieve_shards
-                    .iter()
-                    .map(|s| s.hits.load(Ordering::Relaxed))
-                    .sum(),
-                sieve_misses: self
-                    .sieve_shards
-                    .iter()
-                    .map(|s| s.misses.load(Ordering::Relaxed))
-                    .sum(),
-                sieve_installs: self.sieve_installs.load(Ordering::Relaxed),
-                sieve_rejects: self.sieve_rejects.load(Ordering::Relaxed),
-                sieve_delta_installs: self.sieve_delta_installs.load(Ordering::Relaxed),
-                sieve_resyncs: self.sieve_resyncs.load(Ordering::Relaxed),
-                invalidations_applied: self.invalidations_applied.load(Ordering::Relaxed),
-                invalidated_evictions: self.invalidated_evictions.load(Ordering::Relaxed),
-                revalidations: self.revalidations.load(Ordering::Relaxed),
-                revalidations_unchanged: self.revalidations_unchanged.load(Ordering::Relaxed),
-            };
-            // An Acquire load does not keep the Relaxed loads above from
-            // moving after it; the fence does. It pairs with the Release
-            // fence in `reset`: a snapshot that read any zeroing store
-            // reads the odd (or a later) generation here and retries.
-            fence(Ordering::Acquire);
-            if self.generation.load(Ordering::Acquire) == before {
-                return stats;
-            }
-            // A reset landed between our two generation reads; retry.
-        }
-    }
-
-    fn reset(&self) {
-        // Odd generation: snapshots in flight will discard and retry. A
-        // Release RMW does not keep the Relaxed zeroing stores below from
-        // moving before it; the fence (paired with the Acquire fence in
-        // `snapshot`) does.
-        self.generation.fetch_add(1, Ordering::AcqRel);
-        fence(Ordering::Release);
-        self.am_queries.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.redirects.store(0, Ordering::Relaxed);
-        self.legacy_checks.store(0, Ordering::Relaxed);
-        self.stale_served.store(0, Ordering::Relaxed);
-        self.breaker_fast_fails.store(0, Ordering::Relaxed);
-        self.fallback_queries.store(0, Ordering::Relaxed);
-        self.am_retries.store(0, Ordering::Relaxed);
-        self.batch_flushes.store(0, Ordering::Relaxed);
-        self.sieve_installs.store(0, Ordering::Relaxed);
-        self.sieve_rejects.store(0, Ordering::Relaxed);
-        self.sieve_delta_installs.store(0, Ordering::Relaxed);
-        self.sieve_resyncs.store(0, Ordering::Relaxed);
-        self.invalidations_applied.store(0, Ordering::Relaxed);
-        self.invalidated_evictions.store(0, Ordering::Relaxed);
-        self.revalidations.store(0, Ordering::Relaxed);
-        self.revalidations_unchanged.store(0, Ordering::Relaxed);
-        for shard in &self.sieve_shards {
-            shard.hits.store(0, Ordering::Relaxed);
-            shard.misses.store(0, Ordering::Relaxed);
-        }
-        // Back to even: the stats are coherent again.
-        self.generation.fetch_add(1, Ordering::Release);
+impl From<Pep> for usize {
+    fn from(cell: Pep) -> usize {
+        cell as usize
     }
 }
 
@@ -1136,7 +988,9 @@ pub struct HostCore {
     cache: RwLock<DecisionCache>,
     /// Host-local access log, separate from both of the above.
     log: Mutex<Vec<HostLogEntry>>,
-    stats: AtomicPepStats,
+    /// Lock-free PEP counters: the enforcement hot path bumps these
+    /// without touching any lock the store or the cache is behind.
+    stats: Counters<PEP_CELLS>,
     /// Opt-in Host→AM resilience knobs (DESIGN.md §10). Read-mostly:
     /// taken once per decision query, never on the warm cache path.
     resilience: RwLock<ResilienceConfig>,
@@ -1156,9 +1010,8 @@ pub struct HostCore {
     /// Process-unique id keying this core's thread-local snapshot slots.
     sieve_id: u64,
     /// Opt-in conditional revalidation (DESIGN.md §16): when set, a
-    /// TTL-expired cached permit is revalidated with a v2 `if_epoch`
-    /// decision query instead of a full v1 query. Off by default — the
-    /// v1 wire traffic then stays byte-identical.
+    /// TTL-expired cached permit is revalidated with an `if_epoch`
+    /// decision query instead of an unconditional one. Off by default.
     conditional_revalidation: AtomicBool,
 }
 
@@ -1182,7 +1035,7 @@ impl HostCore {
             state: RwLock::new(HostState::default()),
             cache: RwLock::new(DecisionCache::new()),
             log: Mutex::new(Vec::new()),
-            stats: AtomicPepStats::default(),
+            stats: Counters::new(),
             resilience: RwLock::new(ResilienceConfig::default()),
             breaker_states: Mutex::new(HashMap::new()),
             max_served_staleness_ms: AtomicU64::new(0),
@@ -1302,13 +1155,9 @@ impl HostCore {
             .write()
             .apply_invalidation(owner, signer, epoch, dead, now);
         if evicted > 0 {
-            self.stats
-                .invalidated_evictions
-                .fetch_add(evicted, Ordering::Relaxed);
+            self.stats.add(Pep::InvalidatedEvictions, evicted);
         }
-        self.stats
-            .invalidations_applied
-            .fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Pep::InvalidationsApplied, 1);
         let sieve_work = {
             let current = self.sieve.lock();
             dead.iter().any(|fp| current.entries.contains_key(fp))
@@ -1328,8 +1177,9 @@ impl HostCore {
     /// Enables conditional revalidation (DESIGN.md §16): TTL-expired
     /// cached permits are refreshed with `/protection/v2/decision`
     /// `if_epoch` queries, which the AM collapses to a tiny *unchanged*
-    /// reply when the owner's epoch has not moved. Off by default; the
-    /// v1 wire surface is untouched while off.
+    /// reply when the owner's epoch has not moved. Off by default; while
+    /// off, decision queries carry no `if_epoch` and the AM answers them
+    /// with the full decision body.
     pub fn set_conditional_revalidation(&self, enabled: bool) {
         self.conditional_revalidation
             .store(enabled, Ordering::Relaxed);
@@ -1450,7 +1300,7 @@ impl HostCore {
     pub fn install_sieve(&self, sieve: &protocol::SieveBody) -> bool {
         let verify = |key: &[u8]| sieve.verify(key);
         let Some(accepted) = self.vouched_entries(&sieve.owner, verify, &sieve.entries) else {
-            self.stats.sieve_rejects.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Pep::SieveRejects, 1);
             return false;
         };
         // Epoch floor: freshest epoch known from the decision cache or a
@@ -1469,9 +1319,9 @@ impl HostCore {
         if installed {
             // Keep the decision cache's epoch floor in step.
             self.cache.write().note_epoch(&sieve.owner, sieve.epoch);
-            self.stats.sieve_installs.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Pep::SieveInstalls, 1);
         } else {
-            self.stats.sieve_rejects.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Pep::SieveRejects, 1);
         }
         installed
     }
@@ -1489,7 +1339,7 @@ impl HostCore {
     pub fn install_sieve_delta(&self, delta: &protocol::SieveDeltaBody) -> SieveDeltaOutcome {
         let verify = |key: &[u8]| delta.verify(key);
         let Some(accepted) = self.vouched_entries(&delta.owner, verify, &delta.added) else {
-            self.stats.sieve_rejects.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Pep::SieveRejects, 1);
             return SieveDeltaOutcome::Rejected;
         };
         let cache_epoch = self.cache_epoch(&delta.owner);
@@ -1508,12 +1358,10 @@ impl HostCore {
         );
         if applied {
             self.cache.write().note_epoch(&delta.owner, delta.epoch);
-            self.stats
-                .sieve_delta_installs
-                .fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Pep::SieveDeltaInstalls, 1);
             SieveDeltaOutcome::Installed
         } else {
-            self.stats.sieve_resyncs.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Pep::SieveResyncs, 1);
             SieveDeltaOutcome::BaseMismatch
         }
     }
@@ -1539,14 +1387,14 @@ impl HostCore {
         let fp = sieve_fingerprint_memo(token, resource_id, action_label(action), requester);
         match snapshot.entries.get(&fp) {
             Some(&expires_at_ms) if now < expires_at_ms => {
-                self.stats.bump_sieve_hit();
+                self.stats.add(Pep::SieveHits, 1);
                 net.trace().note_with(&self.authority, || {
                     format!("sieve hit: {requester} {action} {resource_id}")
                 });
                 true
             }
             _ => {
-                self.stats.bump_sieve_miss();
+                self.stats.add(Pep::SieveMisses, 1);
                 false
             }
         }
@@ -1601,7 +1449,29 @@ impl HostCore {
     /// Returns the PEP counters.
     #[must_use]
     pub fn stats(&self) -> PepStats {
-        self.stats.snapshot()
+        let cells = self.stats.snapshot();
+        let at = |cell: Pep| cells[usize::from(cell)];
+        PepStats {
+            am_queries: at(Pep::AmQueries),
+            cache_hits: at(Pep::CacheHits),
+            redirects: at(Pep::Redirects),
+            legacy_checks: at(Pep::LegacyChecks),
+            stale_served: at(Pep::StaleServed),
+            breaker_fast_fails: at(Pep::BreakerFastFails),
+            fallback_queries: at(Pep::FallbackQueries),
+            am_retries: at(Pep::AmRetries),
+            batch_flushes: at(Pep::BatchFlushes),
+            sieve_hits: at(Pep::SieveHits),
+            sieve_misses: at(Pep::SieveMisses),
+            sieve_installs: at(Pep::SieveInstalls),
+            sieve_rejects: at(Pep::SieveRejects),
+            sieve_delta_installs: at(Pep::SieveDeltaInstalls),
+            sieve_resyncs: at(Pep::SieveResyncs),
+            invalidations_applied: at(Pep::InvalidationsApplied),
+            invalidated_evictions: at(Pep::InvalidatedEvictions),
+            revalidations: at(Pep::Revalidations),
+            revalidations_unchanged: at(Pep::RevalidationsUnchanged),
+        }
     }
 
     /// Zeroes the PEP counters and the served-staleness high-water mark.
@@ -1833,7 +1703,7 @@ impl HostCore {
             None
         };
         if if_epoch.is_some() {
-            self.stats.revalidations.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Pep::Revalidations, 1);
         }
         let resilience = self.resilience.read().clone();
         let (resp, decided_by) =
@@ -1843,13 +1713,9 @@ impl HostCore {
                 // and a numerically equal epoch at the mirror would
                 // falsely re-arm it.
                 let if_epoch = if_epoch.filter(|_| primary);
-                let path = if if_epoch.is_some() {
-                    protocol::DECISION_V2_PATH
-                } else {
-                    protocol::DECISION_PATH
-                };
                 let (requester, resource_id, action) = &miss.cache_key;
-                let mut req = Request::new(Method::Post, &format!("https://{}{path}", to.am))
+                let url = format!("https://{}{}", to.am, protocol::DECISION_V2_PATH);
+                let mut req = Request::new(Method::Post, &url)
                     .with_param("host_token", &to.host_token)
                     .with_param("token", miss.token)
                     .with_param("resource", resource_id)
@@ -2019,7 +1885,7 @@ impl HostCore {
                 false,
                 DecisionPath::RedirectedToAm,
             );
-            self.stats.redirects.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Pep::Redirects, 1);
             return Classified::Settled(Enforcement::Block(
                 Response::redirect(&authorize)
                     .with_header("www-authenticate", "Bearer realm=\"ucam\""),
@@ -2035,7 +1901,7 @@ impl HostCore {
         let token_digest = token_digest(token);
         if self.cache.read().lookup(&cache_key, &token_digest, now) {
             drop(state);
-            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Pep::CacheHits, 1);
             // Lazy label: free (one atomic load) while tracing is off.
             net.trace().note_with(&self.authority, || {
                 format!("decision cache hit: {requester} {action} {resource_id}")
@@ -2083,7 +1949,7 @@ impl HostCore {
         });
         if resp.transport_error().is_some() {
             if let Some(fallback) = resilience.fallback_for(&primary.am, &head.owner) {
-                self.stats.fallback_queries.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(Pep::FallbackQueries, 1);
                 net.trace().note_with(&self.authority, || {
                     format!(
                         "failing over {what} query: {} -> {}",
@@ -2127,7 +1993,7 @@ impl HostCore {
                 .zip(&bodies)
                 .map(|(chunk, body)| {
                     self.note_flush(net, chunk);
-                    self.stats.am_queries.fetch_add(1, Ordering::Relaxed);
+                    self.stats.add(Pep::AmQueries, 1);
                     batch_request(&chunk[0].1.delegation, body)
                 })
                 .collect();
@@ -2156,7 +2022,7 @@ impl HostCore {
 
     /// Counts and traces one batch flush.
     fn note_flush(&self, net: &dyn Transport, chunk: &[(usize, Miss<'_>)]) {
-        self.stats.batch_flushes.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Pep::BatchFlushes, 1);
         let am = &chunk[0].1.delegation.am;
         net.trace().note_with(&self.authority, || {
             format!("batch flush: {} decision queries -> {am}", chunk.len())
@@ -2207,9 +2073,7 @@ impl HostCore {
                     None => false,
                 };
                 if rearmed {
-                    self.stats
-                        .revalidations_unchanged
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.stats.add(Pep::RevalidationsUnchanged, 1);
                     net.trace().note_with(&self.authority, || {
                         format!(
                             "revalidated unchanged: {requester} {action} {resource_id} \
@@ -2354,7 +2218,7 @@ impl HostCore {
                         .read()
                         .lookup_stale(&cache_key, &token_digest, stale_now)
                 {
-                    self.stats.stale_served.fetch_add(1, Ordering::Relaxed);
+                    self.stats.add(Pep::StaleServed, 1);
                     self.max_served_staleness_ms
                         .fetch_max(staleness, Ordering::Relaxed);
                     net.trace().note_with(&self.authority, || {
@@ -2416,9 +2280,7 @@ impl HostCore {
         build: &dyn Fn() -> Request,
     ) -> Response {
         if resilience.breaker.is_some() && !self.breaker_admits(am) {
-            self.stats
-                .breaker_fast_fails
-                .fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Pep::BreakerFastFails, 1);
             net.trace().note_with(&self.authority, || {
                 format!("circuit open: fast-failing decision query to {am}")
             });
@@ -2426,15 +2288,14 @@ impl HostCore {
                 .with_body(format!("circuit open for {am}"))
                 .with_transport_error(TransportError::Unreachable);
         }
-        self.stats.am_queries.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Pep::AmQueries, 1);
         let resp = match &resilience.am_retry {
             Some(policy) => {
                 let (resp, report) =
                     policy.run(net.clock(), |_| net.dispatch(&self.authority, build()));
                 if report.attempts > 1 {
                     self.stats
-                        .am_retries
-                        .fetch_add(u64::from(report.attempts - 1), Ordering::Relaxed);
+                        .add(Pep::AmRetries, u64::from(report.attempts - 1));
                 }
                 resp
             }
@@ -2480,7 +2341,7 @@ impl HostCore {
         action: &Action,
         now: u64,
     ) -> Enforcement {
-        self.stats.legacy_checks.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(Pep::LegacyChecks, 1);
         let acl = self.legacy_acl(resource_id).unwrap_or_default();
         let mut access =
             AccessRequest::new(&self.authority, resource_id, action.clone()).via_app(requester);
@@ -2551,7 +2412,7 @@ enum DecisionOutcome {
     Unavailable,
 }
 
-/// Normalizes a single-query `/protection/v1/decision` response. The body
+/// Normalizes a single-query `/protection/v2/decision` response. The body
 /// is parsed as JSON rather than by substring search: a deny whose reason
 /// happens to *contain* the text `"permit"` must stay a deny.
 fn classify_decision(resp: &Response) -> DecisionOutcome {
@@ -2559,7 +2420,7 @@ fn classify_decision(resp: &Response) -> DecisionOutcome {
         Status::Ok => {
             // The two reply kinds have disjoint required fields
             // (`unchanged: true` vs a string `decision`), so trying the
-            // unchanged form first cannot misread a v1 body.
+            // unchanged form first cannot misread a full decision body.
             if let Ok(body) = protocol::UnchangedBody::from_json(&resp.body) {
                 return DecisionOutcome::Unchanged(body);
             }
@@ -3579,8 +3440,8 @@ mod tests {
             std::thread::spawn(move || {
                 let mut i: u64 = 0;
                 while !stop.load(Ordering::Relaxed) {
-                    h.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    h.stats.am_queries.fetch_add(1, Ordering::Relaxed);
+                    h.stats.add(Pep::CacheHits, 1);
+                    h.stats.add(Pep::AmQueries, 1);
                     i += 1;
                     if i.is_multiple_of(64) {
                         h.reset_stats();
@@ -3604,11 +3465,11 @@ mod tests {
     #[test]
     fn reset_clears_every_counter_and_gauge() {
         let h = host();
-        h.stats.am_queries.fetch_add(3, Ordering::Relaxed);
-        h.stats.bump_sieve_hit();
-        h.stats.bump_sieve_miss();
-        h.stats.sieve_installs.fetch_add(1, Ordering::Relaxed);
-        h.stats.sieve_rejects.fetch_add(1, Ordering::Relaxed);
+        h.stats.add(Pep::AmQueries, 3);
+        h.stats.add(Pep::SieveHits, 1);
+        h.stats.add(Pep::SieveMisses, 1);
+        h.stats.add(Pep::SieveInstalls, 1);
+        h.stats.add(Pep::SieveRejects, 1);
         h.max_served_staleness_ms.store(99, Ordering::Relaxed);
         h.reset_stats();
         assert_eq!(h.stats(), PepStats::default());

@@ -198,7 +198,10 @@ impl AppShell {
     }
 
     /// Fig. 3 step 3: the AM redirected the User back with the host access
-    /// token; the Host stores the delegation.
+    /// token; the Host stores the delegation. With an IdP configured only
+    /// that user's own session may store it (401 without a session, 403
+    /// for anyone else); without one the route stays open, like the AM's
+    /// owner routes.
     fn delegate_done(&self, req: &Request) -> Response {
         let fields = (
             req.param("user"),
@@ -210,6 +213,15 @@ impl AppShell {
             (Some(u), Some(a), Some(t), Some(d)) => (u, a, t, d),
             _ => return Response::bad_request("user, am, host_token, delegation_id required"),
         };
+        if self.idp.read().is_some() {
+            match self.require_subject(req) {
+                Err(resp) => return resp,
+                Ok(subject) if subject != user => {
+                    return Response::forbidden(&format!("{subject} may not delegate for {user}"));
+                }
+                Ok(_) => {}
+            }
+        }
         self.core.set_user_delegation(
             user,
             DelegationConfig {
@@ -423,20 +435,67 @@ mod tests {
         assert!(loc.query("return").unwrap().contains("/delegate/done"));
     }
 
+    /// A Fig. 3 step-3 return for bob, delegating to `am`.
+    fn delegate_done_for_bob(am: &str) -> Request {
+        Request::new(Method::Get, "https://h.example/delegate/done")
+            .with_param("user", "bob")
+            .with_param("am", am)
+            .with_param("host_token", "ht-1")
+            .with_param("delegation_id", "d-1")
+    }
+
     #[test]
     fn delegate_done_stores_config() {
-        let (shell, _) = shell_with_idp();
+        let (shell, idp) = shell_with_idp();
         let net = SimNet::new();
-        let req = Request::new(Method::Get, "https://h.example/delegate/done")
-            .with_param("user", "bob")
-            .with_param("am", "am.example")
-            .with_param("host_token", "ht-1")
-            .with_param("delegation_id", "d-1");
+        let bob = idp.login("bob", "pw").unwrap();
+        let req = delegate_done_for_bob("am.example").with_param("subject_token", &bob.token);
         let resp = shell.route_common(&net, &req).unwrap();
         assert_eq!(resp.status, Status::Ok);
         let config = shell.core.delegation_for("any", "bob").unwrap();
         assert_eq!(config.am, "am.example");
         assert_eq!(config.host_token, "ht-1");
+    }
+
+    #[test]
+    fn delegate_done_requires_the_users_own_session() {
+        let (shell, idp) = shell_with_idp();
+        idp.register_user("alice", "pw");
+        let net = SimNet::new();
+        let stored = |shell: &AppShell| shell.core.delegation_for("any", "bob").map(|d| d.am);
+
+        // Anonymous: 401, nothing stored.
+        let anonymous = delegate_done_for_bob("evil-am.example");
+        let resp = shell.route_common(&net, &anonymous).unwrap();
+        assert_eq!(resp.status, Status::Unauthorized);
+        assert_eq!(stored(&shell), None);
+
+        // Alice's session cannot re-point bob's delegation: 403.
+        let alice = idp.login("alice", "pw").unwrap();
+        let as_alice = delegate_done_for_bob("evil-am.example")
+            .with_header("cookie", &format!("ident={}", alice.token));
+        let resp = shell.route_common(&net, &as_alice).unwrap();
+        assert_eq!(resp.status, Status::Forbidden);
+        assert_eq!(stored(&shell), None);
+
+        // Bob's own session stores it.
+        let bob = idp.login("bob", "pw").unwrap();
+        let as_bob = delegate_done_for_bob("am.example")
+            .with_header("cookie", &format!("ident={}", bob.token));
+        let resp = shell.route_common(&net, &as_bob).unwrap();
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(stored(&shell).as_deref(), Some("am.example"));
+    }
+
+    #[test]
+    fn delegate_done_is_open_without_an_idp() {
+        let shell = AppShell::new("h.example", SimClock::new());
+        let net = SimNet::new();
+        let resp = shell
+            .route_common(&net, &delegate_done_for_bob("am.example"))
+            .unwrap();
+        assert_eq!(resp.status, Status::Ok);
+        assert!(shell.core.delegation_for("any", "bob").is_some());
     }
 
     #[test]

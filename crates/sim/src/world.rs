@@ -275,16 +275,19 @@ impl World {
         self.delegate_host(user, VIDEO_HOST);
     }
 
-    /// Logs `user`'s browser in at an AM: stores their identity assertion
-    /// as the `ident` session cookie for that authority.
-    pub fn login_browser_at(&mut self, user: &str, am_authority: &str) {
+    /// Logs `user`'s browser in at an AM or a Host: stores their identity
+    /// assertion as the `ident` session cookie for that authority.
+    pub fn login_browser_at(&mut self, user: &str, authority: &str) {
         let assertion = self.assertion(user);
         self.browser(user)
-            .set_cookie(am_authority, "ident", &assertion);
+            .set_cookie(authority, "ident", &assertion);
     }
 
-    /// Runs the Fig. 3 delegation flow for one host.
+    /// Runs the Fig. 3 delegation flow for one host. The user starts
+    /// logged in at the Host, which stores the delegation only for that
+    /// user's own session.
     pub fn delegate_host(&mut self, user: &str, host: &str) {
+        self.login_browser_at(user, host);
         self.login_browser_at(user, AM);
         let url = format!("https://{host}/delegate/setup?user={user}&am={AM}");
         let resp = self.with_browser(user, |net, browser| browser.get(net, &url));

@@ -62,11 +62,11 @@
 //! virtual-time behaviour (token lifetimes, grace windows) stays
 //! harness-driven exactly as on `SimNet`.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -76,7 +76,7 @@ use parking_lot::Mutex;
 use crate::clock::SimClock;
 use crate::codec;
 use crate::http::{Request, Response, Status, TransportError};
-use crate::net::{message_bytes, summarize_params, NetStats, WebApp};
+use crate::net::{request_label, response_label, NetAccounting, NetStats, WebApp};
 use crate::trace::{TraceKind, TraceRecorder};
 use crate::transport::Transport;
 
@@ -116,13 +116,8 @@ const READ_CHUNK: usize = 16 * 1024;
 /// is reset (a backstop for pathological authority churn).
 const CONN_CACHE_CAP: usize = 64;
 
-/// Number of stat shards. A power of two so a thread's slot is a mask.
-const STAT_SHARDS: usize = 16;
-
 /// Source of unique transport ids for the per-thread connection cache.
 static NEXT_HTTP_ID: AtomicU64 = AtomicU64::new(1);
-/// Round-robin source of per-thread stat-shard slots.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
 
 /// A fixed pool bounds server threads regardless of connection count:
 /// one worker per available core, at most four per authority. On a
@@ -165,8 +160,6 @@ struct ClientState {
 }
 
 thread_local! {
-    /// This thread's stat-shard slot (assigned on first dispatch).
-    static SHARD_IDX: Cell<usize> = const { Cell::new(usize::MAX) };
     /// This thread's persistent connections and codec scratch buffers.
     static CLIENT: RefCell<ClientState> = RefCell::new(ClientState {
         conns: Vec::new(),
@@ -174,60 +167,6 @@ thread_local! {
         batch: Vec::new(),
         chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
     });
-}
-
-fn shard_index() -> usize {
-    SHARD_IDX.with(|slot| {
-        let mut idx = slot.get();
-        if idx == usize::MAX {
-            idx = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) & (STAT_SHARDS - 1);
-            slot.set(idx);
-        }
-        idx
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Sharded statistics (same shape as SimNet's)
-// ---------------------------------------------------------------------------
-
-/// One cell of the sharded statistics. Threads are assigned a shard
-/// round-robin on first dispatch, so under up to [`STAT_SHARDS`] threads
-/// every cell — including its edge-map mutex — is effectively
-/// thread-private and a dispatch commit never contends.
-#[derive(Default)]
-struct StatShard {
-    round_trips: AtomicU64,
-    payload_bytes: AtomicU64,
-    bytes_on_wire: AtomicU64,
-    /// Measured wall-clock dispatch time, in microseconds. Surfaced via
-    /// [`NetStats::modelled_latency_ms`] — on this backend the
-    /// "modelled" latency *is* the measured loopback latency. Committed
-    /// *after* `round_trips` (Release) and read *before* it (Acquire),
-    /// mirroring `SimNet`'s snapshot ordering.
-    wall_us: AtomicU64,
-    /// Two-level `from -> to -> count` map so the warm path can bump an
-    /// existing edge with borrowed keys (no per-dispatch allocation).
-    per_edge: Mutex<HashMap<String, HashMap<String, u64>>>,
-}
-
-impl StatShard {
-    /// Increments the `(from, to)` edge counter, allocating owned keys
-    /// only the first time an edge is seen.
-    fn bump_edge(&self, from: &str, to: &str) {
-        let mut per_edge = self.per_edge.lock();
-        if let Some(inner) = per_edge.get_mut(from) {
-            if let Some(count) = inner.get_mut(to) {
-                *count += 1;
-                return;
-            }
-            inner.insert(to.to_owned(), 1);
-            return;
-        }
-        let mut inner = HashMap::new();
-        inner.insert(to.to_owned(), 1);
-        per_edge.insert(from.to_owned(), inner);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -290,7 +229,11 @@ struct HttpInner {
     clock: SimClock,
     trace: TraceRecorder,
     routes: Mutex<HashMap<String, Route>>,
-    shards: [StatShard; STAT_SHARDS],
+    /// Message accounting shared with `SimNet`. The latency cell sums
+    /// measured wall time per dispatch call in µs; [`NetStats`] reports
+    /// it in ms (on this backend the "modelled" latency *is* the
+    /// measured loopback latency).
+    accounting: NetAccounting,
     /// How long the client waits for a response before classifying the
     /// authority as hung ([`TransportError::Timeout`]).
     client_timeout_ms: AtomicU64,
@@ -341,7 +284,7 @@ impl HttpTransport {
                 clock: SimClock::new(),
                 trace: TraceRecorder::new(),
                 routes: Mutex::new(HashMap::new()),
-                shards: std::array::from_fn(|_| StatShard::default()),
+                accounting: NetAccounting::new(1000),
                 client_timeout_ms: AtomicU64::new(2000),
             }),
         }
@@ -529,40 +472,15 @@ impl HttpTransport {
         })
     }
 
-    /// Commits one round trip's trace events and statistics, exactly as
-    /// both backends account them.
-    fn record_round_trip(&self, from: &str, req: &Request, resp: &Response) {
+    /// Traces and accounts one finished exchange, exactly as `SimNet`
+    /// labels and counts it (both events after the fact: the exchange
+    /// already happened on the wire).
+    fn record_exchange(&self, from: &str, req: &Request, resp: &Response) {
         let to = req.url.authority();
-        self.inner
-            .trace
-            .record_with(from, to, TraceKind::Request, || {
-                format!("{} {}{}", req.method, req.url.path(), summarize_params(req))
-            });
-        self.inner
-            .trace
-            .record_with(from, to, TraceKind::Response, || match resp.location() {
-                Some(loc) => format!("{} -> {}", resp.status, loc.authority()),
-                None => resp.status.to_string(),
-            });
-
-        let payload = message_bytes(&req.body, req.headers.values())
-            + req.form.values().map(String::len).sum::<usize>()
-            + message_bytes(&resp.body, resp.headers.values());
-        let shard = &self.inner.shards[shard_index()];
-        shard.bump_edge(from, to);
-        shard
-            .payload_bytes
-            .fetch_add(payload as u64, Ordering::Relaxed);
-        if resp.transport_error().is_none() {
-            // Arithmetic twins of the codec encoders — the exact bytes
-            // this round trip occupied on the wire, identical to what
-            // SimNet accounts for the same messages.
-            let wire = codec::request_wire_len(from, req) + codec::response_wire_len(resp);
-            shard
-                .bytes_on_wire
-                .fetch_add(wire as u64, Ordering::Relaxed);
-        }
-        shard.round_trips.fetch_add(1, Ordering::Relaxed);
+        let trace = &self.inner.trace;
+        trace.record_with(from, to, TraceKind::Request, || request_label(req));
+        trace.record_with(from, to, TraceKind::Response, || response_label(resp));
+        self.inner.accounting.record_round_trip(from, req, resp);
     }
 }
 
@@ -633,10 +551,8 @@ impl Transport for HttpTransport {
         let resp = self.send(from, &to, &req);
         let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
 
-        self.record_round_trip(from, &req, &resp);
-        self.inner.shards[shard_index()]
-            .wall_us
-            .fetch_add(wall_us, Ordering::Release);
+        self.record_exchange(from, &req, &resp);
+        self.inner.accounting.add_latency(wall_us);
         resp
     }
 
@@ -676,12 +592,10 @@ impl Transport for HttpTransport {
         let mut responses = Vec::with_capacity(reqs.len());
         for (req, slot) in reqs.iter().zip(slots) {
             let resp = slot.expect("one response per pipelined request");
-            self.record_round_trip(from, req, &resp);
+            self.record_exchange(from, req, &resp);
             responses.push(resp);
         }
-        self.inner.shards[shard_index()]
-            .wall_us
-            .fetch_add(wall_us, Ordering::Release);
+        self.inner.accounting.add_latency(wall_us);
         responses
     }
 
@@ -694,33 +608,11 @@ impl Transport for HttpTransport {
     }
 
     fn stats(&self) -> NetStats {
-        let mut out = NetStats::default();
-        let mut wall_us = 0u64;
-        for shard in &self.inner.shards {
-            // Acquire on the wall clock pairs with the Release in the
-            // dispatch commit: the matching round trips are visible.
-            wall_us += shard.wall_us.load(Ordering::Acquire);
-            out.round_trips += shard.round_trips.load(Ordering::Relaxed);
-            out.payload_bytes += shard.payload_bytes.load(Ordering::Relaxed);
-            out.bytes_on_wire += shard.bytes_on_wire.load(Ordering::Relaxed);
-            for (from, inner) in shard.per_edge.lock().iter() {
-                for (to, count) in inner {
-                    *out.per_edge.entry((from.clone(), to.clone())).or_insert(0) += count;
-                }
-            }
-        }
-        out.modelled_latency_ms = wall_us / 1000;
-        out
+        self.inner.accounting.snapshot()
     }
 
     fn reset_stats(&self) {
-        for shard in &self.inner.shards {
-            shard.per_edge.lock().clear();
-            shard.round_trips.store(0, Ordering::Relaxed);
-            shard.payload_bytes.store(0, Ordering::Relaxed);
-            shard.bytes_on_wire.store(0, Ordering::Relaxed);
-            shard.wall_us.store(0, Ordering::Release);
-        }
+        self.inner.accounting.reset();
     }
 }
 

@@ -16,6 +16,8 @@
 //!   [`SimClock`], and records a [`trace`] of every hop — and
 //!   [`HttpTransport`] — the same applications served over loopback TCP
 //!   with a hand-rolled HTTP/1.1 codec (DESIGN.md §14),
+//! * [`Counters`] — striped, seqlocked counter cells behind the Host's
+//!   PEP statistics and both transports' [`NetStats`],
 //! * [`Browser`] — a user agent holding a cookie jar that follows redirects
 //!   (the glue for the paper's redirect-based protocol steps),
 //! * [`identity`] — an OpenID-like identity provider (authentication is out
@@ -57,6 +59,7 @@
 pub mod browser;
 pub mod clock;
 pub mod codec;
+pub mod counters;
 pub mod http;
 pub mod httpnet;
 pub mod identity;
@@ -70,6 +73,7 @@ pub mod url;
 
 pub use browser::Browser;
 pub use clock::SimClock;
+pub use counters::Counters;
 pub use http::{Method, Request, Response, Status, TransportError};
 pub use httpnet::HttpTransport;
 pub use latency::LatencyModel;

@@ -35,20 +35,22 @@
 //!   immutable `ConfigSnapshot` behind a generation stamp; each thread
 //!   caches the current snapshot and revalidates it with a single atomic
 //!   load, so registration churn never stalls in-flight dispatches;
-//! * statistics land in per-thread **stat shards** (relaxed atomics plus
-//!   a thread-keyed edge map) that are only aggregated when
-//!   [`SimNet::stats`] takes a snapshot;
+//! * statistics land in this thread's stripe of one [`Counters`] block
+//!   plus a per-stripe edge map, shared with
+//!   [`HttpTransport`](crate::httpnet::HttpTransport) and only aggregated
+//!   when [`SimNet::stats`] takes a snapshot;
 //! * the loss model is an atomic counter — the no-loss path performs one
 //!   relaxed load and no read-modify-write.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::clock::SimClock;
+use crate::counters::{thread_stripe, Counters, STRIPES};
 use crate::http::{Request, Response, Status, TransportError};
 use crate::latency::{splitmix64, LatencyModel};
 use crate::trace::{TraceKind, TraceRecorder};
@@ -73,7 +75,7 @@ pub struct NetStats {
     /// Number of request/response round trips dispatched.
     pub round_trips: u64,
     /// Round trips per directed (from, to) edge.
-    pub per_edge: std::collections::BTreeMap<(String, String), u64>,
+    pub per_edge: BTreeMap<(String, String), u64>,
     /// Total modelled latency charged to the clock, in milliseconds.
     pub modelled_latency_ms: u64,
     /// Total payload bytes carried (request bodies + response bodies +
@@ -105,47 +107,116 @@ impl NetStats {
     }
 }
 
-/// Number of stat shards. A power of two so a thread's slot is a mask.
-const STAT_SHARDS: usize = 16;
-
 /// Slots a thread keeps in its snapshot cache before evicting the oldest.
 const CONFIG_CACHE_SLOTS: usize = 8;
 
-/// One cell of the sharded statistics. Threads are assigned a shard
-/// round-robin on first dispatch, so under up to [`STAT_SHARDS`] threads
-/// every cell — including its edge-map mutex — is effectively
-/// thread-private and a dispatch commit never contends.
+/// The cells of [`NetAccounting`], in commit order: a round trip bumps
+/// its edge, then these from the lowest index up. A snapshot reads them
+/// from the highest index down and the edges last, so it never counts a
+/// round trip's latency without the trip, nor the trip without its edge.
+const PAYLOAD_BYTES: usize = 0;
+const BYTES_ON_WIRE: usize = 1;
+const ROUND_TRIPS: usize = 2;
+const LATENCY: usize = 3;
+
+/// `from -> to -> count`, two-level so the warm path can bump an
+/// existing edge with borrowed keys (no per-dispatch allocation).
+type EdgeMap = HashMap<String, HashMap<String, u64>>;
+
+/// One stripe's edge map, aligned like the counter stripes so two
+/// threads' mutexes never share a cache line.
+#[repr(align(64))]
 #[derive(Default)]
-struct StatShard {
-    round_trips: AtomicU64,
-    payload_bytes: AtomicU64,
-    bytes_on_wire: AtomicU64,
-    /// Committed *after* `round_trips` (Release) and read *before* it
-    /// (Acquire), so a [`SimNet::stats`] snapshot can never observe
-    /// latency charged for a round trip it has not counted yet.
-    modelled_latency_ms: AtomicU64,
-    /// Two-level `from -> to -> count` map so the warm path can bump an
-    /// existing edge with borrowed keys (no per-dispatch allocation).
-    per_edge: Mutex<HashMap<String, HashMap<String, u64>>>,
+struct EdgeStripe(Mutex<EdgeMap>);
+
+/// The message accounting both transport backends share: the four
+/// [`NetStats`] cells in one [`Counters`] block plus an edge map per
+/// stripe, all under the block's seqlock. Each backend keeps its own
+/// trace-event timing; only the labels ([`request_label`],
+/// [`response_label`]) are shared.
+pub(crate) struct NetAccounting {
+    cells: Counters<4>,
+    edges: [EdgeStripe; STRIPES],
+    /// Latency-cell units per reported millisecond: 1 for SimNet's
+    /// modelled milliseconds, 1000 for HttpTransport's measured µs.
+    latency_per_ms: u64,
 }
 
-impl StatShard {
-    /// Increments the `(from, to)` edge counter, allocating owned keys
-    /// only the first time an edge is seen.
-    fn bump_edge(&self, from: &str, to: &str) {
-        let mut per_edge = self.per_edge.lock();
-        if let Some(inner) = per_edge.get_mut(from) {
-            if let Some(count) = inner.get_mut(to) {
-                *count += 1;
-                return;
-            }
-            inner.insert(to.to_owned(), 1);
-            return;
+impl NetAccounting {
+    pub(crate) fn new(latency_per_ms: u64) -> Self {
+        NetAccounting {
+            cells: Counters::new(),
+            edges: std::array::from_fn(|_| EdgeStripe::default()),
+            latency_per_ms,
         }
-        per_edge
-            .entry(from.to_owned())
-            .or_default()
-            .insert(to.to_owned(), 1);
+    }
+
+    /// Commits one round trip on this thread's stripe: its edge, payload
+    /// and wire bytes, then the trip itself.
+    pub(crate) fn record_round_trip(&self, from: &str, req: &Request, resp: &Response) {
+        let to = req.url.authority();
+        {
+            let mut edges = self.edges[thread_stripe()].0.lock();
+            match edges.get_mut(from).and_then(|inner| inner.get_mut(to)) {
+                Some(count) => *count += 1,
+                None => {
+                    let inner = edges.entry(from.to_owned()).or_default();
+                    inner.insert(to.to_owned(), 1);
+                }
+            }
+        }
+        let payload = message_bytes(&req.body, req.headers.values())
+            + req.form.values().map(String::len).sum::<usize>()
+            + message_bytes(&resp.body, resp.headers.values());
+        self.cells.add(PAYLOAD_BYTES, payload as u64);
+        if resp.transport_error().is_none() {
+            // Arithmetic twins of the codec encoders: the exact bytes this
+            // round trip occupies on the HTTP backend's wire, without
+            // serializing anything. Failed dispatches count none.
+            let wire =
+                crate::codec::request_wire_len(from, req) + crate::codec::response_wire_len(resp);
+            self.cells.add(BYTES_ON_WIRE, wire as u64);
+        }
+        self.cells.add(ROUND_TRIPS, 1);
+    }
+
+    /// Charges latency (in the backend's units) for round trips already
+    /// committed.
+    pub(crate) fn add_latency(&self, units: u64) {
+        if units > 0 {
+            self.cells.add(LATENCY, units);
+        }
+    }
+
+    /// Cells and edge maps from one validated seqlock generation.
+    pub(crate) fn snapshot(&self) -> NetStats {
+        let (cells, per_edge) = self.cells.snapshot_with(|| {
+            let mut per_edge = BTreeMap::new();
+            for stripe in &self.edges {
+                for (from, inner) in stripe.0.lock().iter() {
+                    for (to, count) in inner {
+                        *per_edge.entry((from.clone(), to.clone())).or_insert(0) += count;
+                    }
+                }
+            }
+            per_edge
+        });
+        NetStats {
+            round_trips: cells[ROUND_TRIPS],
+            per_edge,
+            modelled_latency_ms: cells[LATENCY] / self.latency_per_ms,
+            payload_bytes: cells[PAYLOAD_BYTES],
+            bytes_on_wire: cells[BYTES_ON_WIRE],
+        }
+    }
+
+    /// Zeroes the cells and clears the edge maps in one odd generation.
+    pub(crate) fn reset(&self) {
+        self.cells.reset_with(|| {
+            for stripe in &self.edges {
+                stripe.0.lock().clear();
+            }
+        });
     }
 }
 
@@ -207,26 +278,11 @@ struct ConfigSnapshot {
 
 /// Source of unique network ids for the per-thread snapshot cache.
 static NEXT_NET_ID: AtomicU64 = AtomicU64::new(1);
-/// Round-robin source of per-thread stat-shard slots.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// This thread's stat-shard slot (assigned on first dispatch).
-    static SHARD_IDX: Cell<usize> = const { Cell::new(usize::MAX) };
     /// Cached `(net id, generation, snapshot)` triples, newest last.
     static CONFIG_CACHE: RefCell<Vec<(u64, u64, Arc<ConfigSnapshot>)>> =
         const { RefCell::new(Vec::new()) };
-}
-
-fn shard_index() -> usize {
-    SHARD_IDX.with(|slot| {
-        let mut idx = slot.get();
-        if idx == usize::MAX {
-            idx = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) & (STAT_SHARDS - 1);
-            slot.set(idx);
-        }
-        idx
-    })
 }
 
 /// The in-memory network. See the [module documentation](self).
@@ -259,7 +315,7 @@ pub struct SimNet {
     config_gen: AtomicU64,
     clock: SimClock,
     trace: TraceRecorder,
-    shards: [StatShard; STAT_SHARDS],
+    accounting: NetAccounting,
     /// Loss model: every `loss_period`-th dispatch (counting from the
     /// `loss_offset`-th) is dropped; `loss_period == 0` disables.
     loss_period: AtomicU64,
@@ -304,7 +360,7 @@ impl SimNet {
             config_gen: AtomicU64::new(0),
             clock: SimClock::new(),
             trace: TraceRecorder::new(),
-            shards: std::array::from_fn(|_| StatShard::default()),
+            accounting: NetAccounting::new(1),
             loss_period: AtomicU64::new(0),
             loss_offset: AtomicU64::new(0),
             loss_dispatched: AtomicU64::new(0),
@@ -430,39 +486,18 @@ impl SimNet {
 
     /// Returns a snapshot of the message statistics.
     ///
-    /// The snapshot is internally consistent in one direction: it never
-    /// reports modelled latency for a round trip it does not count (each
-    /// dispatch commits its round trip before its latency, and the
-    /// snapshot reads them in the opposite order).
+    /// The snapshot is internally consistent: it never reports modelled
+    /// latency for a round trip it does not count, nor a round trip
+    /// whose edge it does not count, and it never straddles a
+    /// [`SimNet::reset_stats`].
     #[must_use]
     pub fn stats(&self) -> NetStats {
-        let mut out = NetStats::default();
-        for shard in &self.shards {
-            // Acquire on latency pairs with the Release in the dispatch
-            // commit: everything committed before the latency we read —
-            // in particular the matching round trips — is visible below.
-            out.modelled_latency_ms += shard.modelled_latency_ms.load(Ordering::Acquire);
-            out.round_trips += shard.round_trips.load(Ordering::Relaxed);
-            out.payload_bytes += shard.payload_bytes.load(Ordering::Relaxed);
-            out.bytes_on_wire += shard.bytes_on_wire.load(Ordering::Relaxed);
-            for (from, inner) in shard.per_edge.lock().iter() {
-                for (to, count) in inner {
-                    *out.per_edge.entry((from.clone(), to.clone())).or_insert(0) += count;
-                }
-            }
-        }
-        out
+        self.accounting.snapshot()
     }
 
     /// Zeroes the message statistics (the trace and clock are untouched).
     pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            shard.per_edge.lock().clear();
-            shard.round_trips.store(0, Ordering::Relaxed);
-            shard.payload_bytes.store(0, Ordering::Relaxed);
-            shard.bytes_on_wire.store(0, Ordering::Relaxed);
-            shard.modelled_latency_ms.store(0, Ordering::Release);
-        }
+        self.accounting.reset();
     }
 
     /// Dispatches `req` from the party labelled `from` to the application
@@ -472,19 +507,10 @@ impl SimNet {
     /// sees the same signal a browser would see for an unreachable site.
     pub fn dispatch(&self, from: &str, req: Request) -> Response {
         let to = req.url.authority();
-        self.trace.record_with(from, to, TraceKind::Request, || {
-            format!(
-                "{} {}{}",
-                req.method,
-                req.url.path(),
-                summarize_params(&req)
-            )
-        });
+        self.trace
+            .record_with(from, to, TraceKind::Request, || request_label(&req));
         let config = self.config();
         let mut latency_ms = self.charge(&config, from, to);
-
-        let request_bytes = message_bytes(&req.body, req.headers.values())
-            + req.form.values().map(String::len).sum::<usize>();
 
         let app = config.apps.get(to).cloned();
         let offline = (!config.offline.is_empty() && config.offline.contains(to))
@@ -507,37 +533,11 @@ impl SimNet {
 
         latency_ms += self.charge(&config, to, from);
         self.trace
-            .record_with(from, to, TraceKind::Response, || match resp.location() {
-                Some(loc) => format!("{} -> {}", resp.status, loc.authority()),
-                None => resp.status.to_string(),
-            });
-
-        // Single per-dispatch commit into this thread's stat shard. The
-        // round trip is published before its latency so a concurrent
-        // `stats()` snapshot never sees latency lead the trip count.
-        let response_bytes = message_bytes(&resp.body, resp.headers.values());
-        let shard = &self.shards[shard_index()];
-        shard.bump_edge(from, to);
-        shard
-            .payload_bytes
-            .fetch_add((request_bytes + response_bytes) as u64, Ordering::Relaxed);
-        if resp.transport_error().is_none() {
-            // Arithmetic twins of the codec encoders — the exact bytes
-            // this round trip would occupy (does occupy, on the HTTP
-            // backend) on the wire, without serializing anything.
-            let wire =
-                crate::codec::request_wire_len(from, &req) + crate::codec::response_wire_len(&resp);
-            shard
-                .bytes_on_wire
-                .fetch_add(wire as u64, Ordering::Relaxed);
-        }
-        shard.round_trips.fetch_add(1, Ordering::Relaxed);
-        if latency_ms > 0 {
-            shard
-                .modelled_latency_ms
-                .fetch_add(latency_ms, Ordering::Release);
-        }
-
+            .record_with(from, to, TraceKind::Response, || response_label(&resp));
+        // The round trip is committed before its latency, so a
+        // concurrent `stats()` snapshot never sees latency lead the trips.
+        self.accounting.record_round_trip(from, &req, &resp);
+        self.accounting.add_latency(latency_ms);
         resp
     }
 
@@ -649,14 +649,14 @@ impl Transport for SimNet {
 }
 
 /// Sums the modelled size of a message: body plus header values.
-pub(crate) fn message_bytes<'a>(body: &str, headers: impl Iterator<Item = &'a String>) -> usize {
+fn message_bytes<'a>(body: &str, headers: impl Iterator<Item = &'a String>) -> usize {
     body.len() + headers.map(String::len).sum::<usize>()
 }
 
-/// Summarizes interesting request parameters for trace labels. Only ever
-/// called from inside a lazy trace label, so a trace-off dispatch never
-/// pays for these allocations.
-pub(crate) fn summarize_params(req: &Request) -> String {
+/// A request's trace label: method, path, and the interesting params.
+/// Only ever built inside a lazy trace closure, so a trace-off dispatch
+/// never pays for it.
+pub(crate) fn request_label(req: &Request) -> String {
     const INTERESTING: [&str; 6] = ["realm", "resource", "requester", "am", "action", "decision"];
     let mut parts = Vec::new();
     for key in INTERESTING {
@@ -667,10 +667,20 @@ pub(crate) fn summarize_params(req: &Request) -> String {
     if req.bearer_token().is_some() {
         parts.push("bearer".to_owned());
     }
-    if parts.is_empty() {
+    let params = if parts.is_empty() {
         String::new()
     } else {
         format!(" [{}]", parts.join(" "))
+    };
+    format!("{} {}{params}", req.method, req.url.path())
+}
+
+/// A response's trace label: the status, plus a redirect's target
+/// authority.
+pub(crate) fn response_label(resp: &Response) -> String {
+    match resp.location() {
+        Some(loc) => format!("{} -> {}", resp.status, loc.authority()),
+        None => resp.status.to_string(),
     }
 }
 
@@ -1190,5 +1200,53 @@ mod tests {
         let total = (THREADS * DISPATCHES) as u64;
         assert_eq!(stats.round_trips, total);
         assert_eq!(stats.modelled_latency_ms, total * 2 * HOP_MS);
+    }
+
+    /// One writer dispatches and resets every 64 dispatches while the
+    /// caller snapshots. A dispatch bumps its edge before its round trip,
+    /// so every coherent snapshot has Σ`per_edge` >= `round_trips`; one
+    /// torn across a reset (edges cleared, trips not yet zeroed) breaks
+    /// that.
+    fn snapshots_never_straddle_a_reset(net: Arc<dyn Transport>) {
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let writer = {
+            let net = Arc::clone(&net);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut i: u64 = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    net.dispatch(
+                        "tester",
+                        Request::new(Method::Get, "https://echo.example/p"),
+                    );
+                    i += 1;
+                    if i.is_multiple_of(64) {
+                        net.reset_stats();
+                    }
+                }
+            })
+        };
+        for _ in 0..200_000 {
+            let stats = net.stats();
+            let edges: u64 = stats.per_edge.values().sum();
+            assert!(
+                edges >= stats.round_trips,
+                "{} snapshot straddles a reset: edges {edges} < round trips {}",
+                net.name(),
+                stats.round_trips
+            );
+        }
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn net_snapshot_never_observes_a_half_reset() {
+        snapshots_never_straddle_a_reset(Arc::new(echo_net()));
+        let http = crate::httpnet::HttpTransport::new();
+        http.register(Arc::new(Echo {
+            authority: "echo.example".to_owned(),
+        }));
+        snapshots_never_straddle_a_reset(Arc::new(http));
     }
 }

@@ -17,11 +17,11 @@
 //!
 //! | constant | path | purpose |
 //! |---|---|---|
-//! | [`DECISION_PATH`] | `/protection/v1/decision` | single decision query (Fig. 6) |
+//! | [`DECISION_PATH`] | `/protection/v1/decision` | single decision query, v1 (Fig. 6) |
 //! | [`BATCH_DECISIONS_PATH`] | `/protection/v1/decisions` | batched decision queries |
 //! | [`EPOCH_PUSH_PATH`] | `/protection/v1/epoch` | AM→Host async policy-epoch push |
 //! | [`LEGACY_DECISION_PATH`] | `/decision` | pre-versioning alias, kept for old Hosts |
-//! | [`DECISION_V2_PATH`] | `/protection/v2/decision` | conditional (`if_epoch`) decision query |
+//! | [`DECISION_V2_PATH`] | `/protection/v2/decision` | single decision query Hosts send, optional `if_epoch` |
 //! | [`BATCH_AUTHORIZE_PATH`] | `/protection/v2/authorize` | batched authorization-token requests |
 //! | [`REGISTER_PATH`] | `/protection/v2/register` | dynamic Host/Requester registration |
 //! | [`REGISTER_ROTATE_PATH`] | `/protection/v2/register/rotate` | rotate a registrant secret |
@@ -51,8 +51,9 @@ pub const EPOCH_PUSH_PATH: &str = "/protection/v1/epoch";
 /// The unversioned decision route kept as a compatibility alias.
 pub const LEGACY_DECISION_PATH: &str = "/decision";
 
-/// v2 conditional single-decision route. Same query parameters as
-/// [`DECISION_PATH`] plus an optional `if_epoch`: the owner policy epoch
+/// v2 single-decision route, the one Hosts send. Same query parameters
+/// as [`DECISION_PATH`] (and, without `if_epoch`, the same answer) plus
+/// an optional `if_epoch`: the owner policy epoch
 /// the Host evaluated its cached permit under. When the epoch still
 /// matches and the verdict is still a permit, the AM answers with a
 /// compact [`UnchangedBody`] instead of re-serializing the full
