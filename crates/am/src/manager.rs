@@ -348,6 +348,15 @@ struct Gathered {
     prior_uses: u32,
 }
 
+/// What phase B returns for one tuple (see
+/// [`AuthorizationManager::evaluate`]): the engine's decision, and until
+/// when the consulted policies' conditions cannot change it on their own
+/// (the nearest [`ucam_policy::Policy::stable_until`]).
+struct Evaluated {
+    decision: EngineDecision,
+    stable_until: u64,
+}
+
 /// One tuple a push compiler asks about: a live token's grant applied
 /// to one resource and action.
 struct Candidate<'a> {
@@ -1042,13 +1051,13 @@ impl AuthorizationManager {
                 self.gather(owner, key)
             })
             .collect();
-        let (decisions, cache_ttl_ms, epoch) = self.evaluate(owner, now, &gathered)?;
+        let (evaluated, cache_ttl_ms, epoch) = self.evaluate(owner, now, &gathered)?;
         let until = candidates
             .iter()
-            .zip(decisions)
-            .map(|(c, decision)| {
-                let cacheable_ms = cacheable_ms(cache_ttl_ms, c.grant, now);
-                (decision.is_permit() && cacheable_ms > 0).then_some(now + cacheable_ms)
+            .zip(evaluated)
+            .map(|(c, e)| {
+                let cacheable_ms = cacheable_ms(cache_ttl_ms, c.grant, now, e.stable_until);
+                (e.decision.is_permit() && cacheable_ms > 0).then_some(now + cacheable_ms)
             })
             .collect();
         Some((until, epoch))
@@ -1304,14 +1313,14 @@ impl AuthorizationManager {
     /// Phase B: evaluates gathered tuples against `owner`'s policies under
     /// one owner-shard read, so it runs concurrently with evaluations for
     /// owners on other shards and with central bookkeeping. Returns the
-    /// decisions in order, with the owner's cache TTL and the policy epoch
-    /// read in that same scope; `None` when the owner is unknown.
+    /// evaluations in order, with the owner's cache TTL and the policy
+    /// epoch read in that same scope; `None` when the owner is unknown.
     fn evaluate<'g>(
         &self,
         owner: &str,
         now: u64,
         tuples: impl IntoIterator<Item = &'g Gathered>,
-    ) -> Option<(Vec<EngineDecision>, u64, u64)> {
+    ) -> Option<(Vec<Evaluated>, u64, u64)> {
         let shard = self.shard_for(owner).read();
         let slot = shard.get(owner)?;
         let account = &slot.account;
@@ -1332,21 +1341,27 @@ impl AuthorizationManager {
                 if g.consent_granted {
                     ctx = ctx.with_consent();
                 }
-                PolicyEngine::evaluate(account.policies(), &ctx)
+                let decision = PolicyEngine::evaluate(account.policies(), &ctx);
+                let stable_until = [&decision.general_policy, &decision.specific_policy]
+                    .into_iter()
+                    .flatten()
+                    .filter_map(|id| account.policies().get(id))
+                    .map(|policy| policy.stable_until(now))
+                    .min()
+                    .unwrap_or(u64::MAX);
+                Evaluated {
+                    decision,
+                    stable_until,
+                }
             })
             .collect();
         Some((decisions, account.cache_ttl_ms(), slot.epoch))
     }
 
     /// [`Self::evaluate`] for a single tuple.
-    fn evaluate_one(
-        &self,
-        owner: &str,
-        now: u64,
-        g: &Gathered,
-    ) -> Option<(EngineDecision, u64, u64)> {
-        let (mut decisions, cache_ttl_ms, epoch) = self.evaluate(owner, now, [g])?;
-        Some((decisions.pop()?, cache_ttl_ms, epoch))
+    fn evaluate_one(&self, owner: &str, now: u64, g: &Gathered) -> Option<(Evaluated, u64, u64)> {
+        let (mut evaluated, cache_ttl_ms, epoch) = self.evaluate(owner, now, [g])?;
+        Some((evaluated.pop()?, cache_ttl_ms, epoch))
     }
 
     // -- token issuance (Fig. 5) ----------------------------------------------
@@ -1380,9 +1395,10 @@ impl AuthorizationManager {
         gathered.claims.extend(previous);
 
         // Phase B — owner-shard read.
-        let Some((decision, ..)) = self.evaluate_one(&request.owner, now, &gathered) else {
+        let Some((evaluated, ..)) = self.evaluate_one(&request.owner, now, &gathered) else {
             return AuthorizeOutcome::Denied(format!("unknown owner {}", request.owner));
         };
+        let decision = evaluated.decision;
         let (resource, claims) = (&gathered.key.2, gathered.claims);
 
         // Phase C — act on the outcome. All bookkeeping goes to sharded
@@ -1512,11 +1528,12 @@ impl AuthorizationManager {
             query.action.clone(),
         );
         let gathered = self.gather(&grant.owner, key);
-        let Some((engine_decision, cache_ttl_ms, policy_epoch)) =
+        let Some((evaluated, cache_ttl_ms, policy_epoch)) =
             self.evaluate_one(&grant.owner, now, &gathered)
         else {
             return Err(AmError::UnknownUser(grant.owner.clone()));
         };
+        let engine_decision = evaluated.decision;
 
         // Phase C — striped audit record plus a context-shard use-count
         // bump. The writes land on structures partitioned by requester
@@ -1545,7 +1562,7 @@ impl AuthorizationManager {
 
         match engine_decision.outcome {
             Outcome::Permit => {
-                let cacheable_ms = cacheable_ms(cache_ttl_ms, &grant, now);
+                let cacheable_ms = cacheable_ms(cache_ttl_ms, &grant, now, evaluated.stable_until);
                 if cacheable_ms > 0 && self.invalidation_push.load(Ordering::Relaxed) {
                     // The Host may cache this verdict; remember the exact
                     // tuple so a later epoch advance can invalidate it
@@ -1735,9 +1752,13 @@ fn decision_wire(decision: &Decision) -> DecisionBody {
 
 /// How long a Host may cache a permit answered under `grant`: the
 /// owner's cache TTL, clamped so a cached permit never outlives the
-/// token it answers for.
-fn cacheable_ms(cache_ttl_ms: u64, grant: &AuthzGrant, now: u64) -> u64 {
-    cache_ttl_ms.min(grant.expires_at_ms.saturating_sub(now))
+/// token it answers for, nor the instant the consulted policies'
+/// conditions may change it (`stable_until`, which is `now` under a
+/// use-count condition: every use must reach the AM to be counted).
+fn cacheable_ms(cache_ttl_ms: u64, grant: &AuthzGrant, now: u64, stable_until: u64) -> u64 {
+    cache_ttl_ms
+        .min(grant.expires_at_ms.saturating_sub(now))
+        .min(stable_until.saturating_sub(now))
 }
 
 fn contributing_policies(decision: &EngineDecision) -> Vec<ucam_policy::PolicyId> {

@@ -1442,13 +1442,20 @@ impl PushTuple {
 }
 
 /// Every resource the push rig's owner holds at `HOST`.
-const PUSH_RESOURCES: [&str; 6] = ["album/1", "album/2", "doc", "shared", "guarded", "paid"];
+const PUSH_RESOURCES: [&str; 8] = [
+    "album/1", "album/2", "doc", "shared", "guarded", "paid", "dated", "counted",
+];
+
+/// The `dated` grant's deadline: after the sieve half's compile, and
+/// before that compile's cache TTL runs out, so it bounds the entry.
+const DATED_UNTIL_MS: u64 = AUTHZ_TOKEN_TTL_MS + 30_000;
 
 /// Bob, delegated to `HOST`, under one policy of every kind a compiled
 /// push must agree with `decide` on: a realm grant (`album/*`), a
 /// per-resource policy (`doc`), a group subject (`shared`), a consent
-/// gate (`guarded`) and a claims gate (`paid`). No use limits: `decide`
-/// bumps use counts, which would move later answers.
+/// gate (`guarded`), a claims gate (`paid`), a deadline (`dated`) and a
+/// use limit (`counted`). The use limit is far off: `decide` bumps use
+/// counts, which must not move later answers.
 struct PushRig {
     net: SimNet,
     am: Arc<AuthorizationManager>,
@@ -1489,6 +1496,15 @@ impl PushRig {
                     ClaimRequirement::from_issuer("payment", "payments.example"),
                 ])),
             );
+            let dated = policy(
+                "dated",
+                read_for(Subject::User("erin".into()))
+                    .with_condition(Condition::ValidUntil(DATED_UNTIL_MS)),
+            );
+            let counted = policy(
+                "counted",
+                read_for(Subject::User("frank".into())).with_condition(Condition::MaxUses(100)),
+            );
             account.add_group_member("friends", "carol");
             account.assign_realm(ResourceRef::new(HOST, "album/1"), "album");
             account.assign_realm(ResourceRef::new(HOST, "album/2"), "album");
@@ -1498,6 +1514,8 @@ impl PushRig {
                 ("shared", &friends),
                 ("guarded", &gate),
                 ("paid", &paid),
+                ("dated", &dated),
+                ("counted", &counted),
             ] {
                 account
                     .link_specific(ResourceRef::new(HOST, resource), id)
@@ -1555,6 +1573,8 @@ impl PushRig {
             self.token("shared", "requester:carol-app", Some("carol")),
             self.token("guarded", "requester:dave-app", Some("dave")),
             self.token("paid", "requester:buyer", None),
+            self.token("dated", "requester:erin-app", Some("erin")),
+            self.token("counted", "requester:frank-app", Some("frank")),
         ]
     }
 
@@ -1623,6 +1643,12 @@ fn sieve_entries_are_permits_decide_agrees_with() {
             Ok(Decision::Permit { cacheable_ms, .. }) => {
                 assert!(cacheable_ms > 0, "{} {}", tuple.requester, tuple.resource);
                 assert!(entry.expires_at_ms <= now + cacheable_ms);
+                if tuple.resource == "dated" {
+                    assert!(
+                        entry.expires_at_ms <= DATED_UNTIL_MS,
+                        "outlives its deadline"
+                    );
+                }
             }
             other => panic!(
                 "sieve lists {} {} for {}; decide says {other:?}",
@@ -1631,8 +1657,10 @@ fn sieve_entries_are_permits_decide_agrees_with() {
         }
         covered.insert(tuple.resource);
     }
-    // Every policy kind contributed, the realm grant for both members.
-    assert_eq!(covered.len(), PUSH_RESOURCES.len(), "{covered:?}");
+    // Every policy kind contributed, the realm grant for both members —
+    // except the use limit: each use must reach `decide` to be counted.
+    assert!(!covered.contains("counted"), "{covered:?}");
+    assert_eq!(covered.len(), PUSH_RESOURCES.len() - 1, "{covered:?}");
 }
 
 /// Invalidation half: after a narrowing edit, the pushed list names
@@ -1652,6 +1680,9 @@ fn invalidations_name_exactly_the_permits_decide_withdrew() {
             Ok(Decision::Permit { cacheable_ms, .. }) if cacheable_ms > 0
         )
     };
+    // A use-limited permit is never cacheable, so it is never decided.
+    let counted = decided.iter().position(|t| t.resource == "counted");
+    assert!(!cacheable(&decided.remove(counted.unwrap())));
     for tuple in &decided {
         assert!(cacheable(tuple), "{} {}", tuple.requester, tuple.resource);
     }

@@ -6,10 +6,11 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::condition::{Claim, ClaimRequirement};
+use crate::condition::{Claim, ClaimRequirement, Condition};
 use crate::groups::GroupLookup;
 use crate::matrix::AclMatrix;
 use crate::rule::RulePolicy;
+use crate::xacml::XExpr;
 
 /// A unique policy identifier within one Authorization Manager.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -435,6 +436,66 @@ impl Policy {
             PolicyBody::Xacml(x) => x.evaluate(ctx),
         }
     }
+
+    /// Until when this policy's verdicts hold without an edit: the
+    /// nearest instant after `now_ms` that one of its time conditions
+    /// compares against (a [`Condition::TimeWindow`] start or end, a
+    /// [`Condition::ValidUntil`], an [`XExpr::TimeBefore`] or
+    /// [`XExpr::TimeAtOrAfter`]); `now_ms` if it counts uses
+    /// ([`Condition::MaxUses`], [`XExpr::UsesBelow`]), since every use
+    /// can change a verdict; `u64::MAX` otherwise. A static walk over
+    /// the conditions, so the bound holds for every request.
+    #[must_use]
+    pub fn stable_until(&self, now_ms: u64) -> u64 {
+        let future = |t: u64| if t > now_ms { t } else { u64::MAX };
+        match &self.body {
+            PolicyBody::Matrix(_) => u64::MAX,
+            PolicyBody::Rules(rules) => rules
+                .rules()
+                .iter()
+                .flat_map(|rule| &rule.conditions)
+                .map(|condition| match condition {
+                    Condition::TimeWindow { start_ms, end_ms } => {
+                        future(*start_ms).min(future(*end_ms))
+                    }
+                    Condition::ValidUntil(deadline) => future(*deadline),
+                    Condition::MaxUses(_) => now_ms,
+                    Condition::RequiresConsent | Condition::RequiresClaims(_) => u64::MAX,
+                })
+                .min()
+                .unwrap_or(u64::MAX),
+            PolicyBody::Xacml(set) => set
+                .policies
+                .iter()
+                .flat_map(|policy| &policy.rules)
+                .filter_map(|rule| rule.condition.as_ref())
+                .map(|expr| expr_stable_until(expr, now_ms))
+                .min()
+                .unwrap_or(u64::MAX),
+        }
+    }
+}
+
+/// [`Policy::stable_until`] for one XACML condition expression.
+fn expr_stable_until(expr: &XExpr, now_ms: u64) -> u64 {
+    match expr {
+        XExpr::TimeBefore(t) | XExpr::TimeAtOrAfter(t) if *t > now_ms => *t,
+        XExpr::UsesBelow(_) => now_ms,
+        XExpr::Not(inner) => expr_stable_until(inner, now_ms),
+        XExpr::And(parts) | XExpr::Or(parts) => parts
+            .iter()
+            .map(|part| expr_stable_until(part, now_ms))
+            .min()
+            .unwrap_or(u64::MAX),
+        // Exhaustive, so a new condition kind has to be classified here.
+        XExpr::TimeBefore(_)
+        | XExpr::TimeAtOrAfter(_)
+        | XExpr::True
+        | XExpr::SubjectIs(_)
+        | XExpr::SubjectInGroup(_)
+        | XExpr::HasClaim(_)
+        | XExpr::ConsentGranted => u64::MAX,
+    }
 }
 
 #[cfg(test)]
@@ -539,6 +600,78 @@ mod tests {
             p.evaluate(&EvalContext::new(&req2, 0)),
             Outcome::NotApplicable
         );
+    }
+
+    fn rules_with(condition: Condition) -> Policy {
+        Policy::rules(
+            "p",
+            RulePolicy::new().with_rule(
+                Rule::permit()
+                    .for_subject(Subject::Public)
+                    .with_condition(condition),
+            ),
+        )
+    }
+
+    fn xacml_with(expr: XExpr) -> Policy {
+        use crate::xacml::{Combining, XacmlPolicy, XacmlPolicySet, XacmlRule};
+        Policy::xacml(
+            "x",
+            XacmlPolicySet::new("s", Combining::DenyOverrides).with_policy(
+                XacmlPolicy::new("p", Combining::DenyOverrides)
+                    .with_rule(XacmlRule::permit("r").with_condition(expr)),
+            ),
+        )
+    }
+
+    #[test]
+    fn stable_until_bounds_time_conditions_by_their_next_instant() {
+        let window = |now| {
+            rules_with(Condition::TimeWindow {
+                start_ms: 100,
+                end_ms: 200,
+            })
+            .stable_until(now)
+        };
+        assert_eq!(window(50), 100, "before the window: its start");
+        assert_eq!(window(100), 200, "inside the window: its end");
+        assert_eq!(window(200), u64::MAX, "after the window: fixed");
+        let until = |now| rules_with(Condition::ValidUntil(300)).stable_until(now);
+        assert_eq!(until(10), 300);
+        assert_eq!(until(300), u64::MAX);
+        assert_eq!(xacml_with(XExpr::TimeBefore(40)).stable_until(10), 40);
+        assert_eq!(xacml_with(XExpr::TimeAtOrAfter(40)).stable_until(10), 40);
+        assert_eq!(xacml_with(XExpr::TimeBefore(40)).stable_until(40), u64::MAX);
+        // Nested expressions contribute their nearest instant.
+        let nested = XExpr::Or(vec![
+            XExpr::Not(Box::new(XExpr::TimeBefore(90))),
+            XExpr::And(vec![
+                XExpr::SubjectIs("alice".into()),
+                XExpr::TimeAtOrAfter(60),
+            ]),
+        ]);
+        assert_eq!(xacml_with(nested).stable_until(10), 60);
+    }
+
+    #[test]
+    fn stable_until_is_now_under_use_counting() {
+        assert_eq!(rules_with(Condition::MaxUses(2)).stable_until(7), 7);
+        let counted = XExpr::And(vec![XExpr::TimeBefore(90), XExpr::UsesBelow(3)]);
+        assert_eq!(xacml_with(counted).stable_until(7), 7);
+    }
+
+    #[test]
+    fn stable_until_is_unbounded_without_time_or_use_conditions() {
+        assert_eq!(
+            Policy::matrix("m", AclMatrix::new().allow(Subject::Public, Action::Read))
+                .stable_until(5),
+            u64::MAX
+        );
+        assert_eq!(
+            rules_with(Condition::RequiresConsent).stable_until(5),
+            u64::MAX
+        );
+        assert_eq!(xacml_with(XExpr::ConsentGranted).stable_until(5), u64::MAX);
     }
 
     #[test]

@@ -7,14 +7,13 @@
 //! (DESIGN.md §15):
 //!
 //! * **Server**: every registered authority gets its own `127.0.0.1:0`
-//!   listener served by a *fixed worker pool* (sized to the machine,
-//!   clamped to at most 4 workers) rather than a thread per connection.
-//!   Each worker owns the connections it accepted and sweeps them with
-//!   non-blocking reads: all complete requests already buffered on a
-//!   connection are served back-to-back in one sweep, so a pipelining
-//!   client costs one scheduling quantum for N requests instead of N
-//!   wake-ups. Idle workers spin down from `yield_now` to capped sleeps,
-//!   staying hot under load without burning an idle core.
+//!   listener with one blocking acceptor, and every accepted connection
+//!   gets one blocking reader thread. The reader takes whatever bytes
+//!   have arrived, serves every complete request among them in order,
+//!   answers them all with one write and blocks again: a pipelining
+//!   client costs one wake-up per stride instead of one per request, an
+//!   idle server burns no CPU, and a handler that blocks holds only its
+//!   own connection.
 //! * **Client**: one persistent connection per `(thread, transport,
 //!   authority)`, found by a linear scan of a thread-local vector (no
 //!   locks, no hashing, no allocation on the warm path), with the read
@@ -23,10 +22,11 @@
 //!   buffer via the codec's borrowed-slice head parser.
 //! * **Pipelining**: [`Transport::dispatch_pipelined`] groups a batch by
 //!   authority and writes each group's requests as one buffered block on
-//!   the persistent connection, then reads the N responses back. Message
-//!   accounting and trace events are committed per request, in input
-//!   order, exactly as N sequential dispatches would have — batching is
-//!   invisible to everything but the wall clock.
+//!   the persistent connection, then reads the N responses back; a
+//!   single dispatch is a one-request batch. Message accounting and
+//!   trace events are committed per request, in input order, exactly as
+//!   N sequential dispatches would have — batching is invisible to
+//!   everything but the wall clock.
 //!
 //! No external HTTP stack, no async runtime, no new dependencies.
 //!
@@ -40,10 +40,11 @@
 //! * a read timeout waiting for the response (hung server) → `503` +
 //!   [`TransportError::Timeout`].
 //!
-//! The server side fails closed: a connection that sends an oversized,
-//! malformed, or unparseable message is dropped on the floor, which the
-//! client observes (and classifies) as a reset. A worker never panics
-//! and never parks itself on a poisoned connection.
+//! The server side fails closed: a connection that hangs up, sends an
+//! oversized, malformed or unparseable message, or leaves half a message
+//! idle for the server's read timeout is dropped on the floor, which the
+//! client observes (and classifies) as a reset. Wire input never panics
+//! a reader, and an idle keep-alive connection may wait indefinitely.
 //!
 //! [`kill_listener`](HttpTransport::kill_listener) and
 //! [`set_stall`](HttpTransport::set_stall) exist so tests can produce
@@ -62,13 +63,13 @@
 //! virtual-time behaviour (token lifetimes, grace windows) stays
 //! harness-driven exactly as on `SimNet`.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -85,8 +86,8 @@ pub use crate::codec::MAX_MESSAGE_BYTES;
 /// How long the client waits for a TCP connect to complete.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Deep-idle poll interval: the longest a worker sleeps between sweeps,
-/// and the cadence of the stall-hold loop.
+/// The cadence of the stall-hold loop, and the back-off after a failed
+/// `accept`.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Server-side patience for the *rest* of a message once its first byte
@@ -99,15 +100,6 @@ const SERVER_READ_TIMEOUT: Duration = Duration::from_secs(5);
 /// so this is a misbehaving-peer backstop, not a tuning knob.
 const MAX_CONNS_PER_LISTENER: usize = 256;
 
-/// Under load a worker only polls for new connections every this many
-/// sweeps; an idle worker polls every sweep.
-const ACCEPT_EVERY: u64 = 16;
-
-/// How many empty sweeps a worker spends yielding (staying runnable, so
-/// the next request is picked up within a scheduler quantum) before it
-/// starts sleeping.
-const IDLE_YIELD_SWEEPS: u32 = 64;
-
 /// Read granularity for both halves; large enough that every protocol
 /// message (epoch sieve pushes aside) arrives in one read.
 const READ_CHUNK: usize = 16 * 1024;
@@ -118,17 +110,6 @@ const CONN_CACHE_CAP: usize = 64;
 
 /// Source of unique transport ids for the per-thread connection cache.
 static NEXT_HTTP_ID: AtomicU64 = AtomicU64::new(1);
-
-/// A fixed pool bounds server threads regardless of connection count:
-/// one worker per available core, at most four per authority. On a
-/// single-core host this degenerates to one worker, which is also the
-/// best batching configuration there (every ready connection is served
-/// back-to-back in one quantum).
-fn pool_size() -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .clamp(1, 4)
-}
 
 // ---------------------------------------------------------------------------
 // Client state (thread-local; no locks on the warm path)
@@ -151,7 +132,7 @@ struct ClientConn {
 /// encode/read buffers that make the steady state allocation-free.
 struct ClientState {
     conns: Vec<ClientConn>,
-    /// One encoded request (reused per dispatch).
+    /// One encoded request (reused per request).
     wire: Vec<u8>,
     /// A pipelined group's worth of encoded requests.
     batch: Vec<u8>,
@@ -167,60 +148,62 @@ thread_local! {
         batch: Vec::new(),
         chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
     });
+
+    /// On a connection thread, the acceptor that spawned it (and that
+    /// joins it), so a shutdown run there never joins that acceptor.
+    static SERVING_FOR: Cell<Option<ThreadId>> = const { Cell::new(None) };
 }
 
 // ---------------------------------------------------------------------------
 // Routes and shutdown
 // ---------------------------------------------------------------------------
 
-/// One registered authority: its listener address, its worker pool, and
-/// the fault-injection flags the conformance tests flip.
+/// One registered authority: its listener address, its acceptor, and
+/// the state the acceptor's connection threads share.
 struct Route {
     addr: SocketAddr,
-    /// When set, the workers exit (dropping the shared listener, so new
-    /// connects are refused) after resetting their connections.
-    dead: Arc<AtomicBool>,
-    /// When set, workers hold every response until the flag clears —
-    /// the client observes a read timeout.
-    stall: Arc<AtomicBool>,
-    /// Live accepted connections, tracked so a kill can reset them.
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    workers: Vec<JoinHandle<()>>,
+    state: Arc<RouteState>,
+    /// `None` once a shutdown has taken (and joined) it.
+    acceptor: Option<JoinHandle<()>>,
 }
 
-/// The pieces of a [`Route`] needed to tear it down, extracted under
-/// the routes lock and completed *after* it is released. Workers take
-/// the routes lock themselves while serving nested dispatches, so
-/// joining them while holding it would deadlock.
-struct RouteShutdown {
-    dead: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    workers: Vec<JoinHandle<()>>,
+/// What a route's owner shares with its acceptor and connection threads.
+#[derive(Default)]
+struct RouteState {
+    /// Set by a shutdown: the acceptor admits nothing more and exits,
+    /// closing the listener, so new connects are refused.
+    dead: AtomicBool,
+    /// When set, connection threads hold every response until the flag
+    /// clears — the client observes a read timeout.
+    stall: AtomicBool,
+    /// Live accepted connections by id, so a shutdown can reset them.
+    /// Each connection thread removes its own entry as it exits.
+    live: Mutex<HashMap<u64, TcpStream>>,
 }
 
-fn extract_shutdown(route: &mut Route) -> RouteShutdown {
-    RouteShutdown {
-        dead: Arc::clone(&route.dead),
-        conns: Arc::clone(&route.conns),
-        workers: std::mem::take(&mut route.workers),
-    }
-}
-
-/// Signals the route's workers to exit, resets its live connections and
-/// joins the workers. Must be called with the routes lock released.
-fn complete_shutdown(shutdown: RouteShutdown) {
-    shutdown.dead.store(true, Ordering::Release);
-    for conn in shutdown.conns.lock().drain(..) {
-        let _ = conn.shutdown(Shutdown::Both);
-    }
-    let me = std::thread::current().id();
-    for worker in shutdown.workers {
-        // A worker can itself drop the last transport handle (its nested
-        // dispatch clone), running this teardown on a worker thread; it
-        // must not join itself — it exits on its own right after.
-        if worker.thread().id() != me {
-            let _ = worker.join();
+/// Marks `route` dead, resets its live connections (unblocking their
+/// readers), wakes its blocking `accept` with one throwaway connect and
+/// joins the acceptor, which has joined every connection thread. Must be
+/// called with the routes lock released: connection threads take it
+/// while serving nested dispatches.
+fn shut_down(route: Route) {
+    {
+        let mut live = route.state.live.lock();
+        route.state.dead.store(true, Ordering::Release);
+        for (_, conn) in live.drain() {
+            let _ = conn.shutdown(Shutdown::Both);
         }
+    }
+    let Some(acceptor) = route.acceptor else {
+        return;
+    };
+    let _ = TcpStream::connect_timeout(&route.addr, CONNECT_TIMEOUT);
+    // A connection thread can itself drop the last transport handle (its
+    // nested-dispatch clone), running this teardown there; its acceptor
+    // is waiting for it, so it must not join that acceptor — it exits on
+    // its own right after.
+    if SERVING_FOR.get() != Some(acceptor.thread().id()) {
+        let _ = acceptor.join();
     }
 }
 
@@ -241,9 +224,8 @@ struct HttpInner {
 
 impl Drop for HttpInner {
     fn drop(&mut self) {
-        let routes = std::mem::take(self.routes.get_mut());
-        for (_, mut route) in routes {
-            complete_shutdown(extract_shutdown(&mut route));
+        for (_, route) in std::mem::take(self.routes.get_mut()) {
+            shut_down(route);
         }
     }
 }
@@ -251,7 +233,9 @@ impl Drop for HttpInner {
 /// The loopback-TCP transport. See the [module documentation](self).
 ///
 /// Cloning is cheap and shares the listeners, clock, trace and stats —
-/// worker threads clone it to serve nested dispatches.
+/// connection threads clone it to serve nested dispatches. Dropping the
+/// last handle (from any thread but a connection thread) returns once
+/// every listener is closed and every registered application released.
 #[derive(Clone)]
 pub struct HttpTransport {
     inner: Arc<HttpInner>,
@@ -305,32 +289,37 @@ impl HttpTransport {
     pub fn listener_addr(&self, authority: &str) -> Option<SocketAddr> {
         let routes = self.inner.routes.lock();
         let route = routes.get(authority)?;
-        (!route.dead.load(Ordering::Acquire)).then_some(route.addr)
+        (!route.state.dead.load(Ordering::Acquire)).then_some(route.addr)
     }
 
     /// Kills `authority`'s listener *without* unregistering it: the
-    /// worker pool exits (so new connections are refused by the kernel)
+    /// acceptor exits (so new connections are refused by the kernel)
     /// and every live connection is reset. Subsequent dispatches fail
     /// with [`TransportError::Unreachable`] — the real-socket
     /// equivalent of [`SimNet::set_offline`](crate::net::SimNet::set_offline).
     pub fn kill_listener(&self, authority: &str) {
-        let pending = {
+        let taken = {
             let mut routes = self.inner.routes.lock();
-            routes.get_mut(authority).map(extract_shutdown)
+            // The (then dead) route stays registered under its address.
+            routes.get_mut(authority).map(|route| Route {
+                addr: route.addr,
+                state: Arc::clone(&route.state),
+                acceptor: route.acceptor.take(),
+            })
         };
-        if let Some(shutdown) = pending {
-            complete_shutdown(shutdown);
+        if let Some(route) = taken {
+            shut_down(route);
         }
     }
 
-    /// Makes `authority`'s workers hold (`true`) or release (`false`)
-    /// their responses. While stalled, dispatches burn the full client
-    /// timeout and fail with [`TransportError::Timeout`] — the
-    /// real-socket equivalent of a lost message.
+    /// Makes `authority`'s connection threads hold (`true`) or release
+    /// (`false`) their responses. While stalled, dispatches burn the
+    /// full client timeout and fail with [`TransportError::Timeout`] —
+    /// the real-socket equivalent of a lost message.
     pub fn set_stall(&self, authority: &str, stalled: bool) {
         let routes = self.inner.routes.lock();
         if let Some(route) = routes.get(authority) {
-            route.stall.store(stalled, Ordering::Release);
+            route.state.stall.store(stalled, Ordering::Release);
         }
     }
 
@@ -341,7 +330,7 @@ impl HttpTransport {
         self.inner.routes.lock().get(to).map(|r| r.addr)
     }
 
-    /// Opens, configures and caches-or-uses a fresh connection to `to`.
+    /// Opens and configures a fresh connection to `to`.
     fn connect_fresh(&self, to: &str, timeout_ms: u64) -> Result<ClientConn, Response> {
         let Some(addr) = self.listener_known_addr(to) else {
             return Err(transport_failure(
@@ -375,59 +364,19 @@ impl HttpTransport {
         Ok(conn)
     }
 
-    /// Sends one request to `to`, classifying socket failures. The warm
+    /// Sends one authority's slice of a batch: every request encoded
+    /// back-to-back into one buffered write, then the responses read
+    /// back in order. Returns exactly `ixs.len()` responses. The warm
     /// path — a cached healthy connection — touches no locks at all: it
-    /// never consults the route table, and a stale cached connection
-    /// (idle-reaped, killed, replaced) falls back to one fresh connect
-    /// before a failure is reported.
-    fn send(&self, from: &str, to: &str, req: &Request) -> Response {
-        CLIENT.with(|state| {
-            let mut state = state.borrow_mut();
-            let state = &mut *state;
-            codec::encode_request_into(&mut state.wire, from, req);
-            let timeout_ms = self.inner.client_timeout_ms.load(Ordering::Relaxed);
-
-            if let Some(ix) = cached_ix(&state.conns, self.inner.id, to) {
-                let mut conn = state.conns.swap_remove(ix);
-                if apply_timeout(&mut conn, timeout_ms).is_ok() {
-                    if let Ok(resp) = exchange_one(&mut conn, &state.wire, &mut state.chunk) {
-                        cache_conn(&mut state.conns, conn);
-                        return resp;
-                    }
-                }
-            }
-
-            let mut conn = match self.connect_fresh(to, timeout_ms) {
-                Ok(conn) => conn,
-                Err(failure) => return failure,
-            };
-            match exchange_one(&mut conn, &state.wire, &mut state.chunk) {
-                Ok(resp) => {
-                    cache_conn(&mut state.conns, conn);
-                    resp
-                }
-                Err(err) if is_timeout(&err) => transport_failure(
-                    TransportError::Timeout,
-                    &format!("timed out waiting for {to}"),
-                ),
-                Err(_) => transport_failure(
-                    TransportError::Unreachable,
-                    &format!("connection to {to} reset"),
-                ),
-            }
-        })
-    }
-
-    /// Sends one authority's slice of a pipelined batch: every request
-    /// encoded back-to-back into one buffered write, then the responses
-    /// read back in order. Returns exactly `ixs.len()` responses.
+    /// never consults the route table.
     ///
     /// Retry rule: a failure on the *cached* connection with **zero**
-    /// responses received means a stale keep-alive — the server
-    /// processed nothing, so the whole group is retried once on a fresh
-    /// connection. Any partial failure (k > 0 responses in) classifies
-    /// the remainder without resending: those requests may already have
-    /// executed, and the transport never double-dispatches.
+    /// responses received means a stale keep-alive (idle-reaped, killed,
+    /// replaced) — the server processed nothing, so the whole group is
+    /// retried once on a fresh connection. Any partial failure (k > 0
+    /// responses in) classifies the remainder without resending: those
+    /// requests may already have executed, and the transport never
+    /// double-dispatches.
     fn send_group(&self, from: &str, to: &str, reqs: &[Request], ixs: &[usize]) -> Vec<Response> {
         CLIENT.with(|state| {
             let mut state = state.borrow_mut();
@@ -495,73 +444,39 @@ impl Transport for HttpTransport {
     fn register(&self, app: Arc<dyn WebApp>) {
         let authority = app.authority().to_owned();
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
         let addr = listener.local_addr().expect("listener address");
-        let listener = Arc::new(listener);
-
-        let dead = Arc::new(AtomicBool::new(false));
-        let stall = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let workers = (0..pool_size())
-            .map(|_| {
-                let ctx = WorkerCtx {
-                    listener: Arc::clone(&listener),
-                    app: Arc::clone(&app),
-                    inner: Arc::downgrade(&self.inner),
-                    dead: Arc::clone(&dead),
-                    stall: Arc::clone(&stall),
-                    conns: Arc::clone(&conns),
-                };
-                std::thread::spawn(move || worker_loop(&ctx))
-            })
-            .collect();
-
-        let old = {
-            let mut routes = self.inner.routes.lock();
-            routes.insert(
-                authority,
-                Route {
-                    addr,
-                    dead,
-                    stall,
-                    conns,
-                    workers,
-                },
-            )
+        let state = Arc::new(RouteState::default());
+        let acceptor = {
+            let (inner, state) = (Arc::downgrade(&self.inner), Arc::clone(&state));
+            std::thread::spawn(move || accept_loop(listener, app.as_ref(), &inner, &state))
         };
-        if let Some(mut old) = old {
-            complete_shutdown(extract_shutdown(&mut old));
+        let route = Route {
+            addr,
+            state,
+            acceptor: Some(acceptor),
+        };
+        let old = self.inner.routes.lock().insert(authority, route);
+        if let Some(old) = old {
+            shut_down(old);
         }
     }
 
     fn unregister(&self, authority: &str) {
         let removed = self.inner.routes.lock().remove(authority);
-        if let Some(mut route) = removed {
-            complete_shutdown(extract_shutdown(&mut route));
+        if let Some(route) = removed {
+            shut_down(route);
         }
     }
 
     fn dispatch(&self, from: &str, req: Request) -> Response {
-        let to = req.url.authority().to_owned();
-
-        let started = Instant::now();
-        let resp = self.send(from, &to, &req);
-        let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-
-        self.record_exchange(from, &req, &resp);
-        self.inner.accounting.add_latency(wall_us);
-        resp
+        self.dispatch_pipelined(from, vec![req])
+            .pop()
+            .expect("one response per request")
     }
 
     fn dispatch_pipelined(&self, from: &str, reqs: Vec<Request>) -> Vec<Response> {
-        if reqs.len() <= 1 {
-            return reqs
-                .into_iter()
-                .map(|req| self.dispatch(from, req))
-                .collect();
+        if reqs.is_empty() {
+            return Vec::new();
         }
 
         // Group request indices by authority, first-seen order. Batches
@@ -724,12 +639,6 @@ fn read_response(conn: &mut ClientConn, chunk: &mut [u8]) -> io::Result<Response
     Ok(resp)
 }
 
-/// Writes one encoded request and reads its response.
-fn exchange_one(conn: &mut ClientConn, wire: &[u8], chunk: &mut [u8]) -> io::Result<Response> {
-    conn.stream.write_all(wire)?;
-    read_response(conn, chunk)
-}
-
 /// Writes a pipelined group (one buffered block of `n` requests) and
 /// reads the `n` responses back. On error, returns every response that
 /// made it in before the failure alongside the error.
@@ -781,274 +690,147 @@ fn fill_group_failures(
 // Server
 // ---------------------------------------------------------------------------
 
-/// Everything one worker needs, bundled for the spawn.
-struct WorkerCtx {
-    listener: Arc<TcpListener>,
-    app: Arc<dyn WebApp>,
-    inner: Weak<HttpInner>,
-    dead: Arc<AtomicBool>,
-    stall: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-}
-
-/// One accepted connection as a worker tracks it between sweeps.
-struct ServedConn {
-    stream: TcpStream,
-    /// Request reassembly buffer; complete messages are drained off the
-    /// front as they are served.
-    buf: Vec<u8>,
-    /// Where head scanning resumes (incremental `find_head_end`).
-    scan_from: usize,
-    /// When a partial message must complete by; `None` while the buffer
-    /// is empty (an idle keep-alive connection can sit forever).
-    deadline: Option<Instant>,
-}
-
-/// Per-worker reusable buffers.
-struct WorkerScratch {
-    /// Encoded head of the response currently being serialized.
-    head: Vec<u8>,
-    /// Coalesced response bytes for one sweep: every response the sweep
-    /// produces is appended here and flushed in a single write, so a
-    /// pipelining client is woken once per stride instead of once per
-    /// response. On a loaded single core each server write can preempt
-    /// the blocked client into a read that immediately blocks again —
-    /// one write per sweep turns that N-switch ping-pong into one
-    /// wake-up.
-    out: Vec<u8>,
-    chunk: Box<[u8]>,
-}
-
-enum Sweep {
-    /// Bytes moved or requests served this sweep.
-    Progress,
-    /// Nothing to do on this connection right now.
-    Idle,
-    /// Hang-up, framing violation, oversize, write failure or deadline:
-    /// the connection is dropped (fail closed — the client classifies
-    /// the reset).
-    Closed,
-}
-
-/// The worker: accepts connections from the shared listener and sweeps
-/// the ones it owns with non-blocking reads, serving every complete
-/// request already buffered back-to-back. Busy workers stay runnable by
-/// yielding; idle workers escalate to capped sleeps.
-fn worker_loop(ctx: &WorkerCtx) {
-    let mut conns: Vec<ServedConn> = Vec::new();
-    let mut scratch = WorkerScratch {
-        head: Vec::new(),
-        out: Vec::new(),
-        chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
-    };
-    let mut sweep: u64 = 0;
-    let mut idle_sweeps: u32 = 0;
-
-    loop {
-        if ctx.dead.load(Ordering::Acquire) || ctx.inner.strong_count() == 0 {
-            for conn in conns.drain(..) {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-            return;
-        }
-
-        let mut progressed = false;
-
-        // Poll for new connections: every sweep while anything is idle,
-        // every ACCEPT_EVERY-th sweep under full load.
-        if idle_sweeps > 0 || conns.is_empty() || sweep.is_multiple_of(ACCEPT_EVERY) {
-            while let Ok((stream, _peer)) = ctx.listener.accept() {
-                if accept_conn(ctx, &mut conns, stream) {
-                    progressed = true;
-                }
-            }
-        }
-        sweep = sweep.wrapping_add(1);
-
-        let mut i = 0;
-        while i < conns.len() {
-            match sweep_conn(ctx, &mut conns[i], &mut scratch) {
-                Sweep::Progress => {
-                    progressed = true;
-                    i += 1;
-                }
-                Sweep::Idle => i += 1,
-                Sweep::Closed => {
-                    let conn = conns.swap_remove(i);
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                }
-            }
-        }
-
-        if progressed {
-            idle_sweeps = 0;
-        } else {
-            idle_sweeps = idle_sweeps.saturating_add(1);
-            if idle_sweeps <= IDLE_YIELD_SWEEPS {
-                std::thread::yield_now();
-            } else {
-                // Escalate 100µs → POLL_INTERVAL, doubling per sweep.
-                let over = idle_sweeps - IDLE_YIELD_SWEEPS;
-                let us = 100u64 << over.min(7);
-                std::thread::sleep(Duration::from_micros(
-                    us.min(u64::try_from(POLL_INTERVAL.as_micros()).unwrap_or(u64::MAX)),
-                ));
-            }
-        }
-    }
-}
-
-/// Admits one accepted connection: non-blocking + NODELAY, tracked on
-/// the route's kill list, bounded by [`MAX_CONNS_PER_LISTENER`].
-fn accept_conn(ctx: &WorkerCtx, conns: &mut Vec<ServedConn>, stream: TcpStream) -> bool {
-    let _ = stream.set_nodelay(true);
-    if stream.set_nonblocking(true).is_err() {
-        return false;
-    }
-    {
-        let mut live = ctx.conns.lock();
-        if live.len() >= MAX_CONNS_PER_LISTENER {
-            let _ = stream.shutdown(Shutdown::Both);
-            return false;
-        }
-        if let Ok(clone) = stream.try_clone() {
-            live.push(clone);
-        }
-    }
-    conns.push(ServedConn {
-        stream,
-        buf: Vec::new(),
-        scan_from: 0,
-        deadline: None,
-    });
-    true
-}
-
-/// One sweep over one connection: drain readable bytes, then serve every
-/// complete request sitting in the buffer (a pipelining client's whole
-/// group is answered in this one pass).
-fn sweep_conn(ctx: &WorkerCtx, conn: &mut ServedConn, scratch: &mut WorkerScratch) -> Sweep {
-    let mut read_any = false;
-    loop {
-        match conn.stream.read(&mut scratch.chunk) {
-            Ok(0) => return Sweep::Closed,
-            Ok(n) => {
-                conn.buf.extend_from_slice(&scratch.chunk[..n]);
-                read_any = true;
-                if conn.buf.len() > MAX_MESSAGE_BYTES {
-                    return Sweep::Closed;
-                }
-                if n < scratch.chunk.len() {
-                    break;
-                }
-            }
-            Err(ref err) if err.kind() == io::ErrorKind::WouldBlock => break,
-            Err(ref err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Sweep::Closed,
-        }
-    }
-
-    let mut served = false;
-    scratch.out.clear();
-    loop {
-        let Some(head_end) = codec::find_head_end(&conn.buf, conn.scan_from) else {
-            conn.scan_from = conn.buf.len().saturating_sub(3);
-            break;
-        };
-        let (from_label, req, body_len) = {
-            let Ok(head) = codec::parse_head(&conn.buf[..head_end]) else {
-                return Sweep::Closed;
-            };
-            let Ok(body_len) = head.content_length() else {
-                return Sweep::Closed;
-            };
-            if conn.buf.len() < head_end + body_len {
-                // Head complete, body still in flight: scanning may
-                // resume from where it stands (the head is re-found in
-                // one cheap pass once the body lands).
+/// The acceptor: admits `listener`'s connections until the route dies,
+/// serving each on its own scoped thread. It returns once every
+/// connection thread has been joined.
+fn accept_loop(
+    listener: TcpListener,
+    app: &dyn WebApp,
+    inner: &Weak<HttpInner>,
+    state: &RouteState,
+) {
+    let acceptor = std::thread::current().id();
+    std::thread::scope(|scope| {
+        for (id, stream) in (0u64..).zip(listener.incoming()) {
+            if state.dead.load(Ordering::Acquire) {
                 break;
             }
-            match codec::build_request(&head, &conn.buf[head_end..head_end + body_len]) {
-                Ok((from, req)) => (from, req, body_len),
-                Err(_) => return Sweep::Closed,
+            let Ok(stream) = stream else {
+                // Out of descriptors, or the peer gave up mid-handshake.
+                std::thread::sleep(POLL_INTERVAL);
+                continue;
+            };
+            if admit(state, id, &stream) {
+                scope.spawn(move || {
+                    SERVING_FOR.set(Some(acceptor));
+                    serve_conn(stream, app, inner, state);
+                    state.live.lock().remove(&id);
+                });
             }
-        };
-        let _ = from_label; // the envelope label; handlers don't see it
-        conn.buf.drain(..head_end + body_len);
-        conn.scan_from = 0;
-        served = true;
-
-        // Hold the response while stalled (hung-server fault injection).
-        while ctx.stall.load(Ordering::Acquire) {
-            if ctx.dead.load(Ordering::Acquire) || ctx.inner.strong_count() == 0 {
-                return Sweep::Closed;
-            }
-            std::thread::sleep(POLL_INTERVAL);
         }
-        let Some(strong) = ctx.inner.upgrade() else {
-            return Sweep::Closed;
-        };
-        let transport = HttpTransport { inner: strong };
-        let resp = ctx.app.handle(&transport, &req);
-        drop(transport);
-        codec::encode_response_head_into(&mut scratch.head, &resp);
-        scratch.out.extend_from_slice(&scratch.head);
-        scratch.out.extend_from_slice(resp.body.as_bytes());
-    }
-    if !scratch.out.is_empty() && write_coalesced(ctx, &mut conn.stream, &scratch.out).is_err() {
-        return Sweep::Closed;
-    }
+        // Refuse new connects while the connection threads wind down.
+        drop(listener);
+    });
+}
 
-    // Partial-message patience: a connection with half a message gets
-    // SERVER_READ_TIMEOUT from its last byte, then is dropped.
-    if conn.buf.is_empty() {
-        conn.deadline = None;
-    } else if read_any || conn.deadline.is_none() {
-        conn.deadline = Some(Instant::now() + SERVER_READ_TIMEOUT);
-    } else if conn
-        .deadline
-        .is_some_and(|deadline| Instant::now() > deadline)
-    {
-        return Sweep::Closed;
-    }
-
-    if read_any || served {
-        Sweep::Progress
-    } else {
-        Sweep::Idle
+/// Admits one accepted connection: NODELAY, the server read and write
+/// timeouts, and a clone on the route's kill list, bounded by
+/// [`MAX_CONNS_PER_LISTENER`]. `dead` is checked under the kill-list
+/// lock, so a connection admitted during a shutdown is either reset by
+/// that shutdown or refused here.
+fn admit(state: &RouteState, id: u64, stream: &TcpStream) -> bool {
+    let _ = stream.set_nodelay(true);
+    let clone = stream
+        .set_read_timeout(Some(SERVER_READ_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(SERVER_READ_TIMEOUT)))
+        .and_then(|()| stream.try_clone());
+    let mut live = state.live.lock();
+    match clone {
+        Ok(clone) if !state.dead.load(Ordering::Acquire) && live.len() < MAX_CONNS_PER_LISTENER => {
+            live.insert(id, clone);
+            true
+        }
+        _ => {
+            let _ = stream.shutdown(Shutdown::Both);
+            false
+        }
     }
 }
 
-/// Flushes one sweep's coalesced response bytes in a single write,
-/// riding out `WouldBlock` on the non-blocking socket (bounded by
-/// [`SERVER_READ_TIMEOUT`]).
-fn write_coalesced(ctx: &WorkerCtx, stream: &mut TcpStream, out: &[u8]) -> io::Result<()> {
-    let mut off = 0;
-    let deadline = Instant::now() + SERVER_READ_TIMEOUT;
-    while off < out.len() {
-        match stream.write(&out[off..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => off += n,
-            Err(ref err) if err.kind() == io::ErrorKind::WouldBlock => {
-                if ctx.dead.load(Ordering::Acquire)
-                    || ctx.inner.strong_count() == 0
-                    || Instant::now() > deadline
-                {
-                    return Err(io::ErrorKind::TimedOut.into());
-                }
-                std::thread::yield_now();
+/// One connection's reader. It blocks for bytes, serves every complete
+/// request they finish in order, answers them all with one write, and
+/// blocks again. Coalescing the answers into one write means a
+/// pipelining client is woken once per stride instead of once per
+/// response.
+///
+/// Returns — dropping the connection, which the client classifies as a
+/// reset — on hang-up, oversize, a malformed head or body, a failed
+/// write, a partial message idle for [`SERVER_READ_TIMEOUT`], or a
+/// shutdown (which resets the socket under the blocked read).
+fn serve_conn(
+    mut stream: TcpStream,
+    app: &dyn WebApp,
+    inner: &Weak<HttpInner>,
+    state: &RouteState,
+) {
+    let mut chunk = vec![0u8; READ_CHUNK];
+    let (mut buf, mut head, mut out) = (Vec::new(), Vec::new(), Vec::new());
+    // Where head scanning resumes (incremental `find_head_end`).
+    let mut scan_from = 0;
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
+            // An idle keep-alive connection may wait indefinitely; half
+            // a message gets SERVER_READ_TIMEOUT from its last byte.
+            Err(err) if is_timeout(&err) && buf.is_empty() => continue,
+            Err(_) => return,
+        }
+        if buf.len() > MAX_MESSAGE_BYTES {
+            return;
+        }
+        out.clear();
+        loop {
+            let Some(head_end) = codec::find_head_end(&buf, scan_from) else {
+                scan_from = buf.len().saturating_sub(3);
+                break;
+            };
+            let Ok(parsed) = codec::parse_head(&buf[..head_end]) else {
+                return;
+            };
+            let Ok(body_len) = parsed.content_length() else {
+                return;
+            };
+            if buf.len() < head_end + body_len {
+                // Body still in flight: the head is re-found in one
+                // cheap pass once it lands.
+                break;
             }
-            Err(ref err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(err) => return Err(err),
+            let Ok((_from, req)) =
+                codec::build_request(&parsed, &buf[head_end..head_end + body_len])
+            else {
+                return;
+            };
+            buf.drain(..head_end + body_len);
+            scan_from = 0;
+
+            // Hold the response while stalled (hung-server fault injection).
+            while state.stall.load(Ordering::Acquire) {
+                if state.dead.load(Ordering::Acquire) {
+                    return;
+                }
+                std::thread::sleep(POLL_INTERVAL);
+            }
+            let Some(inner) = inner.upgrade() else {
+                return;
+            };
+            let resp = app.handle(&HttpTransport { inner }, &req);
+            codec::encode_response_head_into(&mut head, &resp);
+            out.extend_from_slice(&head);
+            out.extend_from_slice(resp.body.as_bytes());
+        }
+        if !out.is_empty() && stream.write_all(&out).is_err() {
+            return;
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::http::Method;
+    use std::sync::mpsc;
 
     struct Echo;
 
@@ -1373,5 +1155,113 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(http.stats().bytes_on_wire, sim.stats().bytes_on_wire);
         assert!(http.stats().bytes_on_wire > 0);
+    }
+
+    #[test]
+    fn short_lived_clients_never_exhaust_the_listener() {
+        // Each client thread opens its own connection and closes it on
+        // exit, so the listener must keep admitting well past
+        // MAX_CONNS_PER_LISTENER connections over its lifetime.
+        let t = echo_transport();
+        for i in 0..300 {
+            let t = t.clone();
+            let resp = std::thread::spawn(move || {
+                t.dispatch(
+                    "tester",
+                    Request::new(Method::Get, "https://echo.example/once"),
+                )
+            })
+            .join()
+            .unwrap();
+            assert_eq!(resp.status, Status::Ok, "client {i}: {}", resp.body);
+        }
+    }
+
+    /// `/block` signals entry, then waits until the test releases the
+    /// gate; `/ping` answers at once.
+    struct Gate {
+        entered: mpsc::Sender<()>,
+        release: Mutex<()>,
+    }
+
+    impl WebApp for Gate {
+        fn authority(&self) -> &str {
+            "gate.example"
+        }
+        fn handle(&self, _net: &dyn Transport, req: &Request) -> Response {
+            if req.url.path() == "/block" {
+                let _ = self.entered.send(());
+                drop(self.release.lock());
+            }
+            Response::ok().with_body(req.url.path().to_owned())
+        }
+    }
+
+    #[test]
+    fn blocked_handler_holds_only_its_own_connection() {
+        const BLOCKERS: usize = 5;
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let gate = Arc::new(Gate {
+            entered: entered_tx,
+            release: Mutex::new(()),
+        });
+        let t = HttpTransport::new();
+        t.set_client_timeout_ms(10_000);
+        t.register(gate.clone());
+        let send = |path: &str, done: Option<mpsc::Sender<Response>>| {
+            let (t, url) = (t.clone(), format!("https://gate.example{path}"));
+            std::thread::spawn(move || {
+                let resp = t.dispatch("tester", Request::new(Method::Get, &url));
+                if let Some(done) = done {
+                    let _ = done.send(resp.clone());
+                }
+                resp
+            })
+        };
+
+        let held = gate.release.lock();
+        let mut blockers = Vec::new();
+        let mut entered = 0;
+        while entered < BLOCKERS {
+            blockers.push(send("/block", None));
+            if entered_rx.recv_timeout(Duration::from_secs(2)).is_err() {
+                break;
+            }
+            entered += 1;
+        }
+        let (ping_tx, ping_rx) = mpsc::channel();
+        let pinger = send("/ping", Some(ping_tx));
+        let ping = ping_rx.recv_timeout(Duration::from_secs(2));
+        drop(held);
+        pinger.join().unwrap();
+        let answers: Vec<Response> = blockers.into_iter().map(|b| b.join().unwrap()).collect();
+
+        assert_eq!(
+            entered, BLOCKERS,
+            "a blocked handler held up later connections"
+        );
+        let ping = ping.expect("/ping got no answer while the blockers were held");
+        assert_eq!(ping.body, "/ping");
+        for answer in answers {
+            assert_eq!(answer.body, "/block");
+        }
+    }
+
+    #[test]
+    fn dropping_the_last_handle_releases_every_app() {
+        let t = echo_transport();
+        let proxy: Arc<dyn WebApp> = Arc::new(Proxy);
+        let released = Arc::downgrade(&proxy);
+        t.register(proxy);
+        let resp = t.dispatch(
+            "tester",
+            Request::new(Method::Get, "https://proxy.example/"),
+        );
+        assert_eq!(resp.status, Status::Ok);
+        drop(t);
+        assert!(
+            released.upgrade().is_none(),
+            "an app outlived its transport"
+        );
     }
 }

@@ -1,16 +1,17 @@
 //! Live-transport fuzz suite for the hand-rolled HTTP/1.1 server parser.
 //!
-//! The worker pool behind [`HttpTransport`] reads untrusted bytes off
-//! real sockets. Its failure contract (DESIGN.md §15) is *fail closed*:
-//! a malformed, truncated or oversized message drops the connection —
-//! no partial parse ever reaches an application handler, no input ever
-//! panics or wedges a worker, and a dispatching client observes the
-//! drop as a classified `503` carrying the `x-error-kind` taxonomy
-//! (`unreachable` for refused/reset connections, `timeout` for a peer
-//! that goes silent). Every test here talks to a real listener: the
-//! deterministic tables pin the named failure modes, the proptest
-//! sweeps feed seeded noise and truncations, and each test finishes by
-//! proving the worker still serves well-formed traffic.
+//! The per-connection readers behind [`HttpTransport`] read untrusted
+//! bytes off real sockets. Their failure contract (DESIGN.md §15) is
+//! *fail closed*: a malformed, truncated or oversized message drops the
+//! connection — no partial parse ever reaches an application handler,
+//! no input ever panics a reader or leaves a connection hung, and a
+//! dispatching client observes the drop as a classified `503` carrying
+//! the `x-error-kind` taxonomy (`unreachable` for refused/reset
+//! connections, `timeout` for a peer that goes silent). Every test here
+//! talks to a real listener: the deterministic tables pin the named
+//! failure modes, the proptest sweeps feed seeded noise and
+//! truncations, and each test finishes by proving the listener still
+//! serves well-formed traffic.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -26,7 +27,7 @@ const AUTHORITY: &str = "fuzz.example";
 
 /// How long a raw probe waits for the server to answer or hang up.
 /// Generous against scheduler noise, far below the suite timeout — a
-/// worker that neither answers nor closes within this window has hung.
+/// connection that neither answers nor closes within this window has hung.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(5);
 
 struct Echo;
@@ -51,9 +52,10 @@ fn rig() -> (HttpTransport, SocketAddr) {
     (net, addr)
 }
 
-/// One long-lived rig shared by the seeded sweeps: the same worker
-/// absorbs every generated case, so a single wedged sweep poisons all
-/// later cases — exactly the failure the suite exists to catch.
+/// One long-lived rig shared by the seeded sweeps: the same listener
+/// absorbs every generated case, so a single case that wedges the server
+/// poisons all later cases — exactly the failure the suite exists to
+/// catch.
 fn shared_rig() -> &'static (HttpTransport, SocketAddr) {
     static RIG: OnceLock<(HttpTransport, SocketAddr)> = OnceLock::new();
     RIG.get_or_init(rig)
@@ -62,9 +64,9 @@ fn shared_rig() -> &'static (HttpTransport, SocketAddr) {
 /// Writes `bytes` to a fresh raw connection, half-closes the write
 /// side, and drains everything the server sends back until it hangs
 /// up. The half-close bounds every exchange: even when the input left
-/// the parser waiting for more, the worker sees EOF and must drop the
+/// the parser waiting for more, the reader sees EOF and must drop the
 /// connection rather than stall — a read timeout here means a hung
-/// worker and fails the test.
+/// reader and fails the test.
 fn raw_exchange(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
     let mut stream = TcpStream::connect(addr).expect("connect to live listener");
     stream
@@ -85,7 +87,7 @@ fn raw_exchange(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
     }
 }
 
-/// The worker must still serve well-formed traffic after abuse: a
+/// The listener must still serve well-formed traffic after abuse: a
 /// dispatch through the transport client answers 200 with no transport
 /// classification.
 fn assert_still_serving(net: &HttpTransport) {
@@ -164,7 +166,7 @@ fn malformed_heads_are_dropped_without_a_response() {
 }
 
 /// Reserved `x-ucam-*` envelope headers are the codec's own channel; a
-/// peer spoofing or mangling them must never panic a worker or leak the
+/// peer spoofing or mangling them must never panic a reader or leak the
 /// raw header into the application request. Lenient cases may be served
 /// — but only ever with a well-formed HTTP/1.1 answer — and strict
 /// violations drop the connection.
@@ -226,7 +228,7 @@ fn split_crlf_heads_reassemble_across_writes() {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.set_read_timeout(Some(PROBE_TIMEOUT)).unwrap();
         stream.write_all(&wire[..cut]).unwrap();
-        // Let the server sweep the partial head before the remainder.
+        // Let the server read the partial head before the remainder.
         std::thread::sleep(Duration::from_millis(5));
         stream.write_all(&wire[cut..]).unwrap();
         let _ = stream.shutdown(Shutdown::Write);
@@ -242,7 +244,7 @@ fn split_crlf_heads_reassemble_across_writes() {
 }
 
 proptest! {
-    /// Seeded random noise: whatever the bytes, the worker either
+    /// Seeded random noise: whatever the bytes, the server either
     /// answers with well-formed HTTP or hangs up — it never panics,
     /// never sends garbage, and never stops serving.
     #[test]
@@ -260,7 +262,7 @@ proptest! {
     }
 
     /// Every strict prefix of a canonical encoded request is a
-    /// truncation; none may draw a response, and the worker must keep
+    /// truncation; none may draw a response, and the listener must keep
     /// serving afterwards.
     #[test]
     fn truncated_canonical_requests_are_dropped(cut_seed in any::<u64>()) {

@@ -428,10 +428,11 @@ const HTTP_SPEEDUP_FLOOR: f64 = 2.5;
 /// The committed 4-thread `phase6_warm_http` p50 must stay within this
 /// multiple of the committed single-thread p50 — after scaling by the
 /// time-sharing factor the measuring box imposed (see
-/// [`check_http_committed`]). PR 8's transport blew p50 up superlinearly
-/// going 1→4 threads because every connection burned its own server
-/// thread; the worker-pool sweep plus coalesced response writes keep
-/// multi-thread latency at the scheduler's unavoidable share.
+/// [`check_http_committed`]). A server that answers each pipelined
+/// request with its own write wakes the client once per response, and
+/// its p50 grows superlinearly going 1→4 threads; coalescing every
+/// response one read produced into one write keeps multi-thread latency
+/// at the scheduler's unavoidable share.
 const HTTP_P50_RATIO_CEILING: f64 = 1.5;
 
 /// Cached permits primed for the storm rows — the ISSUE's "owner with

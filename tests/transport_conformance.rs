@@ -1205,3 +1205,138 @@ fn malformed_v2_bodies_fail_closed_identically() {
         ]
     );
 }
+
+/// Gives alice read access to one of bob's webpics photos through a
+/// specific policy guarded by `condition`; nothing else is shared.
+fn permit_alice_while(world: &World, resource_id: &str, condition: Condition) {
+    world
+        .am
+        .pap("bob", |account| {
+            let id = account.create_policy(
+                resource_id,
+                PolicyBody::Rules(
+                    RulePolicy::new().with_rule(
+                        Rule::permit()
+                            .for_subject(Subject::User("alice".into()))
+                            .for_action(Action::Read)
+                            .with_condition(condition),
+                    ),
+                ),
+            );
+            account
+                .link_specific(ResourceRef::new(HOSTS[0], resource_id), &id)
+                .unwrap();
+        })
+        .unwrap();
+}
+
+/// Moves the shared clock forward to `at_ms`.
+fn advance_to(world: &World, at_ms: u64) {
+    let clock = world.net.clock();
+    clock.advance_ms(at_ms.saturating_sub(clock.now_ms()));
+}
+
+/// One read by alice of a webpics photo, labelled with the Host tier
+/// that answered it.
+fn alice_reads_photo(world: &mut World, photo: &str) -> String {
+    world.pics.shell().core.reset_stats();
+    let outcome = world.friend_reads("alice", HOSTS[0], &format!("/photos/rome/{photo}"));
+    let stats = world.pics.shell().core.stats();
+    format!(
+        "{} ({} sieve hits, {} cache hits, {} am queries)",
+        label(&outcome),
+        stats.sieve_hits,
+        stats.cache_hits,
+        stats.am_queries
+    )
+}
+
+#[test]
+fn conditioned_permits_expire_with_their_conditions() {
+    let log = assert_conformance(|net| {
+        let mut world = World::bootstrap_on(net);
+        world.upload_content(2);
+        world.delegate_all_hosts("bob");
+        let t = world.net.clock().now_ms();
+        permit_alice_while(&world, "albums/rome/photo-0", Condition::MaxUses(2));
+        permit_alice_while(
+            &world,
+            "albums/rome/photo-1",
+            Condition::ValidUntil(t + 10_000),
+        );
+        let mut log = Vec::new();
+        // Every use of a use-limited permit reaches the AM to be counted:
+        // no read is served from the decision cache.
+        for read in 1..=5 {
+            log.push(format!(
+                "max-uses read {read}: {}",
+                alice_reads_photo(&mut world, "photo-0")
+            ));
+        }
+        // A deadline permit is cached only until its deadline.
+        for offset_s in [0, 5, 20] {
+            advance_to(&world, t + offset_s * 1_000);
+            log.push(format!(
+                "valid-until read at +{offset_s}s: {}",
+                alice_reads_photo(&mut world, "photo-1")
+            ));
+        }
+        log
+    });
+    assert_eq!(
+        log,
+        vec![
+            "max-uses read 1: granted (0 sieve hits, 0 cache hits, 1 am queries)",
+            "max-uses read 2: granted (0 sieve hits, 0 cache hits, 1 am queries)",
+            "max-uses read 3: denied (0 sieve hits, 0 cache hits, 1 am queries)",
+            "max-uses read 4: denied (0 sieve hits, 0 cache hits, 1 am queries)",
+            "max-uses read 5: denied (0 sieve hits, 0 cache hits, 1 am queries)",
+            "valid-until read at +0s: granted (0 sieve hits, 0 cache hits, 1 am queries)",
+            "valid-until read at +5s: granted (0 sieve hits, 1 cache hits, 0 am queries)",
+            "valid-until read at +20s: denied (0 sieve hits, 0 cache hits, 1 am queries)",
+        ]
+    );
+}
+
+#[test]
+fn conditioned_sieve_entries_expire_with_their_conditions() {
+    let log = assert_conformance(|net| {
+        // Sieve push goes live before alice's token is minted (the
+        // compiler replays issued tokens).
+        let mut world = World::bootstrap_on(net);
+        world.am.set_sieve_push(true);
+        world.am.subscribe_epoch_push(HOSTS[0], "bob");
+        world.upload_content(1);
+        world.delegate_all_hosts("bob");
+        let t = world.net.clock().now_ms();
+        permit_alice_while(
+            &world,
+            "albums/rome/photo-0",
+            Condition::ValidUntil(t + 10_000),
+        );
+        let mut log = vec![format!(
+            "prime: {}",
+            alice_reads_photo(&mut world, "photo-0")
+        )];
+        world.am.schedule_sieve_refresh();
+        log.push(format!("sieve pushed: {}", drain_pushes(&world)));
+        world.pics.shell().core.flush_decision_cache();
+        for offset_s in [5, 20] {
+            advance_to(&world, t + offset_s * 1_000);
+            log.push(format!(
+                "read at +{offset_s}s: {}",
+                alice_reads_photo(&mut world, "photo-0")
+            ));
+        }
+        log
+    });
+    assert_eq!(
+        log,
+        vec![
+            "prime: granted (0 sieve hits, 0 cache hits, 1 am queries)",
+            "sieve pushed: true",
+            "read at +5s: granted (1 sieve hits, 0 cache hits, 0 am queries)",
+            "read at +20s: denied (0 sieve hits, 0 cache hits, 1 am queries)",
+        ]
+    );
+}
