@@ -318,6 +318,11 @@ struct DecisionCache {
     /// Epoch-stale entries are never grace-served: a policy change
     /// always fails closed regardless of this window.
     stale_grace_ms: u64,
+    /// A lower bound on every entry's `expires_at_ms` (`u64::MAX` when
+    /// nothing was inserted since the last sweep). Until it plus the
+    /// grace window has passed no entry can be swept, so
+    /// [`DecisionCache::insert`] skips the sweep.
+    earliest_expiry_ms: u64,
 }
 
 impl DecisionCache {
@@ -329,6 +334,7 @@ impl DecisionCache {
             order: VecDeque::new(),
             owner_epochs: HashMap::new(),
             stale_grace_ms: 0,
+            earliest_expiry_ms: u64::MAX,
         }
     }
 
@@ -376,13 +382,20 @@ impl DecisionCache {
     }
 
     /// Inserts under the caller's write lock, re-checking `enabled` there
-    /// (no decide-then-insert race), sweeping dead entries, and evicting
-    /// down to capacity.
+    /// (no decide-then-insert race), sweeping expired entries once the
+    /// earliest expiry plus the grace window has passed, and evicting
+    /// down to capacity. An entry stamped below its owner's epoch floor
+    /// (a decision reply that lost the race against a push) is refused:
+    /// no entry ever sits below its floor, so nothing later can revive
+    /// one.
     fn insert(&mut self, key: CacheKey, entry: CachedDecision, now: u64) {
-        if !self.enabled || self.capacity == 0 {
+        if !self.enabled || self.capacity == 0 || behind_floor(&self.owner_epochs, &entry) {
             return;
         }
-        self.sweep_dead(now);
+        if self.earliest_expiry_ms.saturating_add(self.stale_grace_ms) <= now {
+            self.sweep_dead(now);
+        }
+        self.earliest_expiry_ms = self.earliest_expiry_ms.min(entry.expires_at_ms);
         if !self.entries.contains_key(&key) {
             while self.entries.len() >= self.capacity {
                 self.evict_one();
@@ -392,22 +405,26 @@ impl DecisionCache {
         self.entries.insert(key, entry);
     }
 
-    /// Drops expired and epoch-stale entries. With a grace window
-    /// configured, expired-but-graceable permits are retained until the
-    /// window closes (they are what degraded mode serves from).
+    /// Drops expired entries and recomputes the earliest expiry. With a
+    /// grace window configured, expired-but-graceable permits are
+    /// retained until the window closes (they are what degraded mode
+    /// serves from). Epoch-stale entries need no sweep: none is ever
+    /// kept below its floor.
     fn sweep_dead(&mut self, now: u64) {
         let entries = &mut self.entries;
-        let owner_epochs = &self.owner_epochs;
         let grace = self.stale_grace_ms;
-        self.order.retain(|key| {
-            let live = entries.get(key).is_some_and(|e| {
-                e.expires_at_ms.saturating_add(grace) > now && !behind_floor(owner_epochs, e)
-            });
-            if !live {
-                entries.remove(key);
+        let mut earliest = u64::MAX;
+        self.order.retain(|key| match entries.get(key) {
+            Some(e) if e.expires_at_ms.saturating_add(grace) > now => {
+                earliest = earliest.min(e.expires_at_ms);
+                true
             }
-            live
+            _ => {
+                entries.remove(key);
+                false
+            }
         });
+        self.earliest_expiry_ms = earliest;
     }
 
     /// Second-chance eviction: recently referenced entries get one more
@@ -453,15 +470,14 @@ impl DecisionCache {
     /// keep serving — the surgical alternative to
     /// [`DecisionCache::note_epoch`]'s owner-wide purge. Entries learned
     /// from any other AM (a fallback) are outside the signer's decided
-    /// registry, so its list cannot name them; they keep their old epoch
-    /// and die against the advanced floor exactly as under a plain epoch
-    /// note. The same goes for **TTL-expired** entries: the AM prunes
-    /// expired tuples from its decided registry before compiling the
-    /// list, so its silence says nothing about them — re-stamping one
-    /// would let the stale-grace degraded path serve it past a
-    /// revocation the push just delivered. Returns how many entries the
-    /// fingerprints evicted. A push older than the known epoch is stale
-    /// and applies nothing.
+    /// registry, so its list cannot name them; left below the advanced
+    /// floor, they are purged exactly as under a plain epoch note. The
+    /// same goes for **TTL-expired** entries: the AM prunes expired
+    /// tuples from its decided registry before compiling the list, so its
+    /// silence says nothing about them — re-stamping one would let the
+    /// stale-grace degraded path serve it past a revocation the push just
+    /// delivered. Returns how many entries the fingerprints evicted. A
+    /// push older than the known epoch is stale and applies nothing.
     fn apply_invalidation(
         &mut self,
         owner: &str,
@@ -493,6 +509,11 @@ impl DecisionCache {
                 // The signing AM vouched for its own survivors under the
                 // new epoch.
                 entry.epoch = epoch;
+            } else if entry.epoch < epoch {
+                // Not vouched for and now below the floor: purge it, so
+                // no later re-stamp can revive it.
+                entries.remove(key);
+                return false;
             }
             true
         });
@@ -538,6 +559,7 @@ impl DecisionCache {
     fn clear(&mut self) {
         self.entries.clear();
         self.order.clear();
+        self.earliest_expiry_ms = u64::MAX;
     }
 }
 
@@ -772,20 +794,26 @@ impl BuildHasher for FpHashBuilder {
     }
 }
 
-/// The immutable tier-1 enforcement table: every fingerprint the AM has
-/// vouched for, with its expiry. Readers clone an `Arc` to it and probe
-/// without any lock; writers (install/purge — all cold paths) build a
-/// modified copy and swap it in under [`HostCore::sieve`]'s mutex.
+/// The published half of the tier-1 enforcement table: every fingerprint
+/// the AM has vouched for, with its expiry. A probe is a hit iff the
+/// fingerprint is present and `now < expiry`.
 ///
 /// Entries are **exact** (full fingerprints, not a Bloom filter): a
 /// false positive here would *grant* an access the AM never permitted,
 /// which no space saving justifies. A false negative merely costs a
 /// tier-2 round trip.
-#[derive(Default, Clone)]
-struct SieveSnapshot {
-    /// fingerprint → expiry (ms since epoch). A probe is a hit iff the
-    /// fingerprint is present and `now < expiry`.
-    entries: HashMap<protocol::SieveFingerprint, u64, FpHashBuilder>,
+type SieveMap = HashMap<protocol::SieveFingerprint, u64, FpHashBuilder>;
+
+/// The tier-1 enforcement table, held by value under
+/// [`HostCore::sieve`]'s swap lock. Only `entries` is published: readers
+/// clone its `Arc` and probe without any lock, and an edit copies it
+/// (`Arc::make_mut`) only when it adds, moves or removes fingerprints
+/// while readers hold it. The indexes and epoch floors are edited in
+/// place and never cloned.
+#[derive(Default)]
+struct SieveTable {
+    /// fingerprint → expiry (ms since epoch), the map readers probe.
+    entries: Arc<SieveMap>,
     /// owner → that owner's fingerprints, for epoch and delegation-change
     /// purges.
     owner_index: HashMap<String, Vec<protocol::SieveFingerprint>>,
@@ -797,16 +825,16 @@ struct SieveSnapshot {
     owner_epochs: HashMap<String, u64>,
 }
 
-impl SieveSnapshot {
+impl SieveTable {
     /// Drops every entry belonging to `owner`. Keeps `owner_epochs` — the
     /// epoch floor must survive the purge or a delayed old sieve could
     /// resurrect revoked permits.
     fn purge_owner(&mut self, owner: &str) {
         if let Some(fps) = self.owner_index.remove(owner) {
+            let entries = Arc::make_mut(&mut self.entries);
             for fp in &fps {
-                self.entries.remove(fp);
+                entries.remove(fp);
             }
-            let entries = &self.entries;
             for list in self.resource_index.values_mut() {
                 list.retain(|fp| entries.contains_key(fp));
             }
@@ -817,10 +845,10 @@ impl SieveSnapshot {
     /// Drops every entry for `resource_id` (deleted or re-delegated).
     fn purge_resource(&mut self, resource_id: &str) {
         if let Some(fps) = self.resource_index.remove(resource_id) {
+            let entries = Arc::make_mut(&mut self.entries);
             for fp in &fps {
-                self.entries.remove(fp);
+                entries.remove(fp);
             }
-            let entries = &self.entries;
             for list in self.owner_index.values_mut() {
                 list.retain(|fp| entries.contains_key(fp));
             }
@@ -850,20 +878,19 @@ impl SieveSnapshot {
     /// present (a delta moving an entry's deadline, or a body repeating
     /// one) only moves its expiry; the indexes already know it.
     fn install(&mut self, owner: &str, epoch: u64, entries: &[protocol::SieveEntry]) {
-        for entry in entries {
-            if self
-                .entries
-                .insert(entry.fingerprint, entry.expires_at_ms)
-                .is_none()
-            {
-                self.owner_index
-                    .entry(owner.to_owned())
-                    .or_default()
-                    .push(entry.fingerprint);
-                self.resource_index
-                    .entry(entry.resource.clone())
-                    .or_default()
-                    .push(entry.fingerprint);
+        if !entries.is_empty() {
+            let map = Arc::make_mut(&mut self.entries);
+            for entry in entries {
+                if map.insert(entry.fingerprint, entry.expires_at_ms).is_none() {
+                    self.owner_index
+                        .entry(owner.to_owned())
+                        .or_default()
+                        .push(entry.fingerprint);
+                    self.resource_index
+                        .entry(entry.resource.clone())
+                        .or_default()
+                        .push(entry.fingerprint);
+                }
             }
         }
         self.owner_epochs.insert(owner.to_owned(), epoch);
@@ -873,13 +900,13 @@ impl SieveSnapshot {
     /// Removal only narrows access, so no ownership check is needed —
     /// the worst a bad list can do is force extra tier-2 round trips.
     fn remove_fingerprints(&mut self, dead: &[protocol::SieveFingerprint]) {
-        if dead.is_empty() {
+        if !dead.iter().any(|fp| self.entries.contains_key(fp)) {
             return;
         }
+        let entries = Arc::make_mut(&mut self.entries);
         for fp in dead {
-            self.entries.remove(fp);
+            entries.remove(fp);
         }
-        let entries = &self.entries;
         for list in self.owner_index.values_mut() {
             list.retain(|fp| entries.contains_key(fp));
         }
@@ -899,11 +926,12 @@ static NEXT_SIEVE_ID: AtomicU64 = AtomicU64::new(1);
 const SIEVE_CACHE_SLOTS: usize = 8;
 
 thread_local! {
-    /// Per-thread `(host id, generation, snapshot)` slots. The warm path
-    /// revalidates with one `Acquire` load of the generation and only
-    /// touches [`HostCore::sieve`]'s mutex when an install/purge actually
-    /// happened — the same pattern `SimNet` uses for its config snapshot.
-    static SIEVE_SNAPSHOT_CACHE: RefCell<Vec<(u64, u64, Arc<SieveSnapshot>)>> =
+    /// Per-thread `(host id, generation, published map)` slots. The warm
+    /// path revalidates with one `Acquire` load of the generation and
+    /// only touches [`HostCore::sieve`]'s mutex when an edit actually
+    /// replaced the map — the same pattern `SimNet` uses for its config
+    /// snapshot.
+    static SIEVE_SNAPSHOT_CACHE: RefCell<Vec<(u64, u64, Arc<SieveMap>)>> =
         const { RefCell::new(Vec::new()) };
 }
 
@@ -1001,11 +1029,12 @@ pub struct HostCore {
     /// configured grace window.
     max_served_staleness_ms: AtomicU64,
     /// Current tier-1 capability sieve (DESIGN.md §12). The mutex guards
-    /// the *swap*, not reads: the warm path clones the `Arc` from a
-    /// thread-local slot revalidated against [`HostCore::sieve_gen`].
-    sieve: Mutex<Arc<SieveSnapshot>>,
-    /// Bumped (Release) on every sieve install/purge; readers load it
-    /// (Acquire) to revalidate their thread-local snapshot.
+    /// edits, not reads: the warm path clones the published map's `Arc`
+    /// from a thread-local slot revalidated against
+    /// [`HostCore::sieve_gen`].
+    sieve: Mutex<SieveTable>,
+    /// Bumped (Release) whenever an edit replaces the published map;
+    /// readers load it (Acquire) to revalidate their thread-local slot.
     sieve_gen: AtomicU64,
     /// Process-unique id keying this core's thread-local snapshot slots.
     sieve_id: u64,
@@ -1039,7 +1068,7 @@ impl HostCore {
             resilience: RwLock::new(ResilienceConfig::default()),
             breaker_states: Mutex::new(HashMap::new()),
             max_served_staleness_ms: AtomicU64::new(0),
-            sieve: Mutex::new(Arc::new(SieveSnapshot::default())),
+            sieve: Mutex::new(SieveTable::default()),
             sieve_gen: AtomicU64::new(0),
             sieve_id: NEXT_SIEVE_ID.fetch_add(1, Ordering::Relaxed),
             conditional_revalidation: AtomicBool::new(false),
@@ -1091,12 +1120,7 @@ impl HostCore {
     /// way — both tiers go stale together.
     pub fn note_policy_epoch(&self, owner: &str, epoch: u64) {
         self.cache.write().note_epoch(owner, epoch);
-        let behind = |sieve: &SieveSnapshot| sieve.is_behind(owner, epoch);
-        if behind(&self.sieve.lock()) {
-            // Re-checked under the swap lock: a concurrent install may
-            // have brought the owner up to (or past) this epoch already.
-            self.update_sieve(behind, |sieve| sieve.advance_floor(owner, epoch));
-        }
+        self.edit_sieve(|sieve| sieve.advance_floor(owner, epoch));
     }
 
     /// Applies a pushed decision invalidation (DESIGN.md §16),
@@ -1158,20 +1182,10 @@ impl HostCore {
             self.stats.add(Pep::InvalidatedEvictions, evicted);
         }
         self.stats.add(Pep::InvalidationsApplied, 1);
-        let sieve_work = {
-            let current = self.sieve.lock();
-            dead.iter().any(|fp| current.entries.contains_key(fp))
-                || current.is_behind(owner, epoch)
-        };
-        if sieve_work {
-            self.update_sieve(
-                |_| true,
-                |sieve| {
-                    sieve.remove_fingerprints(dead);
-                    sieve.advance_floor(owner, epoch);
-                },
-            );
-        }
+        self.edit_sieve(|sieve| {
+            sieve.remove_fingerprints(dead);
+            sieve.advance_floor(owner, epoch);
+        });
     }
 
     /// Enables conditional revalidation (DESIGN.md §16): TTL-expired
@@ -1187,20 +1201,24 @@ impl HostCore {
 
     // -- tier-1 capability sieve (DESIGN.md §12) ------------------------------
 
-    /// The current sieve snapshot, via this thread's slot cache. One
+    /// The published sieve map, via this thread's slot cache. One
     /// `Acquire` generation load on the warm path; the mutex is taken
-    /// only when an install or purge actually changed the sieve.
-    fn sieve_snapshot(&self) -> Arc<SieveSnapshot> {
+    /// only when an edit actually replaced the map.
+    fn sieve_snapshot(&self) -> Arc<SieveMap> {
         let generation = self.sieve_gen.load(Ordering::Acquire);
         SIEVE_SNAPSHOT_CACHE.with(|slots| {
             let mut slots = slots.borrow_mut();
             if let Some(slot) = slots.iter_mut().find(|(id, _, _)| *id == self.sieve_id) {
                 if slot.1 != generation {
-                    *slot = (self.sieve_id, generation, Arc::clone(&self.sieve.lock()));
+                    *slot = (
+                        self.sieve_id,
+                        generation,
+                        Arc::clone(&self.sieve.lock().entries),
+                    );
                 }
                 return Arc::clone(&slot.2);
             }
-            let snapshot = Arc::clone(&self.sieve.lock());
+            let snapshot = Arc::clone(&self.sieve.lock().entries);
             if slots.len() >= SIEVE_CACHE_SLOTS {
                 slots.remove(0);
             }
@@ -1209,40 +1227,30 @@ impl HostCore {
         })
     }
 
-    /// Applies `mutate` to a copy of the sieve and swaps it in, if
-    /// `admit` holds for the current sieve under the swap lock. Returns
-    /// whether it swapped. Cold path only (installs and purges).
-    fn update_sieve(
-        &self,
-        admit: impl FnOnce(&SieveSnapshot) -> bool,
-        mutate: impl FnOnce(&mut SieveSnapshot),
-    ) -> bool {
-        let mut slot = self.sieve.lock();
-        if !admit(&slot) {
-            return false;
+    /// Runs `edit` on the sieve table under its swap lock. An edit that
+    /// changes the published map while readers hold it gets a copy
+    /// (`Arc::make_mut`), and the generation bump sends readers to it; an
+    /// edit the map did not see, or one made in place because no reader
+    /// held the map, needs no bump. Cold path only (installs and purges).
+    fn edit_sieve<R>(&self, edit: impl FnOnce(&mut SieveTable) -> R) -> R {
+        let mut table = self.sieve.lock();
+        let published = Arc::as_ptr(&table.entries);
+        let result = edit(&mut table);
+        if !std::ptr::eq(published, Arc::as_ptr(&table.entries)) {
+            self.sieve_gen.fetch_add(1, Ordering::Release);
         }
-        let mut next = (**slot).clone();
-        mutate(&mut next);
-        *slot = Arc::new(next);
-        self.sieve_gen.fetch_add(1, Ordering::Release);
-        true
+        result
     }
 
     /// Drops `owner`'s sieve entries (their delegation changed, so the
     /// signing key the entries were vouched under is void).
     fn purge_sieve_owner(&self, owner: &str) {
-        let has_entries = self.sieve.lock().owner_index.contains_key(owner);
-        if has_entries {
-            self.update_sieve(|_| true, |sieve| sieve.purge_owner(owner));
-        }
+        self.edit_sieve(|sieve| sieve.purge_owner(owner));
     }
 
     /// Drops `resource_id`'s sieve entries (deleted or re-delegated).
     fn purge_sieve_resource(&self, resource_id: &str) {
-        let has_entries = self.sieve.lock().resource_index.contains_key(resource_id);
-        if has_entries {
-            self.update_sieve(|_| true, |sieve| sieve.purge_resource(resource_id));
-        }
+        self.edit_sieve(|sieve| sieve.purge_resource(resource_id));
     }
 
     /// The trust step both sieve installs share: returns `entries` only
@@ -1306,16 +1314,15 @@ impl HostCore {
         // Epoch floor: freshest epoch known from the decision cache or a
         // previously installed sieve.
         let cache_epoch = self.cache_epoch(&sieve.owner);
-        let installed = self.update_sieve(
-            |current| {
-                let installed = current.owner_epochs.get(&sieve.owner).copied();
-                sieve.epoch >= installed.unwrap_or(0).max(cache_epoch)
-            },
-            |next| {
-                next.purge_owner(&sieve.owner);
-                next.install(&sieve.owner, sieve.epoch, accepted);
-            },
-        );
+        let installed = self.edit_sieve(|table| {
+            let floor = table.owner_epochs.get(&sieve.owner).copied();
+            let admit = sieve.epoch >= floor.unwrap_or(0).max(cache_epoch);
+            if admit {
+                table.purge_owner(&sieve.owner);
+                table.install(&sieve.owner, sieve.epoch, accepted);
+            }
+            admit
+        });
         if installed {
             // Keep the decision cache's epoch floor in step.
             self.cache.write().note_epoch(&sieve.owner, sieve.epoch);
@@ -1343,19 +1350,18 @@ impl HostCore {
             return SieveDeltaOutcome::Rejected;
         };
         let cache_epoch = self.cache_epoch(&delta.owner);
-        let applied = self.update_sieve(
+        let applied = self.edit_sieve(|table| {
             // Exact base match, and the result must clear both epoch
             // floors — a delta that would rewind either tier resyncs.
-            |current| {
-                current.owner_epochs.get(&delta.owner) == Some(&delta.base_epoch)
-                    && delta.epoch >= delta.base_epoch
-                    && delta.epoch >= cache_epoch
-            },
-            |next| {
-                next.remove_fingerprints(&delta.removed);
-                next.install(&delta.owner, delta.epoch, accepted);
-            },
-        );
+            let admit = table.owner_epochs.get(&delta.owner) == Some(&delta.base_epoch)
+                && delta.epoch >= delta.base_epoch
+                && delta.epoch >= cache_epoch;
+            if admit {
+                table.remove_fingerprints(&delta.removed);
+                table.install(&delta.owner, delta.epoch, accepted);
+            }
+            admit
+        });
         if applied {
             self.cache.write().note_epoch(&delta.owner, delta.epoch);
             self.stats.add(Pep::SieveDeltaInstalls, 1);
@@ -1380,12 +1386,12 @@ impl HostCore {
         now: u64,
     ) -> bool {
         let snapshot = self.sieve_snapshot();
-        if snapshot.entries.is_empty() {
+        if snapshot.is_empty() {
             // No sieve installed: tier-1 is simply absent, not missing.
             return false;
         }
         let fp = sieve_fingerprint_memo(token, resource_id, action_label(action), requester);
-        match snapshot.entries.get(&fp) {
+        match snapshot.get(&fp) {
             Some(&expires_at_ms) if now < expires_at_ms => {
                 self.stats.add(Pep::SieveHits, 1);
                 net.trace().note_with(&self.authority, || {
@@ -2725,6 +2731,58 @@ mod tests {
         assert_eq!(h.stats().am_queries, 2);
     }
 
+    /// A permit stamped below its owner's floor (a decision reply that
+    /// lost the race against an invalidation push) must never be cached:
+    /// the next invalidation's re-stamp would revive it after the AM has
+    /// revoked the token.
+    #[test]
+    fn late_permit_below_floor_is_never_revived() {
+        let net = SimNet::new();
+        let am = FakeAm::new();
+        am.grant("good", &permit_body(60_000, 3));
+        net.register(am.clone());
+        let h = delegated_host(&net);
+        let url = Url::new("h.example", "/r1");
+        let invalidation = |epoch| protocol::InvalidationBody::build("bob", epoch, vec![], b"ht");
+
+        assert!(h.install_invalidation(&invalidation(4)));
+        // The permit@3 reply lands after the push: it answers this access
+        // but must not be cached.
+        assert!(h
+            .enforce(&net, "req", None, "r1", &Action::Read, Some("good"), &url)
+            .is_grant());
+
+        am.revoke("good");
+        assert!(h.install_invalidation(&invalidation(5)));
+        match h.enforce(&net, "req", None, "r1", &Action::Read, Some("good"), &url) {
+            Enforcement::Block(resp) => assert_eq!(resp.status, Status::Unauthorized),
+            Enforcement::Grant => panic!("a permit below its floor was revived"),
+        }
+        assert_eq!(h.stats().cache_hits, 0);
+        assert_eq!(h.stats().am_queries, 2);
+    }
+
+    /// An invalidation re-stamps only the signer's unexpired entries; the
+    /// owner's other entries fall below the new floor and are purged.
+    #[test]
+    fn invalidation_purges_the_entries_it_does_not_restamp() {
+        let net = SimNet::new();
+        let am = FakeAm::new();
+        am.grant("good", &permit_body(1_000, 1));
+        net.register(am.clone());
+        let h = delegated_host(&net);
+        let url = Url::new("h.example", "/r1");
+        assert!(h
+            .enforce(&net, "req", None, "r1", &Action::Read, Some("good"), &url)
+            .is_grant());
+        assert_eq!(h.decision_cache_len(), 1);
+
+        net.clock().advance_ms(2_000);
+        let body = protocol::InvalidationBody::build("bob", 2, vec![], b"ht");
+        assert!(h.install_invalidation(&body));
+        assert_eq!(h.decision_cache_len(), 0);
+    }
+
     #[test]
     fn resource_crud() {
         let h = host();
@@ -3634,9 +3692,43 @@ mod tests {
         // the indexes must not grow a duplicate.
         let rebump = delta_of(5, 4, &[("tok2", "r2", "read", "req")], &[]);
         assert_eq!(h.install_sieve_delta(&rebump), SieveDeltaOutcome::Installed);
-        let snap = h.sieve_snapshot();
-        assert_eq!(snap.entries.len(), 1);
-        assert_eq!(snap.owner_index.get("bob").map(Vec::len), Some(1));
+        assert_eq!(h.sieve_snapshot().len(), 1);
+        let table = h.sieve.lock();
+        assert_eq!(table.owner_index.get("bob").map(Vec::len), Some(1));
+    }
+
+    #[test]
+    fn sieve_edits_copy_the_published_map_only_when_they_change_it() {
+        let net = SimNet::new();
+        let h = delegated_host(&net);
+        h.put_resource("r2", "bob", "file", b"data".to_vec())
+            .unwrap();
+        let fp = |token, resource| protocol::sieve_fingerprint(token, resource, "read", "req");
+
+        // An empty install and a floor advance over an empty owner (what
+        // set-up's push drain delivers) publish nothing new.
+        let empty = h.sieve_snapshot();
+        assert!(h.install_sieve(&sieve_of(1, 60_000, &[])));
+        h.note_policy_epoch("bob", 2);
+        assert!(Arc::ptr_eq(&empty, &h.sieve_snapshot()));
+
+        // Installs that change the map copy it; a snapshot a reader took
+        // before keeps exactly what it held.
+        assert!(h.install_sieve(&sieve_of(2, 60_000, &[("tok", "r1", "read", "req")])));
+        let full = h.sieve_snapshot();
+        assert!(empty.is_empty());
+        let delta = delta_of(
+            3,
+            2,
+            &[("tok2", "r2", "read", "req")],
+            &[("tok", "r1", "read", "req")],
+        );
+        assert_eq!(h.install_sieve_delta(&delta), SieveDeltaOutcome::Installed);
+        assert!(full.contains_key(&fp("tok", "r1")) && !full.contains_key(&fp("tok2", "r2")));
+        let narrowed = h.sieve_snapshot();
+        assert!(
+            !narrowed.contains_key(&fp("tok", "r1")) && narrowed.contains_key(&fp("tok2", "r2"))
+        );
     }
 
     #[test]

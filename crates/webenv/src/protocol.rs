@@ -1508,13 +1508,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance over one UTF-8 scalar (input is &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let s = core::str::from_utf8(&bytes[*pos..])
+                // Copy the whole run of plain bytes up to the next `"` or
+                // `\` in one step. Both are ASCII, so the run ends on a
+                // char boundary and stays valid UTF-8 (the input is &str).
+                let rest = &bytes[*pos..];
+                let run = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+                let s = core::str::from_utf8(&rest[..run])
                     .map_err(|_| WireError::new("invalid UTF-8"))?;
-                let c = s.chars().next().ok_or_else(|| WireError::new("empty"))?;
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(s);
+                *pos += run;
             }
         }
     }

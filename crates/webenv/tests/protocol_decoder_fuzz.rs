@@ -1,0 +1,377 @@
+//! Seeded fuzz suite for the Host↔AM body decoders in `webenv::protocol`.
+//!
+//! The epoch-push route decodes sieve, sieve-delta and invalidation
+//! bodies, and the decision routes decode decision and unchanged
+//! replies, before anything has authenticated the sender. Their contract
+//! is *fail closed*: a truncated, corrupted or garbage body returns a
+//! typed [`WireError`] and never panics, and a corrupted body that still
+//! decodes grants nothing its original did not — a signed body stops
+//! verifying, a deny never turns into a permit. The deterministic tables
+//! pin truncation at every byte, single-byte flips, multi-byte UTF-8 and
+//! every escape in the owner, resource and reason strings; the seeded
+//! sweeps add encode→decode identity over generated bodies and random
+//! noise; one size case pins that decoding stays linear in the body.
+
+use std::time::{Duration, Instant};
+
+use proptest::prelude::*;
+use ucam_webenv::protocol::{
+    sieve_fingerprint, InvalidationBody, SieveBody, SieveDeltaBody, SieveEntry, UnchangedBody,
+};
+use ucam_webenv::{DecisionBody, WireError};
+
+/// The delegation `host_token` every signed body here is built under.
+const KEY: &[u8] = b"host-token";
+
+/// Every string the tables put into an owner, resource or reason:
+/// multi-byte UTF-8 (two-, three- and four-byte scalars) and every
+/// character the encoder escapes.
+const AWKWARD: &[&str] = &[
+    "bob",
+    "café",
+    "日本",
+    "🦀",
+    "quote\"d",
+    "back\\slash",
+    "slash/ed",
+    "line\nfeed",
+    "carriage\rreturn",
+    "tab\there",
+    "bell\u{7}and\u{1f}unit",
+    "back\u{8}space\u{c}feed",
+    "nul\u{0}byte",
+    "é日本🦀\"\\\n\r\t\u{1}/",
+];
+
+/// One decoded body of any of the five kinds.
+#[derive(Debug, Clone, PartialEq)]
+enum Decoded {
+    Decision(DecisionBody),
+    Unchanged(UnchangedBody),
+    Sieve(SieveBody),
+    Delta(SieveDeltaBody),
+    Invalidation(InvalidationBody),
+}
+
+impl Decoded {
+    /// The canonical wire JSON of the body.
+    fn to_json(&self) -> String {
+        match self {
+            Decoded::Decision(body) => body.to_json(),
+            Decoded::Unchanged(body) => body.to_json(),
+            Decoded::Sieve(body) => body.to_json(),
+            Decoded::Delta(body) => body.to_json(),
+            Decoded::Invalidation(body) => body.to_json(),
+        }
+    }
+
+    /// Decodes `json` with the decoder of `self`'s kind.
+    fn decode_as(&self, json: &str) -> Result<Decoded, WireError> {
+        Ok(match self {
+            Decoded::Decision(_) => Decoded::Decision(DecisionBody::from_json(json)?),
+            Decoded::Unchanged(_) => Decoded::Unchanged(UnchangedBody::from_json(json)?),
+            Decoded::Sieve(_) => Decoded::Sieve(SieveBody::from_json(json)?),
+            Decoded::Delta(_) => Decoded::Delta(SieveDeltaBody::from_json(json)?),
+            Decoded::Invalidation(_) => Decoded::Invalidation(InvalidationBody::from_json(json)?),
+        })
+    }
+
+    /// The body with its signature dropped: what a signed body vouches
+    /// for. Two bodies that differ only in how their signature is spelled
+    /// (hex case) grant the same.
+    fn unsigned(&self) -> Decoded {
+        let mut body = self.clone();
+        match &mut body {
+            Decoded::Sieve(body) => body.sig.clear(),
+            Decoded::Delta(body) => body.sig.clear(),
+            Decoded::Invalidation(body) => body.sig.clear(),
+            Decoded::Decision(_) | Decoded::Unchanged(_) => {}
+        }
+        body
+    }
+
+    /// Whether `self`, decoded from a corrupted copy of `original`,
+    /// grants something `original` did not: a permit where there was
+    /// none, or a verifying signed body that vouches for other content.
+    fn widens(&self, original: &Decoded) -> bool {
+        match original {
+            Decoded::Decision(body) => self.grants() && !body.is_permit(),
+            Decoded::Unchanged(_) => false,
+            _ => self.grants() && self.unsigned() != original.unsigned(),
+        }
+    }
+
+    /// Whether accepting this body would widen access: a permit decision,
+    /// an unchanged reply (it re-arms a cached permit), or a signed push
+    /// body that verifies under [`KEY`].
+    fn grants(&self) -> bool {
+        match self {
+            Decoded::Decision(body) => body.is_permit(),
+            Decoded::Unchanged(_) => true,
+            Decoded::Sieve(body) => body.verify(KEY),
+            Decoded::Delta(body) => body.verify(KEY),
+            Decoded::Invalidation(body) => body.verify(KEY),
+        }
+    }
+}
+
+/// Feeds `json` to all five decoders; none may panic. Returns how many
+/// accepted it.
+fn decode_all(json: &str) -> usize {
+    [
+        DecisionBody::from_json(json).is_ok(),
+        UnchangedBody::from_json(json).is_ok(),
+        SieveBody::from_json(json).is_ok(),
+        SieveDeltaBody::from_json(json).is_ok(),
+        InvalidationBody::from_json(json).is_ok(),
+    ]
+    .into_iter()
+    .filter(|ok| *ok)
+    .count()
+}
+
+fn entry(token: &str, resource: &str, expires_at_ms: u64) -> SieveEntry {
+    SieveEntry {
+        fingerprint: sieve_fingerprint(token, resource, "read", "req"),
+        resource: resource.to_owned(),
+        expires_at_ms,
+    }
+}
+
+/// One canonical body of every kind, with `text` as the owner, every
+/// resource and the deny reason.
+fn bodies_with(text: &str) -> Vec<Decoded> {
+    let entries = vec![entry("tok-1", text, 60_000), entry("tok-2", text, 90_000)];
+    let dead = vec![sieve_fingerprint("tok-3", text, "write", "req")];
+    vec![
+        Decoded::Decision(DecisionBody::permit(60_000, 7)),
+        Decoded::Decision(DecisionBody::deny(text)),
+        Decoded::Decision(DecisionBody::error(text)),
+        Decoded::Unchanged(UnchangedBody {
+            cacheable_ms: 60_000,
+        }),
+        Decoded::Sieve(SieveBody::build(text, 7, entries.clone(), KEY)),
+        Decoded::Sieve(SieveBody::build(text, 0, Vec::new(), KEY)),
+        Decoded::Delta(SieveDeltaBody::build(
+            text,
+            8,
+            7,
+            entries,
+            dead.clone(),
+            KEY,
+        )),
+        Decoded::Invalidation(InvalidationBody::build(text, 8, dead, KEY)),
+        Decoded::Invalidation(InvalidationBody::build(text, 9, Vec::new(), KEY)),
+    ]
+}
+
+/// The canonical corpus: every body kind over every [`AWKWARD`] string.
+fn corpus() -> Vec<Decoded> {
+    AWKWARD.iter().flat_map(|text| bodies_with(text)).collect()
+}
+
+#[test]
+fn canonical_bodies_round_trip_exactly() {
+    for body in corpus() {
+        let json = body.to_json();
+        let back = body
+            .decode_as(&json)
+            .unwrap_or_else(|err| panic!("{json:?} failed to decode: {err}"));
+        assert_eq!(back, body, "{json:?} did not round-trip");
+        assert_eq!(back.to_json(), json, "re-encoding {json:?} moved bytes");
+        if !matches!(body, Decoded::Decision(_) | Decoded::Unchanged(_)) {
+            assert!(back.grants(), "{json:?} no longer verifies after decoding");
+        }
+    }
+}
+
+/// Every strict prefix of a canonical body is a truncation and must be a
+/// typed error for every decoder. The decoders take `&str`, so a cut
+/// inside a multi-byte scalar is handed over as a replacement character.
+#[test]
+fn truncation_at_every_byte_is_a_wire_error() {
+    for body in corpus() {
+        let json = body.to_json();
+        let bytes = json.as_bytes();
+        for cut in 0..bytes.len() {
+            let prefix = String::from_utf8_lossy(&bytes[..cut]);
+            assert_eq!(
+                decode_all(&prefix),
+                0,
+                "a decoder accepted {json:?} truncated at byte {cut}"
+            );
+        }
+    }
+}
+
+/// Flipping any one byte either breaks the body (a typed error) or
+/// leaves one that grants nothing new: a signed body that still decodes
+/// must stop verifying unless it vouches for the very same content (a
+/// hex digit flipped to its other case), and a deny never becomes a
+/// permit.
+#[test]
+fn single_byte_flips_never_widen_access() {
+    for body in corpus() {
+        let json = body.to_json();
+        for pos in 0..json.len() {
+            for mask in [0x01u8, 0x20, 0x80, 0xff] {
+                let mut bytes = json.clone().into_bytes();
+                bytes[pos] ^= mask;
+                let flipped = String::from_utf8_lossy(&bytes);
+                decode_all(&flipped);
+                let Ok(decoded) = body.decode_as(&flipped) else {
+                    continue;
+                };
+                assert!(
+                    !decoded.widens(&body),
+                    "flipping byte {pos} of {json:?} with {mask:#04x} widened access: {flipped:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Every escape the decoder accepts maps to its character inside owner,
+/// resource and reason strings alike — including `\/` and `\u` escapes
+/// the encoder never emits — and a malformed escape is a typed error.
+#[test]
+fn every_escape_decodes_in_every_string_field() {
+    let escapes: &[(&str, char)] = &[
+        ("\\\"", '"'),
+        ("\\\\", '\\'),
+        ("\\/", '/'),
+        ("\\b", '\u{8}'),
+        ("\\f", '\u{c}'),
+        ("\\n", '\n'),
+        ("\\r", '\r'),
+        ("\\t", '\t'),
+        ("\\u0000", '\0'),
+        ("\\u001f", '\u{1f}'),
+        ("\\u00e9", 'é'),
+        ("\\u00E9", 'é'),
+        ("\\u65e5", '日'),
+    ];
+    for (escape, ch) in escapes {
+        let text = format!("a{escape}é日本🦀b");
+        let want = format!("a{ch}é日本🦀b");
+
+        let reason = format!("{{\"decision\":\"deny\",\"reason\":\"{text}\"}}");
+        let decision = DecisionBody::from_json(&reason).expect("deny with an escaped reason");
+        assert_eq!(decision.reason.as_deref(), Some(want.as_str()), "{reason}");
+        assert!(!decision.is_permit());
+
+        let fp = "00112233445566778899aabbccddeeff";
+        let sieve = format!(
+            "{{\"owner\":\"{text}\",\"epoch\":3,\"entries\":[[\"{fp}\",60000,\"{text}\"]],\"sig\":\"\"}}"
+        );
+        let sieve = SieveBody::from_json(&sieve).expect("sieve with escaped strings");
+        assert_eq!(sieve.owner, want);
+        assert_eq!(sieve.entries[0].resource, want);
+        assert!(!sieve.verify(KEY), "an unsigned sieve must not verify");
+    }
+    let malformed = [
+        "\\x",
+        "\\u12",
+        "\\u12g4",
+        "\\ud800",
+        "\\",
+        "\\u",
+        "trailing\\",
+    ];
+    for escape in malformed {
+        let body = format!("{{\"decision\":\"deny\",\"reason\":\"{escape}\"}}");
+        assert_eq!(
+            decode_all(&body),
+            0,
+            "{body:?} decoded despite a malformed escape"
+        );
+    }
+}
+
+/// A body whose string field is 256 KiB long decodes in time linear in
+/// its size. A decoder that re-validates the rest of the body for every
+/// string character is quadratic and takes over a second here even
+/// optimised; a linear one takes under a millisecond optimised, so the
+/// bound holds in an unoptimised build with a wide margin.
+#[test]
+fn a_256_kib_string_field_decodes_in_linear_time() {
+    const TARGET: usize = 256 * 1024;
+    let unit = "plain ascii text, é 日本 🦀 \"quoted\" \\ and a newline\n";
+    let mut reason = String::with_capacity(TARGET + unit.len());
+    while reason.len() < TARGET {
+        reason.push_str(unit);
+    }
+    let json = DecisionBody::deny(&reason).to_json();
+    let mut fastest = Duration::MAX;
+    for _ in 0..3 {
+        let start = Instant::now();
+        let body = DecisionBody::from_json(&json).expect("large deny decodes");
+        fastest = fastest.min(start.elapsed());
+        assert_eq!(body.reason.as_deref(), Some(reason.as_str()));
+    }
+    assert!(
+        fastest < Duration::from_millis(250),
+        "decoding a {} byte body took {fastest:?}",
+        json.len()
+    );
+}
+
+proptest! {
+    /// Generated owners, resources and reasons — printable UTF-8 mixed
+    /// with quotes, backslashes and control characters — round-trip
+    /// through every body kind.
+    #[test]
+    fn generated_bodies_round_trip(
+        owner in "[\\PC\\u{0}-\\u{1f}\"\\\\]{0,24}",
+        resource in "[\\PC\\u{0}-\\u{1f}\"\\\\]{0,24}",
+        reason in "[\\PC\\u{0}-\\u{1f}\"\\\\]{0,48}",
+        epoch in any::<u64>(),
+        expires in any::<u64>(),
+    ) {
+        let entries = vec![entry(&owner, &resource, expires), entry(&reason, &resource, epoch)];
+        let dead = vec![sieve_fingerprint(&reason, &resource, "read", &owner)];
+        let bodies = [
+            Decoded::Decision(DecisionBody::permit(expires, epoch)),
+            Decoded::Decision(DecisionBody::deny(&reason)),
+            Decoded::Unchanged(UnchangedBody { cacheable_ms: expires }),
+            Decoded::Sieve(SieveBody::build(&owner, epoch, entries.clone(), KEY)),
+            Decoded::Delta(SieveDeltaBody::build(&owner, epoch, expires, entries, dead.clone(), KEY)),
+            Decoded::Invalidation(InvalidationBody::build(&owner, epoch, dead, KEY)),
+        ];
+        for body in bodies {
+            let json = body.to_json();
+            let back = body.decode_as(&json);
+            prop_assert!(back.as_ref() == Ok(&body), "{json:?} decoded to {back:?}");
+        }
+    }
+
+    /// Random bytes never panic any decoder, and noise that happens to be
+    /// valid JSON still has to name every required field to decode.
+    #[test]
+    fn random_noise_never_panics_a_decoder(
+        noise in proptest::collection::vec(any::<u8>(), 0..512)
+    ) {
+        decode_all(&String::from_utf8_lossy(&noise));
+    }
+
+    /// A random run of bytes spliced into a canonical body either breaks
+    /// it or leaves a body that grants nothing new.
+    #[test]
+    fn spliced_noise_never_widens_access(
+        pick in any::<u64>(),
+        at in any::<u64>(),
+        noise in proptest::collection::vec(any::<u8>(), 1..16),
+    ) {
+        let corpus = corpus();
+        let body = &corpus[(pick % corpus.len() as u64) as usize];
+        let mut bytes = body.to_json().into_bytes();
+        let at = (at % bytes.len() as u64) as usize;
+        let end = (at + noise.len()).min(bytes.len());
+        bytes.splice(at..end, noise.iter().copied());
+        let spliced = String::from_utf8_lossy(&bytes);
+        decode_all(&spliced);
+        if let Ok(decoded) = body.decode_as(&spliced) {
+            prop_assert!(!decoded.widens(body), "splice at {at} widened access: {spliced:?}");
+        }
+    }
+}
