@@ -83,8 +83,11 @@ pub const REGISTER_DEREGISTER_PATH: &str = "/protection/v2/register/deregister";
 /// hand-wired `establish_delegation` bootstrap.
 pub const DELEGATE_V2_PATH: &str = "/protection/v2/delegate";
 
-/// Maximum number of queries an AM accepts in one batch request. Requests
-/// above the cap are rejected with a 400 rather than silently truncated.
+/// Maximum number of items in one batch body, request or response.
+/// Requests above the cap are rejected with a 400 rather than silently
+/// truncated. Every body whose top level is an array is a batch, and the
+/// decoder stops reading one at item `MAX_BATCH + 1`, so an oversized
+/// body costs no more to refuse than a full one.
 pub const MAX_BATCH: usize = 32;
 
 /// The decision body a Host receives from an AM (Fig. 6 step 6).
@@ -345,12 +348,6 @@ pub fn parse_batch_request(body: &str) -> Result<Vec<BatchItem>, WireError> {
     let Json::Array(values) = parse_json(body)? else {
         return Err(WireError::new("batch request is not a JSON array"));
     };
-    if values.len() > MAX_BATCH {
-        return Err(WireError::new(&format!(
-            "batch of {} exceeds the cap of {MAX_BATCH}",
-            values.len()
-        )));
-    }
     values.iter().map(BatchItem::from_value).collect()
 }
 
@@ -367,8 +364,8 @@ pub fn encode_batch_response(decisions: &[DecisionBody]) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on malformed JSON, a non-array body, or any
-/// ill-typed decision element.
+/// Returns [`WireError`] on malformed JSON, a non-array body, any
+/// ill-typed decision element, or more than [`MAX_BATCH`] elements.
 pub fn parse_batch_response(body: &str) -> Result<Vec<DecisionBody>, WireError> {
     let Json::Array(values) = parse_json(body)? else {
         return Err(WireError::new("batch response is not a JSON array"));
@@ -546,12 +543,6 @@ pub fn parse_authorize_request(body: &str) -> Result<Vec<AuthorizeItem>, WireErr
     let Json::Array(values) = parse_json(body)? else {
         return Err(WireError::new("authorize request is not a JSON array"));
     };
-    if values.len() > MAX_BATCH {
-        return Err(WireError::new(&format!(
-            "authorize batch of {} exceeds the cap of {MAX_BATCH}",
-            values.len()
-        )));
-    }
     values.iter().map(AuthorizeItem::from_value).collect()
 }
 
@@ -568,8 +559,8 @@ pub fn encode_authorize_response(replies: &[AuthorizeReply]) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on malformed JSON, a non-array body, or any
-/// ill-typed reply element.
+/// Returns [`WireError`] on malformed JSON, a non-array body, any
+/// ill-typed reply element, or more than [`MAX_BATCH`] elements.
 pub fn parse_authorize_response(body: &str) -> Result<Vec<AuthorizeReply>, WireError> {
     let Json::Array(values) = parse_json(body)? else {
         return Err(WireError::new("authorize response is not a JSON array"));
@@ -1401,11 +1392,17 @@ fn opt_string(fields: &[(String, Json)], key: &str) -> Result<Option<String>, Wi
     }
 }
 
+/// How deep a decoded body may nest arrays and objects. The deepest body
+/// the protocol sends nests three levels (a sieve object, its `entries`
+/// array, one entry triple); the rest is headroom for unknown fields.
+/// The decoder recurses once per level, so this also bounds its stack.
+const MAX_DEPTH: usize = 8;
+
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 fn parse_json(input: &str) -> Result<Json, WireError> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(WireError::new("trailing characters after JSON value"));
@@ -1419,11 +1416,15 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+/// Parses one value inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(WireError::new(&format!(
+            "JSON nests deeper than {MAX_DEPTH} levels"
+        ))),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::String),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -1525,7 +1526,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
     debug_assert_eq!(bytes.get(*pos), Some(&b'{'));
     *pos += 1;
     let mut fields = Vec::new();
@@ -1545,7 +1546,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
             return Err(WireError::new("expected ':' after key"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -1559,7 +1560,9 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+/// Parses an array; `depth` counts the arrays and objects enclosing its
+/// items, itself included.
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
     debug_assert_eq!(bytes.get(*pos), Some(&b'['));
     *pos += 1;
     let mut values = Vec::new();
@@ -1569,7 +1572,13 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
         return Ok(Json::Array(values));
     }
     loop {
-        let value = parse_value(bytes, pos)?;
+        // A top-level array is a batch body (see MAX_BATCH).
+        if depth == 1 && values.len() == MAX_BATCH {
+            return Err(WireError::new(&format!(
+                "batch holds more than {MAX_BATCH} items"
+            )));
+        }
+        let value = parse_value(bytes, pos, depth)?;
         values.push(value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -1694,6 +1703,38 @@ mod tests {
             })
             .collect();
         assert!(parse_batch_request(&encode_batch_request(&oversized)).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(parse_json(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&objects(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn batch_decoders_stop_reading_past_the_cap() {
+        // Item MAX_BATCH + 1 is refused before the decoder reaches the
+        // garbage after it.
+        let over = format!("[{}0,@@", "0,".repeat(MAX_BATCH));
+        let full = format!("[{}0]", "0,".repeat(MAX_BATCH - 1));
+        assert!(matches!(parse_json(&full), Ok(Json::Array(v)) if v.len() == MAX_BATCH));
+        // Only a top-level array is a batch.
+        let nested = format!("{{\"entries\":{full}}}").replace("0]", "0,0]");
+        assert!(parse_json(&nested).is_ok());
+        for parse in [
+            |body: &str| parse_batch_request(body).map(|v| v.len()),
+            |body: &str| parse_batch_response(body).map(|v| v.len()),
+            |body: &str| parse_authorize_request(body).map(|v| v.len()),
+            |body: &str| parse_authorize_response(body).map(|v| v.len()),
+            |body: &str| parse_json(body).map(|_| 0),
+        ] {
+            let err = parse(&over).unwrap_err().to_string();
+            assert!(err.contains("more than 32 items"), "{err}");
+        }
     }
 
     #[test]

@@ -1,22 +1,30 @@
-//! Seeded fuzz suite for the Host↔AM body decoders in `webenv::protocol`.
+//! Seeded fuzz suite for the body decoders in `webenv::protocol`.
 //!
 //! The epoch-push route decodes sieve, sieve-delta and invalidation
-//! bodies, and the decision routes decode decision and unchanged
-//! replies, before anything has authenticated the sender. Their contract
-//! is *fail closed*: a truncated, corrupted or garbage body returns a
-//! typed [`WireError`] and never panics, and a corrupted body that still
-//! decodes grants nothing its original did not — a signed body stops
-//! verifying, a deny never turns into a permit. The deterministic tables
-//! pin truncation at every byte, single-byte flips, multi-byte UTF-8 and
-//! every escape in the owner, resource and reason strings; the seeded
+//! bodies, the decision routes decode decision and unchanged replies, and
+//! the AM's open v2 routes decode batch-authorize and registration
+//! bodies, all before anything has authenticated the sender. Their
+//! contract is *fail closed*: a truncated, corrupted, oversized or garbage
+//! body returns a typed [`WireError`] and never panics, and a corrupted
+//! body that still decodes grants nothing its original did not — a
+//! signed body stops verifying, a deny never turns into a permit, a
+//! non-token authorize reply never turns into a token. The deterministic
+//! tables pin truncation at every byte, single-byte flips, multi-byte
+//! UTF-8 and every escape in every string field, batches one item over
+//! the cap, and nesting far past the decoder's depth bound; the seeded
 //! sweeps add encode→decode identity over generated bodies and random
-//! noise; one size case pins that decoding stays linear in the body.
+//! noise; two size cases pin that decoding stays linear in the body and
+//! that an oversized batch is refused without reading it.
 
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use ucam_webenv::protocol::{
-    sieve_fingerprint, InvalidationBody, SieveBody, SieveDeltaBody, SieveEntry, UnchangedBody,
+    encode_authorize_request, encode_authorize_response, encode_batch_request,
+    encode_batch_response, parse_authorize_request, parse_authorize_response, parse_batch_request,
+    parse_batch_response, sieve_fingerprint, AuthorizeItem, AuthorizeReply, BatchItem,
+    DelegateReply, InvalidationBody, RegisterBody, RegistrationReply, SieveBody, SieveDeltaBody,
+    SieveEntry, UnchangedBody, MAX_BATCH,
 };
 use ucam_webenv::{DecisionBody, WireError};
 
@@ -43,7 +51,7 @@ const AWKWARD: &[&str] = &[
     "é日本🦀\"\\\n\r\t\u{1}/",
 ];
 
-/// One decoded body of any of the five kinds.
+/// One decoded body of any of the twelve kinds.
 #[derive(Debug, Clone, PartialEq)]
 enum Decoded {
     Decision(DecisionBody),
@@ -51,6 +59,13 @@ enum Decoded {
     Sieve(SieveBody),
     Delta(SieveDeltaBody),
     Invalidation(InvalidationBody),
+    BatchRequest(Vec<BatchItem>),
+    BatchResponse(Vec<DecisionBody>),
+    AuthorizeRequest(Vec<AuthorizeItem>),
+    AuthorizeResponse(Vec<AuthorizeReply>),
+    Register(RegisterBody),
+    Registration(RegistrationReply),
+    Delegate(DelegateReply),
 }
 
 impl Decoded {
@@ -62,6 +77,13 @@ impl Decoded {
             Decoded::Sieve(body) => body.to_json(),
             Decoded::Delta(body) => body.to_json(),
             Decoded::Invalidation(body) => body.to_json(),
+            Decoded::BatchRequest(items) => encode_batch_request(items),
+            Decoded::BatchResponse(decisions) => encode_batch_response(decisions),
+            Decoded::AuthorizeRequest(items) => encode_authorize_request(items),
+            Decoded::AuthorizeResponse(replies) => encode_authorize_response(replies),
+            Decoded::Register(body) => body.to_json(),
+            Decoded::Registration(body) => body.to_json(),
+            Decoded::Delegate(body) => body.to_json(),
         }
     }
 
@@ -73,6 +95,17 @@ impl Decoded {
             Decoded::Sieve(_) => Decoded::Sieve(SieveBody::from_json(json)?),
             Decoded::Delta(_) => Decoded::Delta(SieveDeltaBody::from_json(json)?),
             Decoded::Invalidation(_) => Decoded::Invalidation(InvalidationBody::from_json(json)?),
+            Decoded::BatchRequest(_) => Decoded::BatchRequest(parse_batch_request(json)?),
+            Decoded::BatchResponse(_) => Decoded::BatchResponse(parse_batch_response(json)?),
+            Decoded::AuthorizeRequest(_) => {
+                Decoded::AuthorizeRequest(parse_authorize_request(json)?)
+            }
+            Decoded::AuthorizeResponse(_) => {
+                Decoded::AuthorizeResponse(parse_authorize_response(json)?)
+            }
+            Decoded::Register(_) => Decoded::Register(RegisterBody::from_json(json)?),
+            Decoded::Registration(_) => Decoded::Registration(RegistrationReply::from_json(json)?),
+            Decoded::Delegate(_) => Decoded::Delegate(DelegateReply::from_json(json)?),
         })
     }
 
@@ -85,25 +118,39 @@ impl Decoded {
             Decoded::Sieve(body) => body.sig.clear(),
             Decoded::Delta(body) => body.sig.clear(),
             Decoded::Invalidation(body) => body.sig.clear(),
-            Decoded::Decision(_) | Decoded::Unchanged(_) => {}
+            _ => {}
         }
         body
     }
 
     /// Whether `self`, decoded from a corrupted copy of `original`,
     /// grants something `original` did not: a permit where there was
-    /// none, or a verifying signed body that vouches for other content.
+    /// none, a token where the AM gave none, or a verifying signed body
+    /// that vouches for other content. Requests and registration replies
+    /// grant nothing by themselves: the AM judges every request.
     fn widens(&self, original: &Decoded) -> bool {
-        match original {
-            Decoded::Decision(body) => self.grants() && !body.is_permit(),
-            Decoded::Unchanged(_) => false,
-            _ => self.grants() && self.unsigned() != original.unsigned(),
+        match (self, original) {
+            (_, Decoded::Decision(body)) => self.grants() && !body.is_permit(),
+            (Decoded::BatchResponse(got), Decoded::BatchResponse(was)) => {
+                got.iter().enumerate().any(|(i, decision)| {
+                    decision.is_permit() && !was.get(i).is_some_and(DecisionBody::is_permit)
+                })
+            }
+            (Decoded::AuthorizeResponse(got), Decoded::AuthorizeResponse(was)) => got
+                .iter()
+                .enumerate()
+                .any(|(i, reply)| is_token(reply) && !was.get(i).is_some_and(is_token)),
+            (_, Decoded::Sieve(_) | Decoded::Delta(_) | Decoded::Invalidation(_)) => {
+                self.grants() && self.unsigned() != original.unsigned()
+            }
+            _ => false,
         }
     }
 
     /// Whether accepting this body would widen access: a permit decision,
-    /// an unchanged reply (it re-arms a cached permit), or a signed push
-    /// body that verifies under [`KEY`].
+    /// an unchanged reply (it re-arms a cached permit), a signed push
+    /// body that verifies under [`KEY`], or a batch carrying a permit or
+    /// a token.
     fn grants(&self) -> bool {
         match self {
             Decoded::Decision(body) => body.is_permit(),
@@ -111,11 +158,18 @@ impl Decoded {
             Decoded::Sieve(body) => body.verify(KEY),
             Decoded::Delta(body) => body.verify(KEY),
             Decoded::Invalidation(body) => body.verify(KEY),
+            Decoded::BatchResponse(decisions) => decisions.iter().any(DecisionBody::is_permit),
+            Decoded::AuthorizeResponse(replies) => replies.iter().any(is_token),
+            _ => false,
         }
     }
 }
 
-/// Feeds `json` to all five decoders; none may panic. Returns how many
+fn is_token(reply: &AuthorizeReply) -> bool {
+    matches!(reply, AuthorizeReply::Token(_))
+}
+
+/// Feeds `json` to all twelve decoders; none may panic. Returns how many
 /// accepted it.
 fn decode_all(json: &str) -> usize {
     [
@@ -124,6 +178,13 @@ fn decode_all(json: &str) -> usize {
         SieveBody::from_json(json).is_ok(),
         SieveDeltaBody::from_json(json).is_ok(),
         InvalidationBody::from_json(json).is_ok(),
+        parse_batch_request(json).is_ok(),
+        parse_batch_response(json).is_ok(),
+        parse_authorize_request(json).is_ok(),
+        parse_authorize_response(json).is_ok(),
+        RegisterBody::from_json(json).is_ok(),
+        RegistrationReply::from_json(json).is_ok(),
+        DelegateReply::from_json(json).is_ok(),
     ]
     .into_iter()
     .filter(|ok| *ok)
@@ -138,8 +199,71 @@ fn entry(token: &str, resource: &str, expires_at_ms: u64) -> SieveEntry {
     }
 }
 
+fn batch_item(text: &str) -> BatchItem {
+    BatchItem {
+        token: text.to_owned(),
+        resource: text.to_owned(),
+        action: text.to_owned(),
+        requester: text.to_owned(),
+    }
+}
+
+fn authorize_item(text: &str) -> AuthorizeItem {
+    AuthorizeItem {
+        owner: text.to_owned(),
+        resource: text.to_owned(),
+        action: text.to_owned(),
+    }
+}
+
+/// One reply of every [`AuthorizeReply`] variant, carrying `text`.
+fn every_reply(text: &str) -> Vec<AuthorizeReply> {
+    vec![
+        AuthorizeReply::Token(text.to_owned()),
+        AuthorizeReply::Denied(text.to_owned()),
+        AuthorizeReply::Pending(text.to_owned()),
+        AuthorizeReply::NeedsClaims(vec![text.to_owned(), "age".to_owned()]),
+        AuthorizeReply::NeedsClaims(Vec::new()),
+        AuthorizeReply::Error(text.to_owned()),
+    ]
+}
+
+/// The v2 batch and registration bodies with `text` in every string
+/// field (a registration `kind` only parses as `host` or `requester`).
+fn v2_bodies_with(text: &str) -> Vec<Decoded> {
+    vec![
+        Decoded::BatchRequest(vec![batch_item(text), batch_item("tok-2")]),
+        Decoded::BatchRequest(Vec::new()),
+        Decoded::BatchResponse(vec![
+            DecisionBody::permit(60_000, 7),
+            DecisionBody::deny(text),
+            DecisionBody::error(text),
+        ]),
+        Decoded::AuthorizeRequest(vec![authorize_item(text), authorize_item("bob")]),
+        Decoded::AuthorizeResponse(every_reply(text)),
+        Decoded::AuthorizeResponse(Vec::new()),
+        Decoded::Register(RegisterBody {
+            kind: "host".to_owned(),
+            authority: text.to_owned(),
+        }),
+        Decoded::Register(RegisterBody {
+            kind: "requester".to_owned(),
+            authority: text.to_owned(),
+        }),
+        Decoded::Registration(RegistrationReply {
+            registrant_id: text.to_owned(),
+            secret: text.to_owned(),
+        }),
+        Decoded::Delegate(DelegateReply {
+            delegation_id: text.to_owned(),
+            host_token: text.to_owned(),
+        }),
+    ]
+}
+
 /// One canonical body of every kind, with `text` as the owner, every
-/// resource and the deny reason.
+/// resource and the deny reason, and in every string field of the v2
+/// bodies.
 fn bodies_with(text: &str) -> Vec<Decoded> {
     let entries = vec![entry("tok-1", text, 60_000), entry("tok-2", text, 90_000)];
     let dead = vec![sieve_fingerprint("tok-3", text, "write", "req")];
@@ -163,6 +287,9 @@ fn bodies_with(text: &str) -> Vec<Decoded> {
         Decoded::Invalidation(InvalidationBody::build(text, 8, dead, KEY)),
         Decoded::Invalidation(InvalidationBody::build(text, 9, Vec::new(), KEY)),
     ]
+    .into_iter()
+    .chain(v2_bodies_with(text))
+    .collect()
 }
 
 /// The canonical corpus: every body kind over every [`AWKWARD`] string.
@@ -179,7 +306,10 @@ fn canonical_bodies_round_trip_exactly() {
             .unwrap_or_else(|err| panic!("{json:?} failed to decode: {err}"));
         assert_eq!(back, body, "{json:?} did not round-trip");
         assert_eq!(back.to_json(), json, "re-encoding {json:?} moved bytes");
-        if !matches!(body, Decoded::Decision(_) | Decoded::Unchanged(_)) {
+        if matches!(
+            body,
+            Decoded::Sieve(_) | Decoded::Delta(_) | Decoded::Invalidation(_)
+        ) {
             assert!(back.grants(), "{json:?} no longer verifies after decoding");
         }
     }
@@ -268,6 +398,44 @@ fn every_escape_decodes_in_every_string_field() {
         assert_eq!(sieve.owner, want);
         assert_eq!(sieve.entries[0].resource, want);
         assert!(!sieve.verify(KEY), "an unsigned sieve must not verify");
+
+        let t = format!("\"{text}\"");
+        let batch =
+            format!("[{{\"token\":{t},\"resource\":{t},\"action\":{t},\"requester\":{t}}}]");
+        assert_eq!(
+            parse_batch_request(&batch),
+            Ok(vec![batch_item(&want)]),
+            "{batch}"
+        );
+        let decisions = format!("[{{\"decision\":\"deny\",\"reason\":{t}}}]");
+        let decisions = parse_batch_response(&decisions).expect("batch with an escaped reason");
+        assert_eq!(decisions, vec![DecisionBody::deny(&want)]);
+        let authorize = format!("[{{\"owner\":{t},\"resource\":{t},\"action\":{t}}}]");
+        let authorize = parse_authorize_request(&authorize);
+        assert_eq!(authorize, Ok(vec![authorize_item(&want)]));
+        let replies = format!(
+            "[{{\"token\":{t}}},{{\"denied\":{t}}},{{\"pending\":{t}}},\
+             {{\"claims\":[{t},\"age\"]}},{{\"claims\":[]}},{{\"error\":{t}}}]"
+        );
+        assert_eq!(parse_authorize_response(&replies), Ok(every_reply(&want)));
+        let register = format!("{{\"kind\":\"h\\u006fst\",\"authority\":{t}}}");
+        let register = RegisterBody::from_json(&register).expect("escaped registration");
+        assert_eq!(
+            (register.kind.as_str(), register.authority),
+            ("host", want.clone())
+        );
+        let registration = format!("{{\"registrant_id\":{t},\"secret\":{t}}}");
+        let registration = RegistrationReply::from_json(&registration).expect("escaped reply");
+        assert_eq!(
+            (registration.registrant_id, registration.secret),
+            (want.clone(), want.clone())
+        );
+        let delegate = format!("{{\"delegation_id\":{t},\"host_token\":{t}}}");
+        let delegate = DelegateReply::from_json(&delegate).expect("escaped delegate reply");
+        assert_eq!(
+            (delegate.delegation_id, delegate.host_token),
+            (want.clone(), want)
+        );
     }
     let malformed = [
         "\\x",
@@ -279,13 +447,117 @@ fn every_escape_decodes_in_every_string_field() {
         "trailing\\",
     ];
     for escape in malformed {
-        let body = format!("{{\"decision\":\"deny\",\"reason\":\"{escape}\"}}");
-        assert_eq!(
-            decode_all(&body),
-            0,
-            "{body:?} decoded despite a malformed escape"
-        );
+        let t = format!("\"{escape}\"");
+        for body in [
+            format!("{{\"decision\":\"deny\",\"reason\":{t}}}"),
+            format!(
+                "[{{\"token\":{t},\"resource\":\"r\",\"action\":\"read\",\"requester\":\"q\"}}]"
+            ),
+            format!("[{{\"owner\":{t},\"resource\":\"r\",\"action\":\"read\"}}]"),
+            format!("[{{\"token\":{t}}}]"),
+            format!("[{{\"claims\":[{t}]}}]"),
+            format!("{{\"kind\":\"host\",\"authority\":{t}}}"),
+            format!("{{\"registrant_id\":{t},\"secret\":\"s\"}}"),
+            format!("{{\"delegation_id\":\"d\",\"host_token\":{t}}}"),
+        ] {
+            assert_eq!(
+                decode_all(&body),
+                0,
+                "{body:?} decoded despite a malformed escape"
+            );
+        }
     }
+}
+
+/// A batch of `MAX_BATCH` items decodes in either direction; one item
+/// more is a typed error for all four batch decoders.
+#[test]
+fn batches_one_over_the_cap_are_wire_errors() {
+    let items: Vec<BatchItem> = (0..=MAX_BATCH)
+        .map(|i| batch_item(&format!("t{i}")))
+        .collect();
+    let owners: Vec<AuthorizeItem> = (0..=MAX_BATCH)
+        .map(|i| authorize_item(&format!("u{i}")))
+        .collect();
+    let decisions = vec![DecisionBody::permit(60_000, 7); MAX_BATCH + 1];
+    let replies: Vec<AuthorizeReply> = every_reply("x")
+        .into_iter()
+        .cycle()
+        .take(MAX_BATCH + 1)
+        .collect();
+    let full = [
+        Decoded::BatchRequest(items[..MAX_BATCH].to_vec()),
+        Decoded::BatchResponse(decisions[..MAX_BATCH].to_vec()),
+        Decoded::AuthorizeRequest(owners[..MAX_BATCH].to_vec()),
+        Decoded::AuthorizeResponse(replies[..MAX_BATCH].to_vec()),
+    ];
+    let over = [
+        Decoded::BatchRequest(items),
+        Decoded::BatchResponse(decisions),
+        Decoded::AuthorizeRequest(owners),
+        Decoded::AuthorizeResponse(replies),
+    ];
+    for (full, over) in full.iter().zip(&over) {
+        assert_eq!(full.decode_as(&full.to_json()).as_ref(), Ok(full));
+        let json = over.to_json();
+        assert!(
+            over.decode_as(&json).is_err(),
+            "{json:?} decoded past the cap"
+        );
+        assert_eq!(decode_all(&json), 0);
+    }
+}
+
+/// Nesting far past the decoder's depth bound is a typed error, not a
+/// stack overflow: every decoder refuses 100,000 nested arrays and
+/// 100,000 nested objects on a thread with a 256 KiB stack.
+#[test]
+fn deep_nesting_is_a_wire_error_on_a_small_stack() {
+    const DEPTH: usize = 100_000;
+    let arrays = format!("{}{}", "[".repeat(DEPTH), "]".repeat(DEPTH));
+    let objects = format!("{}0{}", "{\"a\":".repeat(DEPTH), "}".repeat(DEPTH));
+    let unclosed = "[{\"a\":".repeat(DEPTH);
+    let accepted = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || {
+            [arrays, objects, unclosed]
+                .iter()
+                .map(|json| decode_all(json))
+                .sum::<usize>()
+        })
+        .expect("spawn a small-stack thread")
+        .join()
+        .expect("a decoder overflowed the stack");
+    assert_eq!(accepted, 0);
+}
+
+/// A 4 MiB batch of tiny items is refused at item `MAX_BATCH + 1`
+/// instead of being parsed whole first. A decoder that builds the whole
+/// array before counting it takes about 250 ms per call here unoptimised
+/// (2-core x86-64 box) and holds every item in memory first; stopping
+/// early takes microseconds.
+#[test]
+fn a_4_mib_batch_over_the_cap_is_refused_without_reading_it() {
+    let mut body = String::with_capacity(4 * 1024 * 1024 + 2);
+    body.push('[');
+    while body.len() < 4 * 1024 * 1024 {
+        body.push_str("0,");
+    }
+    body.push_str("0]");
+    let mut fastest = Duration::MAX;
+    for _ in 0..3 {
+        let start = Instant::now();
+        assert!(parse_batch_request(&body).is_err());
+        assert!(parse_authorize_request(&body).is_err());
+        assert!(parse_batch_response(&body).is_err());
+        assert!(parse_authorize_response(&body).is_err());
+        fastest = fastest.min(start.elapsed());
+    }
+    assert!(
+        fastest < Duration::from_millis(50),
+        "refusing a {} byte batch took {fastest:?}",
+        body.len()
+    );
 }
 
 /// A body whose string field is 256 KiB long decodes in time linear in
@@ -337,8 +609,19 @@ proptest! {
             Decoded::Sieve(SieveBody::build(&owner, epoch, entries.clone(), KEY)),
             Decoded::Delta(SieveDeltaBody::build(&owner, epoch, expires, entries, dead.clone(), KEY)),
             Decoded::Invalidation(InvalidationBody::build(&owner, epoch, dead, KEY)),
+            Decoded::BatchRequest(vec![batch_item(&owner), batch_item(&resource)]),
+            Decoded::BatchResponse(vec![DecisionBody::permit(expires, epoch), DecisionBody::deny(&reason)]),
+            Decoded::AuthorizeRequest(vec![authorize_item(&owner), authorize_item(&resource)]),
+            Decoded::AuthorizeResponse(every_reply(&reason)),
         ];
-        for body in bodies {
+        let nonempty = |s: &str| if s.is_empty() { "x".to_owned() } else { s.to_owned() };
+        let (owner, reason) = (nonempty(&owner), nonempty(&reason));
+        let credentials = [
+            Decoded::Register(RegisterBody { kind: "host".to_owned(), authority: owner.clone() }),
+            Decoded::Registration(RegistrationReply { registrant_id: owner.clone(), secret: reason.clone() }),
+            Decoded::Delegate(DelegateReply { delegation_id: reason, host_token: owner }),
+        ];
+        for body in bodies.into_iter().chain(credentials) {
             let json = body.to_json();
             let back = body.decode_as(&json);
             prop_assert!(back.as_ref() == Ok(&body), "{json:?} decoded to {back:?}");

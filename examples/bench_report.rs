@@ -1,404 +1,70 @@
-//! Measures the saturation sweep and writes `BENCH_PR2.json`.
+//! Measures the committed benchmark rows in `BENCH_PR2.json` and gates
+//! fresh runs against them.
 //!
 //! ```sh
-//! cargo run --release --example bench_report            # full sweep, rewrites the report
-//! cargo run --release --example bench_report -- --quick # smoke-sized, no rewrite
-//! cargo run --release --example bench_report -- --check # regression gate vs the report
-//! cargo run --release --example bench_report -- --append-history # record data points
-//! cargo run --release --example bench_report -- --transport=http # cross-process rows
-//! cargo run --release --example bench_report -- --storm # refresh the v2 storm rows
-//! cargo run --release --example bench_report -- --check-storm # Gate 6 alone
+//! cargo run --release --example bench_report             # full sweep, rewrites the report
+//! cargo run --release --example bench_report -- --check  # the regression gates
 //! ```
 //!
-//! Drives the full phase-3→6 flow and the warm phase-6 steady state from
-//! 1/2/4/8 threads against one AM and two Hosts (see `sim::saturation`),
-//! then records `{bench, threads, reqs_per_sec, p50_us, p99_us}` rows so
-//! the repo carries a measured perf trajectory PR over PR. Each committed
-//! row folds [`FULL_ATTEMPTS`] runs per field (max throughput, min
-//! latency per percentile — `SaturationRow::merge_best`): scheduler
-//! jitter only ever slows a run down, so the per-field best is the
-//! least-noisy estimate of what the fabric can actually sustain.
+//! With no argument the tool runs the full sweep, which rewrites every
+//! row family but the `*_http` one. `MODES` lists the flags:
 //!
-//! `--check` is the regression gate, in two parts:
+//! * `--quick`: the full sweep at smoke size (50 iterations, one toy
+//!   population point); writes nothing.
+//! * `--check`, `--check-http`, `--check-storm`: the gate lanes (`GATES`).
+//! * `--append-history`: appends live 1/4/8-thread `phase6_warm` rows of
+//!   both transports and the smoke-sized population row to
+//!   `BENCH_HISTORY.jsonl`, the history gate 1 tightens its floor from.
+//! * `--transport=http`: refreshes the `*_http` rows.
+//! * `--storm`: refreshes the `storm_*`/`reval_*` rows.
 //!
-//! * the single-thread `phase6_warm` throughput must clear a floor that
-//!   starts at 70% of the committed baseline in `BENCH_PR2.json` and,
-//!   once the checked-in history (`BENCH_HISTORY.jsonl`) holds at least
-//!   [`MIN_HISTORY_POINTS`] single-thread points, tightens to
-//!   `max(70% of baseline, mean − 3σ of the history)` (rule documented
-//!   in `EXPERIMENTS.md`);
-//! * the warm path must keep *scaling*: the measured 8-thread throughput
-//!   must reach [`SCALING_FLOOR`] of the measured 4-thread one, and the
-//!   committed report itself must be monotone non-decreasing across
-//!   1→2→4→8 threads — the exact cliff this gate exists to guard.
+//! Any other argument, or more than one, prints the flags and exits 2
+//! without measuring. The report holds four row families, one JSON object
+//! per line, each written by the simulation crate's `to_json`:
+//! `phase6_warm`/`full_flow` at 1/2/4/8 threads (`sim::saturation`), the
+//! `population_scale` load curves (`sim::population`, 10³ → 10⁶ entities
+//! at 256 Hosts, then 64 → 512 Hosts at 10⁵), the protocol-v2
+//! `storm_*`/`reval_*` probes (`sim::storm`), and the loopback-HTTP
+//! `*_http` rows. A sweep measures the families its mode names and
+//! rewrites their rows where they stand; every other committed row stays
+//! byte for byte. Committed saturation rows fold several runs per field
+//! (max throughput, min latency per percentile,
+//! `SaturationRow::merge_best`): scheduler jitter only ever slows a run
+//! down, so the per-field best is the least noisy estimate of what the
+//! fabric sustains. Work counts are not folded: they are deterministic
+//! per shape, and `merge_best` panics if two attempts disagree.
 //!
-//! `--append-history` records the 1-, 4- and 8-thread `phase6_warm` and
-//! `phase6_warm_http` measurements plus the smoke-sized
-//! `population_scale` point (one JSON row per line), so the history
-//! carries the multi-thread trajectory, the cross-process trajectory and
-//! the population-engine trajectory, not just the single-thread ceiling.
-//!
-//! The full sweep additionally emits the `population_scale` load curves:
-//! end-to-end req/s and p50/p99 versus population (10³ → 10⁶ entities at
-//! 256 Hosts) and versus Host count (64 → 512 Hosts at 10⁵ entities),
-//! generated by `sim::population` (seeded, streamed, Zipf-shaped
-//! traffic). Those rows land in `BENCH_PR2.json` next to the saturation
-//! rows, and `--check` gates two more edges against them:
-//!
-//! * the smoke-sized population point (10⁴ entities / 64 Hosts) must
-//!   reach [`POPULATION_FLOOR`] of the committed same-shape row, and
-//! * the 8-thread `full_flow` tail must stay bounded, on two axes: the
-//!   *committed* p99 under [`FULL_FLOW_8T_P99_CEILING_US`] (the sweep
-//!   must find at least one window whose whole-protocol tail fits —
-//!   the pre-fix contention measured 16,000µs+ in *every* window), and
-//!   a *fresh* p95 under [`FULL_FLOW_8T_P95_CEILING_US`] (the
-//!   preemption-robust live gauge; see the constant's rationale).
-//!
-//! Besides those machine-*dependent* throughput floors, `--check` gates
-//! the **work counts** exactly. Every saturation row carries the counted
-//! protocol work behind it — accesses, wire round trips, sieve hits,
-//! PEP cache hits, live AM queries (`sim::saturation::WorkCounts`) —
-//! and those counts are deterministic for a given `(bench, threads)`
-//! shape: the same protocol must do the same work on a laptop and in
-//! CI. The gate compares per-access ratios by u128 cross-multiplication
-//! (`measured.counter * committed.accesses == committed.counter *
-//! measured.accesses`), so committed and fresh runs may use different
-//! iteration counts but must agree *exactly* — no tolerance, no
-//! floating point. A drift means the protocol changed (a new message, a
-//! lost cache hit), which is a finding, not noise.
-//!
-//! `--transport=http` measures the cross-process row family: the same
-//! two saturation modes, but every Host↔AM↔Requester message crosses
-//! loopback TCP through the hand-rolled HTTP/1.1 codec
-//! (`ucam_webenv::HttpTransport`, DESIGN.md §14–15). Rows land in
-//! `BENCH_PR2.json` as `phase6_warm_http` / `full_flow_http` next to
-//! the in-process family; each sweep preserves the other family's
-//! committed rows, so the two can be refreshed independently. The
-//! protocol-v2 storm family (`storm_*` / `reval_*`, from `sim::storm`)
-//! rides in the same report: the full sweep regenerates it, `--storm`
-//! refreshes it alone, and `--check`'s Gate 6 holds the invalidation
-//! push to its ≥90% cold-miss-storm cut, the `If-Epoch` conditional
-//! exchange to strictly fewer wire bytes than the unconditional one,
-//! and the committed counts to the live run exactly. The
-//! committed cross-process rows are gated by `--check` (and by the
-//! release-mode `--check-http` CI lane): single-thread throughput must
-//! hold ≥ [`HTTP_SPEEDUP_FLOOR`]× the PR 8 baseline, the 4-thread p50
-//! must stay within [`HTTP_P50_RATIO_CEILING`]× the single-thread p50,
-//! and the work counts — `bytes_on_wire` included — must be bit-exact
-//! across backends and against the committed rows.
+//! `GATES` is the one description of the regression gates: which lane
+//! runs each, which committed rows and live runs it reads, its bound and
+//! its check. EXPERIMENTS.md ("CI bench smoke") gives the rationale.
 
-use ucam::sim::population::{run_population_scale, PopulationScaleConfig, PopulationScaleRow};
+use ucam::sim::population::{run_population_scale, PopulationScaleConfig};
 use ucam::sim::saturation::{
     run_saturation, SaturationConfig, SaturationMode, SaturationRow, TransportKind,
 };
 use ucam::sim::storm::{run_cold_miss_storm, run_revalidation_probe, StormConfig};
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Fraction of the committed single-thread `phase6_warm` throughput the
-/// `--check` measurement must reach (the coarse fallback floor).
-const CHECK_FLOOR: f64 = 0.70;
-
-/// Fraction of the measured 4-thread `phase6_warm` throughput the
-/// measured 8-thread one must reach. The old two-tier-less warm path
-/// collapsed to 0.70× here; the lock-free tier-1 measures ≥ 0.90 even
-/// in the worst observed scheduler windows, so 0.85 separates the two
-/// regimes with margin on both sides.
-const SCALING_FLOOR: f64 = 0.85;
+/// The committed report.
+const REPORT: &str = "BENCH_PR2.json";
 
 /// The checked-in measurement history (JSON lines, newest last).
 const HISTORY_FILE: &str = "BENCH_HISTORY.jsonl";
 
-/// History points needed before the variance-derived gate activates.
-const MIN_HISTORY_POINTS: usize = 3;
+const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Runs per committed row / per `--check` measurement; the max wins.
+/// Iterations per thread of an in-process `phase6_warm` run. The warm
+/// loop is sub-microsecond per access, so it needs long runs to amortise
+/// fixed per-thread costs (spawn, barrier wake-up) that would otherwise
+/// read as a fake multi-thread penalty.
+const WARM_ITERS: usize = 20_000;
+
+/// Iterations per thread of an in-process `full_flow` run (~35 µs per
+/// access, already run-dominated at this length).
+const FLOW_ITERS: usize = 4_000;
+
+/// Runs per committed in-process row and per live gate measurement; the
+/// per-field best wins.
 const FULL_ATTEMPTS: usize = 5;
-
-/// Fraction of the committed smoke-shape `population_scale` throughput
-/// the `--check` measurement must reach. Looser than [`CHECK_FLOOR`]:
-/// the population run is measured once (it is setup-dominated, so
-/// best-of-N would mostly re-pay setup), which leaves it exposed to a
-/// single bad scheduler window.
-const POPULATION_FLOOR: f64 = 0.30;
-
-/// Ceiling on the *committed* 8-thread `full_flow` p99 in
-/// `BENCH_PR2.json`. Committed latencies are min-over-attempts (see
-/// `SaturationRow::merge_best`), so this pins the best window the full
-/// sweep could find: under the old convoying AM every window measured
-/// ≥ 16,000µs and no committable report could pass; the sharded AM
-/// finds a sub-millisecond window even on a busy machine.
-const FULL_FLOW_8T_P99_CEILING_US: f64 = 2_000.0;
-
-/// Ceiling on the freshly measured 8-thread `full_flow` p95 (minimum
-/// over [`FULL_ATTEMPTS`] runs). The p95 — not the p99 — is the robust
-/// live gauge on an oversubscribed box: OS preemption charges a full
-/// scheduling quantum to the ~1% of sampled accesses that straddle a
-/// descheduling, whipsawing the p99 between clean and quantum-sized
-/// from window to window, while a genuine lock convoy stalls every
-/// thread behind the preempted holder and drags the p95 into the
-/// milliseconds too.
-const FULL_FLOW_8T_P95_CEILING_US: f64 = 2_000.0;
-
-/// The `(population, hosts)` shape of the smoke-sized population point
-/// used by `--check` and `--append-history` — the second point of
-/// [`POPULATION_CURVE`], so the committed row it gates always exists.
-const POPULATION_SMOKE: (usize, usize) = (10_000, 256);
-
-/// The full-sweep load curves: population 10³ → 10⁶ at a fixed 256-Host
-/// fabric, then Host-count 64 → 512 at a fixed 10⁵-entity population.
-const POPULATION_CURVE: [(usize, usize); 6] = [
-    (1_000, 256),
-    (10_000, 256),
-    (100_000, 256),
-    (1_000_000, 256),
-    (100_000, 64),
-    (100_000, 512),
-];
-
-/// Finds the row starting at `row_key` in a report document and parses
-/// the numeric `field` that follows it. Hand-rolled on purpose: the root
-/// package takes no JSON dependency, and the row formats are fixed
-/// (emitted by `SaturationRow::to_json` / `PopulationScaleRow::to_json`).
-fn row_field(report: &str, row_key: &str, field: &str) -> Option<f64> {
-    let row_at = report.find(row_key)? + row_key.len();
-    let rest = &report[row_at..];
-    let field_key = format!("\"{field}\":");
-    let value_at = rest.find(&field_key)? + field_key.len();
-    let value = &rest[value_at..];
-    let end = value.find([',', '}'])?;
-    value[..end].trim().parse().ok()
-}
-
-/// Like [`row_field`], but parses an exact integer — the work-count gate
-/// must not round-trip counters through floating point.
-fn row_field_u64(report: &str, row_key: &str, field: &str) -> Option<u64> {
-    let row_at = report.find(row_key)? + row_key.len();
-    let rest = &report[row_at..];
-    let field_key = format!("\"{field}\":");
-    let value_at = rest.find(&field_key)? + field_key.len();
-    let value = &rest[value_at..];
-    let end = value.find([',', '}'])?;
-    value[..end].trim().parse().ok()
-}
-
-/// Splits a committed `BENCH_PR2.json` into its row lines. The format is
-/// fixed — one JSON object per line, written by this tool — so a line
-/// starting with `{` is a row; a trailing comma is the array separator.
-fn report_rows(doc: &str) -> Vec<String> {
-    doc.lines()
-        .map(str::trim)
-        .filter(|line| line.starts_with('{'))
-        .map(|line| line.trim_end_matches(',').to_owned())
-        .collect()
-}
-
-/// Whether a report row belongs to the cross-process (loopback HTTP)
-/// family — `phase6_warm_http` / `full_flow_http`.
-fn is_http_row(row: &str) -> bool {
-    row.contains("_http\",")
-}
-
-/// Whether a report row belongs to the protocol-v2 storm family —
-/// `storm_*` / `reval_*` (see `sim::storm` and DESIGN.md §16).
-fn is_storm_row(row: &str) -> bool {
-    row.contains("\"bench\":\"storm_") || row.contains("\"bench\":\"reval_")
-}
-
-/// Writes `BENCH_PR2.json` from pre-serialised row lines.
-fn write_report(row_jsons: &[String]) {
-    let mut doc = String::from("[\n");
-    for (i, row) in row_jsons.iter().enumerate() {
-        doc.push_str("  ");
-        doc.push_str(row);
-        if i + 1 < row_jsons.len() {
-            doc.push(',');
-        }
-        doc.push('\n');
-    }
-    doc.push_str("]\n");
-    std::fs::write("BENCH_PR2.json", &doc).expect("write BENCH_PR2.json");
-    println!("\nwrote BENCH_PR2.json ({} rows)", row_jsons.len());
-}
-
-/// Gates the measured work counts of one saturation row against the
-/// committed row of the same shape, exactly. Committed and measured runs
-/// may use different iteration counts, so each counter is compared
-/// per-access by u128 cross-multiplication — integer, tolerance-free,
-/// machine-independent. Returns `false` (after explaining) on any drift.
-fn check_work_counts(report: &str, measured: &SaturationRow) -> bool {
-    let row_key = format!(
-        "\"bench\":\"{}\",\"threads\":{},",
-        measured.bench, measured.threads
-    );
-    let Some(committed_accesses) = row_field_u64(report, &row_key, "accesses") else {
-        eprintln!(
-            "--check: no work counts for {}/threads={} in BENCH_PR2.json — \
-             regenerate the report with this binary",
-            measured.bench, measured.threads
-        );
-        return false;
-    };
-    let counters: [(&str, u64); 5] = [
-        ("wire_rts", measured.work.wire_rts),
-        ("bytes_on_wire", measured.work.bytes_on_wire),
-        ("sieve_hits", measured.work.sieve_hits),
-        ("cache_hits", measured.work.cache_hits),
-        ("am_queries", measured.work.am_queries),
-    ];
-    let mut ok = true;
-    for (name, fresh) in counters {
-        let Some(committed) = row_field_u64(report, &row_key, name) else {
-            eprintln!(
-                "--check: no {name} count for {}/threads={} in BENCH_PR2.json",
-                measured.bench, measured.threads
-            );
-            ok = false;
-            continue;
-        };
-        // fresh/measured.accesses must equal committed/committed_accesses.
-        let lhs = u128::from(fresh) * u128::from(committed_accesses);
-        let rhs = u128::from(committed) * u128::from(measured.work.accesses);
-        if lhs != rhs {
-            eprintln!(
-                "--check: WORK DRIFT: {}/threads={} measured {fresh} {name} over {} accesses; \
-                 the committed row did {committed} over {committed_accesses} — the protocol \
-                 is doing different work per access than the committed baseline",
-                measured.bench, measured.threads, measured.work.accesses
-            );
-            ok = false;
-        }
-    }
-    if ok {
-        println!(
-            "bench-smoke: {}/threads={} work counts match the committed row exactly \
-             ({} rts, {} wire bytes, {} sieve hits, {} cache hits, {} AM queries per \
-             {} accesses)",
-            measured.bench,
-            measured.threads,
-            measured.work.wire_rts,
-            measured.work.bytes_on_wire,
-            measured.work.sieve_hits,
-            measured.work.cache_hits,
-            measured.work.am_queries,
-            measured.work.accesses
-        );
-    }
-    ok
-}
-
-/// Extracts `reqs_per_sec` for the `phase6_warm` row at `threads` from a
-/// report document.
-fn phase6_warm_throughput(report: &str, threads: usize) -> Option<f64> {
-    let row_key = format!("\"bench\":\"phase6_warm\",\"threads\":{threads},");
-    row_field(report, &row_key, "reqs_per_sec")
-}
-
-/// Extracts `reqs_per_sec` for the `population_scale` row at
-/// `(population, hosts)` from a report document.
-fn population_throughput(report: &str, population: usize, hosts: usize) -> Option<f64> {
-    let row_key =
-        format!("\"bench\":\"population_scale\",\"population\":{population},\"hosts\":{hosts},");
-    row_field(report, &row_key, "reqs_per_sec")
-}
-
-/// Parses every `phase6_warm` throughput at `threads` recorded in the
-/// history file (one JSON row per line; other thread counts' lines are
-/// skipped).
-fn history_throughputs(doc: &str, threads: usize) -> Vec<f64> {
-    doc.lines()
-        .filter_map(|line| phase6_warm_throughput(line, threads))
-        .collect()
-}
-
-/// The variance-derived floor: `mean − 3σ` over the recorded history,
-/// available once [`MIN_HISTORY_POINTS`] measurements exist.
-fn variance_floor(history: &[f64]) -> Option<f64> {
-    if history.len() < MIN_HISTORY_POINTS {
-        return None;
-    }
-    let n = history.len() as f64;
-    let mean = history.iter().sum::<f64>() / n;
-    let var = history.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-    Some(mean - 3.0 * var.sqrt())
-}
-
-/// Measures one configuration `attempts` times and folds the attempts
-/// with `SaturationRow::merge_best`: max throughput, min latency per
-/// percentile. Noise on a shared machine is one-sided — preemption and
-/// quota throttling only ever slow a run down — so the per-field best
-/// is the stable estimator.
-fn measure_best(
-    mode: SaturationMode,
-    transport: TransportKind,
-    threads: usize,
-    iters: usize,
-    attempts: usize,
-) -> SaturationRow {
-    let mut best: Option<SaturationRow> = None;
-    for _ in 0..attempts {
-        let row = run_saturation(&SaturationConfig {
-            threads,
-            iters_per_thread: iters,
-            mode,
-            transport,
-        });
-        match &mut best {
-            Some(b) => b.merge_best(&row),
-            None => best = Some(row),
-        }
-    }
-    best.expect("at least one attempt")
-}
-
-/// Measures one `phase6_warm` point at `threads` (best of
-/// [`FULL_ATTEMPTS`], 20k iterations per thread).
-fn measure_phase6_warm(threads: usize) -> SaturationRow {
-    measure_best(
-        SaturationMode::Phase6Warm,
-        TransportKind::Sim,
-        threads,
-        20_000,
-        FULL_ATTEMPTS,
-    )
-}
-
-/// Measures one `population_scale` point. Single run: the cost is
-/// dominated by the streamed setup, which is deterministic, so repeats
-/// would mostly re-pay registration for the same answer.
-fn measure_population(population: usize, hosts: usize, accesses: usize) -> PopulationScaleRow {
-    let row = run_population_scale(&PopulationScaleConfig {
-        population,
-        hosts,
-        accesses,
-        ..PopulationScaleConfig::default()
-    });
-    println!(
-        "population_scale pop={:<8} hosts={:<4} {:>8.0} req/s  p50 {:>7.2} µs  \
-         p99 {:>8.2} µs  setup {:>7.0} ents/s  {} pushes",
-        row.population,
-        row.hosts,
-        row.reqs_per_sec,
-        row.p50_us,
-        row.p99_us,
-        row.setup_eps,
-        row.push_deliveries
-    );
-    row
-}
-
-/// Measures the 8-thread `full_flow` tail: best-of-[`FULL_ATTEMPTS`]
-/// per field (see [`FULL_FLOW_8T_P95_CEILING_US`] for why the p95 is
-/// the gated one).
-fn measure_full_flow_8t() -> SaturationRow {
-    measure_best(
-        SaturationMode::FullFlow,
-        TransportKind::Sim,
-        8,
-        4_000,
-        FULL_ATTEMPTS,
-    )
-}
 
 /// Iterations per thread for the cross-process sweep. Loopback TCP costs
 /// tens of microseconds per round trip where `SimNet` costs none, so the
@@ -414,740 +80,1141 @@ const HTTP_FULL_FLOW_ITERS: usize = 500;
 /// real ceiling.
 const HTTP_ATTEMPTS: usize = 5;
 
-/// The PR 8 committed single-thread `phase6_warm_http` throughput — the
-/// thread-per-connection, alloc-per-message transport this PR replaces.
-/// Hard-coded (not read from the report) so the fast-path gate keeps
-/// meaning even after the committed rows are refreshed.
+/// Fraction of the committed single-thread `phase6_warm` throughput the
+/// live measurement must reach (gate 1's coarse fallback floor).
+const CHECK_FLOOR: f64 = 0.70;
+
+/// History points needed before gate 1's variance-derived floor
+/// (`mean − 3σ`) activates.
+const MIN_HISTORY_POINTS: usize = 3;
+
+/// Gate 2a: each committed `phase6_warm` row must reach this fraction of
+/// the row with half its threads. At the ~1M req/s single-core ceiling
+/// adjacent thread counts land within a few percent of each other, so
+/// honest sweeps pass; the cliff it guards against was a 30–45% collapse.
+const MONOTONE_TOLERANCE: f64 = 0.95;
+
+/// Gate 2b: fraction of the measured 4-thread `phase6_warm` throughput
+/// the measured 8-thread one must reach. The old two-tier-less warm path
+/// collapsed to 0.70× here; the lock-free tier-1 measures ≥ 0.90 even
+/// in the worst observed scheduler windows, so 0.85 separates the two
+/// regimes with margin on both sides.
+const SCALING_FLOOR: f64 = 0.85;
+
+/// Gate 3a: ceiling on the *committed* 8-thread `full_flow` p99.
+/// Committed latencies are min-over-attempts, so this pins the best
+/// window the full sweep could find: under the old convoying AM every
+/// window measured ≥ 16,000µs and no committable report could pass; the
+/// sharded AM finds a sub-millisecond window even on a busy machine.
+const FULL_FLOW_8T_P99_CEILING_US: f64 = 2_000.0;
+
+/// Gate 3b: ceiling on the live 8-thread `full_flow` p95 (minimum over
+/// [`FULL_ATTEMPTS`] runs). The p95 — not the p99 — is the robust live
+/// gauge on an oversubscribed box: OS preemption charges a full
+/// scheduling quantum to the ~1% of sampled accesses that straddle a
+/// descheduling, whipsawing the p99 between clean and quantum-sized
+/// from window to window, while a genuine lock convoy stalls every
+/// thread behind the preempted holder and drags the p95 into the
+/// milliseconds too.
+const FULL_FLOW_8T_P95_CEILING_US: f64 = 2_000.0;
+
+/// Gate 4: fraction of the committed smoke-shape `population_scale`
+/// throughput the live point must reach. Looser than [`CHECK_FLOOR`]:
+/// the population run is measured once (it is setup-dominated, so
+/// best-of-N would mostly re-pay setup), which leaves it exposed to a
+/// single bad scheduler window.
+const POPULATION_FLOOR: f64 = 0.30;
+
+/// The `(population, hosts)` shape of the smoke-sized population point
+/// that gate 4 and `--append-history` measure — the second point of
+/// [`POPULATION_CURVE`], so the committed row it gates always exists.
+const POPULATION_SMOKE: (usize, usize) = (10_000, 256);
+
+/// The full-sweep load curves: population 10³ → 10⁶ at a fixed 256-Host
+/// fabric, then Host-count 64 → 512 at a fixed 10⁵-entity population.
+const POPULATION_CURVE: [(usize, usize); 6] = [
+    (1_000, 256),
+    (10_000, 256),
+    (100_000, 256),
+    (1_000_000, 256),
+    (100_000, 64),
+    (100_000, 512),
+];
+
+/// The single-thread `phase6_warm_http` throughput first committed for
+/// the thread-per-connection, alloc-per-message transport the fast path
+/// replaced. Hard-coded (not read from the report) so gate 5a keeps its
+/// meaning after the committed rows are refreshed.
 const PR8_HTTP_BASELINE_RPS: f64 = 95_076.3;
 
-/// The committed single-thread `phase6_warm_http` row must reach this
-/// multiple of [`PR8_HTTP_BASELINE_RPS`] — the tentpole's ≥2.5× speedup
-/// (≤4× tax versus the ~11× PR 8 started from).
+/// Gate 5a: the committed single-thread `phase6_warm_http` row must reach
+/// this multiple of [`PR8_HTTP_BASELINE_RPS`] (≤4× tax versus the ~11×
+/// the first transport paid).
 const HTTP_SPEEDUP_FLOOR: f64 = 2.5;
 
-/// The committed 4-thread `phase6_warm_http` p50 must stay within this
-/// multiple of the committed single-thread p50 — after scaling by the
-/// time-sharing factor the measuring box imposed (see
-/// [`check_http_committed`]). A server that answers each pipelined
-/// request with its own write wakes the client once per response, and
-/// its p50 grows superlinearly going 1→4 threads; coalescing every
-/// response one read produced into one write keeps multi-thread latency
-/// at the scheduler's unavoidable share.
+/// Gate 5b: the committed 4-thread `phase6_warm_http` p50 must stay
+/// within this multiple of the committed single-thread p50, after
+/// scaling by the oversubscription the measuring box imposed: on a box
+/// with fewer than 4 cores, 4 always-busy clients time-share it and
+/// per-access sojourn grows by `threads / cores` even with a perfect
+/// transport (Little's law), so the ceiling scales by the `cores` the
+/// committed row records and reduces to the bare ratio on ≥ 4 cores. A
+/// server that answers each pipelined request with its own write wakes
+/// the client once per response, and its p50 grows superlinearly.
 const HTTP_P50_RATIO_CEILING: f64 = 1.5;
 
-/// Cached permits primed for the storm rows — the ISSUE's "owner with
-/// ≥100 cached permits" shape, matched by `sim::storm`'s own tests so
-/// the committed rows and the test assertions describe the same run.
+/// Cached permits primed for the storm rows — the "owner with ≥100
+/// cached permits" shape, matched by `sim::storm`'s own tests so the
+/// committed rows and the test assertions describe the same run.
 const STORM_RESOURCES: usize = 120;
 
-/// Measures the protocol-v2 storm row family (`sim::storm`): the
-/// cold-miss storm with and without decision-level invalidation push,
-/// and the TTL-revalidation wave with and without `If-Epoch` conditional
-/// queries. Pure work-count rows — deterministic for the shape, no
-/// best-of-N folding needed.
-fn measure_storm_rows() -> Vec<String> {
-    let mut rows = Vec::new();
-    for invalidation in [false, true] {
-        let row = run_cold_miss_storm(&StormConfig {
-            transport: TransportKind::Sim,
-            invalidation,
-            resources: STORM_RESOURCES,
-        });
-        println!(
-            "{:<20} resources={:<4} {:>4} AM queries  {:>4} cache hits  {:>7} wire bytes",
-            row.bench, row.resources, row.am_queries, row.cache_hits, row.bytes_on_wire
-        );
-        rows.push(row.to_json());
-    }
-    for conditional in [false, true] {
-        let row = run_revalidation_probe(TransportKind::Sim, conditional);
-        println!(
-            "{:<20} resources={:<4} {:>4} AM queries  {:>4} unchanged   {:>7} wire bytes",
-            row.bench,
-            row.resources,
-            row.am_queries,
-            row.revalidations_unchanged,
-            row.bytes_on_wire
-        );
-        rows.push(row.to_json());
-    }
-    rows
+/// The storm row family, in report order: the cold-miss storm without
+/// and with decision-level invalidation push, then the TTL-revalidation
+/// wave without and with `If-Epoch` conditional queries.
+const STORM_PROBES: [Live; 4] = [
+    Live::Storm(false),
+    Live::Storm(true),
+    Live::Reval(false),
+    Live::Reval(true),
+];
+
+/// The counts gate 6c holds each committed storm row to, space-separated,
+/// in [`STORM_PROBES`] order.
+const STORM_COUNTS: [&str; 4] = [
+    "am_queries cache_hits bytes_on_wire",
+    "am_queries invalidated_evictions bytes_on_wire",
+    "am_queries revalidations bytes_on_wire",
+    "am_queries revalidations_unchanged bytes_on_wire",
+];
+
+/// A saturation row's work counts (`sim::saturation::WorkCounts`),
+/// space-separated: deterministic per `(bench, threads, iterations)`
+/// shape, on any machine and either transport.
+const WORK: &str = "accesses wire_rts bytes_on_wire sieve_hits cache_hits am_queries";
+
+/// A gate's result: a pass line or a fail line.
+type Verdict = Result<String, String>;
+
+/// One regression gate; see [`GATES`].
+struct Gate {
+    /// Its number, as CI logs and EXPERIMENTS.md cite it.
+    id: &'static str,
+    /// The flags whose lanes run it.
+    lanes: &'static [&'static str],
+    /// The committed rows it reads, as `row_key` selectors.
+    rows: &'static [&'static str],
+    /// The live runs it reads.
+    live: &'static [Live],
+    /// Its bound, in words.
+    bound: &'static str,
+    /// The comparison, given the committed rows and the live rows in the
+    /// order the entry names them, and the history document.
+    check: fn(&[&str], &[&str], &str) -> Verdict,
 }
 
-/// Refreshes only the storm row family in `BENCH_PR2.json`, preserving
-/// every other committed row. Returns the process exit code.
-fn storm_sweep() -> i32 {
-    let existing = std::fs::read_to_string("BENCH_PR2.json").unwrap_or_default();
-    let mut row_jsons: Vec<String> = report_rows(&existing)
-        .into_iter()
-        .filter(|row| !is_storm_row(row))
-        .collect();
-    if row_jsons.is_empty() {
-        eprintln!(
-            "--storm: BENCH_PR2.json has no committed rows to preserve — \
-             run the full sweep first"
-        );
-        return 1;
-    }
-    row_jsons.extend(measure_storm_rows());
-    write_report(&row_jsons);
-    0
-}
-
-/// Gate 6: the protocol-v2 invalidation and conditional-query economics
-/// (DESIGN.md §16). Both probes are pure work-count measurements, so
-/// they run live on every check — no machine-dependent floors — and the
-/// committed storm rows must match the live counts exactly:
+/// The regression gates, in the order a lane runs them.
 ///
-/// * after one single-grant policy edit against [`STORM_RESOURCES`]
-///   cached permits, the invalidation-push wave must send ≤10% of the
-///   epoch-only wave's AM decision queries (the ISSUE's ≥90% cut), and
-/// * the conditional (`If-Epoch`) revalidation wave must put strictly
-///   fewer bytes on the wire than the unconditional one.
-fn check_storm(report: &str) -> bool {
-    let storm = |invalidation| {
-        run_cold_miss_storm(&StormConfig {
-            transport: TransportKind::Sim,
+/// Each entry names the lanes that run it, the committed `BENCH_PR2.json`
+/// rows it reads, the live runs it measures, its bound, and one check
+/// that returns a pass line or a fail line. `run_gates` runs every gate
+/// of the selected lane, prints one verdict per gate, and exits 1 if any
+/// failed, so a machine-dependent throughput floor cannot hide an exact
+/// work-count drift in a later gate. A lane measures each live run once;
+/// gates that name the same run (1 and 1b, 3b and 3c, 6a–6c) read the
+/// same row, through the run's `to_json` form, at the report's precision.
+///
+/// * `--check` runs every gate but 5c (CI `bench-smoke` and
+///   `population-smoke`). Gates 1, 2b, 3b and 4 depend on the machine;
+///   1b, 3c and 6a–6c are exact work counts; 2a, 3a, 5a and 5b read
+///   committed rows only.
+/// * `--check-http` runs 5a, 5b and the live cross-backend identity 5c
+///   (CI `transport-http`).
+/// * `--check-storm` runs 6a–6c, pure work counts (CI `bench-smoke`,
+///   before `--check`, so a slow runner never masks a v2 drift).
+///
+/// Exact gates compare per access by u128 cross-multiplication
+/// (`live.count × committed.accesses == committed.count ×
+/// live.accesses`): runs of different lengths must agree with no
+/// tolerance and no floating point, so a drift is a protocol change —
+/// an extra round trip, a cache that stopped hitting — never noise.
+const GATES: [Gate; 14] = [
+    // The single-thread warm ceiling.
+    Gate {
+        id: "1",
+        lanes: &["--check"],
+        rows: &["phase6_warm threads=1"],
+        live: &[Live::Warm(1)],
+        bound: "live ≥ 70% of committed, or mean − 3σ of ≥ 3 history points if higher",
+        check: |rows, live, history| {
+            let floor = field::<f64>(rows[0], "reqs_per_sec")? * CHECK_FLOOR;
+            // The history only ever tightens the floor, never loosens it.
+            let floor = variance_floor(&history_points(history, 1)).map_or(floor, |f| f.max(floor));
+            compare(live[0], "reqs_per_sec", f64::ge, floor)
+        },
+    },
+    // The warm path's work per access.
+    Gate {
+        id: "1b",
+        lanes: &["--check"],
+        rows: &["phase6_warm threads=1"],
+        live: &[Live::Warm(1)],
+        bound: "exact per-access work counts",
+        check: |rows, live, _| same_counts(rows[0], live[0], WORK, Some("accesses")),
+    },
+    // The committed warm trajectory: the 8-thread cliff never again.
+    Gate {
+        id: "2a",
+        lanes: &["--check"],
+        rows: &[
+            "phase6_warm threads=1",
+            "phase6_warm threads=2",
+            "phase6_warm threads=4",
+            "phase6_warm threads=8",
+        ],
+        live: &[],
+        bound: "each committed row ≥ 95% of the one before",
+        check: |rows, _, _| {
+            all(rows.windows(2).map(|pair| {
+                let floor = field::<f64>(pair[0], "reqs_per_sec")? * MONOTONE_TOLERANCE;
+                compare(pair[1], "reqs_per_sec", f64::ge, floor)
+            }))
+        },
+    },
+    // Live warm scaling.
+    Gate {
+        id: "2b",
+        lanes: &["--check"],
+        rows: &[],
+        live: &[Live::Warm(4), Live::Warm(8)],
+        bound: "live 8T ≥ 85% of live 4T",
+        check: |_, live, _| {
+            let floor = field::<f64>(live[0], "reqs_per_sec")? * SCALING_FLOOR;
+            compare(live[1], "reqs_per_sec", f64::ge, floor)
+        },
+    },
+    // The committed full-protocol tail.
+    Gate {
+        id: "3a",
+        lanes: &["--check"],
+        rows: &["full_flow threads=8"],
+        live: &[],
+        bound: "committed 8T p99 < 2,000 µs",
+        check: |rows, _, _| compare(rows[0], "p99_us", f64::lt, FULL_FLOW_8T_P99_CEILING_US),
+    },
+    // Live full-protocol contention.
+    Gate {
+        id: "3b",
+        lanes: &["--check"],
+        rows: &[],
+        live: &[Live::Tail],
+        bound: "live best-of-5 8T p95 < 2,000 µs",
+        check: |_, live, _| compare(live[0], "p95_us", f64::lt, FULL_FLOW_8T_P95_CEILING_US),
+    },
+    // The full protocol's work per access.
+    Gate {
+        id: "3c",
+        lanes: &["--check"],
+        rows: &["full_flow threads=8"],
+        live: &[Live::Tail],
+        bound: "exact per-access work counts",
+        check: |rows, live, _| same_counts(rows[0], live[0], WORK, Some("accesses")),
+    },
+    // The population engine.
+    Gate {
+        id: "4",
+        lanes: &["--check"],
+        rows: &["population_scale population=10000 hosts=256"],
+        live: &[Live::Population],
+        bound: "live ≥ 30% of committed",
+        check: |rows, live, _| {
+            let floor = field::<f64>(rows[0], "reqs_per_sec")? * POPULATION_FLOOR;
+            compare(live[0], "reqs_per_sec", f64::ge, floor)
+        },
+    },
+    // The HTTP fast path's speedup.
+    Gate {
+        id: "5a",
+        lanes: &["--check", "--check-http"],
+        rows: &["phase6_warm_http threads=1"],
+        live: &[],
+        bound: "committed 1T ≥ 2.5 × 95,076.3 req/s",
+        check: |rows, _, _| {
+            let floor = PR8_HTTP_BASELINE_RPS * HTTP_SPEEDUP_FLOOR;
+            compare(rows[0], "reqs_per_sec", f64::ge, floor)
+        },
+    },
+    // The HTTP multi-thread latency inversion.
+    Gate {
+        id: "5b",
+        lanes: &["--check", "--check-http"],
+        rows: &["phase6_warm_http threads=1", "phase6_warm_http threads=4"],
+        live: &[],
+        bound: "committed 4T p50 ≤ 1.5 × oversubscription × 1T p50",
+        check: |rows, _, _| {
+            let cores = field(rows[1], "cores").map_or(4.0, |cores: f64| cores.max(1.0));
+            let oversubscription = (4.0 / cores.min(4.0)).max(1.0);
+            let ceiling =
+                field::<f64>(rows[0], "p50_us")? * (HTTP_P50_RATIO_CEILING * oversubscription);
+            compare(rows[1], "p50_us", f64::le, ceiling)
+        },
+    },
+    // The two backends do the same work, and HTTP the committed work.
+    Gate {
+        id: "5c",
+        lanes: &["--check-http"],
+        rows: &["phase6_warm_http threads=2", "full_flow_http threads=2"],
+        live: &[
+            Live::Smoke(SaturationMode::Phase6Warm, TransportKind::Sim),
+            Live::Smoke(SaturationMode::Phase6Warm, TransportKind::Http),
+            Live::Smoke(SaturationMode::FullFlow, TransportKind::Sim),
+            Live::Smoke(SaturationMode::FullFlow, TransportKind::Http),
+        ],
+        bound: "live SimNet counts = live HTTP counts = committed per access",
+        check: |rows, live, _| {
+            let pairs = rows.iter().zip(live.chunks(2));
+            all(pairs.flat_map(|(committed, runs)| {
+                let identity = same_counts(runs[0], runs[1], WORK, None);
+                let per_access = same_counts(committed, runs[1], WORK, Some("accesses"));
+                [identity, per_access]
+            }))
+        },
+    },
+    // The invalidation push's cut of the cold-miss storm.
+    Gate {
+        id: "6a",
+        lanes: &["--check", "--check-storm"],
+        rows: &[],
+        live: &[Live::Storm(false), Live::Storm(true)],
+        bound: "invalidation-push AM queries ≤ 10% of epoch-only",
+        check: |_, live, _| {
+            let ceiling = field::<f64>(live[0], "am_queries")? / 10.0;
+            compare(live[1], "am_queries", f64::le, ceiling)
+        },
+    },
+    // The If-Epoch conditional query's wire saving.
+    Gate {
+        id: "6b",
+        lanes: &["--check", "--check-storm"],
+        rows: &[],
+        live: &[Live::Reval(false), Live::Reval(true)],
+        bound: "conditional wire bytes < unconditional",
+        check: |_, live, _| {
+            let ceiling = field::<f64>(live[0], "bytes_on_wire")?;
+            compare(live[1], "bytes_on_wire", f64::lt, ceiling)
+        },
+    },
+    // The committed storm rows (refresh them with --storm if intended).
+    Gate {
+        id: "6c",
+        lanes: &["--check", "--check-storm"],
+        rows: &[
+            "storm_epoch_only",
+            "storm_invalidation",
+            "reval_unconditional",
+            "reval_conditional",
+        ],
+        live: &STORM_PROBES,
+        bound: "exact storm counts",
+        check: |rows, live, _| {
+            let runs = rows.iter().zip(live).zip(STORM_COUNTS);
+            all(runs.map(|((committed, live), names)| same_counts(committed, live, names, None)))
+        },
+    },
+];
+
+/// A live run a gate reads, measured once per lane and returned as its
+/// `to_json` row.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Live {
+    /// In-process `phase6_warm` at this many threads, best of
+    /// [`FULL_ATTEMPTS`].
+    Warm(usize),
+    /// Loopback-HTTP `phase6_warm` at this many threads, best of
+    /// [`HTTP_ATTEMPTS`] (recorded by `--append-history`).
+    WarmHttp(usize),
+    /// In-process 8-thread `full_flow`, best of [`FULL_ATTEMPTS`].
+    Tail,
+    /// The [`POPULATION_SMOKE`] point, 20,000 accesses, one run.
+    Population,
+    /// The cold-miss storm over [`STORM_RESOURCES`] permits, with
+    /// invalidation push or without.
+    Storm(bool),
+    /// The TTL-revalidation wave, conditional or not.
+    Reval(bool),
+    /// One 2-thread run of a mode over a transport (300 warm or 40
+    /// full-flow iterations per thread).
+    Smoke(SaturationMode, TransportKind),
+}
+
+/// Measures one live run.
+fn measure(live: Live) -> String {
+    let best = |shape, attempts| best_of(&[shape], attempts).remove(0).to_json();
+    let (warm, flow) = (SaturationMode::Phase6Warm, SaturationMode::FullFlow);
+    let (sim, http) = (TransportKind::Sim, TransportKind::Http);
+    match live {
+        Live::Warm(threads) => best((warm, sim, threads, WARM_ITERS), FULL_ATTEMPTS),
+        Live::WarmHttp(threads) => best((warm, http, threads, HTTP_PHASE6_ITERS), HTTP_ATTEMPTS),
+        Live::Tail => best((flow, sim, 8, FLOW_ITERS), FULL_ATTEMPTS),
+        Live::Population => measure_population(POPULATION_SMOKE.0, POPULATION_SMOKE.1, 20_000),
+        Live::Storm(invalidation) => run_cold_miss_storm(&StormConfig {
+            transport: sim,
             invalidation,
             resources: STORM_RESOURCES,
         })
+        .to_json(),
+        Live::Reval(conditional) => run_revalidation_probe(sim, conditional).to_json(),
+        Live::Smoke(mode, transport) => {
+            best((mode, transport, 2, if mode == warm { 300 } else { 40 }), 1)
+        }
+    }
+}
+
+/// A saturation run: its mode, transport, threads and iterations per
+/// thread.
+type Shape = (SaturationMode, TransportKind, usize, usize);
+
+/// Runs each shape `attempts` times and folds each one's attempts with
+/// `SaturationRow::merge_best`. Attempts run round-robin across the
+/// shapes, not back to back: machine slowdowns come in windows, and
+/// interleaving keeps one bad window from sinking a single row while its
+/// neighbours measure fast.
+fn best_of(shapes: &[Shape], attempts: usize) -> Vec<SaturationRow> {
+    let run = |&(mode, transport, threads, iters_per_thread): &Shape| {
+        run_saturation(&SaturationConfig {
+            threads,
+            iters_per_thread,
+            mode,
+            transport,
+        })
     };
-    let epoch_only = storm(false);
-    let invalidation = storm(true);
-    println!(
-        "bench-smoke: storm wave over {STORM_RESOURCES} permits  epoch-only {} AM queries  \
-         invalidation-push {} AM queries ({} exact evictions)",
-        epoch_only.am_queries, invalidation.am_queries, invalidation.invalidated_evictions
-    );
-    if invalidation.am_queries * 10 > epoch_only.am_queries {
-        eprintln!(
-            "--check: REGRESSION: invalidation push no longer cuts the cold-miss storm \
-             ≥90%: {} vs {} AM queries over {STORM_RESOURCES} permits",
-            invalidation.am_queries, epoch_only.am_queries
-        );
-        return false;
+    let mut best: Vec<SaturationRow> = shapes.iter().map(run).collect();
+    for _ in 1..attempts {
+        for (row, shape) in best.iter_mut().zip(shapes) {
+            row.merge_best(&run(shape));
+        }
     }
-    let unconditional = run_revalidation_probe(TransportKind::Sim, false);
-    let conditional = run_revalidation_probe(TransportKind::Sim, true);
-    println!(
-        "bench-smoke: revalidation wave over {} permits  unconditional {} wire bytes  \
-         conditional {} wire bytes ({} unchanged replies)",
-        conditional.resources,
-        unconditional.bytes_on_wire,
-        conditional.bytes_on_wire,
-        conditional.revalidations_unchanged
-    );
-    if conditional.bytes_on_wire >= unconditional.bytes_on_wire {
-        eprintln!(
-            "--check: REGRESSION: conditional revalidation stopped saving wire bytes: \
-             {} vs {} — the If-Epoch exchange must be strictly smaller",
-            conditional.bytes_on_wire, unconditional.bytes_on_wire
-        );
-        return false;
+    best
+}
+
+/// Measures one `population_scale` point. Single run: the cost is
+/// dominated by the streamed setup, which is deterministic, so repeats
+/// would mostly re-pay registration for the same answer.
+fn measure_population(population: usize, hosts: usize, accesses: usize) -> String {
+    run_population_scale(&PopulationScaleConfig {
+        population,
+        hosts,
+        accesses,
+        ..PopulationScaleConfig::default()
+    })
+    .to_json()
+}
+
+/// Measures one transport's saturation rows: both modes at every thread
+/// count, folded per field over the transport's attempts.
+///
+/// The 8-thread `full_flow` row, whose committed p99 gate 3a holds under
+/// [`FULL_FLOW_8T_P99_CEILING_US`], gets up to ten extra attempts (~1.5 s
+/// each) when the interleaved ones all landed in one loud stretch. If
+/// the ceiling still does not clear, the row keeps what was measured:
+/// the maintainer reruns on a quieter machine rather than shipping a
+/// flattering number.
+fn measure_saturation(transport: TransportKind, quick: bool) -> Vec<String> {
+    let (attempts, warm_iters, flow_iters) = match (transport, quick) {
+        (_, true) => (1, 50, 50),
+        (TransportKind::Sim, false) => (FULL_ATTEMPTS, WARM_ITERS, FLOW_ITERS),
+        (TransportKind::Http, false) => (HTTP_ATTEMPTS, HTTP_PHASE6_ITERS, HTTP_FULL_FLOW_ITERS),
+    };
+    let (warm, flow) = (SaturationMode::Phase6Warm, SaturationMode::FullFlow);
+    let shapes: Vec<Shape> = [(warm, warm_iters), (flow, flow_iters)]
+        .into_iter()
+        .flat_map(|(mode, iters)| THREAD_COUNTS.map(|threads| (mode, transport, threads, iters)))
+        .collect();
+    let mut rows = best_of(&shapes, attempts);
+    // The last shape is the 8-thread `full_flow` one.
+    let i = shapes.len() - 1;
+    if transport == TransportKind::Sim && !quick {
+        for extra in 1..=10 {
+            if rows[i].p99_us < FULL_FLOW_8T_P99_CEILING_US {
+                break;
+            }
+            println!(
+                "full_flow @8T p99 {:.0} µs over the {FULL_FLOW_8T_P99_CEILING_US:.0} µs gate \
+                 ceiling — extra attempt {extra}",
+                rows[i].p99_us
+            );
+            rows[i].merge_best(&best_of(&shapes[i..], 1)[0]);
+        }
     }
-    // The committed storm rows must describe exactly the run just
-    // measured — these counts are deterministic, so any drift means the
-    // v2 protocol changed without regenerating the report (--storm).
-    let committed_checks: [(&str, [(&str, u64); 3]); 4] = [
-        (
-            &epoch_only.bench,
-            [
-                ("am_queries", epoch_only.am_queries),
-                ("cache_hits", epoch_only.cache_hits),
-                ("bytes_on_wire", epoch_only.bytes_on_wire),
-            ],
-        ),
-        (
-            &invalidation.bench,
-            [
-                ("am_queries", invalidation.am_queries),
-                ("invalidated_evictions", invalidation.invalidated_evictions),
-                ("bytes_on_wire", invalidation.bytes_on_wire),
-            ],
-        ),
-        (
-            &unconditional.bench,
-            [
-                ("am_queries", unconditional.am_queries),
-                ("revalidations", unconditional.revalidations),
-                ("bytes_on_wire", unconditional.bytes_on_wire),
-            ],
-        ),
-        (
-            &conditional.bench,
-            [
-                ("am_queries", conditional.am_queries),
-                (
-                    "revalidations_unchanged",
-                    conditional.revalidations_unchanged,
-                ),
-                ("bytes_on_wire", conditional.bytes_on_wire),
-            ],
-        ),
-    ];
-    let mut ok = true;
-    for (bench, counters) in committed_checks {
-        let row_key = format!("\"bench\":\"{bench}\",");
-        for (name, fresh) in counters {
-            match row_field_u64(report, &row_key, name) {
-                None => {
-                    eprintln!(
-                        "--check: no {name} count for {bench} in BENCH_PR2.json — \
-                         refresh the storm rows with --storm"
-                    );
-                    ok = false;
-                }
-                Some(committed) if committed != fresh => {
-                    eprintln!(
-                        "--check: WORK DRIFT: {bench} measured {fresh} {name}; the committed \
-                         row says {committed} — the v2 protocol is doing different work \
-                         than the committed baseline (refresh with --storm if intended)"
-                    );
-                    ok = false;
-                }
-                Some(_) => {}
+    rows.iter().map(SaturationRow::to_json).collect()
+}
+
+/// A family of committed rows, told apart by bench name.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Family {
+    /// In-process `phase6_warm` / `full_flow`.
+    Saturation,
+    /// `population_scale`.
+    Population,
+    /// `storm_*` / `reval_*` (`sim::storm`, DESIGN.md §16).
+    Storm,
+    /// Loopback-HTTP `phase6_warm_http` / `full_flow_http`.
+    Http,
+}
+
+impl Family {
+    /// The family a row belongs to.
+    fn of(row: &str) -> Family {
+        match bench(row) {
+            name if name.ends_with("_http") => Family::Http,
+            "population_scale" => Family::Population,
+            name if name.starts_with("storm_") || name.starts_with("reval_") => Family::Storm,
+            _ => Family::Saturation,
+        }
+    }
+
+    /// Measures the family's rows; smoke-sized when `quick`.
+    fn measure(self, quick: bool) -> Vec<String> {
+        match self {
+            Family::Saturation => measure_saturation(TransportKind::Sim, quick),
+            Family::Http => measure_saturation(TransportKind::Http, quick),
+            Family::Population if quick => vec![measure_population(500, 8, 500)],
+            Family::Population => POPULATION_CURVE
+                .iter()
+                .map(|&(population, hosts)| measure_population(population, hosts, 20_000))
+                .collect(),
+            Family::Storm => STORM_PROBES.map(measure).to_vec(),
+        }
+    }
+}
+
+/// What one run of the tool does.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mode {
+    /// Measure these families and rewrite their rows in the report.
+    Sweep(&'static [Family]),
+    /// Measure the full sweep's in-process and population families at
+    /// smoke size; write nothing.
+    Quick,
+    /// Run every gate of the flag's lane.
+    Gates,
+    /// Append live warm and population rows to the history.
+    AppendHistory,
+}
+
+/// The full sweep, run with no argument. It keeps the `*_http` rows.
+const FULL_SWEEP: Mode = Mode::Sweep(&[Family::Saturation, Family::Population, Family::Storm]);
+
+/// Every flag and its mode.
+const MODES: [(&str, Mode); 7] = [
+    ("--quick", Mode::Quick),
+    ("--check", Mode::Gates),
+    ("--check-http", Mode::Gates),
+    ("--check-storm", Mode::Gates),
+    ("--append-history", Mode::AppendHistory),
+    ("--transport=http", Mode::Sweep(&[Family::Http])),
+    ("--storm", Mode::Sweep(&[Family::Storm])),
+];
+
+/// Parses the arguments after the program name: none is the full sweep,
+/// one flag of [`MODES`] is its mode, and anything else is `None`.
+fn parse_mode(args: &[String]) -> Option<(&'static str, Mode)> {
+    match args {
+        [] => Some(("", FULL_SWEEP)),
+        [flag] => MODES.into_iter().find(|(name, _)| flag == name),
+        _ => None,
+    }
+}
+
+/// The rows of a report or history document: one JSON object per line,
+/// as this tool writes them, without the array's separating comma.
+fn rows(doc: &str) -> impl Iterator<Item = &str> {
+    doc.lines()
+        .map(|line| line.trim().trim_end_matches(','))
+        .filter(|line| line.starts_with('{'))
+}
+
+/// The prefix of the row a selector names: `"phase6_warm threads=1"`
+/// names the row that starts `{"bench":"phase6_warm","threads":1,`.
+fn row_key(selector: &str) -> String {
+    let mut words = selector.split(' ');
+    let mut key = format!("{{\"bench\":\"{}\",", words.next().unwrap_or_default());
+    for (name, value) in words.filter_map(|word| word.split_once('=')) {
+        key.push_str(&format!("\"{name}\":{value},"));
+    }
+    key
+}
+
+/// The rows of `doc` that `selector` names.
+fn rows_named<'a>(doc: &'a str, selector: &str) -> impl Iterator<Item = &'a str> {
+    let key = row_key(selector);
+    rows(doc).filter(move |row| row.starts_with(&key))
+}
+
+/// A row's `bench` name.
+fn bench(row: &str) -> &str {
+    row.strip_prefix("{\"bench\":\"")
+        .and_then(|rest| rest.split('"').next())
+        .unwrap_or_default()
+}
+
+/// A row as a selector names it, such as `phase6_warm threads=1`.
+fn label(row: &str) -> String {
+    let shape = ["threads", "population", "hosts"]
+        .map(|name| field::<u64>(row, name).map(|value| format!(" {name}={value}")));
+    bench(row).to_owned() + &shape.into_iter().flatten().collect::<String>()
+}
+
+/// Reads field `name` of one row as a `T`. It reads inside `row` only, so
+/// a row that lacks the field is an error, never a neighbour's value.
+/// Hand-rolled on purpose: the root package takes no JSON dependency, and
+/// every row is a flat object of numbers and one `bench` string.
+fn field<T: std::str::FromStr>(row: &str, name: &str) -> Result<T, String> {
+    row.split_once(&format!("\"{name}\":"))
+        .and_then(|(_, rest)| rest.split([',', '}']).next()?.trim().parse().ok())
+        .ok_or_else(|| format!("no {name} in {row}"))
+}
+
+/// `Ok(line)` if `pass`, else `Err(line)`.
+fn verdict(pass: bool, line: String) -> Verdict {
+    if pass {
+        Ok(line)
+    } else {
+        Err(line)
+    }
+}
+
+/// One verdict for several: its lines joined, passing only if all pass.
+fn all(verdicts: impl IntoIterator<Item = Verdict>) -> Verdict {
+    let (mut pass, mut lines) = (true, Vec::new());
+    for verdict in verdicts {
+        pass &= verdict.is_ok();
+        lines.push(verdict.unwrap_or_else(|line| line));
+    }
+    verdict(pass, lines.join("; "))
+}
+
+/// Compares `row`'s `name` with `bound`: the gate passes if
+/// `holds(value, bound)`.
+fn compare(row: &str, name: &str, holds: fn(&f64, &f64) -> bool, bound: f64) -> Verdict {
+    let value: f64 = field(row, name)?;
+    let line = format!("{} {name} {value} (bound {bound:.2})", label(row));
+    verdict(holds(&value, &bound), line)
+}
+
+/// Holds the space-separated counts `names` of a live row to a reference
+/// row, exactly. With `per` set, each count is compared per `per` (per
+/// access) by u128 cross-multiplication, so the two runs may differ in
+/// length but not in work per access; without it, counts must be equal.
+fn same_counts(reference: &str, live: &str, names: &str, per: Option<&str>) -> Verdict {
+    let per_count = |row| per.map_or(Ok(1), |per| field::<u64>(row, per));
+    let (reference_per, live_per) = (per_count(reference)?, per_count(live)?);
+    let per_text = |n| per.map_or(String::new(), |per| format!(" per {n} {per}"));
+    let (mut counts, mut drift) = (Vec::new(), Vec::new());
+    for name in names.split(' ') {
+        let (want, got): (u64, u64) = (field(reference, name)?, field(live, name)?);
+        counts.push(format!("{got} {name}"));
+        if u128::from(got) * u128::from(reference_per) != u128::from(want) * u128::from(live_per) {
+            let per = per_text(reference_per);
+            drift.push(format!("{name} (reference {want}{per})"));
+        }
+    }
+    let (label, counts, per) = (label(live), counts.join(", "), per_text(live_per));
+    let line = format!("{label}: {counts}{per}");
+    match drift.is_empty() {
+        true => Ok(line),
+        false => Err(format!("{line}: WORK DRIFT in {}", drift.join(", "))),
+    }
+}
+
+/// The `phase6_warm` req/s at `threads` recorded in the history.
+fn history_points(history: &str, threads: usize) -> Vec<f64> {
+    rows_named(history, &format!("phase6_warm threads={threads}"))
+        .filter_map(|row| field(row, "reqs_per_sec").ok())
+        .collect()
+}
+
+/// The variance-derived floor: `mean − 3σ` over the recorded history,
+/// available once [`MIN_HISTORY_POINTS`] measurements exist.
+fn variance_floor(history: &[f64]) -> Option<f64> {
+    if history.len() < MIN_HISTORY_POINTS {
+        return None;
+    }
+    let n = history.len() as f64;
+    let mean = history.iter().sum::<f64>() / n;
+    let var = history.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+    Some(mean - 3.0 * var.sqrt())
+}
+
+/// One gate's verdict: its committed rows from `report`, its live rows
+/// from `measured` (measuring, and adding, any the lane has not run yet),
+/// then its check.
+fn judge(gate: &Gate, report: &str, history: &str, measured: &mut Vec<(Live, String)>) -> Verdict {
+    let mut rows = Vec::new();
+    for selector in gate.rows {
+        let row = rows_named(report, selector).next();
+        rows.push(row.ok_or_else(|| format!("no committed {selector} row in {REPORT}"))?);
+    }
+    for &live in gate.live {
+        if !measured.iter().any(|(done, _)| *done == live) {
+            measured.push((live, measure(live)));
+        }
+    }
+    let live: Vec<&str> = gate
+        .live
+        .iter()
+        .filter_map(|live| measured.iter().find(|(done, _)| done == live))
+        .map(|(_, row)| row.as_str())
+        .collect();
+    (gate.check)(&rows, &live, history)
+}
+
+/// Runs every gate of `lane` in table order and prints one verdict per
+/// gate. Returns the exit code: 1 if any gate failed.
+fn run_gates(lane: &str) -> i32 {
+    let Ok(report) = std::fs::read_to_string(REPORT) else {
+        eprintln!("{lane}: cannot read {REPORT}");
+        return 1;
+    };
+    let history = std::fs::read_to_string(HISTORY_FILE).unwrap_or_default();
+    let gates: Vec<&Gate> = GATES
+        .iter()
+        .filter(|gate| gate.lanes.contains(&lane))
+        .collect();
+    let mut measured = Vec::new();
+    let mut failed = 0;
+    for gate in &gates {
+        let (id, bound) = (gate.id, gate.bound);
+        match judge(gate, &report, &history, &mut measured) {
+            Ok(line) => println!("{lane}: gate {id:<2} pass: {line}"),
+            Err(line) => {
+                failed += 1;
+                eprintln!("{lane}: gate {id:<2} FAIL: {line}; bound: {bound}");
             }
         }
     }
-    ok
-}
-
-/// Gates the committed cross-process rows in `BENCH_PR2.json`: the
-/// single-thread fast-path speedup and the multi-thread p50 sanity
-/// ratio. Committed-rows-only on purpose — live loopback latency on a
-/// shared CI box is too noisy to gate, but the committed rows are
-/// best-of-attempts measurements the submitter stands behind.
-fn check_http_committed(report: &str) -> bool {
-    let key = |threads: usize| format!("\"bench\":\"phase6_warm_http\",\"threads\":{threads},");
-    let Some(one_t_rps) = row_field(report, &key(1), "reqs_per_sec") else {
-        eprintln!("--check: no phase6_warm_http/threads=1 row in BENCH_PR2.json");
-        return false;
-    };
-    let floor = PR8_HTTP_BASELINE_RPS * HTTP_SPEEDUP_FLOOR;
-    println!(
-        "bench-smoke: committed phase6_warm_http threads=1  {one_t_rps:>9.0} req/s  \
-         (floor {floor:.0} req/s = {HTTP_SPEEDUP_FLOOR}x the PR 8 baseline)"
-    );
-    if one_t_rps < floor {
-        eprintln!(
-            "--check: REGRESSION: committed phase6_warm_http @1T ({one_t_rps:.0} req/s) is \
-             below {HTTP_SPEEDUP_FLOOR}x the PR 8 baseline of {PR8_HTTP_BASELINE_RPS:.0} req/s \
-             — the HTTP fast path lost its speedup"
-        );
-        return false;
-    }
-    let (Some(p50_1t), Some(p50_4t)) = (
-        row_field(report, &key(1), "p50_us"),
-        row_field(report, &key(4), "p50_us"),
-    ) else {
-        eprintln!("--check: missing phase6_warm_http p50 rows in BENCH_PR2.json");
-        return false;
-    };
-    // On a box with fewer than 4 cores, 4 always-busy clients time-share
-    // the machine and per-access sojourn grows by `threads / cores` even
-    // with a perfect transport (Little's law: N in flight at fixed
-    // aggregate throughput). The ceiling therefore scales by the
-    // oversubscription the *measuring* box imposed — recorded in the
-    // committed row — and reduces to the bare ratio on a ≥4-core runner.
-    let cores = row_field(report, &key(4), "cores").map_or(4.0, |c| c.max(1.0));
-    let oversubscription = (4.0 / cores.min(4.0)).max(1.0);
-    let ceiling = HTTP_P50_RATIO_CEILING * oversubscription;
-    println!(
-        "bench-smoke: committed phase6_warm_http p50  1T {p50_1t:.2} µs  4T {p50_4t:.2} µs  \
-         (ceiling {ceiling}x = {HTTP_P50_RATIO_CEILING}x sane-ratio x {oversubscription}x \
-         time-sharing on a {cores}-core measuring box)"
-    );
-    if p50_4t > p50_1t * ceiling {
-        eprintln!(
-            "--check: REGRESSION: committed phase6_warm_http p50 climbs from {p50_1t:.2} µs \
-             @1T to {p50_4t:.2} µs @4T (> {ceiling}x) — the multi-thread \
-             latency inversion is back"
-        );
-        return false;
-    }
-    true
-}
-
-/// The `--check-http` gate for the release-mode `transport-http` CI job:
-/// the committed cross-process gates plus a live, bit-exact work-count
-/// identity check — the same smoke-sized configuration run on both
-/// backends must produce *equal* [`ucam::sim::saturation::WorkCounts`]
-/// (bytes_on_wire included), and the HTTP run's per-access counts must
-/// match the committed `*_http` rows exactly. No live latency or
-/// throughput floors here: wall-clock on a shared runner is noise, the
-/// counts are not.
-fn check_http() -> i32 {
-    let report = match std::fs::read_to_string("BENCH_PR2.json") {
-        Ok(doc) => doc,
-        Err(err) => {
-            eprintln!("--check-http: cannot read BENCH_PR2.json: {err}");
-            return 1;
-        }
-    };
-    if !check_http_committed(&report) {
+    if failed > 0 {
+        eprintln!("{lane}: {failed} of {} gates failed", gates.len());
         return 1;
     }
-    for (mode, iters) in [
-        (SaturationMode::Phase6Warm, 300),
-        (SaturationMode::FullFlow, 40),
-    ] {
-        let config = |transport| SaturationConfig {
-            threads: 2,
-            iters_per_thread: iters,
-            mode,
-            transport,
-        };
-        let sim = run_saturation(&config(TransportKind::Sim));
-        let http = run_saturation(&config(TransportKind::Http));
-        if sim.work != http.work {
-            eprintln!(
-                "--check-http: WORK DRIFT between backends for {}/threads=2: \
-                 sim {:?} vs http {:?}",
-                sim.bench, sim.work, http.work
-            );
-            return 1;
-        }
-        println!(
-            "transport-http: {} work counts identical across backends \
-             ({} rts, {} wire bytes per {} accesses)",
-            http.bench, http.work.wire_rts, http.work.bytes_on_wire, http.work.accesses
-        );
-        if !check_work_counts(&report, &http) {
-            return 1;
-        }
-    }
-    println!("transport-http: ok");
+    println!("{lane}: all {} gates pass", gates.len());
     0
 }
 
-/// Measures the cross-process (loopback HTTP) row family and rewrites
-/// `BENCH_PR2.json`, preserving the committed in-process and population
-/// rows untouched. Returns the process exit code.
-fn http_sweep() -> i32 {
-    let mut rows: Vec<SaturationRow> = Vec::new();
-    for mode in [SaturationMode::Phase6Warm, SaturationMode::FullFlow] {
-        for threads in THREAD_COUNTS {
-            let iters = match mode {
-                SaturationMode::Phase6Warm => HTTP_PHASE6_ITERS,
-                SaturationMode::FullFlow => HTTP_FULL_FLOW_ITERS,
-            };
-            let row = measure_best(mode, TransportKind::Http, threads, iters, HTTP_ATTEMPTS);
-            println!(
-                "{:<16} threads={:<2} {:>9.0} req/s  p50 {:>8.2} µs  p95 {:>8.2} µs  \
-                 p99 {:>9.2} µs  {:>8} rts",
-                row.bench,
-                row.threads,
-                row.reqs_per_sec,
-                row.p50_us,
-                row.p95_us,
-                row.p99_us,
-                row.work.wire_rts
-            );
-            rows.push(row);
+/// Renders the report document from its rows.
+fn render(rows: &[String]) -> String {
+    format!("[\n  {}\n]\n", rows.join(",\n  "))
+}
+
+/// The committed rows with each family in `families` replaced by its
+/// fresh rows, in place of its first committed row (at the end if the
+/// report had none); every other row is kept as committed.
+fn merge(committed: &[&str], mut fresh: Vec<String>, families: &[Family]) -> Vec<String> {
+    let mut merged = Vec::new();
+    for &row in committed {
+        let family = Family::of(row);
+        if !families.contains(&family) {
+            merged.push(row.to_owned());
+            continue;
         }
+        let (mine, rest): (Vec<String>, _) =
+            fresh.into_iter().partition(|r| Family::of(r) == family);
+        merged.extend(mine);
+        fresh = rest;
     }
-    let existing = std::fs::read_to_string("BENCH_PR2.json").unwrap_or_default();
-    let mut row_jsons: Vec<String> = report_rows(&existing)
-        .into_iter()
-        .filter(|row| !is_http_row(row))
-        .collect();
-    if row_jsons.is_empty() {
-        eprintln!(
-            "--transport=http: BENCH_PR2.json has no in-process rows to preserve — \
-             run the full sweep first"
-        );
+    merged.extend(fresh);
+    merged
+}
+
+/// Measures `families` and rewrites their rows in the report, keeping
+/// every other committed row; smoke-sized and writing nothing when
+/// `quick`. Only the full sweep, which measures the in-process family,
+/// may start from an empty report. Returns the exit code.
+fn sweep(flag: &str, families: &[Family], quick: bool) -> i32 {
+    let report = std::fs::read_to_string(REPORT).unwrap_or_default();
+    let committed: Vec<&str> = rows(&report).collect();
+    // Merging no fresh rows leaves the rows this sweep keeps.
+    let kept = merge(&committed, Vec::new(), families);
+    if kept.is_empty() && !families.contains(&Family::Saturation) {
+        eprintln!("{flag}: {REPORT} has no committed rows to preserve — run the full sweep first");
         return 1;
     }
-    row_jsons.extend(rows.iter().map(SaturationRow::to_json));
-    write_report(&row_jsons);
+    let mut fresh = Vec::new();
+    for family in families {
+        for row in family.measure(quick) {
+            println!("{row}");
+            fresh.push(row);
+        }
+    }
+    if quick {
+        println!("\n--quick: skipping {REPORT} rewrite");
+        return 0;
+    }
+    let rows = merge(&committed, fresh, families);
+    if let Err(err) = std::fs::write(REPORT, render(&rows)) {
+        eprintln!("{flag}: cannot write {REPORT}: {err}");
+        return 1;
+    }
+    println!("\nwrote {REPORT} ({} rows)", rows.len());
     0
 }
 
-/// Appends the 1/4/8-thread `phase6_warm` measurements to the history
-/// file. Returns the exit code.
+/// Appends the 1/4/8-thread `phase6_warm` rows of both transports and
+/// the smoke-sized population row to the history, so the history carries
+/// the multi-thread, cross-process and population trajectories. Returns
+/// the exit code.
 fn append_history() -> i32 {
-    let mut lines = String::new();
-    for threads in [1, 4, 8] {
-        let row = measure_phase6_warm(threads);
-        println!(
-            "bench-history: recording phase6_warm threads={threads}  {:.0} req/s",
-            row.reqs_per_sec
-        );
-        lines.push_str(&row.to_json());
-        lines.push('\n');
+    let runs = [1, 4, 8]
+        .map(Live::Warm)
+        .into_iter()
+        .chain([1, 4, 8].map(Live::WarmHttp))
+        .chain([Live::Population]);
+    let mut history = std::fs::read_to_string(HISTORY_FILE).unwrap_or_default();
+    for live in runs {
+        let row = measure(live);
+        println!("bench-history: recording {row}");
+        history.push_str(&row);
+        history.push('\n');
     }
-    // The cross-process family rides along at the same thread counts,
-    // so the mean−3σ floor starts accumulating for the HTTP backend too.
-    for threads in [1, 4, 8] {
-        let row = measure_best(
-            SaturationMode::Phase6Warm,
-            TransportKind::Http,
-            threads,
-            HTTP_PHASE6_ITERS,
-            HTTP_ATTEMPTS,
-        );
-        println!(
-            "bench-history: recording phase6_warm_http threads={threads}  {:.0} req/s",
-            row.reqs_per_sec
-        );
-        lines.push_str(&row.to_json());
-        lines.push('\n');
-    }
-    let (population, hosts) = POPULATION_SMOKE;
-    let row = measure_population(population, hosts, 20_000);
-    lines.push_str(&row.to_json());
-    lines.push('\n');
-    let existing = std::fs::read_to_string(HISTORY_FILE).unwrap_or_default();
-    if let Err(err) = std::fs::write(HISTORY_FILE, existing + &lines) {
+    if let Err(err) = std::fs::write(HISTORY_FILE, &history) {
         eprintln!("--append-history: cannot write {HISTORY_FILE}: {err}");
         return 1;
     }
-    let doc = std::fs::read_to_string(HISTORY_FILE).unwrap_or_default();
     println!(
         "bench-history: {} single-thread point(s), {} eight-thread point(s) total",
-        history_throughputs(&doc, 1).len(),
-        history_throughputs(&doc, 8).len()
+        history_points(&history, 1).len(),
+        history_points(&history, 8).len()
     );
-    0
-}
-
-/// Runs the regression gate. Returns the process exit code.
-fn check() -> i32 {
-    let report = match std::fs::read_to_string("BENCH_PR2.json") {
-        Ok(doc) => doc,
-        Err(err) => {
-            eprintln!("--check: cannot read BENCH_PR2.json: {err}");
-            return 1;
-        }
-    };
-    let Some(baseline) = phase6_warm_throughput(&report, 1) else {
-        eprintln!("--check: no phase6_warm/threads=1 row in BENCH_PR2.json");
-        return 1;
-    };
-
-    // Gate 1: the single-thread ceiling against its floor.
-    let row = measure_phase6_warm(1);
-    let fallback_floor = baseline * CHECK_FLOOR;
-    let history = history_throughputs(
-        &std::fs::read_to_string(HISTORY_FILE).unwrap_or_default(),
-        1,
-    );
-    // The gate only ever tightens: the variance floor applies when it is
-    // stricter than the blanket 70% allowance, never to loosen it.
-    let (floor, rule) = match variance_floor(&history) {
-        Some(vf) if vf > fallback_floor => (vf, "mean - 3 sigma over history"),
-        _ => (fallback_floor, "70% of committed baseline"),
-    };
-    println!(
-        "bench-smoke: phase6_warm threads=1  measured {:>10.0} req/s  \
-         baseline {:>10.0} req/s  floor {:>10.0} req/s  ({} history points, rule: {})",
-        row.reqs_per_sec,
-        baseline,
-        floor,
-        history.len(),
-        rule
-    );
-    if row.reqs_per_sec < floor {
-        eprintln!(
-            "--check: REGRESSION: {:.0} req/s is below the {rule} floor of {:.0} req/s",
-            row.reqs_per_sec, floor
-        );
-        return 1;
-    }
-
-    // Gate 1b: the work behind that throughput, exactly. Wall-clock
-    // floors bend to the machine; the message/cache/sieve counts do not.
-    if !check_work_counts(&report, &row) {
-        return 1;
-    }
-
-    // Gate 2a: the committed trajectory itself must be monotone in
-    // threads up to measurement noise — the 8T cliff must never be
-    // committed again. At the ~1M req/s single-core ceiling adjacent
-    // thread counts land within a few percent of each other, so a small
-    // tolerance keeps honest full-sweep commits from failing on jitter;
-    // the cliff this guards against was a 30–45% collapse.
-    const MONOTONE_TOLERANCE: f64 = 0.95;
-    let mut prev: Option<(usize, f64)> = None;
-    for threads in THREAD_COUNTS {
-        let Some(throughput) = phase6_warm_throughput(&report, threads) else {
-            eprintln!("--check: no phase6_warm/threads={threads} row in BENCH_PR2.json");
-            return 1;
-        };
-        if let Some((prev_threads, prev_throughput)) = prev {
-            if throughput < prev_throughput * MONOTONE_TOLERANCE {
-                eprintln!(
-                    "--check: REGRESSION: committed phase6_warm drops from \
-                     {prev_throughput:.0} req/s @{prev_threads}T to {throughput:.0} req/s \
-                     @{threads}T — the warm path stopped scaling"
-                );
-                return 1;
-            }
-        }
-        prev = Some((threads, throughput));
-    }
-    println!(
-        "bench-smoke: committed phase6_warm monotone (±{:.0}%) across {THREAD_COUNTS:?} threads",
-        (1.0 - MONOTONE_TOLERANCE) * 100.0
-    );
-
-    // Gate 2b: re-measure the scaling edge. 8T must hold SCALING_FLOOR
-    // of 4T on this machine, whatever the committed numbers say.
-    let four = measure_phase6_warm(4);
-    let eight = measure_phase6_warm(8);
-    println!(
-        "bench-smoke: phase6_warm threads=4  measured {:>10.0} req/s; \
-         threads=8  measured {:>10.0} req/s  (floor {:.0}% of 4T)",
-        four.reqs_per_sec,
-        eight.reqs_per_sec,
-        SCALING_FLOOR * 100.0
-    );
-    if eight.reqs_per_sec < four.reqs_per_sec * SCALING_FLOOR {
-        eprintln!(
-            "--check: REGRESSION: phase6_warm @8T ({:.0} req/s) fell below {:.0}% of @4T \
-             ({:.0} req/s) — the 8-thread cliff is back",
-            eight.reqs_per_sec,
-            SCALING_FLOOR * 100.0,
-            four.reqs_per_sec
-        );
-        return 1;
-    }
-
-    // Gate 3a: the committed 8-thread full-flow p99 ceiling. Committed
-    // latencies are min-over-attempts, so this asserts the full sweep
-    // found at least one window where the whole protocol tail fits in
-    // the ceiling — impossible while any convoy serializes the path.
-    let Some(committed_p99) =
-        row_field(&report, "\"bench\":\"full_flow\",\"threads\":8,", "p99_us")
-    else {
-        eprintln!("--check: no full_flow/threads=8 row in BENCH_PR2.json");
-        return 1;
-    };
-    println!(
-        "bench-smoke: committed full_flow threads=8 p99 {committed_p99:>8.2} µs  \
-         (ceiling {FULL_FLOW_8T_P99_CEILING_US:.0} µs)"
-    );
-    if committed_p99 >= FULL_FLOW_8T_P99_CEILING_US {
-        eprintln!(
-            "--check: REGRESSION: committed full_flow @8T p99 is {committed_p99:.0} µs — \
-             no committable window fits the tail ceiling"
-        );
-        return 1;
-    }
-
-    // Gate 3b: the live structural-contention check, on the p95 (the
-    // preemption-robust percentile — see FULL_FLOW_8T_P95_CEILING_US).
-    let tail = measure_full_flow_8t();
-    println!(
-        "bench-smoke: full_flow threads=8  best-of-{FULL_ATTEMPTS} p95 {:>8.2} µs  \
-         p99 {:>8.2} µs  (p95 ceiling {FULL_FLOW_8T_P95_CEILING_US:.0} µs)",
-        tail.p95_us, tail.p99_us
-    );
-    if tail.p95_us >= FULL_FLOW_8T_P95_CEILING_US {
-        eprintln!(
-            "--check: REGRESSION: full_flow @8T p95 is at least {:.0} µs in every window — \
-             contention is back on the full protocol path",
-            tail.p95_us
-        );
-        return 1;
-    }
-
-    // Gate 3c: the full-protocol work counts, exactly — the whole
-    // phase-3→6 message budget per access, pinned.
-    if !check_work_counts(&report, &tail) {
-        return 1;
-    }
-
-    // Gate 4: the population engine. One smoke-sized point (the
-    // full-sweep curve is far too slow for a gate), held against the
-    // committed same-shape row.
-    let (population, hosts) = POPULATION_SMOKE;
-    let Some(committed) = population_throughput(&report, population, hosts) else {
-        eprintln!(
-            "--check: no population_scale pop={population}/hosts={hosts} row in BENCH_PR2.json"
-        );
-        return 1;
-    };
-    let row = measure_population(population, hosts, 20_000);
-    let floor = committed * POPULATION_FLOOR;
-    println!(
-        "bench-smoke: population_scale pop={population} hosts={hosts}  measured {:>8.0} req/s  \
-         committed {:>8.0} req/s  floor {:>8.0} req/s",
-        row.reqs_per_sec, committed, floor
-    );
-    if row.reqs_per_sec < floor {
-        eprintln!(
-            "--check: REGRESSION: population_scale {:.0} req/s is below {:.0}% of the \
-             committed {:.0} req/s",
-            row.reqs_per_sec,
-            POPULATION_FLOOR * 100.0,
-            committed
-        );
-        return 1;
-    }
-    // Gate 5: the cross-process family. Committed rows only (live
-    // loopback latency is runner noise): the HTTP fast path must keep
-    // its ≥2.5x speedup over the PR 8 baseline and its monotone-sane
-    // multi-thread p50.
-    if !check_http_committed(&report) {
-        return 1;
-    }
-    // Gate 6: the protocol-v2 economics — invalidation push must keep
-    // killing the cold-miss storm, conditional queries must keep saving
-    // wire bytes, and the committed storm rows must match the live
-    // counts exactly.
-    if !check_storm(&report) {
-        return 1;
-    }
-    println!("bench-smoke: ok");
     0
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--check") {
-        std::process::exit(check());
-    }
-    if std::env::args().any(|a| a == "--check-http") {
-        std::process::exit(check_http());
-    }
-    if std::env::args().any(|a| a == "--append-history") {
-        std::process::exit(append_history());
-    }
-    if std::env::args().any(|a| a == "--transport=http") {
-        std::process::exit(http_sweep());
-    }
-    if std::env::args().any(|a| a == "--storm") {
-        std::process::exit(storm_sweep());
-    }
-    if std::env::args().any(|a| a == "--check-storm") {
-        // Gate 6 alone: pure work counts, machine-independent, cheap —
-        // the CI lane for the v2 economics that needs no quiet box.
-        let report = match std::fs::read_to_string("BENCH_PR2.json") {
-            Ok(doc) => doc,
-            Err(err) => {
-                eprintln!("--check-storm: cannot read BENCH_PR2.json: {err}");
-                std::process::exit(1);
-            }
-        };
-        if !check_storm(&report) {
-            std::process::exit(1);
-        }
-        println!("check-storm: ok");
-        std::process::exit(0);
-    }
-    let quick = std::env::args().any(|a| a == "--quick");
-    let attempts = if quick { 1 } else { FULL_ATTEMPTS };
-    // The warm loop is sub-microsecond per access, so it needs long runs
-    // to amortise fixed per-thread costs (spawn, barrier wake-up) that
-    // would otherwise read as a fake multi-thread penalty; the full flow
-    // is ~35µs per access and already run-dominated at 4k.
-    let phase6_iters = if quick { 50 } else { 20_000 };
-    let full_flow_iters = if quick { 50 } else { 4_000 };
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((flag, mode)) = parse_mode(&args) else {
+        let flags: Vec<&str> = MODES.iter().map(|(flag, _)| *flag).collect();
+        eprintln!("bench_report: {args:?}: expected no argument (the full sweep) or one of");
+        eprintln!("  {}", flags.join(" "));
+        std::process::exit(2);
+    };
+    std::process::exit(match mode {
+        Mode::Sweep(families) => sweep(flag, families, false),
+        Mode::Quick => sweep(flag, &[Family::Saturation, Family::Population], true),
+        Mode::Gates => run_gates(flag),
+        Mode::AppendHistory => append_history(),
+    });
+}
 
-    // Attempts run round-robin across the configurations (not
-    // back-to-back per row): machine slowdowns come in windows, and
-    // interleaving keeps one bad window from sinking a single row while
-    // its neighbours measure fast.
-    let configs: Vec<(SaturationMode, usize)> =
-        [SaturationMode::Phase6Warm, SaturationMode::FullFlow]
-            .into_iter()
-            .flat_map(|mode| THREAD_COUNTS.map(|threads| (mode, threads)))
-            .collect();
-    let mut best: Vec<Option<SaturationRow>> = vec![None; configs.len()];
-    for _ in 0..attempts {
-        for (slot, &(mode, threads)) in configs.iter().enumerate() {
-            let row = run_saturation(&SaturationConfig {
-                threads,
-                iters_per_thread: match mode {
-                    SaturationMode::Phase6Warm => phase6_iters,
-                    SaturationMode::FullFlow => full_flow_iters,
-                },
-                mode,
-                transport: TransportKind::Sim,
-            });
-            match &mut best[slot] {
-                Some(b) => b.merge_best(&row),
-                None => best[slot] = Some(row),
-            }
-        }
-    }
-    let mut rows: Vec<SaturationRow> = best.into_iter().map(|r| r.expect("measured")).collect();
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    // Top-up for the gated tail row: --check pins the committed 8T
-    // full_flow p99 under FULL_FLOW_8T_P99_CEILING_US, and on a busy
-    // machine the interleaved attempts can all land in one loud stretch.
-    // Give that row (and only that row) extra windows to find a clean
-    // tail; each extra attempt is ~1.5 s. If the ceiling still doesn't
-    // clear, commit what was measured — the maintainer reruns on a
-    // quieter machine rather than shipping a flattering number.
-    if !quick {
-        for extra in 0..10 {
-            let Some(row) = rows
-                .iter_mut()
-                .find(|r| r.bench == "full_flow" && r.threads == 8)
-            else {
-                break;
-            };
-            if row.p99_us < FULL_FLOW_8T_P99_CEILING_US {
-                break;
-            }
-            println!(
-                "full_flow @8T p99 {:.0} µs over the {:.0} µs gate ceiling — extra attempt {}",
-                row.p99_us,
-                FULL_FLOW_8T_P99_CEILING_US,
-                extra + 1
-            );
-            let attempt = run_saturation(&SaturationConfig {
-                threads: 8,
-                iters_per_thread: full_flow_iters,
-                mode: SaturationMode::FullFlow,
-                transport: TransportKind::Sim,
-            });
-            row.merge_best(&attempt);
-        }
+    /// The checked-in report.
+    const COMMITTED: &str = include_str!("../BENCH_PR2.json");
+
+    fn gate(id: &str) -> &'static Gate {
+        GATES.iter().find(|gate| gate.id == id).expect("gate id")
     }
-    for row in &rows {
-        println!(
-            "{:<12} threads={:<2} {:>10.0} req/s  p50 {:>8.2} µs  p95 {:>8.2} µs  \
-             p99 {:>8.2} µs",
-            row.bench, row.threads, row.reqs_per_sec, row.p50_us, row.p95_us, row.p99_us
+
+    fn row(doc: &str, selector: &str) -> String {
+        rows_named(doc, selector).next().expect("row").to_owned()
+    }
+
+    /// `row` with field `name` set to `value`.
+    fn set(row: &str, name: &str, value: impl std::fmt::Display) -> String {
+        let key = format!("\"{name}\":");
+        let start = row.find(&key).expect("field") + key.len();
+        let end = start + row[start..].find([',', '}']).expect("value end");
+        format!("{}{value}{}", &row[..start], &row[end..])
+    }
+
+    /// The checked-in report with one field of one row set to `value`.
+    fn committed_with(selector: &str, name: &str, value: impl std::fmt::Display) -> String {
+        let old = row(COMMITTED, selector);
+        COMMITTED.replacen(&old, &set(&old, name, value), 1)
+    }
+
+    /// Every live run answered by a committed row of the same shape.
+    fn committed_live() -> Vec<(Live, String)> {
+        let storm = STORM_PROBES.iter().zip([
+            "storm_epoch_only",
+            "storm_invalidation",
+            "reval_unconditional",
+            "reval_conditional",
+        ]);
+        let smoke =
+            |mode, transport, selector| (Live::Smoke(mode, transport), row(COMMITTED, selector));
+        let (warm, flow) = (SaturationMode::Phase6Warm, SaturationMode::FullFlow);
+        THREAD_COUNTS
+            .iter()
+            .map(|&t| {
+                (
+                    Live::Warm(t),
+                    row(COMMITTED, &format!("phase6_warm threads={t}")),
+                )
+            })
+            .chain([
+                (Live::Tail, row(COMMITTED, "full_flow threads=8")),
+                (
+                    Live::Population,
+                    row(COMMITTED, "population_scale population=10000 hosts=256"),
+                ),
+                smoke(warm, TransportKind::Sim, "phase6_warm_http threads=2"),
+                smoke(warm, TransportKind::Http, "phase6_warm_http threads=2"),
+                smoke(flow, TransportKind::Sim, "full_flow_http threads=2"),
+                smoke(flow, TransportKind::Http, "full_flow_http threads=2"),
+            ])
+            .chain(storm.map(|(&live, selector)| (live, row(COMMITTED, selector))))
+            .collect()
+    }
+
+    /// The committed row standing in for live run `run`.
+    fn live_row(run: Live) -> String {
+        let rows = committed_live().into_iter();
+        rows.filter(|(live, _)| *live == run)
+            .map(|(_, row)| row)
+            .next()
+            .expect("live row")
+    }
+
+    /// Judges gate `id` on `report`, its live runs answered by the
+    /// committed rows except for those `live` names.
+    fn judge_with(id: &str, report: &str, history: &str, live: &[(Live, String)]) -> Verdict {
+        let mut measured = live.to_vec();
+        measured.extend(committed_live());
+        judge(gate(id), report, history, &mut measured)
+    }
+
+    /// Gate `id` with live run `run` measuring `row`.
+    fn live_with(id: &str, run: Live, row: String) -> Verdict {
+        judge_with(id, COMMITTED, "", &[(run, row)])
+    }
+
+    /// Gate `id` passes with field `name` of live run `run` at `pass` and
+    /// fails one unit past its bound, at `fail`.
+    fn live_edge(id: &str, run: Live, name: &str, pass: &str, fail: &str) {
+        let row = live_row(run);
+        assert!(
+            live_with(id, run, set(&row, name, pass)).is_ok(),
+            "{id} at {pass}"
+        );
+        assert!(
+            live_with(id, run, set(&row, name, fail)).is_err(),
+            "{id} at {fail}"
         );
     }
 
-    // The population load curves: req/s and tail latency versus entity
-    // count and versus Host count. Quick keeps one toy-sized point so
-    // the engine still runs end-to-end in the smoke lane.
-    let curve: Vec<(usize, usize, usize)> = if quick {
-        vec![(500, 8, 500)]
-    } else {
-        POPULATION_CURVE
-            .iter()
-            .map(|&(population, hosts)| (population, hosts, 20_000))
-            .collect()
-    };
-    let population_rows: Vec<PopulationScaleRow> = curve
-        .into_iter()
-        .map(|(population, hosts, accesses)| measure_population(population, hosts, accesses))
-        .collect();
-
-    if quick {
-        println!("\n--quick: skipping BENCH_PR2.json rewrite");
-        return;
+    /// Gate `id` passes with field `name` of committed row `selector` at
+    /// `pass` and fails one unit past its bound, at `fail`.
+    fn committed_edge(id: &str, selector: &str, name: &str, pass: &str, fail: &str) {
+        let judge_on = |value| judge_with(id, &committed_with(selector, name, value), "", &[]);
+        assert!(judge_on(pass).is_ok(), "{id} at {pass}");
+        assert!(judge_on(fail).is_err(), "{id} at {fail}");
     }
-    // Rewrite the in-process and population rows; carry any committed
-    // cross-process (`--transport=http`) rows over unchanged, so the two
-    // families can be refreshed independently.
-    let existing = std::fs::read_to_string("BENCH_PR2.json").unwrap_or_default();
-    let row_jsons: Vec<String> = rows
-        .iter()
-        .map(SaturationRow::to_json)
-        .chain(population_rows.iter().map(PopulationScaleRow::to_json))
-        .chain(measure_storm_rows())
-        .chain(
-            report_rows(&existing)
-                .into_iter()
-                .filter(|r| is_http_row(r)),
-        )
-        .collect();
-    write_report(&row_jsons);
+
+    #[test]
+    fn every_gate_passes_when_the_live_runs_match_the_committed_rows() {
+        for gate in &GATES {
+            let verdict = judge_with(gate.id, COMMITTED, "", &[]);
+            assert!(verdict.is_ok(), "gate {}: {verdict:?}", gate.id);
+        }
+    }
+
+    #[test]
+    fn the_table_is_well_formed() {
+        let lanes: Vec<&str> = MODES
+            .iter()
+            .filter(|(_, mode)| *mode == Mode::Gates)
+            .map(|(flag, _)| *flag)
+            .collect();
+        for (i, gate) in GATES.iter().enumerate() {
+            assert!(GATES[..i].iter().all(|other| other.id != gate.id));
+            assert!(gate.lanes.iter().all(|lane| lanes.contains(lane)));
+            assert!(!gate.rows.is_empty() || !gate.live.is_empty());
+        }
+        // Each lane has gates, and measures each of its live runs once.
+        for lane in lanes {
+            let mut measured = committed_live();
+            let before = measured.len();
+            for gate in GATES.iter().filter(|gate| gate.lanes.contains(&lane)) {
+                assert!(judge(gate, COMMITTED, "", &mut measured).is_ok());
+            }
+            assert_eq!(measured.len(), before, "{lane} measured a run twice");
+        }
+        let (population, hosts) = POPULATION_SMOKE;
+        let smoke = format!("population_scale population={population} hosts={hosts}");
+        assert_eq!(gate("4").rows, [smoke.as_str()]);
+    }
+
+    #[test]
+    fn committed_row_gates_fail_just_past_their_bounds() {
+        // 0.95 × 1,038,083.9 = 986,179.705 for the 2-thread row.
+        committed_edge(
+            "2a",
+            "phase6_warm threads=2",
+            "reqs_per_sec",
+            "986179.8",
+            "986179.6",
+        );
+        committed_edge("3a", "full_flow threads=8", "p99_us", "1999.99", "2000.00");
+        // 2.5 × 95,076.3 = 237,690.75.
+        let (one_t, four_t) = ("phase6_warm_http threads=1", "phase6_warm_http threads=4");
+        committed_edge("5a", one_t, "reqs_per_sec", "237690.8", "237690.7");
+        // 1T p50 2.92 µs × 1.5 × 4 (the rows' 1-core box) = 17.52 µs.
+        committed_edge("5b", four_t, "p50_us", "17.51", "17.53");
+        // On a 4-core box the ceiling is the bare 1.5× = 4.38 µs.
+        let four_cores = committed_with(four_t, "cores", 4);
+        let p50 = |value| four_cores.replacen("\"p50_us\":6.92", &format!("\"p50_us\":{value}"), 1);
+        assert!(judge_with("5b", &p50("4.37"), "", &[]).is_ok());
+        assert!(judge_with("5b", &p50("4.39"), "", &[]).is_err());
+    }
+
+    #[test]
+    fn live_gates_fail_just_past_their_bounds() {
+        // 0.70 × 1,038,083.9 = 726,658.73.
+        live_edge("1", Live::Warm(1), "reqs_per_sec", "726658.8", "726658.7");
+        // 0.85 × the committed 4T 952,510.1 = 809,633.585.
+        live_edge("2b", Live::Warm(8), "reqs_per_sec", "809633.6", "809633.5");
+        live_edge("3b", Live::Tail, "p95_us", "1999.99", "2000.00");
+        // 0.30 × 20,592.7 = 6,177.81.
+        live_edge("4", Live::Population, "reqs_per_sec", "6177.9", "6177.8");
+        // At most 10% of the epoch-only wave's 120 AM queries.
+        live_edge("6a", Live::Storm(true), "am_queries", "12", "13");
+        // Strictly fewer than the unconditional wave's 26,342 bytes.
+        live_edge("6b", Live::Reval(true), "bytes_on_wire", "26341", "26342");
+    }
+
+    #[test]
+    fn gate_1_tightens_its_floor_with_a_steady_history_only() {
+        let warm = |rps: f64| set(&live_row(Live::Warm(1)), "reqs_per_sec", rps);
+        let judge_on =
+            |history: &str, rps| judge_with("1", COMMITTED, history, &[(Live::Warm(1), warm(rps))]);
+        // Three steady points (other thread counts ignored) tighten the
+        // floor to their mean.
+        let point = warm(1_000_000.0);
+        let steady = format!("{point}\n{point}\n{}\n{point}\n", live_row(Live::Warm(8)));
+        assert!(judge_on(&steady, 1_000_000.0).is_ok());
+        assert!(judge_on(&steady, 999_999.9).is_err());
+        // Two points are not yet a history; a noisy one never loosens the
+        // 70% floor.
+        assert!(judge_on(&format!("{point}\n{point}\n"), 726_658.8).is_ok());
+        let noisy = format!("{point}\n{}\n{point}\n", warm(100_000.0));
+        let verdict = judge_on(&noisy, 726_658.7);
+        assert!(verdict.is_err_and(|line| line.contains("(bound 726658.73)")));
+    }
+
+    #[test]
+    fn exact_gates_fail_on_any_count_one_off() {
+        let smoke = |mode, transport| ("5c", Live::Smoke(mode, transport), WORK);
+        let (warm, flow) = (SaturationMode::Phase6Warm, SaturationMode::FullFlow);
+        let (sim, http) = (TransportKind::Sim, TransportKind::Http);
+        let storm = STORM_PROBES.into_iter().zip(STORM_COUNTS);
+        let cases = [
+            ("1b", Live::Warm(1), WORK),
+            ("3c", Live::Tail, WORK),
+            smoke(warm, sim),
+            smoke(warm, http),
+            smoke(flow, sim),
+            smoke(flow, http),
+        ]
+        .into_iter()
+        .chain(storm.map(|(run, names)| ("6c", run, names)));
+        for (id, run, names) in cases {
+            let row = live_row(run);
+            for name in names.split(' ') {
+                let bumped = set(&row, name, field::<u64>(&row, name).unwrap() + 1);
+                assert!(live_with(id, run, bumped).is_err(), "gate {id}: {name} + 1");
+            }
+        }
+        // Longer runs that do the same work per access pass.
+        assert!(live_with("1b", Live::Warm(1), live_row(Live::Warm(2))).is_ok());
+        let longer = row(COMMITTED, "full_flow_http threads=4");
+        let runs = [
+            (Live::Smoke(flow, sim), longer.clone()),
+            (Live::Smoke(flow, http), longer),
+        ];
+        assert!(judge_with("5c", COMMITTED, "", &runs).is_ok());
+    }
+
+    #[test]
+    fn a_row_missing_a_field_fails_instead_of_reading_its_neighbour() {
+        let full_flow = row(COMMITTED, "full_flow threads=8");
+        let without_p99 = full_flow.replace("\"p99_us\":1249.93,", "");
+        let report = COMMITTED.replacen(&full_flow, &without_p99, 1);
+        // The next row down, population_scale 10³, has a p99 of 128.53
+        // µs: a reader that left the row would pass gate 3a on it.
+        let verdict = judge_with("3a", &report, "", &[]);
+        assert!(
+            verdict
+                .as_ref()
+                .is_err_and(|line| line.contains("no p99_us")),
+            "{verdict:?}"
+        );
+        assert_eq!(field::<f64>(&without_p99, "p95_us"), Ok(53.61));
+        let unnamed = COMMITTED.replace("\"bench\":\"full_flow\",\"threads\":8,", "");
+        assert!(judge_with("3a", &unnamed, "", &[]).is_err());
+    }
+
+    #[test]
+    fn the_parser_takes_one_known_mode_or_none() {
+        let parse =
+            |args: &[&str]| parse_mode(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        assert_eq!(parse(&[]), Some(("", FULL_SWEEP)));
+        for (flag, mode) in MODES {
+            assert_eq!(parse(&[flag]), Some((flag, mode)));
+        }
+        assert_eq!(parse(&["--chek"]), None);
+        assert_eq!(parse(&["check"]), None);
+        assert_eq!(parse(&["--check", "--quick"]), None);
+        assert_eq!(parse(&["--storm", "--storm"]), None);
+    }
+
+    #[test]
+    fn a_refresh_keeps_every_other_row_byte_for_byte() {
+        let committed: Vec<&str> = rows(COMMITTED).collect();
+        assert_eq!(committed.len(), 26);
+        assert_eq!(
+            render(&committed.iter().map(|r| r.to_string()).collect::<Vec<_>>()),
+            COMMITTED
+        );
+        let family = |family| -> Vec<String> {
+            committed
+                .iter()
+                .filter(|r| Family::of(r) == family)
+                .map(|r| r.to_string())
+                .collect()
+        };
+        let sizes = [
+            Family::Saturation,
+            Family::Population,
+            Family::Storm,
+            Family::Http,
+        ]
+        .map(|f| family(f).len());
+        assert_eq!(sizes, [8, 6, 4, 8]);
+        // Fresh rows equal to the committed ones rewrite nothing, for any
+        // mix of families, in any order the sweep measures them.
+        let all = [
+            Family::Http,
+            Family::Storm,
+            Family::Population,
+            Family::Saturation,
+        ];
+        for n in 1..=all.len() {
+            let families = &all[..n];
+            let fresh: Vec<String> = families.iter().flat_map(|&f| family(f)).collect();
+            assert_eq!(render(&merge(&committed, fresh, families)), COMMITTED);
+        }
+        // Fresh rows land where their family stood; a new family goes last.
+        let new_storm = set(&family(Family::Storm)[0], "am_queries", 7);
+        let merged = merge(&committed, vec![new_storm.clone()], &[Family::Storm]);
+        assert_eq!(merged.len(), 23);
+        assert_eq!(merged[22], new_storm);
+        assert_eq!(merged[..22], committed[..22]);
+        let without_http: Vec<&str> = committed
+            .iter()
+            .copied()
+            .filter(|r| Family::of(r) != Family::Http)
+            .collect();
+        let merged = merge(&without_http, family(Family::Http), &[Family::Http]);
+        assert_eq!(merged[18..], family(Family::Http)[..]);
+    }
 }
