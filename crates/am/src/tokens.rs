@@ -15,6 +15,7 @@
 //! Both are HMAC-sealed key/value payloads, opaque to every party except
 //! the issuing AM.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use ucam_crypto::SigningKey;
@@ -60,50 +61,99 @@ impl fmt::Display for TokenError {
 
 impl std::error::Error for TokenError {}
 
-/// Escapes `;`, `=` and `%` so arbitrary values survive the k=v encoding.
-fn escape(value: &str) -> String {
+/// Appends `value` to `out` with `%`, `;` and `=` escaped, so arbitrary
+/// values survive the k=v encoding.
+fn escape_into(out: &mut String, value: &str) {
+    let mut rest = value;
+    while let Some(at) = rest.find(['%', ';', '=']) {
+        out.push_str(&rest[..at]);
+        out.push_str(match rest.as_bytes()[at] {
+            b'%' => "%25",
+            b';' => "%3B",
+            _ => "%3D",
+        });
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+}
+
+/// Reverses [`escape_into`] in one pass. A value without a `%` is
+/// returned borrowed; a `%` that starts none of the three escapes is kept
+/// as it is.
+fn unescape(value: &str) -> Cow<'_, str> {
+    if !value.contains('%') {
+        return Cow::Borrowed(value);
+    }
     let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ';' => out.push_str("%3B"),
-            '=' => out.push_str("%3D"),
-            other => out.push(other),
+    let mut rest = value;
+    while let Some(at) = rest.find('%') {
+        out.push_str(&rest[..at]);
+        let (decoded, len) = match rest.as_bytes().get(at + 1..at + 3) {
+            Some(b"3B") => (';', 3),
+            Some(b"3D") => ('=', 3),
+            Some(b"25") => ('%', 3),
+            _ => ('%', 1),
+        };
+        out.push(decoded);
+        rest = &rest[at + len..];
+    }
+    out.push_str(rest);
+    Cow::Owned(out)
+}
+
+/// Encodes `fields` as `k=v` pairs joined by `;`, into one `String`.
+fn encode_fields(fields: &[(&str, &str)]) -> String {
+    let len = fields.iter().map(|(k, v)| k.len() + v.len() + 2).sum();
+    let mut out = String::with_capacity(len);
+    for (k, v) in fields {
+        if !out.is_empty() {
+            out.push(';');
         }
+        out.push_str(k);
+        out.push('=');
+        escape_into(&mut out, v);
     }
     out
 }
 
-fn unescape(value: &str) -> String {
-    value
-        .replace("%3B", ";")
-        .replace("%3D", "=")
-        .replace("%25", "%")
-}
+/// A token payload's `k=v` fields, borrowed from the payload text. A
+/// lookup finds the first field with its key and unescapes the value
+/// only when it holds a `%`.
+struct Fields<'a>(Vec<(&'a str, &'a str)>);
 
-fn encode_fields(fields: &[(&str, &str)]) -> String {
-    fields
-        .iter()
-        .map(|(k, v)| format!("{k}={}", escape(v)))
-        .collect::<Vec<_>>()
-        .join(";")
-}
+impl<'a> Fields<'a> {
+    fn decode(payload: &'a str) -> Self {
+        Fields(
+            payload
+                .split(';')
+                .filter_map(|pair| pair.split_once('='))
+                .collect(),
+        )
+    }
 
-fn decode_fields(payload: &str) -> Vec<(String, String)> {
-    payload
-        .split(';')
-        .filter_map(|pair| {
-            let (k, v) = pair.split_once('=')?;
-            Some((k.to_owned(), unescape(v)))
-        })
-        .collect()
-}
+    fn get(&self, key: &str) -> Option<Cow<'a, str>> {
+        self.0
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| unescape(v))
+    }
 
-fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
+    fn required(&self, key: &str) -> Result<String, TokenError> {
+        self.get(key)
+            .map(Cow::into_owned)
+            .ok_or(TokenError::Invalid)
+    }
+
+    fn expect_kind(&self, expected: &'static str) -> Result<(), TokenError> {
+        match self.get("kind") {
+            Some(k) if k == expected => Ok(()),
+            Some(k) => Err(TokenError::WrongKind {
+                expected,
+                found: k.into_owned(),
+            }),
+            None => Err(TokenError::Invalid),
+        }
+    }
 }
 
 /// The parsed contents of a host access token.
@@ -206,15 +256,14 @@ impl TokenService {
     ///
     /// Returns [`TokenError::Invalid`] or [`TokenError::WrongKind`].
     pub fn validate_host_token(&self, token: &str) -> Result<HostGrant, TokenError> {
-        let fields = self.open(token)?;
-        self.expect_kind(&fields, "host")?;
+        let payload = self.open(token)?;
+        let fields = Fields::decode(&payload);
+        fields.expect_kind("host")?;
         Ok(HostGrant {
-            host: required(&fields, "host")?,
-            user: required(&fields, "user")?,
-            issued_at_ms: required(&fields, "iat")?
-                .parse()
-                .map_err(|_| TokenError::Invalid)?,
-            delegation_id: required(&fields, "del")?,
+            host: fields.required("host")?,
+            user: fields.required("user")?,
+            issued_at_ms: parse_ms(&fields, "iat")?,
+            delegation_id: fields.required("del")?,
         })
     }
 
@@ -282,18 +331,17 @@ impl TokenService {
         resource_id: &str,
         requester: &str,
     ) -> Result<AuthzGrant, TokenError> {
-        let fields = self.open(token)?;
-        self.expect_kind(&fields, "authz")?;
+        let payload = self.open(token)?;
+        let fields = Fields::decode(&payload);
+        fields.expect_kind("authz")?;
         let grant = AuthzGrant {
-            realm: field(&fields, "realm").map(str::to_owned),
-            resource_id: required(&fields, "res")?,
-            host: required(&fields, "host")?,
-            requester: required(&fields, "req")?,
-            subject: field(&fields, "sub").map(str::to_owned),
-            owner: required(&fields, "owner")?,
-            expires_at_ms: required(&fields, "exp")?
-                .parse()
-                .map_err(|_| TokenError::Invalid)?,
+            realm: fields.get("realm").map(Cow::into_owned),
+            resource_id: fields.required("res")?,
+            host: fields.required("host")?,
+            requester: fields.required("req")?,
+            subject: fields.get("sub").map(Cow::into_owned),
+            owner: fields.required("owner")?,
+            expires_at_ms: parse_ms(&fields, "exp")?,
         };
         if self.clock.now_ms() >= grant.expires_at_ms {
             return Err(TokenError::Expired);
@@ -321,32 +369,20 @@ impl TokenService {
         Ok(grant)
     }
 
-    fn open(&self, token: &str) -> Result<Vec<(String, String)>, TokenError> {
+    /// Verifies `token`'s MAC and returns its payload text.
+    fn open(&self, token: &str) -> Result<String, TokenError> {
         let payload = self.key.open(token).map_err(|_| TokenError::Invalid)?;
-        let text = String::from_utf8(payload).map_err(|_| TokenError::Invalid)?;
-        Ok(decode_fields(&text))
-    }
-
-    fn expect_kind(
-        &self,
-        fields: &[(String, String)],
-        expected: &'static str,
-    ) -> Result<(), TokenError> {
-        match field(fields, "kind") {
-            Some(k) if k == expected => Ok(()),
-            Some(k) => Err(TokenError::WrongKind {
-                expected,
-                found: k.to_owned(),
-            }),
-            None => Err(TokenError::Invalid),
-        }
+        String::from_utf8(payload).map_err(|_| TokenError::Invalid)
     }
 }
 
-fn required(fields: &[(String, String)], key: &str) -> Result<String, TokenError> {
-    field(fields, key)
-        .map(str::to_owned)
-        .ok_or(TokenError::Invalid)
+/// The millisecond timestamp in field `key`.
+fn parse_ms(fields: &Fields<'_>, key: &str) -> Result<u64, TokenError> {
+    fields
+        .get(key)
+        .ok_or(TokenError::Invalid)?
+        .parse()
+        .map_err(|_| TokenError::Invalid)
 }
 
 #[cfg(test)]
@@ -504,7 +540,52 @@ mod tests {
         assert!(wk.to_string().contains("authz"));
     }
 
+    /// The `format!`/`replace` field codec the one-pass one replaced,
+    /// kept as the reference for its output.
+    fn reference_encode(fields: &[(&str, &str)]) -> String {
+        fields
+            .iter()
+            .map(|(k, v)| {
+                let escaped: String = v
+                    .chars()
+                    .map(|c| match c {
+                        '%' => "%25".to_owned(),
+                        ';' => "%3B".to_owned(),
+                        '=' => "%3D".to_owned(),
+                        other => other.to_string(),
+                    })
+                    .collect();
+                format!("{k}={escaped}")
+            })
+            .collect::<Vec<_>>()
+            .join(";")
+    }
+
+    fn reference_unescape(value: &str) -> String {
+        value
+            .replace("%3B", ";")
+            .replace("%3D", "=")
+            .replace("%25", "%")
+    }
+
     proptest! {
+        /// Token payload bytes are exactly what the reference codec
+        /// wrote, and every value, escaped or not, decodes as it did.
+        #[test]
+        fn field_codec_matches_the_reference(
+            a in "[a-z%;=3BD25é]{0,16}",
+            b in "[a-z%;=3BD25é]{0,16}",
+        ) {
+            let fields = [("kind", "authz"), ("res", a.as_str()), ("sub", b.as_str())];
+            let payload = encode_fields(&fields);
+            prop_assert_eq!(&payload, &reference_encode(&fields));
+            let decoded = Fields::decode(&payload);
+            prop_assert_eq!(decoded.get("res").as_deref(), Some(a.as_str()));
+            prop_assert_eq!(decoded.get("sub").as_deref(), Some(b.as_str()));
+            // Raw text that no escape produced decodes as it did too.
+            prop_assert_eq!(unescape(&a), reference_unescape(&a));
+        }
+
         /// Values containing the k=v separators survive token round trips.
         #[test]
         fn hostile_values_roundtrip(

@@ -29,7 +29,6 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use ucam_crypto::sha256;
 use ucam_policy::{AccessRequest, AclMatrix, Action, EvalContext, Outcome, ResourceRef};
 use ucam_webenv::{
     protocol, BatchItem, Counters, DecisionBody, Method, Request, Response, RetryPolicy, SimClock,
@@ -240,41 +239,23 @@ pub struct AccessAttempt {
 /// `(requester, resource id, action)` — what a cached decision answers for.
 type CacheKey = (String, String, Action);
 
-thread_local! {
-    /// Last `(token, digest)` pair this thread hashed. Warm §V.B.6 loops
-    /// present the same bearer token on every access, so the memo turns a
-    /// per-access SHA-256 into a string compare. Pure-function cache: a
-    /// stale entry is impossible, only a missed one.
-    static TOKEN_DIGEST_MEMO: RefCell<(String, [u8; 32])> =
-        const { RefCell::new((String::new(), [0; 32])) };
-}
-
-/// SHA-256 of `token`, memoized per thread on the last-seen token.
-fn token_digest(token: &str) -> [u8; 32] {
-    TOKEN_DIGEST_MEMO.with(|memo| {
-        let mut memo = memo.borrow_mut();
-        if memo.0 != token {
-            memo.0.clear();
-            memo.0.push_str(token);
-            memo.1 = sha256(token.as_bytes());
-        }
-        memo.1
-    })
-}
-
 /// One cached permit decision (§V.B.6).
 ///
 /// A cached entry may satisfy a later request only when *all* of these
-/// hold: the same requester presents the **same bearer token** (by
-/// digest), the entry's TTL has not elapsed, and the owner's policy
-/// epoch has not advanced since the AM stamped the decision.
+/// hold: the same requester presents the **same bearer token** (the
+/// access tuple's full digest matches), the entry's TTL has not elapsed,
+/// and the owner's policy epoch has not advanced since the AM stamped
+/// the decision.
 #[derive(Debug)]
 struct CachedDecision {
     expires_at_ms: u64,
-    /// SHA-256 of the bearer token that earned the permit. A permit is
-    /// bound to its token; a different (possibly garbage) bearer must
-    /// take the full decision-query path.
-    token_digest: [u8; 32],
+    /// [`protocol::tuple_digest`] of the `(token, resource, action,
+    /// requester)` tuple that earned the permit. A permit is bound to its
+    /// token by all 256 bits; a different (possibly garbage) bearer must
+    /// take the full decision-query path. Its first 16 bytes are the
+    /// tuple's sieve fingerprint, the identity a pushed decision
+    /// invalidation names this entry by (DESIGN.md §16).
+    digest: [u8; 32],
     /// Resource owner whose policies produced the decision.
     owner: String,
     /// Authority of the AM whose evaluation this entry caches. A pushed
@@ -285,9 +266,6 @@ struct CachedDecision {
     am: String,
     /// The owner's policy epoch at decision time.
     epoch: u64,
-    /// The access tuple's sieve fingerprint — the identity a pushed
-    /// decision invalidation names this entry by (DESIGN.md §16).
-    fingerprint: protocol::SieveFingerprint,
     /// Second-chance bit: set on every hit, cleared once by the evictor
     /// before the entry becomes an eviction victim.
     referenced: AtomicBool,
@@ -338,21 +316,20 @@ impl DecisionCache {
         }
     }
 
-    /// The entry for `key` if it is bound to `token_digest` and not
-    /// behind its owner's epoch floor: the validity every lookup,
-    /// revalidation and re-arm shares before its own TTL or epoch test.
-    fn bound_entry(&self, key: &CacheKey, token_digest: &[u8; 32]) -> Option<&CachedDecision> {
+    /// The entry for `key` if it is bound to `digest` and not behind its
+    /// owner's epoch floor: the validity every lookup, revalidation and
+    /// re-arm shares before its own TTL or epoch test.
+    fn bound_entry(&self, key: &CacheKey, digest: &[u8; 32]) -> Option<&CachedDecision> {
         let entry = self.entries.get(key)?;
-        (&entry.token_digest == token_digest && !behind_floor(&self.owner_epochs, entry))
-            .then_some(entry)
+        (&entry.digest == digest && !behind_floor(&self.owner_epochs, entry)).then_some(entry)
     }
 
     /// Serves a hit iff enabled, unexpired, token-bound, and epoch-fresh.
-    fn lookup(&self, key: &CacheKey, token_digest: &[u8; 32], now: u64) -> bool {
+    fn lookup(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> bool {
         if !self.enabled {
             return false;
         }
-        match self.bound_entry(key, token_digest) {
+        match self.bound_entry(key, digest) {
             Some(entry) if entry.expires_at_ms > now => {
                 entry.referenced.store(true, Ordering::Relaxed);
                 true
@@ -367,12 +344,12 @@ impl DecisionCache {
     /// within the window it configured. Only ever consulted after a
     /// transport-level AM failure — a fresh entry would already have been
     /// served by [`DecisionCache::lookup`].
-    fn lookup_stale(&self, key: &CacheKey, token_digest: &[u8; 32], now: u64) -> Option<u64> {
+    fn lookup_stale(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> Option<u64> {
         if !self.enabled || self.stale_grace_ms == 0 {
             return None;
         }
         // A policy change (epoch advance) always fails closed.
-        let entry = self.bound_entry(key, token_digest)?;
+        let entry = self.bound_entry(key, digest)?;
         // Past the grace window: fail closed, the permit is gone.
         if now >= entry.expires_at_ms.saturating_add(self.stale_grace_ms) {
             return None;
@@ -500,7 +477,7 @@ impl DecisionCache {
             if entry.owner != owner {
                 return true;
             }
-            if dead.contains(&entry.fingerprint) {
+            if dead.contains(&protocol::fingerprint_of(&entry.digest)) {
                 entries.remove(key);
                 evicted += 1;
                 return false;
@@ -524,11 +501,11 @@ impl DecisionCache {
     /// token, epoch-fresh — that a conditional `if_epoch` revalidation
     /// query could cheaply re-arm. `None` when there is nothing worth
     /// revalidating (no entry, live entry, different token, stale epoch).
-    fn revalidation_epoch(&self, key: &CacheKey, token_digest: &[u8; 32], now: u64) -> Option<u64> {
+    fn revalidation_epoch(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> Option<u64> {
         if !self.enabled {
             return None;
         }
-        let entry = self.bound_entry(key, token_digest)?;
+        let entry = self.bound_entry(key, digest)?;
         (entry.expires_at_ms <= now).then_some(entry.epoch)
     }
 
@@ -536,15 +513,9 @@ impl DecisionCache {
     /// extends its TTL without re-learning the decision. Fail-closed on
     /// any mismatch (entry gone, different token, epoch moved) — the
     /// unchanged reply then re-arms nothing and the caller refuses.
-    fn rearm(
-        &mut self,
-        key: &CacheKey,
-        token_digest: &[u8; 32],
-        epoch: u64,
-        expires_at_ms: u64,
-    ) -> bool {
+    fn rearm(&mut self, key: &CacheKey, digest: &[u8; 32], epoch: u64, expires_at_ms: u64) -> bool {
         let valid = self
-            .bound_entry(key, token_digest)
+            .bound_entry(key, digest)
             .is_some_and(|entry| entry.epoch == epoch);
         match self.entries.get_mut(key) {
             Some(entry) if valid => {
@@ -936,33 +907,31 @@ thread_local! {
 }
 
 thread_local! {
-    /// Last `(token, resource, action, requester) → fingerprint` this
-    /// thread computed. Warm §V.B.6 loops probe the same tuple on every
-    /// access, so the memo turns the per-access SHA-256 into four string
-    /// compares — the same pure-function trick as [`TOKEN_DIGEST_MEMO`].
-    static SIEVE_FP_MEMO: RefCell<(String, String, String, String, protocol::SieveFingerprint)> =
+    /// Last `(token, resource, action, requester) → digest` this thread
+    /// computed. Warm §V.B.6 loops probe the same tuple on every access,
+    /// so the memo turns the per-access SHA-256 into four string
+    /// compares, and within one access the decision-cache lookup reuses
+    /// the digest the sieve probe hashed. Pure-function cache: a stale
+    /// entry is impossible, only a missed one.
+    static TUPLE_DIGEST_MEMO: RefCell<(String, String, String, String, [u8; 32])> =
         const {
             RefCell::new((
                 String::new(),
                 String::new(),
                 String::new(),
                 String::new(),
-                [0; 16],
+                [0; 32],
             ))
         };
 }
 
-/// [`protocol::sieve_fingerprint`], memoized per thread on the last-seen
-/// tuple.
-fn sieve_fingerprint_memo(
-    token: &str,
-    resource: &str,
-    action: &str,
-    requester: &str,
-) -> protocol::SieveFingerprint {
-    SIEVE_FP_MEMO.with(|memo| {
+/// [`protocol::tuple_digest`] of one access, memoized per thread on the
+/// last-seen tuple.
+fn access_digest(token: &str, resource: &str, action: &Action, requester: &str) -> [u8; 32] {
+    let action = action_label(action);
+    TUPLE_DIGEST_MEMO.with(|memo| {
         let mut memo = memo.borrow_mut();
-        let (t, r, a, q, fp) = &mut *memo;
+        let (t, r, a, q, digest) = &mut *memo;
         if t != token || r != resource || a != action || q != requester {
             t.clear();
             t.push_str(token);
@@ -972,9 +941,9 @@ fn sieve_fingerprint_memo(
             a.push_str(action);
             q.clear();
             q.push_str(requester);
-            *fp = protocol::sieve_fingerprint(token, resource, action, requester);
+            *digest = protocol::tuple_digest(token, resource, action, requester);
         }
-        *fp
+        *digest
     })
 }
 
@@ -1390,8 +1359,8 @@ impl HostCore {
             // No sieve installed: tier-1 is simply absent, not missing.
             return false;
         }
-        let fp = sieve_fingerprint_memo(token, resource_id, action_label(action), requester);
-        match snapshot.get(&fp) {
+        let digest = access_digest(token, resource_id, action, requester);
+        match snapshot.get(&protocol::fingerprint_of(&digest)) {
             Some(&expires_at_ms) if now < expires_at_ms => {
                 self.stats.add(Pep::SieveHits, 1);
                 net.trace().note_with(&self.authority, || {
@@ -1704,7 +1673,7 @@ impl HostCore {
         let if_epoch = if self.conditional_revalidation.load(Ordering::Relaxed) {
             self.cache
                 .read()
-                .revalidation_epoch(&miss.cache_key, &miss.token_digest, now)
+                .revalidation_epoch(&miss.cache_key, &miss.digest, now)
         } else {
             None
         };
@@ -1899,13 +1868,14 @@ impl HostCore {
         };
 
         // §V.B.6 warm path: a cached decision is valid only for the same
-        // bearer token (by digest), within its TTL, and while the owner's
-        // policy epoch is unchanged. A hit is granted while everything is
-        // still borrowed from the one state read — no resource/delegation
-        // clones, no dispatch.
+        // bearer token (by the access tuple's digest, which the sieve
+        // probe has usually hashed already), within its TTL, and while
+        // the owner's policy epoch is unchanged. A hit is granted while
+        // everything is still borrowed from the one state read — no
+        // resource/delegation clones, no dispatch.
         let cache_key = (requester.to_owned(), resource_id.to_owned(), action.clone());
-        let token_digest = token_digest(token);
-        if self.cache.read().lookup(&cache_key, &token_digest, now) {
+        let digest = access_digest(token, resource_id, action, requester);
+        if self.cache.read().lookup(&cache_key, &digest, now) {
             drop(state);
             self.stats.add(Pep::CacheHits, 1);
             // Lazy label: free (one atomic load) while tracing is off.
@@ -1927,7 +1897,7 @@ impl HostCore {
             owner: resource.owner.clone(),
             token,
             cache_key,
-            token_digest,
+            digest,
         })
     }
 
@@ -2054,9 +2024,8 @@ impl HostCore {
     ) -> Enforcement {
         let Miss {
             owner,
-            token,
             cache_key,
-            token_digest,
+            digest,
             ..
         } = miss;
         let (requester, resource_id, action) = &cache_key;
@@ -2072,7 +2041,7 @@ impl HostCore {
                 let rearmed = match if_epoch {
                     Some(epoch) => self.cache.write().rearm(
                         &cache_key,
-                        &token_digest,
+                        &digest,
                         epoch,
                         now + body.cacheable_ms,
                     ),
@@ -2128,8 +2097,6 @@ impl HostCore {
                              ({cacheable_ms} ms)"
                         )
                     });
-                    let fingerprint =
-                        sieve_fingerprint_memo(token, resource_id, action_label(action), requester);
                     // One write lock for the whole insert: the enabled
                     // flag is re-checked inside, so a concurrent
                     // `set_cache_enabled(false)` cannot be overtaken.
@@ -2142,11 +2109,10 @@ impl HostCore {
                         cache_key,
                         CachedDecision {
                             expires_at_ms: now + cacheable_ms,
-                            token_digest,
+                            digest,
                             owner,
                             am: decided_by.to_owned(),
                             epoch,
-                            fingerprint,
                             referenced: AtomicBool::new(false),
                         },
                         now,
@@ -2219,10 +2185,10 @@ impl HostCore {
                 // only that — may serve an expired cached permit within
                 // its grace window.
                 let stale_now = self.clock.now_ms();
-                if let Some(staleness) =
-                    self.cache
-                        .read()
-                        .lookup_stale(&cache_key, &token_digest, stale_now)
+                if let Some(staleness) = self
+                    .cache
+                    .read()
+                    .lookup_stale(&cache_key, &digest, stale_now)
                 {
                     self.stats.add(Pep::StaleServed, 1);
                     self.max_served_staleness_ms
@@ -2474,8 +2440,8 @@ struct Miss<'t> {
     /// The bearer token presented.
     token: &'t str,
     cache_key: CacheKey,
-    /// SHA-256 of `token`.
-    token_digest: [u8; 32],
+    /// [`protocol::tuple_digest`] of the access tuple.
+    digest: [u8; 32],
 }
 
 /// What [`HostCore::classify`] made of one access.
@@ -2640,6 +2606,61 @@ mod tests {
         }
         assert_eq!(h.stats().am_queries, 2);
         assert_eq!(h.stats().cache_hits, 1);
+    }
+
+    /// A cached permit binds the access tuple's full digest. A bearer one
+    /// byte off the cached one, or the cached token presented by another
+    /// requester, goes to the AM. Both hold whether the sieve probe
+    /// hashed the tuple first (a sieve installed, probe missing) or the
+    /// cache lookup hashes it itself (no sieve: the probe returns before
+    /// hashing).
+    #[test]
+    fn cached_permit_is_bound_to_the_whole_access_tuple() {
+        for sieve in [false, true] {
+            let net = SimNet::new();
+            let am = FakeAm::new();
+            am.grant("good-token", &permit_body(60_000, 1));
+            net.register(am.clone());
+            let h = delegated_host(&net);
+            if sieve {
+                assert!(h.install_sieve(&sieve_of(1, 60_000, &[("other", "r1", "read", "req")])));
+            }
+            let url = Url::new("h.example", "/r1");
+            let read = |requester: &str, token: &str| {
+                h.enforce(
+                    &net,
+                    requester,
+                    None,
+                    "r1",
+                    &Action::Read,
+                    Some(token),
+                    &url,
+                )
+            };
+            let counts = || (h.stats().am_queries, h.stats().cache_hits);
+
+            assert!(read("req", "good-token").is_grant());
+            assert!(read("req", "good-token").is_grant());
+            assert_eq!(counts(), (1, 1), "sieve {sieve}");
+
+            // Last byte differs: the AM is asked, and rejects it.
+            match read("req", "good-tokem") {
+                Enforcement::Block(resp) => assert_eq!(resp.status, Status::Unauthorized),
+                Enforcement::Grant => panic!("a near-miss bearer rode the cache (sieve {sieve})"),
+            }
+            assert_eq!(counts(), (2, 1), "sieve {sieve}");
+
+            // The cached token from another requester: the AM is asked
+            // (the fake grants by token alone).
+            assert!(read("eve", "good-token").is_grant());
+            assert_eq!(counts(), (3, 1), "sieve {sieve}");
+
+            // The bound tuple itself still hits.
+            assert!(read("req", "good-token").is_grant());
+            assert_eq!(counts(), (3, 2), "sieve {sieve}");
+            let probes = if sieve { 5 } else { 0 };
+            assert_eq!(h.stats().sieve_misses, probes, "sieve {sieve}");
+        }
     }
 
     #[test]

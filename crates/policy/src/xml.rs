@@ -175,6 +175,14 @@ pub fn render(root: &Element) -> String {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// How deep a parsed document may nest elements. The parser recurses
+/// once per element level, so this bounds its stack: a hostile
+/// 100,000-deep body is a syntax error, not a stack overflow that aborts
+/// the process. Documents the workspace renders nest far less: a policy
+/// export whose XACML condition is three expressions deep nests 10
+/// levels, and each further expression level adds one.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
@@ -312,8 +320,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses one element; assumes `self.pos` is at its `<`.
-    fn parse_element(&mut self) -> Result<Element, XmlError> {
+    /// Parses one element inside `depth` enclosing elements; assumes
+    /// `self.pos` is at its `<`.
+    fn parse_element(&mut self, depth: usize) -> Result<Element, XmlError> {
+        if depth == MAX_DEPTH {
+            return self.err(format!("elements nest deeper than {MAX_DEPTH} levels"));
+        }
         self.expect(b'<')?;
         let name = self.parse_name()?;
         let mut el = Element::new(&name);
@@ -360,7 +372,7 @@ impl<'a> Parser<'a> {
                     } else if self.starts_with("<!--") {
                         self.skip_misc()?;
                     } else {
-                        el.children.push(self.parse_element()?);
+                        el.children.push(self.parse_element(depth + 1)?);
                     }
                 }
                 Some(b'&') => el.text.push(self.parse_entity()?),
@@ -399,7 +411,7 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
     if parser.peek() != Some(b'<') {
         return parser.err("expected root element");
     }
-    let root = parser.parse_element()?;
+    let root = parser.parse_element(0)?;
     parser.skip_misc()?;
     if parser.pos != parser.input.len() {
         return parser.err("trailing content after root element");
@@ -1055,6 +1067,14 @@ mod tests {
         assert!(parse("<a><b></b>").is_err());
         assert!(parse("<a attr=>").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nest deeper"), "{err}");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! primitives the rest of the workspace uses to mint and verify such tokens:
 //!
 //! * [`sha256`] — a from-scratch SHA-256 implementation (FIPS 180-4),
-//! * [`hmac`] — HMAC-SHA256 (RFC 2104),
+//! * [`hmac`] — HMAC-SHA256 (RFC 2104), with [`HmacKey`] absorbing a key's
+//!   pad blocks once for keys that sign many messages,
 //! * [`base64`] — padding-free URL-safe base64 (RFC 4648 §5),
 //! * [`ct_eq`] — constant-time byte comparison,
 //! * [`SigningKey`] / [`SignedBlob`] — a tiny "sign structured bytes, verify
@@ -38,7 +39,7 @@ pub mod sha;
 pub mod signing;
 
 pub use base64::{decode as base64url_decode, encode as base64url_encode};
-pub use hmac::hmac_sha256;
+pub use hmac::{hmac_sha256, HmacKey};
 pub use sha::sha256;
 pub use signing::{SignedBlob, SigningKey, VerifyError};
 

@@ -1,8 +1,13 @@
 //! SHA-256 implemented from the FIPS 180-4 specification.
 //!
-//! This is a straightforward, well-tested implementation used for HMAC-based
-//! token signing. It is not optimized (no SIMD), which is fine for the
-//! simulated environment: hashing is a negligible fraction of protocol cost.
+//! Hashing is not a negligible cost here. A Host decision query opens two
+//! sealed tokens at the AM (two HMACs) and hashes the access tuple at both
+//! ends, so the block function runs more than a dozen times per decision.
+//! It is therefore written for speed within safe, portable Rust: the 64
+//! rounds are unrolled by macro over a rolling 16-word message schedule,
+//! full input blocks are compressed straight from the caller's slice, and
+//! [`Sha256::finalize`] writes its padding into the buffer in place. There
+//! is no SIMD or SHA-extension path; the crate forbids `unsafe`.
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes.
@@ -132,97 +137,132 @@ impl Sha256 {
         let mut rest = data;
         // Fill a partially full buffer first.
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(rest.len());
+            let take = (64 - self.buf_len).min(rest.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        // Process full blocks directly from the input.
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
+        // Compress full blocks straight from the input.
+        let mut blocks = rest.chunks_exact(64);
+        for block in &mut blocks {
+            compress(
+                &mut self.state,
+                block.try_into().expect("chunks_exact yields 64 bytes"),
+            );
         }
         // Buffer the remainder.
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        let tail = blocks.remainder();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finishes the computation and returns the 32-byte digest.
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
+        // Padding, written into the buffer in place: 0x80, zeros, and the
+        // 8-byte big-endian bit length. When fewer than 9 bytes are left
+        // after the message, the padding spills into a second block.
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        // `update` would change total_len; write the length bytes manually.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
 
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+/// One SHA-256 round on the working variables named in rotated order.
+/// Instead of shifting all eight variables, a round writes its new `e`
+/// into `$d` and its new `a` into `$h`, and the next round names the
+/// variables one place further on, so eight rounds bring every name
+/// back to its starting role. `$kw` is the round constant plus the
+/// schedule word.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
+        $h = $h
+            .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+            .wrapping_add($g ^ ($e & ($f ^ $g)))
+            .wrapping_add($kw);
+        $d = $d.wrapping_add($h);
+        $h = $h
+            .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+            .wrapping_add($b ^ (($a ^ $b) & ($b ^ $c)));
+    };
+}
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
+/// The SHA-256 compression function (FIPS 180-4 §6.2.2) on one block,
+/// fully unrolled. The message schedule rolls through 16 words: slot
+/// `t mod 16` holds `W[t]` while round `t` runs, and from round 16 on each
+/// round first overwrites its slot, which still holds `W[t-16]`, with
+/// `W[t]`.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    // `W[t]` for a round of the first sixteen: the block's own word.
+    macro_rules! given {
+        ($j:expr) => {
+            w[$j]
+        };
+    }
+    // `W[t]` for a later round: σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16].
+    macro_rules! expanded {
+        ($j:expr) => {{
+            let w15 = w[($j + 1) & 15];
+            let w2 = w[($j + 14) & 15];
+            w[$j] = w[$j]
+                .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+                .wrapping_add(w[($j + 9) & 15])
+                .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+            w[$j]
+        }};
+    }
+    // Rounds `$t` to `$t + 15`, taking each schedule word from `$word`.
+    macro_rules! sixteen_rounds {
+        ($t:expr, $word:ident) => {
+            round!(a, b, c, d, e, f, g, h, K[$t].wrapping_add($word!(0)));
+            round!(h, a, b, c, d, e, f, g, K[$t + 1].wrapping_add($word!(1)));
+            round!(g, h, a, b, c, d, e, f, K[$t + 2].wrapping_add($word!(2)));
+            round!(f, g, h, a, b, c, d, e, K[$t + 3].wrapping_add($word!(3)));
+            round!(e, f, g, h, a, b, c, d, K[$t + 4].wrapping_add($word!(4)));
+            round!(d, e, f, g, h, a, b, c, K[$t + 5].wrapping_add($word!(5)));
+            round!(c, d, e, f, g, h, a, b, K[$t + 6].wrapping_add($word!(6)));
+            round!(b, c, d, e, f, g, h, a, K[$t + 7].wrapping_add($word!(7)));
+            round!(a, b, c, d, e, f, g, h, K[$t + 8].wrapping_add($word!(8)));
+            round!(h, a, b, c, d, e, f, g, K[$t + 9].wrapping_add($word!(9)));
+            round!(g, h, a, b, c, d, e, f, K[$t + 10].wrapping_add($word!(10)));
+            round!(f, g, h, a, b, c, d, e, K[$t + 11].wrapping_add($word!(11)));
+            round!(e, f, g, h, a, b, c, d, K[$t + 12].wrapping_add($word!(12)));
+            round!(d, e, f, g, h, a, b, c, K[$t + 13].wrapping_add($word!(13)));
+            round!(c, d, e, f, g, h, a, b, K[$t + 14].wrapping_add($word!(14)));
+            round!(b, c, d, e, f, g, h, a, K[$t + 15].wrapping_add($word!(15)));
+        };
+    }
+    sixteen_rounds!(0, given);
+    sixteen_rounds!(16, expanded);
+    sixteen_rounds!(32, expanded);
+    sixteen_rounds!(48, expanded);
+
+    for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(v);
     }
 }
 
@@ -276,6 +316,17 @@ mod tests {
     }
 
     #[test]
+    fn nist_896_bit_vector() {
+        assert_eq!(
+            hex(&sha256(
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+            )),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        );
+    }
+
+    #[test]
     fn million_a_vector() {
         let data = vec![b'a'; 1_000_000];
         assert_eq!(
@@ -297,15 +348,16 @@ mod tests {
 
     #[test]
     fn length_boundary_padding() {
-        // Messages of length 55, 56, 57, 63, 64, 65 exercise the padding edge
-        // cases (56 is the point where the length no longer fits the block).
-        for len in [55usize, 56, 57, 63, 64, 65] {
-            let data = vec![0x5au8; len];
+        // Lengths 0..=130 cover the padding's one-block case (0..=55 bytes
+        // in the last block) and its two-block case (56..=63) at one, two
+        // and three blocks of message.
+        let data: Vec<u8> = (0..130u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        for len in 0..=data.len() {
             let mut h = Sha256::new();
-            for b in &data {
+            for b in &data[..len] {
                 h.update(std::slice::from_ref(b));
             }
-            assert_eq!(h.finalize(), sha256(&data), "len {len}");
+            assert_eq!(h.finalize(), sha256(&data[..len]), "len {len}");
         }
     }
 }

@@ -7,10 +7,13 @@
 //! opaque and unforgeable to every other party.
 
 use crate::base64;
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::{ct_eq, random_bytes};
 
 /// A secret HMAC-SHA256 signing key held by a token issuer.
+///
+/// The key is kept as an [`HmacKey`], its pad blocks absorbed once, so
+/// every seal and open hashes only the payload and one outer block.
 ///
 /// # Example
 ///
@@ -23,7 +26,7 @@ use crate::{ct_eq, random_bytes};
 /// ```
 #[derive(Clone)]
 pub struct SigningKey {
-    secret: Vec<u8>,
+    key: HmacKey,
 }
 
 impl std::fmt::Debug for SigningKey {
@@ -39,16 +42,14 @@ impl SigningKey {
     /// Generates a fresh random 32-byte key.
     #[must_use]
     pub fn generate() -> Self {
-        SigningKey {
-            secret: random_bytes(32),
-        }
+        Self::from_secret(random_bytes(32))
     }
 
     /// Builds a key from existing secret bytes (e.g. restored from config).
     #[must_use]
     pub fn from_secret(secret: impl Into<Vec<u8>>) -> Self {
         SigningKey {
-            secret: secret.into(),
+            key: HmacKey::new(&secret.into()),
         }
     }
 
@@ -57,26 +58,24 @@ impl SigningKey {
     pub fn sign(&self, payload: &[u8]) -> SignedBlob {
         SignedBlob {
             payload: payload.to_vec(),
-            signature: hmac_sha256(&self.secret, payload).to_vec(),
+            signature: self.key.mac(payload).to_vec(),
         }
     }
 
     /// Verifies in constant time that `signature` is valid for `payload`.
     #[must_use]
     pub fn verify(&self, payload: &[u8], signature: &[u8]) -> bool {
-        ct_eq(&hmac_sha256(&self.secret, payload), signature)
+        ct_eq(&self.key.mac(payload), signature)
     }
 
     /// Signs `payload` and encodes the result as a compact token string
     /// `base64url(payload) + "." + base64url(mac)`.
     #[must_use]
     pub fn seal(&self, payload: &[u8]) -> String {
-        let blob = self.sign(payload);
-        format!(
-            "{}.{}",
-            base64::encode(&blob.payload),
-            base64::encode(&blob.signature)
-        )
+        let mut token = base64::encode(payload);
+        token.push('.');
+        token.push_str(&base64::encode(&self.key.mac(payload)));
+        token
     }
 
     /// Decodes and verifies a token produced by [`SigningKey::seal`],
@@ -193,6 +192,12 @@ mod tests {
         let dbg = format!("{key:?}");
         assert!(!dbg.contains("supersecret"));
         assert!(dbg.contains("redacted"));
+        // The absorbed pad states are as secret as the key: no state
+        // words, buffer or length may show.
+        let hmac = crate::hmac::HmacKey::new(b"supersecret");
+        let dbg = format!("{hmac:?}");
+        assert_eq!(dbg, r#"HmacKey { state: "<redacted>" }"#);
+        assert!(!format!("{key:#?}").contains("state:"));
     }
 
     proptest! {

@@ -738,18 +738,14 @@ impl DelegateReply {
 /// per-entry wire and memory cost.
 pub type SieveFingerprint = [u8; 16];
 
-/// Computes the sieve fingerprint of one access tuple. Both ends call
-/// this: the AM when compiling a sieve from its issued grants, the Host
-/// when probing its installed snapshot on the warm path. Fields are
-/// domain-separated and NUL-delimited so distinct tuples can never share
-/// a preimage.
+/// Computes the full SHA-256 digest of one `(token, resource, action,
+/// requester)` access tuple. Fields are domain-separated and
+/// NUL-delimited so distinct tuples can never share a preimage. The
+/// Host binds a cached decision to all 32 bytes and probes its sieve
+/// with the first 16 (see [`sieve_fingerprint`]), so one hash serves
+/// both per access.
 #[must_use]
-pub fn sieve_fingerprint(
-    token: &str,
-    resource: &str,
-    action: &str,
-    requester: &str,
-) -> SieveFingerprint {
+pub fn tuple_digest(token: &str, resource: &str, action: &str, requester: &str) -> [u8; 32] {
     let mut hasher = ucam_crypto::sha::Sha256::new();
     hasher.update(b"ucam-sieve-fp-v1\0");
     hasher.update(token.as_bytes());
@@ -759,10 +755,29 @@ pub fn sieve_fingerprint(
     hasher.update(action.as_bytes());
     hasher.update(b"\0");
     hasher.update(requester.as_bytes());
-    let digest = hasher.finalize();
+    hasher.finalize()
+}
+
+/// The sieve fingerprint of a [`tuple_digest`]: its first 16 bytes.
+#[must_use]
+pub fn fingerprint_of(digest: &[u8; 32]) -> SieveFingerprint {
     let mut fp = [0u8; 16];
     fp.copy_from_slice(&digest[..16]);
     fp
+}
+
+/// Computes the sieve fingerprint of one access tuple: its
+/// [`tuple_digest`] truncated to 16 bytes. Both ends call this: the AM
+/// when compiling a sieve from its issued grants, the Host when probing
+/// its installed snapshot on the warm path.
+#[must_use]
+pub fn sieve_fingerprint(
+    token: &str,
+    resource: &str,
+    action: &str,
+    requester: &str,
+) -> SieveFingerprint {
+    fingerprint_of(&tuple_digest(token, resource, action, requester))
 }
 
 /// One pre-authorized access tuple inside a [`SieveBody`].
