@@ -170,8 +170,9 @@ impl fmt::Display for ConsentError {
 
 impl std::error::Error for ConsentError {}
 
-/// The tuple the PDP asks about at decision time.
-type GrantKey = (String, Option<String>, ResourceRef, Action);
+/// `(requester, subject, resource, action)`: one access tuple, the
+/// shape the PDP asks about consent (and counts uses) in.
+pub type AccessTuple = (String, Option<String>, ResourceRef, Action);
 /// The tuple `open` deduplicates on (adds the owner).
 type PendingKey = (String, String, Option<String>, ResourceRef, Action);
 
@@ -204,7 +205,7 @@ pub struct ConsentQueue {
     id_prefix: String,
     /// Granted (requester, subject, resource, action) tuples — the O(1)
     /// answer to [`ConsentQueue::is_granted`] regardless of queue depth.
-    granted: HashSet<GrantKey>,
+    granted: HashSet<AccessTuple>,
     /// Pending request per dedupe tuple — the O(1) answer to "is an
     /// identical request already open?".
     pending_index: HashMap<PendingKey, String>,
@@ -365,25 +366,12 @@ impl ConsentQueue {
     }
 
     /// Returns `true` when an identical settled-granted request exists for
-    /// (requester, subject, resource, action) — the PDP consults this when
-    /// re-evaluating after the owner acted. O(1) via the granted index.
+    /// `tuple` — the PDP consults this when re-evaluating after the owner
+    /// acted. O(1) via the granted index, on the tuple the PDP already
+    /// holds: the lookup copies nothing.
     #[must_use]
-    pub fn is_granted(
-        &self,
-        requester: &str,
-        subject: Option<&str>,
-        resource: &ResourceRef,
-        action: &Action,
-    ) -> bool {
-        // Borrowed-key lookup would need a custom Borrow impl for the
-        // 4-tuple; one small clone per PDP query beats the full scan this
-        // replaced by orders of magnitude at depth.
-        self.granted.contains(&(
-            requester.to_owned(),
-            subject.map(str::to_owned),
-            resource.clone(),
-            action.clone(),
-        ))
+    pub fn is_granted(&self, tuple: &AccessTuple) -> bool {
+        self.granted.contains(tuple)
     }
 }
 
@@ -515,17 +503,10 @@ impl ConsentHub {
 
     /// O(1) granted check, routed by the owner whose policy asked.
     #[must_use]
-    pub fn is_granted(
-        &self,
-        owner: &str,
-        requester: &str,
-        subject: Option<&str>,
-        resource: &ResourceRef,
-        action: &Action,
-    ) -> bool {
+    pub fn is_granted(&self, owner: &str, tuple: &AccessTuple) -> bool {
         self.shards[self.shard_of_owner(owner)]
             .lock()
-            .is_granted(requester, subject, resource, action)
+            .is_granted(tuple)
     }
 }
 
@@ -537,6 +518,16 @@ mod tests {
         ResourceRef::new("webpics.example", "photo-1")
     }
 
+    /// The access tuple for `action` on [`photo`].
+    fn on_photo(requester: &str, subject: Option<&str>, action: Action) -> AccessTuple {
+        (
+            requester.to_owned(),
+            subject.map(str::to_owned),
+            photo(),
+            action,
+        )
+    }
+
     #[test]
     fn open_grant_poll() {
         let mut q = ConsentQueue::new();
@@ -545,7 +536,7 @@ mod tests {
         assert_eq!(q.get(&id).unwrap().created_at_ms, 7);
         q.grant(&id).unwrap();
         assert_eq!(q.state(&id), Some(ConsentState::Granted));
-        assert!(q.is_granted("req", Some("alice"), &photo(), &Action::Read));
+        assert!(q.is_granted(&on_photo("req", Some("alice"), Action::Read)));
     }
 
     #[test]
@@ -554,7 +545,7 @@ mod tests {
         let id = q.open("bob", "req", None, photo(), Action::Read, 0);
         q.deny(&id).unwrap();
         assert_eq!(q.state(&id), Some(ConsentState::Denied));
-        assert!(!q.is_granted("req", None, &photo(), &Action::Read));
+        assert!(!q.is_granted(&on_photo("req", None, Action::Read)));
     }
 
     #[test]
@@ -638,8 +629,8 @@ mod tests {
         let id = q.open("bob", "the-one", None, photo(), Action::Write, 0);
         q.grant(&id).unwrap();
         // One lookup, not a thousand-element scan.
-        assert!(q.is_granted("the-one", None, &photo(), &Action::Write));
-        assert!(!q.is_granted("r5", None, &photo(), &Action::Read));
+        assert!(q.is_granted(&on_photo("the-one", None, Action::Write)));
+        assert!(!q.is_granted(&on_photo("r5", None, Action::Read)));
     }
 
     #[test]
@@ -650,9 +641,9 @@ mod tests {
         assert_ne!(id_a, id_b, "ids are globally unique across shards");
         assert_eq!(hub.owner_of(&id_a).as_deref(), Some("alice"));
         assert_eq!(hub.grant(&id_a).as_deref(), Ok("alice"));
-        assert!(hub.is_granted("alice", "req", None, &photo(), &Action::Read));
+        assert!(hub.is_granted("alice", &on_photo("req", None, Action::Read)));
         assert!(
-            !hub.is_granted("bob", "req", None, &photo(), &Action::Read),
+            !hub.is_granted("bob", &on_photo("req", None, Action::Read)),
             "grants are scoped to the owner whose policy asked"
         );
         assert_eq!(hub.deny(&id_b).as_deref(), Ok("bob"));

@@ -13,6 +13,7 @@
 //! exposing the protocol endpoints of Figs. 3–6 plus the REST policy API of
 //! §VI.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,7 +31,9 @@ use ucam_webenv::{
 
 use crate::audit::{AuditEntry, AuditEvent, AuditHub, AuditLog};
 use crate::claims::{ClaimIssuer, ClaimVerifier};
-use crate::consent::{Channel, ConsentHub, ConsentState, Notification, NotificationOutbox};
+use crate::consent::{
+    AccessTuple, Channel, ConsentHub, ConsentState, Notification, NotificationOutbox,
+};
 use crate::pap::{Account, ExportFormat};
 use crate::push::{EpochPushStats, PushFanOut};
 use crate::tokens::{AuthzGrant, HostGrant, TokenError, TokenService};
@@ -148,7 +151,7 @@ pub enum AuthorizeOutcome {
         /// The sealed authorization token.
         token: String,
         /// The grant embedded in it.
-        grant: AuthzGrant,
+        grant: AuthzGrant<'static>,
     },
     /// The request was denied.
     Denied(String),
@@ -161,19 +164,20 @@ pub enum AuthorizeOutcome {
     NeedsClaims(Vec<ClaimRequirement>),
 }
 
-/// A Host's access-control decision query (Fig. 6).
+/// A Host's access-control decision query (Fig. 6), borrowed from
+/// wherever it arrived (request params, a batch body).
 #[derive(Debug, Clone)]
-pub struct DecisionQuery {
+pub struct DecisionQuery<'a> {
     /// The host access token sealing the delegation.
-    pub host_token: String,
+    pub host_token: &'a str,
     /// The authorization token the Requester presented.
-    pub authz_token: String,
+    pub authz_token: &'a str,
     /// The resource actually being accessed.
-    pub resource_id: String,
+    pub resource_id: &'a str,
     /// The action actually being performed.
     pub action: Action,
     /// The requester presenting the token.
-    pub requester: String,
+    pub requester: &'a str,
 }
 
 /// The AM's answer to a decision query: "The decision can be either
@@ -235,11 +239,21 @@ const ISSUED_GRANTS_CAP: usize = 4096;
 
 /// Per-owner cap on the outstanding-decisions registry the invalidation
 /// compiler re-evaluates (DESIGN.md §16). Unlike the issued-grants cap,
-/// overflow here cannot silently drop entries: an invalidation body
-/// claims *exactness* (the Host keeps everything not listed), so once
-/// the cap is hit the owner's registry is marked overflowed and pushes
-/// fall back to the always-safe plain epoch purge.
-const DECIDED_TUPLES_CAP: usize = 8192;
+/// a permit past it cannot silently go unlisted: an invalidation body
+/// claims *exactness* (the Host keeps everything not listed), so a
+/// permit the full registry cannot take raises its stripe's
+/// unrecorded-until watermark, and pushes for the stripe's owners fall
+/// back to the always-safe plain epoch purge until that permit's cache
+/// lifetime has passed.
+pub const DECIDED_TUPLES_CAP: usize = 8192;
+
+thread_local! {
+    /// The payload buffers [`AuthorizationManager::decide`] opens its
+    /// host and authorization tokens into, reused by every decision on
+    /// this thread.
+    static OPENED_PAYLOADS: RefCell<(Vec<u8>, Vec<u8>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
 
 /// FNV-1a over a name — the shard router every sharded structure here
 /// shares.
@@ -280,24 +294,20 @@ struct AmState {
     idp: Option<IdentityVerifier>,
 }
 
-/// `(requester, subject, resource, action)`: one access tuple, in the
-/// shape the use counts are keyed by.
-type UseKey = (String, Option<String>, ResourceRef, Action);
-
 /// One shard of the per-requester evaluation context.
 #[derive(Default)]
 struct CtxShard {
     /// Granted uses so far, per access tuple.
-    use_counts: HashMap<UseKey, u32>,
+    use_counts: HashMap<AccessTuple, u32>,
     /// Claims verified at token-issuance time, reused at decision time,
-    /// keyed by (requester, resource).
-    satisfied_claims: HashMap<(String, ResourceRef), Vec<Claim>>,
+    /// keyed by requester, then resource: a lookup borrows both.
+    satisfied_claims: HashMap<String, HashMap<ResourceRef, Vec<Claim>>>,
 }
 
 /// One shard of the issued-grants registry: owner → `(token, grant)`
 /// newest last — the raw material the sieve compiler replays. Populated
 /// only while sieve push is enabled; capped at [`ISSUED_GRANTS_CAP`].
-type IssuedShard = HashMap<String, VecDeque<(String, AuthzGrant)>>;
+type IssuedShard = HashMap<String, VecDeque<(String, AuthzGrant<'static>)>>;
 
 /// What the AM last successfully shipped to one (host, owner) pair with
 /// a sieve body: the epoch it was compiled under and its fingerprint set.
@@ -325,24 +335,54 @@ struct DecidedTuple {
     expires_at_ms: u64,
 }
 
-/// One owner's slice of the outstanding-decisions registry, keyed by the
-/// same fingerprint the Host keys its cache entries with.
+/// One owner's slice of the outstanding-decisions registry.
 #[derive(Default)]
 struct DecidedSet {
+    /// Recorded permits, keyed by the same fingerprint the Host keys its
+    /// cache entries with.
     tuples: HashMap<protocol::SieveFingerprint, DecidedTuple>,
-    /// Set when [`DECIDED_TUPLES_CAP`] evicted coverage. An exact
-    /// invalidation list can no longer be claimed for this owner, so the
-    /// compiler refuses and pushes go out plain (owner-wide purge).
-    overflowed: bool,
+    /// No recorded permit expires before this, so a full set has nothing
+    /// to prune until it passes; without it, every permit a full set
+    /// refuses would rescan all [`DECIDED_TUPLES_CAP`] entries.
+    earliest_expiry: u64,
 }
 
-type DecidedShard = HashMap<String, DecidedSet>;
+impl DecidedSet {
+    /// Drops the permits whose cached copies have expired everywhere.
+    fn prune(&mut self, now: u64) {
+        let mut earliest = u64::MAX;
+        self.tuples.retain(|_, t| {
+            let live = t.expires_at_ms > now;
+            if live {
+                earliest = earliest.min(t.expires_at_ms);
+            }
+            live
+        });
+        self.earliest_expiry = earliest;
+    }
+}
+
+/// One stripe of the outstanding-decisions registry, by owner hash.
+#[derive(Default)]
+struct DecidedStripe {
+    /// Owner → recorded permits.
+    owners: Mutex<HashMap<String, DecidedSet>>,
+    /// The latest cache expiry of a cacheable permit answered for an
+    /// owner of this stripe but not recorded: answered while no
+    /// invalidation list could ride (invalidation push off, or sieve
+    /// push on), or past [`DECIDED_TUPLES_CAP`]. A Host may hold such a
+    /// permit until then, and a list cannot name it, so the invalidation
+    /// compiler claims no exact list for the stripe before it passes.
+    /// Only ever raised, by a load and then a `fetch_max` only when the
+    /// load is lower, so a permit it already covers writes nothing.
+    unrecorded_until: AtomicU64,
+}
 
 /// What phase A gathers for one access tuple (see
 /// [`AuthorizationManager::gather`]): the tuple itself, the owner's
 /// consent, and the requester's satisfied claims and prior uses.
 struct Gathered {
-    key: UseKey,
+    key: AccessTuple,
     consent_granted: bool,
     claims: Vec<Claim>,
     prior_uses: u32,
@@ -361,7 +401,7 @@ struct Evaluated {
 /// to one resource and action.
 struct Candidate<'a> {
     token: &'a str,
-    grant: &'a AuthzGrant,
+    grant: &'a AuthzGrant<'a>,
     resource_id: &'a str,
     action: &'a Action,
 }
@@ -456,9 +496,11 @@ pub struct AuthorizationManager {
     /// valid set and no invalidation list is attached.
     invalidation_push: AtomicBool,
     /// Outstanding cacheable permits (invalidation-compiler input),
-    /// sharded by owner hash like the issued registry. Cold-path readers
-    /// (push compiles), hot-path writers gated on `invalidation_push`.
-    decided: [Mutex<DecidedShard>; ISSUED_SHARDS],
+    /// striped by owner hash like the issued registry. Cold-path readers
+    /// (push compiles); `decide` records a permit only while an
+    /// invalidation list could name it and otherwise raises the stripe's
+    /// watermark.
+    decided: [DecidedStripe; ISSUED_SHARDS],
     /// Dynamically registered Hosts/Requesters, keyed by registrant id.
     /// Management traffic only — never touched by `authorize`/`decide`.
     registrants: Mutex<HashMap<String, Registrant>>,
@@ -499,7 +541,7 @@ impl AuthorizationManager {
             sieve_push: AtomicBool::new(false),
             shipped: Mutex::new(HashMap::default()),
             invalidation_push: AtomicBool::new(false),
-            decided: std::array::from_fn(|_| Mutex::new(DecidedShard::default())),
+            decided: std::array::from_fn(|_| DecidedStripe::default()),
             registrants: Mutex::new(HashMap::default()),
             registrant_seq: AtomicU64::new(0),
             legacy_decision_hits: AtomicU64::new(0),
@@ -523,8 +565,8 @@ impl AuthorizationManager {
         &self.issued[(fnv1a_str(owner) as usize) % ISSUED_SHARDS]
     }
 
-    /// The shard holding `owner`'s outstanding-decisions registry.
-    fn decided_for(&self, owner: &str) -> &Mutex<DecidedShard> {
+    /// The stripe holding `owner`'s outstanding-decisions registry.
+    fn decided_for(&self, owner: &str) -> &DecidedStripe {
         &self.decided[(fnv1a_str(owner) as usize) % ISSUED_SHARDS]
     }
 
@@ -744,11 +786,14 @@ impl AuthorizationManager {
     }
 
     /// Enables (or disables) decision-level invalidation push (protocol
-    /// v2, DESIGN.md §16). While enabled, the AM records every cacheable
-    /// permit it answers so that an epoch advance can push the *exact*
-    /// fingerprints that died instead of forcing an owner-wide purge.
-    /// Permits answered while disabled are simply not covered — the Host
-    /// purges them the classic epoch-bump way, which is always safe.
+    /// v2, DESIGN.md §16). While enabled and sieve push is off, the AM
+    /// records every cacheable permit it answers so that an epoch advance
+    /// can push the *exact* fingerprints that died instead of forcing an
+    /// owner-wide purge. A permit answered while no list could name it
+    /// (this push off, or sieve push on) is not recorded, yet a Host may
+    /// still cache it after this push is enabled: until the last such
+    /// permit's cache lifetime has passed, pushes for its owner's stripe
+    /// carry no list and the Host purges owner-wide.
     pub fn set_invalidation_push(&self, enabled: bool) {
         self.invalidation_push.store(enabled, Ordering::Relaxed);
     }
@@ -792,7 +837,7 @@ impl AuthorizationManager {
         let now = self.clock.now_ms();
         let (host_token, trusted) = self.push_key(host, owner)?;
         // Issued shard: the owner's live grants for this host.
-        let grants: Vec<(String, AuthzGrant)> = if trusted {
+        let grants: Vec<(String, AuthzGrant<'static>)> = if trusted {
             self.issued_for(owner)
                 .lock()
                 .get(owner)
@@ -824,7 +869,7 @@ impl AuthorizationManager {
             let mut map: HashMap<String, Vec<String>> = HashMap::new();
             for (_, grant) in &grants {
                 let Some(realm) = &grant.realm else { continue };
-                if map.contains_key(realm) {
+                if map.contains_key(realm.as_ref()) {
                     continue;
                 }
                 let members = slot
@@ -835,7 +880,7 @@ impl AuthorizationManager {
                     .filter(|rr| rr.host == host)
                     .map(|rr| rr.id.clone())
                     .collect();
-                map.insert(realm.clone(), members);
+                map.insert(realm.to_string(), members);
             }
             map
         };
@@ -846,9 +891,9 @@ impl AuthorizationManager {
         let builtin = Action::BUILTIN;
         let mut candidates = Vec::new();
         for (token, grant) in &grants {
-            let mut resources = vec![grant.resource_id.as_str()];
+            let mut resources = vec![grant.resource_id.as_ref()];
             if let Some(realm) = &grant.realm {
-                for id in realm_resources.get(realm).into_iter().flatten() {
+                for id in realm_resources.get(realm.as_ref()).into_iter().flatten() {
                     if !resources.contains(&id.as_str()) {
                         resources.push(id);
                     }
@@ -887,39 +932,65 @@ impl AuthorizationManager {
         Some((entries, epoch, host_token))
     }
 
-    /// Records one cacheable permit in the outstanding-decisions registry
-    /// — called from `decide`'s phase C while invalidation push is on.
-    /// Every Host cache entry is born from exactly one such permit, so
-    /// the registry is a superset of what any Host may still hold.
-    fn record_decided(&self, host: &str, query: &DecisionQuery, owner: &str, expires_at_ms: u64) {
-        let action_label = query.action.to_string();
-        let fp = protocol::sieve_fingerprint(
-            &query.authz_token,
-            &query.resource_id,
-            &action_label,
-            &query.requester,
-        );
-        let mut shard = self.decided_for(owner).lock();
-        let set = shard.entry(owner.to_owned()).or_default();
-        if let Some(existing) = set.tuples.get_mut(&fp) {
-            existing.expires_at_ms = existing.expires_at_ms.max(expires_at_ms);
-            return;
+    /// Accounts for one cacheable permit `decide` answered, which a Host
+    /// may cache until `expires_at_ms`. While an invalidation list could
+    /// name it (invalidation push on, sieve push off), it goes into the
+    /// outstanding-decisions registry: every Host cache entry the list
+    /// must cover is born from exactly one such permit. A permit not
+    /// recorded — no list can ride, or the owner's registry is at
+    /// [`DECIDED_TUPLES_CAP`] even after pruning what expired — raises
+    /// the stripe's unrecorded-until watermark to its expiry instead.
+    fn record_decided(
+        &self,
+        host: &str,
+        query: &DecisionQuery<'_>,
+        owner: &str,
+        now: u64,
+        expires_at_ms: u64,
+    ) {
+        let stripe = self.decided_for(owner);
+        if self.invalidation_push.load(Ordering::Relaxed)
+            && !self.sieve_push.load(Ordering::Relaxed)
+        {
+            let action_label = query.action.to_string();
+            let fp = protocol::sieve_fingerprint(
+                query.authz_token,
+                query.resource_id,
+                &action_label,
+                query.requester,
+            );
+            let mut owners = stripe.owners.lock();
+            let set = owners.entry(owner.to_owned()).or_default();
+            if let Some(existing) = set.tuples.get_mut(&fp) {
+                existing.expires_at_ms = existing.expires_at_ms.max(expires_at_ms);
+                return;
+            }
+            if set.tuples.len() >= DECIDED_TUPLES_CAP && set.earliest_expiry <= now {
+                set.prune(now);
+            }
+            if set.tuples.len() < DECIDED_TUPLES_CAP {
+                set.earliest_expiry = set.earliest_expiry.min(expires_at_ms);
+                set.tuples.insert(
+                    fp,
+                    DecidedTuple {
+                        host: host.to_owned(),
+                        token: query.authz_token.to_owned(),
+                        resource_id: query.resource_id.to_owned(),
+                        action: query.action.clone(),
+                        requester: query.requester.to_owned(),
+                        expires_at_ms,
+                    },
+                );
+                return;
+            }
         }
-        if set.tuples.len() >= DECIDED_TUPLES_CAP {
-            set.overflowed = true;
-            return;
+        // SeqCst: a push compile that runs after this permit was answered
+        // must see the raise.
+        if stripe.unrecorded_until.load(Ordering::SeqCst) < expires_at_ms {
+            stripe
+                .unrecorded_until
+                .fetch_max(expires_at_ms, Ordering::SeqCst);
         }
-        set.tuples.insert(
-            fp,
-            DecidedTuple {
-                host: host.to_owned(),
-                token: query.authz_token.clone(),
-                resource_id: query.resource_id.clone(),
-                action: query.action.clone(),
-                requester: query.requester.clone(),
-                expires_at_ms,
-            },
-        );
     }
 
     /// Compiles the decision-level invalidation list for one (host,
@@ -930,9 +1001,10 @@ impl AuthorizationManager {
     /// signing key. An empty list is meaningful — signed proof that the
     /// epoch advance killed none of this Host's entries.
     ///
-    /// Returns `None` when the list cannot be *exact*: no host token was
-    /// ever retained for the pair, the owner is unknown, or the
-    /// outstanding registry overflowed its cap. The caller then sends the
+    /// Returns `None` when the list cannot be *exact*: a cacheable permit
+    /// the registry did not record may still be cached (the owner's
+    /// stripe watermark has not passed), no host token was ever retained
+    /// for the pair, or the owner is unknown. The caller then sends the
     /// push plain and the Host does the owner-wide purge — always safe.
     ///
     /// Same sequential-lock-scope discipline as [`Self::compile_sieve`];
@@ -945,21 +1017,22 @@ impl AuthorizationManager {
         owner: &str,
     ) -> Option<(Vec<protocol::SieveFingerprint>, u64, String)> {
         let now = self.clock.now_ms();
+        let stripe = self.decided_for(owner);
+        if stripe.unrecorded_until.load(Ordering::SeqCst) > now {
+            return None;
+        }
         let (host_token, trusted) = self.push_key(host, owner)?;
 
         // Outstanding registry: prune expired tuples (their cached copies
         // died on their own) and take this host's slice.
         let tuples: Vec<(protocol::SieveFingerprint, DecidedTuple)> = {
-            let mut shard = self.decided_for(owner).lock();
-            let Some(set) = shard.get_mut(owner) else {
+            let mut owners = stripe.owners.lock();
+            let Some(set) = owners.get_mut(owner) else {
                 // Nothing outstanding: the epoch advance invalidated
                 // nothing this AM ever answered for.
                 return Some((Vec::new(), self.policy_epoch(owner), host_token));
             };
-            if set.overflowed {
-                return None;
-            }
-            set.tuples.retain(|_, t| t.expires_at_ms > now);
+            set.prune(now);
             set.tuples
                 .iter()
                 .filter(|(_, t)| t.host == host)
@@ -976,13 +1049,21 @@ impl AuthorizationManager {
         // An expired or rebound token means the cached entry is dead
         // regardless of policy; only tuples whose token still validates
         // are evaluated.
-        let grants: Vec<Option<AuthzGrant>> = tuples
+        let mut payload = Vec::new();
+        let grants: Vec<Option<AuthzGrant<'static>>> = tuples
             .iter()
             .map(|(_, t)| {
                 self.tokens
-                    .validate_authz_token(&t.token, host, &t.resource_id, &t.requester)
+                    .validate_authz_token(
+                        &t.token,
+                        &mut payload,
+                        host,
+                        &t.resource_id,
+                        &t.requester,
+                    )
                     .ok()
                     .filter(|grant| grant.owner == owner)
+                    .map(AuthzGrant::into_owned)
             })
             .collect();
         let candidates: Vec<Candidate<'_>> = tuples
@@ -1043,8 +1124,8 @@ impl AuthorizationManager {
             .iter()
             .map(|c| {
                 let key = (
-                    c.grant.requester.clone(),
-                    c.grant.subject.clone(),
+                    c.grant.requester.to_string(),
+                    c.grant.subject.as_deref().map(str::to_owned),
                     ResourceRef::new(host, c.resource_id),
                     c.action.clone(),
                 );
@@ -1202,13 +1283,14 @@ impl AuthorizationManager {
     /// # Errors
     ///
     /// Returns [`AmError::Token`] or [`AmError::Trust`].
-    pub fn check_host_token(&self, token: &str) -> Result<HostGrant, AmError> {
-        let grant = self.tokens.validate_host_token(token)?;
+    pub fn check_host_token(&self, token: &str) -> Result<HostGrant<'static>, AmError> {
+        let mut payload = Vec::new();
+        let grant = self.tokens.validate_host_token(token, &mut payload)?;
         let state = self.state.read();
         state
             .trust
             .check_id(&grant.host, &grant.user, &grant.delegation_id)?;
-        Ok(grant)
+        Ok(grant.into_owned())
     }
 
     // -- PAP access ----------------------------------------------------------
@@ -1287,17 +1369,17 @@ impl AuthorizationManager {
     /// then the requester's satisfied claims and prior uses (one
     /// context-shard read). Each is its own lock scope; nothing is
     /// written. `key` is the tuple; it comes back inside the result so
-    /// `decide` bumps exactly the use count it read.
-    fn gather(&self, owner: &str, key: UseKey) -> Gathered {
-        let (requester, subject, resource, action) = &key;
-        let consent = &self.consent;
-        let consent_granted =
-            consent.is_granted(owner, requester, subject.as_deref(), resource, action);
+    /// `decide` bumps exactly the use count it read. Every lookup borrows
+    /// it.
+    fn gather(&self, owner: &str, key: AccessTuple) -> Gathered {
+        let consent_granted = self.consent.is_granted(owner, &key);
+        let (requester, _, resource, _) = &key;
         let (claims, prior_uses) = {
             let ctx = self.ctx_for(requester).read();
             let claims = ctx
                 .satisfied_claims
-                .get(&(requester.clone(), resource.clone()))
+                .get(requester.as_str())
+                .and_then(|by_resource| by_resource.get(resource))
                 .cloned()
                 .unwrap_or_default();
             (claims, ctx.use_counts.get(&key).copied().unwrap_or(0))
@@ -1414,11 +1496,14 @@ impl AuthorizationManager {
                     &request.owner,
                 );
                 let token = self.tokens.mint_authz_token(&grant);
+                let grant = grant.into_owned();
                 if !claims.is_empty() {
                     self.ctx_for(&request.requester)
                         .write()
                         .satisfied_claims
-                        .insert((request.requester.clone(), resource.clone()), claims);
+                        .entry(request.requester.clone())
+                        .or_default()
+                        .insert(resource.clone(), claims);
                 }
                 if self.sieve_push.load(Ordering::Relaxed) {
                     let mut shard = self.issued_for(&request.owner).lock();
@@ -1494,9 +1579,24 @@ impl AuthorizationManager {
     /// Returns [`AmError`] when either token fails validation — protocol
     /// errors, as opposed to policy "deny" decisions which are returned as
     /// [`Decision::Deny`].
-    pub fn decide(&self, query: &DecisionQuery) -> Result<Decision, AmError> {
+    pub fn decide(&self, query: &DecisionQuery<'_>) -> Result<Decision, AmError> {
+        OPENED_PAYLOADS.with_borrow_mut(|(host_payload, authz_payload)| {
+            self.decide_opening_into(query, host_payload, authz_payload)
+        })
+    }
+
+    /// [`Self::decide`], opening the two tokens into the given payload
+    /// buffers; both grants borrow from them.
+    fn decide_opening_into(
+        &self,
+        query: &DecisionQuery<'_>,
+        host_payload: &mut Vec<u8>,
+        authz_payload: &mut Vec<u8>,
+    ) -> Result<Decision, AmError> {
         let now = self.clock.now_ms();
-        let host_grant = self.tokens.validate_host_token(&query.host_token)?;
+        let host_grant = self
+            .tokens
+            .validate_host_token(query.host_token, host_payload)?;
         {
             let state = self.state.read();
             state.trust.check_id(
@@ -1506,10 +1606,11 @@ impl AuthorizationManager {
             )?;
         }
         let grant = self.tokens.validate_authz_token(
-            &query.authz_token,
+            query.authz_token,
+            authz_payload,
             &host_grant.host,
-            &query.resource_id,
-            &query.requester,
+            query.resource_id,
+            query.requester,
         )?;
         if grant.owner != host_grant.user {
             return Err(AmError::Token(TokenError::BindingMismatch(format!(
@@ -1522,16 +1623,16 @@ impl AuthorizationManager {
         // shard): the cache TTL and the epoch the decision is stamped
         // with are read together with the policies. No central lock.
         let key = (
-            query.requester.clone(),
-            grant.subject.clone(),
-            ResourceRef::new(&host_grant.host, &query.resource_id),
+            query.requester.to_owned(),
+            grant.subject.as_deref().map(str::to_owned),
+            ResourceRef::new(&host_grant.host, query.resource_id),
             query.action.clone(),
         );
         let gathered = self.gather(&grant.owner, key);
         let Some((evaluated, cache_ttl_ms, policy_epoch)) =
             self.evaluate_one(&grant.owner, now, &gathered)
         else {
-            return Err(AmError::UnknownUser(grant.owner.clone()));
+            return Err(AmError::UnknownUser(grant.owner.into_owned()));
         };
         let engine_decision = evaluated.decision;
 
@@ -1547,13 +1648,13 @@ impl AuthorizationManager {
             },
         )
         .on_resource(gathered.key.2.clone())
-        .by_requester(&query.requester, grant.subject.as_deref())
+        .by_requester(query.requester, grant.subject.as_deref())
         .for_action(query.action.clone());
         entry = entry.with_policies(contributing_policies(&engine_decision));
         self.audit.record(entry);
         if engine_decision.is_permit() {
             *self
-                .ctx_for(&query.requester)
+                .ctx_for(query.requester)
                 .write()
                 .use_counts
                 .entry(gathered.key)
@@ -1563,11 +1664,9 @@ impl AuthorizationManager {
         match engine_decision.outcome {
             Outcome::Permit => {
                 let cacheable_ms = cacheable_ms(cache_ttl_ms, &grant, now, evaluated.stable_until);
-                if cacheable_ms > 0 && self.invalidation_push.load(Ordering::Relaxed) {
-                    // The Host may cache this verdict; remember the exact
-                    // tuple so a later epoch advance can invalidate it
-                    // surgically instead of purging the whole owner.
-                    self.record_decided(&host_grant.host, query, &grant.owner, now + cacheable_ms);
+                if cacheable_ms > 0 {
+                    let until = now + cacheable_ms;
+                    self.record_decided(&host_grant.host, query, &grant.owner, now, until);
                 }
                 Ok(Decision::Permit {
                     cacheable_ms,
@@ -1588,7 +1687,7 @@ impl AuthorizationManager {
     /// carries up to [`protocol::MAX_BATCH`] queries (the cap is enforced
     /// at the web layer; the native API accepts any length).
     #[must_use]
-    pub fn decide_batch(&self, queries: &[DecisionQuery]) -> Vec<Result<Decision, AmError>> {
+    pub fn decide_batch(&self, queries: &[DecisionQuery<'_>]) -> Vec<Result<Decision, AmError>> {
         queries.iter().map(|query| self.decide(query)).collect()
     }
 
@@ -1755,7 +1854,7 @@ fn decision_wire(decision: &Decision) -> DecisionBody {
 /// token it answers for, nor the instant the consulted policies'
 /// conditions may change it (`stable_until`, which is `now` under a
 /// use-count condition: every use must reach the AM to be counted).
-fn cacheable_ms(cache_ttl_ms: u64, grant: &AuthzGrant, now: u64, stable_until: u64) -> u64 {
+fn cacheable_ms(cache_ttl_ms: u64, grant: &AuthzGrant<'_>, now: u64, stable_until: u64) -> u64 {
     cache_ttl_ms
         .min(grant.expires_at_ms.saturating_sub(now))
         .min(stable_until.saturating_sub(now))
@@ -2120,14 +2219,14 @@ impl AuthorizationManager {
             Ok(items) => items,
             Err(e) => return Response::bad_request(&e.to_string()),
         };
-        let queries: Vec<DecisionQuery> = items
+        let queries: Vec<DecisionQuery<'_>> = items
             .iter()
             .map(|item| DecisionQuery {
-                host_token: host_token.to_owned(),
-                authz_token: item.token.clone(),
-                resource_id: item.resource.clone(),
+                host_token,
+                authz_token: &item.token,
+                resource_id: &item.resource,
                 action: parse_action(Some(item.action.as_str())),
-                requester: item.requester.clone(),
+                requester: &item.requester,
             })
             .collect();
         let bodies: Vec<DecisionBody> = self
@@ -2491,7 +2590,7 @@ impl AuthorizationManager {
 
 /// Parses the decision query the single-decision routes carry in their
 /// params; a missing param is a 400.
-fn parse_decision_query(req: &Request) -> Result<DecisionQuery, Response> {
+fn parse_decision_query(req: &Request) -> Result<DecisionQuery<'_>, Response> {
     match (
         req.param("host_token"),
         req.param("token"),
@@ -2499,11 +2598,11 @@ fn parse_decision_query(req: &Request) -> Result<DecisionQuery, Response> {
         req.param("requester"),
     ) {
         (Some(ht), Some(t), Some(r), Some(rq)) => Ok(DecisionQuery {
-            host_token: ht.to_owned(),
-            authz_token: t.to_owned(),
-            resource_id: r.to_owned(),
+            host_token: ht,
+            authz_token: t,
+            resource_id: r,
             action: parse_action(req.param("action")),
-            requester: rq.to_owned(),
+            requester: rq,
         }),
         _ => Err(Response::bad_request(
             "host_token, token, resource, requester required",

@@ -5,6 +5,7 @@ use std::sync::{Arc, Mutex};
 
 use ucam_am::claims::ClaimIssuer;
 use ucam_am::consent::ConsentState;
+use ucam_am::manager::DECIDED_TUPLES_CAP;
 use ucam_am::tokens::AUTHZ_TOKEN_TTL_MS;
 use ucam_am::{AuthorizationManager, AuthorizeOutcome, AuthorizeRequest, Decision, DecisionQuery};
 use ucam_policy::prelude::*;
@@ -61,11 +62,11 @@ fn authorize_then_decide_permit() {
 
     let decision = am
         .decide(&DecisionQuery {
-            host_token,
-            authz_token: token,
-            resource_id: PHOTO.into(),
+            host_token: &host_token,
+            authz_token: &token,
+            resource_id: PHOTO,
             action: Action::Read,
-            requester: "requester:editor".into(),
+            requester: "requester:editor",
         })
         .unwrap();
     assert!(decision.is_permit());
@@ -104,11 +105,11 @@ fn decide_rejects_revoked_delegation() {
     assert!(am.revoke_delegation("bob", &delegation_id));
     let err = am
         .decide(&DecisionQuery {
-            host_token,
-            authz_token: token,
-            resource_id: PHOTO.into(),
+            host_token: &host_token,
+            authz_token: &token,
+            resource_id: PHOTO,
             action: Action::Read,
-            requester: "requester:editor".into(),
+            requester: "requester:editor",
         })
         .unwrap_err();
     assert!(err.to_string().contains("revoked"), "{err}");
@@ -123,11 +124,11 @@ fn decide_rejects_token_for_other_resource() {
     };
     let err = am
         .decide(&DecisionQuery {
-            host_token,
-            authz_token: token,
-            resource_id: "photo-2".into(),
+            host_token: &host_token,
+            authz_token: &token,
+            resource_id: "photo-2",
             action: Action::Read,
-            requester: "requester:editor".into(),
+            requester: "requester:editor",
         })
         .unwrap_err();
     assert!(err.to_string().contains("binding"), "{err}");
@@ -144,11 +145,11 @@ fn decide_denies_wrong_action_even_with_valid_token() {
     // policies and must come back "deny" (policy covers Read only).
     let decision = am
         .decide(&DecisionQuery {
-            host_token,
-            authz_token: token,
-            resource_id: PHOTO.into(),
+            host_token: &host_token,
+            authz_token: &token,
+            resource_id: PHOTO,
             action: Action::Write,
-            requester: "requester:editor".into(),
+            requester: "requester:editor",
         })
         .unwrap();
     assert!(matches!(decision, Decision::Deny { .. }));
@@ -198,11 +199,11 @@ fn consent_flow_end_to_end() {
     };
     let decision = am
         .decide(&DecisionQuery {
-            host_token,
-            authz_token: token,
-            resource_id: PHOTO.into(),
+            host_token: &host_token,
+            authz_token: &token,
+            resource_id: PHOTO,
             action: Action::Read,
-            requester: "requester:editor".into(),
+            requester: "requester:editor",
         })
         .unwrap();
     assert!(decision.is_permit());
@@ -286,11 +287,11 @@ fn claims_flow_payment_gate() {
     // And the decision query still permits (claims were cached at the AM).
     let decision = am
         .decide(&DecisionQuery {
-            host_token,
-            authz_token: token,
-            resource_id: PHOTO.into(),
+            host_token: &host_token,
+            authz_token: &token,
+            resource_id: PHOTO,
             action: Action::Read,
-            requester: "requester:buyer".into(),
+            requester: "requester:buyer",
         })
         .unwrap();
     assert!(decision.is_permit());
@@ -320,11 +321,11 @@ fn max_uses_enforced_across_decisions() {
         panic!("expected token");
     };
     let query = DecisionQuery {
-        host_token,
-        authz_token: token,
-        resource_id: PHOTO.into(),
+        host_token: &host_token,
+        authz_token: &token,
+        resource_id: PHOTO,
         action: Action::Read,
-        requester: "requester:editor".into(),
+        requester: "requester:editor",
     };
     assert!(am.decide(&query).unwrap().is_permit());
     assert!(am.decide(&query).unwrap().is_permit());
@@ -367,11 +368,11 @@ fn audit_correlates_across_hosts() {
             panic!("expected token");
         };
         am.decide(&DecisionQuery {
-            host_token: ht.clone(),
-            authz_token: token,
-            resource_id: res.into(),
+            host_token: ht,
+            authz_token: &token,
+            resource_id: res,
             action: Action::Read,
-            requester: "requester:crawler".into(),
+            requester: "requester:crawler",
         })
         .unwrap();
     }
@@ -675,11 +676,11 @@ fn web_audit_view_renders_decisions() {
         panic!("expected token");
     };
     am.decide(&DecisionQuery {
-        host_token,
-        authz_token: token,
-        resource_id: PHOTO.into(),
+        host_token: &host_token,
+        authz_token: &token,
+        resource_id: PHOTO,
         action: Action::Read,
-        requester: "requester:editor".into(),
+        requester: "requester:editor",
     })
     .unwrap();
 
@@ -729,11 +730,11 @@ fn web_group_management_roundtrip() {
     };
     assert!(am
         .decide(&DecisionQuery {
-            host_token,
-            authz_token: token,
-            resource_id: PHOTO.into(),
+            host_token: &host_token,
+            authz_token: &token,
+            resource_id: PHOTO,
             action: Action::Read,
-            requester: "requester:dave-agent".into(),
+            requester: "requester:dave-agent",
         })
         .unwrap()
         .is_permit());
@@ -1216,11 +1217,11 @@ fn v2_batch_authorize_mixed_outcomes() {
     // The minted token is a real one: it answers a decision query.
     let decision = am
         .decide(&DecisionQuery {
-            host_token,
-            authz_token: token.clone(),
-            resource_id: PHOTO.into(),
+            host_token: &host_token,
+            authz_token: token,
+            resource_id: PHOTO,
             action: Action::Read,
-            requester: "requester:editor".into(),
+            requester: "requester:editor",
         })
         .unwrap();
     assert!(decision.is_permit());
@@ -1430,13 +1431,13 @@ impl PushTuple {
         )
     }
 
-    fn query(&self, host_token: &str) -> DecisionQuery {
+    fn query<'a>(&'a self, host_token: &'a str) -> DecisionQuery<'a> {
         DecisionQuery {
-            host_token: host_token.to_owned(),
-            authz_token: self.token.clone(),
-            resource_id: self.resource.to_owned(),
+            host_token,
+            authz_token: &self.token,
+            resource_id: self.resource,
             action: self.action.clone(),
-            requester: self.requester.to_owned(),
+            requester: self.requester,
         }
     }
 }
@@ -1715,4 +1716,50 @@ fn invalidations_name_exactly_the_permits_decide_withdrew() {
     }
     assert_eq!(withdrawn, 1, "the edit withdraws Carol's permit alone");
     assert_eq!(invalidation.invalidated.len(), 1);
+}
+
+/// A registry that could not take a permit heals: once the permits it
+/// holds and the one it refused have expired, it records again and an
+/// edit ships an exact list.
+#[test]
+fn decided_registry_overflow_heals_once_the_unrecorded_permit_expires() {
+    let rig = PushRig::new();
+    rig.am.set_invalidation_push(true);
+    // `doc` is public: every fresh token makes a new cacheable tuple.
+    let decide = |tuple: &PushTuple| {
+        let decision = rig.am.decide(&tuple.query(&rig.host_token));
+        let Ok(Decision::Permit { cacheable_ms, .. }) = decision else {
+            panic!("expected a permit: {decision:?}");
+        };
+        assert!(cacheable_ms > 0);
+        cacheable_ms
+    };
+    let mut cacheable = 0;
+    for _ in 0..=DECIDED_TUPLES_CAP {
+        cacheable = decide(&rig.token("doc", "requester:anon", None));
+    }
+
+    // The last permit is not recorded and may still be cached: the
+    // push goes out plain.
+    rig.am.subscribe_epoch_push(HOST, "bob");
+    rig.am.pap("bob", |_| ()).unwrap();
+    assert_eq!(rig.am.pump_epoch_pushes(&rig.net), 1);
+    assert!(rig.capture.bodies.lock().unwrap().is_empty());
+
+    // Every permit expired: a fresh one is recorded, and the edit that
+    // withdraws it ships an exact list naming it alone.
+    rig.net.clock().advance_ms(cacheable);
+    let fresh = rig.token("doc", "requester:anon", None);
+    decide(&fresh);
+    let body = rig.push(|| {
+        rig.am
+            .pap("bob", |account| {
+                account.unlink_specific(&ResourceRef::new(HOST, "doc"))
+            })
+            .unwrap()
+            .expect("doc had a policy");
+    });
+    let invalidation = InvalidationBody::from_json(&body).unwrap();
+    assert!(invalidation.verify(rig.host_token.as_bytes()));
+    assert_eq!(invalidation.invalidated, vec![fresh.fingerprint()]);
 }

@@ -82,11 +82,11 @@ fn bench_am_decide(c: &mut Criterion) {
         panic!("expected token");
     };
     let query = DecisionQuery {
-        host_token,
-        authz_token: token,
-        resource_id: "r".into(),
+        host_token: &host_token,
+        authz_token: &token,
+        resource_id: "r",
         action: Action::Read,
-        requester: "req".into(),
+        requester: "req",
     };
     c.bench_function("e6/am_pdp_decide", |b| {
         b.iter(|| am.decide(std::hint::black_box(&query)).unwrap());

@@ -56,11 +56,19 @@ fn bench_token_mint_validate(c: &mut Criterion) {
         b.iter(|| service.mint_authz_token(std::hint::black_box(&grant)));
     });
     let token = service.mint_authz_token(&grant);
+    let mut payload = Vec::new();
     c.bench_function("e5/token_validate", |b| {
         b.iter(|| {
             service
-                .validate_authz_token(std::hint::black_box(&token), "h.example", "res", "req")
+                .validate_authz_token(
+                    std::hint::black_box(&token),
+                    &mut payload,
+                    "h.example",
+                    "res",
+                    "req",
+                )
                 .unwrap()
+                .expires_at_ms
         });
     });
 }

@@ -86,14 +86,31 @@ impl SigningKey {
     /// Returns [`VerifyError`] when the token is structurally malformed or
     /// the MAC does not verify under this key.
     pub fn open(&self, token: &str) -> Result<Vec<u8>, VerifyError> {
+        let mut payload = Vec::new();
+        self.open_into(token, &mut payload)?;
+        Ok(payload)
+    }
+
+    /// [`SigningKey::open`] into a caller's buffer: the verified payload
+    /// replaces `payload`'s contents, reusing its allocation, and the
+    /// MAC decodes into a stack array. Both parts must be canonical
+    /// base64url, so each token has exactly one spelling.
+    ///
+    /// # Errors
+    ///
+    /// As [`SigningKey::open`]; `payload` is then left empty.
+    pub fn open_into(&self, token: &str, payload: &mut Vec<u8>) -> Result<(), VerifyError> {
         let (payload_b64, mac_b64) = token.split_once('.').ok_or(VerifyError::Malformed)?;
-        let payload = base64::decode(payload_b64).map_err(|_| VerifyError::Malformed)?;
-        let mac = base64::decode(mac_b64).map_err(|_| VerifyError::Malformed)?;
-        if self.verify(&payload, &mac) {
-            Ok(payload)
-        } else {
-            Err(VerifyError::BadSignature)
-        }
+        let mut mac = [0u8; 32];
+        let decoded = base64::decode_to_slice(mac_b64, &mut mac)
+            .and_then(|()| base64::decode_into(payload_b64, payload));
+        let error = match decoded {
+            Err(_) => VerifyError::Malformed,
+            Ok(()) if self.verify(payload, &mac) => return Ok(()),
+            Ok(()) => VerifyError::BadSignature,
+        };
+        payload.clear();
+        Err(error)
     }
 }
 
@@ -178,6 +195,28 @@ mod tests {
     fn open_rejects_missing_dot() {
         let key = SigningKey::generate();
         assert_eq!(key.open("nodot"), Err(VerifyError::Malformed));
+    }
+
+    /// Setting a spare bit of the MAC's last character spells the same
+    /// MAC a second way; the token must not open under that spelling.
+    #[test]
+    fn open_refuses_a_second_spelling_of_the_mac() {
+        let key = SigningKey::generate();
+        let token = key.seal(b"kind=host;user=bob");
+        let mut respelled = token.clone().into_bytes();
+        // The MAC's last character carries two spare bits, so its value
+        // is a multiple of 4: the next character of the alphabet is the
+        // same bytes with the low spare bit set.
+        *respelled.last_mut().unwrap() += 1;
+        let respelled = String::from_utf8(respelled).unwrap();
+        let mut buf = b"stale".to_vec();
+        assert_eq!(
+            key.open_into(&respelled, &mut buf),
+            Err(VerifyError::Malformed)
+        );
+        assert!(buf.is_empty());
+        key.open_into(&token, &mut buf).unwrap();
+        assert_eq!(buf, b"kind=host;user=bob");
     }
 
     #[test]

@@ -178,21 +178,21 @@ fn token_for_one_resource_rejected_for_another() {
     // Valid for r1...
     assert!(am
         .decide(&DecisionQuery {
-            host_token: host_token.clone(),
-            authz_token: token.clone(),
-            resource_id: "r1".into(),
+            host_token: &host_token,
+            authz_token: &token,
+            resource_id: "r1",
             action: Action::Read,
-            requester: "req".into(),
+            requester: "req",
         })
         .is_ok());
     // ...but rejected outright for r2 (no realm in the grant).
     assert!(am
         .decide(&DecisionQuery {
-            host_token,
-            authz_token: token,
-            resource_id: "r2".into(),
+            host_token: &host_token,
+            authz_token: &token,
+            resource_id: "r2",
             action: Action::Read,
-            requester: "req".into(),
+            requester: "req",
         })
         .is_err());
 }
