@@ -31,7 +31,7 @@
 //! registration — DESIGN.md §16), `/policies/{import,export}`, and
 //! `/consent/*` — plus an asynchronous AM→Host policy-epoch [`push`]
 //! channel delivered over the simulated network, optionally carrying
-//! capability-sieve or decision-level invalidation bodies.
+//! capability-sieve bodies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

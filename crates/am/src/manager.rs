@@ -237,16 +237,6 @@ const ISSUED_SHARDS: usize = 16;
 /// token falls back to the tier-2 protocol path, never a wrong grant.
 const ISSUED_GRANTS_CAP: usize = 4096;
 
-/// Per-owner cap on the outstanding-decisions registry the invalidation
-/// compiler re-evaluates (DESIGN.md §16). Unlike the issued-grants cap,
-/// a permit past it cannot silently go unlisted: an invalidation body
-/// claims *exactness* (the Host keeps everything not listed), so a
-/// permit the full registry cannot take raises its stripe's
-/// unrecorded-until watermark, and pushes for the stripe's owners fall
-/// back to the always-safe plain epoch purge until that permit's cache
-/// lifetime has passed.
-pub const DECIDED_TUPLES_CAP: usize = 8192;
-
 thread_local! {
     /// The payload buffers [`AuthorizationManager::decide`] opens its
     /// host and authorization tokens into, reused by every decision on
@@ -319,65 +309,6 @@ struct ShippedSieve {
     entries: HashMap<protocol::SieveFingerprint, u64>,
 }
 
-/// One cacheable permit the AM has answered: exactly the tuple a Host
-/// may now hold in its decision cache, plus what `decide` needs to
-/// re-evaluate it later. The invalidation compiler replays these on an
-/// epoch advance to find which cached entries actually died.
-#[derive(Clone)]
-struct DecidedTuple {
-    host: String,
-    token: String,
-    resource_id: String,
-    action: Action,
-    requester: String,
-    /// When the Host's cached copy expires on its own — tuples past this
-    /// are pruned instead of re-evaluated.
-    expires_at_ms: u64,
-}
-
-/// One owner's slice of the outstanding-decisions registry.
-#[derive(Default)]
-struct DecidedSet {
-    /// Recorded permits, keyed by the same fingerprint the Host keys its
-    /// cache entries with.
-    tuples: HashMap<protocol::SieveFingerprint, DecidedTuple>,
-    /// No recorded permit expires before this, so a full set has nothing
-    /// to prune until it passes; without it, every permit a full set
-    /// refuses would rescan all [`DECIDED_TUPLES_CAP`] entries.
-    earliest_expiry: u64,
-}
-
-impl DecidedSet {
-    /// Drops the permits whose cached copies have expired everywhere.
-    fn prune(&mut self, now: u64) {
-        let mut earliest = u64::MAX;
-        self.tuples.retain(|_, t| {
-            let live = t.expires_at_ms > now;
-            if live {
-                earliest = earliest.min(t.expires_at_ms);
-            }
-            live
-        });
-        self.earliest_expiry = earliest;
-    }
-}
-
-/// One stripe of the outstanding-decisions registry, by owner hash.
-#[derive(Default)]
-struct DecidedStripe {
-    /// Owner → recorded permits.
-    owners: Mutex<HashMap<String, DecidedSet>>,
-    /// The latest cache expiry of a cacheable permit answered for an
-    /// owner of this stripe but not recorded: answered while no
-    /// invalidation list could ride (invalidation push off, or sieve
-    /// push on), or past [`DECIDED_TUPLES_CAP`]. A Host may hold such a
-    /// permit until then, and a list cannot name it, so the invalidation
-    /// compiler claims no exact list for the stripe before it passes.
-    /// Only ever raised, by a load and then a `fetch_max` only when the
-    /// load is lower, so a permit it already covers writes nothing.
-    unrecorded_until: AtomicU64,
-}
-
 /// What phase A gathers for one access tuple (see
 /// [`AuthorizationManager::gather`]): the tuple itself, the owner's
 /// consent, and the requester's satisfied claims and prior uses.
@@ -397,7 +328,7 @@ struct Evaluated {
     stable_until: u64,
 }
 
-/// One tuple a push compiler asks about: a live token's grant applied
+/// One tuple the sieve compiler asks about: a live token's grant applied
 /// to one resource and action.
 struct Candidate<'a> {
     token: &'a str,
@@ -490,17 +421,6 @@ pub struct AuthorizationManager {
     /// Last sieve state confirmed delivered per (host, owner) — the base
     /// the delta encoder diffs against (DESIGN.md §13).
     shipped: Mutex<HashMap<(String, String), ShippedSieve>>,
-    /// Whether epoch pushes carry a decision-level invalidation body
-    /// (DESIGN.md §16). Off by default. Subordinate to the sieve: when a
-    /// push already ships a sieve body, that body fully describes the
-    /// valid set and no invalidation list is attached.
-    invalidation_push: AtomicBool,
-    /// Outstanding cacheable permits (invalidation-compiler input),
-    /// striped by owner hash like the issued registry. Cold-path readers
-    /// (push compiles); `decide` records a permit only while an
-    /// invalidation list could name it and otherwise raises the stripe's
-    /// watermark.
-    decided: [DecidedStripe; ISSUED_SHARDS],
     /// Dynamically registered Hosts/Requesters, keyed by registrant id.
     /// Management traffic only — never touched by `authorize`/`decide`.
     registrants: Mutex<HashMap<String, Registrant>>,
@@ -540,8 +460,6 @@ impl AuthorizationManager {
             pushes: PushFanOut::default(),
             sieve_push: AtomicBool::new(false),
             shipped: Mutex::new(HashMap::default()),
-            invalidation_push: AtomicBool::new(false),
-            decided: std::array::from_fn(|_| DecidedStripe::default()),
             registrants: Mutex::new(HashMap::default()),
             registrant_seq: AtomicU64::new(0),
             legacy_decision_hits: AtomicU64::new(0),
@@ -563,11 +481,6 @@ impl AuthorizationManager {
     /// The shard holding `owner`'s issued-grants registry.
     fn issued_for(&self, owner: &str) -> &Mutex<IssuedShard> {
         &self.issued[(fnv1a_str(owner) as usize) % ISSUED_SHARDS]
-    }
-
-    /// The stripe holding `owner`'s outstanding-decisions registry.
-    fn decided_for(&self, owner: &str) -> &DecidedStripe {
-        &self.decided[(fnv1a_str(owner) as usize) % ISSUED_SHARDS]
     }
 
     /// Advances `owner`'s policy epoch, invalidating every decision a
@@ -641,7 +554,6 @@ impl AuthorizationManager {
             return 0;
         }
         let sieve_enabled = self.sieve_push.load(Ordering::Relaxed);
-        let invalidation_enabled = self.invalidation_push.load(Ordering::Relaxed);
 
         // Stage 1 — compile every due push into its wire request upfront.
         // The queue coalesces per (host, owner), so no two requests in one
@@ -713,29 +625,8 @@ impl AuthorizationManager {
                     sieved = true;
                 }
             }
-            let mut invalidated = false;
-            if !sieved && invalidation_enabled {
-                // A sieve body already describes the complete valid set,
-                // so the invalidation list only rides pushes without one.
-                // `compile_invalidations` refuses (`None`) whenever the
-                // list cannot be exact; the push then goes out plain and
-                // the Host falls back to the owner-wide purge.
-                if let Some((dead, epoch, host_token)) =
-                    self.compile_invalidations(&push.host, &push.owner)
-                {
-                    let body = protocol::InvalidationBody::build(
-                        &push.owner,
-                        epoch,
-                        dead,
-                        host_token.as_bytes(),
-                    )
-                    .to_json();
-                    req = req.with_body(body);
-                    invalidated = true;
-                }
-            }
             reqs.push(req);
-            plans.push((push, pair, shipped_update, sieved, invalidated));
+            plans.push((push, pair, shipped_update, sieved));
         }
 
         // Stage 2 — one pipelined flush: over HTTP a drain of N pushes to
@@ -746,9 +637,7 @@ impl AuthorizationManager {
 
         // Stage 3 — settle each delivery in input order.
         let mut delivered = 0;
-        for ((push, pair, shipped_update, sieved, invalidated), resp) in
-            plans.into_iter().zip(resps)
-        {
+        for ((push, pair, shipped_update, sieved), resp) in plans.into_iter().zip(resps) {
             let now = self.clock.now_ms();
             if resp.transport_error().is_some() {
                 self.pushes.requeue(push, now);
@@ -767,9 +656,6 @@ impl AuthorizationManager {
                         self.shipped.lock().insert(pair, update);
                     }
                 }
-                if invalidated {
-                    self.pushes.record_invalidation();
-                }
                 delivered += 1;
             }
         }
@@ -785,18 +671,13 @@ impl AuthorizationManager {
         self.sieve_push.store(enabled, Ordering::Relaxed);
     }
 
-    /// Enables (or disables) decision-level invalidation push (protocol
-    /// v2, DESIGN.md §16). While enabled and sieve push is off, the AM
-    /// records every cacheable permit it answers so that an epoch advance
-    /// can push the *exact* fingerprints that died instead of forcing an
-    /// owner-wide purge. A permit answered while no list could name it
-    /// (this push off, or sieve push on) is not recorded, yet a Host may
-    /// still cache it after this push is enabled: until the last such
-    /// permit's cache lifetime has passed, pushes for its owner's stripe
-    /// carry no list and the Host purges owner-wide.
-    pub fn set_invalidation_push(&self, enabled: bool) {
-        self.invalidation_push.store(enabled, Ordering::Relaxed);
-    }
+    /// Does nothing. Decision-level invalidation push is gone: the
+    /// capability sieve ([`Self::set_sieve_push`]) is the one channel
+    /// that keeps a Host fresh after an edit, and whatever it cannot
+    /// cover falls back to the owner-wide epoch purge (DESIGN.md §16).
+    /// The method stays only so that existing callers still build.
+    #[deprecated(note = "invalidation push was removed; `set_sieve_push` keeps Hosts fresh")]
+    pub fn set_invalidation_push(&self, _enabled: bool) {}
 
     /// Schedules an epoch push for every registered owner at their
     /// current epoch. With sieve push enabled this re-compiles and
@@ -932,168 +813,7 @@ impl AuthorizationManager {
         Some((entries, epoch, host_token))
     }
 
-    /// Accounts for one cacheable permit `decide` answered, which a Host
-    /// may cache until `expires_at_ms`. While an invalidation list could
-    /// name it (invalidation push on, sieve push off), it goes into the
-    /// outstanding-decisions registry: every Host cache entry the list
-    /// must cover is born from exactly one such permit. A permit not
-    /// recorded — no list can ride, or the owner's registry is at
-    /// [`DECIDED_TUPLES_CAP`] even after pruning what expired — raises
-    /// the stripe's unrecorded-until watermark to its expiry instead.
-    fn record_decided(
-        &self,
-        host: &str,
-        query: &DecisionQuery<'_>,
-        owner: &str,
-        now: u64,
-        expires_at_ms: u64,
-    ) {
-        let stripe = self.decided_for(owner);
-        if self.invalidation_push.load(Ordering::Relaxed)
-            && !self.sieve_push.load(Ordering::Relaxed)
-        {
-            let action_label = query.action.to_string();
-            let fp = protocol::sieve_fingerprint(
-                query.authz_token,
-                query.resource_id,
-                &action_label,
-                query.requester,
-            );
-            let mut owners = stripe.owners.lock();
-            let set = owners.entry(owner.to_owned()).or_default();
-            if let Some(existing) = set.tuples.get_mut(&fp) {
-                existing.expires_at_ms = existing.expires_at_ms.max(expires_at_ms);
-                return;
-            }
-            if set.tuples.len() >= DECIDED_TUPLES_CAP && set.earliest_expiry <= now {
-                set.prune(now);
-            }
-            if set.tuples.len() < DECIDED_TUPLES_CAP {
-                set.earliest_expiry = set.earliest_expiry.min(expires_at_ms);
-                set.tuples.insert(
-                    fp,
-                    DecidedTuple {
-                        host: host.to_owned(),
-                        token: query.authz_token.to_owned(),
-                        resource_id: query.resource_id.to_owned(),
-                        action: query.action.clone(),
-                        requester: query.requester.to_owned(),
-                        expires_at_ms,
-                    },
-                );
-                return;
-            }
-        }
-        // SeqCst: a push compile that runs after this permit was answered
-        // must see the raise.
-        if stripe.unrecorded_until.load(Ordering::SeqCst) < expires_at_ms {
-            stripe
-                .unrecorded_until
-                .fetch_max(expires_at_ms, Ordering::SeqCst);
-        }
-    }
-
-    /// Compiles the decision-level invalidation list for one (host,
-    /// owner) delegation: re-asks [`Self::cacheable_until`] — the
-    /// evaluation step [`Self::decide`] runs, minus its side effects —
-    /// about every outstanding cacheable permit recorded for the pair and
-    /// returns the fingerprints that no longer hold, plus the epoch and
-    /// signing key. An empty list is meaningful — signed proof that the
-    /// epoch advance killed none of this Host's entries.
-    ///
-    /// Returns `None` when the list cannot be *exact*: a cacheable permit
-    /// the registry did not record may still be cached (the owner's
-    /// stripe watermark has not passed), no host token was ever retained
-    /// for the pair, or the owner is unknown. The caller then sends the
-    /// push plain and the Host does the owner-wide purge — always safe.
-    ///
-    /// Same sequential-lock-scope discipline as [`Self::compile_sieve`];
-    /// skew between scopes is bounded by the epoch mechanism (a list
-    /// compiled against a half-updated account carries the epoch it read,
-    /// and the next bump re-pushes).
-    fn compile_invalidations(
-        &self,
-        host: &str,
-        owner: &str,
-    ) -> Option<(Vec<protocol::SieveFingerprint>, u64, String)> {
-        let now = self.clock.now_ms();
-        let stripe = self.decided_for(owner);
-        if stripe.unrecorded_until.load(Ordering::SeqCst) > now {
-            return None;
-        }
-        let (host_token, trusted) = self.push_key(host, owner)?;
-
-        // Outstanding registry: prune expired tuples (their cached copies
-        // died on their own) and take this host's slice.
-        let tuples: Vec<(protocol::SieveFingerprint, DecidedTuple)> = {
-            let mut owners = stripe.owners.lock();
-            let Some(set) = owners.get_mut(owner) else {
-                // Nothing outstanding: the epoch advance invalidated
-                // nothing this AM ever answered for.
-                return Some((Vec::new(), self.policy_epoch(owner), host_token));
-            };
-            set.prune(now);
-            set.tuples
-                .iter()
-                .filter(|(_, t)| t.host == host)
-                .map(|(fp, t)| (*fp, t.clone()))
-                .collect()
-        };
-
-        // A revoked delegation kills every outstanding permit at once.
-        if !trusted {
-            let dead = tuples.into_iter().map(|(fp, _)| fp).collect();
-            return Some((dead, self.policy_epoch(owner), host_token));
-        }
-
-        // An expired or rebound token means the cached entry is dead
-        // regardless of policy; only tuples whose token still validates
-        // are evaluated.
-        let mut payload = Vec::new();
-        let grants: Vec<Option<AuthzGrant<'static>>> = tuples
-            .iter()
-            .map(|(_, t)| {
-                self.tokens
-                    .validate_authz_token(
-                        &t.token,
-                        &mut payload,
-                        host,
-                        &t.resource_id,
-                        &t.requester,
-                    )
-                    .ok()
-                    .filter(|grant| grant.owner == owner)
-                    .map(AuthzGrant::into_owned)
-            })
-            .collect();
-        let candidates: Vec<Candidate<'_>> = tuples
-            .iter()
-            .zip(&grants)
-            .filter_map(|((_, t), grant)| {
-                Some(Candidate {
-                    token: &t.token,
-                    grant: grant.as_ref()?,
-                    resource_id: &t.resource_id,
-                    action: &t.action,
-                })
-            })
-            .collect();
-        let (until, epoch) = self.cacheable_until(host, owner, now, &candidates)?;
-        // A tuple is dead when its token no longer validates or `decide`
-        // would no longer answer it with a cacheable permit. `until`
-        // answers the validated tuples only, in order, so it advances
-        // only past those.
-        let mut until = until.into_iter();
-        let dead = tuples
-            .iter()
-            .zip(&grants)
-            .filter(|(_, grant)| grant.is_none() || until.next().flatten().is_none())
-            .map(|((fp, _), _)| *fp)
-            .collect();
-        Some((dead, epoch, host_token))
-    }
-
-    /// The push compilers' central read: the delegation's retained host
+    /// The sieve compiler's central read: the delegation's retained host
     /// token, which signs the push body (`None` when none was ever
     /// retained for the pair), and whether the delegation is still
     /// trusted.
@@ -1105,7 +825,7 @@ impl AuthorizationManager {
         Some((token.clone(), state.trust.check(host, owner).is_ok()))
     }
 
-    /// The question both push compilers ask: which `candidates` would
+    /// The question the sieve compiler asks: which `candidates` would
     /// [`Self::decide`] still answer with a cacheable permit, and until
     /// when? Each candidate goes through phase A ([`Self::gather`]), then
     /// all of them through one phase B ([`Self::evaluate`]) — `decide`'s
@@ -1664,10 +1384,6 @@ impl AuthorizationManager {
         match engine_decision.outcome {
             Outcome::Permit => {
                 let cacheable_ms = cacheable_ms(cache_ttl_ms, &grant, now, evaluated.stable_until);
-                if cacheable_ms > 0 {
-                    let until = now + cacheable_ms;
-                    self.record_decided(&host_grant.host, query, &grant.owner, now, until);
-                }
                 Ok(Decision::Permit {
                     cacheable_ms,
                     policy_epoch,

@@ -78,10 +78,6 @@ pub struct EpochPushStats {
     /// Delta sieve bodies a Host rejected for an unknown base generation;
     /// each forces one full-body reship (DESIGN.md §13).
     pub resyncs: u64,
-    /// Delivered pushes that carried a decision-level invalidation body
-    /// (DESIGN.md §16; disjoint from `sieved` — a sieve body supersedes
-    /// the invalidation list; zero when invalidation push is disabled).
-    pub invalidations: u64,
 }
 
 /// One undelivered epoch push.
@@ -140,7 +136,6 @@ pub(crate) struct PushFanOut {
     max_lag_ms: AtomicU64,
     sieved: AtomicU64,
     resyncs: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 fn fnv1a(parts: &[&str]) -> u64 {
@@ -304,11 +299,6 @@ impl PushFanOut {
         self.sieved.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records that a delivered push carried an invalidation body.
-    pub(crate) fn record_invalidation(&self) {
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Undelivered push count.
     pub(crate) fn pending_len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
@@ -325,7 +315,6 @@ impl PushFanOut {
             max_lag_ms: self.max_lag_ms.load(Ordering::Relaxed),
             sieved: self.sieved.load(Ordering::Relaxed),
             resyncs: self.resyncs.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
         }
     }
 }

@@ -5,12 +5,11 @@ use std::sync::{Arc, Mutex};
 
 use ucam_am::claims::ClaimIssuer;
 use ucam_am::consent::ConsentState;
-use ucam_am::manager::DECIDED_TUPLES_CAP;
 use ucam_am::tokens::AUTHZ_TOKEN_TTL_MS;
 use ucam_am::{AuthorizationManager, AuthorizeOutcome, AuthorizeRequest, Decision, DecisionQuery};
 use ucam_policy::prelude::*;
 use ucam_webenv::identity::IdentityProvider;
-use ucam_webenv::protocol::{self, InvalidationBody, SieveBody};
+use ucam_webenv::protocol::{self, SieveBody};
 use ucam_webenv::{Method, Request, Response, SimClock, SimNet, Status, Transport, WebApp};
 
 const HOST: &str = "webpics.example";
@@ -1594,15 +1593,10 @@ impl PushRig {
     }
 }
 
+/// Every entry of a full sieve body is a cacheable permit `decide`
+/// agrees with.
 #[test]
 fn compiled_pushes_agree_with_decide() {
-    sieve_entries_are_permits_decide_agrees_with();
-    invalidations_name_exactly_the_permits_decide_withdrew();
-}
-
-/// Sieve half: every entry of a full sieve body is a cacheable permit
-/// `decide` agrees with.
-fn sieve_entries_are_permits_decide_agrees_with() {
     let rig = PushRig::new();
     rig.am.set_sieve_push(true);
     // A token that expires before the compile must not be listed.
@@ -1662,104 +1656,4 @@ fn sieve_entries_are_permits_decide_agrees_with() {
     // except the use limit: each use must reach `decide` to be counted.
     assert!(!covered.contains("counted"), "{covered:?}");
     assert_eq!(covered.len(), PUSH_RESOURCES.len() - 1, "{covered:?}");
-}
-
-/// Invalidation half: after a narrowing edit, the pushed list names
-/// exactly the decided permits `decide` now withdraws.
-fn invalidations_name_exactly_the_permits_decide_withdrew() {
-    let rig = PushRig::new();
-    rig.am.set_invalidation_push(true);
-    let mut decided = rig.tokens();
-    // Alice's realm token, presented for the realm's other member.
-    decided.push(PushTuple {
-        resource: "album/2",
-        ..rig.token("album/1", "requester:alice-app", Some("alice"))
-    });
-    let cacheable = |tuple: &PushTuple| {
-        matches!(
-            rig.am.decide(&tuple.query(&rig.host_token)),
-            Ok(Decision::Permit { cacheable_ms, .. }) if cacheable_ms > 0
-        )
-    };
-    // A use-limited permit is never cacheable, so it is never decided.
-    let counted = decided.iter().position(|t| t.resource == "counted");
-    assert!(!cacheable(&decided.remove(counted.unwrap())));
-    for tuple in &decided {
-        assert!(cacheable(tuple), "{} {}", tuple.requester, tuple.resource);
-    }
-
-    // One narrowing edit: Carol leaves the friends group.
-    let body = rig.push(|| {
-        rig.am
-            .pap("bob", |account| {
-                account.remove_group_member("friends", "carol")
-            })
-            .unwrap();
-    });
-    let invalidation = InvalidationBody::from_json(&body).unwrap();
-    assert!(invalidation.verify(rig.host_token.as_bytes()));
-
-    // The clock has not moved, so every decided tuple is still inside
-    // its cache lifetime: each is listed exactly when `decide` no longer
-    // answers it with a cacheable permit.
-    let mut withdrawn = 0;
-    for tuple in &decided {
-        let listed = invalidation.invalidated.contains(&tuple.fingerprint());
-        assert_eq!(
-            listed,
-            !cacheable(tuple),
-            "{} {}",
-            tuple.requester,
-            tuple.resource
-        );
-        withdrawn += usize::from(listed);
-    }
-    assert_eq!(withdrawn, 1, "the edit withdraws Carol's permit alone");
-    assert_eq!(invalidation.invalidated.len(), 1);
-}
-
-/// A registry that could not take a permit heals: once the permits it
-/// holds and the one it refused have expired, it records again and an
-/// edit ships an exact list.
-#[test]
-fn decided_registry_overflow_heals_once_the_unrecorded_permit_expires() {
-    let rig = PushRig::new();
-    rig.am.set_invalidation_push(true);
-    // `doc` is public: every fresh token makes a new cacheable tuple.
-    let decide = |tuple: &PushTuple| {
-        let decision = rig.am.decide(&tuple.query(&rig.host_token));
-        let Ok(Decision::Permit { cacheable_ms, .. }) = decision else {
-            panic!("expected a permit: {decision:?}");
-        };
-        assert!(cacheable_ms > 0);
-        cacheable_ms
-    };
-    let mut cacheable = 0;
-    for _ in 0..=DECIDED_TUPLES_CAP {
-        cacheable = decide(&rig.token("doc", "requester:anon", None));
-    }
-
-    // The last permit is not recorded and may still be cached: the
-    // push goes out plain.
-    rig.am.subscribe_epoch_push(HOST, "bob");
-    rig.am.pap("bob", |_| ()).unwrap();
-    assert_eq!(rig.am.pump_epoch_pushes(&rig.net), 1);
-    assert!(rig.capture.bodies.lock().unwrap().is_empty());
-
-    // Every permit expired: a fresh one is recorded, and the edit that
-    // withdraws it ships an exact list naming it alone.
-    rig.net.clock().advance_ms(cacheable);
-    let fresh = rig.token("doc", "requester:anon", None);
-    decide(&fresh);
-    let body = rig.push(|| {
-        rig.am
-            .pap("bob", |account| {
-                account.unlink_specific(&ResourceRef::new(HOST, "doc"))
-            })
-            .unwrap()
-            .expect("doc had a policy");
-    });
-    let invalidation = InvalidationBody::from_json(&body).unwrap();
-    assert!(invalidation.verify(rig.host_token.as_bytes()));
-    assert_eq!(invalidation.invalidated, vec![fresh.fingerprint()]);
 }

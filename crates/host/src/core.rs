@@ -64,6 +64,11 @@ pub struct DelegationConfig {
 /// Default bound on cached decisions held by one host.
 pub const DEFAULT_DECISION_CACHE_CAPACITY: usize = 1024;
 
+/// How many entries the host-local access log keeps: the newest, oldest
+/// first. A long-running Host's log stays bounded, as the AM's audit log
+/// does.
+const HOST_LOG_CAP: usize = 4096;
+
 /// Circuit breaker configuration for the Host→AM decision channel.
 ///
 /// The breaker is **opt-in** ([`ResilienceConfig::with_breaker`] applied
@@ -252,18 +257,10 @@ struct CachedDecision {
     /// [`protocol::tuple_digest`] of the `(token, resource, action,
     /// requester)` tuple that earned the permit. A permit is bound to its
     /// token by all 256 bits; a different (possibly garbage) bearer must
-    /// take the full decision-query path. Its first 16 bytes are the
-    /// tuple's sieve fingerprint, the identity a pushed decision
-    /// invalidation names this entry by (DESIGN.md §16).
+    /// take the full decision-query path.
     digest: [u8; 32],
     /// Resource owner whose policies produced the decision.
     owner: String,
-    /// Authority of the AM whose evaluation this entry caches. A pushed
-    /// decision invalidation (DESIGN.md §16) can only vouch for entries
-    /// its signer decided — an entry learned from a *fallback* AM is
-    /// outside the signer's decided registry and must not be re-stamped
-    /// to the new epoch.
-    am: String,
     /// The owner's policy epoch at decision time.
     epoch: u64,
     /// Second-chance bit: set on every hit, cleared once by the evictor
@@ -281,7 +278,7 @@ fn behind_floor(owner_epochs: &HashMap<String, u64>, entry: &CachedDecision) -> 
 /// insertion order — deterministic for a deterministic request sequence,
 /// unlike anything keyed on map iteration order.
 struct DecisionCache {
-    enabled: bool,
+    /// At most this many entries; 0 caches nothing.
     capacity: usize,
     entries: HashMap<CacheKey, CachedDecision>,
     /// Keys in insertion order, driving the second-chance sweep.
@@ -306,7 +303,6 @@ struct DecisionCache {
 impl DecisionCache {
     fn new() -> Self {
         DecisionCache {
-            enabled: true,
             capacity: DEFAULT_DECISION_CACHE_CAPACITY,
             entries: HashMap::new(),
             order: VecDeque::new(),
@@ -324,11 +320,8 @@ impl DecisionCache {
         (&entry.digest == digest && !behind_floor(&self.owner_epochs, entry)).then_some(entry)
     }
 
-    /// Serves a hit iff enabled, unexpired, token-bound, and epoch-fresh.
+    /// Serves a hit iff unexpired, token-bound, and epoch-fresh.
     fn lookup(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> bool {
-        if !self.enabled {
-            return false;
-        }
         match self.bound_entry(key, digest) {
             Some(entry) if entry.expires_at_ms > now => {
                 entry.referenced.store(true, Ordering::Relaxed);
@@ -345,7 +338,7 @@ impl DecisionCache {
     /// transport-level AM failure — a fresh entry would already have been
     /// served by [`DecisionCache::lookup`].
     fn lookup_stale(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> Option<u64> {
-        if !self.enabled || self.stale_grace_ms == 0 {
+        if self.stale_grace_ms == 0 {
             return None;
         }
         // A policy change (epoch advance) always fails closed.
@@ -358,15 +351,15 @@ impl DecisionCache {
         Some(now.saturating_sub(entry.expires_at_ms))
     }
 
-    /// Inserts under the caller's write lock, re-checking `enabled` there
-    /// (no decide-then-insert race), sweeping expired entries once the
+    /// Inserts under the caller's write lock, re-checking the capacity
+    /// there (no decide-then-insert race), sweeping expired entries once the
     /// earliest expiry plus the grace window has passed, and evicting
     /// down to capacity. An entry stamped below its owner's epoch floor
     /// (a decision reply that lost the race against a push) is refused:
     /// no entry ever sits below its floor, so nothing later can revive
     /// one.
     fn insert(&mut self, key: CacheKey, entry: CachedDecision, now: u64) {
-        if !self.enabled || self.capacity == 0 || behind_floor(&self.owner_epochs, &entry) {
+        if self.capacity == 0 || behind_floor(&self.owner_epochs, &entry) {
             return;
         }
         if self.earliest_expiry_ms.saturating_add(self.stale_grace_ms) <= now {
@@ -440,71 +433,11 @@ impl DecisionCache {
         });
     }
 
-    /// Applies a verified decision invalidation (DESIGN.md §16) signed
-    /// by AM `am`: records the new epoch, evicts exactly the entries
-    /// whose fingerprints the AM named, and re-stamps the owner's
-    /// surviving entries *decided by that AM* to the new epoch so they
-    /// keep serving — the surgical alternative to
-    /// [`DecisionCache::note_epoch`]'s owner-wide purge. Entries learned
-    /// from any other AM (a fallback) are outside the signer's decided
-    /// registry, so its list cannot name them; left below the advanced
-    /// floor, they are purged exactly as under a plain epoch note. The
-    /// same goes for **TTL-expired** entries: the AM prunes expired
-    /// tuples from its decided registry before compiling the list, so its
-    /// silence says nothing about them — re-stamping one would let the
-    /// stale-grace degraded path serve it past a revocation the push just
-    /// delivered. Returns how many entries the fingerprints evicted. A
-    /// push older than the known epoch is stale and applies nothing.
-    fn apply_invalidation(
-        &mut self,
-        owner: &str,
-        am: &str,
-        epoch: u64,
-        dead: &[protocol::SieveFingerprint],
-        now: u64,
-    ) -> u64 {
-        let known = self.owner_epochs.entry(owner.to_owned()).or_insert(0);
-        if epoch < *known {
-            return 0;
-        }
-        *known = epoch;
-        let mut evicted = 0;
-        let entries = &mut self.entries;
-        self.order.retain(|key| {
-            let Some(entry) = entries.get_mut(key) else {
-                return false;
-            };
-            if entry.owner != owner {
-                return true;
-            }
-            if dead.contains(&protocol::fingerprint_of(&entry.digest)) {
-                entries.remove(key);
-                evicted += 1;
-                return false;
-            }
-            if entry.am == am && entry.expires_at_ms > now {
-                // The signing AM vouched for its own survivors under the
-                // new epoch.
-                entry.epoch = epoch;
-            } else if entry.epoch < epoch {
-                // Not vouched for and now below the floor: purge it, so
-                // no later re-stamp can revive it.
-                entries.remove(key);
-                return false;
-            }
-            true
-        });
-        evicted
-    }
-
     /// The epoch of an **expired** but otherwise valid entry — same
     /// token, epoch-fresh — that a conditional `if_epoch` revalidation
     /// query could cheaply re-arm. `None` when there is nothing worth
     /// revalidating (no entry, live entry, different token, stale epoch).
     fn revalidation_epoch(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> Option<u64> {
-        if !self.enabled {
-            return None;
-        }
         let entry = self.bound_entry(key, digest)?;
         (entry.expires_at_ms <= now).then_some(entry.epoch)
     }
@@ -616,12 +549,9 @@ pub struct PepStats {
     /// match; each answers [`protocol::SIEVE_RESYNC`] so the AM reships a
     /// full body. Not a trust failure — those count as `sieve_rejects`.
     pub sieve_resyncs: u64,
-    /// Pushed decision invalidations verified and applied surgically
-    /// (DESIGN.md §16) — each spared the owner's surviving cached
-    /// permits the owner-wide epoch purge.
-    pub invalidations_applied: u64,
-    /// Cached permits evicted by name through applied invalidations (the
-    /// exact fingerprints the AM said died).
+    /// Always 0: decision-level invalidation push is gone, and the
+    /// capability sieve keeps a Host fresh after an edit (DESIGN.md §16).
+    /// Kept so that existing readers still build.
     pub invalidated_evictions: u64,
     /// Conditional `/protection/v2/decision` revalidation queries sent
     /// with an `if_epoch` precondition.
@@ -716,12 +646,10 @@ enum Pep {
     SieveRejects,
     SieveDeltaInstalls,
     SieveResyncs,
-    InvalidatedEvictions,
-    InvalidationsApplied,
 }
 
 /// Number of [`Pep`] cells.
-const PEP_CELLS: usize = Pep::InvalidationsApplied as usize + 1;
+const PEP_CELLS: usize = Pep::SieveResyncs as usize + 1;
 
 impl From<Pep> for usize {
     fn from(cell: Pep) -> usize {
@@ -983,8 +911,9 @@ pub struct HostCore {
     /// The decision cache, behind its own lock so the hot path never
     /// contends with resource CRUD.
     cache: RwLock<DecisionCache>,
-    /// Host-local access log, separate from both of the above.
-    log: Mutex<Vec<HostLogEntry>>,
+    /// Host-local access log, separate from both of the above: a ring of
+    /// the newest [`HOST_LOG_CAP`] entries.
+    log: Mutex<VecDeque<HostLogEntry>>,
     /// Lock-free PEP counters: the enforcement hot path bumps these
     /// without touching any lock the store or the cache is behind.
     stats: Counters<PEP_CELLS>,
@@ -1032,7 +961,7 @@ impl HostCore {
             clock,
             state: RwLock::new(HostState::default()),
             cache: RwLock::new(DecisionCache::new()),
-            log: Mutex::new(Vec::new()),
+            log: Mutex::new(VecDeque::new()),
             stats: Counters::new(),
             resilience: RwLock::new(ResilienceConfig::default()),
             breaker_states: Mutex::new(HashMap::new()),
@@ -1048,15 +977,6 @@ impl HostCore {
     #[must_use]
     pub fn authority(&self) -> &str {
         &self.authority
-    }
-
-    /// Enables or disables the decision cache (E7 ablation knob).
-    pub fn set_cache_enabled(&self, enabled: bool) {
-        let mut cache = self.cache.write();
-        cache.enabled = enabled;
-        if !enabled {
-            cache.clear();
-        }
     }
 
     /// Bounds the number of cached decisions (default
@@ -1090,71 +1010,6 @@ impl HostCore {
     pub fn note_policy_epoch(&self, owner: &str, epoch: u64) {
         self.cache.write().note_epoch(owner, epoch);
         self.edit_sieve(|sieve| sieve.advance_floor(owner, epoch));
-    }
-
-    /// Applies a pushed decision invalidation (DESIGN.md §16),
-    /// fail-closed on any doubt. Returns `true` iff the body verified
-    /// and was applied — the caller (the web layer's epoch-push route)
-    /// must otherwise fall back to [`HostCore::note_policy_epoch`]'s
-    /// owner-wide purge, which is always safe.
-    ///
-    /// Trust chain mirrors [`HostCore::install_sieve`]: the body must
-    /// verify under the `host_token` of the user-level delegation this
-    /// Host holds for the claimed owner. That signer speaks for the
-    /// owner's policy epoch — the same authority the plain epoch push
-    /// rides on. Eviction by fingerprint only narrows access; the one
-    /// *widening* effect (surviving cached permits are re-stamped to the
-    /// new epoch instead of purged) is exactly what the signature vouches
-    /// for.
-    pub fn install_invalidation(&self, body: &protocol::InvalidationBody) -> bool {
-        let (key, signer) = {
-            let state = self.state.read();
-            let Some(delegation) = state.user_delegations.get(&body.owner) else {
-                return false;
-            };
-            (delegation.host_token.clone(), delegation.am.clone())
-        };
-        if !body.verify(key.as_bytes()) {
-            return false;
-        }
-        self.apply_invalidation(&body.owner, &signer, body.epoch, &body.invalidated);
-        true
-    }
-
-    /// The surgical counterpart of [`HostCore::note_policy_epoch`]:
-    /// advances `owner`'s epoch, evicts exactly the named fingerprints
-    /// from both tiers, and lets everything else keep serving. Trust is
-    /// the caller's problem — [`HostCore::install_invalidation`] is the
-    /// verified entry point.
-    ///
-    /// The decision cache gets the full treatment (evict the dead,
-    /// re-stamp the survivors). An installed tier-1 sieve only gets the
-    /// narrowing half: its dead fingerprints are removed, but entries
-    /// compiled under an older epoch are still purged wholesale, because
-    /// sieve grants never take the decision path the invalidation list
-    /// was compiled from — their survival cannot be vouched for here.
-    /// (In practice the AM only pushes invalidations where no sieve body
-    /// superseded them, so the purge is almost always a no-op.)
-    fn apply_invalidation(
-        &self,
-        owner: &str,
-        signer: &str,
-        epoch: u64,
-        dead: &[protocol::SieveFingerprint],
-    ) {
-        let now = self.clock.now_ms();
-        let evicted = self
-            .cache
-            .write()
-            .apply_invalidation(owner, signer, epoch, dead, now);
-        if evicted > 0 {
-            self.stats.add(Pep::InvalidatedEvictions, evicted);
-        }
-        self.stats.add(Pep::InvalidationsApplied, 1);
-        self.edit_sieve(|sieve| {
-            sieve.remove_fingerprints(dead);
-            sieve.advance_floor(owner, epoch);
-        });
     }
 
     /// Enables conditional revalidation (DESIGN.md §16): TTL-expired
@@ -1442,8 +1297,7 @@ impl HostCore {
             sieve_rejects: at(Pep::SieveRejects),
             sieve_delta_installs: at(Pep::SieveDeltaInstalls),
             sieve_resyncs: at(Pep::SieveResyncs),
-            invalidations_applied: at(Pep::InvalidationsApplied),
-            invalidated_evictions: at(Pep::InvalidatedEvictions),
+            invalidated_evictions: 0,
             revalidations: at(Pep::Revalidations),
             revalidations_unchanged: at(Pep::RevalidationsUnchanged),
         }
@@ -1455,10 +1309,11 @@ impl HostCore {
         self.max_served_staleness_ms.store(0, Ordering::Relaxed);
     }
 
-    /// Returns a snapshot of the host-local access log.
+    /// Returns a snapshot of the host-local access log: its newest
+    /// entries (at most 4,096), oldest first.
     #[must_use]
     pub fn log(&self) -> Vec<HostLogEntry> {
-        self.log.lock().clone()
+        self.log.lock().iter().cloned().collect()
     }
 
     // -- resource store ------------------------------------------------------
@@ -1681,34 +1536,26 @@ impl HostCore {
             self.stats.add(Pep::Revalidations, 1);
         }
         let resilience = self.resilience.read().clone();
-        let (resp, decided_by) =
-            self.query(net, &resilience, &miss, None, "decision", &|to, primary| {
-                // Never conditional against the fallback: the cached
-                // entry's epoch lives in the *primary* AM's epoch space,
-                // and a numerically equal epoch at the mirror would
-                // falsely re-arm it.
-                let if_epoch = if_epoch.filter(|_| primary);
-                let (requester, resource_id, action) = &miss.cache_key;
-                let url = format!("https://{}{}", to.am, protocol::DECISION_V2_PATH);
-                let mut req = Request::new(Method::Post, &url)
-                    .with_param("host_token", &to.host_token)
-                    .with_param("token", miss.token)
-                    .with_param("resource", resource_id)
-                    .with_param("action", &action.to_string())
-                    .with_param("requester", requester);
-                if let Some(epoch) = if_epoch {
-                    req = req.with_param("if_epoch", &epoch.to_string());
-                }
-                req
-            });
-        self.settle_decision(
-            net,
-            classify_decision(&resp),
-            miss,
-            if_epoch,
-            &decided_by,
-            now,
-        )
+        let resp = self.query(net, &resilience, &miss, None, "decision", &|to, primary| {
+            // Never conditional against the fallback: the cached
+            // entry's epoch lives in the *primary* AM's epoch space,
+            // and a numerically equal epoch at the mirror would
+            // falsely re-arm it.
+            let if_epoch = if_epoch.filter(|_| primary);
+            let (requester, resource_id, action) = &miss.cache_key;
+            let url = format!("https://{}{}", to.am, protocol::DECISION_V2_PATH);
+            let mut req = Request::new(Method::Post, &url)
+                .with_param("host_token", &to.host_token)
+                .with_param("token", miss.token)
+                .with_param("resource", resource_id)
+                .with_param("action", &action.to_string())
+                .with_param("requester", requester);
+            if let Some(epoch) = if_epoch {
+                req = req.with_param("if_epoch", &epoch.to_string());
+            }
+            req
+        });
+        self.settle_decision(net, classify_decision(&resp), miss, if_epoch, now)
     }
 
     /// Enforces a whole round of access attempts, coalescing the decision
@@ -1908,8 +1755,7 @@ impl HostCore {
     /// `build` gets the delegation the request goes to and whether that
     /// is the primary. Only transport failures fail over: an AM that
     /// *answers* (permit, deny, 401, even an application 5xx) is always
-    /// taken at its word. Returns the response and the authority of the
-    /// AM that answered it.
+    /// taken at its word.
     fn query(
         &self,
         net: &dyn Transport,
@@ -1918,7 +1764,7 @@ impl HostCore {
         sent: Option<Response>,
         what: &str,
         build: &dyn Fn(&DelegationConfig, bool) -> Request,
-    ) -> (Response, String) {
+    ) -> Response {
         let primary = &head.delegation;
         let resp = sent.unwrap_or_else(|| {
             self.dispatch_protected(net, resilience, &primary.am, &|| build(primary, true))
@@ -1932,12 +1778,11 @@ impl HostCore {
                         primary.am, fallback.am
                     )
                 });
-                let resp = self
+                return self
                     .dispatch_protected(net, resilience, &fallback.am, &|| build(fallback, false));
-                return (resp, fallback.am.clone());
             }
         }
-        (resp, primary.am.clone())
+        resp
     }
 
     /// Flushes a round's batch chunks — the members of one chunk share an
@@ -1981,17 +1826,15 @@ impl HostCore {
             if sent.is_none() {
                 self.note_flush(net, &chunk);
             }
-            let (resp, decided_by) =
-                self.query(net, resilience, &chunk[0].1, sent, "batch", &|to, _| {
-                    batch_request(to, body)
-                });
+            let resp = self.query(net, resilience, &chunk[0].1, sent, "batch", &|to, _| {
+                batch_request(to, body)
+            });
             let now = self.clock.now_ms();
             let outcomes = classify_batch(&resp, chunk.len());
             for ((index, miss), outcome) in chunk.into_iter().zip(outcomes) {
                 // Batch queries never carry an `if_epoch` precondition,
                 // so a stray *unchanged* item fails closed.
-                results[index] =
-                    Some(self.settle_decision(net, outcome, miss, None, &decided_by, now));
+                results[index] = Some(self.settle_decision(net, outcome, miss, None, now));
             }
         }
     }
@@ -2019,7 +1862,6 @@ impl HostCore {
         outcome: DecisionOutcome,
         miss: Miss<'_>,
         if_epoch: Option<u64>,
-        decided_by: &str,
         now: u64,
     ) -> Enforcement {
         let Miss {
@@ -2097,9 +1939,9 @@ impl HostCore {
                              ({cacheable_ms} ms)"
                         )
                     });
-                    // One write lock for the whole insert: the enabled
-                    // flag is re-checked inside, so a concurrent
-                    // `set_cache_enabled(false)` cannot be overtaken.
+                    // One write lock for the whole insert: the capacity
+                    // is re-checked inside, so a concurrent
+                    // `set_decision_cache_capacity(0)` cannot be overtaken.
                     let mut cache = self.cache.write();
                     let epoch = body.policy_epoch.unwrap_or(0);
                     if let Some(epoch) = body.policy_epoch {
@@ -2111,7 +1953,6 @@ impl HostCore {
                             expires_at_ms: now + cacheable_ms,
                             digest,
                             owner,
-                            am: decided_by.to_owned(),
                             epoch,
                             referenced: AtomicBool::new(false),
                         },
@@ -2346,7 +2187,11 @@ impl HostCore {
         granted: bool,
         via: DecisionPath,
     ) {
-        self.log.lock().push(HostLogEntry {
+        let mut log = self.log.lock();
+        if log.len() == HOST_LOG_CAP {
+            log.pop_front();
+        }
+        log.push_back(HostLogEntry {
             at_ms,
             requester: requester.to_owned(),
             resource_id: resource_id.to_owned(),
@@ -2753,9 +2598,9 @@ mod tests {
     }
 
     /// A permit stamped below its owner's floor (a decision reply that
-    /// lost the race against an invalidation push) must never be cached:
-    /// the next invalidation's re-stamp would revive it after the AM has
-    /// revoked the token.
+    /// lost the race against an epoch push) must never be cached: no
+    /// entry ever sits below its floor, so nothing later can serve it
+    /// after the AM has revoked the token.
     #[test]
     fn late_permit_below_floor_is_never_revived() {
         let net = SimNet::new();
@@ -2764,44 +2609,27 @@ mod tests {
         net.register(am.clone());
         let h = delegated_host(&net);
         let url = Url::new("h.example", "/r1");
-        let invalidation = |epoch| protocol::InvalidationBody::build("bob", epoch, vec![], b"ht");
 
-        assert!(h.install_invalidation(&invalidation(4)));
+        h.note_policy_epoch("bob", 4);
         // The permit@3 reply lands after the push: it answers this access
         // but must not be cached.
         assert!(h
             .enforce(&net, "req", None, "r1", &Action::Read, Some("good"), &url)
             .is_grant());
+        assert_eq!(
+            h.decision_cache_len(),
+            0,
+            "a permit below its floor was cached"
+        );
 
         am.revoke("good");
-        assert!(h.install_invalidation(&invalidation(5)));
+        h.note_policy_epoch("bob", 5);
         match h.enforce(&net, "req", None, "r1", &Action::Read, Some("good"), &url) {
             Enforcement::Block(resp) => assert_eq!(resp.status, Status::Unauthorized),
             Enforcement::Grant => panic!("a permit below its floor was revived"),
         }
         assert_eq!(h.stats().cache_hits, 0);
         assert_eq!(h.stats().am_queries, 2);
-    }
-
-    /// An invalidation re-stamps only the signer's unexpired entries; the
-    /// owner's other entries fall below the new floor and are purged.
-    #[test]
-    fn invalidation_purges_the_entries_it_does_not_restamp() {
-        let net = SimNet::new();
-        let am = FakeAm::new();
-        am.grant("good", &permit_body(1_000, 1));
-        net.register(am.clone());
-        let h = delegated_host(&net);
-        let url = Url::new("h.example", "/r1");
-        assert!(h
-            .enforce(&net, "req", None, "r1", &Action::Read, Some("good"), &url)
-            .is_grant());
-        assert_eq!(h.decision_cache_len(), 1);
-
-        net.clock().advance_ms(2_000);
-        let body = protocol::InvalidationBody::build("bob", 2, vec![], b"ht");
-        assert!(h.install_invalidation(&body));
-        assert_eq!(h.decision_cache_len(), 0);
     }
 
     #[test]
@@ -3185,17 +3013,25 @@ mod tests {
             .enforce(&net, "req", None, "r1", &Action::Read, Some("good"), &url)
             .is_grant());
         assert_eq!(h.decision_cache_len(), 1);
-        h.set_cache_enabled(false);
+        h.set_decision_cache_capacity(0);
         assert_eq!(h.decision_cache_len(), 0);
-        // Disabled: repeat accesses query the AM every time, nothing is
+        // Capacity 0: repeat accesses query the AM every time, nothing is
         // inserted.
         assert!(h
             .enforce(&net, "req", None, "r1", &Action::Read, Some("good"), &url)
             .is_grant());
         assert_eq!(h.decision_cache_len(), 0);
         assert_eq!(h.stats().cache_hits, 0);
-        h.set_cache_enabled(true);
-        h.flush_decision_cache();
+        assert_eq!(h.stats().am_queries, 2);
+        // Restored: the next permit is cached and the one after hits.
+        h.set_decision_cache_capacity(DEFAULT_DECISION_CACHE_CAPACITY);
+        for _ in 0..2 {
+            assert!(h
+                .enforce(&net, "req", None, "r1", &Action::Read, Some("good"), &url)
+                .is_grant());
+        }
+        assert_eq!(h.decision_cache_len(), 1);
+        assert_eq!((h.stats().am_queries, h.stats().cache_hits), (3, 1));
     }
 
     /// Builds a token-bearing read attempt for a batched round.
@@ -3555,6 +3391,17 @@ mod tests {
         assert_eq!(h.max_served_staleness_ms(), 0);
     }
 
+    #[test]
+    fn access_log_keeps_the_newest_entries_oldest_first() {
+        let h = host();
+        let cap = u64::try_from(HOST_LOG_CAP).expect("the cap fits in u64");
+        for at_ms in 0..cap + 5 {
+            h.record(at_ms, "req", "r1", &Action::Read, true, DecisionPath::Cache);
+        }
+        let kept: Vec<u64> = h.log().iter().map(|entry| entry.at_ms).collect();
+        assert_eq!(kept, (5..cap + 5).collect::<Vec<u64>>());
+    }
+
     // -- tier-1 capability sieve ----------------------------------------------
 
     /// A signed sieve for `delegated_host`'s bob (key `"ht"`) covering
@@ -3645,7 +3492,17 @@ mod tests {
         );
         assert!(!h.install_sieve(&sieve_of(1, 60_000, &[("tok", "r3", "read", "req")])));
 
-        assert_eq!(h.stats().sieve_rejects, 5);
+        // One entry of an otherwise good body has already expired.
+        let entry = |action, expires_at_ms| protocol::SieveEntry {
+            fingerprint: protocol::sieve_fingerprint("tok", "r1", action, "req"),
+            resource: "r1".into(),
+            expires_at_ms,
+        };
+        net.clock().advance_ms(1_000);
+        let entries = vec![entry("read", 60_000), entry("write", 1_000)];
+        assert!(!h.install_sieve(&SieveBody::build("bob", 1, entries, b"ht")));
+
+        assert_eq!(h.stats().sieve_rejects, 6);
         assert_eq!(h.stats().sieve_installs, 0);
     }
 
@@ -3755,7 +3612,9 @@ mod tests {
     #[test]
     fn sieve_delta_base_mismatch_answers_resync() {
         let net = SimNet::new();
-        net.register(FakeAm::new());
+        let am = FakeAm::new();
+        am.grant("fresh", &permit_body(60_000, 6));
+        net.register(am.clone());
         let h = delegated_host(&net);
 
         // No sieve installed at all: nothing to base a delta on.
@@ -3778,6 +3637,19 @@ mod tests {
             SieveDeltaOutcome::BaseMismatch
         );
 
+        // A decision reply teaches the cache epoch 6 while the sieve sits
+        // at 5: a delta on the exact base, stamped 5, would rewind the
+        // cache's floor.
+        let url = Url::new("h.example", "/r1");
+        assert!(h
+            .enforce(&net, "req", None, "r1", &Action::Read, Some("fresh"), &url)
+            .is_grant());
+        let behind_cache = delta_of(5, 5, &[], &[]);
+        assert_eq!(
+            h.install_sieve_delta(&behind_cache),
+            SieveDeltaOutcome::BaseMismatch
+        );
+
         // A policy-epoch advance purges the sieve: the next delta finds
         // no base and must trigger a full reship.
         h.note_policy_epoch("bob", 6);
@@ -3788,7 +3660,7 @@ mod tests {
         );
 
         let stats = h.stats();
-        assert_eq!(stats.sieve_resyncs, 4);
+        assert_eq!(stats.sieve_resyncs, 5);
         assert_eq!(stats.sieve_delta_installs, 0);
         assert_eq!(stats.sieve_rejects, 0);
     }

@@ -127,17 +127,6 @@ impl AppShell {
                     }
                 };
             }
-            // A decision invalidation (DESIGN.md §16) likewise replaces
-            // the plain epoch note: a verified body evicts exactly the
-            // named entries and keeps the rest serving, so noting first
-            // would purge the very survivors it vouches for. A body that
-            // fails to parse or verify falls through to the plain note —
-            // the owner-wide purge, always safe.
-            if let Ok(invalidation) = protocol::InvalidationBody::from_json(&req.body) {
-                if self.core.install_invalidation(&invalidation) {
-                    return Response::ok().with_body("invalidation applied");
-                }
-            }
         }
         self.core.note_policy_epoch(owner, epoch);
         if !req.body.is_empty() {

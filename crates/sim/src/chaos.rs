@@ -83,12 +83,6 @@ pub struct ChaosConfig {
     /// accesses lock-free. The soak's invariants are unchanged — the
     /// sieve must be semantically invisible.
     pub sieve: bool,
-    /// Enables decision-level invalidation push (protocol v2, DESIGN.md
-    /// §16): epoch pushes carry the exact fingerprints that died, and
-    /// the Host evicts those instead of purging owner-wide. The soak's
-    /// invariants are unchanged — surgical invalidation must be
-    /// semantically invisible too.
-    pub invalidation: bool,
 }
 
 impl Default for ChaosConfig {
@@ -101,7 +95,6 @@ impl Default for ChaosConfig {
             cache_ttl_ms: 400,
             stale_grace_ms: 15_000,
             sieve: false,
-            invalidation: false,
         }
     }
 }
@@ -169,17 +162,6 @@ pub struct ChaosReport {
     pub sieve_rejects: u64,
     /// Delivered epoch pushes that carried a sieve body (both AMs).
     pub sieves_pushed: u64,
-    /// Delivered epoch pushes that carried a decision-invalidation body
-    /// (both AMs; zero when [`ChaosConfig::invalidation`] is off).
-    pub invalidations_pushed: u64,
-    /// Invalidation bodies the Host verified and applied surgically. As
-    /// with sieves, AM-B signs under its own delegation secret, so its
-    /// bodies all fail verification and fall back to the plain (always
-    /// safe) owner-wide epoch note.
-    pub invalidations_applied: u64,
-    /// Cached permits evicted by exact fingerprint through applied
-    /// invalidations.
-    pub invalidated_evictions: u64,
 }
 
 /// Everything the soak needs to drive and judge one run.
@@ -251,13 +233,6 @@ fn build_rig(config: &ChaosConfig) -> Rig {
         // at the door while its plain epoch params still apply.
         am_a.set_sieve_push(true);
         am_b.set_sieve_push(true);
-    }
-    if config.invalidation {
-        // Same forged-signer coverage as the sieve: AM-B's invalidation
-        // bodies are all rejected fail-closed at the Host, which then
-        // falls through to the plain owner-wide epoch purge.
-        am_a.set_invalidation_push(true);
-        am_b.set_invalidation_push(true);
     }
     let host = WebStorage::new(HOST, clock);
     host.shell().set_identity_verifier(idp.verifier());
@@ -586,14 +561,11 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
     report.revocation_visibility_ms = push_a.max_lag_ms.max(push_b.max_lag_ms);
 
     report.sieves_pushed = push_a.sieved + push_b.sieved;
-    report.invalidations_pushed = push_a.invalidations + push_b.invalidations;
 
     let pep = rig.host.shell().core.stats();
     report.sieve_hits = pep.sieve_hits;
     report.sieve_installs = pep.sieve_installs;
     report.sieve_rejects = pep.sieve_rejects;
-    report.invalidations_applied = pep.invalidations_applied;
-    report.invalidated_evictions = pep.invalidated_evictions;
     report.stale_served = pep.stale_served;
     report.fallback_queries = pep.fallback_queries;
     report.breaker_fast_fails = pep.breaker_fast_fails;
@@ -664,43 +636,6 @@ mod tests {
             report.max_served_staleness_ms <= ChaosConfig::default().stale_grace_ms,
             "{report:?}"
         );
-    }
-
-    #[test]
-    fn chaos_soak_with_invalidation_push_holds_the_same_invariants() {
-        // Protocol v2's surgical invalidation must be semantically
-        // invisible under faults: same ground-truth tables, same
-        // soundness and bounded-staleness invariants, with invalidation
-        // bodies carrying real load and AM-B's wrongly-signed bodies all
-        // falling back to the plain owner-wide purge.
-        let report = run(&ChaosConfig {
-            invalidation: true,
-            ..ChaosConfig::default()
-        });
-        assert_eq!(report.violations, 0, "{report:?}");
-        assert!(report.accesses >= 1_000, "{report:?}");
-        assert!(report.granted > 0 && report.denied > 0, "{report:?}");
-        // Invalidation actually carried load end to end.
-        assert!(report.invalidations_pushed > 0, "{report:?}");
-        assert!(report.invalidations_applied > 0, "{report:?}");
-        // Revocations happened while permits were cached, so at least
-        // some entries died by exact fingerprint rather than purge.
-        assert!(report.revocations > 0, "{report:?}");
-        assert!(
-            report.max_served_staleness_ms <= ChaosConfig::default().stale_grace_ms,
-            "{report:?}"
-        );
-    }
-
-    #[test]
-    fn chaos_soak_with_invalidation_is_deterministic_per_seed() {
-        let config = ChaosConfig {
-            steps: 400,
-            seed: 7,
-            invalidation: true,
-            ..ChaosConfig::default()
-        };
-        assert_eq!(run(&config), run(&config));
     }
 
     #[test]

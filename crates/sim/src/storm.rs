@@ -1,13 +1,13 @@
 //! Cold-miss-storm harness: what one small policy edit costs the fabric.
 //!
-//! Before protocol v2, every policy edit advanced the owner's epoch and
-//! the delivered push purged the owner's cached permits *owner-wide* at
-//! the Host — a one-grant edit against an owner with a hundred cached
-//! permits turned the next access wave into a hundred cold decision
-//! queries (the cold-miss storm). The v2 decision-level invalidation
-//! push (DESIGN.md §16) names the exact fingerprints that died instead,
-//! so the same wave re-queries only the entries the edit actually
-//! killed.
+//! Every policy edit advances the owner's epoch, and the delivered push
+//! purges the owner's cached permits *owner-wide* at the Host — a
+//! one-grant edit against an owner with a hundred cached permits turns
+//! the next access wave into a hundred cold decision queries (the
+//! cold-miss storm). With sieve push on, the same push carries the
+//! owner's recompiled capability sieve (DESIGN.md §12–13, §16): the
+//! bystanders the edit left alone are served from it, and the wave
+//! re-queries only the entries the edit actually killed.
 //!
 //! Two probes, each measured on both transport backends with the same
 //! machine-independent [work counts](crate::saturation::WorkCounts)
@@ -15,8 +15,8 @@
 //!
 //! * [`run_cold_miss_storm`] — prime N cached permits, make one
 //!   single-realm policy edit, deliver the push, then replay the access
-//!   wave. With invalidation push off the wave is all AM queries; with
-//!   it on, the wave re-queries only the realm the edit touched.
+//!   wave. With sieve push off the wave is all AM queries; with it on,
+//!   the wave re-queries only the realm the edit touched.
 //! * [`run_revalidation_probe`] — prime N cached permits, let them age
 //!   past their TTL with *no* policy change, then replay the wave. With
 //!   conditional revalidation on, every query carries `if_epoch` and
@@ -48,9 +48,9 @@ const READER: &str = "reader-0";
 pub struct StormConfig {
     /// Which transport backend carries the messages.
     pub transport: TransportKind,
-    /// Whether the AM compiles decision-level invalidation lists into
-    /// its epoch pushes (`false` reproduces the v1 owner-wide purge).
-    pub invalidation: bool,
+    /// Whether the AM compiles capability sieves into its epoch pushes
+    /// (`false`: the owner-wide purge alone).
+    pub sieve: bool,
     /// Cached permits primed before the edit (≥ 2; one dies with the
     /// edited realm, the rest are bystanders).
     pub resources: usize,
@@ -59,23 +59,20 @@ pub struct StormConfig {
 /// One measured storm row (`BENCH_PR2.json` row form).
 #[derive(Debug, Clone)]
 pub struct StormRow {
-    /// `storm_epoch_only` / `storm_invalidation`, with the transport
-    /// suffix.
+    /// `storm_epoch_only` / `storm_sieve`, with the transport suffix.
     pub bench: String,
     /// Cached permits primed before the edit.
     pub resources: u64,
     /// Accesses in the measured second wave (= `resources`).
     pub wave_accesses: u64,
     /// Decision queries the second wave sent to the AM — the storm
-    /// gauge. Epoch-only purges make this `resources`; invalidation
-    /// push collapses it to the single edited entry.
+    /// gauge. Epoch-only purges make this `resources`; sieve push
+    /// collapses it to the single edited entry.
     pub am_queries: u64,
     /// Second-wave permits served from the decision cache.
     pub cache_hits: u64,
-    /// Delivered pushes that carried an invalidation body.
-    pub invalidations_pushed: u64,
-    /// Cached permits evicted by exact fingerprint.
-    pub invalidated_evictions: u64,
+    /// Second-wave accesses granted by the pushed sieve.
+    pub sieve_hits: u64,
     /// Round trips the second wave put on the wire.
     pub wire_rts: u64,
     /// Exact serialized bytes the second wave put on the wire.
@@ -88,15 +85,13 @@ impl StormRow {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"bench\":\"{}\",\"resources\":{},\"wave_accesses\":{},\"am_queries\":{},\
-             \"cache_hits\":{},\"invalidations_pushed\":{},\"invalidated_evictions\":{},\
-             \"wire_rts\":{},\"bytes_on_wire\":{}}}",
+             \"cache_hits\":{},\"sieve_hits\":{},\"wire_rts\":{},\"bytes_on_wire\":{}}}",
             self.bench,
             self.resources,
             self.wave_accesses,
             self.am_queries,
             self.cache_hits,
-            self.invalidations_pushed,
-            self.invalidated_evictions,
+            self.sieve_hits,
             self.wire_rts,
             self.bytes_on_wire
         )
@@ -156,7 +151,7 @@ struct Rig {
 /// alone in realm `special`, the rest in realm `shared` — each realm
 /// linked to its own open-read policy so unlinking `special` kills
 /// exactly one cached permit and bumps the epoch once.
-fn build_rig(transport: TransportKind, resources: usize, invalidation: bool) -> Rig {
+fn build_rig(transport: TransportKind, resources: usize, sieve: bool) -> Rig {
     assert!(resources >= 2, "need a special resource plus bystanders");
     let net: Arc<dyn Transport> = transport.build();
     net.trace().set_enabled(false);
@@ -165,7 +160,7 @@ fn build_rig(transport: TransportKind, resources: usize, invalidation: bool) -> 
     let am = Arc::new(AuthorizationManager::new(AM, clock.clone()));
     am.set_identity_verifier(idp.verifier());
     am.set_epoch_push_target(HOST);
-    am.set_invalidation_push(invalidation);
+    am.set_sieve_push(sieve);
     let host = WebStorage::new(HOST, clock);
     host.shell().set_identity_verifier(idp.verifier());
     net.register(idp.clone());
@@ -270,7 +265,7 @@ fn prime(rig: &mut Rig) {
 /// resource still granted after the push, or a bystander denied.
 #[must_use]
 pub fn run_cold_miss_storm(config: &StormConfig) -> StormRow {
-    let mut rig = build_rig(config.transport, config.resources, config.invalidation);
+    let mut rig = build_rig(config.transport, config.resources, config.sieve);
     prime(&mut rig);
 
     // The single-grant edit: unlink the `special` realm's policy. One
@@ -281,13 +276,6 @@ pub fn run_cold_miss_storm(config: &StormConfig) -> StormRow {
         })
         .unwrap();
     drain_pushes(&rig.am, rig.net.as_ref());
-
-    // Invalidation work happened at push delivery — harvest it before
-    // zeroing the counters for the measured wave.
-    let pep = rig.host.shell().core.stats();
-    let invalidations_pushed = rig.am.epoch_push_stats().invalidations;
-    let invalidated_evictions = pep.invalidated_evictions;
-
     rig.net.reset_stats();
     rig.host.shell().core.reset_stats();
 
@@ -307,19 +295,14 @@ pub fn run_cold_miss_storm(config: &StormConfig) -> StormRow {
     StormRow {
         bench: format!(
             "storm_{}{}",
-            if config.invalidation {
-                "invalidation"
-            } else {
-                "epoch_only"
-            },
+            if config.sieve { "sieve" } else { "epoch_only" },
             config.transport.bench_suffix()
         ),
         resources: rig.resources as u64,
         wave_accesses: rig.resources as u64,
         am_queries: pep.am_queries,
         cache_hits: pep.cache_hits,
-        invalidations_pushed,
-        invalidated_evictions,
+        sieve_hits: pep.sieve_hits,
         wire_rts: net_stats.round_trips,
         bytes_on_wire: net_stats.bytes_on_wire,
     }
@@ -394,68 +377,58 @@ mod tests {
     const RESOURCES: usize = 120;
 
     #[test]
-    fn invalidation_push_cuts_the_cold_miss_storm() {
-        // EXPERIMENTS.md E15 + the ISSUE's acceptance criterion: after a
-        // single-grant edit against an owner with ≥100 cached permits,
-        // the next wave's AM decision queries drop ≥90% versus the
-        // epoch-bump-only purge.
+    fn sieve_push_cuts_the_cold_miss_storm() {
+        // EXPERIMENTS.md E17: after a single-grant edit against an owner
+        // with ≥100 cached permits, the next wave's AM decision queries
+        // drop ≥90% versus the epoch-bump-only purge.
         let epoch_only = run_cold_miss_storm(&StormConfig {
             transport: TransportKind::Sim,
-            invalidation: false,
+            sieve: false,
             resources: RESOURCES,
         });
-        let invalidation = run_cold_miss_storm(&StormConfig {
+        let sieve = run_cold_miss_storm(&StormConfig {
             transport: TransportKind::Sim,
-            invalidation: true,
+            sieve: true,
             resources: RESOURCES,
         });
 
         // Epoch-only: the purge costs the whole wave.
         assert_eq!(epoch_only.am_queries, RESOURCES as u64, "{epoch_only:?}");
         assert_eq!(epoch_only.cache_hits, 0, "{epoch_only:?}");
-        assert_eq!(epoch_only.invalidations_pushed, 0, "{epoch_only:?}");
+        assert_eq!(epoch_only.sieve_hits, 0, "{epoch_only:?}");
 
-        // Invalidation: only the edited entry re-queries; every
-        // bystander stays cached.
-        assert_eq!(invalidation.am_queries, 1, "{invalidation:?}");
-        assert_eq!(
-            invalidation.cache_hits,
-            RESOURCES as u64 - 1,
-            "{invalidation:?}"
-        );
-        assert!(invalidation.invalidations_pushed > 0, "{invalidation:?}");
-        assert_eq!(invalidation.invalidated_evictions, 1, "{invalidation:?}");
+        // Sieve: only the edited entry re-queries; the pushed sieve
+        // serves every bystander.
+        assert_eq!(sieve.am_queries, 1, "{sieve:?}");
+        assert_eq!(sieve.cache_hits, 0, "{sieve:?}");
+        assert_eq!(sieve.sieve_hits, RESOURCES as u64 - 1, "{sieve:?}");
 
-        // The headline claim, stated as the ISSUE states it.
         assert!(
-            invalidation.am_queries * 10 <= epoch_only.am_queries,
+            sieve.am_queries * 10 <= epoch_only.am_queries,
             "storm cut below 90%: {} vs {}",
-            invalidation.am_queries,
+            sieve.am_queries,
             epoch_only.am_queries
         );
         assert!(
-            invalidation.bytes_on_wire < epoch_only.bytes_on_wire,
-            "{invalidation:?} vs {epoch_only:?}"
+            sieve.bytes_on_wire < epoch_only.bytes_on_wire,
+            "{sieve:?} vs {epoch_only:?}"
         );
     }
 
     #[test]
     fn storm_work_counts_are_identical_across_transports() {
-        for invalidation in [false, true] {
-            let sim = run_cold_miss_storm(&StormConfig {
-                transport: TransportKind::Sim,
-                invalidation,
-                resources: 16,
-            });
-            let http = run_cold_miss_storm(&StormConfig {
-                transport: TransportKind::Http,
-                invalidation,
-                resources: 16,
-            });
+        for sieve in [false, true] {
+            let run = |transport| {
+                run_cold_miss_storm(&StormConfig {
+                    transport,
+                    sieve,
+                    resources: RESOURCES,
+                })
+            };
+            let (sim, http) = (run(TransportKind::Sim), run(TransportKind::Http));
             assert_eq!(sim.am_queries, http.am_queries);
             assert_eq!(sim.cache_hits, http.cache_hits);
-            assert_eq!(sim.invalidations_pushed, http.invalidations_pushed);
-            assert_eq!(sim.invalidated_evictions, http.invalidated_evictions);
+            assert_eq!(sim.sieve_hits, http.sieve_hits);
             assert_eq!(sim.wire_rts, http.wire_rts);
             assert_eq!(sim.bytes_on_wire, http.bytes_on_wire);
             assert!(sim.bytes_on_wire > 0, "bytes_on_wire not counted");
@@ -500,11 +473,11 @@ mod tests {
     fn storm_rows_render_as_json() {
         let row = run_cold_miss_storm(&StormConfig {
             transport: TransportKind::Sim,
-            invalidation: true,
+            sieve: true,
             resources: 8,
         });
         let json = row.to_json();
-        assert!(json.contains("\"bench\":\"storm_invalidation\""), "{json}");
+        assert!(json.contains("\"bench\":\"storm_sieve\""), "{json}");
         assert!(json.contains("\"resources\":8"), "{json}");
         let reval = run_revalidation_probe(TransportKind::Sim, true).to_json();
         assert!(reval.contains("\"bench\":\"reval_conditional\""), "{reval}");

@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ucam_am::AuthorizationManager;
+use ucam_host::core::DEFAULT_DECISION_CACHE_CAPACITY;
 use ucam_host::{Video, WebDocs, WebPics, WebStorage, WebVideos};
 use ucam_policy::{Action, PolicyBody, PolicyId, ResourceRef, Rule, RulePolicy, Subject};
 use ucam_requester::{AccessOutcome, AccessSpec, RequesterClient};
@@ -430,12 +431,22 @@ impl World {
         self.videos.shell().core.flush_decision_cache();
     }
 
-    /// Enables/disables host decision caches on all hosts.
+    /// Enables/disables host decision caches on all hosts: a disabled
+    /// cache has capacity 0, an enabled one the default capacity.
     pub fn set_decision_caches(&self, enabled: bool) {
-        self.pics.shell().core.set_cache_enabled(enabled);
-        self.storage.shell().core.set_cache_enabled(enabled);
-        self.docs.shell().core.set_cache_enabled(enabled);
-        self.videos.shell().core.set_cache_enabled(enabled);
+        let capacity = if enabled {
+            DEFAULT_DECISION_CACHE_CAPACITY
+        } else {
+            0
+        };
+        for shell in [
+            self.pics.shell(),
+            self.storage.shell(),
+            self.docs.shell(),
+            self.videos.shell(),
+        ] {
+            shell.core.set_decision_cache_capacity(capacity);
+        }
     }
 
     /// Pushes every owner's current policy epoch from the AM to all

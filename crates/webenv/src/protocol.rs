@@ -33,12 +33,11 @@
 //! its tier-1 enforcement table (DESIGN.md §12). The sieve is part of
 //! the same versioned surface — it rides [`EPOCH_PUSH_PATH`], and its
 //! parser is fail-closed exactly like the decision parser: a body that
-//! does not parse *and* verify grants nothing. The v2 surface adds a
-//! third push body kind, [`InvalidationBody`]: the exact fingerprints a
-//! policy edit invalidated, so a Host evicts a handful of entries instead
-//! of cold-missing an entire owner (DESIGN.md §16). All three body kinds
-//! use disjoint JSON field sets and distinct signing domain separators,
-//! so none can ever be parsed — or replayed — as another.
+//! does not parse *and* verify grants nothing. Its incremental form,
+//! [`SieveDeltaBody`], rides the same route (DESIGN.md §13). The two
+//! body kinds use disjoint JSON field sets and distinct signing domain
+//! separators, so neither can ever be parsed — or replayed — as the
+//! other.
 
 /// Versioned single-decision route (Fig. 6, phase 5/6).
 pub const DECISION_PATH: &str = "/protection/v1/decision";
@@ -999,104 +998,7 @@ impl SieveDeltaBody {
     }
 }
 
-/// The v2 decision-level invalidation push body: the exact
-/// [`SieveFingerprint`]s a policy edit invalidated, pushed alongside the
-/// owner's epoch advance on [`EPOCH_PUSH_PATH`] (DESIGN.md §16).
-///
-/// An epoch-only push tells the Host "something about this owner
-/// changed" and forces an owner-wide cache purge — a small policy edit
-/// against an owner with hundreds of cached permits triggers a cold-miss
-/// storm. This body narrows the signal to the affected tuples: the Host
-/// evicts exactly `invalidated` from its cache and sieve, re-stamps the
-/// survivors to `epoch`, and keeps serving them.
-///
-/// Authentication: like the sieve bodies, this one *raises* trust (it
-/// lets cached permits survive an epoch advance), so it is HMAC-signed
-/// under the delegation `host_token` with its own domain separator. A
-/// body that fails verification must be discarded whole — the Host then
-/// falls back to the plain epoch purge, which is always safe.
-///
-/// `invalidated` may be empty: a signed empty list is how the AM says
-/// "the epoch advanced but none of your entries died" (e.g. a policy
-/// edit that only widened access).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidationBody {
-    /// The resource owner whose epoch advanced.
-    pub owner: String,
-    /// The owner's new policy epoch.
-    pub epoch: u64,
-    /// Fingerprints of the access tuples the edit invalidated.
-    pub invalidated: Vec<SieveFingerprint>,
-    /// Hex HMAC-SHA256 over the canonical payload.
-    pub sig: String,
-}
-
-impl InvalidationBody {
-    /// Assembles and signs an invalidation with the shared delegation
-    /// `host_token` bytes.
-    #[must_use]
-    pub fn build(owner: &str, epoch: u64, invalidated: Vec<SieveFingerprint>, key: &[u8]) -> Self {
-        let mut body = Self {
-            owner: owner.to_owned(),
-            epoch,
-            invalidated,
-            sig: String::new(),
-        };
-        body.sig = sign(key, &body.signing_payload());
-        body
-    }
-
-    /// Verifies the signature against the Host's copy of the delegation
-    /// `host_token`. Constant-time; any mismatch discards the body whole.
-    #[must_use]
-    pub fn verify(&self, key: &[u8]) -> bool {
-        verify_sig(key, &self.signing_payload(), &self.sig)
-    }
-
-    /// The canonical byte string the signature covers: the shared
-    /// [`signing_head`] under its own domain separator, so an
-    /// invalidation can never be replayed as a sieve or a delta (or vice
-    /// versa), then one `!` line per fingerprint.
-    fn signing_payload(&self) -> String {
-        let capacity = 48 + self.invalidated.len() * 34;
-        let mut out = signing_head("ucam-inval-v1", &self.owner, self.epoch, capacity);
-        push_fingerprint_lines(&mut out, '!', &self.invalidated);
-        out
-    }
-
-    /// Serializes to the canonical wire JSON. The `invalidated` field is
-    /// disjoint from [`SieveBody`]'s `entries` and [`SieveDeltaBody`]'s
-    /// `added`/`removed`/`base_epoch`, so the three push body kinds can
-    /// never be confused on the shared epoch-push route.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = json_head(&self.owner, self.epoch, 96 + self.invalidated.len() * 36);
-        push_fingerprints_json(&mut out, "invalidated", &self.invalidated);
-        json_close(&mut out, &self.sig);
-        out
-    }
-
-    /// Parses an invalidation body, fail-closed like
-    /// [`SieveBody::from_json`]. Parsing alone never authorizes the
-    /// survivors — the caller must still [`verify`](Self::verify), and on
-    /// any failure fall back to the plain epoch purge.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on malformed JSON, missing or ill-typed
-    /// fields, or malformed fingerprints.
-    pub fn from_json(body: &str) -> Result<Self, WireError> {
-        let head = PushHead::parse(body, "invalidation")?;
-        Ok(Self {
-            invalidated: fingerprints_from_json(&head.fields, "invalidated", "invalidation")?,
-            owner: head.owner,
-            epoch: head.epoch,
-            sig: head.sig,
-        })
-    }
-}
-
-// -- the codec the three push bodies share ------------------------------------
+// -- the codec the two push bodies share --------------------------------------
 
 /// Hex HMAC-SHA256 of a push body's signing payload under the shared
 /// delegation `host_token` bytes.
@@ -1975,91 +1877,6 @@ mod tests {
         ] {
             assert!(UnchangedBody::from_json(body).is_err(), "{body}");
         }
-    }
-
-    fn sample_invalidation(key: &[u8]) -> InvalidationBody {
-        InvalidationBody::build(
-            "bob",
-            9,
-            vec![
-                sieve_fingerprint("tok-1", "files/a.txt", "read", "requester:app"),
-                sieve_fingerprint("tok-2", "files/b.txt", "write", "requester:app"),
-            ],
-            key,
-        )
-    }
-
-    #[test]
-    fn invalidation_round_trips_and_verifies() {
-        let key = b"host-token-secret";
-        let body = sample_invalidation(key);
-        let parsed = InvalidationBody::from_json(&body.to_json()).unwrap();
-        assert_eq!(parsed, body);
-        assert!(parsed.verify(key));
-        assert!(!parsed.verify(b"some-other-token"));
-    }
-
-    #[test]
-    fn empty_invalidation_is_legal_and_signed() {
-        let body = InvalidationBody::build("bob", 3, Vec::new(), b"k");
-        let parsed = InvalidationBody::from_json(&body.to_json()).unwrap();
-        assert!(parsed.invalidated.is_empty());
-        assert!(parsed.verify(b"k"));
-    }
-
-    #[test]
-    fn tampered_invalidations_fail_verification() {
-        let key = b"host-token-secret";
-        let mut bumped_epoch = sample_invalidation(key);
-        bumped_epoch.epoch += 1;
-        assert!(!bumped_epoch.verify(key));
-
-        let mut dropped_fp = sample_invalidation(key);
-        dropped_fp.invalidated.pop();
-        assert!(!dropped_fp.verify(key));
-
-        let mut swapped_owner = sample_invalidation(key);
-        swapped_owner.owner = "mallory".into();
-        assert!(!swapped_owner.verify(key));
-    }
-
-    #[test]
-    fn malformed_invalidation_bodies_fail_closed() {
-        for body in [
-            "not json",
-            "{}",
-            "{\"owner\":\"bob\",\"epoch\":1,\"invalidated\":[],\"sig\":42}",
-            "{\"owner\":\"bob\",\"invalidated\":[],\"sig\":\"aa\"}",
-            "{\"owner\":\"bob\",\"epoch\":1,\"invalidated\":[42],\"sig\":\"aa\"}",
-            "{\"owner\":\"bob\",\"epoch\":1,\"invalidated\":[\"zz\"],\"sig\":\"aa\"}",
-            "{\"owner\":\"bob\",\"epoch\":1,\"invalidated\":\"aa\",\"sig\":\"aa\"}",
-        ] {
-            assert!(InvalidationBody::from_json(body).is_err(), "{body}");
-        }
-    }
-
-    #[test]
-    fn push_body_kinds_never_cross_parse() {
-        let key = b"host-token-secret";
-        // All three push body kinds share EPOCH_PUSH_PATH; disjoint field
-        // sets keep them unambiguous...
-        let inval = sample_invalidation(key).to_json();
-        assert!(SieveBody::from_json(&inval).is_err());
-        assert!(SieveDeltaBody::from_json(&inval).is_err());
-        assert!(InvalidationBody::from_json(&sample_sieve(key).to_json()).is_err());
-        assert!(InvalidationBody::from_json(&sample_delta(key).to_json()).is_err());
-        // ...and domain separators keep grafted fields from verifying: an
-        // invalidation's removals can never replay as a delta's.
-        let inval = sample_invalidation(key);
-        let grafted = SieveDeltaBody {
-            owner: inval.owner.clone(),
-            epoch: inval.epoch,
-            base_epoch: inval.epoch,
-            added: Vec::new(),
-            removed: inval.invalidated.clone(),
-            sig: inval.sig.clone(),
-        };
-        assert!(!grafted.verify(key));
     }
 
     #[test]

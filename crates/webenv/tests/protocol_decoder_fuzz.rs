@@ -1,7 +1,7 @@
 //! Seeded fuzz suite for the body decoders in `webenv::protocol`.
 //!
-//! The epoch-push route decodes sieve, sieve-delta and invalidation
-//! bodies, the decision routes decode decision and unchanged replies, and
+//! The epoch-push route decodes sieve and sieve-delta bodies, the
+//! decision routes decode decision and unchanged replies, and
 //! the AM's open v2 routes decode batch-authorize and registration
 //! bodies, all before anything has authenticated the sender. Their
 //! contract is *fail closed*: a truncated, corrupted, oversized or garbage
@@ -23,8 +23,8 @@ use ucam_webenv::protocol::{
     encode_authorize_request, encode_authorize_response, encode_batch_request,
     encode_batch_response, parse_authorize_request, parse_authorize_response, parse_batch_request,
     parse_batch_response, sieve_fingerprint, AuthorizeItem, AuthorizeReply, BatchItem,
-    DelegateReply, InvalidationBody, RegisterBody, RegistrationReply, SieveBody, SieveDeltaBody,
-    SieveEntry, UnchangedBody, MAX_BATCH,
+    DelegateReply, RegisterBody, RegistrationReply, SieveBody, SieveDeltaBody, SieveEntry,
+    UnchangedBody, MAX_BATCH,
 };
 use ucam_webenv::{DecisionBody, WireError};
 
@@ -51,14 +51,13 @@ const AWKWARD: &[&str] = &[
     "é日本🦀\"\\\n\r\t\u{1}/",
 ];
 
-/// One decoded body of any of the twelve kinds.
+/// One decoded body of any of the eleven kinds.
 #[derive(Debug, Clone, PartialEq)]
 enum Decoded {
     Decision(DecisionBody),
     Unchanged(UnchangedBody),
     Sieve(SieveBody),
     Delta(SieveDeltaBody),
-    Invalidation(InvalidationBody),
     BatchRequest(Vec<BatchItem>),
     BatchResponse(Vec<DecisionBody>),
     AuthorizeRequest(Vec<AuthorizeItem>),
@@ -76,7 +75,6 @@ impl Decoded {
             Decoded::Unchanged(body) => body.to_json(),
             Decoded::Sieve(body) => body.to_json(),
             Decoded::Delta(body) => body.to_json(),
-            Decoded::Invalidation(body) => body.to_json(),
             Decoded::BatchRequest(items) => encode_batch_request(items),
             Decoded::BatchResponse(decisions) => encode_batch_response(decisions),
             Decoded::AuthorizeRequest(items) => encode_authorize_request(items),
@@ -94,7 +92,6 @@ impl Decoded {
             Decoded::Unchanged(_) => Decoded::Unchanged(UnchangedBody::from_json(json)?),
             Decoded::Sieve(_) => Decoded::Sieve(SieveBody::from_json(json)?),
             Decoded::Delta(_) => Decoded::Delta(SieveDeltaBody::from_json(json)?),
-            Decoded::Invalidation(_) => Decoded::Invalidation(InvalidationBody::from_json(json)?),
             Decoded::BatchRequest(_) => Decoded::BatchRequest(parse_batch_request(json)?),
             Decoded::BatchResponse(_) => Decoded::BatchResponse(parse_batch_response(json)?),
             Decoded::AuthorizeRequest(_) => {
@@ -117,7 +114,6 @@ impl Decoded {
         match &mut body {
             Decoded::Sieve(body) => body.sig.clear(),
             Decoded::Delta(body) => body.sig.clear(),
-            Decoded::Invalidation(body) => body.sig.clear(),
             _ => {}
         }
         body
@@ -140,7 +136,7 @@ impl Decoded {
                 .iter()
                 .enumerate()
                 .any(|(i, reply)| is_token(reply) && !was.get(i).is_some_and(is_token)),
-            (_, Decoded::Sieve(_) | Decoded::Delta(_) | Decoded::Invalidation(_)) => {
+            (_, Decoded::Sieve(_) | Decoded::Delta(_)) => {
                 self.grants() && self.unsigned() != original.unsigned()
             }
             _ => false,
@@ -157,7 +153,6 @@ impl Decoded {
             Decoded::Unchanged(_) => true,
             Decoded::Sieve(body) => body.verify(KEY),
             Decoded::Delta(body) => body.verify(KEY),
-            Decoded::Invalidation(body) => body.verify(KEY),
             Decoded::BatchResponse(decisions) => decisions.iter().any(DecisionBody::is_permit),
             Decoded::AuthorizeResponse(replies) => replies.iter().any(is_token),
             _ => false,
@@ -169,7 +164,7 @@ fn is_token(reply: &AuthorizeReply) -> bool {
     matches!(reply, AuthorizeReply::Token(_))
 }
 
-/// Feeds `json` to all twelve decoders; none may panic. Returns how many
+/// Feeds `json` to all eleven decoders; none may panic. Returns how many
 /// accepted it.
 fn decode_all(json: &str) -> usize {
     [
@@ -177,7 +172,6 @@ fn decode_all(json: &str) -> usize {
         UnchangedBody::from_json(json).is_ok(),
         SieveBody::from_json(json).is_ok(),
         SieveDeltaBody::from_json(json).is_ok(),
-        InvalidationBody::from_json(json).is_ok(),
         parse_batch_request(json).is_ok(),
         parse_batch_response(json).is_ok(),
         parse_authorize_request(json).is_ok(),
@@ -276,16 +270,7 @@ fn bodies_with(text: &str) -> Vec<Decoded> {
         }),
         Decoded::Sieve(SieveBody::build(text, 7, entries.clone(), KEY)),
         Decoded::Sieve(SieveBody::build(text, 0, Vec::new(), KEY)),
-        Decoded::Delta(SieveDeltaBody::build(
-            text,
-            8,
-            7,
-            entries,
-            dead.clone(),
-            KEY,
-        )),
-        Decoded::Invalidation(InvalidationBody::build(text, 8, dead, KEY)),
-        Decoded::Invalidation(InvalidationBody::build(text, 9, Vec::new(), KEY)),
+        Decoded::Delta(SieveDeltaBody::build(text, 8, 7, entries, dead, KEY)),
     ]
     .into_iter()
     .chain(v2_bodies_with(text))
@@ -306,10 +291,7 @@ fn canonical_bodies_round_trip_exactly() {
             .unwrap_or_else(|err| panic!("{json:?} failed to decode: {err}"));
         assert_eq!(back, body, "{json:?} did not round-trip");
         assert_eq!(back.to_json(), json, "re-encoding {json:?} moved bytes");
-        if matches!(
-            body,
-            Decoded::Sieve(_) | Decoded::Delta(_) | Decoded::Invalidation(_)
-        ) {
+        if matches!(body, Decoded::Sieve(_) | Decoded::Delta(_)) {
             assert!(back.grants(), "{json:?} no longer verifies after decoding");
         }
     }
@@ -607,8 +589,7 @@ proptest! {
             Decoded::Decision(DecisionBody::deny(&reason)),
             Decoded::Unchanged(UnchangedBody { cacheable_ms: expires }),
             Decoded::Sieve(SieveBody::build(&owner, epoch, entries.clone(), KEY)),
-            Decoded::Delta(SieveDeltaBody::build(&owner, epoch, expires, entries, dead.clone(), KEY)),
-            Decoded::Invalidation(InvalidationBody::build(&owner, epoch, dead, KEY)),
+            Decoded::Delta(SieveDeltaBody::build(&owner, epoch, expires, entries, dead, KEY)),
             Decoded::BatchRequest(vec![batch_item(&owner), batch_item(&resource)]),
             Decoded::BatchResponse(vec![DecisionBody::permit(expires, epoch), DecisionBody::deny(&reason)]),
             Decoded::AuthorizeRequest(vec![authorize_item(&owner), authorize_item(&resource)]),

@@ -169,8 +169,8 @@ const HTTP_P50_RATIO_CEILING: f64 = 1.5;
 const STORM_RESOURCES: usize = 120;
 
 /// The storm row family, in report order: the cold-miss storm without
-/// and with decision-level invalidation push, then the TTL-revalidation
-/// wave without and with `If-Epoch` conditional queries.
+/// and with sieve push, then the TTL-revalidation wave without and with
+/// `If-Epoch` conditional queries.
 const STORM_PROBES: [Live; 4] = [
     Live::Storm(false),
     Live::Storm(true),
@@ -182,7 +182,7 @@ const STORM_PROBES: [Live; 4] = [
 /// in [`STORM_PROBES`] order.
 const STORM_COUNTS: [&str; 4] = [
     "am_queries cache_hits bytes_on_wire",
-    "am_queries invalidated_evictions bytes_on_wire",
+    "am_queries sieve_hits bytes_on_wire",
     "am_queries revalidations bytes_on_wire",
     "am_queries revalidations_unchanged bytes_on_wire",
 ];
@@ -379,13 +379,13 @@ const GATES: [Gate; 14] = [
             }))
         },
     },
-    // The invalidation push's cut of the cold-miss storm.
+    // The sieve push's cut of the cold-miss storm.
     Gate {
         id: "6a",
         lanes: &["--check", "--check-storm"],
         rows: &[],
         live: &[Live::Storm(false), Live::Storm(true)],
-        bound: "invalidation-push AM queries ≤ 10% of epoch-only",
+        bound: "sieve-push AM queries ≤ 10% of epoch-only",
         check: |_, live, _| {
             let ceiling = field::<f64>(live[0], "am_queries")? / 10.0;
             compare(live[1], "am_queries", f64::le, ceiling)
@@ -409,7 +409,7 @@ const GATES: [Gate; 14] = [
         lanes: &["--check", "--check-storm"],
         rows: &[
             "storm_epoch_only",
-            "storm_invalidation",
+            "storm_sieve",
             "reval_unconditional",
             "reval_conditional",
         ],
@@ -436,8 +436,8 @@ enum Live {
     Tail,
     /// The [`POPULATION_SMOKE`] point, 20,000 accesses, one run.
     Population,
-    /// The cold-miss storm over [`STORM_RESOURCES`] permits, with
-    /// invalidation push or without.
+    /// The cold-miss storm over [`STORM_RESOURCES`] permits, with sieve
+    /// push or without.
     Storm(bool),
     /// The TTL-revalidation wave, conditional or not.
     Reval(bool),
@@ -456,9 +456,9 @@ fn measure(live: Live) -> String {
         Live::WarmHttp(threads) => best((warm, http, threads, HTTP_PHASE6_ITERS), HTTP_ATTEMPTS),
         Live::Tail => best((flow, sim, 8, FLOW_ITERS), FULL_ATTEMPTS),
         Live::Population => measure_population(POPULATION_SMOKE.0, POPULATION_SMOKE.1, 20_000),
-        Live::Storm(invalidation) => run_cold_miss_storm(&StormConfig {
+        Live::Storm(sieve) => run_cold_miss_storm(&StormConfig {
             transport: sim,
-            invalidation,
+            sieve,
             resources: STORM_RESOURCES,
         })
         .to_json(),
@@ -936,7 +936,7 @@ mod tests {
     fn committed_live() -> Vec<(Live, String)> {
         let storm = STORM_PROBES.iter().zip([
             "storm_epoch_only",
-            "storm_invalidation",
+            "storm_sieve",
             "reval_unconditional",
             "reval_conditional",
         ]);

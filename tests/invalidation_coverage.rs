@@ -1,11 +1,9 @@
-//! A pushed decision invalidation (DESIGN.md §16) claims to be exact:
-//! the Host evicts the fingerprints it names and re-stamps every other
-//! cached permit of the signing AM to the new epoch. The AM may claim
-//! that only while every permit a Host may still cache is in its decided
-//! registry. Permits answered while no list could ride (invalidation
-//! push off, or sieve push on) are not recorded, so until their cache
-//! lifetime has passed, pushes go out plain and the Host purges the
-//! owner's cached permits.
+//! A revocation must reach every permit a Host may still cache. The
+//! capability sieve (DESIGN.md §12–13) is the one channel that keeps a
+//! Host fresh after an edit: every epoch push purges the owner's cached
+//! permits, and a sieve body vouches again only for what the AM still
+//! permits. A token issued while sieve push was off is in no sieve, so
+//! its permit falls back to that owner-wide purge.
 
 use std::sync::Arc;
 
@@ -29,16 +27,14 @@ struct Rig {
 /// Bob delegates one Host subscribed to his pushes, uploads one file
 /// and lets every authenticated user read it (default 60 s decision
 /// cache). Alice holds a read token and reads once, so the Host caches
-/// the AM's permit: the AM answers it under `sieve_push` and
-/// `invalidation_push` as given.
-fn rig_with_cached_permit(sieve_push: bool, invalidation_push: bool) -> Rig {
+/// the AM's permit: the AM issues her token under `sieve_push` as given.
+fn rig_with_cached_permit(sieve_push: bool) -> Rig {
     let net = Arc::new(SimNet::new());
     let clock = net.clock().clone();
     let idp = Arc::new(IdentityProvider::new("idp.example", clock.clone()));
     let am = Arc::new(AuthorizationManager::new("am.example", clock.clone()));
     am.set_identity_verifier(idp.verifier());
     am.set_sieve_push(sieve_push);
-    am.set_invalidation_push(invalidation_push);
     let host = WebStorage::new(HOST, clock);
     host.shell().set_identity_verifier(idp.verifier());
     net.register(idp.clone());
@@ -153,45 +149,38 @@ fn restore(rig: &Rig) {
     drain_pushes(&rig.net, &rig.am);
 }
 
-/// A permit answered while invalidation push was off is not in the
-/// decided registry. Once the push is on, an edit that withdraws it must
-/// not ship an (empty) list claimed exact: the Host would re-stamp the
-/// cached permit to the new epoch and keep granting the revoked read.
+/// Alice's token was issued while sieve push was off, so no sieve can
+/// name it. Once the push is on, the revocation's sieve leaves her out
+/// and the epoch note purges her cached permit: the revoked read is
+/// refused.
 #[test]
-fn permit_answered_before_invalidation_push_is_purged_by_a_later_revocation() {
-    let mut rig = rig_with_cached_permit(false, false);
-    rig.am.set_invalidation_push(true);
+fn permit_cached_before_sieve_push_is_refused_after_a_revocation() {
+    let mut rig = rig_with_cached_permit(false);
+    rig.am.set_sieve_push(true);
     revoke(&rig);
-    assert!(!alice_reads(&mut rig), "the revoked read must be refused");
-    assert_eq!(
-        rig.am.epoch_push_stats().invalidations,
-        0,
-        "no list may claim to cover the unrecorded permit"
+    assert!(
+        rig.host.shell().core.stats().sieve_installs > 0,
+        "a sieve rode the push"
     );
+    assert!(!alice_reads(&mut rig), "the revoked read must be refused");
+    assert_eq!(rig.host.shell().core.stats().sieve_hits, 0);
 }
 
-/// With sieve push on, every push carries a sieve body, so the registry
-/// records nothing. After sieve push is turned off, a revocation purges
-/// owner-wide; once the unrecorded permits' cache lifetime has passed,
-/// the next edit ships an exact invalidation list again.
+/// Alice's token was issued under sieve push. The revocation's sieve
+/// drops her and the epoch note purges her cached permit; the restore's
+/// sieve names her again, and the sieve serves her next read.
 #[test]
-fn permits_answered_under_sieve_push_defer_exact_lists_until_they_expire() {
-    let mut rig = rig_with_cached_permit(true, true);
-    rig.am.set_sieve_push(false);
+fn sieve_pushed_permit_is_revoked_then_restored() {
+    let mut rig = rig_with_cached_permit(true);
     revoke(&rig);
-    assert_eq!(
-        rig.am.epoch_push_stats().invalidations,
-        0,
-        "owner-wide purge"
-    );
-    assert_eq!(rig.host.shell().core.stats().invalidations_applied, 0);
     assert!(!alice_reads(&mut rig), "the revoked read must be refused");
+    assert_eq!(rig.host.shell().core.stats().sieve_hits, 0);
 
-    rig.net
-        .clock()
-        .advance_ms(ucam::am::pap::DEFAULT_CACHE_TTL_MS + 1);
     restore(&rig);
-    assert_eq!(rig.am.epoch_push_stats().invalidations, 1, "an exact list");
-    assert_eq!(rig.host.shell().core.stats().invalidations_applied, 1);
     assert!(alice_reads(&mut rig), "the restored read is granted again");
+    assert_eq!(
+        rig.host.shell().core.stats().sieve_hits,
+        1,
+        "the restore's sieve serves it"
+    );
 }

@@ -677,7 +677,7 @@ fn breaker_trips_identically_against_dead_listeners() {
     let log = assert_conformance(|net| {
         let rig = rig_on(net.clone());
         permit_alice(&rig.am_a, "albums/rome/p1");
-        rig.pics.shell().core.set_cache_enabled(false);
+        rig.pics.shell().core.set_decision_cache_capacity(0);
         rig.pics
             .shell()
             .core
@@ -774,7 +774,7 @@ fn stale_grace_serves_identically_against_dead_listeners() {
 
 // ---------------------------------------------------------------------
 // Protocol v2 parity (DESIGN.md §16): conditional decision queries,
-// decision-level invalidation push, batch authorize, and the dynamic
+// sieve push after an edit, batch authorize, and the dynamic
 // registration lifecycle must produce identical outcomes on both
 // backends — including fail-closed handling of malformed v2 bodies.
 // ---------------------------------------------------------------------
@@ -949,10 +949,10 @@ fn conditional_revalidation_is_transport_agnostic() {
 }
 
 #[test]
-fn invalidation_push_is_transport_agnostic() {
+fn sieve_push_after_an_edit_is_transport_agnostic() {
     let log = assert_conformance(|net| {
         let rig = rig_on(net.clone());
-        rig.am_a.set_invalidation_push(true);
+        rig.am_a.set_sieve_push(true);
         rig.am_a.set_epoch_push_target("pics.example");
         // A second photo so the push has a bystander to spare.
         let bob = rig.idp.login("bob", "pw").unwrap().token;
@@ -1003,8 +1003,9 @@ fn invalidation_push_is_transport_agnostic() {
             );
             log.push(format!("prime {path}: {}", label(&outcome)));
         }
-        // Bob deletes p1's policy: one epoch bump; the push names only
-        // p1's fingerprint and the bystander's permit survives in place.
+        // Bob deletes p1's policy: one epoch bump. The push purges Bob's
+        // cached permits and carries a sieve delta that vouches for the
+        // bystander alone.
         rig.pics.shell().core.reset_stats();
         rig.am_a
             .pap("bob", |account| {
@@ -1014,8 +1015,9 @@ fn invalidation_push_is_transport_agnostic() {
         assert!(drain_am_pushes(rig.net.as_ref(), &rig.am_a));
         let stats = rig.pics.shell().core.stats();
         log.push(format!(
-            "push: {} applied, {} evicted by name",
-            stats.invalidations_applied, stats.invalidated_evictions
+            "push: {} sieve delta installs, {} cached permits left",
+            stats.sieve_delta_installs,
+            rig.pics.shell().core.decision_cache_len()
         ));
         rig.pics.shell().core.reset_stats();
         rig.net.reset_stats();
@@ -1025,9 +1027,9 @@ fn invalidation_push_is_transport_agnostic() {
         );
         let stats = rig.pics.shell().core.stats();
         log.push(format!(
-            "bystander: {} ({} cache hits, {} am queries, {} round trips)",
+            "bystander: {} ({} sieve hits, {} am queries, {} round trips)",
             label(&outcome),
-            stats.cache_hits,
+            stats.sieve_hits,
             stats.am_queries,
             rig.net.stats().round_trips
         ));
@@ -1043,8 +1045,8 @@ fn invalidation_push_is_transport_agnostic() {
         vec![
             "prime /photos/rome/p1: granted",
             "prime /photos/rome/p2: granted",
-            "push: 1 applied, 1 evicted by name",
-            "bystander: granted (1 cache hits, 0 am queries, 1 round trips)",
+            "push: 1 sieve delta installs, 0 cached permits left",
+            "bystander: granted (1 sieve hits, 0 am queries, 1 round trips)",
             "revoked: denied",
         ]
     );
@@ -1161,12 +1163,11 @@ fn malformed_v2_bodies_fail_closed_identically() {
             .with_param("if_epoch", "yes"),
         );
         log.push(format!("bad if_epoch: {}", resp.status.code()));
-        // A forged invalidation body — well-formed, signed under a key
-        // the Host never shared — must be dropped fail-closed while the
-        // plain epoch note it rides still applies (the owner-wide purge
-        // keeps the push sound even when the surgical list is rejected).
-        let forged =
-            protocol::InvalidationBody::build("bob", 99, Vec::new(), b"not-the-host-token");
+        // A forged sieve body — well-formed, signed under a key the Host
+        // never shared — must be dropped fail-closed while the plain
+        // epoch note it rides still applies (the owner-wide purge keeps
+        // the push sound even when the sieve is rejected).
+        let forged = protocol::SieveBody::build("bob", 99, Vec::new(), b"not-the-host-token");
         let resp = rig.net.dispatch(
             "am-a.example",
             Request::new(
@@ -1179,9 +1180,9 @@ fn malformed_v2_bodies_fail_closed_identically() {
         );
         let stats = rig.pics.shell().core.stats();
         log.push(format!(
-            "forged invalidation: {} ({} applied)",
+            "forged sieve: {} ({} rejected)",
             resp.status.code(),
-            stats.invalidations_applied
+            stats.sieve_rejects
         ));
         // The rejected body fell through to the plain epoch note: the
         // primed permit is gone and the next read re-queries the AM.
@@ -1200,7 +1201,7 @@ fn malformed_v2_bodies_fail_closed_identically() {
             "garbage register: 400",
             "garbage batch: 400",
             "bad if_epoch: 400",
-            "forged invalidation: 200 (0 applied)",
+            "forged sieve: 200 (1 rejected)",
             "after purge: granted (1 am queries)",
         ]
     );
