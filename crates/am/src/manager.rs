@@ -562,9 +562,9 @@ impl AuthorizationManager {
         let mut reqs = Vec::with_capacity(due.len());
         let mut plans = Vec::with_capacity(due.len());
         for push in due {
-            let mut req = Request::new(
+            let mut req = Request::to_url(
                 Method::Post,
-                &format!("https://{}{}", push.host, protocol::EPOCH_PUSH_PATH),
+                Url::new(&push.host, protocol::EPOCH_PUSH_PATH),
             )
             .with_param("owner", &push.owner)
             .with_param("epoch", &push.epoch.to_string());
@@ -1356,30 +1356,33 @@ impl AuthorizationManager {
         };
         let engine_decision = evaluated.decision;
 
-        // Phase C — striped audit record plus a context-shard use-count
-        // bump. The writes land on structures partitioned by requester
+        // Phase C — a context-shard use-count bump plus a striped audit
+        // record. The writes land on structures partitioned by requester
         // and record order, so eight decision threads no longer convoy on
-        // one central writer lock (the old 8-thread p99 cliff).
-        let mut entry = AuditEntry::new(
-            now,
-            &grant.owner,
-            AuditEvent::Decision {
-                outcome: engine_decision.outcome.clone(),
-            },
-        )
-        .on_resource(gathered.key.2.clone())
-        .by_requester(query.requester, grant.subject.as_deref())
-        .for_action(query.action.clone());
-        entry = entry.with_policies(contributing_policies(&engine_decision));
-        self.audit.record(entry);
+        // one central writer lock (the old 8-thread p99 cliff). A repeat
+        // permit bumps its count in place, so the tuple is still whole
+        // to move into the audit entry.
+        let key = gathered.key;
         if engine_decision.is_permit() {
-            *self
-                .ctx_for(query.requester)
-                .write()
-                .use_counts
-                .entry(gathered.key)
-                .or_insert(0) += 1;
+            let mut ctx = self.ctx_for(query.requester).write();
+            match ctx.use_counts.get_mut(&key) {
+                Some(uses) => *uses += 1,
+                None => {
+                    ctx.use_counts.insert(key.clone(), 1);
+                }
+            }
         }
+        let (requester, subject, resource, action) = key;
+        let event = AuditEvent::Decision {
+            outcome: engine_decision.outcome.clone(),
+        };
+        self.audit.record(AuditEntry {
+            requester: Some(requester),
+            subject,
+            action: Some(action),
+            policies: contributing_policies(&engine_decision),
+            ..AuditEntry::new(now, &grant.owner, event).on_resource(resource)
+        });
 
         match engine_decision.outcome {
             Outcome::Permit => {

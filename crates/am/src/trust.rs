@@ -67,7 +67,9 @@ impl std::error::Error for TrustError {}
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TrustRegistry {
-    by_pair: HashMap<(String, String), Delegation>,
+    /// host → user → that pair's delegation. Two levels, so a check
+    /// borrows both names instead of building an owned pair.
+    by_host: HashMap<String, HashMap<String, Delegation>>,
     next_id: u64,
 }
 
@@ -90,8 +92,10 @@ impl TrustRegistry {
             established_at_ms: now_ms,
             active: true,
         };
-        self.by_pair
-            .insert((host.to_owned(), user.to_owned()), delegation.clone());
+        self.by_host
+            .entry(host.to_owned())
+            .or_default()
+            .insert(user.to_owned(), delegation.clone());
         delegation
     }
 
@@ -102,8 +106,9 @@ impl TrustRegistry {
     /// Returns [`TrustError::NoDelegation`] or [`TrustError::DelegationRevoked`].
     pub fn check(&self, host: &str, user: &str) -> Result<&Delegation, TrustError> {
         let delegation = self
-            .by_pair
-            .get(&(host.to_owned(), user.to_owned()))
+            .by_host
+            .get(host)
+            .and_then(|users| users.get(user))
             .ok_or_else(|| TrustError::NoDelegation {
                 host: host.to_owned(),
                 user: user.to_owned(),
@@ -133,7 +138,7 @@ impl TrustRegistry {
     /// Revokes the delegation with the given id. Returns `true` when a
     /// matching active delegation was found.
     pub fn revoke(&mut self, delegation_id: &str) -> bool {
-        for delegation in self.by_pair.values_mut() {
+        for delegation in self.by_host.values_mut().flat_map(HashMap::values_mut) {
             if delegation.id == delegation_id && delegation.active {
                 delegation.active = false;
                 return true;
@@ -146,8 +151,7 @@ impl TrustRegistry {
     #[must_use]
     pub fn hosts_for_user(&self, user: &str) -> Vec<&str> {
         let mut hosts: Vec<&str> = self
-            .by_pair
-            .values()
+            .delegations()
             .filter(|d| d.user == user && d.active)
             .map(|d| d.host.as_str())
             .collect();
@@ -158,7 +162,12 @@ impl TrustRegistry {
     /// Total number of active delegations.
     #[must_use]
     pub fn active_count(&self) -> usize {
-        self.by_pair.values().filter(|d| d.active).count()
+        self.delegations().filter(|d| d.active).count()
+    }
+
+    /// Every delegation record, active or not.
+    fn delegations(&self) -> impl Iterator<Item = &Delegation> {
+        self.by_host.values().flat_map(HashMap::values)
     }
 }
 

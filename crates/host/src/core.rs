@@ -23,7 +23,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::hash::{BuildHasher, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -416,11 +416,18 @@ impl DecisionCache {
     /// Records a (possibly newer) policy epoch for `owner`, purging that
     /// owner's now-stale entries.
     fn note_epoch(&mut self, owner: &str, epoch: u64) {
-        let known = self.owner_epochs.entry(owner.to_owned()).or_insert(0);
-        if epoch <= *known {
-            return;
+        // Look the owner up before keying a new entry: nearly every note
+        // repeats an epoch already known, and that must not allocate.
+        match self.owner_epochs.get_mut(owner) {
+            Some(known) if epoch <= *known => return,
+            Some(known) => *known = epoch,
+            None => {
+                self.owner_epochs.insert(owner.to_owned(), epoch);
+                if epoch == 0 {
+                    return;
+                }
+            }
         }
-        *known = epoch;
         let entries = &mut self.entries;
         self.order.retain(|key| {
             let live = entries
@@ -834,44 +841,94 @@ thread_local! {
         const { RefCell::new(Vec::new()) };
 }
 
-thread_local! {
-    /// Last `(token, resource, action, requester) → digest` this thread
-    /// computed. Warm §V.B.6 loops probe the same tuple on every access,
-    /// so the memo turns the per-access SHA-256 into four string
-    /// compares, and within one access the decision-cache lookup reuses
-    /// the digest the sieve probe hashed. Pure-function cache: a stale
-    /// entry is impossible, only a missed one.
-    static TUPLE_DIGEST_MEMO: RefCell<(String, String, String, String, [u8; 32])> =
-        const {
-            RefCell::new((
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                [0; 32],
-            ))
-        };
+/// How many access tuples one thread's digest memo holds
+/// ([`access_digest`]).
+const DIGEST_MEMO_SLOTS: usize = 256;
+
+/// The longest tuple, its four fields' bytes together, that the digest
+/// memo keeps. A sealed token makes a tuple of a few hundred bytes; a
+/// longer one (an oversized bearer, resource id or requester header) is
+/// hashed without the memo, so no slot ever holds more than this.
+const DIGEST_MEMO_TUPLE_CAP: usize = 1024;
+
+/// One memoized access tuple: token, resource, action label and
+/// requester back to back in `tuple`, each field ending at its `ends`
+/// offset, and their [`protocol::tuple_digest`].
+#[derive(Default)]
+struct MemoSlot {
+    tuple: String,
+    ends: [usize; 4],
+    digest: [u8; 32],
 }
 
-/// [`protocol::tuple_digest`] of one access, memoized per thread on the
-/// last-seen tuple.
-fn access_digest(token: &str, resource: &str, action: &Action, requester: &str) -> [u8; 32] {
-    let action = action_label(action);
-    TUPLE_DIGEST_MEMO.with(|memo| {
-        let mut memo = memo.borrow_mut();
-        let (t, r, a, q, digest) = &mut *memo;
-        if t != token || r != resource || a != action || q != requester {
-            t.clear();
-            t.push_str(token);
-            r.clear();
-            r.push_str(resource);
-            a.clear();
-            a.push_str(action);
-            q.clear();
-            q.push_str(requester);
-            *digest = protocol::tuple_digest(token, resource, action, requester);
+impl MemoSlot {
+    /// Whether the slot holds exactly `fields`, compared field by field.
+    fn holds(&self, fields: [&str; 4]) -> bool {
+        let mut start = 0;
+        fields.iter().zip(self.ends).all(|(field, end)| {
+            let held = &self.tuple.as_bytes()[start..end];
+            start = end;
+            held == field.as_bytes()
+        })
+    }
+
+    /// Refills the slot with `fields` (at most [`DIGEST_MEMO_TUPLE_CAP`]
+    /// bytes together) and their digest, reusing its buffer. The buffer
+    /// grows to exactly the tuple's length, never past the cap.
+    fn refill(&mut self, fields: [&str; 4], len: usize, digest: [u8; 32]) {
+        self.tuple.clear();
+        self.tuple.reserve_exact(len);
+        for (field, end) in fields.iter().zip(&mut self.ends) {
+            self.tuple.push_str(field);
+            *end = self.tuple.len();
         }
-        *digest
+        self.digest = digest;
+    }
+}
+
+thread_local! {
+    /// This thread's digest memo: [`DIGEST_MEMO_SLOTS`] slots, allocated
+    /// on the thread's first memoized access. It holds at most
+    /// `DIGEST_MEMO_SLOTS` × (88 B + [`DIGEST_MEMO_TUPLE_CAP`]) per
+    /// thread (DESIGN.md §8), and the HTTP transport runs one server
+    /// thread per connection.
+    static DIGEST_MEMO: RefCell<Vec<Option<MemoSlot>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The memo slot a tuple lives in: a hash of all four fields.
+fn memo_slot(fields: [&str; 4]) -> usize {
+    let mut hasher = std::hash::DefaultHasher::new();
+    fields.hash(&mut hasher);
+    (hasher.finish() % DIGEST_MEMO_SLOTS as u64) as usize
+}
+
+/// [`protocol::tuple_digest`] of one access, memoized per thread in a
+/// direct-mapped table keyed on the exact tuple. Held tokens recur, so a
+/// repeat access costs a hash and four compares instead of a SHA-256.
+/// Actions are matched by their label, the very string the digest
+/// covers. Pure-function cache: the digest depends on the four fields
+/// alone, so no entry can go stale, only be missed.
+fn access_digest(token: &str, resource: &str, action: &Action, requester: &str) -> [u8; 32] {
+    let fields = [token, resource, action_label(action), requester];
+    let digest = || protocol::tuple_digest(token, resource, fields[2], requester);
+    let len = fields.iter().map(|field| field.len()).sum();
+    if len > DIGEST_MEMO_TUPLE_CAP {
+        return digest();
+    }
+    DIGEST_MEMO.with_borrow_mut(|slots| {
+        if slots.is_empty() {
+            slots.resize_with(DIGEST_MEMO_SLOTS, || None);
+        }
+        match &mut slots[memo_slot(fields)] {
+            Some(held) if held.holds(fields) => held.digest,
+            entry => {
+                let digest = digest();
+                entry
+                    .get_or_insert_with(MemoSlot::default)
+                    .refill(fields, len, digest);
+                digest
+            }
+        }
     })
 }
 
@@ -1199,7 +1256,8 @@ impl HostCore {
     /// Tier-1 probe: grants iff the sieve holds an unexpired entry for
     /// exactly this `(token, resource, action, requester)`. No locks, no
     /// cache, no log write — the §V.B.6 warm path in one hash lookup.
-    /// Returns `false` (fall through to tier-2) on any doubt.
+    /// Falls through to tier-2 on any doubt, handing on the tuple's
+    /// digest when it hashed one.
     fn sieve_probe(
         &self,
         net: &dyn Transport,
@@ -1208,11 +1266,11 @@ impl HostCore {
         action: &Action,
         token: &str,
         now: u64,
-    ) -> bool {
+    ) -> SieveProbe {
         let snapshot = self.sieve_snapshot();
         if snapshot.is_empty() {
             // No sieve installed: tier-1 is simply absent, not missing.
-            return false;
+            return SieveProbe::Miss(None);
         }
         let digest = access_digest(token, resource_id, action, requester);
         match snapshot.get(&protocol::fingerprint_of(&digest)) {
@@ -1221,11 +1279,11 @@ impl HostCore {
                 net.trace().note_with(&self.authority, || {
                     format!("sieve hit: {requester} {action} {resource_id}")
                 });
-                true
+                SieveProbe::Hit
             }
             _ => {
                 self.stats.add(Pep::SieveMisses, 1);
-                false
+                SieveProbe::Miss(Some(digest))
             }
         }
     }
@@ -1368,12 +1426,15 @@ impl HostCore {
         self.state.read().resources.get(id).cloned()
     }
 
-    /// Reads only a resource's content bytes — the serving path after a
-    /// grant, which has no use for the metadata [`HostCore::resource`]
-    /// would also clone.
+    /// Reads only a resource's content, as text (invalid UTF-8 replaced)
+    /// — the serving path after a grant, which has no use for the
+    /// metadata [`HostCore::resource`] would also clone. The bytes are
+    /// copied once, straight into the text.
     #[must_use]
-    pub fn resource_data(&self, id: &str) -> Option<Vec<u8>> {
-        self.state.read().resources.get(id).map(|r| r.data.clone())
+    pub fn resource_text(&self, id: &str) -> Option<String> {
+        let state = self.state.read();
+        let resource = state.resources.get(id)?;
+        Some(String::from_utf8_lossy(&resource.data).into_owned())
     }
 
     /// Deletes a resource.
@@ -1543,12 +1604,12 @@ impl HostCore {
             // falsely re-arm it.
             let if_epoch = if_epoch.filter(|_| primary);
             let (requester, resource_id, action) = &miss.cache_key;
-            let url = format!("https://{}{}", to.am, protocol::DECISION_V2_PATH);
-            let mut req = Request::new(Method::Post, &url)
+            let url = Url::new(&to.am, protocol::DECISION_V2_PATH);
+            let mut req = Request::to_url(Method::Post, url)
                 .with_param("host_token", &to.host_token)
                 .with_param("token", miss.token)
                 .with_param("resource", resource_id)
-                .with_param("action", &action.to_string())
+                .with_param("action", action_label(action))
                 .with_param("requester", requester);
             if let Some(epoch) = if_epoch {
                 req = req.with_param("if_epoch", &epoch.to_string());
@@ -1659,9 +1720,11 @@ impl HostCore {
         // present and delegated at install time, and every mutation that
         // could invalidate them (deletion, re-delegation, epoch advance)
         // purges, so a hit is as trustworthy as a decision-cache hit.
+        let mut probed = None;
         if let Some(token) = bearer {
-            if self.sieve_probe(net, requester, resource_id, action, token, now) {
-                return Classified::Settled(Enforcement::Grant);
+            match self.sieve_probe(net, requester, resource_id, action, token, now) {
+                SieveProbe::Hit => return Classified::Settled(Enforcement::Grant),
+                SieveProbe::Miss(digest) => probed = digest,
             }
         }
         let state = self.state.read();
@@ -1721,7 +1784,7 @@ impl HostCore {
         // everything is still borrowed from the one state read — no
         // resource/delegation clones, no dispatch.
         let cache_key = (requester.to_owned(), resource_id.to_owned(), action.clone());
-        let digest = access_digest(token, resource_id, action, requester);
+        let digest = probed.unwrap_or_else(|| access_digest(token, resource_id, action, requester));
         if self.cache.read().lookup(&cache_key, &digest, now) {
             drop(state);
             self.stats.add(Pep::CacheHits, 1);
@@ -2234,18 +2297,11 @@ enum DecisionOutcome {
 /// happens to *contain* the text `"permit"` must stay a deny.
 fn classify_decision(resp: &Response) -> DecisionOutcome {
     match resp.status {
-        Status::Ok => {
-            // The two reply kinds have disjoint required fields
-            // (`unchanged: true` vs a string `decision`), so trying the
-            // unchanged form first cannot misread a full decision body.
-            if let Ok(body) = protocol::UnchangedBody::from_json(&resp.body) {
-                return DecisionOutcome::Unchanged(body);
-            }
-            match DecisionBody::from_json(&resp.body) {
-                Ok(body) => DecisionOutcome::Body(body),
-                Err(_) => DecisionOutcome::Malformed,
-            }
-        }
+        Status::Ok => match protocol::parse_decision_reply(&resp.body) {
+            Ok(protocol::DecisionReply::Unchanged(body)) => DecisionOutcome::Unchanged(body),
+            Ok(protocol::DecisionReply::Decision(body)) => DecisionOutcome::Body(body),
+            Err(_) => DecisionOutcome::Malformed,
+        },
         Status::Unauthorized => DecisionOutcome::TokenRejected,
         _ if resp.transport_error().is_some() => DecisionOutcome::Transport,
         _ => DecisionOutcome::Unavailable,
@@ -2289,6 +2345,15 @@ struct Miss<'t> {
     digest: [u8; 32],
 }
 
+/// What [`HostCore::sieve_probe`] found.
+enum SieveProbe {
+    /// An unexpired sieve entry vouches for the access.
+    Hit,
+    /// No entry does; carries the access tuple's digest when the probe
+    /// hashed it, for the decision-cache lookup to reuse.
+    Miss(Option<[u8; 32]>),
+}
+
 /// What [`HostCore::classify`] made of one access.
 enum Classified<'t> {
     /// Decided without an AM round trip.
@@ -2313,9 +2378,9 @@ fn batch_items(chunk: &[(usize, Miss<'_>)]) -> Vec<BatchItem> {
 
 /// A `/protection/v1/decisions` request carrying `body` to `to`'s AM.
 fn batch_request(to: &DelegationConfig, body: &str) -> Request {
-    Request::new(
+    Request::to_url(
         Method::Post,
-        &format!("https://{}{}", to.am, protocol::BATCH_DECISIONS_PATH),
+        Url::new(&to.am, protocol::BATCH_DECISIONS_PATH),
     )
     .with_param("host_token", &to.host_token)
     .with_body(body)
@@ -2458,7 +2523,9 @@ mod tests {
     /// requester, goes to the AM. Both hold whether the sieve probe
     /// hashed the tuple first (a sieve installed, probe missing) or the
     /// cache lookup hashes it itself (no sieve: the probe returns before
-    /// hashing).
+    /// hashing). The digest memo keeps the binding too: a tuple that
+    /// differs from the one just hashed in any one field, and shares its
+    /// memo slot, still misses the sieve entry the first one hits.
     #[test]
     fn cached_permit_is_bound_to_the_whole_access_tuple() {
         for sieve in [false, true] {
@@ -2505,6 +2572,120 @@ mod tests {
             assert_eq!(counts(), (3, 2), "sieve {sieve}");
             let probes = if sieve { 5 } else { 0 };
             assert_eq!(h.stats().sieve_misses, probes, "sieve {sieve}");
+        }
+
+        // Each variant differs from the bound tuple in one field and lands
+        // in its memo slot. The bound tuple is hashed right before it, so
+        // a memo that skipped the field would hand the variant the bound
+        // digest, and the sieve would grant it.
+        let net = SimNet::new();
+        let am = FakeAm::new();
+        am.grant("good-token", &permit_body(60_000, 1));
+        net.register(am.clone());
+        let h = delegated_host(&net);
+        let bound = ["good-token", "r1", "read", "req"];
+        assert!(h.install_sieve(&sieve_of(1, 60_000, &[bound.into()])));
+        let url = Url::new("h.example", "/r1");
+        let access = |[token, resource, action, requester]: [&str; 4]| {
+            let action = crate::shell::parse_action(action);
+            h.enforce(&net, requester, None, resource, &action, Some(token), &url)
+        };
+        for field in 0..4 {
+            let variant: [String; 4] = (0..)
+                .map(|i| {
+                    let mut variant = bound.map(str::to_owned);
+                    variant[field] = format!("{}-{i}", bound[field]);
+                    variant
+                })
+                .find(|variant| {
+                    memo_slot(variant.each_ref().map(String::as_str)) == memo_slot(bound)
+                })
+                .expect("some variant shares the bound tuple's slot");
+            let hits = h.stats().sieve_hits;
+            assert!(access(bound).is_grant());
+            assert_eq!(h.stats().sieve_hits, hits + 1, "field {field}");
+            access(variant.each_ref().map(String::as_str));
+            assert_eq!(
+                h.stats().sieve_hits,
+                hits + 1,
+                "{variant:?} rode the sieve entry of {bound:?}"
+            );
+        }
+    }
+
+    /// A tuple longer than the cap, here an oversized bearer on a Host
+    /// with a sieve (so it is hashed before any lookup), is hashed past
+    /// the memo, and a refill grows a held buffer to exactly the new
+    /// tuple: after a tuple past half the cap and then one of exactly the
+    /// cap in the same slot, no slot holds more than the cap. The
+    /// digests stay the tuples'.
+    #[test]
+    fn an_oversized_tuple_bypasses_the_digest_memo() {
+        let net = SimNet::new();
+        net.register(FakeAm::new());
+        let h = delegated_host(&net);
+        assert!(h.install_sieve(&sieve_of(1, 60_000, &[("t", "r1", "read", "req")])));
+        let url = Url::new("h.example", "/r1");
+        let read = |token: &str| {
+            h.enforce(&net, "req", None, "r1", &Action::Read, Some(token), &url);
+        };
+        let rest = "r1readreq".len();
+        let slot_of = |token: &str| memo_slot([token, "r1", "read", "req"]);
+        let past_half = "a".repeat(DIGEST_MEMO_TUPLE_CAP / 2 + 64 - rest);
+        let at_cap = (0..)
+            .map(|i| format!("{i:b>width$}", width = DIGEST_MEMO_TUPLE_CAP - rest))
+            .find(|token| slot_of(token) == slot_of(&past_half))
+            .expect("some token of the cap's length shares the slot");
+        let huge = "c".repeat(1 << 20);
+        for token in ["t", &past_half, &at_cap, &huge] {
+            read(token);
+        }
+        let held: Vec<(usize, usize)> = DIGEST_MEMO.with_borrow(|slots| {
+            let held = slots.iter().flatten();
+            held.map(|slot| (slot.tuple.len(), slot.tuple.capacity()))
+                .collect()
+        });
+        assert!(
+            held.iter().all(|&(_, cap)| cap <= DIGEST_MEMO_TUPLE_CAP),
+            "{held:?}"
+        );
+        assert!(held.contains(&(DIGEST_MEMO_TUPLE_CAP, DIGEST_MEMO_TUPLE_CAP)));
+        assert_eq!(h.stats().sieve_hits, 1);
+        for token in [&at_cap, &huge] {
+            assert_eq!(
+                access_digest(token, "r1", &Action::Read, "req"),
+                protocol::tuple_digest(token, "r1", "read", "req")
+            );
+        }
+    }
+
+    /// The slot size DESIGN.md §8 states the memo's per-thread bound
+    /// with.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_digest_memo_slot_is_88_bytes() {
+        assert_eq!(std::mem::size_of::<Option<MemoSlot>>(), 88);
+    }
+
+    proptest::proptest! {
+        /// The digest memo answers exactly [`protocol::tuple_digest`] for
+        /// every tuple, over a pool of three times as many tuples as it
+        /// has slots. The pool's fields are runs of one letter, so
+        /// neighbouring tuples differ in one field, or only in where one
+        /// field ends and the next begins.
+        #[test]
+        fn digest_memo_answers_the_tuple_digest(
+            picks in proptest::collection::vec(0..3 * DIGEST_MEMO_SLOTS, 1..600)
+        ) {
+            let actions = [Action::Read, Action::Write, Action::Custom("a".into())];
+            for pick in picks {
+                let token = "a".repeat(pick % 4);
+                let resource = "a".repeat(pick / 4 % 4);
+                let action = &actions[pick / 16 % 3];
+                let requester = "a".repeat(pick / 48);
+                let want = protocol::tuple_digest(&token, &resource, action_label(action), &requester);
+                proptest::prop_assert_eq!(access_digest(&token, &resource, action, &requester), want);
+            }
         }
     }
 

@@ -106,15 +106,21 @@ impl AppShell {
         let Some(epoch) = req.param("epoch").and_then(|e| e.parse::<u64>().ok()) else {
             return Response::bad_request("numeric epoch required");
         };
-        if !req.body.is_empty() {
-            // A delta must apply *before* the plain epoch note: noting
-            // first would purge the very base the delta builds on. The
-            // two body kinds have disjoint field sets, so parsing is
-            // unambiguous.
-            if let Ok(delta) = protocol::SieveDeltaBody::from_json(&req.body) {
+        // One parse tells the two body kinds apart (their field sets are
+        // disjoint).
+        let body = if req.body.is_empty() {
+            None
+        } else {
+            protocol::parse_push_body(&req.body).ok()
+        };
+        match body {
+            Some(protocol::PushBody::Delta(delta)) => {
+                // A delta must apply *before* the plain epoch note:
+                // noting first would purge the very base the delta
+                // builds on.
                 let outcome = self.core.install_sieve_delta(&delta);
                 self.core.note_policy_epoch(owner, epoch);
-                return match outcome {
+                match outcome {
                     SieveDeltaOutcome::BaseMismatch => {
                         // Delivery confirmed, delta refused: ask the AM
                         // for a full-body reship.
@@ -125,16 +131,16 @@ impl AppShell {
                     SieveDeltaOutcome::Installed | SieveDeltaOutcome::Rejected => {
                         Response::ok().with_body("epoch noted")
                     }
-                };
+                }
+            }
+            body => {
+                self.core.note_policy_epoch(owner, epoch);
+                if let Some(protocol::PushBody::Sieve(sieve)) = body {
+                    self.core.install_sieve(&sieve);
+                }
+                Response::ok().with_body("epoch noted")
             }
         }
-        self.core.note_policy_epoch(owner, epoch);
-        if !req.body.is_empty() {
-            if let Ok(sieve) = protocol::SieveBody::from_json(&req.body) {
-                self.core.install_sieve(&sieve);
-            }
-        }
-        Response::ok().with_body("epoch noted")
     }
 
     /// XRD/LRDD-based discovery (§VII): "a Requester learns the location
@@ -202,6 +208,9 @@ impl AppShell {
             (Some(u), Some(a), Some(t), Some(d)) => (u, a, t, d),
             _ => return Response::bad_request("user, am, host_token, delegation_id required"),
         };
+        if !is_bare_authority(am) {
+            return Response::bad_request("am must be a bare authority");
+        }
         if self.idp.read().is_some() {
             match self.require_subject(req) {
                 Err(resp) => return resp,
@@ -330,6 +339,15 @@ impl AppShell {
         self.subject_of(req)
             .ok_or_else(|| Response::with_status(Status::Unauthorized).with_body("login required"))
     }
+}
+
+/// Whether `am` can stand as a URL's authority by itself: non-empty, with
+/// no path, query or fragment delimiter and no whitespace.
+fn is_bare_authority(am: &str) -> bool {
+    !am.is_empty()
+        && !am
+            .chars()
+            .any(|c| matches!(c, '/' | '?' | '#') || c.is_whitespace())
 }
 
 fn parse_subject(spec: &str) -> Subject {
@@ -485,6 +503,36 @@ mod tests {
             .unwrap();
         assert_eq!(resp.status, Status::Ok);
         assert!(shell.core.delegation_for("any", "bob").is_some());
+    }
+
+    /// An `am` that cannot stand as a URL authority by itself is refused
+    /// before anything is stored, with or without a session.
+    #[test]
+    fn delegate_done_refuses_an_am_that_is_not_a_bare_authority() {
+        let (shell, idp) = shell_with_idp();
+        let open = AppShell::new("h.example", SimClock::new());
+        let net = SimNet::new();
+        let bob = idp.login("bob", "pw").unwrap();
+        for am in [
+            "",
+            "am.example/x",
+            "am.example?x=1",
+            "am.example#x",
+            "am example",
+            " am.example",
+            "am.example\t",
+            "am.example\n",
+        ] {
+            let as_bob = delegate_done_for_bob(am).with_param("subject_token", &bob.token);
+            for (shell, req) in [(&shell, as_bob), (&open, delegate_done_for_bob(am))] {
+                let resp = shell.route_common(&net, &req).unwrap();
+                assert_eq!(resp.status, Status::BadRequest, "am {am:?}");
+                assert!(
+                    shell.core.delegation_for("any", "bob").is_none(),
+                    "am {am:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -107,8 +107,8 @@ impl WebDocs {
             return resp;
         }
         match (req.method, op) {
-            (Method::Get, None) => match self.shell.core.resource(&id) {
-                Some(r) => Response::ok().with_body(String::from_utf8_lossy(&r.data).into_owned()),
+            (Method::Get, None) => match self.shell.core.resource_text(&id) {
+                Some(text) => Response::ok().with_body(text),
                 None => Response::not_found(&id),
             },
             (Method::Delete, None) => match self.shell.core.delete_resource(&id) {

@@ -105,8 +105,8 @@ impl WebStorage {
             return resp;
         }
         match action {
-            Action::Read => match self.shell.core.resource_data(&id) {
-                Some(data) => Response::ok().with_body(String::from_utf8_lossy(&data).into_owned()),
+            Action::Read => match self.shell.core.resource_text(&id) {
+                Some(text) => Response::ok().with_body(text),
                 None => Response::not_found(&id),
             },
             Action::Write => match self
@@ -338,6 +338,59 @@ mod tests {
         );
         assert_eq!(list.status, Status::Ok);
         assert_eq!(list.body, "files/trips/oslo.txt\nfiles/trips/rome.txt");
+    }
+
+    /// A delegation whose AM authority is empty (stored by hand, past
+    /// `/delegate/done`'s check) fails closed: a token-bearing read gets
+    /// 503 over SimNet and over loopback HTTP, where the Host answers
+    /// from its own server thread, and so does a batched round.
+    #[test]
+    fn an_empty_am_authority_fails_closed_on_both_transports() {
+        use crate::core::{AccessAttempt, DelegationConfig, Enforcement};
+        use ucam_webenv::HttpTransport;
+
+        let backends: [Arc<dyn Transport>; 2] =
+            [Arc::new(SimNet::new()), Arc::new(HttpTransport::new())];
+        for net in backends {
+            let storage = WebStorage::new("webstorage.example", net.clock().clone());
+            let core = &storage.shell().core;
+            core.put_resource("files/a.txt", "bob", "file", b"a".to_vec())
+                .unwrap();
+            core.set_user_delegation(
+                "bob",
+                DelegationConfig {
+                    am: String::new(),
+                    host_token: "ht".into(),
+                    delegation_id: "d-1".into(),
+                },
+            );
+            net.register(storage.clone());
+            let read = net.dispatch(
+                "requester:printer",
+                Request::new(Method::Get, "https://webstorage.example/files/a.txt")
+                    .with_header("x-requester", "requester:printer")
+                    .with_bearer("tok"),
+            );
+            assert_eq!(read.status, Status::Unavailable, "{}", net.name());
+            assert_eq!(read.transport_error(), None, "{}", net.name());
+
+            let attempt = AccessAttempt {
+                requester: "requester:printer".into(),
+                subject: None,
+                resource_id: "files/a.txt".into(),
+                action: Action::Read,
+                bearer: Some("tok".into()),
+                return_url: Url::new("webstorage.example", "/files/a.txt"),
+            };
+            let round = core.enforce_batch(net.as_ref(), &[attempt], 4);
+            match &round[..] {
+                [Enforcement::Block(resp)] => {
+                    assert_eq!(resp.status, Status::Unavailable, "{}", net.name());
+                }
+                other => panic!("{}: batched read settled as {other:?}", net.name()),
+            }
+            net.unregister("webstorage.example");
+        }
     }
 
     #[test]

@@ -205,6 +205,10 @@ impl PreAuthorization {
     }
 }
 
+/// `(host, resource path, action)`: what a cached authorization token is
+/// held for.
+type TokenKey = (String, String, String);
+
 /// A protocol-aware client for accessing AM-protected resources.
 ///
 /// # Example
@@ -228,7 +232,7 @@ pub struct RequesterClient {
     /// Sealed claim tokens presented to AMs (§VII).
     claim_tokens: Vec<String>,
     /// (host, resource, action) -> cached authorization token.
-    tokens: HashMap<(String, String, String), String>,
+    tokens: HashMap<TokenKey, String>,
     /// Optional retry discipline for every dispatch this client makes.
     /// Only transport failures are retried, so on a healthy network the
     /// message counts (E7) are identical with or without a policy.
@@ -316,13 +320,14 @@ impl RequesterClient {
     pub fn access(&mut self, net: &dyn Transport, spec: &AccessSpec) -> AccessOutcome {
         self.stats.accesses += 1;
         let cache_key = self.cache_key(spec);
-        let cached = self.tokens.get(&cache_key).cloned();
+        let cached = self.tokens.get(&cache_key);
+        let req = self.host_request(spec, cached.map(String::as_str));
         if cached.is_some() {
             self.stats.cache_hits += 1;
         }
 
-        let first = self.send(net, spec, cached.as_deref());
-        self.settle_first(net, spec, first)
+        let first = self.dispatch_retrying(net, req);
+        self.settle_first(net, spec, cache_key, first)
     }
 
     /// Performs `specs.len()` accesses as one client-side pipelined
@@ -353,20 +358,21 @@ impl RequesterClient {
 
         let mut outcomes: Vec<Option<AccessOutcome>> = Vec::with_capacity(specs.len());
         outcomes.resize_with(specs.len(), || None);
-        let mut warm: Vec<usize> = Vec::with_capacity(specs.len());
+        let mut warm: Vec<(usize, TokenKey)> = Vec::with_capacity(specs.len());
         let mut reqs: Vec<Request> = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
-            if let Some(token) = self.tokens.get(&self.cache_key(spec)) {
+            let cache_key = self.cache_key(spec);
+            if let Some(token) = self.tokens.get(&cache_key) {
                 reqs.push(self.host_request(spec, Some(token)));
-                warm.push(i);
+                warm.push((i, cache_key));
                 self.stats.accesses += 1;
                 self.stats.cache_hits += 1;
             }
         }
         if !warm.is_empty() {
             let resps = net.dispatch_pipelined(&self.label, reqs);
-            for (i, resp) in warm.into_iter().zip(resps) {
-                outcomes[i] = Some(self.settle_first(net, &specs[i], resp));
+            for ((i, cache_key), resp) in warm.into_iter().zip(resps) {
+                outcomes[i] = Some(self.settle_first(net, &specs[i], cache_key, resp));
             }
         }
         for (i, spec) in specs.iter().enumerate() {
@@ -499,16 +505,12 @@ impl RequesterClient {
         &mut self,
         net: &dyn Transport,
         spec: &AccessSpec,
+        cache_key: TokenKey,
         first: Response,
     ) -> AccessOutcome {
-        let cache_key = self.cache_key(spec);
         match self.classify(net, spec, first) {
             Classified::Done(outcome) => outcome,
-            Classified::GotToken(token) => {
-                self.tokens.insert(cache_key, token.clone());
-                let resp = self.send(net, spec, Some(&token));
-                self.finish(resp)
-            }
+            Classified::GotToken(token) => self.retry_with(net, spec, cache_key, token),
             Classified::TokenRejected => {
                 // One transparent re-authorization (expired/stale token).
                 self.stats.reauthorizations += 1;
@@ -516,11 +518,7 @@ impl RequesterClient {
                 let retry = self.send(net, spec, None);
                 match self.classify(net, spec, retry) {
                     Classified::Done(outcome) => outcome,
-                    Classified::GotToken(token) => {
-                        self.tokens.insert(self.cache_key(spec), token.clone());
-                        let resp = self.send(net, spec, Some(&token));
-                        self.finish(resp)
-                    }
+                    Classified::GotToken(token) => self.retry_with(net, spec, cache_key, token),
                     Classified::TokenRejected => {
                         AccessOutcome::Denied("token rejected twice; giving up".to_owned())
                     }
@@ -529,7 +527,22 @@ impl RequesterClient {
         }
     }
 
-    fn cache_key(&self, spec: &AccessSpec) -> (String, String, String) {
+    /// Caches a fresh `token` under `cache_key` and retries the access
+    /// with it.
+    fn retry_with(
+        &mut self,
+        net: &dyn Transport,
+        spec: &AccessSpec,
+        cache_key: TokenKey,
+        token: String,
+    ) -> AccessOutcome {
+        let req = self.host_request(spec, Some(&token));
+        self.tokens.insert(cache_key, token);
+        let resp = self.dispatch_retrying(net, req);
+        self.finish(resp)
+    }
+
+    fn cache_key(&self, spec: &AccessSpec) -> TokenKey {
         (
             spec.url.authority().to_owned(),
             spec.url.path().to_owned(),
@@ -697,11 +710,7 @@ impl RequesterClient {
             .with_query("action", &spec.action)
             .with_query("requester", &self.label);
         match self.request_token(net, spec, &authorize) {
-            Classified::GotToken(token) => {
-                self.tokens.insert(cache_key, token.clone());
-                let resp = self.send(net, spec, Some(&token));
-                self.finish(resp)
-            }
+            Classified::GotToken(token) => self.retry_with(net, spec, cache_key, token),
             Classified::Done(outcome) => outcome,
             Classified::TokenRejected => {
                 AccessOutcome::Denied("authorization manager rejected the request".to_owned())

@@ -270,14 +270,53 @@ impl UnchangedBody {
         let Json::Object(fields) = parse_json(body)? else {
             return Err(WireError::new("unchanged body is not a JSON object"));
         };
-        match find(&fields, "unchanged") {
-            Some(Json::Bool(true)) => {}
-            _ => return Err(WireError::new("unchanged field missing or not true")),
-        }
-        let cacheable_ms = opt_u64(&fields, "cacheable_ms")?
-            .ok_or_else(|| WireError::new("unchanged cacheable_ms missing"))?;
-        Ok(Self { cacheable_ms })
+        Self::from_fields(&fields).ok_or_else(|| {
+            WireError::new("unchanged body needs a true unchanged and an integer cacheable_ms")
+        })
     }
+
+    /// The unchanged reply `fields` spell, if they spell one: a
+    /// literal-`true` `unchanged` and an integer `cacheable_ms`.
+    fn from_fields(fields: &[(String, Json)]) -> Option<Self> {
+        match find(fields, "unchanged") {
+            Some(Json::Bool(true)) => opt_u64(fields, "cacheable_ms")
+                .ok()
+                .flatten()
+                .map(|cacheable_ms| Self { cacheable_ms }),
+            _ => None,
+        }
+    }
+}
+
+/// A `/protection/v2/decision` reply body, classified by
+/// [`parse_decision_reply`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecisionReply {
+    /// The compact answer to a conditional query whose `if_epoch` still
+    /// matched.
+    Unchanged(UnchangedBody),
+    /// A full decision body (permit, deny or error).
+    Decision(DecisionBody),
+}
+
+/// Parses a v2 decision reply in one pass, fail-closed. A body is an
+/// [`UnchangedBody`] exactly when [`UnchangedBody::from_json`] accepts
+/// it: a literal-`true` `unchanged` and an integer `cacheable_ms`. Every
+/// other body is judged by [`DecisionBody::from_json`]'s rules. This is
+/// the accept set of trying the unchanged form first and the decision
+/// form second, for the cost of one JSON parse.
+///
+/// # Errors
+///
+/// Returns [`WireError`] for any body neither form accepts.
+pub fn parse_decision_reply(body: &str) -> Result<DecisionReply, WireError> {
+    let value = parse_json(body)?;
+    if let Json::Object(fields) = &value {
+        if let Some(unchanged) = UnchangedBody::from_fields(fields) {
+            return Ok(DecisionReply::Unchanged(unchanged));
+        }
+    }
+    DecisionBody::from_value(&value).map(DecisionReply::Decision)
 }
 
 /// One query inside a batch decision request: the per-item fields of the
@@ -872,12 +911,16 @@ impl SieveBody {
     /// Returns [`WireError`] on malformed JSON, missing or ill-typed
     /// fields, or a fingerprint that is not exactly 32 hex characters.
     pub fn from_json(body: &str) -> Result<Self, WireError> {
-        let head = PushHead::parse(body, "sieve")?;
+        Self::from_head(&PushHead::parse(body, "sieve")?)
+    }
+
+    /// The full body `head`'s fields spell.
+    fn from_head(head: &PushHead) -> Result<Self, WireError> {
         Ok(Self {
             entries: entries_from_json(&head.fields, "entries", "sieve")?,
-            owner: head.owner,
+            owner: head.owner.clone(),
             epoch: head.epoch,
-            sig: head.sig,
+            sig: head.sig.clone(),
         })
     }
 }
@@ -984,17 +1027,49 @@ impl SieveDeltaBody {
     /// Returns [`WireError`] on malformed JSON, missing or ill-typed
     /// fields, or malformed fingerprints.
     pub fn from_json(body: &str) -> Result<Self, WireError> {
-        let head = PushHead::parse(body, "sieve delta")?;
+        Self::from_head(&PushHead::parse(body, "sieve delta")?)
+    }
+
+    /// The delta `head`'s fields spell.
+    fn from_head(head: &PushHead) -> Result<Self, WireError> {
         let base_epoch = opt_u64(&head.fields, "base_epoch")?
             .ok_or_else(|| WireError::new("sieve delta base_epoch missing"))?;
         Ok(Self {
             base_epoch,
             added: entries_from_json(&head.fields, "added", "sieve delta")?,
             removed: fingerprints_from_json(&head.fields, "removed", "sieve delta")?,
-            owner: head.owner,
+            owner: head.owner.clone(),
             epoch: head.epoch,
-            sig: head.sig,
+            sig: head.sig.clone(),
         })
+    }
+}
+
+/// A body an [`EPOCH_PUSH_PATH`] request carries, classified by
+/// [`parse_push_body`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PushBody {
+    /// A full capability sieve.
+    Sieve(SieveBody),
+    /// A delta on top of an installed sieve.
+    Delta(SieveDeltaBody),
+}
+
+/// Parses an epoch-push body in one pass, fail-closed. A body is a
+/// [`SieveDeltaBody`] exactly when [`SieveDeltaBody::from_json`] accepts
+/// it, else a [`SieveBody`] exactly when [`SieveBody::from_json`] does:
+/// the accept set of trying the two in that order, for the cost of one
+/// JSON parse. Parsing alone never authorizes; the caller still
+/// verifies.
+///
+/// # Errors
+///
+/// Returns [`WireError`] for any body neither form accepts.
+pub fn parse_push_body(body: &str) -> Result<PushBody, WireError> {
+    let head = PushHead::parse(body, "push")?;
+    match SieveDeltaBody::from_head(&head) {
+        Ok(delta) => Ok(PushBody::Delta(delta)),
+        Err(_) => SieveBody::from_head(&head).map(PushBody::Sieve),
     }
 }
 

@@ -1,7 +1,8 @@
 //! Seeded fuzz suite for the body decoders in `webenv::protocol`.
 //!
-//! The epoch-push route decodes sieve and sieve-delta bodies, the
-//! decision routes decode decision and unchanged replies, and
+//! The epoch-push route decodes sieve and sieve-delta bodies (in one
+//! pass, [`parse_push_body`]), the Host decodes decision and unchanged
+//! replies (in one pass, [`parse_decision_reply`]), and
 //! the AM's open v2 routes decode batch-authorize and registration
 //! bodies, all before anything has authenticated the sender. Their
 //! contract is *fail closed*: a truncated, corrupted, oversized or garbage
@@ -14,7 +15,9 @@
 //! the cap, and nesting far past the decoder's depth bound; the seeded
 //! sweeps add encode→decode identity over generated bodies and random
 //! noise; two size cases pin that decoding stays linear in the body and
-//! that an oversized batch is refused without reading it.
+//! that an oversized batch is refused without reading it. Two more
+//! sweeps pin each one-pass decoder to the two-step classification it
+//! replaced, kept here as a reference.
 
 use std::time::{Duration, Instant};
 
@@ -22,9 +25,9 @@ use proptest::prelude::*;
 use ucam_webenv::protocol::{
     encode_authorize_request, encode_authorize_response, encode_batch_request,
     encode_batch_response, parse_authorize_request, parse_authorize_response, parse_batch_request,
-    parse_batch_response, sieve_fingerprint, AuthorizeItem, AuthorizeReply, BatchItem,
-    DelegateReply, RegisterBody, RegistrationReply, SieveBody, SieveDeltaBody, SieveEntry,
-    UnchangedBody, MAX_BATCH,
+    parse_batch_response, parse_decision_reply, parse_push_body, sieve_fingerprint, AuthorizeItem,
+    AuthorizeReply, BatchItem, DecisionReply, DelegateReply, PushBody, RegisterBody,
+    RegistrationReply, SieveBody, SieveDeltaBody, SieveEntry, UnchangedBody, MAX_BATCH,
 };
 use ucam_webenv::{DecisionBody, WireError};
 
@@ -106,6 +109,32 @@ impl Decoded {
         })
     }
 
+    /// Every decoding of `json` by the decoders that read `self`'s kind:
+    /// its own decoder and, for decision and push bodies, the one-pass
+    /// decoder the Host runs on that route.
+    fn decodings(&self, json: &str) -> Vec<Decoded> {
+        let one_pass = match self {
+            Decoded::Decision(_) | Decoded::Unchanged(_) => {
+                parse_decision_reply(json).ok().map(|reply| match reply {
+                    DecisionReply::Decision(body) => Decoded::Decision(body),
+                    DecisionReply::Unchanged(body) => Decoded::Unchanged(body),
+                })
+            }
+            Decoded::Sieve(_) | Decoded::Delta(_) => {
+                parse_push_body(json).ok().map(|body| match body {
+                    PushBody::Sieve(body) => Decoded::Sieve(body),
+                    PushBody::Delta(body) => Decoded::Delta(body),
+                })
+            }
+            _ => None,
+        };
+        self.decode_as(json)
+            .ok()
+            .into_iter()
+            .chain(one_pass)
+            .collect()
+    }
+
     /// The body with its signature dropped: what a signed body vouches
     /// for. Two bodies that differ only in how their signature is spelled
     /// (hex case) grant the same.
@@ -164,14 +193,16 @@ fn is_token(reply: &AuthorizeReply) -> bool {
     matches!(reply, AuthorizeReply::Token(_))
 }
 
-/// Feeds `json` to all eleven decoders; none may panic. Returns how many
-/// accepted it.
+/// Feeds `json` to all eleven decoders and the two one-pass decoders
+/// built on them; none may panic. Returns how many accepted it.
 fn decode_all(json: &str) -> usize {
     [
         DecisionBody::from_json(json).is_ok(),
         UnchangedBody::from_json(json).is_ok(),
+        parse_decision_reply(json).is_ok(),
         SieveBody::from_json(json).is_ok(),
         SieveDeltaBody::from_json(json).is_ok(),
+        parse_push_body(json).is_ok(),
         parse_batch_request(json).is_ok(),
         parse_batch_response(json).is_ok(),
         parse_authorize_request(json).is_ok(),
@@ -290,6 +321,9 @@ fn canonical_bodies_round_trip_exactly() {
             .decode_as(&json)
             .unwrap_or_else(|err| panic!("{json:?} failed to decode: {err}"));
         assert_eq!(back, body, "{json:?} did not round-trip");
+        for decoded in body.decodings(&json) {
+            assert_eq!(decoded, body, "{json:?} decoded as another kind");
+        }
         assert_eq!(back.to_json(), json, "re-encoding {json:?} moved bytes");
         if matches!(body, Decoded::Sieve(_) | Decoded::Delta(_)) {
             assert!(back.grants(), "{json:?} no longer verifies after decoding");
@@ -331,13 +365,12 @@ fn single_byte_flips_never_widen_access() {
                 bytes[pos] ^= mask;
                 let flipped = String::from_utf8_lossy(&bytes);
                 decode_all(&flipped);
-                let Ok(decoded) = body.decode_as(&flipped) else {
-                    continue;
-                };
-                assert!(
-                    !decoded.widens(&body),
-                    "flipping byte {pos} of {json:?} with {mask:#04x} widened access: {flipped:?}"
-                );
+                for decoded in body.decodings(&flipped) {
+                    assert!(
+                        !decoded.widens(&body),
+                        "flipping byte {pos} of {json:?} with {mask:#04x} widened access: {flipped:?}"
+                    );
+                }
             }
         }
     }
@@ -634,8 +667,194 @@ proptest! {
         bytes.splice(at..end, noise.iter().copied());
         let spliced = String::from_utf8_lossy(&bytes);
         decode_all(&spliced);
-        if let Ok(decoded) = body.decode_as(&spliced) {
+        for decoded in body.decodings(&spliced) {
             prop_assert!(!decoded.widens(body), "splice at {at} widened access: {spliced:?}");
         }
     }
+}
+
+/// The two-step classification [`parse_decision_reply`] replaced: the
+/// unchanged form first, the decision form second, each a full parse.
+fn two_step_decision_reply(json: &str) -> Option<DecisionReply> {
+    if let Ok(body) = UnchangedBody::from_json(json) {
+        return Some(DecisionReply::Unchanged(body));
+    }
+    DecisionBody::from_json(json)
+        .ok()
+        .map(DecisionReply::Decision)
+}
+
+/// The two-step classification [`parse_push_body`] replaced: the delta
+/// form first, the full form second, each a full parse.
+fn two_step_push_body(json: &str) -> Option<PushBody> {
+    if let Ok(delta) = SieveDeltaBody::from_json(json) {
+        return Some(PushBody::Delta(delta));
+    }
+    SieveBody::from_json(json).ok().map(PushBody::Sieve)
+}
+
+/// Each field a decision reply may carry, with the values a sweep tries:
+/// the first well-typed, the rest ill-typed or out of range. Both reply
+/// kinds' fields are here, so a body can carry `unchanged` and
+/// `decision` at once.
+const REPLY_FIELDS: &[(&str, &[&str])] = &[
+    ("unchanged", &["true", "false", "1", "\"true\"", "null"]),
+    (
+        "cacheable_ms",
+        &[
+            "60000",
+            "0",
+            "-1",
+            "1.5",
+            "\"60000\"",
+            "null",
+            "18446744073709551616",
+        ],
+    ),
+    (
+        "decision",
+        &["\"permit\"", "\"deny\"", "\"error\"", "7", "null"],
+    ),
+    ("policy_epoch", &["3", "\"3\""]),
+    ("reason", &["\"r\"", "5"]),
+    ("extra", &["[1,{\"a\":2}]"]),
+];
+
+/// A sieve entry triple and a fingerprint, as push bodies spell them.
+const ENTRY: &str = "[[\"00112233445566778899aabbccddeeff\",60000,\"r1\"]]";
+const REMOVED: &str = "[\"00112233445566778899aabbccddeeff\"]";
+
+/// Each field a push body may carry, as [`REPLY_FIELDS`]: the shared
+/// head and both body kinds' own fields, so a body can carry `entries`
+/// and `added` at once.
+const PUSH_FIELDS: &[(&str, &[&str])] = &[
+    ("owner", &["\"bob\"", "7"]),
+    ("epoch", &["8", "-8", "\"8\""]),
+    ("sig", &["\"00\"", "null"]),
+    ("base_epoch", &["7", "\"7\"", "null"]),
+    ("entries", &[ENTRY, "[]", "[[\"0011\",60000,\"r1\"]]", "{}"]),
+    (
+        "added",
+        &[
+            ENTRY,
+            "[]",
+            "[[\"00112233445566778899aabbccddeeff\",-1,\"r1\"]]",
+        ],
+    ),
+    ("removed", &[REMOVED, "[]", "[7]"]),
+];
+
+/// A body with one entry per field of `fields`, chosen by `choices`: 0
+/// leaves the field out, 1 to 9 give its well-typed value, anything
+/// higher one of its values by index. The fields are rotated by
+/// `rotate`, a repeat of field `dup` (if any) with its last value is
+/// appended (a decoder reads the first), and `shape` wraps the object:
+/// inside an array, with trailing bytes, or plain.
+fn body_of(
+    fields: &[(&str, &[&str])],
+    choices: &[usize],
+    rotate: usize,
+    dup: usize,
+    shape: u8,
+) -> String {
+    let mut members: Vec<String> = fields
+        .iter()
+        .zip(choices)
+        .filter(|(_, &choice)| choice > 0)
+        .map(|((name, values), &choice)| {
+            let value = if choice < 10 {
+                values[0]
+            } else {
+                values[choice % values.len()]
+            };
+            format!("\"{name}\":{value}")
+        })
+        .collect();
+    if !members.is_empty() {
+        let by = rotate % members.len();
+        members.rotate_left(by);
+    }
+    if let Some((name, values)) = fields.get(dup) {
+        members.push(format!("\"{name}\":{}", values[values.len() - 1]));
+    }
+    let object = format!("{{{}}}", members.join(","));
+    match shape {
+        0 => format!("[{object}]"),
+        1 => format!("{object}x"),
+        _ => object,
+    }
+}
+
+proptest! {
+    /// One pass accepts exactly the bodies the two-step classification
+    /// accepted, and reads each as the same reply.
+    #[test]
+    fn one_pass_decision_reply_matches_the_two_step_reference(
+        choices in proptest::collection::vec(0usize..16, 6),
+        rotate in 0usize..6,
+        dup in 0usize..12,
+        shape in 0u8..6,
+    ) {
+        let json = body_of(REPLY_FIELDS, &choices, rotate, dup, shape);
+        prop_assert_eq!(parse_decision_reply(&json).ok(), two_step_decision_reply(&json), "{}", json);
+    }
+
+    /// One pass accepts exactly the push bodies the two-step
+    /// classification accepted, and reads each as the same kind.
+    #[test]
+    fn one_pass_push_body_matches_the_two_step_reference(
+        choices in proptest::collection::vec(0usize..16, 7),
+        rotate in 0usize..7,
+        dup in 0usize..14,
+        shape in 0u8..6,
+    ) {
+        let json = body_of(PUSH_FIELDS, &choices, rotate, dup, shape);
+        prop_assert_eq!(parse_push_body(&json).ok(), two_step_push_body(&json), "{}", json);
+    }
+}
+
+/// Mixed bodies classify as the two-step order did: a well-formed
+/// unchanged reply wins over a `decision` beside it, an `unchanged` that
+/// is not one leaves the body to the decision rules, and a push body
+/// that is a well-formed delta is a delta even with `entries` beside it.
+#[test]
+fn one_pass_decoders_classify_mixed_bodies() {
+    let unchanged = r#"{"unchanged":true,"cacheable_ms":60000,"decision":"deny"}"#;
+    assert_eq!(
+        parse_decision_reply(unchanged),
+        Ok(DecisionReply::Unchanged(UnchangedBody {
+            cacheable_ms: 60_000
+        }))
+    );
+    let permit = r#"{"decision":"permit","unchanged":true}"#;
+    assert!(matches!(
+        parse_decision_reply(permit),
+        Ok(DecisionReply::Decision(body)) if body.is_permit()
+    ));
+    for refused in [
+        r#"{"unchanged":true,"cacheable_ms":-1,"decision":"permit"}"#,
+        r#"{"unchanged":1,"cacheable_ms":5}"#,
+    ] {
+        assert!(parse_decision_reply(refused).is_err(), "{refused}");
+    }
+
+    let head = r#""owner":"bob","epoch":8,"sig":"00""#;
+    let delta = format!(r#""base_epoch":7,"added":{ENTRY},"removed":{REMOVED}"#);
+    let sieve = format!("{{{head},\"entries\":{ENTRY}}}");
+    assert!(matches!(parse_push_body(&sieve), Ok(PushBody::Sieve(_))));
+    for delta in [
+        format!("{{{head},{delta}}}"),
+        format!("{{{head},\"entries\":{ENTRY},{delta}}}"),
+    ] {
+        assert!(
+            matches!(parse_push_body(&delta), Ok(PushBody::Delta(_))),
+            "{delta}"
+        );
+    }
+    let half_delta = format!("{{{head},\"entries\":{ENTRY},\"base_epoch\":\"7\",\"added\":[]}}");
+    assert!(matches!(
+        parse_push_body(&half_delta),
+        Ok(PushBody::Sieve(_))
+    ));
+    assert!(parse_push_body(&format!("{{{head}}}")).is_err());
 }
