@@ -22,13 +22,13 @@
 //!
 //! [`AuthorizationManager`] exposes everything both as a native Rust API
 //! and as a simulated Web application (`ucam_webenv::WebApp`) with the
-//! protocol endpoints `/delegate`, `/compose`, `/authorize`, the versioned
-//! protection surface `/protection/v1/{decision,decisions}` (with the
-//! historical `/decision` alias, parity-tested and hit-counted via
-//! [`manager::RouteHits`]), the v2 surface
-//! `/protection/v2/{decision,authorize,register,register/rotate,register/deregister,delegate}`
-//! (conditional decision queries, batch authorize, and dynamic
-//! registration — DESIGN.md §16), `/policies/{import,export}`, and
+//! protocol endpoints `/delegate`, `/compose`, `/authorize`, the one
+//! single-decision route `/protection/v2/decision` (Fig. 6, with an
+//! optional `if_epoch` precondition), the batched decision route
+//! `/protection/v1/decisions`, the rest of the v2 surface
+//! `/protection/v2/{authorize,register,register/rotate,register/deregister,delegate}`
+//! (batch authorize and dynamic registration — DESIGN.md §16),
+//! `/policies/{import,export}`, and
 //! `/consent/*` — plus an asynchronous AM→Host policy-epoch [`push`]
 //! channel delivered over the simulated network, optionally carrying
 //! capability-sieve bodies.
@@ -48,7 +48,6 @@ pub mod trust;
 pub use claims::ClaimIssuer;
 pub use manager::{
     AmError, AuthorizationManager, AuthorizeOutcome, AuthorizeRequest, Decision, DecisionQuery,
-    RouteHits,
 };
 pub use pap::{Account, ExportFormat};
 pub use push::EpochPushStats;

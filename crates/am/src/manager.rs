@@ -347,19 +347,6 @@ struct Registrant {
     secret: String,
 }
 
-/// Per-decision-route hit counters (see [`AuthorizationManager::route_hits`]).
-/// The legacy `/decision` alias stays parity-tested but *counted*, so its
-/// retirement is a measurement, not a guess (DESIGN.md §16).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouteHits {
-    /// Hits on the pre-versioning `/decision` alias.
-    pub legacy_decision: u64,
-    /// Hits on the `/protection/v1/decision` route.
-    pub v1_decision: u64,
-    /// Hits on the `/protection/v2/decision` route Hosts send.
-    pub v2_decision: u64,
-}
-
 /// The Authorization Manager application. See the [module docs](self).
 ///
 /// # Example
@@ -426,10 +413,6 @@ pub struct AuthorizationManager {
     registrants: Mutex<HashMap<String, Registrant>>,
     /// Monotonic source for `reg-N` registrant ids.
     registrant_seq: AtomicU64,
-    /// Per-decision-route hit counters, in [`RouteHits`] order.
-    legacy_decision_hits: AtomicU64,
-    v1_decision_hits: AtomicU64,
-    v2_decision_hits: AtomicU64,
 }
 
 impl fmt::Debug for AuthorizationManager {
@@ -462,9 +445,6 @@ impl AuthorizationManager {
             shipped: Mutex::new(HashMap::default()),
             registrants: Mutex::new(HashMap::default()),
             registrant_seq: AtomicU64::new(0),
-            legacy_decision_hits: AtomicU64::new(0),
-            v1_decision_hits: AtomicU64::new(0),
-            v2_decision_hits: AtomicU64::new(0),
         }
     }
 
@@ -874,19 +854,6 @@ impl AuthorizationManager {
     #[must_use]
     pub fn epoch_push_stats(&self) -> EpochPushStats {
         self.pushes.stats()
-    }
-
-    /// Per-decision-route hit counters. The legacy `/decision` alias is
-    /// kept parity-tested but counted — when this reads zero across a
-    /// deployment's observation window, the alias can be retired on data
-    /// instead of hope (DESIGN.md §16).
-    #[must_use]
-    pub fn route_hits(&self) -> RouteHits {
-        RouteHits {
-            legacy_decision: self.legacy_decision_hits.load(Ordering::Relaxed),
-            v1_decision: self.v1_decision_hits.load(Ordering::Relaxed),
-            v2_decision: self.v2_decision_hits.load(Ordering::Relaxed),
-        }
     }
 
     /// The owner's current policy epoch (0 when the owner is unknown).
@@ -1621,26 +1588,12 @@ impl WebApp for AuthorizationManager {
             // Fig. 5: a Requester asks for an authorization token.
             "/authorize" => self.web_authorize(req),
             "/authorize/status" => self.web_authorize_status(req),
-            // Fig. 6: a Host queries for a decision. Hosts send
-            // `/protection/v2/decision`; the v1 route and the bare
-            // `/decision` alias answer the same query, parity-tested and
-            // hit-counted so retirement is data-driven (§16).
-            protocol::DECISION_V2_PATH
-            | protocol::DECISION_PATH
-            | protocol::LEGACY_DECISION_PATH => {
-                let resp = self.web_decision(req);
+            // Fig. 6: a Host queries for a decision.
+            protocol::DECISION_V2_PATH => {
+                let (verdict, resp) = self.web_decision(req);
                 // Lazy label: while tracing is off (every hot loop) this
                 // is one atomic load and no formatting.
                 net.trace().note_with(&self.authority, || {
-                    let verdict = if resp.body.contains("\"decision\":\"permit\"") {
-                        "permit"
-                    } else if resp.body.contains("\"decision\":\"deny\"") {
-                        "deny"
-                    } else if resp.body.starts_with("{\"unchanged\":true") {
-                        "unchanged"
-                    } else {
-                        "refused"
-                    };
                     format!(
                         "PDP decision for {} on {}: {verdict}",
                         req.param("requester").unwrap_or("?"),
@@ -1884,43 +1837,51 @@ impl AuthorizationManager {
         }
     }
 
-    /// Handles the single-decision routes, counting each in
-    /// [`RouteHits`]. `/protection/v2/decision` also takes an optional
-    /// `if_epoch` parameter carrying the epoch the Host's cached entry
-    /// was stamped with; v1 and the legacy alias ignore it. The decision
-    /// is evaluated in full either way (audit records and use counts must
-    /// not drift between routes); only the *serialization* is conditional
-    /// — a permit whose epoch still matches collapses to the compact
+    /// Handles `/protection/v2/decision`, the one single-decision route,
+    /// and returns the verdict its trace note names (`"permit"`,
+    /// `"deny"`, `"unchanged"` or `"refused"`) with the response. An
+    /// optional `if_epoch` parameter carries the epoch the Host's cached
+    /// entry was stamped with. The decision is evaluated in full either
+    /// way (audit records and use counts do not depend on the
+    /// precondition); only the *serialization* is conditional — a permit
+    /// whose epoch still matches collapses to the compact
     /// [`protocol::UnchangedBody`] instead of re-shipping the verdict.
-    fn web_decision(&self, req: &Request) -> Response {
-        let (hits, conditional) = match req.url.path() {
-            protocol::DECISION_V2_PATH => (&self.v2_decision_hits, true),
-            protocol::DECISION_PATH => (&self.v1_decision_hits, false),
-            _ => (&self.legacy_decision_hits, false),
-        };
-        hits.fetch_add(1, Ordering::Relaxed);
-        let if_epoch = match req.param("if_epoch").filter(|_| conditional) {
+    fn web_decision(&self, req: &Request) -> (&'static str, Response) {
+        let if_epoch = match req.param("if_epoch").map(str::parse::<u64>) {
             None => None,
+            Some(Ok(epoch)) => Some(epoch),
             // Fail closed: an unparseable epoch is a malformed request,
             // not an unconditional one.
-            Some(raw) => match raw.parse::<u64>() {
-                Ok(epoch) => Some(epoch),
-                Err(_) => return Response::bad_request("if_epoch must be an unsigned integer"),
-            },
+            Some(Err(_)) => {
+                let resp = Response::bad_request("if_epoch must be an unsigned integer");
+                return ("refused", resp);
+            }
         };
         let query = match parse_decision_query(req) {
             Ok(query) => query,
-            Err(resp) => return resp,
+            Err(resp) => return ("refused", resp),
         };
         match self.decide(&query) {
             Ok(Decision::Permit {
                 cacheable_ms,
                 policy_epoch,
             }) if if_epoch == Some(policy_epoch) => {
-                Response::ok().with_body(protocol::UnchangedBody { cacheable_ms }.to_json())
+                let body = protocol::UnchangedBody { cacheable_ms }.to_json();
+                ("unchanged", Response::ok().with_body(body))
             }
-            Ok(decision) => Response::ok().with_body(decision_wire(&decision).to_json()),
-            Err(e) => Response::with_status(Status::Unauthorized).with_body(e.to_string()),
+            Ok(decision) => {
+                let verdict = if decision.is_permit() {
+                    "permit"
+                } else {
+                    "deny"
+                };
+                let body = decision_wire(&decision).to_json();
+                (verdict, Response::ok().with_body(body))
+            }
+            Err(e) => {
+                let resp = Response::with_status(Status::Unauthorized).with_body(e.to_string());
+                ("refused", resp)
+            }
         }
     }
 

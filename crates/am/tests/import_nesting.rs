@@ -10,7 +10,8 @@ use std::sync::Arc;
 use ucam_am::{AuthorizationManager, AuthorizeOutcome, AuthorizeRequest};
 use ucam_policy::prelude::*;
 use ucam_policy::xml;
-use ucam_webenv::{HttpTransport, Method, Request, SimNet, Status, Transport};
+use ucam_webenv::protocol::DECISION_V2_PATH;
+use ucam_webenv::{HttpTransport, Method, Request, SimNet, Status, Transport, Url};
 
 const DEPTH: usize = 100_000;
 const HOST: &str = "webpics.example";
@@ -123,7 +124,7 @@ fn import_routes_answer_400_to_deep_bodies_and_the_am_still_decides() {
 
         let decision = net.dispatch(
             HOST,
-            Request::new(Method::Post, "https://am.example/decision")
+            Request::to_url(Method::Post, Url::new("am.example", DECISION_V2_PATH))
                 .with_param("host_token", &host_token)
                 .with_param("token", &token)
                 .with_param("resource", PHOTO)

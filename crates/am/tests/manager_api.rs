@@ -9,8 +9,8 @@ use ucam_am::tokens::AUTHZ_TOKEN_TTL_MS;
 use ucam_am::{AuthorizationManager, AuthorizeOutcome, AuthorizeRequest, Decision, DecisionQuery};
 use ucam_policy::prelude::*;
 use ucam_webenv::identity::IdentityProvider;
-use ucam_webenv::protocol::{self, SieveBody};
-use ucam_webenv::{Method, Request, Response, SimClock, SimNet, Status, Transport, WebApp};
+use ucam_webenv::protocol::{self, SieveBody, DECISION_V2_PATH};
+use ucam_webenv::{Method, Request, Response, SimClock, SimNet, Status, Transport, Url, WebApp};
 
 const HOST: &str = "webpics.example";
 const PHOTO: &str = "photo-1";
@@ -451,7 +451,7 @@ fn web_authorize_issues_token_and_decision_permits() {
 
     let resp = net.dispatch(
         HOST,
-        Request::new(Method::Post, "https://am.example/decision")
+        Request::to_url(Method::Post, Url::new("am.example", DECISION_V2_PATH))
             .with_param("host_token", &host_token2)
             .with_param("token", &token)
             .with_param("resource", PHOTO)
@@ -507,7 +507,7 @@ fn web_decision_rejects_forged_tokens() {
     let (net, _, host_token) = web_setup();
     let resp = net.dispatch(
         HOST,
-        Request::new(Method::Post, "https://am.example/decision")
+        Request::to_url(Method::Post, Url::new("am.example", DECISION_V2_PATH))
             .with_param("host_token", &host_token)
             .with_param("token", "forged.token")
             .with_param("resource", PHOTO)
@@ -931,8 +931,8 @@ fn web_compose_links_policy() {
     .unwrap();
 }
 
-/// Dispatches the same decision query to a decision route and returns
-/// `(status, body)` for byte-level comparison across routes.
+/// Dispatches a decision query with `params` to `path` at the AM and
+/// returns `(status, body)`.
 fn decision_at(net: &SimNet, path: &str, params: &[(&str, &str)]) -> (Status, String) {
     let mut req = Request::new(Method::Post, &format!("https://am.example{path}"));
     for (k, v) in params {
@@ -943,30 +943,14 @@ fn decision_at(net: &SimNet, path: &str, params: &[(&str, &str)]) -> (Status, St
 }
 
 #[test]
-fn legacy_decision_alias_is_byte_identical_to_v1() {
-    // The `/decision` alias must not rot while the sieve work reshapes
-    // the /protection/v1 surface: for permits, denies, token rejections
-    // and malformed queries alike, both routes answer with the exact
-    // same status and body.
+fn one_decision_route_fails_closed_and_the_retired_routes_answer_404() {
+    // `/protection/v2/decision` is the one single-decision route. For
+    // permits, denies, token rejections and malformed queries alike it
+    // fails closed, and the retired v1 route and `/decision` alias
+    // answer every one of them with 404.
+    use ucam_webenv::protocol::{DECISION_PATH, LEGACY_DECISION_PATH};
     let (net, am, host_token) = web_setup();
-    let idp = IdentityProvider::new("idp.example", net.clock().clone());
-    idp.register_user("alice", "pw");
-    let assertion = idp.login("alice", "pw").unwrap();
-    am.set_identity_verifier(idp.verifier());
-    let token = {
-        let resp = net.dispatch(
-            "requester:editor",
-            Request::new(Method::Post, "https://am.example/authorize")
-                .with_param("host", HOST)
-                .with_param("owner", "bob")
-                .with_param("resource", PHOTO)
-                .with_param("action", "read")
-                .with_param("requester", "requester:editor")
-                .with_param("subject_token", &assertion.token),
-        );
-        assert_eq!(resp.status, Status::Ok, "{}", resp.body);
-        resp.body
-    };
+    let token = issue_token(&net, &am);
 
     let cases: Vec<(&str, Vec<(&str, &str)>)> = vec![
         (
@@ -1021,25 +1005,75 @@ fn legacy_decision_alias_is_byte_identical_to_v1() {
         ("malformed (no params at all)", vec![]),
     ];
 
-    use ucam_webenv::protocol::{DECISION_PATH, LEGACY_DECISION_PATH};
     for (label, params) in &cases {
-        let v1 = decision_at(&net, DECISION_PATH, params);
-        let legacy = decision_at(&net, LEGACY_DECISION_PATH, params);
-        assert_eq!(v1, legacy, "alias diverged from v1 on: {label}");
+        for retired in [DECISION_PATH, LEGACY_DECISION_PATH] {
+            let (status, body) = decision_at(&net, retired, params);
+            assert_eq!(
+                status,
+                Status::NotFound,
+                "{retired} answered {label}: {body}"
+            );
+        }
     }
 
-    // And both ways fail closed: the error cases block, the permit case
-    // alone carries a permit.
-    let permit = decision_at(&net, DECISION_PATH, &cases[0].1);
+    // The error cases block; the permit case alone carries a permit.
+    let permit = decision_at(&net, DECISION_V2_PATH, &cases[0].1);
     assert_eq!(permit.0, Status::Ok);
     assert!(permit.1.contains("\"permit\""), "{}", permit.1);
-    let deny = decision_at(&net, LEGACY_DECISION_PATH, &cases[1].1);
+    let deny = decision_at(&net, DECISION_V2_PATH, &cases[1].1);
     assert_eq!(deny.0, Status::Ok);
     assert!(deny.1.contains("\"deny\""), "{}", deny.1);
     for (label, params) in &cases[2..] {
-        let (status, body) = decision_at(&net, LEGACY_DECISION_PATH, params);
+        let (status, body) = decision_at(&net, DECISION_V2_PATH, params);
         assert_ne!(status, Status::Ok, "{label} must fail closed: {body}");
         assert!(!body.contains("\"permit\""), "{label} leaked a permit");
+    }
+}
+
+#[test]
+fn the_pdp_trace_note_names_the_verdict_the_am_reached() {
+    // The verdict in the `PDP decision` note is the one the AM computed,
+    // never a reading of the response: a refused query whose requester
+    // is spelled like a permit body is still traced as refused.
+    use ucam_webenv::TraceKind;
+    let (net, am, host_token) = web_setup();
+    let token = issue_token(&net, &am);
+    let epoch = am.policy_epoch("bob").to_string();
+    let spoof = "\"decision\":\"permit\"";
+    let cases = [
+        ("read", "requester:editor", None, Status::Ok, "permit"),
+        ("write", "requester:editor", None, Status::Ok, "deny"),
+        (
+            "read",
+            "requester:editor",
+            Some(epoch.as_str()),
+            Status::Ok,
+            "unchanged",
+        ),
+        ("read", spoof, None, Status::Unauthorized, "refused"),
+    ];
+    net.trace().set_enabled(true);
+    for (action, requester, if_epoch, status, verdict) in cases {
+        let mut params = vec![
+            ("host_token", host_token.as_str()),
+            ("token", token.as_str()),
+            ("resource", PHOTO),
+            ("action", action),
+            ("requester", requester),
+        ];
+        params.extend(if_epoch.map(|epoch| ("if_epoch", epoch)));
+        net.trace().clear();
+        let (got, body) = decision_at(&net, DECISION_V2_PATH, &params);
+        assert_eq!(got, status, "{verdict}: {body}");
+        let notes: Vec<String> = net
+            .trace()
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == TraceKind::Note)
+            .map(|e| e.label)
+            .collect();
+        let want = format!("PDP decision for {requester} on {PHOTO}: {verdict}");
+        assert_eq!(notes, [want]);
     }
 }
 
@@ -1363,30 +1397,6 @@ fn v2_registration_lifecycle_register_rotate_delegate_deregister() {
         );
         assert_eq!(resp.status, Status::BadRequest, "body {bad:?}");
     }
-}
-
-#[test]
-fn route_hits_count_every_decision_surface() {
-    use ucam_webenv::protocol::{DECISION_PATH, DECISION_V2_PATH, LEGACY_DECISION_PATH};
-    let (net, am, host_token) = web_setup();
-    let params: Vec<(&str, &str)> = vec![
-        ("host_token", host_token.as_str()),
-        ("token", "garbage"),
-        ("resource", PHOTO),
-        ("requester", "requester:editor"),
-    ];
-    assert_eq!(am.route_hits(), ucam_am::RouteHits::default());
-    for _ in 0..3 {
-        decision_at(&net, LEGACY_DECISION_PATH, &params);
-    }
-    for _ in 0..2 {
-        decision_at(&net, DECISION_PATH, &params);
-    }
-    decision_at(&net, DECISION_V2_PATH, &params);
-    let hits = am.route_hits();
-    assert_eq!(hits.legacy_decision, 3);
-    assert_eq!(hits.v1_decision, 2);
-    assert_eq!(hits.v2_decision, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ucam_webenv::codec;
-use ucam_webenv::{Method, Request, Response};
+use ucam_webenv::protocol::DECISION_V2_PATH;
+use ucam_webenv::{Method, Request, Response, Url};
 
 /// Counts heap allocations while [`COUNTING`] is armed. Deallocations
 /// are passed straight through — the gate cares about allocation
@@ -70,7 +71,7 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 /// A representative protocol request: the Fig. 6 decision query shape —
 /// POST with form params including a bearer-sized token value.
 fn decision_request() -> Request {
-    Request::new(Method::Post, "https://am.example/protection/v1/decision")
+    Request::to_url(Method::Post, Url::new("am.example", DECISION_V2_PATH))
         .with_param("host_token", "hosttok-0123456789abcdef0123456789abcdef")
         .with_param("token", "authz-0123456789abcdef0123456789abcdef0123456789")
         .with_param("resource", "albums/rome/photo-0")

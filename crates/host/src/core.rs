@@ -993,10 +993,6 @@ pub struct HostCore {
     sieve_gen: AtomicU64,
     /// Process-unique id keying this core's thread-local snapshot slots.
     sieve_id: u64,
-    /// Opt-in conditional revalidation (DESIGN.md §16): when set, a
-    /// TTL-expired cached permit is revalidated with an `if_epoch`
-    /// decision query instead of an unconditional one. Off by default.
-    conditional_revalidation: AtomicBool,
 }
 
 impl fmt::Debug for HostCore {
@@ -1026,7 +1022,6 @@ impl HostCore {
             sieve: Mutex::new(SieveTable::default()),
             sieve_gen: AtomicU64::new(0),
             sieve_id: NEXT_SIEVE_ID.fetch_add(1, Ordering::Relaxed),
-            conditional_revalidation: AtomicBool::new(false),
         }
     }
 
@@ -1069,16 +1064,14 @@ impl HostCore {
         self.edit_sieve(|sieve| sieve.advance_floor(owner, epoch));
     }
 
-    /// Enables conditional revalidation (DESIGN.md §16): TTL-expired
-    /// cached permits are refreshed with `/protection/v2/decision`
-    /// `if_epoch` queries, which the AM collapses to a tiny *unchanged*
-    /// reply when the owner's epoch has not moved. Off by default; while
-    /// off, decision queries carry no `if_epoch` and the AM answers them
-    /// with the full decision body.
-    pub fn set_conditional_revalidation(&self, enabled: bool) {
-        self.conditional_revalidation
-            .store(enabled, Ordering::Relaxed);
-    }
+    /// Does nothing. Conditional revalidation is always on: a
+    /// TTL-expired, epoch-fresh cached permit is refreshed with an
+    /// `if_epoch` query to its primary AM (DESIGN.md §16), and
+    /// [`Self::flush_decision_cache`] is how a caller forces
+    /// unconditional queries. The method stays only so that existing
+    /// callers still build.
+    #[deprecated(note = "conditional revalidation is always on")]
+    pub fn set_conditional_revalidation(&self, _enabled: bool) {}
 
     // -- tier-1 capability sieve (DESIGN.md §12) ------------------------------
 
@@ -1556,7 +1549,8 @@ impl HostCore {
     ///
     /// A miss is one single-decision query, never a batch of one: only
     /// that route carries the `if_epoch` precondition of conditional
-    /// revalidation (DESIGN.md §16).
+    /// revalidation (DESIGN.md §16), which a TTL-expired, epoch-fresh
+    /// cached permit for the same token always sends to its primary AM.
     #[allow(clippy::too_many_arguments)] // the PEP consumes the full request tuple
     pub fn enforce(
         &self,
@@ -1582,17 +1576,13 @@ impl HostCore {
             Classified::Settled(enforcement) => return enforcement,
             Classified::Miss(miss) => miss,
         };
-        // DESIGN.md §16: with conditional revalidation on, a TTL-expired
-        // but epoch-fresh entry for this same token turns the full query
-        // into an `if_epoch` precondition the AM can collapse to a tiny
-        // *unchanged* reply.
-        let if_epoch = if self.conditional_revalidation.load(Ordering::Relaxed) {
-            self.cache
-                .read()
-                .revalidation_epoch(&miss.cache_key, &miss.digest, now)
-        } else {
-            None
-        };
+        // DESIGN.md §16: a TTL-expired but epoch-fresh entry for this
+        // same token turns the full query into an `if_epoch`
+        // precondition the AM can collapse to a tiny *unchanged* reply.
+        let if_epoch = self
+            .cache
+            .read()
+            .revalidation_epoch(&miss.cache_key, &miss.digest, now);
         if if_epoch.is_some() {
             self.stats.add(Pep::Revalidations, 1);
         }
@@ -1914,7 +1904,9 @@ impl HostCore {
     /// Concludes one decision query (or batch item) from its normalized
     /// [`DecisionOutcome`]: caches and grants permits, fails everything
     /// else closed, and gives transport failures — and only those — the
-    /// degraded-mode chance at an expired-but-graceable permit.
+    /// degraded-mode chance at an expired-but-graceable permit. Each
+    /// outcome yields its log time, path and enforcement, and the access
+    /// is logged once.
     /// `if_epoch` is the precondition the query carried, if any — an
     /// *unchanged* reply re-arms the cached permit at exactly that epoch
     /// (the reply does not echo it; the AM only says "unchanged" when
@@ -1934,7 +1926,9 @@ impl HostCore {
             ..
         } = miss;
         let (requester, resource_id, action) = &cache_key;
-        match outcome {
+        // A permit's cache window and epoch, cached once it is logged.
+        let mut cacheable = None;
+        let (at_ms, via, enforcement) = match outcome {
             DecisionOutcome::Unchanged(body) => {
                 // DESIGN.md §16: the AM confirmed the expired permit is
                 // still good at the epoch we presented. Re-arm it in
@@ -1943,15 +1937,12 @@ impl HostCore {
                 // carried a precondition for the reply to confirm, the
                 // unchanged reply vouches for nothing we still hold —
                 // fail closed, per the wire contract.
-                let rearmed = match if_epoch {
-                    Some(epoch) => self.cache.write().rearm(
-                        &cache_key,
-                        &digest,
-                        epoch,
-                        now + body.cacheable_ms,
-                    ),
-                    None => false,
-                };
+                let rearmed = if_epoch.is_some_and(|epoch| {
+                    let expires_at_ms = now + body.cacheable_ms;
+                    self.cache
+                        .write()
+                        .rearm(&cache_key, &digest, epoch, expires_at_ms)
+                });
                 if rearmed {
                     self.stats.add(Pep::RevalidationsUnchanged, 1);
                     net.trace().note_with(&self.authority, || {
@@ -1961,187 +1952,98 @@ impl HostCore {
                             body.cacheable_ms
                         )
                     });
-                    self.record(
-                        now,
-                        requester,
-                        resource_id,
-                        action,
-                        true,
-                        DecisionPath::AmQuery,
-                    );
-                    return Enforcement::Grant;
+                    (now, DecisionPath::AmQuery, Enforcement::Grant)
+                } else {
+                    let why = "unchanged reply without a matching cached permit; access denied";
+                    refused(now, Status::Unavailable, why)
                 }
-                self.record(
-                    now,
-                    requester,
-                    resource_id,
-                    action,
-                    false,
-                    DecisionPath::Refused,
-                );
-                Enforcement::Block(
-                    Response::with_status(Status::Unavailable).with_body(
-                        "unchanged reply without a matching cached permit; access denied",
-                    ),
-                )
             }
             DecisionOutcome::Body(body) if body.is_permit() => {
-                self.record(
-                    now,
-                    requester,
-                    resource_id,
-                    action,
-                    true,
-                    DecisionPath::AmQuery,
-                );
-                let cacheable_ms = body.cacheable_ms.unwrap_or(0);
-                if cacheable_ms > 0 {
-                    net.trace().note_with(&self.authority, || {
-                        format!(
-                            "cached permit: {requester} {action} {resource_id} \
-                             ({cacheable_ms} ms)"
-                        )
-                    });
-                    // One write lock for the whole insert: the capacity
-                    // is re-checked inside, so a concurrent
-                    // `set_decision_cache_capacity(0)` cannot be overtaken.
-                    let mut cache = self.cache.write();
-                    let epoch = body.policy_epoch.unwrap_or(0);
-                    if let Some(epoch) = body.policy_epoch {
-                        cache.note_epoch(&owner, epoch);
-                    }
-                    cache.insert(
-                        cache_key,
-                        CachedDecision {
-                            expires_at_ms: now + cacheable_ms,
-                            digest,
-                            owner,
-                            epoch,
-                            referenced: AtomicBool::new(false),
-                        },
-                        now,
-                    );
-                }
-                Enforcement::Grant
+                cacheable = body
+                    .cacheable_ms
+                    .filter(|&ms| ms > 0)
+                    .map(|ms| (ms, body.policy_epoch));
+                (now, DecisionPath::AmQuery, Enforcement::Grant)
             }
+            // A per-item protocol failure inside a batch — same contract
+            // as a single-query 401: re-authorize.
             DecisionOutcome::Body(body) if body.is_error() => {
-                // A per-item protocol failure inside a batch — same
-                // contract as a single-query 401: re-authorize.
-                self.record(
-                    now,
-                    requester,
-                    resource_id,
-                    action,
-                    false,
-                    DecisionPath::Refused,
-                );
-                Enforcement::Block(
-                    Response::with_status(Status::Unauthorized)
-                        .with_body("authorization token rejected; re-authorize"),
-                )
+                refused(now, Status::Unauthorized, REAUTHORIZE)
             }
             DecisionOutcome::Body(_) => {
-                self.record(
-                    now,
-                    requester,
-                    resource_id,
-                    action,
-                    false,
-                    DecisionPath::AmQuery,
-                );
-                Enforcement::Block(Response::forbidden(
-                    "access denied by authorization manager",
-                ))
+                let denied = Response::forbidden("access denied by authorization manager");
+                (now, DecisionPath::AmQuery, Enforcement::Block(denied))
             }
-            DecisionOutcome::Malformed => {
-                // A 200 with an unparsable body is a protocol error,
-                // not a permit. Fail closed.
-                self.record(
-                    now,
-                    requester,
-                    resource_id,
-                    action,
-                    false,
-                    DecisionPath::Refused,
-                );
-                Enforcement::Block(
-                    Response::with_status(Status::Unavailable)
-                        .with_body("malformed decision response; access denied"),
-                )
-            }
-            DecisionOutcome::TokenRejected => {
-                // Bad/expired token: requester must obtain a fresh one.
-                self.record(
-                    now,
-                    requester,
-                    resource_id,
-                    action,
-                    false,
-                    DecisionPath::Refused,
-                );
-                Enforcement::Block(
-                    Response::with_status(Status::Unauthorized)
-                        .with_body("authorization token rejected; re-authorize"),
-                )
-            }
+            // A 200 with an unparsable body is a protocol error, not a
+            // permit. Fail closed.
+            DecisionOutcome::Malformed => refused(
+                now,
+                Status::Unavailable,
+                "malformed decision response; access denied",
+            ),
+            // Bad/expired token: requester must obtain a fresh one.
+            DecisionOutcome::TokenRejected => refused(now, Status::Unauthorized, REAUTHORIZE),
+            // Degraded mode (opt-in): a transport-level failure — and
+            // only that — may serve an expired cached permit within its
+            // grace window.
             DecisionOutcome::Transport => {
-                // Degraded mode (opt-in): a transport-level failure — and
-                // only that — may serve an expired cached permit within
-                // its grace window.
                 let stale_now = self.clock.now_ms();
-                if let Some(staleness) = self
+                let stale = self
                     .cache
                     .read()
-                    .lookup_stale(&cache_key, &digest, stale_now)
-                {
-                    self.stats.add(Pep::StaleServed, 1);
-                    self.max_served_staleness_ms
-                        .fetch_max(staleness, Ordering::Relaxed);
-                    net.trace().note_with(&self.authority, || {
-                        format!(
-                            "degraded: stale permit served {staleness} ms past TTL: \
-                             {requester} {action} {resource_id}"
-                        )
-                    });
-                    self.record(
-                        stale_now,
-                        requester,
-                        resource_id,
-                        action,
-                        true,
-                        DecisionPath::StaleGrace,
-                    );
-                    return Enforcement::Grant;
+                    .lookup_stale(&cache_key, &digest, stale_now);
+                match stale {
+                    Some(staleness) => {
+                        self.stats.add(Pep::StaleServed, 1);
+                        self.max_served_staleness_ms
+                            .fetch_max(staleness, Ordering::Relaxed);
+                        net.trace().note_with(&self.authority, || {
+                            format!(
+                                "degraded: stale permit served {staleness} ms past TTL: \
+                                 {requester} {action} {resource_id}"
+                            )
+                        });
+                        (stale_now, DecisionPath::StaleGrace, Enforcement::Grant)
+                    }
+                    None => refused(now, Status::Unavailable, UNREACHABLE),
                 }
-                self.fail_closed_unreachable(now, requester, resource_id, action)
             }
-            DecisionOutcome::Unavailable => {
-                // Application 5xxs and everything else never reach
-                // degraded mode: fail closed.
-                self.fail_closed_unreachable(now, requester, resource_id, action)
-            }
-        }
-    }
-
-    fn fail_closed_unreachable(
-        &self,
-        now: u64,
-        requester: &str,
-        resource_id: &str,
-        action: &Action,
-    ) -> Enforcement {
+            // Application 5xxs and everything else never reach degraded
+            // mode: fail closed.
+            DecisionOutcome::Unavailable => refused(now, Status::Unavailable, UNREACHABLE),
+        };
         self.record(
-            now,
+            at_ms,
             requester,
             resource_id,
             action,
-            false,
-            DecisionPath::Refused,
+            enforcement.is_grant(),
+            via,
         );
-        Enforcement::Block(
-            Response::with_status(Status::Unavailable)
-                .with_body("authorization manager unreachable; access denied"),
-        )
+        if let Some((cacheable_ms, policy_epoch)) = cacheable {
+            net.trace().note_with(&self.authority, || {
+                format!("cached permit: {requester} {action} {resource_id} ({cacheable_ms} ms)")
+            });
+            // One write lock for the whole insert: the capacity is
+            // re-checked inside, so a concurrent
+            // `set_decision_cache_capacity(0)` cannot be overtaken.
+            let mut cache = self.cache.write();
+            if let Some(epoch) = policy_epoch {
+                cache.note_epoch(&owner, epoch);
+            }
+            cache.insert(
+                cache_key,
+                CachedDecision {
+                    expires_at_ms: now + cacheable_ms,
+                    digest,
+                    owner,
+                    epoch: policy_epoch.unwrap_or(0),
+                    referenced: AtomicBool::new(false),
+                },
+                now,
+            );
+        }
+        enforcement
     }
 
     /// Dispatches one AM request under the breaker and retry policy —
@@ -2386,13 +2288,16 @@ fn batch_request(to: &DelegationConfig, body: &str) -> Request {
     .with_body(body)
 }
 
-/// Extracts `cacheable_ms` from a decision response body; 0 unless the
-/// body is a well-formed permit carrying one. Delegates to the shared
-/// wire type; this wrapper keeps the historical parsing contract pinned
-/// down by tests.
-#[cfg(test)]
-fn parse_cacheable_ms(body: &str) -> u64 {
-    DecisionBody::parse_cacheable_ms(body)
+/// The body of a 401 telling the requester to fetch a fresh token.
+const REAUTHORIZE: &str = "authorization token rejected; re-authorize";
+/// The body of a 503 when no AM answered a decision query.
+const UNREACHABLE: &str = "authorization manager unreachable; access denied";
+
+/// A decision outcome that refuses the access: logged at `now` as
+/// [`DecisionPath::Refused`], blocked with `status` and the body `why`.
+fn refused(now: u64, status: Status, why: &str) -> (u64, DecisionPath, Enforcement) {
+    let block = Response::with_status(status).with_body(why);
+    (now, DecisionPath::Refused, Enforcement::Block(block))
 }
 
 #[cfg(test)]
@@ -2411,8 +2316,9 @@ mod tests {
         host
     }
 
-    /// A scripted AM: answers `/decision` with the canned body registered
-    /// for the presented authorization token, 401 for anything else.
+    /// A scripted AM: answers a single decision query with the canned
+    /// body registered for the presented authorization token, 401 for
+    /// anything else.
     struct FakeAm {
         authority: String,
         grants: Mutex<HashMap<String, String>>,
@@ -2698,12 +2604,16 @@ mod tests {
             "tricky",
             "{\"decision\":\"deny\",\"reason\":\"say \\\"permit\\\" and \\\"cacheable_ms\\\":60000\"}",
         );
+        // A deny that carries a cache window is never cached either.
+        am.grant("ttl", "{\"decision\":\"deny\",\"cacheable_ms\":60000}");
         net.register(am.clone());
         let h = delegated_host(&net);
         let url = Url::new("h.example", "/r1");
-        match h.enforce(&net, "req", None, "r1", &Action::Read, Some("tricky"), &url) {
-            Enforcement::Block(resp) => assert_eq!(resp.status, Status::Forbidden),
-            Enforcement::Grant => panic!("deny body must not be mistaken for a permit"),
+        for token in ["tricky", "ttl"] {
+            match h.enforce(&net, "req", None, "r1", &Action::Read, Some(token), &url) {
+                Enforcement::Block(resp) => assert_eq!(resp.status, Status::Forbidden),
+                Enforcement::Grant => panic!("deny body must not be mistaken for a permit"),
+            }
         }
         assert_eq!(h.decision_cache_len(), 0);
     }
@@ -2962,27 +2872,6 @@ mod tests {
             Enforcement::Block(resp) => assert_eq!(resp.status, Status::Unavailable),
             Enforcement::Grant => panic!("must fail closed"),
         }
-    }
-
-    #[test]
-    fn parse_cacheable_ms_variants() {
-        assert_eq!(
-            parse_cacheable_ms("{\"decision\":\"permit\",\"cacheable_ms\":60000}"),
-            60000
-        );
-        assert_eq!(
-            parse_cacheable_ms("{\"decision\":\"permit\",\"cacheable_ms\":0}"),
-            0
-        );
-        assert_eq!(parse_cacheable_ms("{\"decision\":\"deny\"}"), 0);
-        // Adversarial: a deny advertising a TTL must not yield one, and
-        // non-JSON bodies parse to 0.
-        assert_eq!(
-            parse_cacheable_ms("{\"decision\":\"deny\",\"cacheable_ms\":60000}"),
-            0
-        );
-        assert_eq!(parse_cacheable_ms("\"cacheable_ms\":5"), 0);
-        assert_eq!(parse_cacheable_ms("not json at all"), 0);
     }
 
     #[test]

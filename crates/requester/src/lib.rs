@@ -423,16 +423,11 @@ impl RequesterClient {
                     action: r.spec.action.clone(),
                 })
                 .collect();
-            let mut url = Url::new(am, protocol::BATCH_AUTHORIZE_PATH)
+            let url = Url::new(am, protocol::BATCH_AUTHORIZE_PATH)
                 .with_query("host", host)
                 .with_query("requester", &self.label);
-            if let Some(subject) = &self.subject_token {
-                url = url.with_query("subject_token", subject);
-            }
-            if !self.claim_tokens.is_empty() {
-                url = url.with_query("claims", &self.claim_tokens.join(","));
-            }
-            Request::to_url(Method::Post, url).with_body(protocol::encode_authorize_request(&items))
+            Request::to_url(Method::Post, self.with_credentials(url))
+                .with_body(protocol::encode_authorize_request(&items))
         };
         let reqs: Vec<Request> = chunks.iter().map(|chunk| build(chunk)).collect();
         self.stats.token_requests += chunks.len() as u64;
@@ -508,7 +503,7 @@ impl RequesterClient {
         cache_key: TokenKey,
         first: Response,
     ) -> AccessOutcome {
-        match self.classify(net, spec, first) {
+        match self.classify(net, first) {
             Classified::Done(outcome) => outcome,
             Classified::GotToken(token) => self.retry_with(net, spec, cache_key, token),
             Classified::TokenRejected => {
@@ -516,7 +511,7 @@ impl RequesterClient {
                 self.stats.reauthorizations += 1;
                 self.tokens.remove(&cache_key);
                 let retry = self.send(net, spec, None);
-                match self.classify(net, spec, retry) {
+                match self.classify(net, retry) {
                     Classified::Done(outcome) => outcome,
                     Classified::GotToken(token) => self.retry_with(net, spec, cache_key, token),
                     Classified::TokenRejected => {
@@ -582,11 +577,11 @@ impl RequesterClient {
         }
     }
 
-    fn classify(&mut self, net: &dyn Transport, spec: &AccessSpec, resp: Response) -> Classified {
+    fn classify(&mut self, net: &dyn Transport, resp: Response) -> Classified {
         match resp.status {
             Status::Found => match resp.location() {
                 Some(location) if location.path() == "/authorize" => {
-                    self.request_token(net, spec, &location)
+                    self.request_token(net, &location)
                 }
                 _ => Classified::Done(AccessOutcome::Failed(resp)),
             },
@@ -597,30 +592,30 @@ impl RequesterClient {
         }
     }
 
-    /// Follows the Host's redirect to the AM's `/authorize` (Fig. 5).
-    fn request_token(
-        &mut self,
-        net: &dyn Transport,
-        _spec: &AccessSpec,
-        authorize: &Url,
-    ) -> Classified {
-        self.stats.token_requests += 1;
-        let am = authorize.authority().to_owned();
-        let mut url = authorize.clone();
+    /// Appends the client's `subject_token` and claim tokens to an AM
+    /// request URL.
+    fn with_credentials(&self, mut url: Url) -> Url {
         if let Some(subject) = &self.subject_token {
             url = url.with_query("subject_token", subject);
         }
         if !self.claim_tokens.is_empty() {
             url = url.with_query("claims", &self.claim_tokens.join(","));
         }
-        let mut resp = self.dispatch_retrying(net, Request::to_url(Method::Get, url.clone()));
+        url
+    }
+
+    /// Follows the Host's redirect to the AM's `/authorize` (Fig. 5).
+    fn request_token(&mut self, net: &dyn Transport, authorize: &Url) -> Classified {
+        self.stats.token_requests += 1;
+        let url = self.with_credentials(authorize.clone());
+        let mut resp = self.dispatch_retrying(net, Request::to_url(Method::Get, url));
         // Multi-AM failover: when the primary's authorize endpoint is
         // unreachable at the transport level (after any retries), re-home
         // the authorize URL to the configured secondary AM and try there.
         if resp.transport_error().is_some() {
-            if let Some(secondary) = self.fallback_ams.get(&am).cloned() {
+            if let Some(secondary) = self.fallback_ams.get(authorize.authority()) {
                 self.stats.failovers += 1;
-                let rehomed = rehome(&url, &secondary);
+                let rehomed = self.with_credentials(rehome(authorize, secondary));
                 resp = self.dispatch_retrying(net, Request::to_url(Method::Get, rehomed));
             }
         }
@@ -636,7 +631,7 @@ impl RequesterClient {
             // AM returned the token directly (no return URL configured).
             Status::Ok => Classified::GotToken(resp.body),
             Status::Accepted => Classified::Done(AccessOutcome::PendingConsent {
-                am,
+                am: authorize.authority().to_owned(),
                 consent_id: resp.body,
             }),
             Status::PaymentRequired => Classified::Done(AccessOutcome::NeedsClaims(resp.body)),
@@ -709,7 +704,7 @@ impl RequesterClient {
             .with_query("resource", resource_id)
             .with_query("action", &spec.action)
             .with_query("requester", &self.label);
-        match self.request_token(net, spec, &authorize) {
+        match self.request_token(net, &authorize) {
             Classified::GotToken(token) => self.retry_with(net, spec, cache_key, token),
             Classified::Done(outcome) => outcome,
             Classified::TokenRejected => {
@@ -905,10 +900,9 @@ mod tests {
         let net = net();
         let mut client = RequesterClient::new("requester:test");
         // Direct the fake host redirect at the consent-producing resource.
-        let spec = AccessSpec::read(Url::new("host.example", "/protected"));
         // Craft a redirect manually by calling the AM with resource=consent:
         let authorize = Url::new("am.example", "/authorize").with_query("resource", "consent");
-        let classified = client.request_token(&net, &spec, &authorize);
+        let classified = client.request_token(&net, &authorize);
         let Classified::Done(AccessOutcome::PendingConsent { am, consent_id }) = classified else {
             panic!("expected pending consent");
         };
@@ -920,9 +914,8 @@ mod tests {
     fn claims_needed_surfaces() {
         let net = net();
         let mut client = RequesterClient::new("requester:test");
-        let spec = AccessSpec::read(Url::new("host.example", "/protected"));
         let authorize = Url::new("am.example", "/authorize").with_query("resource", "paid");
-        let classified = client.request_token(&net, &spec, &authorize);
+        let classified = client.request_token(&net, &authorize);
         let Classified::Done(AccessOutcome::NeedsClaims(msg)) = classified else {
             panic!("expected claims requirement");
         };
@@ -949,9 +942,8 @@ mod tests {
         client.set_subject_token(Some("assert-1".into()));
         client.add_claim_token("claim-a");
         client.add_claim_token("claim-b");
-        let spec = AccessSpec::read(Url::new("host.example", "/x"));
         let authorize = Url::new("am.example", "/authorize");
-        let Classified::GotToken(token) = client.request_token(&net, &spec, &authorize) else {
+        let Classified::GotToken(token) = client.request_token(&net, &authorize) else {
             panic!("expected token");
         };
         assert_eq!(token, "assert-1/claim-a,claim-b");
@@ -1078,6 +1070,9 @@ mod tests {
             }
             fn handle(&self, _net: &dyn Transport, req: &Request) -> Response {
                 assert_eq!(req.url.path(), "/authorize");
+                // The re-homed request still carries the credentials.
+                assert_eq!(req.param("subject_token"), Some("assert-1"));
+                assert_eq!(req.param("claims"), Some("claim-a"));
                 let ret: Url = req.param("return").unwrap().parse().unwrap();
                 Response::redirect(&ret.with_query("authz_token", "good-token"))
             }
@@ -1087,6 +1082,8 @@ mod tests {
         let mut client = RequesterClient::new("requester:test");
         client
             .set_resilience(ResilienceConfig::new().with_fallback_am("am.example", "am-b.example"));
+        client.set_subject_token(Some("assert-1".into()));
+        client.add_claim_token("claim-a");
         let spec = AccessSpec::read(Url::new("host.example", "/protected"));
 
         // Primary AM partitioned: the authorize step re-homes to the

@@ -162,6 +162,12 @@ pub struct ChaosReport {
     pub sieve_rejects: u64,
     /// Delivered epoch pushes that carried a sieve body (both AMs).
     pub sieves_pushed: u64,
+    /// Decision queries that carried an `if_epoch` precondition
+    /// (DESIGN.md §16).
+    pub revalidations: u64,
+    /// Conditional queries answered *unchanged* that re-armed the
+    /// expired cached permit.
+    pub revalidations_unchanged: u64,
 }
 
 /// Everything the soak needs to drive and judge one run.
@@ -570,6 +576,8 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
     report.fallback_queries = pep.fallback_queries;
     report.breaker_fast_fails = pep.breaker_fast_fails;
     report.host_retries = pep.am_retries;
+    report.revalidations = pep.revalidations;
+    report.revalidations_unchanged = pep.revalidations_unchanged;
     report.requester_retries = rig.clients.iter().map(|c| c.stats().retries).sum();
     report.requester_failovers = rig.clients.iter().map(|c| c.stats().failovers).sum();
     report
@@ -591,6 +599,9 @@ mod tests {
         assert!(report.fallback_queries > 0, "{report:?}");
         assert!(report.requester_retries > 0, "{report:?}");
         assert!(report.host_retries > 0, "{report:?}");
+        // Expired permits were re-armed by conditional queries under
+        // the same faults.
+        assert!(report.revalidations_unchanged > 0, "{report:?}");
         assert!(
             report.max_served_staleness_ms <= ChaosConfig::default().stale_grace_ms,
             "{report:?}"
@@ -632,6 +643,7 @@ mod tests {
         // rejected — and its plain epoch params still got applied (the
         // run would violate soundness otherwise).
         assert!(report.sieve_rejects > 0, "{report:?}");
+        assert!(report.revalidations_unchanged > 0, "{report:?}");
         assert!(
             report.max_served_staleness_ms <= ChaosConfig::default().stale_grace_ms,
             "{report:?}"

@@ -18,10 +18,12 @@
 //!   wave. With sieve push off the wave is all AM queries; with it on,
 //!   the wave re-queries only the realm the edit touched.
 //! * [`run_revalidation_probe`] — prime N cached permits, let them age
-//!   past their TTL with *no* policy change, then replay the wave. With
-//!   conditional revalidation on, every query carries `if_epoch` and
-//!   collapses to the tiny *unchanged* reply; the probe is the live
-//!   source of the conditional-vs-unconditional bytes-on-wire gate.
+//!   past their TTL with *no* policy change, then replay the wave. The
+//!   Host revalidates each expired permit with an `if_epoch` query that
+//!   collapses to the tiny *unchanged* reply; the unconditional baseline
+//!   flushes the Host's decision cache before the wave, so every query
+//!   travels without a precondition. The probe is the live source of
+//!   the conditional-vs-unconditional bytes-on-wire gate.
 
 use std::sync::Arc;
 
@@ -309,7 +311,9 @@ pub fn run_cold_miss_storm(config: &StormConfig) -> StormRow {
 }
 
 /// Runs the revalidation probe: prime under a short TTL, age every
-/// permit past it with no policy change, replay the wave. See the
+/// permit past it with no policy change, replay the wave. Unless
+/// `conditional` is set, the Host's decision cache is flushed before
+/// the wave, so no query carries `if_epoch`. See the
 /// [module docs](self).
 ///
 /// # Panics
@@ -325,13 +329,13 @@ pub fn run_revalidation_probe(transport: TransportKind, conditional: bool) -> Re
         .pap(OWNER, |account| account.set_cache_ttl_ms(TTL_MS))
         .unwrap();
     drain_pushes(&rig.am, rig.net.as_ref());
-    if conditional {
-        rig.host.shell().core.set_conditional_revalidation(true);
-    }
     prime(&mut rig);
 
     // Everything expires; nothing changed policy-side.
     rig.net.clock().advance_ms(TTL_MS + 10);
+    if !conditional {
+        rig.host.shell().core.flush_decision_cache();
+    }
     rig.net.reset_stats();
     rig.host.shell().core.reset_stats();
 

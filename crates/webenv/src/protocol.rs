@@ -1,4 +1,5 @@
-//! Shared Host↔AM wire protocol — the versioned `/protection/v1` surface.
+//! Shared Host↔AM wire protocol — the versioned `/protection/v1` and
+//! `/protection/v2` surfaces.
 //!
 //! The paper's phase-5/6 exchange (Fig. 6) is a Host asking an AM for an
 //! access decision. Three crates speak this wire format: the AM serializes
@@ -17,16 +18,18 @@
 //!
 //! | constant | path | purpose |
 //! |---|---|---|
-//! | [`DECISION_PATH`] | `/protection/v1/decision` | single decision query, v1 (Fig. 6) |
+//! | [`DECISION_V2_PATH`] | `/protection/v2/decision` | the single decision query (Fig. 6), optional `if_epoch` |
 //! | [`BATCH_DECISIONS_PATH`] | `/protection/v1/decisions` | batched decision queries |
 //! | [`EPOCH_PUSH_PATH`] | `/protection/v1/epoch` | AM→Host async policy-epoch push |
-//! | [`LEGACY_DECISION_PATH`] | `/decision` | pre-versioning alias, kept for old Hosts |
-//! | [`DECISION_V2_PATH`] | `/protection/v2/decision` | single decision query Hosts send, optional `if_epoch` |
 //! | [`BATCH_AUTHORIZE_PATH`] | `/protection/v2/authorize` | batched authorization-token requests |
 //! | [`REGISTER_PATH`] | `/protection/v2/register` | dynamic Host/Requester registration |
 //! | [`REGISTER_ROTATE_PATH`] | `/protection/v2/register/rotate` | rotate a registrant secret |
 //! | [`REGISTER_DEREGISTER_PATH`] | `/protection/v2/register/deregister` | retire a registrant |
 //! | [`DELEGATE_V2_PATH`] | `/protection/v2/delegate` | credentialed delegation for registrants |
+//!
+//! [`DECISION_PATH`] (`/protection/v1/decision`) and
+//! [`LEGACY_DECISION_PATH`] (`/decision`) are retired: the AM answers
+//! both with 404 (DESIGN.md §16).
 //!
 //! An epoch push may additionally carry a [`SieveBody`] in its request
 //! body: a signed, epoch-stamped capability sieve the Host installs as
@@ -39,7 +42,8 @@
 //! separators, so neither can ever be parsed — or replayed — as the
 //! other.
 
-/// Versioned single-decision route (Fig. 6, phase 5/6).
+/// Retired v1 single-decision route; the AM answers it with 404. Its
+/// query and answer live on [`DECISION_V2_PATH`].
 pub const DECISION_PATH: &str = "/protection/v1/decision";
 /// Versioned batch-decision route: the body is a JSON array of
 /// [`BatchItem`]s, the response a JSON array of [`DecisionBody`]s in the
@@ -47,16 +51,17 @@ pub const DECISION_PATH: &str = "/protection/v1/decision";
 pub const BATCH_DECISIONS_PATH: &str = "/protection/v1/decisions";
 /// Versioned AM→Host policy-epoch push route (params: `owner`, `epoch`).
 pub const EPOCH_PUSH_PATH: &str = "/protection/v1/epoch";
-/// The unversioned decision route kept as a compatibility alias.
+/// Retired unversioned alias of the single-decision route; the AM
+/// answers it with 404.
 pub const LEGACY_DECISION_PATH: &str = "/decision";
 
-/// v2 single-decision route, the one Hosts send. Same query parameters
-/// as [`DECISION_PATH`] (and, without `if_epoch`, the same answer) plus
-/// an optional `if_epoch`: the owner policy epoch
-/// the Host evaluated its cached permit under. When the epoch still
-/// matches and the verdict is still a permit, the AM answers with a
-/// compact [`UnchangedBody`] instead of re-serializing the full
-/// [`DecisionBody`] — the 304 of the protection API.
+/// The single-decision route (Fig. 6, phase 5/6). Query parameters:
+/// `host_token`, `token`, `resource`, `action`, `requester`, and an
+/// optional `if_epoch`: the owner policy epoch the Host evaluated its
+/// cached permit under. The answer is a [`DecisionBody`]; when
+/// `if_epoch` still matches and the verdict is still a permit, the AM
+/// answers with a compact [`UnchangedBody`] instead — the 304 of the
+/// protection API.
 pub const DECISION_V2_PATH: &str = "/protection/v2/decision";
 /// v2 batch-authorize route: the requester-side sibling of
 /// [`BATCH_DECISIONS_PATH`]. The body is a JSON array of
@@ -211,18 +216,6 @@ impl DecisionBody {
             policy_epoch: opt_u64(fields, "policy_epoch")?,
             reason: opt_string(fields, "reason")?,
         })
-    }
-
-    /// Historical convenience: the cacheable window of a body, where
-    /// anything other than a well-formed permit yields 0 (uncacheable).
-    /// This is the fail-closed projection Hosts used before the full
-    /// parse result was public.
-    #[must_use]
-    pub fn parse_cacheable_ms(body: &str) -> u64 {
-        match Self::from_json(body) {
-            Ok(parsed) if parsed.is_permit() => parsed.cacheable_ms.unwrap_or(0),
-            _ => 0,
-        }
     }
 }
 
@@ -1614,7 +1607,7 @@ mod tests {
         let body = "{\"decision\":\"deny\",\"reason\":\"would permit if consented\"}";
         let parsed = DecisionBody::from_json(body).unwrap();
         assert!(!parsed.is_permit());
-        assert_eq!(DecisionBody::parse_cacheable_ms(body), 0);
+        assert_eq!(parsed.cacheable_ms, None);
     }
 
     #[test]
@@ -1630,29 +1623,51 @@ mod tests {
             "{\"decision\":\"permit\",\"cacheable_ms\":\"60000\"}",
         ] {
             assert!(DecisionBody::from_json(body).is_err(), "{body}");
-            assert_eq!(DecisionBody::parse_cacheable_ms(body), 0, "{body}");
         }
     }
 
+    /// Each body's verdict and cacheable window, or `None` for a parse
+    /// error. A deny may carry `cacheable_ms` on the wire; the Host never
+    /// caches it (`deny_body_containing_permit_text_stays_denied` in
+    /// `ucam-host`).
     #[test]
-    fn parse_cacheable_ms_matches_historical_behavior() {
+    fn from_json_reads_the_verdict_and_cacheable_window() {
         let cases = [
             (
                 "{\"decision\":\"permit\",\"cacheable_ms\":60000,\"policy_epoch\":1}",
-                60_000,
+                Some((true, Some(60_000))),
             ),
             (
                 "{\"decision\":\"permit\",\"cacheable_ms\":0,\"policy_epoch\":1}",
-                0,
+                Some((true, Some(0))),
             ),
-            ("{\"decision\":\"permit\"}", 0),
-            ("{\"decision\":\"deny\",\"reason\":\"nope\"}", 0),
-            ("{\"decision\":\"deny\",\"cacheable_ms\":60000}", 0),
-            ("{\"decision\":", 0),
-            ("not json at all", 0),
+            (
+                "{\"decision\":\"permit\",\"cacheable_ms\":60000}",
+                Some((true, Some(60_000))),
+            ),
+            (
+                "{\"decision\":\"permit\",\"cacheable_ms\":0}",
+                Some((true, Some(0))),
+            ),
+            ("{\"decision\":\"permit\"}", Some((true, None))),
+            ("{\"decision\":\"deny\"}", Some((false, None))),
+            (
+                "{\"decision\":\"deny\",\"reason\":\"nope\"}",
+                Some((false, None)),
+            ),
+            (
+                "{\"decision\":\"deny\",\"cacheable_ms\":60000}",
+                Some((false, Some(60_000))),
+            ),
+            ("{\"decision\":", None),
+            ("\"cacheable_ms\":5", None),
+            ("not json at all", None),
         ];
         for (body, want) in cases {
-            assert_eq!(DecisionBody::parse_cacheable_ms(body), want, "{body}");
+            let got = DecisionBody::from_json(body)
+                .ok()
+                .map(|parsed| (parsed.is_permit(), parsed.cacheable_ms));
+            assert_eq!(got, want, "{body}");
         }
     }
 

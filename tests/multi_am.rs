@@ -10,6 +10,7 @@ use ucam::host::{DelegationConfig, ResilienceConfig, WebPics};
 use ucam::policy::prelude::*;
 use ucam::requester::{AccessOutcome, AccessSpec, RequesterClient};
 use ucam::webenv::identity::IdentityProvider;
+use ucam::webenv::protocol::DECISION_V2_PATH;
 use ucam::webenv::{Method, Request, SimNet, Status, Url};
 
 /// Builds a net with one host, one IdP, and two independent AMs.
@@ -369,7 +370,7 @@ fn ams_do_not_accept_each_others_tokens() {
         .unwrap();
     let check = rig.net.dispatch(
         "pics.example",
-        Request::new(Method::Post, "https://am-b.example/decision")
+        Request::to_url(Method::Post, Url::new("am-b.example", DECISION_V2_PATH))
             .with_param("host_token", &host_token_b)
             .with_param("token", &token)
             .with_param("resource", "albums/rome/p1")

@@ -910,7 +910,6 @@ fn conditional_revalidation_is_transport_agnostic() {
     let log = assert_conformance(|net| {
         let rig = rig_on(net.clone());
         permit_alice(&rig.am_a, "albums/rome/p1");
-        rig.pics.shell().core.set_conditional_revalidation(true);
         let mut client = alice_client(&rig);
         let mut log = vec![format!("prime: {}", label(&alice_reads(&rig, &mut client)))];
         // The cached permit ages past its TTL with no policy change: the
