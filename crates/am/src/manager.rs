@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Mutex, RwLock};
 
@@ -295,8 +295,8 @@ struct CtxShard {
 }
 
 /// One shard of the issued-grants registry: owner → `(token, grant)`
-/// newest last — the raw material the sieve compiler replays. Populated
-/// only while sieve push is enabled; capped at [`ISSUED_GRANTS_CAP`].
+/// newest last — the raw material the sieve compiler replays. Every
+/// issued token is recorded; capped at [`ISSUED_GRANTS_CAP`].
 type IssuedShard = HashMap<String, VecDeque<(String, AuthzGrant<'static>)>>;
 
 /// What the AM last successfully shipped to one (host, owner) pair with
@@ -402,9 +402,6 @@ pub struct AuthorizationManager {
     audit: AuditHub,
     /// Asynchronous AM→Host epoch push fan-out (internally synchronized).
     pushes: PushFanOut,
-    /// Whether epoch pushes carry a compiled capability sieve body
-    /// (DESIGN.md §12). Off by default: plain epoch pushes only.
-    sieve_push: AtomicBool,
     /// Last sieve state confirmed delivered per (host, owner) — the base
     /// the delta encoder diffs against (DESIGN.md §13).
     shipped: Mutex<HashMap<(String, String), ShippedSieve>>,
@@ -441,7 +438,6 @@ impl AuthorizationManager {
             outbox: Mutex::new(NotificationOutbox::default()),
             audit: AuditHub::new(),
             pushes: PushFanOut::default(),
-            sieve_push: AtomicBool::new(false),
             shipped: Mutex::new(HashMap::default()),
             registrants: Mutex::new(HashMap::default()),
             registrant_seq: AtomicU64::new(0),
@@ -480,21 +476,14 @@ impl AuthorizationManager {
 
     // -- asynchronous epoch pushes ------------------------------------------
 
-    /// Registers `host` to receive asynchronous policy-epoch pushes on
-    /// its `/protection/v1/epoch` route whenever **any** owner's epoch
-    /// advances. Delivery happens when [`Self::pump_epoch_pushes`] runs —
-    /// epochs propagate as real network messages, not as an instantaneous
-    /// side effect (see [`crate::push`]). For population-scale rigs where
-    /// each Host only stores a slice of the owners, prefer the scoped
-    /// [`Self::subscribe_epoch_push`].
-    pub fn set_epoch_push_target(&self, host: &str) {
-        self.pushes.add_global_target(host);
-    }
-
-    /// Subscribes `host` to epoch pushes for `owner` only. An epoch
-    /// advance fans out to exactly the Hosts subscribed to that owner
-    /// (plus any global targets), so a 512-Host deployment does per-owner
-    /// work, not per-fleet work, on every policy edit.
+    /// Subscribes `host` to `owner`'s policy-epoch pushes on its
+    /// `/protection/v1/epoch` route; each push carries the owner's
+    /// signed capability sieve (DESIGN.md §12). An epoch advance fans out
+    /// to exactly the Hosts subscribed to that owner, so a 512-Host
+    /// deployment does per-owner work, not per-fleet work, on every
+    /// policy edit. Delivery happens when [`Self::pump_epoch_pushes`]
+    /// runs: epochs propagate as real network messages, not as an
+    /// instantaneous side effect (see [`crate::push`]).
     pub fn subscribe_epoch_push(&self, host: &str, owner: &str) {
         self.pushes.subscribe(host, owner);
     }
@@ -519,11 +508,11 @@ impl AuthorizationManager {
     /// This is the bounded-fan-out drain — one pump over a million-owner
     /// backlog does O(limit) network work, not O(backlog).
     ///
-    /// With sieve push enabled, each delivery carries either a full
-    /// [`protocol::SieveBody`] (first ship to a pair, or after a resync)
-    /// or a [`protocol::SieveDeltaBody`] diffed against the last
-    /// *confirmed-delivered* sieve. A Host that cannot apply the delta
-    /// (its installed base doesn't match) answers
+    /// Each delivery carries either a full [`protocol::SieveBody`] (first
+    /// ship to a pair, or after a resync) or a [`protocol::SieveDeltaBody`]
+    /// diffed against the last *confirmed-delivered* sieve; a pair with no
+    /// retained host token goes out plain. A Host that cannot apply the
+    /// delta (its installed base doesn't match) answers
     /// [`protocol::SIEVE_RESYNC`]; the AM then forgets the pair's shipped
     /// state and requeues immediately, so the next pump ships a full body
     /// — the fallback that makes deltas safe against restarts and missed
@@ -533,7 +522,6 @@ impl AuthorizationManager {
         if due.is_empty() {
             return 0;
         }
-        let sieve_enabled = self.sieve_push.load(Ordering::Relaxed);
 
         // Stage 1 — compile every due push into its wire request upfront.
         // The queue coalesces per (host, owner), so no two requests in one
@@ -550,63 +538,58 @@ impl AuthorizationManager {
             .with_param("epoch", &push.epoch.to_string());
             let pair = (push.host.clone(), push.owner.clone());
             let mut shipped_update: Option<ShippedSieve> = None;
-            let mut sieved = false;
-            if sieve_enabled {
-                if let Some((entries, epoch, host_token)) =
-                    self.compile_sieve(&push.host, &push.owner)
-                {
-                    let next: HashMap<protocol::SieveFingerprint, u64> = entries
-                        .iter()
-                        .map(|e| (e.fingerprint, e.expires_at_ms))
-                        .collect();
-                    let base = {
-                        let shipped = self.shipped.lock();
-                        shipped.get(&pair).map(|s| (s.epoch, s.entries.clone()))
-                    };
-                    let body = match base {
-                        Some((base_epoch, prev)) => {
-                            // Delta against the last confirmed ship: an
-                            // entry is `added` when its fingerprint is new
-                            // *or* its expiry moved (reissued token),
-                            // `removed` when it vanished entirely.
-                            let added: Vec<protocol::SieveEntry> = entries
-                                .iter()
-                                .filter(|e| prev.get(&e.fingerprint) != Some(&e.expires_at_ms))
-                                .cloned()
-                                .collect();
-                            let removed: Vec<protocol::SieveFingerprint> = prev
-                                .keys()
-                                .filter(|fp| !next.contains_key(*fp))
-                                .copied()
-                                .collect();
-                            protocol::SieveDeltaBody::build(
-                                &push.owner,
-                                epoch,
-                                base_epoch,
-                                added,
-                                removed,
-                                host_token.as_bytes(),
-                            )
-                            .to_json()
-                        }
-                        None => protocol::SieveBody::build(
+            if let Some((entries, epoch, host_token)) = self.compile_sieve(&push.host, &push.owner)
+            {
+                let next: HashMap<protocol::SieveFingerprint, u64> = entries
+                    .iter()
+                    .map(|e| (e.fingerprint, e.expires_at_ms))
+                    .collect();
+                let base = {
+                    let shipped = self.shipped.lock();
+                    shipped.get(&pair).map(|s| (s.epoch, s.entries.clone()))
+                };
+                let body = match base {
+                    Some((base_epoch, prev)) => {
+                        // Delta against the last confirmed ship: an entry
+                        // is `added` when its fingerprint is new *or* its
+                        // expiry moved (reissued token), `removed` when it
+                        // vanished entirely.
+                        let added: Vec<protocol::SieveEntry> = entries
+                            .iter()
+                            .filter(|e| prev.get(&e.fingerprint) != Some(&e.expires_at_ms))
+                            .cloned()
+                            .collect();
+                        let removed: Vec<protocol::SieveFingerprint> = prev
+                            .keys()
+                            .filter(|fp| !next.contains_key(*fp))
+                            .copied()
+                            .collect();
+                        protocol::SieveDeltaBody::build(
                             &push.owner,
                             epoch,
-                            entries,
+                            base_epoch,
+                            added,
+                            removed,
                             host_token.as_bytes(),
                         )
-                        .to_json(),
-                    };
-                    shipped_update = Some(ShippedSieve {
+                        .to_json()
+                    }
+                    None => protocol::SieveBody::build(
+                        &push.owner,
                         epoch,
-                        entries: next,
-                    });
-                    req = req.with_body(body);
-                    sieved = true;
-                }
+                        entries,
+                        host_token.as_bytes(),
+                    )
+                    .to_json(),
+                };
+                shipped_update = Some(ShippedSieve {
+                    epoch,
+                    entries: next,
+                });
+                req = req.with_body(body);
             }
             reqs.push(req);
-            plans.push((push, pair, shipped_update, sieved));
+            plans.push((push, pair, shipped_update));
         }
 
         // Stage 2 — one pipelined flush: over HTTP a drain of N pushes to
@@ -617,7 +600,7 @@ impl AuthorizationManager {
 
         // Stage 3 — settle each delivery in input order.
         let mut delivered = 0;
-        for ((push, pair, shipped_update, sieved), resp) in plans.into_iter().zip(resps) {
+        for ((push, pair, shipped_update), resp) in plans.into_iter().zip(resps) {
             let now = self.clock.now_ms();
             if resp.transport_error().is_some() {
                 self.pushes.requeue(push, now);
@@ -630,11 +613,9 @@ impl AuthorizationManager {
                 delivered += 1;
             } else {
                 self.pushes.record_delivery(now, &push);
-                if sieved {
+                if let Some(update) = shipped_update {
                     self.pushes.record_sieved();
-                    if let Some(update) = shipped_update {
-                        self.shipped.lock().insert(pair, update);
-                    }
+                    self.shipped.lock().insert(pair, update);
                 }
                 delivered += 1;
             }
@@ -642,27 +623,25 @@ impl AuthorizationManager {
         delivered
     }
 
-    /// Enables (or disables) compiling a capability sieve into every
-    /// epoch push (DESIGN.md §12). While enabled, the AM also records
-    /// each issued authorization token so the compiler can replay it;
-    /// tokens issued while disabled are simply absent from later sieves
-    /// and keep using the tier-2 protocol path.
-    pub fn set_sieve_push(&self, enabled: bool) {
-        self.sieve_push.store(enabled, Ordering::Relaxed);
-    }
+    /// Does nothing. Every epoch push carries the owner's compiled
+    /// capability sieve (DESIGN.md §12), and every issued token is
+    /// recorded for the compiler, so there is no switch left to turn.
+    /// The method stays only so that existing callers still build.
+    #[deprecated(note = "every epoch push carries the owner's sieve; there is nothing to enable")]
+    pub fn set_sieve_push(&self, _enabled: bool) {}
 
     /// Does nothing. Decision-level invalidation push is gone: the
-    /// capability sieve ([`Self::set_sieve_push`]) is the one channel
+    /// capability sieve riding every epoch push is the one channel
     /// that keeps a Host fresh after an edit, and whatever it cannot
     /// cover falls back to the owner-wide epoch purge (DESIGN.md §16).
     /// The method stays only so that existing callers still build.
-    #[deprecated(note = "invalidation push was removed; `set_sieve_push` keeps Hosts fresh")]
+    #[deprecated(note = "invalidation push was removed; the pushed sieve keeps Hosts fresh")]
     pub fn set_invalidation_push(&self, _enabled: bool) {}
 
     /// Schedules an epoch push for every registered owner at their
-    /// current epoch. With sieve push enabled this re-compiles and
-    /// re-delivers every owner's sieve — the warm-up lever for Hosts that
-    /// just (re)connected, without waiting for a policy edit.
+    /// current epoch, which re-compiles and re-delivers every owner's
+    /// sieve to the owner's subscribed Hosts — the warm-up lever for
+    /// Hosts that just (re)connected, without waiting for a policy edit.
     pub fn schedule_sieve_refresh(&self) {
         for (owner, epoch) in self.policy_epochs() {
             self.schedule_epoch_push(&owner, epoch);
@@ -878,13 +857,6 @@ impl AuthorizationManager {
         }
         all.sort();
         all
-    }
-
-    /// Overrides the authorization-token TTL (benchmark knob).
-    #[must_use]
-    pub fn with_token_ttl_ms(mut self, ttl_ms: u64) -> Self {
-        self.tokens = self.tokens.with_ttl_ms(ttl_ms);
-        self
     }
 
     /// Returns the AM's simulated clock handle.
@@ -1192,7 +1164,9 @@ impl AuthorizationManager {
                         .or_default()
                         .insert(resource.clone(), claims);
                 }
-                if self.sieve_push.load(Ordering::Relaxed) {
+                // The sieve compiler replays this grant into the owner's
+                // next epoch push; the shard lock is held for this only.
+                {
                     let mut shard = self.issued_for(&request.owner).lock();
                     let issued = shard.entry(request.owner.clone()).or_default();
                     if issued.len() >= ISSUED_GRANTS_CAP {

@@ -11,8 +11,8 @@
 //!
 //! At population scale the channel is a **fan-out**, not a list: one AM
 //! serves up to thousands of Hosts, but any one owner's resources live on
-//! a handful of them. `PushFanOut` therefore keeps *per-owner
-//! subscription sets* (plus a legacy global target list for small rigs):
+//! a handful of them. `PushFanOut` therefore keeps one *subscription set
+//! per owner*, and a subscription is the only way a Host hears pushes:
 //! an epoch advance fans out only to the Hosts subscribed to that owner,
 //! and the pending queue is sharded by (host, owner) hash with O(1)
 //! coalescing — a 512-Host epoch advance neither scans one flat vector
@@ -73,7 +73,8 @@ pub struct EpochPushStats {
     /// measured revocation-visibility window contribution of the channel.
     pub max_lag_ms: u64,
     /// Delivered pushes that carried a compiled capability sieve body
-    /// (always ≤ `delivered`; zero when sieve push is disabled).
+    /// (always ≤ `delivered`; a push to a Host whose delegation secret the
+    /// AM never retained goes out plain).
     pub sieved: u64,
     /// Delta sieve bodies a Host rejected for an unknown base generation;
     /// each forces one full-body reship (DESIGN.md §13).
@@ -107,16 +108,6 @@ const MAX_BACKOFF_MS: u64 = 400;
 /// (host, owner) pair only contends with pairs hashing to the same shard.
 const PUSH_SHARDS: usize = 16;
 
-/// Who receives an owner's epoch pushes.
-#[derive(Debug, Default)]
-struct SubscriptionTable {
-    /// Hosts subscribed to **every** owner (small rigs; the pre-fan-out
-    /// behavior of `set_epoch_push_target`).
-    global: Vec<String>,
-    /// owner → Hosts subscribed to that owner only.
-    per_owner: HashMap<String, Vec<String>>,
-}
-
 /// One pending-queue shard. Ordered so a bounded drain selects a
 /// deterministic subset without scanning (or sorting) the whole backlog.
 type PendingShard = BTreeMap<(String, String), PendingPush>;
@@ -126,7 +117,8 @@ type PendingShard = BTreeMap<(String, String), PendingPush>;
 /// queue sharded by (host, owner) hash, counters as atomics.
 #[derive(Debug, Default)]
 pub(crate) struct PushFanOut {
-    subs: RwLock<SubscriptionTable>,
+    /// owner → the Hosts subscribed to that owner's epoch pushes.
+    subs: RwLock<HashMap<String, Vec<String>>>,
     shards: [Mutex<PendingShard>; PUSH_SHARDS],
     scheduled: AtomicU64,
     fanned_out: AtomicU64,
@@ -153,21 +145,10 @@ fn fnv1a(parts: &[&str]) -> u64 {
 }
 
 impl PushFanOut {
-    /// Registers a Host to receive pushes for every owner; idempotent.
-    pub(crate) fn add_global_target(&self, host: &str) {
-        let mut subs = self.subs.write();
-        if !subs.global.iter().any(|t| t == host) {
-            subs.global.push(host.to_owned());
-        }
-    }
-
-    /// Subscribes `host` to `owner`'s epoch pushes only; idempotent.
+    /// Subscribes `host` to `owner`'s epoch pushes; idempotent.
     pub(crate) fn subscribe(&self, host: &str, owner: &str) {
         let mut subs = self.subs.write();
-        if subs.global.iter().any(|t| t == host) {
-            return; // already covered by a global subscription
-        }
-        let hosts = subs.per_owner.entry(owner.to_owned()).or_default();
+        let hosts = subs.entry(owner.to_owned()).or_default();
         if !hosts.iter().any(|t| t == host) {
             hosts.push(host.to_owned());
         }
@@ -176,8 +157,7 @@ impl PushFanOut {
     /// Whether any Host is subscribed at all (lets callers skip lock
     /// traffic on the common no-push configuration).
     pub(crate) fn has_targets(&self) -> bool {
-        let subs = self.subs.read();
-        !subs.global.is_empty() || !subs.per_owner.is_empty()
+        !self.subs.read().is_empty()
     }
 
     fn shard_for(&self, host: &str, owner: &str) -> &Mutex<PendingShard> {
@@ -188,18 +168,7 @@ impl PushFanOut {
     /// with any still-pending push for the same (host, owner).
     pub(crate) fn schedule(&self, now_ms: u64, owner: &str, epoch: u64) {
         self.scheduled.fetch_add(1, Ordering::Relaxed);
-        let targets: Vec<String> = {
-            let subs = self.subs.read();
-            let mut targets = subs.global.clone();
-            if let Some(hosts) = subs.per_owner.get(owner) {
-                for host in hosts {
-                    if !targets.iter().any(|t| t == host) {
-                        targets.push(host.clone());
-                    }
-                }
-            }
-            targets
-        };
+        let targets = self.subs.read().get(owner).cloned().unwrap_or_default();
         for host in targets {
             self.fanned_out.fetch_add(1, Ordering::Relaxed);
             let mut shard = self.shard_for(&host, owner).lock();
@@ -343,9 +312,9 @@ mod tests {
     #[test]
     fn schedules_coalesce_to_max_epoch_per_host_owner() {
         let ch = PushFanOut::default();
-        ch.add_global_target("host-a.example");
-        ch.add_global_target("host-b.example");
-        ch.add_global_target("host-a.example"); // idempotent
+        ch.subscribe("host-a.example", "bob");
+        ch.subscribe("host-b.example", "bob");
+        ch.subscribe("host-a.example", "bob"); // idempotent
         ch.schedule(100, "bob", 2);
         ch.schedule(150, "bob", 4);
         ch.schedule(150, "bob", 3);
@@ -364,8 +333,8 @@ mod tests {
     #[test]
     fn stats_distinguish_fanout_from_schedules() {
         let ch = PushFanOut::default();
-        ch.add_global_target("host-a.example");
-        ch.add_global_target("host-b.example");
+        ch.subscribe("host-a.example", "bob");
+        ch.subscribe("host-b.example", "bob");
         ch.schedule(100, "bob", 2);
         ch.schedule(150, "bob", 4);
         ch.schedule(150, "bob", 3);
@@ -408,18 +377,22 @@ mod tests {
     }
 
     #[test]
-    fn global_targets_cover_every_owner_and_dedupe_subscriptions() {
+    fn subscribing_twice_pushes_once() {
         let ch = PushFanOut::default();
-        ch.add_global_target("host.example");
-        ch.subscribe("host.example", "bob"); // redundant with global
+        ch.subscribe("host.example", "bob");
+        ch.subscribe("host.example", "bob");
         ch.schedule(0, "bob", 1);
         assert_eq!(
             ch.pending_len(),
             1,
-            "global + per-owner must not double-push"
+            "a repeated subscription must not double-push"
         );
         ch.schedule(0, "alice", 1);
-        assert_eq!(ch.pending_len(), 2, "global target hears every owner");
+        assert_eq!(
+            ch.pending_len(),
+            1,
+            "a subscription hears its own owner only"
+        );
     }
 
     #[test]
@@ -450,8 +423,8 @@ mod tests {
     #[test]
     fn take_due_respects_due_time_and_orders_deterministically() {
         let ch = PushFanOut::default();
-        ch.add_global_target("z.example");
-        ch.add_global_target("a.example");
+        ch.subscribe("z.example", "bob");
+        ch.subscribe("a.example", "bob");
         ch.schedule(100, "bob", 2);
         assert!(ch.take_due(99, usize::MAX).is_empty());
         let due = ch.take_due(100, usize::MAX);
@@ -464,7 +437,7 @@ mod tests {
     #[test]
     fn requeue_backs_off_and_merges_with_fresher_schedules() {
         let ch = PushFanOut::default();
-        ch.add_global_target("host.example");
+        ch.subscribe("host.example", "bob");
         ch.schedule(0, "bob", 2);
         let mut due = ch.take_due(0, usize::MAX);
         let push = due.pop().unwrap();
@@ -481,7 +454,7 @@ mod tests {
     #[test]
     fn backoff_is_capped() {
         let ch = PushFanOut::default();
-        ch.add_global_target("host.example");
+        ch.subscribe("host.example", "bob");
         ch.schedule(0, "bob", 2);
         let mut push = ch.take_due(0, usize::MAX).pop().unwrap();
         for _ in 0..10 {
@@ -494,7 +467,7 @@ mod tests {
     #[test]
     fn resync_requeue_is_immediate_and_counted() {
         let ch = PushFanOut::default();
-        ch.add_global_target("host.example");
+        ch.subscribe("host.example", "bob");
         ch.schedule(0, "bob", 2);
         let push = ch.take_due(0, usize::MAX).pop().unwrap();
         ch.requeue_for_resync(push, 40);
@@ -508,7 +481,7 @@ mod tests {
     #[test]
     fn delivery_tracks_worst_lag() {
         let ch = PushFanOut::default();
-        ch.add_global_target("host.example");
+        ch.subscribe("host.example", "bob");
         ch.schedule(100, "bob", 2);
         let push = ch.take_due(100, usize::MAX).pop().unwrap();
         ch.record_delivery(340, &push);

@@ -1608,7 +1608,6 @@ impl PushRig {
 #[test]
 fn compiled_pushes_agree_with_decide() {
     let rig = PushRig::new();
-    rig.am.set_sieve_push(true);
     // A token that expires before the compile must not be listed.
     let expired = rig.token("doc", "requester:early", None);
     rig.net.clock().advance_ms(AUTHZ_TOKEN_TTL_MS + 1);

@@ -133,12 +133,6 @@ impl SiloedWorld {
         world
     }
 
-    /// Number of hosts.
-    #[must_use]
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
-    }
-
     /// Accumulated administrative effort.
     #[must_use]
     pub fn effort(&self) -> AdminEffort {

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use ucam_policy::{AccessRequest, AclMatrix, Action, EvalContext, Outcome, ResourceRef};
+use ucam_policy::{AccessRequest, AclMatrix, Action, EvalContext, Outcome};
 use ucam_webenv::{
     protocol, BatchItem, Counters, DecisionBody, Method, Request, Response, RetryPolicy, SimClock,
     Status, Transport, TransportError, Url,
@@ -561,7 +561,10 @@ pub struct PepStats {
     /// Kept so that existing readers still build.
     pub invalidated_evictions: u64,
     /// Conditional `/protection/v2/decision` revalidation queries sent
-    /// with an `if_epoch` precondition.
+    /// with an `if_epoch` precondition, counted where `am_queries` is:
+    /// once per query that leaves for the primary AM. A query an open
+    /// breaker fast-fails is not counted, nor is its fallback query,
+    /// which never carries the precondition.
     pub revalidations: u64,
     /// Conditional queries the AM collapsed to an *unchanged* reply that
     /// re-armed the expired cached permit.
@@ -1563,7 +1566,7 @@ impl HostCore {
         return_url: &Url,
     ) -> Enforcement {
         let now = self.clock.now_ms();
-        let miss = match self.classify(
+        let mut miss = match self.classify(
             net,
             requester,
             subject,
@@ -1579,20 +1582,17 @@ impl HostCore {
         // DESIGN.md §16: a TTL-expired but epoch-fresh entry for this
         // same token turns the full query into an `if_epoch`
         // precondition the AM can collapse to a tiny *unchanged* reply.
-        let if_epoch = self
+        miss.if_epoch = self
             .cache
             .read()
             .revalidation_epoch(&miss.cache_key, &miss.digest, now);
-        if if_epoch.is_some() {
-            self.stats.add(Pep::Revalidations, 1);
-        }
         let resilience = self.resilience.read().clone();
         let resp = self.query(net, &resilience, &miss, None, "decision", &|to, primary| {
             // Never conditional against the fallback: the cached
             // entry's epoch lives in the *primary* AM's epoch space,
             // and a numerically equal epoch at the mirror would
             // falsely re-arm it.
-            let if_epoch = if_epoch.filter(|_| primary);
+            let if_epoch = miss.if_epoch.filter(|_| primary);
             let (requester, resource_id, action) = &miss.cache_key;
             let url = Url::new(&to.am, protocol::DECISION_V2_PATH);
             let mut req = Request::to_url(Method::Post, url)
@@ -1606,7 +1606,7 @@ impl HostCore {
             }
             req
         });
-        self.settle_decision(net, classify_decision(&resp), miss, if_epoch, now)
+        self.settle_decision(net, classify_decision(&resp), miss, now)
     }
 
     /// Enforces a whole round of access attempts, coalescing the decision
@@ -1798,6 +1798,7 @@ impl HostCore {
             token,
             cache_key,
             digest,
+            if_epoch: None,
         })
     }
 
@@ -1806,9 +1807,9 @@ impl HostCore {
     /// `sent` already holds the primary's answer (a pipelined flush) —
     /// and on a transport failure fails over to the owner's fallback AM.
     /// `build` gets the delegation the request goes to and whether that
-    /// is the primary. Only transport failures fail over: an AM that
-    /// *answers* (permit, deny, 401, even an application 5xx) is always
-    /// taken at its word.
+    /// is the primary, the only AM that hears `head`'s `if_epoch`. Only
+    /// transport failures fail over: an AM that *answers* (permit, deny,
+    /// 401, even an application 5xx) is always taken at its word.
     fn query(
         &self,
         net: &dyn Transport,
@@ -1820,7 +1821,10 @@ impl HostCore {
     ) -> Response {
         let primary = &head.delegation;
         let resp = sent.unwrap_or_else(|| {
-            self.dispatch_protected(net, resilience, &primary.am, &|| build(primary, true))
+            let conditional = head.if_epoch.is_some();
+            self.dispatch_protected(net, resilience, &primary.am, conditional, &|| {
+                build(primary, true)
+            })
         });
         if resp.transport_error().is_some() {
             if let Some(fallback) = resilience.fallback_for(&primary.am, &head.owner) {
@@ -1831,8 +1835,9 @@ impl HostCore {
                         primary.am, fallback.am
                     )
                 });
-                return self
-                    .dispatch_protected(net, resilience, &fallback.am, &|| build(fallback, false));
+                return self.dispatch_protected(net, resilience, &fallback.am, false, &|| {
+                    build(fallback, false)
+                });
             }
         }
         resp
@@ -1887,7 +1892,7 @@ impl HostCore {
             for ((index, miss), outcome) in chunk.into_iter().zip(outcomes) {
                 // Batch queries never carry an `if_epoch` precondition,
                 // so a stray *unchanged* item fails closed.
-                results[index] = Some(self.settle_decision(net, outcome, miss, None, now));
+                results[index] = Some(self.settle_decision(net, outcome, miss, now));
             }
         }
     }
@@ -1907,22 +1912,22 @@ impl HostCore {
     /// degraded-mode chance at an expired-but-graceable permit. Each
     /// outcome yields its log time, path and enforcement, and the access
     /// is logged once.
-    /// `if_epoch` is the precondition the query carried, if any — an
-    /// *unchanged* reply re-arms the cached permit at exactly that epoch
-    /// (the reply does not echo it; the AM only says "unchanged" when
-    /// the epochs are equal).
+    /// The miss's `if_epoch` is the precondition the query carried, if
+    /// any — an *unchanged* reply re-arms the cached permit at exactly
+    /// that epoch (the reply does not echo it; the AM only says
+    /// "unchanged" when the epochs are equal).
     fn settle_decision(
         &self,
         net: &dyn Transport,
         outcome: DecisionOutcome,
         miss: Miss<'_>,
-        if_epoch: Option<u64>,
         now: u64,
     ) -> Enforcement {
         let Miss {
             owner,
             cache_key,
             digest,
+            if_epoch,
             ..
         } = miss;
         let (requester, resource_id, action) = &cache_key;
@@ -2049,12 +2054,15 @@ impl HostCore {
     /// Dispatches one AM request under the breaker and retry policy —
     /// shared by the single-query and batch paths. Breaker fast-fails
     /// synthesize a [`TransportError::Unreachable`] response without
-    /// dispatching.
+    /// dispatching. A `conditional` request (one carrying `if_epoch`)
+    /// that goes out counts as one revalidation, however many attempts
+    /// its retry policy makes.
     fn dispatch_protected(
         &self,
         net: &dyn Transport,
         resilience: &ResilienceConfig,
         am: &str,
+        conditional: bool,
         build: &dyn Fn() -> Request,
     ) -> Response {
         if resilience.breaker.is_some() && !self.breaker_admits(am) {
@@ -2065,6 +2073,9 @@ impl HostCore {
             return Response::with_status(Status::Unavailable)
                 .with_body(format!("circuit open for {am}"))
                 .with_transport_error(TransportError::Unreachable);
+        }
+        if conditional {
+            self.stats.add(Pep::Revalidations, 1);
         }
         self.stats.add(Pep::AmQueries, 1);
         let resp = match &resilience.am_retry {
@@ -2165,12 +2176,6 @@ impl HostCore {
             via,
         });
     }
-
-    /// Builds the global reference for a resource on this host.
-    #[must_use]
-    pub fn resource_ref(&self, resource_id: &str) -> ResourceRef {
-        ResourceRef::new(&self.authority, resource_id)
-    }
 }
 
 /// How one decision query (or batch item) concluded, normalized across
@@ -2245,6 +2250,9 @@ struct Miss<'t> {
     cache_key: CacheKey,
     /// [`protocol::tuple_digest`] of the access tuple.
     digest: [u8; 32],
+    /// The epoch an expired, epoch-fresh cached permit for this token
+    /// holds: the precondition a single query sends its primary AM.
+    if_epoch: Option<u64>,
 }
 
 /// What [`HostCore::sieve_probe`] found.
@@ -3047,6 +3055,66 @@ mod tests {
             Enforcement::Grant => panic!("primary's answer must stand"),
         }
         assert_eq!(h.stats().fallback_queries, 1);
+    }
+
+    /// A revalidation counts only when its conditional query leaves for
+    /// the primary AM: an open circuit sends the primary nothing, and the
+    /// fallback's query never carries `if_epoch`.
+    #[test]
+    fn revalidations_count_only_conditional_queries_that_leave() {
+        let net = SimNet::new();
+        let primary = FakeAm::new();
+        primary.grant("good", &permit_body(1_000, 1));
+        let secondary = FakeAm::new_at("am-b.example");
+        secondary.grant("good", &permit_body(60_000, 1));
+        net.register(primary.clone());
+        net.register(secondary.clone());
+        let h = delegated_host(&net);
+        h.set_resilience(
+            ResilienceConfig::new()
+                .with_breaker(BreakerConfig {
+                    failure_threshold: 1,
+                    cooldown_ms: 60_000,
+                })
+                .with_fallback_am(
+                    "am.example",
+                    DelegationConfig {
+                        am: "am-b.example".into(),
+                        host_token: "ht-b".into(),
+                        delegation_id: "d-b".into(),
+                    },
+                ),
+        );
+        let url = Url::new("h.example", "/r1");
+        let go = |requester: &str, token: &str| {
+            h.enforce(
+                &net,
+                requester,
+                None,
+                "r1",
+                &Action::Read,
+                Some(token),
+                &url,
+            )
+        };
+
+        // A primary permit expires at an unchanged epoch.
+        assert!(go("req", "good").is_grant());
+        net.clock().advance_ms(1_001);
+        // The primary goes dark; another requester's query opens the
+        // circuit.
+        net.set_offline("am.example", true);
+        assert!(!go("req-2", "other").is_grant());
+        assert!(h.breaker_open("am.example"));
+        h.reset_stats();
+
+        // The expired permit would revalidate, but the query fast-fails
+        // and the fallback answers a plain one.
+        assert!(go("req", "good").is_grant());
+        let stats = h.stats();
+        assert_eq!(stats.revalidations, 0, "{stats:?}");
+        assert_eq!(stats.breaker_fast_fails, 1, "{stats:?}");
+        assert_eq!(stats.fallback_queries, 1, "{stats:?}");
     }
 
     #[test]

@@ -269,11 +269,6 @@ impl RtGroups {
         }
     }
 
-    /// Mutable access to the underlying credential store.
-    pub fn store_mut(&mut self) -> &mut RtStore {
-        &mut self.store
-    }
-
     /// Shared access to the underlying credential store.
     #[must_use]
     pub fn store(&self) -> &RtStore {

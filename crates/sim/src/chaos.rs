@@ -11,7 +11,11 @@
 //! Policy-epoch propagation is **asynchronous**: each AM delivers epoch
 //! advances to the Host over the simulated network through its push
 //! channel (`ucam_am::push`), with deterministic retry/backoff when the
-//! fabric drops the message. The soak therefore keeps **two** ground
+//! fabric drops the message. Every push carries the AM's signed
+//! capability sieve (DESIGN.md §12), so the Host serves sieve hits
+//! under the same faults; the Host's delegation names AM-A's secret, so
+//! every sieve AM-B signs is rejected at the door while its plain epoch
+//! parameters still apply. The soak therefore keeps **two** ground
 //! truth tables: `truth_now` (updated the instant a mutation lands at
 //! the AMs) and `truth_visible` (updated once the corresponding epoch
 //! push has been delivered to the Host). The gap between them is the
@@ -78,11 +82,6 @@ pub struct ChaosConfig {
     pub cache_ttl_ms: u64,
     /// Degraded-mode grace window on the Host's decision cache.
     pub stale_grace_ms: u64,
-    /// Enables the AMs' capability-sieve push (DESIGN.md §12): epoch
-    /// pushes carry a signed tier-1 sieve, and the Host serves matching
-    /// accesses lock-free. The soak's invariants are unchanged — the
-    /// sieve must be semantically invisible.
-    pub sieve: bool,
 }
 
 impl Default for ChaosConfig {
@@ -94,7 +93,6 @@ impl Default for ChaosConfig {
             seed: 42,
             cache_ttl_ms: 400,
             stale_grace_ms: 15_000,
-            sieve: false,
         }
     }
 }
@@ -151,8 +149,7 @@ pub struct ChaosReport {
     /// Accesses in the final healed verification sweep (all must match
     /// ground truth exactly).
     pub verified_accesses: u64,
-    /// Accesses granted by the Host's tier-1 capability sieve (zero when
-    /// [`ChaosConfig::sieve`] is off).
+    /// Accesses granted by the Host's tier-1 capability sieve.
     pub sieve_hits: u64,
     /// Sieve bodies the Host verified and installed.
     pub sieve_installs: u64,
@@ -162,8 +159,9 @@ pub struct ChaosReport {
     pub sieve_rejects: u64,
     /// Delivered epoch pushes that carried a sieve body (both AMs).
     pub sieves_pushed: u64,
-    /// Decision queries that carried an `if_epoch` precondition
-    /// (DESIGN.md §16).
+    /// Decision queries that left for the primary AM with an `if_epoch`
+    /// precondition (DESIGN.md §16); fast-failed ones and their fallback
+    /// queries do not count.
     pub revalidations: u64,
     /// Conditional queries answered *unchanged* that re-armed the
     /// expired cached permit.
@@ -230,16 +228,12 @@ fn build_rig(config: &ChaosConfig) -> Rig {
     am_b.set_identity_verifier(idp.verifier());
     // Epoch propagation is a real network message from here on: every
     // policy change schedules a push to the Host, delivered (and retried)
-    // by `pump_pushes` as the run advances.
-    am_a.set_epoch_push_target(HOST);
-    am_b.set_epoch_push_target(HOST);
-    if config.sieve {
-        // Both AMs compile sieves, but the Host's delegation for the
-        // owner names AM-A's secret: AM-B's bodies must all be rejected
-        // at the door while its plain epoch params still apply.
-        am_a.set_sieve_push(true);
-        am_b.set_sieve_push(true);
-    }
+    // by `pump_pushes` as the run advances. Both AMs compile sieves, but
+    // the Host's delegation for the owner names AM-A's secret: AM-B's
+    // bodies must all be rejected at the door while its plain epoch
+    // params still apply.
+    am_a.subscribe_epoch_push(HOST, OWNER);
+    am_b.subscribe_epoch_push(HOST, OWNER);
     let host = WebStorage::new(HOST, clock);
     host.shell().set_identity_verifier(idp.verifier());
     net.register(idp.clone());
@@ -589,6 +583,9 @@ mod tests {
 
     #[test]
     fn chaos_soak_holds_invariants() {
+        // The two-tier edge must be semantically invisible: the same
+        // ground-truth tables and the same soundness and staleness
+        // invariants hold with every epoch push carrying a sieve.
         let report = run(&ChaosConfig::default());
         assert_eq!(report.violations, 0, "{report:?}");
         assert!(report.accesses >= 1_000, "{report:?}");
@@ -618,22 +615,6 @@ mod tests {
                 <= ChaosConfig::default().stale_grace_ms + report.revocation_visibility_ms,
             "{report:?}"
         );
-    }
-
-    #[test]
-    fn chaos_soak_with_sieve_enabled_holds_the_same_invariants() {
-        // The tentpole's correctness proof: the two-tier edge must be
-        // semantically invisible. Same ground-truth tables, same
-        // soundness and staleness invariants, with the sieve carrying
-        // real load and the mirror AM's wrongly-signed sieves all
-        // rejected fail-closed.
-        let report = run(&ChaosConfig {
-            sieve: true,
-            ..ChaosConfig::default()
-        });
-        assert_eq!(report.violations, 0, "{report:?}");
-        assert!(report.accesses >= 1_000, "{report:?}");
-        assert!(report.granted > 0 && report.denied > 0, "{report:?}");
         // The sieve actually carried load end to end: pushed, installed,
         // and serving hits.
         assert!(report.sieves_pushed > 0, "{report:?}");
@@ -643,22 +624,31 @@ mod tests {
         // rejected — and its plain epoch params still got applied (the
         // run would violate soundness otherwise).
         assert!(report.sieve_rejects > 0, "{report:?}");
-        assert!(report.revalidations_unchanged > 0, "{report:?}");
-        assert!(
-            report.max_served_staleness_ms <= ChaosConfig::default().stale_grace_ms,
-            "{report:?}"
-        );
     }
 
+    /// Sixteen seeds at the default shape: zero violations and bounded
+    /// staleness on each. The load counters are not asserted — some
+    /// seeds see no unchanged re-arm. Release builds only (CI's
+    /// `full-verify` runs it); a debug build skips it to keep the
+    /// workspace suite quick.
     #[test]
-    fn chaos_soak_with_sieve_is_deterministic_per_seed() {
-        let config = ChaosConfig {
-            steps: 400,
-            seed: 7,
-            sieve: true,
-            ..ChaosConfig::default()
-        };
-        assert_eq!(run(&config), run(&config));
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "release only: seconds per seed in a debug build"
+    )]
+    fn chaos_soak_holds_across_seeds() {
+        let grace = ChaosConfig::default().stale_grace_ms;
+        for seed in 1..=16 {
+            let report = run(&ChaosConfig {
+                seed,
+                ..ChaosConfig::default()
+            });
+            assert_eq!(report.violations, 0, "seed {seed}: {report:?}");
+            assert!(
+                report.max_served_staleness_ms <= grace,
+                "seed {seed}: {report:?}"
+            );
+        }
     }
 
     #[test]

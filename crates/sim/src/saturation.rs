@@ -251,16 +251,15 @@ fn build_rig(transport: TransportKind, threads: usize) -> Rig {
 
     idp.register_user("bob", "pw");
     am.register_user("bob");
-    // The AM pushes epoch advances — and, with the sieve enabled,
-    // compiled tier-1 capability sieves (DESIGN.md §12) — to both Hosts.
-    am.set_sieve_push(true);
 
+    // Both Hosts subscribe to bob's epoch pushes, each carrying his
+    // compiled tier-1 capability sieve (DESIGN.md §12).
     let mut hosts = Vec::new();
     for authority in SAT_HOSTS {
         let host = WebStorage::new(authority, clock.clone());
         host.shell().set_identity_verifier(idp.verifier());
         net.register(host.clone());
-        am.set_epoch_push_target(authority);
+        am.subscribe_epoch_push(authority, "bob");
         let (delegation, host_token) = am.establish_delegation(authority, "bob").unwrap();
         host.shell().core.set_user_delegation(
             "bob",
@@ -511,28 +510,6 @@ pub fn run_saturation(config: &SaturationConfig) -> SaturationRow {
         p99_us: percentile_us(&samples, 0.99),
         work,
     }
-}
-
-/// Runs the standard sweep: both modes × the given thread counts, on
-/// the chosen transport backend.
-#[must_use]
-pub fn saturation_sweep(
-    transport: TransportKind,
-    thread_counts: &[usize],
-    iters_per_thread: usize,
-) -> Vec<SaturationRow> {
-    let mut rows = Vec::new();
-    for mode in [SaturationMode::Phase6Warm, SaturationMode::FullFlow] {
-        for &threads in thread_counts {
-            rows.push(run_saturation(&SaturationConfig {
-                threads,
-                iters_per_thread,
-                mode,
-                transport,
-            }));
-        }
-    }
-    rows
 }
 
 /// Renders rows as the `BENCH_PR2.json` document (a JSON array).

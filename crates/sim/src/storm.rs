@@ -4,10 +4,10 @@
 //! purges the owner's cached permits *owner-wide* at the Host — a
 //! one-grant edit against an owner with a hundred cached permits turns
 //! the next access wave into a hundred cold decision queries (the
-//! cold-miss storm). With sieve push on, the same push carries the
-//! owner's recompiled capability sieve (DESIGN.md §12–13, §16): the
-//! bystanders the edit left alone are served from it, and the wave
-//! re-queries only the entries the edit actually killed.
+//! cold-miss storm). The same push carries the owner's recompiled
+//! capability sieve (DESIGN.md §12–13, §16): the bystanders the edit
+//! left alone are served from it, and the wave re-queries only the
+//! entries the edit actually killed.
 //!
 //! Two probes, each measured on both transport backends with the same
 //! machine-independent [work counts](crate::saturation::WorkCounts)
@@ -15,8 +15,10 @@
 //!
 //! * [`run_cold_miss_storm`] — prime N cached permits, make one
 //!   single-realm policy edit, deliver the push, then replay the access
-//!   wave. With sieve push off the wave is all AM queries; with it on,
-//!   the wave re-queries only the realm the edit touched.
+//!   wave. With the pushed sieve the wave re-queries only the realm the
+//!   edit touched. The epoch-only baseline drops the Host's sieve
+//!   before the wave, by re-installing the owner's unchanged
+//!   delegation, so its wave is all AM queries.
 //! * [`run_revalidation_probe`] — prime N cached permits, let them age
 //!   past their TTL with *no* policy change, then replay the wave. The
 //!   Host revalidates each expired permit with an `if_epoch` query that
@@ -50,8 +52,9 @@ const READER: &str = "reader-0";
 pub struct StormConfig {
     /// Which transport backend carries the messages.
     pub transport: TransportKind,
-    /// Whether the AM compiles capability sieves into its epoch pushes
-    /// (`false`: the owner-wide purge alone).
+    /// Which row to measure: `true` keeps the sieve the edit's push
+    /// installed (`storm_sieve`); `false` drops it before the wave, so
+    /// only the owner-wide purge acts (`storm_epoch_only`).
     pub sieve: bool,
     /// Cached permits primed before the edit (≥ 2; one dies with the
     /// edited realm, the rest are bystanders).
@@ -68,7 +71,7 @@ pub struct StormRow {
     /// Accesses in the measured second wave (= `resources`).
     pub wave_accesses: u64,
     /// Decision queries the second wave sent to the AM — the storm
-    /// gauge. Epoch-only purges make this `resources`; sieve push
+    /// gauge. Epoch-only purges make this `resources`; the pushed sieve
     /// collapses it to the single edited entry.
     pub am_queries: u64,
     /// Second-wave permits served from the decision cache.
@@ -145,6 +148,8 @@ struct Rig {
     net: Arc<dyn Transport>,
     am: Arc<AuthorizationManager>,
     host: Arc<WebStorage>,
+    /// The owner's delegation as the Host holds it.
+    delegation: DelegationConfig,
     client: RequesterClient,
     resources: usize,
 }
@@ -153,7 +158,7 @@ struct Rig {
 /// alone in realm `special`, the rest in realm `shared` — each realm
 /// linked to its own open-read policy so unlinking `special` kills
 /// exactly one cached permit and bumps the epoch once.
-fn build_rig(transport: TransportKind, resources: usize, sieve: bool) -> Rig {
+fn build_rig(transport: TransportKind, resources: usize) -> Rig {
     assert!(resources >= 2, "need a special resource plus bystanders");
     let net: Arc<dyn Transport> = transport.build();
     net.trace().set_enabled(false);
@@ -161,8 +166,7 @@ fn build_rig(transport: TransportKind, resources: usize, sieve: bool) -> Rig {
     let idp = Arc::new(IdentityProvider::new("idp.example", clock.clone()));
     let am = Arc::new(AuthorizationManager::new(AM, clock.clone()));
     am.set_identity_verifier(idp.verifier());
-    am.set_epoch_push_target(HOST);
-    am.set_sieve_push(sieve);
+    am.subscribe_epoch_push(HOST, OWNER);
     let host = WebStorage::new(HOST, clock);
     host.shell().set_identity_verifier(idp.verifier());
     net.register(idp.clone());
@@ -172,14 +176,14 @@ fn build_rig(transport: TransportKind, resources: usize, sieve: bool) -> Rig {
     idp.register_user(OWNER, "pw");
     am.register_user(OWNER);
     let (delegation, host_token) = am.establish_delegation(HOST, OWNER).unwrap();
-    host.shell().core.set_user_delegation(
-        OWNER,
-        DelegationConfig {
-            am: AM.into(),
-            host_token,
-            delegation_id: delegation.id,
-        },
-    );
+    let delegation = DelegationConfig {
+        am: AM.into(),
+        host_token,
+        delegation_id: delegation.id,
+    };
+    host.shell()
+        .core
+        .set_user_delegation(OWNER, delegation.clone());
 
     let owner_assertion = idp.login(OWNER, "pw").unwrap().token;
     for r in 0..resources {
@@ -229,6 +233,7 @@ fn build_rig(transport: TransportKind, resources: usize, sieve: bool) -> Rig {
         net,
         am,
         host,
+        delegation,
         client,
         resources,
     }
@@ -267,7 +272,7 @@ fn prime(rig: &mut Rig) {
 /// resource still granted after the push, or a bystander denied.
 #[must_use]
 pub fn run_cold_miss_storm(config: &StormConfig) -> StormRow {
-    let mut rig = build_rig(config.transport, config.resources, config.sieve);
+    let mut rig = build_rig(config.transport, config.resources);
     prime(&mut rig);
 
     // The single-grant edit: unlink the `special` realm's policy. One
@@ -278,6 +283,14 @@ pub fn run_cold_miss_storm(config: &StormConfig) -> StormRow {
         })
         .unwrap();
     drain_pushes(&rig.am, rig.net.as_ref());
+    if !config.sieve {
+        // The epoch-only baseline: re-installing the unchanged
+        // delegation purges the owner's sieve, leaving the purge alone.
+        rig.host
+            .shell()
+            .core
+            .set_user_delegation(OWNER, rig.delegation.clone());
+    }
     rig.net.reset_stats();
     rig.host.shell().core.reset_stats();
 
@@ -324,7 +337,7 @@ pub fn run_cold_miss_storm(config: &StormConfig) -> StormRow {
 pub fn run_revalidation_probe(transport: TransportKind, conditional: bool) -> RevalRow {
     const RESOURCES: usize = 24;
     const TTL_MS: u64 = 1_000;
-    let mut rig = build_rig(transport, RESOURCES, false);
+    let mut rig = build_rig(transport, RESOURCES);
     rig.am
         .pap(OWNER, |account| account.set_cache_ttl_ms(TTL_MS))
         .unwrap();

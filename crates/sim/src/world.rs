@@ -448,19 +448,6 @@ impl World {
             shell.core.set_decision_cache_capacity(capacity);
         }
     }
-
-    /// Pushes every owner's current policy epoch from the AM to all
-    /// hosts, so cached decisions made under older policy state are
-    /// dropped — the targeted, protocol-faithful alternative to
-    /// [`World::flush_all_caches`].
-    pub fn sync_policy_epochs(&self) {
-        for (owner, epoch) in self.am.policy_epochs() {
-            self.pics.shell().core.note_policy_epoch(&owner, epoch);
-            self.storage.shell().core.note_policy_epoch(&owner, epoch);
-            self.docs.shell().core.note_policy_epoch(&owner, epoch);
-            self.videos.shell().core.note_policy_epoch(&owner, epoch);
-        }
-    }
 }
 
 #[cfg(test)]

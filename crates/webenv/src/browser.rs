@@ -80,19 +80,6 @@ impl Browser {
         self.request(net, Request::new(Method::Get, url))
     }
 
-    /// Issues a POST with form parameters and follows redirects.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `url` does not parse.
-    pub fn post(&mut self, net: &dyn Transport, url: &str, form: &[(&str, &str)]) -> Response {
-        let mut req = Request::new(Method::Post, url);
-        for (k, v) in form {
-            req = req.with_param(k, v);
-        }
-        self.request(net, req)
-    }
-
     /// Sends `req`, attaching cookies for its authority, following up to
     /// [`MAX_REDIRECTS`](self) redirects (cookies are re-evaluated per hop, and
     /// redirected requests are GETs, as in real browsers).

@@ -2,12 +2,13 @@
 //! capability sieve (DESIGN.md §12–13) is the one channel that keeps a
 //! Host fresh after an edit: every epoch push purges the owner's cached
 //! permits, and a sieve body vouches again only for what the AM still
-//! permits. A token issued while sieve push was off is in no sieve, so
-//! its permit falls back to that owner-wide purge.
+//! permits. A token that newer grants pushed off the AM's capped
+//! issued-grants registry is in no sieve, so its permit falls back to
+//! that owner-wide purge.
 
 use std::sync::Arc;
 
-use ucam::am::AuthorizationManager;
+use ucam::am::{AuthorizationManager, AuthorizeOutcome, AuthorizeRequest};
 use ucam::host::{DelegationConfig, WebStorage};
 use ucam::policy::prelude::*;
 use ucam::requester::{AccessSpec, RequesterClient};
@@ -27,14 +28,13 @@ struct Rig {
 /// Bob delegates one Host subscribed to his pushes, uploads one file
 /// and lets every authenticated user read it (default 60 s decision
 /// cache). Alice holds a read token and reads once, so the Host caches
-/// the AM's permit: the AM issues her token under `sieve_push` as given.
-fn rig_with_cached_permit(sieve_push: bool) -> Rig {
+/// the AM's permit.
+fn rig_with_cached_permit() -> Rig {
     let net = Arc::new(SimNet::new());
     let clock = net.clock().clone();
     let idp = Arc::new(IdentityProvider::new("idp.example", clock.clone()));
     let am = Arc::new(AuthorizationManager::new("am.example", clock.clone()));
     am.set_identity_verifier(idp.verifier());
-    am.set_sieve_push(sieve_push);
     let host = WebStorage::new(HOST, clock);
     host.shell().set_identity_verifier(idp.verifier());
     net.register(idp.clone());
@@ -149,29 +149,50 @@ fn restore(rig: &Rig) {
     drain_pushes(&rig.net, &rig.am);
 }
 
-/// Alice's token was issued while sieve push was off, so no sieve can
-/// name it. Once the push is on, the revocation's sieve leaves her out
-/// and the epoch note purges her cached permit: the revoked read is
-/// refused.
+/// The AM's registry of issued tokens, which the sieve compiler
+/// replays, keeps Bob's newest 4,096. Once newer grants push Alice's
+/// token off it, no sieve names her: a refreshed sieve leaves her read
+/// to her cached permit, and after a revocation the epoch note purges
+/// that permit, so the revoked read is refused.
 #[test]
-fn permit_cached_before_sieve_push_is_refused_after_a_revocation() {
-    let mut rig = rig_with_cached_permit(false);
-    rig.am.set_sieve_push(true);
-    revoke(&rig);
+fn permit_pushed_off_the_issued_registry_is_refused_after_a_revocation() {
+    let mut rig = rig_with_cached_permit();
+    for _ in 0..4_096 {
+        let request = AuthorizeRequest::new(HOST, "bob", FILE, Action::Read, "requester:carol")
+            .with_subject("carol");
+        assert!(matches!(
+            rig.am.authorize(&request),
+            AuthorizeOutcome::Token { .. }
+        ));
+    }
+    let before = rig.host.shell().core.stats();
+    rig.am.schedule_sieve_refresh();
+    drain_pushes(&rig.net, &rig.am);
+    assert!(alice_reads(&mut rig), "the cached permit still holds");
+    let after = rig.host.shell().core.stats();
     assert!(
-        rig.host.shell().core.stats().sieve_installs > 0,
-        "a sieve rode the push"
+        after.sieve_installs + after.sieve_delta_installs
+            > before.sieve_installs + before.sieve_delta_installs,
+        "a sieve rode the refresh"
     );
+    assert_eq!(
+        after.cache_hits,
+        before.cache_hits + 1,
+        "served from the cache"
+    );
+    assert_eq!(after.sieve_hits, 0, "no sieve names Alice's token");
+
+    revoke(&rig);
     assert!(!alice_reads(&mut rig), "the revoked read must be refused");
     assert_eq!(rig.host.shell().core.stats().sieve_hits, 0);
 }
 
-/// Alice's token was issued under sieve push. The revocation's sieve
-/// drops her and the epoch note purges her cached permit; the restore's
-/// sieve names her again, and the sieve serves her next read.
+/// The revocation's sieve drops Alice and the epoch note purges her
+/// cached permit; the restore's sieve names her again, and the sieve
+/// serves her next read.
 #[test]
 fn sieve_pushed_permit_is_revoked_then_restored() {
-    let mut rig = rig_with_cached_permit(true);
+    let mut rig = rig_with_cached_permit();
     revoke(&rig);
     assert!(!alice_reads(&mut rig), "the revoked read must be refused");
     assert_eq!(rig.host.shell().core.stats().sieve_hits, 0);

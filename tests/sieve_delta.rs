@@ -23,7 +23,7 @@ struct Rig {
 
 /// Bob delegates one Host, uploads two files, and links an
 /// authenticated-read policy. The AM compiles sieves into every epoch
-/// push, and the Host is subscribed per-owner (not via the global list).
+/// push, and the Host is subscribed to Bob's pushes.
 fn build_rig() -> Rig {
     let net = Arc::new(SimNet::new());
     let clock = net.clock().clone();
@@ -38,7 +38,6 @@ fn build_rig() -> Rig {
 
     idp.register_user("bob", "pw");
     am.register_user("bob");
-    am.set_sieve_push(true);
     am.subscribe_epoch_push(HOST, "bob");
     let (delegation, host_token) = am.establish_delegation(HOST, "bob").unwrap();
     host.shell().core.set_user_delegation(

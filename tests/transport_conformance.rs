@@ -345,10 +345,10 @@ fn batched_decisions_are_transport_agnostic() {
 fn epoch_push_revocation_is_transport_agnostic() {
     let log = assert_conformance(|net| {
         let mut world = shared_world(net);
-        // Harness wiring: the hosts subscribe to asynchronous epoch
-        // pushes over the transport under test.
+        // Harness wiring: the hosts subscribe to Bob's asynchronous
+        // epoch pushes over the transport under test.
         for host in HOSTS {
-            world.am.set_epoch_push_target(host);
+            world.am.subscribe_epoch_push(host, "bob");
         }
         let mut log = Vec::new();
         let outcome = world.friend_reads("alice", HOSTS[0], "/photos/rome/photo-0");
@@ -392,13 +392,11 @@ fn epoch_push_revocation_is_transport_agnostic() {
 #[test]
 fn sieve_install_and_reject_are_transport_agnostic() {
     let log = assert_conformance(|net| {
-        // Sieve push must be live *before* alice's token is minted: the
-        // compiler replays issued tokens, and tokens issued while the
-        // sieve is off stay on the tier-2 protocol path.
+        // The compiler replays every token the AM issued, alice's
+        // included.
         let mut world = World::bootstrap_on(net);
-        world.am.set_sieve_push(true);
         for host in HOSTS {
-            world.am.set_epoch_push_target(host);
+            world.am.subscribe_epoch_push(host, "bob");
         }
         world.upload_content(1);
         world.delegate_all_hosts("bob");
@@ -951,8 +949,7 @@ fn conditional_revalidation_is_transport_agnostic() {
 fn sieve_push_after_an_edit_is_transport_agnostic() {
     let log = assert_conformance(|net| {
         let rig = rig_on(net.clone());
-        rig.am_a.set_sieve_push(true);
-        rig.am_a.set_epoch_push_target("pics.example");
+        rig.am_a.subscribe_epoch_push("pics.example", "bob");
         // A second photo so the push has a bystander to spare.
         let bob = rig.idp.login("bob", "pw").unwrap().token;
         let image = ucam::host::Image::gradient(4, 4);
@@ -1301,10 +1298,8 @@ fn conditioned_permits_expire_with_their_conditions() {
 #[test]
 fn conditioned_sieve_entries_expire_with_their_conditions() {
     let log = assert_conformance(|net| {
-        // Sieve push goes live before alice's token is minted (the
-        // compiler replays issued tokens).
+        // The compiler replays every issued token, alice's included.
         let mut world = World::bootstrap_on(net);
-        world.am.set_sieve_push(true);
         world.am.subscribe_epoch_push(HOSTS[0], "bob");
         world.upload_content(1);
         world.delegate_all_hosts("bob");
