@@ -30,8 +30,16 @@
 //! (batch authorize and dynamic registration — DESIGN.md §16),
 //! `/policies/{import,export}`, and
 //! `/consent/*` — plus an asynchronous AM→Host policy-epoch [`push`]
-//! channel delivered over the simulated network, optionally carrying
-//! capability-sieve bodies.
+//! channel delivered over the simulated network, each push carrying the
+//! owner's capability sieve.
+//!
+//! The Web routes are one table of rows (DESIGN.md §17): each names its
+//! path, who may call it (anyone, a requester whose sent assertion must
+//! verify, a delegated Host, the named user, the owner or a custodian, a
+//! registrant, or a registered Host confirmed by the user) and its
+//! handler. One dispatcher checks that caller class before the handler
+//! runs and hands the handler the principal it found; docs/PROTOCOL.md
+//! lists every route with its class.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,6 +25,10 @@ use ucam_policy::{
     PolicyEngine, ResourceRef,
 };
 use ucam_webenv::identity::IdentityVerifier;
+use ucam_webenv::protocol::{
+    BATCH_AUTHORIZE_PATH, BATCH_DECISIONS_PATH, DECISION_V2_PATH, DELEGATE_V2_PATH,
+    REGISTER_DEREGISTER_PATH, REGISTER_PATH, REGISTER_ROTATE_PATH,
+};
 use ucam_webenv::{
     protocol, DecisionBody, Method, Request, Response, SimClock, Status, Transport, Url, WebApp,
 };
@@ -38,6 +42,8 @@ use crate::pap::{Account, ExportFormat};
 use crate::push::{EpochPushStats, PushFanOut};
 use crate::tokens::{AuthzGrant, HostGrant, TokenError, TokenService};
 use crate::trust::{Delegation, TrustError, TrustRegistry};
+use Caller::{Anyone, Host, Owner, RegisteredHost, Registrant, Requester, User};
+use OwnerOf::{Consent, Param, Snapshot};
 
 /// An error from the AM's native API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -341,7 +347,7 @@ struct Candidate<'a> {
 /// in the spirit of OAuth dynamic client registration). The secret is
 /// the bearer credential for the rotate/deregister management endpoints
 /// and, for `kind == "host"`, for obtaining delegations over the wire.
-struct Registrant {
+struct Registration {
     kind: String,
     authority: String,
     secret: String,
@@ -407,7 +413,7 @@ pub struct AuthorizationManager {
     shipped: Mutex<HashMap<(String, String), ShippedSieve>>,
     /// Dynamically registered Hosts/Requesters, keyed by registrant id.
     /// Management traffic only — never touched by `authorize`/`decide`.
-    registrants: Mutex<HashMap<String, Registrant>>,
+    registrants: Mutex<HashMap<String, Registration>>,
     /// Monotonic source for `reg-N` registrant ids.
     registrant_seq: AtomicU64,
 }
@@ -1547,189 +1553,265 @@ fn audit_token_entry(
 // Web interface
 // ---------------------------------------------------------------------------
 
+/// Who may call an AM route (DESIGN.md §17). The dispatcher checks a
+/// row's class before the row's handler runs and hands the handler the
+/// principal it found, so no handler authenticates anyone itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Caller {
+    /// Anyone; nothing is checked.
+    Anyone,
+    /// Anyone, but a `subject_token` that is sent must verify (401
+    /// `invalid identity assertion`). The handler gets the subject.
+    Requester,
+    /// A delegated Host. The dispatcher checks nothing: `decide` opens the
+    /// host token together with each authorization token, so each query
+    /// opens it once.
+    Host,
+    /// The user the param names, in their own session; a custodian does
+    /// not count.
+    User(&'static str),
+    /// The owner [`OwnerOf`] locates, or one of the owner's custodians.
+    Owner(OwnerOf),
+    /// A registrant, by its `registrant_id` and `secret`. The handler gets
+    /// the registrant id.
+    Registrant,
+    /// A host-kind registrant, confirmed by the session of the user the
+    /// param names. The handler gets the registrant's authority.
+    RegisteredHost(&'static str),
+}
+
+/// Where a [`Caller::Owner`] row finds the owner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OwnerOf {
+    /// The user the param names.
+    Param(&'static str),
+    /// The owner of the consent request `id` names. An unknown id is left
+    /// to the handler, which answers 400.
+    Consent,
+    /// The user of the account snapshot in the body; the body is parsed
+    /// once and handed to the handler.
+    Snapshot,
+}
+
+/// What a row's [`Caller`] class found.
+#[derive(Default)]
+struct Principal {
+    /// The user the call acts for: the named user (`User`,
+    /// `RegisteredHost`), the owner (`Owner`, never the custodian), or the
+    /// verified subject (`Requester`, when one was sent).
+    user: Option<String>,
+    /// The registrant id (`Registrant`) or the registered Host's authority
+    /// (`RegisteredHost`).
+    registrant: String,
+    /// The snapshot an `Owner(Snapshot)` row parsed.
+    account: Option<Box<Account>>,
+}
+
+/// One handler call: the request, the transport, and the principal.
+struct Call<'a> {
+    req: &'a Request,
+    net: &'a dyn Transport,
+    who: Principal,
+}
+
+impl Call<'_> {
+    /// The user a `User`, `Owner` or `RegisteredHost` row acts for.
+    fn user(&self) -> &str {
+        self.who.user.as_deref().unwrap_or_default()
+    }
+}
+
+/// One AM route: its path, who may call it, and its handler.
+type Route = (
+    &'static str,
+    Caller,
+    fn(&AuthorizationManager, Call<'_>) -> Response,
+);
+
 impl WebApp for AuthorizationManager {
     fn authority(&self) -> &str {
         &self.authority
     }
 
+    /// Serves `AuthorizationManager::ROUTES`: the row whose path matches,
+    /// its caller class checked, then its handler.
     fn handle(&self, net: &dyn Transport, req: &Request) -> Response {
-        match req.url.path() {
-            // Fig. 3: the User (browser) confirms the delegation; the AM
-            // issues the host access token and redirects back to the Host.
-            "/delegate" => self.web_delegate(req),
-            // Fig. 4: the User links policies to resources.
-            "/compose" => self.web_compose(req),
-            // Fig. 5: a Requester asks for an authorization token.
-            "/authorize" => self.web_authorize(req),
-            "/authorize/status" => self.web_authorize_status(req),
-            // Fig. 6: a Host queries for a decision.
-            protocol::DECISION_V2_PATH => {
-                let (verdict, resp) = self.web_decision(req);
-                // Lazy label: while tracing is off (every hot loop) this
-                // is one atomic load and no formatting.
-                net.trace().note_with(&self.authority, || {
-                    format!(
-                        "PDP decision for {} on {}: {verdict}",
-                        req.param("requester").unwrap_or("?"),
-                        req.param("resource").unwrap_or("?"),
-                    )
-                });
-                resp
-            }
-            // Batched decision queries: one round trip, up to
-            // `protocol::MAX_BATCH` verdicts.
-            protocol::BATCH_DECISIONS_PATH => {
-                let resp = self.web_decisions_batch(req);
-                net.trace().note_with(&self.authority, || {
-                    format!(
-                        "PDP batch decision ({} bytes in, {} bytes out)",
-                        req.body.len(),
-                        resp.body.len()
-                    )
-                });
-                resp
-            }
-            // Protocol v2 (DESIGN.md §16): batch authorize and dynamic
-            // registration.
-            protocol::BATCH_AUTHORIZE_PATH => self.web_authorize_batch(req),
-            protocol::REGISTER_PATH => self.web_register(req),
-            protocol::REGISTER_ROTATE_PATH => self.web_register_rotate(req),
-            protocol::REGISTER_DEREGISTER_PATH => self.web_register_deregister(req),
-            protocol::DELEGATE_V2_PATH => self.web_delegate_v2(req),
-            // §VI REST policy interface.
-            "/policies/export" => self.web_export(req),
-            "/policies/import" => self.web_import(req),
-            // Account portability (switching AMs, R1).
-            "/account/export" => match req.param("owner") {
-                Some(owner) => {
-                    let owner = owner.to_owned();
-                    if let Err(resp) = self.require_user(req, &owner, true) {
-                        return resp;
-                    }
-                    match self.export_account(&owner) {
-                        Ok(snapshot) => Response::ok().with_body(snapshot),
-                        Err(e) => Response::bad_request(&e.to_string()),
-                    }
-                }
-                None => Response::bad_request("owner required"),
-            },
-            // Importing replaces the snapshot owner's account, so only
-            // that owner (or a custodian) may do it.
-            "/account/import" => match serde_json::from_str::<Account>(&req.body) {
-                Ok(account) => match self.require_user(req, account.user(), true) {
-                    Ok(()) => Response::with_status(Status::Created)
-                        .with_body(self.install_account(account)),
-                    Err(resp) => resp,
-                },
-                Err(e) => Response::bad_request(&e.to_string()),
-            },
-            // R4's consolidated audit view.
-            "/audit/view" => self.web_audit_view(req),
-            // Principal-group management (the R3 single management tool).
-            "/groups/add" => self.web_group_edit(req, true),
-            "/groups/remove" => self.web_group_edit(req, false),
-            // §V.D consent UI.
-            "/consent/pending" => self.web_consent_pending(req),
-            "/consent/grant" => self.web_consent_settle(req, true),
-            "/consent/deny" => self.web_consent_settle(req, false),
-            other => Response::not_found(other),
+        let path = req.url.path();
+        let Some(&(_, caller, handler)) = Self::ROUTES.iter().find(|row| row.0 == path) else {
+            return Response::not_found(path);
+        };
+        match self.authenticate(caller, req) {
+            Ok(who) => handler(self, Call { req, net, who }),
+            Err(resp) => resp,
         }
     }
 }
 
 impl AuthorizationManager {
-    /// Resolves the authenticated user behind a browser request (identity
-    /// assertion in the `subject_token` parameter or `ident` cookie).
-    /// Returns `None` when no IdP is configured — authentication is then
-    /// out of scope, as in the paper's base protocol (§V.B).
-    fn web_subject(&self, req: &Request) -> Option<Result<String, Response>> {
-        let has_idp = self.state.read().idp.is_some();
-        if !has_idp {
-            return None;
+    /// The AM's route table (DESIGN.md §17; docs/PROTOCOL.md lists it as
+    /// "Who may call each route"). Rows match on the path alone; the
+    /// decision and authorize rows come first.
+    const ROUTES: &'static [Route] = &[
+        // Fig. 6: a Host queries for a decision, or for up to
+        // `protocol::MAX_BATCH` of them in one round trip.
+        (DECISION_V2_PATH, Host, Self::web_decision),
+        (BATCH_DECISIONS_PATH, Host, Self::web_decisions_batch),
+        // Fig. 5: a Requester asks for an authorization token.
+        ("/authorize", Requester, Self::web_authorize),
+        (BATCH_AUTHORIZE_PATH, Requester, Self::web_authorize_batch),
+        ("/authorize/status", Anyone, Self::web_authorize_status),
+        // Fig. 3: the User confirms the delegation.
+        ("/delegate", User("user"), Self::web_delegate),
+        // Fig. 4: the User links policies to resources.
+        ("/compose", Owner(Param("owner")), Self::web_compose),
+        // Protocol v2 (DESIGN.md §16): dynamic registration.
+        (REGISTER_PATH, Anyone, Self::web_register),
+        (REGISTER_ROTATE_PATH, Registrant, Self::web_register_rotate),
+        (REGISTER_DEREGISTER_PATH, Registrant, Self::web_deregister),
+        (DELEGATE_V2_PATH, RegisteredHost("user"), Self::web_onboard),
+        // §VI REST policy interface.
+        ("/policies/export", Owner(Param("owner")), Self::web_export),
+        ("/policies/import", Owner(Param("owner")), Self::web_import),
+        // Account portability (switching AMs, R1).
+        ("/account/export", Owner(Param("owner")), Self::web_snapshot),
+        ("/account/import", Owner(Snapshot), Self::web_install),
+        // R4's consolidated audit view.
+        ("/audit/view", Owner(Param("owner")), Self::web_audit_view),
+        // Principal-group management (the R3 single management tool).
+        ("/groups/add", Owner(Param("owner")), Self::web_groups),
+        ("/groups/remove", Owner(Param("owner")), Self::web_groups),
+        // §V.D consent UI.
+        ("/consent/pending", Owner(Param("owner")), Self::web_pending),
+        ("/consent/grant", Owner(Consent), Self::web_consent_settle),
+        ("/consent/deny", Owner(Consent), Self::web_consent_settle),
+    ];
+
+    /// Checks `caller` for `req` and returns the principal it found, or
+    /// the response that refuses the call. A locator param that is
+    /// missing is a 400 naming it.
+    fn authenticate(&self, caller: Caller, req: &Request) -> Result<Principal, Response> {
+        let named = |param: &str| {
+            req.param(param)
+                .ok_or_else(|| Response::bad_request(&format!("{param} required")))
+        };
+        let mut who = Principal::default();
+        match caller {
+            Anyone | Host => {}
+            Requester => {
+                if let Some(token) = req.param("subject_token") {
+                    let subject = self.verify_subject(token);
+                    who.user =
+                        Some(subject.ok_or_else(|| unauthorized("invalid identity assertion"))?);
+                }
+            }
+            User(param) => who.user = Some(self.require_user(req, named(param)?, false)?),
+            Owner(Param(param)) => who.user = Some(self.require_user(req, named(param)?, true)?),
+            Owner(Consent) => {
+                if let Some(owner) = self.consent.owner_of(named("id")?) {
+                    who.user = Some(self.require_user(req, &owner, true)?);
+                }
+            }
+            Owner(Snapshot) => {
+                let account = serde_json::from_str::<Account>(&req.body)
+                    .map_err(|e| Response::bad_request(&e.to_string()))?;
+                who.user = Some(self.require_user(req, account.user(), true)?);
+                who.account = Some(Box::new(account));
+            }
+            Registrant => who.registrant = self.authenticate_registrant(req)?.0,
+            RegisteredHost(param) => {
+                let (_, kind, authority) = self.authenticate_registrant(req)?;
+                let user = named(param)?;
+                if kind != "host" {
+                    let why = "only host registrants may receive delegations";
+                    return Err(Response::forbidden(why));
+                }
+                who.user = Some(self.require_user(req, user, false)?);
+                who.registrant = authority;
+            }
         }
-        let token = req
-            .param("subject_token")
-            .map(str::to_owned)
-            .or_else(|| req.cookie("ident").map(str::to_owned));
-        Some(match token.and_then(|t| self.verify_subject(&t)) {
-            Some(user) => Ok(user),
-            None => Err(Response::with_status(Status::Unauthorized)
-                .with_body("log in to your authorization manager first")),
-        })
+        Ok(who)
     }
 
-    /// Requires the browser to be authenticated as `expected` (or as one
-    /// of their custodians, when `allow_custodian` is set). Passes
-    /// everything when no IdP is configured.
+    /// Requires the browser (identity assertion in the `subject_token`
+    /// param or the `ident` cookie) to be authenticated as `expected`, or
+    /// as one of their custodians when `allow_custodian` is set, and
+    /// returns `expected`. Passes everyone when no IdP is configured:
+    /// authentication is then out of scope, as in the paper's base
+    /// protocol (§V.B).
     fn require_user(
         &self,
         req: &Request,
         expected: &str,
         allow_custodian: bool,
-    ) -> Result<(), Response> {
-        match self.web_subject(req) {
-            None => Ok(()),
-            Some(Err(resp)) => Err(resp),
-            Some(Ok(actor)) => {
-                if actor == expected {
-                    return Ok(());
-                }
-                if allow_custodian {
-                    let authorized = self
-                        .pap_ref(expected, |account| account.may_administer(&actor))
-                        .unwrap_or(false);
-                    if authorized {
-                        return Ok(());
-                    }
-                }
-                Err(Response::forbidden(&format!(
-                    "{actor} may not act for {expected}"
-                )))
+    ) -> Result<String, Response> {
+        let actor = {
+            let state = self.state.read();
+            let Some(idp) = state.idp.as_ref() else {
+                return Ok(expected.to_owned());
+            };
+            let token = req.param("subject_token").or_else(|| req.cookie("ident"));
+            token.and_then(|t| idp.verify(t).ok())
+        };
+        let Some(actor) = actor else {
+            return Err(unauthorized("log in to your authorization manager first"));
+        };
+        let custodian = || {
+            self.pap_ref(expected, |account| account.may_administer(&actor))
+                .unwrap_or(false)
+        };
+        if actor == expected || (allow_custodian && custodian()) {
+            return Ok(expected.to_owned());
+        }
+        Err(Response::forbidden(&format!(
+            "{actor} may not act for {expected}"
+        )))
+    }
+
+    /// Authenticates a registrant (`registrant_id` + `secret` params)
+    /// against the registry and returns its id, kind and authority.
+    /// Secrets are compared as SHA-256 digests in constant time, so
+    /// neither content nor length of a wrong guess leaks through timing.
+    fn authenticate_registrant(&self, req: &Request) -> Result<(String, String, String), Response> {
+        let (Some(id), Some(secret)) = (req.param("registrant_id"), req.param("secret")) else {
+            return Err(Response::bad_request("registrant_id and secret required"));
+        };
+        let digest = |s: &str| ucam_crypto::sha256(s.as_bytes());
+        match self.registrants.lock().get(id) {
+            Some(r) if ucam_crypto::ct_eq(&digest(&r.secret), &digest(secret)) => {
+                Ok((id.to_owned(), r.kind.clone(), r.authority.clone()))
             }
+            _ => Err(unauthorized("unknown registrant or bad secret")),
         }
     }
 
-    fn web_delegate(&self, req: &Request) -> Response {
-        let (host, user) = match (req.param("host"), req.param("user")) {
-            (Some(h), Some(u)) => (h.to_owned(), u.to_owned()),
-            _ => return Response::bad_request("host and user required"),
+    /// Fig. 3: the AM issues the host access token for the confirming
+    /// user and redirects back to the Host.
+    fn web_delegate(&self, c: Call<'_>) -> Response {
+        let Some(host) = c.req.param("host") else {
+            return Response::bad_request("host and user required");
         };
-        // Fig. 3: the User "is redirected from the Host to AM to confirm"
-        // — only the authenticated user may confirm their own delegation.
-        if let Err(resp) = self.require_user(req, &user, false) {
-            return resp;
-        }
-        match self.establish_delegation(&host, &user) {
-            Ok((delegation, token)) => match req.param("return") {
-                Some(ret) => match ret.parse::<Url>() {
-                    Ok(url) => Response::redirect(
-                        &url.with_query("host_token", &token)
-                            .with_query("delegation_id", &delegation.id),
-                    ),
-                    Err(_) => Response::bad_request("invalid return url"),
-                },
+        match self.establish_delegation(host, c.user()) {
+            Ok((delegation, token)) => match c.req.param("return").map(str::parse::<Url>) {
+                Some(Ok(url)) => Response::redirect(
+                    &url.with_query("host_token", &token)
+                        .with_query("delegation_id", &delegation.id),
+                ),
+                Some(Err(_)) => Response::bad_request("invalid return url"),
                 None => Response::ok().with_body(token),
             },
             Err(e) => Response::bad_request(&e.to_string()),
         }
     }
 
-    fn web_compose(&self, req: &Request) -> Response {
-        let owner = match req.param("owner") {
-            Some(o) => o.to_owned(),
-            None => return Response::bad_request("owner required"),
-        };
-        // Policy composition is for the owner or an appointed custodian.
-        if let Err(resp) = self.require_user(req, &owner, true) {
-            return resp;
-        }
+    fn web_compose(&self, c: Call<'_>) -> Response {
+        let req = c.req;
         let (host, resource_id) = match (req.param("host"), req.param("resource")) {
-            (Some(h), Some(r)) => (h.to_owned(), r.to_owned()),
+            (Some(h), Some(r)) => (h, r),
             _ => return Response::bad_request("host and resource required"),
         };
-        let resource = ResourceRef::new(&host, &resource_id);
+        let resource = ResourceRef::new(host, resource_id);
 
-        let result = self.pap(&owner, |account| {
+        let result = self.pap(c.user(), |account| {
             if let Some(realm) = req.param("realm") {
                 account.assign_realm(resource.clone(), realm);
                 if let Some(general) = req.param("general") {
@@ -1756,27 +1838,19 @@ impl AuthorizationManager {
         }
     }
 
-    fn web_authorize(&self, req: &Request) -> Response {
+    fn web_authorize(&self, c: Call<'_>) -> Response {
+        let req = c.req;
         let (host, owner, resource) =
             match (req.param("host"), req.param("owner"), req.param("resource")) {
-                (Some(h), Some(o), Some(r)) => (h.to_owned(), o.to_owned(), r.to_owned()),
+                (Some(h), Some(o), Some(r)) => (h, o, r),
                 _ => return Response::bad_request("host, owner, resource required"),
             };
-        let requester = match req.param("requester") {
-            Some(r) => r.to_owned(),
-            None => return Response::bad_request("requester required"),
+        let Some(requester) = req.param("requester") else {
+            return Response::bad_request("requester required");
         };
         let action = parse_action(req.param("action"));
-        let mut authz = AuthorizeRequest::new(&host, &owner, &resource, action, &requester);
-        if let Some(token) = req.param("subject_token") {
-            match self.verify_subject(token) {
-                Some(subject) => authz.subject = Some(subject),
-                None => {
-                    return Response::with_status(Status::Unauthorized)
-                        .with_body("invalid identity assertion")
-                }
-            }
-        }
+        let mut authz = AuthorizeRequest::new(host, owner, resource, action, requester);
+        authz.subject = c.who.user;
         if let Some(claims) = req.param("claims") {
             authz.claim_tokens = claims.split(',').map(str::to_owned).collect();
         }
@@ -1801,8 +1875,8 @@ impl AuthorizationManager {
         }
     }
 
-    fn web_authorize_status(&self, req: &Request) -> Response {
-        match req.param("id").and_then(|id| self.consent_state(id)) {
+    fn web_authorize_status(&self, c: Call<'_>) -> Response {
+        match c.req.param("id").and_then(|id| self.consent_state(id)) {
             Some(ConsentState::Pending) => Response::ok().with_body("pending"),
             Some(ConsentState::Granted) => Response::ok().with_body("granted"),
             Some(ConsentState::Denied) => Response::ok().with_body("denied"),
@@ -1812,51 +1886,55 @@ impl AuthorizationManager {
     }
 
     /// Handles `/protection/v2/decision`, the one single-decision route,
-    /// and returns the verdict its trace note names (`"permit"`,
-    /// `"deny"`, `"unchanged"` or `"refused"`) with the response. An
-    /// optional `if_epoch` parameter carries the epoch the Host's cached
-    /// entry was stamped with. The decision is evaluated in full either
-    /// way (audit records and use counts do not depend on the
-    /// precondition); only the *serialization* is conditional — a permit
-    /// whose epoch still matches collapses to the compact
-    /// [`protocol::UnchangedBody`] instead of re-shipping the verdict.
-    fn web_decision(&self, req: &Request) -> (&'static str, Response) {
-        let if_epoch = match req.param("if_epoch").map(str::parse::<u64>) {
-            None => None,
-            Some(Ok(epoch)) => Some(epoch),
+    /// and notes the verdict (`"permit"`, `"deny"`, `"unchanged"` or
+    /// `"refused"`) in the trace. An optional `if_epoch` parameter carries
+    /// the epoch the Host's cached entry was stamped with. The decision is
+    /// evaluated in full either way (audit records and use counts do not
+    /// depend on the precondition); only the *serialization* is
+    /// conditional — a permit whose epoch still matches collapses to the
+    /// compact [`protocol::UnchangedBody`] instead of re-shipping the
+    /// verdict.
+    fn web_decision(&self, c: Call<'_>) -> Response {
+        let req = c.req;
+        let if_epoch = req.param("if_epoch").map(str::parse::<u64>);
+        let (verdict, resp) = match (if_epoch, parse_decision_query(req)) {
             // Fail closed: an unparseable epoch is a malformed request,
             // not an unconditional one.
-            Some(Err(_)) => {
-                let resp = Response::bad_request("if_epoch must be an unsigned integer");
-                return ("refused", resp);
-            }
+            (Some(Err(_)), _) => (
+                "refused",
+                Response::bad_request("if_epoch must be an unsigned integer"),
+            ),
+            (_, Err(resp)) => ("refused", resp),
+            (if_epoch, Ok(query)) => match self.decide(&query) {
+                Ok(Decision::Permit {
+                    cacheable_ms,
+                    policy_epoch,
+                }) if if_epoch == Some(Ok(policy_epoch)) => {
+                    let body = protocol::UnchangedBody { cacheable_ms }.to_json();
+                    ("unchanged", Response::ok().with_body(body))
+                }
+                Ok(decision) => {
+                    let verdict = if decision.is_permit() {
+                        "permit"
+                    } else {
+                        "deny"
+                    };
+                    let body = decision_wire(&decision).to_json();
+                    (verdict, Response::ok().with_body(body))
+                }
+                Err(e) => ("refused", unauthorized(&e.to_string())),
+            },
         };
-        let query = match parse_decision_query(req) {
-            Ok(query) => query,
-            Err(resp) => return ("refused", resp),
-        };
-        match self.decide(&query) {
-            Ok(Decision::Permit {
-                cacheable_ms,
-                policy_epoch,
-            }) if if_epoch == Some(policy_epoch) => {
-                let body = protocol::UnchangedBody { cacheable_ms }.to_json();
-                ("unchanged", Response::ok().with_body(body))
-            }
-            Ok(decision) => {
-                let verdict = if decision.is_permit() {
-                    "permit"
-                } else {
-                    "deny"
-                };
-                let body = decision_wire(&decision).to_json();
-                (verdict, Response::ok().with_body(body))
-            }
-            Err(e) => {
-                let resp = Response::with_status(Status::Unauthorized).with_body(e.to_string());
-                ("refused", resp)
-            }
-        }
+        // Lazy label: while tracing is off (every hot loop) this is one
+        // atomic load and no formatting.
+        c.net.trace().note_with(&self.authority, || {
+            format!(
+                "PDP decision for {} on {}: {verdict}",
+                req.param("requester").unwrap_or("?"),
+                req.param("resource").unwrap_or("?"),
+            )
+        });
+        resp
     }
 
     /// Handles `/protection/v1/decisions`: the body is a JSON array of
@@ -1865,7 +1943,8 @@ impl AuthorizationManager {
     /// Token failures are per-item (`"decision":"error"`), so one expired
     /// token cannot poison a batch — except a bad *host* token, which by
     /// construction fails every item.
-    fn web_decisions_batch(&self, req: &Request) -> Response {
+    fn web_decisions_batch(&self, c: Call<'_>) -> Response {
+        let req = c.req;
         let Some(host_token) = req.param("host_token") else {
             return Response::bad_request("host_token required");
         };
@@ -1891,7 +1970,15 @@ impl AuthorizationManager {
                 Err(e) => DecisionBody::error(&e.to_string()),
             })
             .collect();
-        Response::ok().with_body(protocol::encode_batch_response(&bodies))
+        let resp = Response::ok().with_body(protocol::encode_batch_response(&bodies));
+        c.net.trace().note_with(&self.authority, || {
+            format!(
+                "PDP batch decision ({} bytes in, {} bytes out)",
+                req.body.len(),
+                resp.body.len()
+            )
+        });
+        resp
     }
 
     /// Handles `/protection/v2/authorize`: the requester-side sibling of
@@ -1900,24 +1987,15 @@ impl AuthorizationManager {
     /// optional `subject_token`/`claims`) from the params; the response
     /// is a JSON array of [`protocol::AuthorizeReply`]s in request order.
     /// Outcomes are per-item, so one denial cannot poison its neighbors.
-    fn web_authorize_batch(&self, req: &Request) -> Response {
+    fn web_authorize_batch(&self, c: Call<'_>) -> Response {
+        let req = c.req;
         let (host, requester) = match (req.param("host"), req.param("requester")) {
-            (Some(h), Some(r)) => (h.to_owned(), r.to_owned()),
+            (Some(h), Some(r)) => (h, r),
             _ => return Response::bad_request("host and requester required"),
         };
         let items = match protocol::parse_authorize_request(&req.body) {
             Ok(items) => items,
             Err(e) => return Response::bad_request(&e.to_string()),
-        };
-        let subject = match req.param("subject_token") {
-            Some(token) => match self.verify_subject(token) {
-                Some(subject) => Some(subject),
-                None => {
-                    return Response::with_status(Status::Unauthorized)
-                        .with_body("invalid identity assertion")
-                }
-            },
-            None => None,
         };
         let claim_tokens: Vec<String> = req
             .param("claims")
@@ -1927,13 +2005,13 @@ impl AuthorizationManager {
             .iter()
             .map(|item| {
                 let mut authz = AuthorizeRequest::new(
-                    &host,
+                    host,
                     &item.owner,
                     &item.resource,
                     parse_action(Some(item.action.as_str())),
-                    &requester,
+                    requester,
                 );
-                authz.subject = subject.clone();
+                authz.subject.clone_from(&c.who.user);
                 authz.claim_tokens = claim_tokens.clone();
                 match self.authorize(&authz) {
                     AuthorizeOutcome::Token { token, .. } => protocol::AuthorizeReply::Token(token),
@@ -1959,8 +2037,8 @@ impl AuthorizationManager {
     /// open (as in RFC 7591's open-registration mode) — it grants no
     /// authority by itself; every privileged operation behind it is
     /// separately gated (delegations still require the user, §16).
-    fn web_register(&self, req: &Request) -> Response {
-        let body = match protocol::RegisterBody::from_json(&req.body) {
+    fn web_register(&self, c: Call<'_>) -> Response {
+        let body = match protocol::RegisterBody::from_json(&c.req.body) {
             Ok(body) => body,
             Err(e) => return Response::bad_request(&e.to_string()),
         };
@@ -1971,7 +2049,7 @@ impl AuthorizationManager {
         let secret = ucam_crypto::random_token(16);
         self.registrants.lock().insert(
             id.clone(),
-            Registrant {
+            Registration {
                 kind: body.kind,
                 authority: body.authority,
                 secret: secret.clone(),
@@ -1986,54 +2064,23 @@ impl AuthorizationManager {
         )
     }
 
-    /// Authenticates a registrant-management call (`registrant_id` +
-    /// `secret` params) against the registry. Secrets are compared as
-    /// SHA-256 digests in constant time, so neither content nor length
-    /// of a wrong guess leaks through timing.
-    fn authenticate_registrant(&self, req: &Request) -> Result<String, Response> {
-        let (id, secret) = match (req.param("registrant_id"), req.param("secret")) {
-            (Some(i), Some(s)) => (i.to_owned(), s.to_owned()),
-            _ => return Err(Response::bad_request("registrant_id and secret required")),
-        };
-        let authenticated = {
-            let registrants = self.registrants.lock();
-            registrants.get(&id).is_some_and(|r| {
-                ucam_crypto::ct_eq(
-                    &ucam_crypto::sha256(r.secret.as_bytes()),
-                    &ucam_crypto::sha256(secret.as_bytes()),
-                )
-            })
-        };
-        if authenticated {
-            Ok(id)
-        } else {
-            Err(Response::with_status(Status::Unauthorized)
-                .with_body("unknown registrant or bad secret"))
-        }
-    }
-
     /// Handles `/protection/v2/register/rotate`: swaps the registrant's
     /// management secret for a fresh one (RFC 7592-style credential
     /// rotation). The old secret dies with this response.
-    fn web_register_rotate(&self, req: &Request) -> Response {
-        let id = match self.authenticate_registrant(req) {
-            Ok(id) => id,
-            Err(resp) => return resp,
-        };
+    fn web_register_rotate(&self, c: Call<'_>) -> Response {
         let secret = ucam_crypto::random_token(16);
-        match self.registrants.lock().get_mut(&id) {
+        match self.registrants.lock().get_mut(&c.who.registrant) {
             Some(registrant) => {
                 registrant.secret = secret.clone();
                 Response::ok().with_body(
                     protocol::RegistrationReply {
-                        registrant_id: id,
+                        registrant_id: c.who.registrant,
                         secret,
                     }
                     .to_json(),
                 )
             }
-            None => Response::with_status(Status::Unauthorized)
-                .with_body("unknown registrant or bad secret"),
+            None => unauthorized("unknown registrant or bad secret"),
         }
     }
 
@@ -2041,52 +2088,25 @@ impl AuthorizationManager {
     /// registrant. Existing delegations are untouched — deregistration
     /// revokes the ability to obtain *new* credentials, while revoking a
     /// live delegation stays the owner's call (`revoke_delegation`).
-    fn web_register_deregister(&self, req: &Request) -> Response {
-        let id = match self.authenticate_registrant(req) {
-            Ok(id) => id,
-            Err(resp) => return resp,
-        };
-        self.registrants.lock().remove(&id);
+    fn web_deregister(&self, c: Call<'_>) -> Response {
+        self.registrants.lock().remove(&c.who.registrant);
         Response::ok().with_body("deregistered")
     }
 
     /// Handles `/protection/v2/delegate`: a *registered* Host obtains a
-    /// delegation for `user` over the wire, replacing the hand-wired
-    /// bootstrap. The registrant credential authenticates the Host's
-    /// identity; it does not bypass the user — when an IdP is configured
-    /// the user (or a custodian) must still confirm via `subject_token`,
+    /// delegation for the confirming user over the wire, replacing the
+    /// hand-wired bootstrap. The registrant credential authenticates the
+    /// Host's identity; it does not bypass the user — when an IdP is
+    /// configured the user must still confirm in their own session,
     /// exactly as on the v1 `/delegate` route. With `subscribe=1` the
     /// Host is also subscribed to the owner's epoch pushes in the same
     /// round trip.
-    fn web_delegate_v2(&self, req: &Request) -> Response {
-        let id = match self.authenticate_registrant(req) {
-            Ok(id) => id,
-            Err(resp) => return resp,
-        };
-        let user = match req.param("user") {
-            Some(u) => u.to_owned(),
-            None => return Response::bad_request("user required"),
-        };
-        let (kind, authority) = {
-            let registrants = self.registrants.lock();
-            match registrants.get(&id) {
-                Some(r) => (r.kind.clone(), r.authority.clone()),
-                None => {
-                    return Response::with_status(Status::Unauthorized)
-                        .with_body("unknown registrant or bad secret")
-                }
-            }
-        };
-        if kind != "host" {
-            return Response::forbidden("only host registrants may receive delegations");
-        }
-        if let Err(resp) = self.require_user(req, &user, false) {
-            return resp;
-        }
-        match self.establish_delegation(&authority, &user) {
+    fn web_onboard(&self, c: Call<'_>) -> Response {
+        let (authority, user) = (&c.who.registrant, c.user());
+        match self.establish_delegation(authority, user) {
             Ok((delegation, token)) => {
-                if req.param("subscribe") == Some("1") {
-                    self.subscribe_epoch_push(&authority, &user);
+                if c.req.param("subscribe") == Some("1") {
+                    self.subscribe_epoch_push(authority, user);
                 }
                 Response::with_status(Status::Created).with_body(
                     protocol::DelegateReply {
@@ -2100,82 +2120,67 @@ impl AuthorizationManager {
         }
     }
 
-    fn web_export(&self, req: &Request) -> Response {
-        let owner = match req.param("owner") {
-            Some(o) => o.to_owned(),
-            None => return Response::bad_request("owner required"),
-        };
-        if let Err(resp) = self.require_user(req, &owner, true) {
-            return resp;
-        }
-        let format = match ExportFormat::from_name(req.param("format").unwrap_or("json")) {
+    fn web_export(&self, c: Call<'_>) -> Response {
+        let format = match ExportFormat::from_name(c.req.param("format").unwrap_or("json")) {
             Some(f) => f,
             None => return Response::bad_request("format must be json or xml"),
         };
-        match self.pap_ref(&owner, |account| account.export_policies(format)) {
+        match self.pap_ref(c.user(), |account| account.export_policies(format)) {
             Ok(body) => Response::ok().with_body(body),
             Err(e) => Response::bad_request(&e.to_string()),
         }
     }
 
-    fn web_import(&self, req: &Request) -> Response {
-        let owner = match req.param("owner") {
-            Some(o) => o.to_owned(),
-            None => return Response::bad_request("owner required"),
-        };
-        if let Err(resp) = self.require_user(req, &owner, true) {
-            return resp;
-        }
-        let format = match ExportFormat::from_name(req.param("format").unwrap_or("json")) {
+    fn web_import(&self, c: Call<'_>) -> Response {
+        let format = match ExportFormat::from_name(c.req.param("format").unwrap_or("json")) {
             Some(f) => f,
             None => return Response::bad_request("format must be json or xml"),
         };
-        let body = req.body.clone();
-        match self.pap(&owner, move |account| {
-            account.import_policies(format, &body)
-        }) {
+        let body = &c.req.body;
+        match self.pap(c.user(), |account| account.import_policies(format, body)) {
             Ok(Ok(count)) => Response::ok().with_body(format!("imported {count}")),
             Ok(Err(e)) => Response::bad_request(&e.to_string()),
             Err(e) => Response::bad_request(&e.to_string()),
         }
     }
 
+    fn web_snapshot(&self, c: Call<'_>) -> Response {
+        match self.export_account(c.user()) {
+            Ok(snapshot) => Response::ok().with_body(snapshot),
+            Err(e) => Response::bad_request(&e.to_string()),
+        }
+    }
+
+    /// Importing replaces the snapshot owner's account, so only that
+    /// owner (or a custodian) may do it; the row's class checked that.
+    fn web_install(&self, c: Call<'_>) -> Response {
+        match c.who.account {
+            Some(account) => {
+                Response::with_status(Status::Created).with_body(self.install_account(*account))
+            }
+            None => Response::bad_request("account snapshot required"),
+        }
+    }
+
     /// Renders the owner's consolidated audit view: every decision across
     /// every host, newest last, optionally filtered by requester.
-    fn web_audit_view(&self, req: &Request) -> Response {
-        let owner = match req.param("owner") {
-            Some(o) => o.to_owned(),
-            None => return Response::bad_request("owner required"),
-        };
-        if let Err(resp) = self.require_user(req, &owner, true) {
-            return resp;
-        }
-        let filter = req.param("requester").map(str::to_owned);
+    fn web_audit_view(&self, c: Call<'_>) -> Response {
+        let filter = c.req.param("requester");
         let body = self.audit(|log| {
             let mut lines = Vec::new();
-            for entry in log.for_owner(&owner) {
-                if let Some(requester) = &filter {
-                    if entry.requester.as_deref() != Some(requester.as_str()) {
-                        continue;
-                    }
+            for entry in log.for_owner(c.user()) {
+                if filter.is_some_and(|r| entry.requester.as_deref() != Some(r)) {
+                    continue;
                 }
                 if let AuditEvent::Decision { outcome } = &entry.event {
+                    let resource = entry.resource.as_ref().map_or("?", |r| r.id.as_str());
+                    let action = entry.action.as_ref().map(ToString::to_string);
                     lines.push(format!(
-                        "t={}ms {} {} {} by {} -> {}",
+                        "t={}ms {} {resource} {} by {} -> {outcome}",
                         entry.at_ms,
                         entry.host.as_deref().unwrap_or("?"),
-                        entry
-                            .resource
-                            .as_ref()
-                            .map(|r| r.id.as_str())
-                            .unwrap_or("?"),
-                        entry
-                            .action
-                            .as_ref()
-                            .map(|a| a.to_string())
-                            .unwrap_or_default(),
+                        action.unwrap_or_default(),
                         entry.requester.as_deref().unwrap_or("?"),
-                        outcome,
                     ));
                 }
             }
@@ -2184,21 +2189,18 @@ impl AuthorizationManager {
         Response::ok().with_body(body)
     }
 
-    fn web_group_edit(&self, req: &Request, add: bool) -> Response {
-        let (owner, group, member) =
-            match (req.param("owner"), req.param("group"), req.param("member")) {
-                (Some(o), Some(g), Some(m)) => (o.to_owned(), g.to_owned(), m.to_owned()),
-                _ => return Response::bad_request("owner, group, member required"),
-            };
-        if let Err(resp) = self.require_user(req, &owner, true) {
-            return resp;
-        }
-        let result = self.pap(&owner, |account| {
+    /// Handles `/groups/add` and `/groups/remove`.
+    fn web_groups(&self, c: Call<'_>) -> Response {
+        let (Some(group), Some(member)) = (c.req.param("group"), c.req.param("member")) else {
+            return Response::bad_request("owner, group, member required");
+        };
+        let add = c.req.url.path() == "/groups/add";
+        let result = self.pap(c.user(), |account| {
             if add {
-                account.add_group_member(&group, &member);
+                account.add_group_member(group, member);
                 true
             } else {
-                account.remove_group_member(&group, &member)
+                account.remove_group_member(group, member)
             }
         });
         match result {
@@ -2208,29 +2210,14 @@ impl AuthorizationManager {
         }
     }
 
-    fn web_consent_pending(&self, req: &Request) -> Response {
-        let Some(owner) = req.param("owner") else {
-            return Response::bad_request("owner required");
-        };
-        if let Err(resp) = self.require_user(req, owner, true) {
-            return resp;
-        }
-        Response::ok().with_body(self.pending_consents(owner).join(","))
+    fn web_pending(&self, c: Call<'_>) -> Response {
+        Response::ok().with_body(self.pending_consents(c.user()).join(","))
     }
 
-    fn web_consent_settle(&self, req: &Request, grant: bool) -> Response {
-        let id = match req.param("id") {
-            Some(id) => id,
-            None => return Response::bad_request("id required"),
-        };
-        // Only the owner of the consent request may settle it.
-        let owner = self.consent.owner_of(id);
-        if let Some(owner) = owner {
-            if let Err(resp) = self.require_user(req, &owner, true) {
-                return resp;
-            }
-        }
-        let result = if grant {
+    /// Handles `/consent/grant` and `/consent/deny`.
+    fn web_consent_settle(&self, c: Call<'_>) -> Response {
+        let id = c.req.param("id").unwrap_or_default();
+        let result = if c.req.url.path() == "/consent/grant" {
             self.grant_consent(id)
         } else {
             self.deny_consent(id)
@@ -2240,6 +2227,11 @@ impl AuthorizationManager {
             Err(e) => Response::bad_request(&e),
         }
     }
+}
+
+/// A 401 with `why` as its body.
+fn unauthorized(why: &str) -> Response {
+    Response::with_status(Status::Unauthorized).with_body(why)
 }
 
 /// Parses the decision query the single-decision routes carry in their
@@ -2272,5 +2264,321 @@ fn parse_action(param: Option<&str>) -> Action {
         Some("list") => Action::List,
         Some("share") => Action::Share,
         Some(custom) => Action::Custom(custom.to_owned()),
+    }
+}
+
+#[cfg(test)]
+mod route_matrix {
+    //! The route-authorization matrix (DESIGN.md §17): every row of
+    //! `AuthorizationManager::ROUTES`, sent well-formed by each caller with
+    //! an IdP configured, answers the status pinned in [`EXPECTED`]. The
+    //! list is written out by hand and keyed by path, so a row added to
+    //! the table without its outcomes fails the test.
+
+    use std::sync::Arc;
+
+    use ucam_policy::{Condition, PolicyBody, Rule, RulePolicy, Subject};
+    use ucam_webenv::identity::IdentityProvider;
+    use ucam_webenv::protocol::{AuthorizeItem, BatchItem, RegisterBody, RegistrationReply};
+    use ucam_webenv::SimNet;
+
+    use super::*;
+
+    const HOST: &str = "h.example";
+
+    /// A 200 batch-decision reply whose every item is `error`.
+    const ITEM_ERRORS: u16 = 0;
+
+    /// The callers, in the order of [`EXPECTED`]'s columns.
+    const CALLERS: [&str; 7] = [
+        "anonymous",
+        "another user",
+        "the owner",
+        "a custodian",
+        "a host registrant",
+        "the delegated host",
+        "a forged credential",
+    ];
+
+    /// The status each caller gets from each row. Two holes once found by
+    /// reading code have their rows here: `/account/import` and
+    /// `/consent/pending` by another user (403; both once answered 2xx).
+    const EXPECTED: &[(&str, [u16; 7])] = &[
+        // path                     anon other owner cust  reg host forged
+        (DECISION_V2_PATH, [400, 400, 400, 400, 400, 200, 401]),
+        (
+            BATCH_DECISIONS_PATH,
+            [400, 400, 400, 400, 400, 200, ITEM_ERRORS],
+        ),
+        ("/authorize", [200, 200, 200, 200, 200, 200, 401]),
+        (BATCH_AUTHORIZE_PATH, [200, 200, 200, 200, 200, 200, 401]),
+        ("/authorize/status", [200, 200, 200, 200, 200, 200, 200]),
+        ("/delegate", [401, 403, 200, 403, 401, 401, 401]),
+        ("/compose", [401, 403, 200, 200, 401, 401, 401]),
+        (REGISTER_PATH, [201, 201, 201, 201, 201, 201, 201]),
+        (REGISTER_ROTATE_PATH, [400, 400, 400, 400, 200, 400, 401]),
+        (
+            REGISTER_DEREGISTER_PATH,
+            [400, 400, 400, 400, 200, 400, 401],
+        ),
+        (DELEGATE_V2_PATH, [400, 400, 400, 400, 401, 400, 401]),
+        ("/policies/export", [401, 403, 200, 200, 401, 401, 401]),
+        ("/policies/import", [401, 403, 200, 200, 401, 401, 401]),
+        ("/account/export", [401, 403, 200, 200, 401, 401, 401]),
+        ("/account/import", [401, 403, 201, 201, 401, 401, 401]),
+        ("/audit/view", [401, 403, 200, 200, 401, 401, 401]),
+        ("/groups/add", [401, 403, 200, 200, 401, 401, 401]),
+        ("/groups/remove", [401, 403, 200, 200, 401, 401, 401]),
+        ("/consent/pending", [401, 403, 200, 200, 401, 401, 401]),
+        ("/consent/grant", [401, 403, 200, 200, 401, 401, 401]),
+        ("/consent/deny", [401, 403, 200, 200, 401, 401, 401]),
+    ];
+
+    /// Everything a well-formed request or a caller's credential needs.
+    struct Rig {
+        net: SimNet,
+        am: Arc<AuthorizationManager>,
+        idp: IdentityProvider,
+        host: RegistrationReply,
+        requester: RegistrationReply,
+        host_token: String,
+        authz_token: String,
+        consent_id: String,
+        snapshot: String,
+        policies: String,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let net = SimNet::new();
+            let idp = IdentityProvider::new("idp.example", net.clock().clone());
+            let am = Arc::new(AuthorizationManager::new("am.example", net.clock().clone()));
+            for user in ["bob", "mallory", "carol"] {
+                idp.register_user(user, "pw");
+                am.register_user(user);
+            }
+            am.set_identity_verifier(idp.verifier());
+            let rule = |consent: bool| {
+                let rule = Rule::permit()
+                    .for_subject(Subject::Public)
+                    .for_action(Action::Read);
+                let rule = if consent {
+                    rule.with_condition(Condition::RequiresConsent)
+                } else {
+                    rule
+                };
+                PolicyBody::Rules(RulePolicy::new().with_rule(rule))
+            };
+            am.pap("bob", |account| {
+                account.add_custodian("carol");
+                account.add_group_member("friends", "dave");
+                let public = account.create_policy("public-read", rule(false));
+                let gate = account.create_policy("gate", rule(true));
+                account
+                    .link_specific(ResourceRef::new(HOST, "r1"), &public)
+                    .unwrap();
+                account
+                    .link_specific(ResourceRef::new(HOST, "guarded"), &gate)
+                    .unwrap();
+            })
+            .unwrap();
+            let (_, host_token) = am.establish_delegation(HOST, "bob").unwrap();
+            let authorize = |resource| {
+                am.authorize(&AuthorizeRequest::new(
+                    HOST,
+                    "bob",
+                    resource,
+                    Action::Read,
+                    "requester:x",
+                ))
+            };
+            let AuthorizeOutcome::Token { token, .. } = authorize("r1") else {
+                panic!("r1 is public-read");
+            };
+            let AuthorizeOutcome::PendingConsent { consent_id } = authorize("guarded") else {
+                panic!("guarded asks for consent");
+            };
+            let register = |kind: &str| {
+                let body = RegisterBody {
+                    kind: kind.into(),
+                    authority: HOST.into(),
+                };
+                let req = Request::new(Method::Post, &format!("https://am.example{REGISTER_PATH}"))
+                    .with_body(body.to_json());
+                RegistrationReply::from_json(&am.handle(&net, &req).body).unwrap()
+            };
+            let (host, requester) = (register("host"), register("requester"));
+            let snapshot = am.export_account("bob").unwrap();
+            let policies = am
+                .pap_ref("bob", |account| account.export_policies(ExportFormat::Json))
+                .unwrap();
+            Rig {
+                net,
+                am,
+                idp,
+                host,
+                requester,
+                host_token,
+                authz_token: token,
+                consent_id,
+                snapshot,
+                policies,
+            }
+        }
+
+        fn login(&self, user: &str) -> String {
+            self.idp.login(user, "pw").unwrap().token
+        }
+
+        /// The well-formed request for the row at `path`, before any
+        /// caller's credential.
+        fn request(&self, path: &str) -> Request {
+            let req = Request::new(Method::Post, &format!("https://am.example{path}"));
+            let owner = req.clone().with_param("owner", "bob");
+            let item = BatchItem {
+                token: self.authz_token.clone(),
+                resource: "r1".into(),
+                action: "read".into(),
+                requester: "requester:x".into(),
+            };
+            let authorize_item = AuthorizeItem {
+                owner: "bob".into(),
+                resource: "r1".into(),
+                action: "read".into(),
+            };
+            let register = RegisterBody {
+                kind: "host".into(),
+                authority: "h2.example".into(),
+            };
+            match path {
+                DECISION_V2_PATH => req
+                    .with_param("token", &self.authz_token)
+                    .with_param("resource", "r1")
+                    .with_param("requester", "requester:x"),
+                BATCH_DECISIONS_PATH => req.with_body(protocol::encode_batch_request(&[item])),
+                "/authorize" => owner
+                    .with_param("host", HOST)
+                    .with_param("resource", "r1")
+                    .with_param("requester", "requester:x"),
+                BATCH_AUTHORIZE_PATH => req
+                    .with_param("host", HOST)
+                    .with_param("requester", "requester:x")
+                    .with_body(protocol::encode_authorize_request(&[authorize_item])),
+                "/authorize/status" | "/consent/grant" | "/consent/deny" => {
+                    req.with_param("id", &self.consent_id)
+                }
+                "/delegate" => req
+                    .with_param("host", "h2.example")
+                    .with_param("user", "bob"),
+                "/compose" => owner.with_param("host", HOST).with_param("resource", "r1"),
+                REGISTER_PATH => req.with_body(register.to_json()),
+                REGISTER_ROTATE_PATH | REGISTER_DEREGISTER_PATH => req,
+                DELEGATE_V2_PATH => req.with_param("user", "bob"),
+                "/policies/import" => owner.with_body(self.policies.clone()),
+                "/policies/export" | "/account/export" | "/audit/view" | "/consent/pending" => {
+                    owner
+                }
+                "/account/import" => req.with_body(self.snapshot.clone()),
+                "/groups/add" => owner
+                    .with_param("group", "friends")
+                    .with_param("member", "erin"),
+                "/groups/remove" => owner
+                    .with_param("group", "friends")
+                    .with_param("member", "dave"),
+                other => panic!("no well-formed request for the row {other}"),
+            }
+        }
+
+        /// `req` with caller `caller`'s credentials added.
+        fn as_caller(&self, caller: usize, req: Request) -> Request {
+            match CALLERS[caller] {
+                "anonymous" => req,
+                "another user" => req.with_param("subject_token", &self.login("mallory")),
+                "the owner" => req.with_param("subject_token", &self.login("bob")),
+                "a custodian" => req.with_param("subject_token", &self.login("carol")),
+                "a host registrant" => self.registrant(req, &self.host),
+                "the delegated host" => req.with_param("host_token", &self.host_token),
+                _ => req
+                    .with_param("subject_token", "forged.assertion")
+                    .with_param("host_token", "forged.token")
+                    .with_param("registrant_id", &self.host.registrant_id)
+                    .with_param("secret", "forged-secret"),
+            }
+        }
+
+        fn registrant(&self, req: Request, reply: &RegistrationReply) -> Request {
+            req.with_param("registrant_id", &reply.registrant_id)
+                .with_param("secret", &reply.secret)
+        }
+
+        /// The outcome `resp` pins: its status, or [`ITEM_ERRORS`].
+        fn outcome(path: &str, resp: &Response) -> u16 {
+            let all_errors = path == BATCH_DECISIONS_PATH
+                && resp.status == Status::Ok
+                && protocol::parse_batch_response(&resp.body)
+                    .is_ok_and(|items| items.iter().all(|d| d.decision == "error"));
+            if all_errors {
+                ITEM_ERRORS
+            } else {
+                resp.status.code()
+            }
+        }
+    }
+
+    #[test]
+    fn every_am_route_answers_each_caller_as_pinned() {
+        let mut failures = Vec::new();
+        for &(path, ..) in AuthorizationManager::ROUTES {
+            let Some((_, expected)) = EXPECTED.iter().find(|(p, _)| *p == path) else {
+                failures.push(format!("{path}: a row with no expected outcomes"));
+                continue;
+            };
+            for (caller, &want) in expected.iter().enumerate() {
+                let rig = Rig::new();
+                let req = rig.as_caller(caller, rig.request(path));
+                let resp = rig.am.handle(&rig.net, &req);
+                let got = Rig::outcome(path, &resp);
+                if got != want {
+                    let who = CALLERS[caller];
+                    failures.push(format!(
+                        "{path} by {who}: {got}, expected {want} ({})",
+                        resp.body
+                    ));
+                }
+            }
+        }
+        for (path, _) in EXPECTED {
+            if !AuthorizationManager::ROUTES
+                .iter()
+                .any(|row| row.0 == *path)
+            {
+                failures.push(format!("{path}: expected outcomes for no row"));
+            }
+        }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    /// `/protection/v2/delegate` needs two credentials at once: a
+    /// host-kind registrant, and the named user's own session.
+    #[test]
+    fn a_registered_host_delegates_only_with_the_users_own_session() {
+        for (registrant, user, want) in [
+            ("host", "bob", Status::Created),
+            ("host", "mallory", Status::Forbidden),
+            ("host", "carol", Status::Forbidden),
+            ("requester", "bob", Status::Forbidden),
+        ] {
+            let rig = Rig::new();
+            let reply = if registrant == "host" {
+                &rig.host
+            } else {
+                &rig.requester
+            };
+            let req = rig
+                .registrant(rig.request(DELEGATE_V2_PATH), reply)
+                .with_param("subject_token", &rig.login(user));
+            let resp = rig.am.handle(&rig.net, &req);
+            assert_eq!(resp.status, want, "{registrant} with {user}: {}", resp.body);
+        }
     }
 }

@@ -10,16 +10,24 @@
 //!   (Fig. 6), the user-controllable decision cache (§V.B.5–6), built-in
 //!   legacy ACLs (the §III status quo), and a host-local access log,
 //! * [`shell`] — shared Web routes every Host exposes (delegation setup,
-//!   the "Share" redirect to the AM's policy editor, legacy ACL editing),
+//!   the "Share" redirect to the AM's policy editor, legacy ACL editing)
+//!   and the one dispatcher that serves every app's route table: each row
+//!   names its caller class (anyone, the PEP, a session, the named user's
+//!   own session, the resource's owner), checked before its handler runs
+//!   (DESIGN.md §17),
 //! * [`image`] — a small raster-image substrate for the gallery's editing
 //!   operations,
-//! * three concrete applications matching the paper's §II scenario and §VI
+//! * four concrete applications matching the paper's §II scenario and §VI
 //!   prototype: [`webpics::WebPics`] (photo gallery & editor),
 //!   [`webstorage::WebStorage`] (online file system),
-//!   [`webdocs::WebDocs`] (word processor).
+//!   [`webdocs::WebDocs`] (word processor), [`webvideos::WebVideos`]
+//!   (video service).
 //!
 //! WebPics and WebStorage can also act as Requesters against each other
-//! (photo import / backup), exactly as the prototype describes.
+//! (photo import / backup), exactly as the prototype describes. Each
+//! import or backup acts for the session's user only: a fresh Requester
+//! client per call, carrying that user's own assertion, so no token or
+//! identity passes from one user to the next.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,16 +3,78 @@
 //! Every Host in the paper exposes the same protocol-facing surface:
 //! delegation setup (Fig. 3), the "Share …" redirect to the AM's policy
 //! editor (Fig. 4), and PEP enforcement on resource routes (Figs. 5–6).
-//! [`AppShell`] implements that surface once; WebPics, WebStorage and
-//! WebDocs embed a shell and add their domain routes.
+//! [`AppShell`] implements that surface once; WebPics, WebStorage, WebDocs
+//! and WebVideos embed a shell and add their domain routes.
+//!
+//! Routes are data (DESIGN.md §17). Each app declares one table of
+//! `Route` rows, and the shell declares the common rows every Host
+//! serves first. A row names the method it matches (`None`: any), its
+//! path (one ending in `/` matches as a prefix), its `Caller` class and
+//! its handler. One dispatcher, `AppShell::serve`, checks the row's class
+//! before the handler runs and hands the handler the principal it found
+//! in a `Call`, so no handler authenticates anyone itself. A Host acting
+//! as a Requester (`AppShell::fetch_for`) builds a fresh client for each
+//! call, carrying only the calling user's own assertion.
 
 use parking_lot::RwLock;
 
 use ucam_policy::{Action, Subject};
+use ucam_requester::{AccessOutcome, AccessSpec, RequesterClient};
 use ucam_webenv::identity::IdentityVerifier;
-use ucam_webenv::{protocol, Request, Response, SimClock, Status, Transport, Url};
+use ucam_webenv::protocol::{self, EPOCH_PUSH_PATH};
+use ucam_webenv::{Method, Request, Response, SimClock, Status, Transport, Url};
 
 use crate::core::{DelegationConfig, Enforcement, HostCore, SieveDeltaOutcome};
+use Caller::{Anyone, ResourceOwner, SessionFor};
+
+/// Who may call a Host route (DESIGN.md §17).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Caller {
+    /// Anyone; nothing is checked.
+    Anyone,
+    /// A resource route: the handler's [`AppShell::enforce_web`] call
+    /// decides, with the session this class resolved (if any).
+    Pep,
+    /// A logged-in user: 401 `login required` without a session. The
+    /// handler gets the user and the assertion that authenticated them.
+    Session,
+    /// With an IdP configured, only the session of the user the param
+    /// names (401 without a session, 403 for anyone else). Without one
+    /// the route stays open, like the AM's owner routes.
+    SessionFor(&'static str),
+    /// The session of the owner of the resource the `resource` param
+    /// names (404 for an unknown resource, 403 for anyone else).
+    ResourceOwner,
+}
+
+/// One handler call: the request, the transport, and the principal the
+/// row's [`Caller`] class found.
+pub(crate) struct Call<'a> {
+    pub(crate) req: &'a Request,
+    pub(crate) net: &'a dyn Transport,
+    /// The session's user: always set on `Session` and `ResourceOwner`
+    /// rows and, with an IdP, on `SessionFor` rows; set on `Pep` rows when
+    /// the caller has a session; never resolved on `Anyone` rows.
+    pub(crate) subject: Option<String>,
+    /// The identity assertion that authenticated `subject`'s session.
+    pub(crate) assertion: Option<&'a str>,
+}
+
+impl Call<'_> {
+    /// The session's user, or `""` where none was resolved.
+    pub(crate) fn user(&self) -> &str {
+        self.subject.as_deref().unwrap_or_default()
+    }
+}
+
+/// One Host route: method (`None`: any), path (a trailing `/` matches as
+/// a prefix), caller class and handler.
+pub(crate) type Route<A> = (
+    Option<Method>,
+    &'static str,
+    Caller,
+    fn(&A, Call<'_>) -> Response,
+);
 
 /// The common Host application shell.
 pub struct AppShell {
@@ -30,6 +92,17 @@ impl std::fmt::Debug for AppShell {
 }
 
 impl AppShell {
+    /// The routes every Host serves before its own.
+    pub(crate) const ROUTES: &'static [Route<AppShell>] = &[
+        (None, "/delegate/setup", Anyone, Self::delegate_setup),
+        (None, "/delegate/done", SessionFor("user"), Self::delegated),
+        (None, "/share", Anyone, Self::share),
+        (None, "/shared", Anyone, Self::shared),
+        (None, "/acl", ResourceOwner, Self::edit_acl),
+        (None, "/.well-known/host-meta", Anyone, Self::host_meta),
+        (None, EPOCH_PUSH_PATH, Anyone, Self::epoch_push),
+    ];
+
     /// Creates a shell for a host at `authority`.
     #[must_use]
     pub fn new(authority: &str, clock: SimClock) -> Self {
@@ -48,13 +121,9 @@ impl AppShell {
     /// Resolves the authenticated user behind `req`, from the
     /// `subject_token` parameter or the `ident` cookie (both carry IdP
     /// assertions).
-    #[must_use]
-    pub fn subject_of(&self, req: &Request) -> Option<String> {
-        let token = req
-            .param("subject_token")
-            .map(str::to_owned)
-            .or_else(|| req.cookie("ident").map(str::to_owned))?;
-        self.idp.read().as_ref()?.verify(&token).ok()
+    fn subject_of(&self, req: &Request) -> Option<String> {
+        let token = assertion_of(req)?;
+        self.idp.read().as_ref()?.verify(token).ok()
     }
 
     /// The requester label for `req`: the `x-requester` header when the
@@ -71,22 +140,89 @@ impl AppShell {
         }
     }
 
-    /// Handles the shared routes; returns `None` when `req` is not one of
-    /// them (the app then tries its domain routes).
-    #[must_use]
-    pub fn route_common(&self, net: &dyn Transport, req: &Request) -> Option<Response> {
-        match req.url.path() {
-            "/delegate/setup" => Some(self.delegate_setup(req)),
-            "/delegate/done" => Some(self.delegate_done(req)),
-            "/share" => Some(self.share(req)),
-            "/shared" => {
-                Some(Response::ok().with_body("policy linked at your authorization manager"))
-            }
-            "/acl" => Some(self.edit_acl(net, req)),
-            "/.well-known/host-meta" => Some(self.host_meta(req)),
-            p if p == protocol::EPOCH_PUSH_PATH => Some(self.epoch_push(req)),
-            _ => None,
+    /// Serves `req` for `app`: the first of the common rows, then of the
+    /// app's `routes`, whose method and path match.
+    pub(crate) fn serve<A>(
+        &self,
+        app: &A,
+        routes: &[Route<A>],
+        net: &dyn Transport,
+        req: &Request,
+    ) -> Response {
+        if let Some(resp) = self.route_common(net, req) {
+            return resp;
         }
+        match find(routes, req) {
+            Some(row) => self.call(app, row, net, req),
+            None => Response::not_found(req.url.path()),
+        }
+    }
+
+    /// Serves the common rows; `None` when `req` matches none of them.
+    fn route_common(&self, net: &dyn Transport, req: &Request) -> Option<Response> {
+        let row = find(Self::ROUTES, req)?;
+        Some(self.call(self, row, net, req))
+    }
+
+    /// Checks `row`'s caller class, then runs its handler on `target`.
+    fn call<A>(&self, target: &A, row: &Route<A>, net: &dyn Transport, req: &Request) -> Response {
+        let (.., caller, handler) = *row;
+        let subject = match self.authenticate(caller, req) {
+            Ok(subject) => subject,
+            Err(resp) => return resp,
+        };
+        let assertion = subject.as_ref().and_then(|_| assertion_of(req));
+        handler(
+            target,
+            Call {
+                req,
+                net,
+                subject,
+                assertion,
+            },
+        )
+    }
+
+    /// Checks `caller` for `req` and returns the session's user it found,
+    /// or the response that refuses the call.
+    fn authenticate(&self, caller: Caller, req: &Request) -> Result<Option<String>, Response> {
+        match caller {
+            Caller::Anyone => Ok(None),
+            Caller::Pep => Ok(self.subject_of(req)),
+            Caller::Session => self.require_subject(req).map(Some),
+            Caller::SessionFor(_) if self.idp.read().is_none() => Ok(None),
+            Caller::SessionFor(param) => {
+                let subject = self.require_subject(req)?;
+                match req.param(param) {
+                    Some(user) if user != subject => Err(Response::forbidden(&format!(
+                        "{subject} may not delegate for {user}"
+                    ))),
+                    _ => Ok(Some(subject)),
+                }
+            }
+            Caller::ResourceOwner => {
+                let Some(resource_id) = req.param("resource") else {
+                    return Err(Response::bad_request("resource required"));
+                };
+                let Some(resource) = self.core.resource(resource_id) else {
+                    return Err(Response::not_found(resource_id));
+                };
+                match self.subject_of(req) {
+                    Some(subject) if subject == resource.owner => Ok(Some(subject)),
+                    _ => Err(Response::forbidden("only the owner may edit sharing")),
+                }
+            }
+        }
+    }
+
+    /// Requires an authenticated session.
+    ///
+    /// # Errors
+    ///
+    /// Returns `401 Unauthorized` when no valid session is attached.
+    fn require_subject(&self, req: &Request) -> Result<String, Response> {
+        self.subject_of(req)
+            .ok_or_else(|| Response::with_status(Status::Unauthorized).with_body("login required"))
     }
 
     /// AM→Host policy-epoch push (`/protection/v1/epoch`): advances the
@@ -99,7 +235,8 @@ impl AppShell {
     /// that fails to parse or verify is silently dropped — the epoch note
     /// above already happened, so the Host is never left trusting
     /// anything a bad body claimed.
-    fn epoch_push(&self, req: &Request) -> Response {
+    fn epoch_push(&self, c: Call<'_>) -> Response {
+        let req = c.req;
         let Some(owner) = req.param("owner") else {
             return Response::bad_request("owner required");
         };
@@ -146,8 +283,8 @@ impl AppShell {
     /// XRD/LRDD-based discovery (§VII): "a Requester learns the location
     /// of the correct AM and orchestrates the flow". The host publishes,
     /// per resource, an XRD document linking to the protecting AM.
-    fn host_meta(&self, req: &Request) -> Response {
-        let Some(resource_id) = req.param("resource") else {
+    fn host_meta(&self, c: Call<'_>) -> Response {
+        let Some(resource_id) = c.req.param("resource") else {
             return Response::bad_request("resource required");
         };
         let Some(resource) = self.core.resource(resource_id) else {
@@ -177,8 +314,8 @@ impl AppShell {
 
     /// Fig. 3 step 1: the User provides the URL of their preferred AM; the
     /// Host redirects them there to confirm the delegation.
-    fn delegate_setup(&self, req: &Request) -> Response {
-        let (user, am) = match (req.param("user"), req.param("am")) {
+    fn delegate_setup(&self, c: Call<'_>) -> Response {
+        let (user, am) = match (c.req.param("user"), c.req.param("am")) {
             (Some(u), Some(a)) => (u, a),
             _ => return Response::bad_request("user and am required"),
         };
@@ -192,12 +329,12 @@ impl AppShell {
         Response::redirect(&target)
     }
 
-    /// Fig. 3 step 3: the AM redirected the User back with the host access
-    /// token; the Host stores the delegation. With an IdP configured only
-    /// that user's own session may store it (401 without a session, 403
-    /// for anyone else); without one the route stays open, like the AM's
-    /// owner routes.
-    fn delegate_done(&self, req: &Request) -> Response {
+    /// Fig. 3 step 3 (`/delegate/done`): the AM redirected the User back
+    /// with the host access token; the Host stores the delegation. The
+    /// row's class let only that user's own session through, when an IdP
+    /// is configured.
+    fn delegated(&self, c: Call<'_>) -> Response {
+        let req = c.req;
         let fields = (
             req.param("user"),
             req.param("am"),
@@ -210,15 +347,6 @@ impl AppShell {
         };
         if !is_bare_authority(am) {
             return Response::bad_request("am must be a bare authority");
-        }
-        if self.idp.read().is_some() {
-            match self.require_subject(req) {
-                Err(resp) => return resp,
-                Ok(subject) if subject != user => {
-                    return Response::forbidden(&format!("{subject} may not delegate for {user}"));
-                }
-                Ok(_) => {}
-            }
         }
         self.core.set_user_delegation(
             user,
@@ -236,10 +364,9 @@ impl AppShell {
 
     /// Fig. 4: clicking "Share" on a delegated resource redirects the User
     /// to the AM's policy editor instead of a local configuration menu.
-    fn share(&self, req: &Request) -> Response {
-        let resource_id = match req.param("resource") {
-            Some(r) => r,
-            None => return Response::bad_request("resource required"),
+    fn share(&self, c: Call<'_>) -> Response {
+        let Some(resource_id) = c.req.param("resource") else {
+            return Response::bad_request("resource required");
         };
         let Some(resource) = self.core.resource(resource_id) else {
             return Response::not_found(resource_id);
@@ -254,7 +381,7 @@ impl AppShell {
                     .with_query("return", &back.to_string());
                 // Pass through policy-linking parameters chosen in the UI.
                 for key in ["policy", "realm", "general"] {
-                    if let Some(v) = req.param(key) {
+                    if let Some(v) = c.req.param(key) {
                         target = target.with_query(key, v);
                     }
                 }
@@ -265,10 +392,16 @@ impl AppShell {
         }
     }
 
+    /// Where the AM's policy editor returns the User after Fig. 4.
+    fn shared(&self, _: Call<'_>) -> Response {
+        Response::ok().with_body("policy linked at your authorization manager")
+    }
+
     /// The built-in sharing menu of the status quo (§III): the owner edits
-    /// the host-local ACL for one resource.
-    fn edit_acl(&self, _net: &dyn Transport, req: &Request) -> Response {
-        let subject_user = self.subject_of(req);
+    /// the host-local ACL for one resource (the row's class checked that
+    /// the caller owns it).
+    fn edit_acl(&self, c: Call<'_>) -> Response {
+        let req = c.req;
         let (resource_id, grantee, action) = match (
             req.param("resource"),
             req.param("grantee"),
@@ -277,68 +410,103 @@ impl AppShell {
             (Some(r), Some(g), Some(a)) => (r, g, a),
             _ => return Response::bad_request("resource, grantee, action required"),
         };
-        let Some(resource) = self.core.resource(resource_id) else {
-            return Response::not_found(resource_id);
-        };
-        if subject_user.as_deref() != Some(resource.owner.as_str()) {
-            return Response::forbidden("only the owner may edit sharing");
-        }
-        let grantee_subject = parse_subject(grantee);
-        let action = parse_action(action);
         let mut acl = self.core.legacy_acl(resource_id).unwrap_or_default();
-        acl.insert(grantee_subject, action);
+        acl.insert(parse_subject(grantee), parse_action(action));
         self.core.set_legacy_acl(resource_id, acl);
         Response::ok().with_body("acl updated")
     }
 
-    /// Runs the PEP for a resource route. On grant returns `Ok(subject)`;
-    /// otherwise the response to send (redirect to AM, 403, 404, …).
+    /// Runs the PEP for a resource route of a `Pep` row, with the session
+    /// the row's class resolved.
     ///
     /// # Errors
     ///
-    /// Returns the blocking [`Response`] when access is not granted.
-    pub fn enforce_web(
+    /// Returns the blocking [`Response`] (redirect to AM, 403, 404, …)
+    /// when access is not granted.
+    pub(crate) fn enforce_web(
         &self,
-        net: &dyn Transport,
-        req: &Request,
+        c: &Call<'_>,
         resource_id: &str,
         action: &Action,
-    ) -> Result<Option<String>, Response> {
-        let subject = self.subject_of(req);
+    ) -> Result<(), Response> {
+        let subject = c.subject.as_deref();
         // Borrow the requester label straight from the header on the warm
         // application path; only browser sessions need an owned label.
         let browser_label;
-        let requester = match req.header("x-requester") {
+        let requester = match c.req.header("x-requester") {
             Some(r) => r,
             None => {
-                browser_label = Self::requester_of(req, subject.as_deref());
+                browser_label = Self::requester_of(c.req, subject);
                 browser_label.as_str()
             }
         };
         match self.core.enforce(
-            net,
+            c.net,
             requester,
-            subject.as_deref(),
+            subject,
             resource_id,
             action,
-            req.bearer_token(),
-            &req.url,
+            c.req.bearer_token(),
+            &c.req.url,
         ) {
-            Enforcement::Grant => Ok(subject),
+            Enforcement::Grant => Ok(()),
             Enforcement::Block(resp) => Err(resp),
         }
     }
 
-    /// Convenience: requires an authenticated session, for owner-only
-    /// routes like uploads.
+    /// Stores a new resource `id` for the session's user: 201 with the
+    /// id, or 409 when it exists.
+    pub(crate) fn create(&self, c: &Call<'_>, id: String, kind: &str, data: Vec<u8>) -> Response {
+        match self.core.put_resource(&id, c.user(), kind, data) {
+            Ok(()) => Response::with_status(Status::Created).with_body(id),
+            Err(e) => Response::with_status(Status::Conflict).with_body(e.to_string()),
+        }
+    }
+
+    /// Acting as a Requester (§VI) for the session's user: reads `/src`
+    /// at the Host `from` through the full token flow and returns the
+    /// body. Each call builds a fresh client whose subject token is the
+    /// assertion that authenticated this session, so no token or identity
+    /// passes from one user to the next.
     ///
     /// # Errors
     ///
-    /// Returns `401 Unauthorized` when no valid session is attached.
-    pub fn require_subject(&self, req: &Request) -> Result<String, Response> {
-        self.subject_of(req)
-            .ok_or_else(|| Response::with_status(Status::Unauthorized).with_body("login required"))
+    /// Returns the response for any outcome but a grant.
+    pub(crate) fn fetch_for(
+        &self,
+        c: &Call<'_>,
+        from: &str,
+        src: &str,
+    ) -> Result<String, Response> {
+        let mut client = RequesterClient::new(&format!("requester:{}", self.core.authority()));
+        client.set_subject_token(c.assertion.map(str::to_owned));
+        match client.access(c.net, &AccessSpec::read(Url::new(from, &format!("/{src}")))) {
+            AccessOutcome::Granted(resp) => Ok(resp.body),
+            AccessOutcome::Denied(reason) => Err(Response::forbidden(&reason)),
+            AccessOutcome::PendingConsent { consent_id, .. } => {
+                Err(Response::with_status(Status::Accepted).with_body(consent_id))
+            }
+            AccessOutcome::NeedsClaims(msg) => {
+                Err(Response::with_status(Status::PaymentRequired).with_body(msg))
+            }
+            AccessOutcome::Failed(resp) => Err(resp),
+        }
     }
+}
+
+/// The first row of `routes` whose method and path match `req`.
+fn find<'r, A>(routes: &'r [Route<A>], req: &Request) -> Option<&'r Route<A>> {
+    let path = req.url.path();
+    routes.iter().find(|(method, pattern, ..)| {
+        method.is_none_or(|m| m == req.method)
+            && (path == *pattern || (pattern.ends_with('/') && path.starts_with(pattern)))
+    })
+}
+
+/// The identity assertion `req` carries: the `subject_token` param, else
+/// the `ident` cookie.
+fn assertion_of(req: &Request) -> Option<&str> {
+    req.param("subject_token").or_else(|| req.cookie("ident"))
 }
 
 /// Whether `am` can stand as a URL's authority by itself: non-empty, with
@@ -623,5 +791,286 @@ mod tests {
         let req = Request::new(Method::Get, "https://h.example/x");
         let err = shell.require_subject(&req).unwrap_err();
         assert_eq!(err.status, Status::Unauthorized);
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod route_matrix {
+    //! The Host route-authorization matrix (DESIGN.md §17). One rig holds
+    //! the AM, the IdP and all four apps with Bob's content, delegated;
+    //! every row of a table, sent well-formed by each caller with an IdP
+    //! configured, must answer the status its test pins. The lists are
+    //! written out by hand and keyed by the row's path, so a row added
+    //! without its outcomes fails its test.
+
+    use std::sync::Arc;
+
+    use ucam_am::AuthorizationManager;
+    use ucam_policy::{PolicyBody, ResourceRef, Rule, RulePolicy};
+    use ucam_webenv::identity::IdentityProvider;
+    use ucam_webenv::{SimNet, WebApp};
+
+    use super::*;
+    use crate::{Image, Video, WebDocs, WebPics, WebStorage, WebVideos};
+
+    /// The callers, in the order of each list's columns. A Host knows no
+    /// registrant and no host token, so both must open nothing.
+    pub(crate) const CALLERS: [&str; 6] = [
+        "anonymous",
+        "another user",
+        "the owner",
+        "a host registrant",
+        "the delegated host",
+        "a forged credential",
+    ];
+
+    /// One pinned row: the table row's path, the method, target (path and
+    /// query) and body of its well-formed request, a target the owner
+    /// calls first (if any), and each caller's status.
+    pub(crate) struct Expect<'a> {
+        row: &'a str,
+        method: Method,
+        target: &'a str,
+        body: &'a str,
+        first: Option<&'a str>,
+        status: [u16; 6],
+    }
+
+    /// Pins `method target` on the row `row` to `status`.
+    pub(crate) fn pin<'a>(
+        row: &'a str,
+        method: Method,
+        target: &'a str,
+        status: [u16; 6],
+    ) -> Expect<'a> {
+        Expect {
+            row,
+            method,
+            target,
+            body: "",
+            first: None,
+            status,
+        }
+    }
+
+    impl<'a> Expect<'a> {
+        /// The request carries `body`.
+        pub(crate) fn with_body(self, body: &'a str) -> Self {
+            Expect { body, ..self }
+        }
+
+        /// The owner sends `first`, same method and body, before the
+        /// caller's request.
+        pub(crate) fn after_owner(self, first: &'a str) -> Self {
+            Expect {
+                first: Some(first),
+                ..self
+            }
+        }
+    }
+
+    /// Bob's world: his content on all four apps, each delegated to the
+    /// AM, which lets Bob read his gallery photo and his stored file
+    /// through the Requester flow and lets nobody else.
+    pub(crate) struct Rig {
+        pub(crate) net: SimNet,
+        pub(crate) pics: Arc<WebPics>,
+        pub(crate) storage: Arc<WebStorage>,
+        pub(crate) docs: Arc<WebDocs>,
+        pub(crate) videos: Arc<WebVideos>,
+        idp: IdentityProvider,
+        host_token: String,
+    }
+
+    impl Rig {
+        pub(crate) fn new() -> Rig {
+            let net = SimNet::new();
+            let clock = net.clock().clone();
+            let idp = IdentityProvider::new("idp.example", clock.clone());
+            let am = Arc::new(AuthorizationManager::new("am.example", clock.clone()));
+            for user in ["bob", "mallory"] {
+                idp.register_user(user, "pw");
+                am.register_user(user);
+            }
+            am.set_identity_verifier(idp.verifier());
+            let pics = WebPics::new("webpics.example", clock.clone());
+            let storage = WebStorage::new("webstorage.example", clock.clone());
+            let docs = WebDocs::new("webdocs.example", clock.clone());
+            let videos = WebVideos::new("webvideos.example", clock);
+            let image = Image::gradient(4, 4).to_bytes();
+            let video = Video::test_pattern(2, 2, 2).to_bytes();
+            let content = [
+                (pics.shell(), "album-meta/rome", "album", vec![]),
+                (pics.shell(), "albums/rome/p1", "photo", image),
+                (storage.shell(), "dirs/trips", "dir", vec![]),
+                (storage.shell(), "files/a.txt", "file", b"notes".to_vec()),
+                (docs.shell(), "folder-meta/trips", "folder", vec![]),
+                (
+                    docs.shell(),
+                    "docs/trips/report",
+                    "document",
+                    b"report".to_vec(),
+                ),
+                (
+                    videos.shell(),
+                    "collection-meta/trips",
+                    "collection",
+                    vec![],
+                ),
+                (videos.shell(), "collections/trips/clip", "video", video),
+            ];
+            for (shell, id, kind, data) in content {
+                shell.core.put_resource(id, "bob", kind, data).unwrap();
+            }
+            let mut host_token = String::new();
+            for shell in [pics.shell(), storage.shell(), docs.shell(), videos.shell()] {
+                shell.set_identity_verifier(idp.verifier());
+                let (delegation, token) = am
+                    .establish_delegation(shell.core.authority(), "bob")
+                    .unwrap();
+                shell.core.set_user_delegation(
+                    "bob",
+                    DelegationConfig {
+                        am: "am.example".into(),
+                        host_token: token.clone(),
+                        delegation_id: delegation.id,
+                    },
+                );
+                host_token = token;
+            }
+            am.pap("bob", |account| {
+                let mine = account.create_policy(
+                    "bob-reads",
+                    PolicyBody::Rules(
+                        RulePolicy::new().with_rule(
+                            Rule::permit()
+                                .for_subject(Subject::User("bob".into()))
+                                .for_action(Action::Read),
+                        ),
+                    ),
+                );
+                for (host, id) in [
+                    ("webpics.example", "albums/rome/p1"),
+                    ("webstorage.example", "files/a.txt"),
+                ] {
+                    account
+                        .link_specific(ResourceRef::new(host, id), &mine)
+                        .unwrap();
+                }
+            })
+            .unwrap();
+            net.register(am);
+            net.register(pics.clone());
+            net.register(storage.clone());
+            net.register(docs.clone());
+            net.register(videos.clone());
+            Rig {
+                net,
+                pics,
+                storage,
+                docs,
+                videos,
+                idp,
+                host_token,
+            }
+        }
+
+        /// `req` with caller `caller`'s credentials added.
+        fn as_caller(&self, caller: usize, req: Request) -> Request {
+            let login = |user: &str| self.idp.login(user, "pw").unwrap().token;
+            match CALLERS[caller] {
+                "anonymous" => req,
+                "another user" => req.with_param("subject_token", &login("mallory")),
+                "the owner" => req.with_param("subject_token", &login("bob")),
+                "a host registrant" => req
+                    .with_param("registrant_id", "reg-1")
+                    .with_param("secret", "s3cret"),
+                "the delegated host" => req.with_param("host_token", &self.host_token),
+                _ => req.with_param("subject_token", "forged.assertion"),
+            }
+        }
+    }
+
+    /// Sends every row of `routes` as each caller, each on a fresh rig,
+    /// through `app`'s `handle`, and fails listing each status that
+    /// differs from `expected`, each row missing from it and each entry
+    /// that matches no row.
+    pub(crate) fn check<T, A: WebApp>(
+        routes: &[Route<T>],
+        expected: &[Expect],
+        app: fn(&Rig) -> &A,
+    ) {
+        let mut failures = Vec::new();
+        for &(_, path, ..) in routes {
+            let pinned: Vec<&Expect> = expected.iter().filter(|e| e.row == path).collect();
+            if pinned.is_empty() {
+                failures.push(format!("{path}: a row with no expected outcomes"));
+            }
+            for e in pinned {
+                for (caller, &want) in e.status.iter().enumerate() {
+                    let rig = Rig::new();
+                    let app = app(&rig);
+                    let request = |target: &str| {
+                        let url = format!("https://{}{target}", app.authority());
+                        Request::new(e.method, &url).with_body(e.body)
+                    };
+                    if let Some(first) = e.first {
+                        app.handle(&rig.net, &rig.as_caller(2, request(first)));
+                    }
+                    let resp = app.handle(&rig.net, &rig.as_caller(caller, request(e.target)));
+                    if resp.status.code() != want {
+                        failures.push(format!(
+                            "{} {} by {}{}: {}, expected {want} ({})",
+                            e.method,
+                            e.target,
+                            CALLERS[caller],
+                            e.first
+                                .map_or(String::new(), |f| format!(" after the owner's {f}")),
+                            resp.status.code(),
+                            resp.body
+                        ));
+                    }
+                }
+            }
+        }
+        for e in expected {
+            if !routes.iter().any(|row| row.1 == e.row) {
+                failures.push(format!("{}: expected outcomes for no row", e.row));
+            }
+        }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    /// The shell's common rows, served through WebStorage. The
+    /// `/delegate/done` row pins a hole once found by reading code:
+    /// another user's session re-pointed Bob's delegation.
+    #[test]
+    fn every_common_route_answers_each_caller_as_pinned() {
+        use ucam_webenv::Method::Get;
+        const DONE: &str = "/delegate/done?user=bob&am=am.example&host_token=ht&delegation_id=d";
+        const ACL: &str = "/acl?resource=files/a.txt&grantee=user:mallory&action=read";
+        const META: &str = "/.well-known/host-meta?resource=files/a.txt";
+        // Columns: anonymous, another user, the owner, a host registrant,
+        // the delegated host, a forged credential.
+        let expected = [
+            pin(
+                "/delegate/setup",
+                Get,
+                "/delegate/setup?user=bob&am=am.example",
+                [302; 6],
+            ),
+            pin("/delegate/done", Get, DONE, [401, 403, 200, 401, 401, 401]),
+            pin("/share", Get, "/share?resource=files/a.txt", [302; 6]),
+            pin("/shared", Get, "/shared", [200; 6]),
+            pin("/acl", Get, ACL, [403, 403, 200, 403, 403, 403]),
+            pin("/.well-known/host-meta", Get, META, [200; 6]),
+            pin(
+                EPOCH_PUSH_PATH,
+                Get,
+                "/protection/v1/epoch?owner=bob&epoch=9",
+                [200; 6],
+            ),
+        ];
+        check(AppShell::ROUTES, &expected, |rig| &*rig.storage);
     }
 }

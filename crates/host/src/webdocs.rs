@@ -6,23 +6,27 @@
 use std::sync::Arc;
 
 use ucam_policy::Action;
+use ucam_webenv::Method::{Get, Post};
 use ucam_webenv::{Method, Request, Response, SimClock, Status, Transport, WebApp};
 
-use crate::shell::AppShell;
+use crate::shell::Caller::{Pep, Session};
+use crate::shell::{AppShell, Call, Route};
 
 /// The online word-processor application.
 ///
 /// Documents live under ids `docs/<folder>/<name>` and are UTF-8 text.
 ///
-/// | Route | Meaning |
-/// |---|---|
-/// | `POST /docs?folder=f&id=d` (body) | create a document (owner session) |
-/// | `GET /docs/<folder>/<d>` | read (read-enforced) |
-/// | `POST /docs/<folder>/<d>` (body) | replace content (write-enforced) |
-/// | `POST /docs/<folder>/<d>/append?text=` | append a paragraph (write-enforced) |
-/// | `DELETE /docs/<folder>/<d>` | delete (delete-enforced) |
-/// | `GET /folder/<f>` | list documents (list-enforced on `folder-meta/<f>`) |
-/// | `POST /folders?name=f` | create a folder |
+/// The class column is who may call a route (DESIGN.md §17).
+///
+/// | Route | Class | Meaning |
+/// |---|---|---|
+/// | `POST /docs?folder=f&id=d` (body) | Session | create a document |
+/// | `GET /docs/<folder>/<d>` | Pep | read (read-enforced) |
+/// | `POST /docs/<folder>/<d>` (body) | Pep | replace content (write-enforced) |
+/// | `POST /docs/<folder>/<d>/append?text=` | Pep | append a paragraph (write-enforced) |
+/// | `DELETE /docs/<folder>/<d>` | Pep | delete (delete-enforced) |
+/// | `GET /folder/<f>` | Pep | list documents (list-enforced on `folder-meta/<f>`) |
+/// | `POST /folders?name=f` | Session | create a folder |
 pub struct WebDocs {
     shell: AppShell,
 }
@@ -36,6 +40,14 @@ impl std::fmt::Debug for WebDocs {
 }
 
 impl WebDocs {
+    /// The word processor's own routes, served after the shell's.
+    const ROUTES: &'static [Route<Self>] = &[
+        (Some(Post), "/folders", Session, Self::create_folder),
+        (Some(Post), "/docs", Session, Self::create_doc),
+        (None, "/docs/", Pep, Self::doc_route),
+        (Some(Get), "/folder/", Pep, Self::list_folder),
+    ];
+
     /// Creates the word processor at `authority`.
     #[must_use]
     pub fn new(authority: &str, clock: SimClock) -> Arc<Self> {
@@ -50,46 +62,25 @@ impl WebDocs {
         &self.shell
     }
 
-    fn create_folder(&self, req: &Request) -> Response {
-        let owner = match self.shell.require_subject(req) {
-            Ok(user) => user,
-            Err(resp) => return resp,
-        };
-        let Some(name) = req.param("name") else {
+    fn create_folder(&self, c: Call<'_>) -> Response {
+        let Some(name) = c.req.param("name") else {
             return Response::bad_request("name required");
         };
-        let id = format!("folder-meta/{name}");
-        match self
-            .shell
-            .core
-            .put_resource(&id, &owner, "folder", Vec::new())
-        {
-            Ok(()) => Response::with_status(Status::Created).with_body(id),
-            Err(e) => Response::with_status(Status::Conflict).with_body(e.to_string()),
-        }
+        self.shell
+            .create(&c, format!("folder-meta/{name}"), "folder", Vec::new())
     }
 
-    fn create_doc(&self, req: &Request) -> Response {
-        let owner = match self.shell.require_subject(req) {
-            Ok(user) => user,
-            Err(resp) => return resp,
+    fn create_doc(&self, c: Call<'_>) -> Response {
+        let (Some(folder), Some(name)) = (c.req.param("folder"), c.req.param("id")) else {
+            return Response::bad_request("folder and id required");
         };
-        let (folder, name) = match (req.param("folder"), req.param("id")) {
-            (Some(f), Some(d)) => (f, d),
-            _ => return Response::bad_request("folder and id required"),
-        };
-        let id = format!("docs/{folder}/{name}");
-        match self
-            .shell
-            .core
-            .put_resource(&id, &owner, "document", req.body.clone().into_bytes())
-        {
-            Ok(()) => Response::with_status(Status::Created).with_body(id),
-            Err(e) => Response::with_status(Status::Conflict).with_body(e.to_string()),
-        }
+        let data = c.req.body.clone().into_bytes();
+        self.shell
+            .create(&c, format!("docs/{folder}/{name}"), "document", data)
     }
 
-    fn doc_route(&self, net: &dyn Transport, req: &Request) -> Response {
+    fn doc_route(&self, c: Call<'_>) -> Response {
+        let req = c.req;
         let rest = req.url.path().trim_start_matches("/docs/");
         let segments: Vec<&str> = rest.split('/').filter(|s| !s.is_empty()).collect();
         let (folder, name, op) = match segments.as_slice() {
@@ -103,7 +94,7 @@ impl WebDocs {
             (Method::Delete, None) => Action::Delete,
             _ => Action::Write,
         };
-        if let Err(resp) = self.shell.enforce_web(net, req, &id, &action) {
+        if let Err(resp) = self.shell.enforce_web(&c, &id, &action) {
             return resp;
         }
         match (req.method, op) {
@@ -144,10 +135,10 @@ impl WebDocs {
         }
     }
 
-    fn list_folder(&self, net: &dyn Transport, req: &Request) -> Response {
-        let folder = req.url.path().trim_start_matches("/folder/");
+    fn list_folder(&self, c: Call<'_>) -> Response {
+        let folder = c.req.url.path().trim_start_matches("/folder/");
         let meta_id = format!("folder-meta/{folder}");
-        if let Err(resp) = self.shell.enforce_web(net, req, &meta_id, &Action::List) {
+        if let Err(resp) = self.shell.enforce_web(&c, &meta_id, &Action::List) {
             return resp;
         }
         let docs = self.shell.core.ids_with_prefix(&format!("docs/{folder}/"));
@@ -161,16 +152,7 @@ impl WebApp for WebDocs {
     }
 
     fn handle(&self, net: &dyn Transport, req: &Request) -> Response {
-        if let Some(resp) = self.shell.route_common(net, req) {
-            return resp;
-        }
-        match (req.method, req.url.path()) {
-            (Method::Post, "/folders") => self.create_folder(req),
-            (Method::Post, "/docs") => self.create_doc(req),
-            (_, path) if path.starts_with("/docs/") => self.doc_route(net, req),
-            (Method::Get, path) if path.starts_with("/folder/") => self.list_folder(net, req),
-            (_, other) => Response::not_found(other),
-        }
+        self.shell.serve(self, Self::ROUTES, net, req)
     }
 }
 
@@ -310,5 +292,39 @@ mod tests {
                 .with_param("subject_token", &token),
         );
         assert_eq!(resp.status, Status::NotFound);
+    }
+
+    #[test]
+    fn every_docs_route_answers_each_caller_as_pinned() {
+        use crate::shell::route_matrix::{check, pin};
+        // Columns: anonymous, another user, the owner, a host registrant,
+        // the delegated host, a forged credential.
+        let expected = [
+            pin(
+                "/folders",
+                Post,
+                "/folders?name=new",
+                [401, 201, 201, 401, 401, 401],
+            ),
+            pin(
+                "/docs",
+                Post,
+                "/docs?folder=new&id=d",
+                [401, 201, 201, 401, 401, 401],
+            ),
+            pin(
+                "/docs/",
+                Get,
+                "/docs/trips/report",
+                [302, 302, 200, 302, 302, 302],
+            ),
+            pin(
+                "/folder/",
+                Get,
+                "/folder/trips",
+                [302, 302, 200, 302, 302, 302],
+            ),
+        ];
+        check(WebDocs::ROUTES, &expected, |rig| &*rig.docs);
     }
 }

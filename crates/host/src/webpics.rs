@@ -6,39 +6,39 @@
 //! WebPics can also act as a Requester: "The online photo album can access
 //! photos hosted at the online storage service … users can store photos in
 //! their online storage service and can load them to the photo gallery" —
-//! see the `/import` route.
+//! see the `/import` route. An import acts for the session's user, with
+//! that user's own assertion.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use ucam_crypto::{base64url_decode, base64url_encode};
 use ucam_policy::Action;
-use ucam_requester::{AccessOutcome, AccessSpec, RequesterClient};
-use ucam_webenv::{Method, Request, Response, SimClock, Status, Transport, Url, WebApp};
+use ucam_webenv::Method::{Get, Post};
+use ucam_webenv::{Request, Response, SimClock, Transport, WebApp};
 
 use crate::image::Image;
-use crate::shell::AppShell;
+use crate::shell::Caller::{Pep, Session};
+use crate::shell::{AppShell, Call, Route};
 
 /// The online photo gallery application.
 ///
 /// Photo resources live under ids `albums/<album>/<photo>`; album listings
 /// are enforced with the `list` action on the album resource
-/// `album-meta/<album>`. Photo bodies travel base64url-encoded.
+/// `album-meta/<album>`. Photo bodies travel base64url-encoded. The class
+/// column is who may call a route (DESIGN.md §17).
 ///
-/// | Route | Meaning |
-/// |---|---|
-/// | `POST /albums?name=a` | create an album (owner session) |
-/// | `POST /photos?album=a&id=p` (body = base64 image) | upload |
-/// | `GET /photos/<album>/<p>` | view (read-enforced) |
-/// | `POST /photos/<album>/<p>/rotate` | edit: rotate 90° (write-enforced) |
-/// | `POST /photos/<album>/<p>/crop?x&y&w&h` | edit: crop |
-/// | `POST /photos/<album>/<p>/resize?w&h` | edit: resize |
-/// | `GET /album/<a>` | list photos (list-enforced) |
-/// | `POST /import?from=h&src=r&album=a&id=p` | load a photo from another Host (Requester flow) |
+/// | Route | Class | Meaning |
+/// |---|---|---|
+/// | `POST /albums?name=a` | Session | create an album |
+/// | `POST /photos?album=a&id=p` (body = base64 image) | Session | upload |
+/// | `GET /photos/<album>/<p>` | Pep | view (read-enforced) |
+/// | `POST /photos/<album>/<p>/rotate` | Pep | edit: rotate 90° (write-enforced) |
+/// | `POST /photos/<album>/<p>/crop?x&y&w&h` | Pep | edit: crop |
+/// | `POST /photos/<album>/<p>/resize?w&h` | Pep | edit: resize |
+/// | `GET /album/<a>` | Pep | list photos (list-enforced) |
+/// | `POST /import?from=h&src=r&album=a&id=p` | Session | load a photo from another Host for the session's user (Requester flow with that user's assertion) |
 pub struct WebPics {
     shell: AppShell,
-    client: Mutex<RequesterClient>,
 }
 
 impl std::fmt::Debug for WebPics {
@@ -50,11 +50,19 @@ impl std::fmt::Debug for WebPics {
 }
 
 impl WebPics {
+    /// The gallery's own routes, served after the shell's.
+    const ROUTES: &'static [Route<Self>] = &[
+        (Some(Post), "/albums", Session, Self::create_album),
+        (Some(Post), "/photos", Session, Self::upload_photo),
+        (None, "/photos/", Pep, Self::photo_route),
+        (Some(Get), "/album/", Pep, Self::list_album),
+        (Some(Post), "/import", Session, Self::import),
+    ];
+
     /// Creates the gallery at `authority`.
     #[must_use]
     pub fn new(authority: &str, clock: SimClock) -> Arc<Self> {
         Arc::new(WebPics {
-            client: Mutex::new(RequesterClient::new(&format!("requester:{authority}"))),
             shell: AppShell::new(authority, clock),
         })
     }
@@ -65,50 +73,31 @@ impl WebPics {
         &self.shell
     }
 
-    fn create_album(&self, req: &Request) -> Response {
-        let owner = match self.shell.require_subject(req) {
-            Ok(user) => user,
-            Err(resp) => return resp,
-        };
-        let Some(name) = req.param("name") else {
+    fn create_album(&self, c: Call<'_>) -> Response {
+        let Some(name) = c.req.param("name") else {
             return Response::bad_request("name required");
         };
-        let id = format!("album-meta/{name}");
-        match self
-            .shell
-            .core
-            .put_resource(&id, &owner, "album", Vec::new())
-        {
-            Ok(()) => Response::with_status(Status::Created).with_body(id),
-            Err(e) => Response::with_status(Status::Conflict).with_body(e.to_string()),
-        }
+        self.shell
+            .create(&c, format!("album-meta/{name}"), "album", Vec::new())
     }
 
-    fn upload_photo(&self, req: &Request) -> Response {
-        let owner = match self.shell.require_subject(req) {
-            Ok(user) => user,
-            Err(resp) => return resp,
+    fn upload_photo(&self, c: Call<'_>) -> Response {
+        let (Some(album), Some(photo)) = (c.req.param("album"), c.req.param("id")) else {
+            return Response::bad_request("album and id required");
         };
-        let (album, photo) = match (req.param("album"), req.param("id")) {
-            (Some(a), Some(p)) => (a, p),
-            _ => return Response::bad_request("album and id required"),
-        };
-        let Ok(bytes) = base64url_decode(&req.body) else {
+        let Ok(bytes) = base64url_decode(&c.req.body) else {
             return Response::bad_request("body must be base64url image data");
         };
         if Image::from_bytes(&bytes).is_err() {
             return Response::bad_request("body is not a valid image");
         }
-        let id = format!("albums/{album}/{photo}");
-        match self.shell.core.put_resource(&id, &owner, "photo", bytes) {
-            Ok(()) => Response::with_status(Status::Created).with_body(id),
-            Err(e) => Response::with_status(Status::Conflict).with_body(e.to_string()),
-        }
+        self.shell
+            .create(&c, format!("albums/{album}/{photo}"), "photo", bytes)
     }
 
-    fn photo_route(&self, net: &dyn Transport, req: &Request) -> Response {
+    fn photo_route(&self, c: Call<'_>) -> Response {
         // /photos/<album>/<photo>[/<op>]
-        let rest = req.url.path().trim_start_matches("/photos/");
+        let rest = c.req.url.path().trim_start_matches("/photos/");
         let segments: Vec<&str> = rest.split('/').filter(|s| !s.is_empty()).collect();
         let (album, photo, op) = match segments.as_slice() {
             [album, photo] => (*album, *photo, None),
@@ -119,7 +108,7 @@ impl WebPics {
 
         match op {
             None => {
-                if let Err(resp) = self.shell.enforce_web(net, req, &id, &Action::Read) {
+                if let Err(resp) = self.shell.enforce_web(&c, &id, &Action::Read) {
                     return resp;
                 }
                 match self.shell.core.resource(&id) {
@@ -128,10 +117,10 @@ impl WebPics {
                 }
             }
             Some(op) => {
-                if let Err(resp) = self.shell.enforce_web(net, req, &id, &Action::Write) {
+                if let Err(resp) = self.shell.enforce_web(&c, &id, &Action::Write) {
                     return resp;
                 }
-                self.edit_photo(&id, op, req)
+                self.edit_photo(&id, op, c.req)
             }
         }
     }
@@ -179,63 +168,43 @@ impl WebPics {
         }
     }
 
-    fn list_album(&self, net: &dyn Transport, req: &Request) -> Response {
-        let album = req.url.path().trim_start_matches("/album/");
+    fn list_album(&self, c: Call<'_>) -> Response {
+        let album = c.req.url.path().trim_start_matches("/album/");
         let meta_id = format!("album-meta/{album}");
-        if let Err(resp) = self.shell.enforce_web(net, req, &meta_id, &Action::List) {
+        if let Err(resp) = self.shell.enforce_web(&c, &meta_id, &Action::List) {
             return resp;
         }
         let photos = self.shell.core.ids_with_prefix(&format!("albums/{album}/"));
         Response::ok().with_body(photos.join("\n"))
     }
 
-    /// Acting as a Requester (§VI): load a photo stored at another Host
-    /// (e.g. WebStorage) through the full token flow.
-    fn import(&self, net: &dyn Transport, req: &Request) -> Response {
-        let owner = match self.shell.require_subject(req) {
-            Ok(user) => user,
-            Err(resp) => return resp,
-        };
+    /// Acting as a Requester (§VI) for the session's user: load a photo
+    /// stored at another Host (e.g. WebStorage) through the full token
+    /// flow, as that user's.
+    fn import(&self, c: Call<'_>) -> Response {
+        let req = c.req;
         let params = (
             req.param("from"),
             req.param("src"),
             req.param("album"),
             req.param("id"),
         );
-        let (from, src, album, photo) = match params {
-            (Some(f), Some(s), Some(a), Some(p)) => {
-                (f.to_owned(), s.to_owned(), a.to_owned(), p.to_owned())
-            }
-            _ => return Response::bad_request("from, src, album, id required"),
+        let (Some(from), Some(src), Some(album), Some(photo)) = params else {
+            return Response::bad_request("from, src, album, id required");
         };
-        let spec = AccessSpec::read(Url::new(&from, &format!("/{src}")));
-        let mut client = self.client.lock();
-        if let Some(token) = req.param("subject_token") {
-            client.set_subject_token(Some(token.to_owned()));
-        }
-        match client.access(net, &spec) {
-            AccessOutcome::Granted(resp) => {
+        match self.shell.fetch_for(&c, from, src) {
+            Ok(body) => {
                 // Remote hosts serve bodies as text; image payloads travel
                 // base64url-encoded. Decode when it parses as an image,
                 // otherwise keep the raw bytes.
-                let bytes = match base64url_decode(&resp.body) {
+                let bytes = match base64url_decode(&body) {
                     Ok(decoded) if Image::from_bytes(&decoded).is_ok() => decoded,
-                    _ => resp.body.into_bytes(),
+                    _ => body.into_bytes(),
                 };
-                let id = format!("albums/{album}/{photo}");
-                match self.shell.core.put_resource(&id, &owner, "photo", bytes) {
-                    Ok(()) => Response::with_status(Status::Created).with_body(id),
-                    Err(e) => Response::with_status(Status::Conflict).with_body(e.to_string()),
-                }
+                self.shell
+                    .create(&c, format!("albums/{album}/{photo}"), "photo", bytes)
             }
-            AccessOutcome::Denied(reason) => Response::forbidden(&reason),
-            AccessOutcome::PendingConsent { consent_id, .. } => {
-                Response::with_status(Status::Accepted).with_body(consent_id)
-            }
-            AccessOutcome::NeedsClaims(msg) => {
-                Response::with_status(Status::PaymentRequired).with_body(msg)
-            }
-            AccessOutcome::Failed(resp) => resp,
+            Err(resp) => resp,
         }
     }
 }
@@ -246,17 +215,7 @@ impl WebApp for WebPics {
     }
 
     fn handle(&self, net: &dyn Transport, req: &Request) -> Response {
-        if let Some(resp) = self.shell.route_common(net, req) {
-            return resp;
-        }
-        match (req.method, req.url.path()) {
-            (Method::Post, "/albums") => self.create_album(req),
-            (Method::Post, "/photos") => self.upload_photo(req),
-            (_, path) if path.starts_with("/photos/") => self.photo_route(net, req),
-            (Method::Get, path) if path.starts_with("/album/") => self.list_album(net, req),
-            (Method::Post, "/import") => self.import(net, req),
-            (_, other) => Response::not_found(other),
-        }
+        self.shell.serve(self, Self::ROUTES, net, req)
     }
 }
 
@@ -264,7 +223,7 @@ impl WebApp for WebPics {
 mod tests {
     use super::*;
     use ucam_webenv::identity::IdentityProvider;
-    use ucam_webenv::SimNet;
+    use ucam_webenv::{Method, SimNet, Status};
 
     fn setup() -> (SimNet, Arc<WebPics>, String) {
         let net = SimNet::new();
@@ -425,5 +384,48 @@ mod tests {
             ),
         );
         assert_eq!(edit.status, Status::Forbidden);
+    }
+
+    /// WebPics' rows. The second `/import` entry is the shared-client
+    /// hole: right after Bob's own import, another user's import of the
+    /// same file once rode Bob's cached token (201).
+    #[test]
+    fn every_gallery_route_answers_each_caller_as_pinned() {
+        use crate::shell::route_matrix::{check, pin};
+        const IMPORT: &str = "/import?from=webstorage.example&src=files/a.txt&album=rome&id=copy";
+        const FIRST: &str = "/import?from=webstorage.example&src=files/a.txt&album=rome&id=first";
+        let image = base64url_encode(&Image::gradient(2, 2).to_bytes());
+        // Columns: anonymous, another user, the owner, a host registrant,
+        // the delegated host, a forged credential.
+        let expected = [
+            pin(
+                "/albums",
+                Post,
+                "/albums?name=new",
+                [401, 201, 201, 401, 401, 401],
+            ),
+            pin(
+                "/photos",
+                Post,
+                "/photos?album=new&id=p",
+                [401, 201, 201, 401, 401, 401],
+            )
+            .with_body(&image),
+            pin(
+                "/photos/",
+                Get,
+                "/photos/rome/p1",
+                [302, 302, 200, 302, 302, 302],
+            ),
+            pin(
+                "/album/",
+                Get,
+                "/album/rome",
+                [302, 302, 200, 302, 302, 302],
+            ),
+            pin("/import", Post, IMPORT, [401, 403, 201, 401, 401, 401]),
+            pin("/import", Post, IMPORT, [401, 403, 201, 401, 401, 401]).after_owner(FIRST),
+        ];
+        check(WebPics::ROUTES, &expected, |rig| &*rig.pics);
     }
 }

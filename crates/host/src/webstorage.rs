@@ -4,35 +4,34 @@
 //!
 //! It can also act as a Requester: "the storage service can access photos
 //! hosted at the online gallery. For example, it may act as a backup
-//! service for online photo albums" — see the `/backup` route.
+//! service for online photo albums" — see the `/backup` route. A backup
+//! acts for the session's user, with that user's own assertion.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use ucam_policy::Action;
-use ucam_requester::{AccessOutcome, AccessSpec, RequesterClient};
-use ucam_webenv::{Method, Request, Response, SimClock, Status, Transport, Url, WebApp};
+use ucam_webenv::Method::{Get, Post};
+use ucam_webenv::{Method, Request, Response, SimClock, Status, Transport, WebApp};
 
-use crate::shell::AppShell;
+use crate::shell::Caller::{Pep, Session};
+use crate::shell::{AppShell, Call, Route};
 
 /// The online storage service application.
 ///
-/// Routes (all resource routes are PEP-enforced):
+/// Routes (the class column is who may call them, DESIGN.md §17):
 ///
-/// | Route | Meaning |
-/// |---|---|
-/// | `POST /files?path=p` (body) | upload a file (owner session required) |
-/// | `GET /files/<path>` | read a file |
-/// | `POST /files/<path>` (body) | overwrite a file |
-/// | `DELETE /files/<path>` | delete a file |
-/// | `POST /mkdir?path=d` | create a directory |
-/// | `GET /list?dir=d` | list a directory |
-/// | `POST /backup?from=h&src=r&dest=p` | fetch a remote resource (acting as a Requester) and store it |
-/// | common | `/delegate/setup`, `/delegate/done`, `/share`, `/acl` from [`AppShell`] |
+/// | Route | Class | Meaning |
+/// |---|---|---|
+/// | `POST /files?path=p` (body) | Session | upload a file |
+/// | `GET /files/<path>` | Pep | read a file |
+/// | `POST /files/<path>` (body) | Pep | overwrite a file |
+/// | `DELETE /files/<path>` | Pep | delete a file |
+/// | `POST /mkdir?path=d` | Session | create a directory |
+/// | `GET /list?dir=d` | Pep | list a directory |
+/// | `POST /backup?from=h&src=r&dest=p` | Session | fetch a remote resource for the session's user (acting as a Requester with that user's assertion) and store it as theirs |
+/// | common | | `/delegate/setup`, `/delegate/done`, `/share`, `/acl`, … from [`AppShell`] |
 pub struct WebStorage {
     shell: AppShell,
-    client: Mutex<RequesterClient>,
 }
 
 impl std::fmt::Debug for WebStorage {
@@ -44,11 +43,19 @@ impl std::fmt::Debug for WebStorage {
 }
 
 impl WebStorage {
+    /// The storage service's own routes, served after the shell's.
+    const ROUTES: &'static [Route<Self>] = &[
+        (Some(Post), "/files", Session, Self::upload),
+        (Some(Post), "/mkdir", Session, Self::mkdir),
+        (None, "/files/", Pep, Self::file_route),
+        (Some(Get), "/list", Pep, Self::list),
+        (Some(Post), "/backup", Session, Self::backup),
+    ];
+
     /// Creates the storage service at `authority`.
     #[must_use]
     pub fn new(authority: &str, clock: SimClock) -> Arc<Self> {
         Arc::new(WebStorage {
-            client: Mutex::new(RequesterClient::new(&format!("requester:{authority}"))),
             shell: AppShell::new(authority, clock),
         })
     }
@@ -59,49 +66,31 @@ impl WebStorage {
         &self.shell
     }
 
-    fn upload(&self, req: &Request) -> Response {
-        let owner = match self.shell.require_subject(req) {
-            Ok(user) => user,
-            Err(resp) => return resp,
-        };
-        let Some(path) = req.param("path") else {
+    fn upload(&self, c: Call<'_>) -> Response {
+        let Some(path) = c.req.param("path") else {
             return Response::bad_request("path required");
         };
-        let id = format!("files/{path}");
-        match self
-            .shell
-            .core
-            .put_resource(&id, &owner, "file", req.body.clone().into_bytes())
-        {
-            Ok(()) => Response::with_status(Status::Created).with_body(id),
-            Err(e) => Response::with_status(Status::Conflict).with_body(e.to_string()),
-        }
+        let data = c.req.body.clone().into_bytes();
+        self.shell.create(&c, format!("files/{path}"), "file", data)
     }
 
-    fn mkdir(&self, req: &Request) -> Response {
-        let owner = match self.shell.require_subject(req) {
-            Ok(user) => user,
-            Err(resp) => return resp,
-        };
-        let Some(path) = req.param("path") else {
+    fn mkdir(&self, c: Call<'_>) -> Response {
+        let Some(path) = c.req.param("path") else {
             return Response::bad_request("path required");
         };
-        let id = format!("dirs/{path}");
-        match self.shell.core.put_resource(&id, &owner, "dir", Vec::new()) {
-            Ok(()) => Response::with_status(Status::Created).with_body(id),
-            Err(e) => Response::with_status(Status::Conflict).with_body(e.to_string()),
-        }
+        self.shell
+            .create(&c, format!("dirs/{path}"), "dir", Vec::new())
     }
 
-    fn file_route(&self, net: &dyn Transport, req: &Request) -> Response {
-        let path = req.url.path().trim_start_matches("/files/");
+    fn file_route(&self, c: Call<'_>) -> Response {
+        let path = c.req.url.path().trim_start_matches("/files/");
         let id = format!("files/{path}");
-        let action = match req.method {
+        let action = match c.req.method {
             Method::Get => Action::Read,
             Method::Post | Method::Put => Action::Write,
             Method::Delete => Action::Delete,
         };
-        if let Err(resp) = self.shell.enforce_web(net, req, &id, &action) {
+        if let Err(resp) = self.shell.enforce_web(&c, &id, &action) {
             return resp;
         }
         match action {
@@ -112,7 +101,7 @@ impl WebStorage {
             Action::Write => match self
                 .shell
                 .core
-                .update_resource(&id, req.body.clone().into_bytes())
+                .update_resource(&id, c.req.body.clone().into_bytes())
             {
                 Ok(()) => Response::ok().with_body("updated"),
                 Err(e) => Response::not_found(&e.to_string()),
@@ -125,56 +114,35 @@ impl WebStorage {
         }
     }
 
-    fn list(&self, net: &dyn Transport, req: &Request) -> Response {
-        let Some(dir) = req.param("dir") else {
+    fn list(&self, c: Call<'_>) -> Response {
+        let Some(dir) = c.req.param("dir") else {
             return Response::bad_request("dir required");
         };
-        let dir_id = format!("dirs/{dir}");
-        if let Err(resp) = self.shell.enforce_web(net, req, &dir_id, &Action::List) {
+        if let Err(resp) = self
+            .shell
+            .enforce_web(&c, &format!("dirs/{dir}"), &Action::List)
+        {
             return resp;
         }
         let children = self.shell.core.ids_with_prefix(&format!("files/{dir}/"));
         Response::ok().with_body(children.join("\n"))
     }
 
-    /// Acting as a Requester (§VI): fetch a resource from another Host via
-    /// the full token flow and store it locally as a backup.
-    fn backup(&self, net: &dyn Transport, req: &Request) -> Response {
-        let owner = match self.shell.require_subject(req) {
-            Ok(user) => user,
-            Err(resp) => return resp,
+    /// Acting as a Requester (§VI) for the session's user: fetch a
+    /// resource from another Host via the full token flow and store it
+    /// locally as that user's backup.
+    fn backup(&self, c: Call<'_>) -> Response {
+        let req = c.req;
+        let (Some(from), Some(src), Some(dest)) =
+            (req.param("from"), req.param("src"), req.param("dest"))
+        else {
+            return Response::bad_request("from, src, dest required");
         };
-        let (from, src, dest) = match (req.param("from"), req.param("src"), req.param("dest")) {
-            (Some(f), Some(s), Some(d)) => (f.to_owned(), s.to_owned(), d.to_owned()),
-            _ => return Response::bad_request("from, src, dest required"),
-        };
-        let spec = AccessSpec::read(Url::new(&from, &format!("/{src}")));
-        let mut client = self.client.lock();
-        // Pass the caller's identity through to the AM: the storage service
-        // requests on behalf of the logged-in user.
-        if let Some(token) = req.param("subject_token") {
-            client.set_subject_token(Some(token.to_owned()));
-        }
-        match client.access(net, &spec) {
-            AccessOutcome::Granted(resp) => {
-                let id = format!("files/{dest}");
-                match self
-                    .shell
-                    .core
-                    .put_resource(&id, &owner, "file", resp.body.into_bytes())
-                {
-                    Ok(()) => Response::with_status(Status::Created).with_body(id),
-                    Err(e) => Response::with_status(Status::Conflict).with_body(e.to_string()),
-                }
-            }
-            AccessOutcome::Denied(reason) => Response::forbidden(&reason),
-            AccessOutcome::PendingConsent { consent_id, .. } => {
-                Response::with_status(Status::Accepted).with_body(consent_id)
-            }
-            AccessOutcome::NeedsClaims(msg) => {
-                Response::with_status(Status::PaymentRequired).with_body(msg)
-            }
-            AccessOutcome::Failed(resp) => resp,
+        match self.shell.fetch_for(&c, from, src) {
+            Ok(body) => self
+                .shell
+                .create(&c, format!("files/{dest}"), "file", body.into_bytes()),
+            Err(resp) => resp,
         }
     }
 }
@@ -185,17 +153,7 @@ impl WebApp for WebStorage {
     }
 
     fn handle(&self, net: &dyn Transport, req: &Request) -> Response {
-        if let Some(resp) = self.shell.route_common(net, req) {
-            return resp;
-        }
-        match (req.method, req.url.path()) {
-            (Method::Post, "/files") => self.upload(req),
-            (Method::Post, "/mkdir") => self.mkdir(req),
-            (_, path) if path.starts_with("/files/") => self.file_route(net, req),
-            (Method::Get, "/list") => self.list(net, req),
-            (Method::Post, "/backup") => self.backup(net, req),
-            (_, other) => Response::not_found(other),
-        }
+        self.shell.serve(self, Self::ROUTES, net, req)
     }
 }
 
@@ -203,7 +161,7 @@ impl WebApp for WebStorage {
 mod tests {
     use super::*;
     use ucam_webenv::identity::IdentityProvider;
-    use ucam_webenv::SimNet;
+    use ucam_webenv::{SimNet, Url};
 
     fn setup() -> (SimNet, Arc<WebStorage>, String) {
         let net = SimNet::new();
@@ -401,5 +359,46 @@ mod tests {
             Request::new(Method::Get, "https://webstorage.example/nope"),
         );
         assert_eq!(resp.status, Status::NotFound);
+    }
+
+    /// WebStorage's rows. The second `/backup` entry is the shared-client
+    /// hole: right after Bob's own backup, another user's backup of the
+    /// same photo once rode Bob's cached token (201).
+    #[test]
+    fn every_storage_route_answers_each_caller_as_pinned() {
+        use crate::shell::route_matrix::{check, pin};
+        const BACKUP: &str = "/backup?from=webpics.example&src=photos/rome/p1&dest=copy";
+        const FIRST: &str = "/backup?from=webpics.example&src=photos/rome/p1&dest=first";
+        // Columns: anonymous, another user, the owner, a host registrant,
+        // the delegated host, a forged credential.
+        let expected = [
+            pin(
+                "/files",
+                Post,
+                "/files?path=new.txt",
+                [401, 201, 201, 401, 401, 401],
+            ),
+            pin(
+                "/mkdir",
+                Post,
+                "/mkdir?path=new",
+                [401, 201, 201, 401, 401, 401],
+            ),
+            pin(
+                "/files/",
+                Get,
+                "/files/a.txt",
+                [302, 302, 200, 302, 302, 302],
+            ),
+            pin(
+                "/list",
+                Get,
+                "/list?dir=trips",
+                [302, 302, 200, 302, 302, 302],
+            ),
+            pin("/backup", Post, BACKUP, [401, 403, 201, 401, 401, 401]),
+            pin("/backup", Post, BACKUP, [401, 403, 201, 401, 401, 401]).after_owner(FIRST),
+        ];
+        check(WebStorage::ROUTES, &expected, |rig| &*rig.storage);
     }
 }

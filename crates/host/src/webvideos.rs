@@ -7,9 +7,11 @@ use std::sync::Arc;
 
 use ucam_crypto::{base64url_decode, base64url_encode};
 use ucam_policy::Action;
-use ucam_webenv::{Method, Request, Response, SimClock, Status, Transport, WebApp};
+use ucam_webenv::Method::{Get, Post};
+use ucam_webenv::{Request, Response, SimClock, Transport, WebApp};
 
-use crate::shell::AppShell;
+use crate::shell::Caller::{Pep, Session};
+use crate::shell::{AppShell, Call, Route};
 use crate::video::Video;
 
 /// The online video service application.
@@ -17,15 +19,17 @@ use crate::video::Video;
 /// Videos live under ids `collections/<collection>/<video>`; bodies travel
 /// base64url-encoded in the [`Video::to_bytes`] format.
 ///
-/// | Route | Meaning |
-/// |---|---|
-/// | `POST /collections?name=c` | create a collection (owner session) |
-/// | `POST /videos?collection=c&id=v` (body) | upload |
-/// | `GET /videos/<c>/<v>` | watch (read-enforced) |
-/// | `GET /videos/<c>/<v>/thumbnail?w&h` | poster frame (read-enforced) |
-/// | `POST /videos/<c>/<v>/clip?start&end` | trim (write-enforced) |
-/// | `POST /videos/<c>/<v>/append?from=<c2>/<v2>` | concat (write-enforced, read-enforced on source) |
-/// | `GET /collection/<c>` | list (list-enforced on `collection-meta/<c>`) |
+/// The class column is who may call a route (DESIGN.md §17).
+///
+/// | Route | Class | Meaning |
+/// |---|---|---|
+/// | `POST /collections?name=c` | Session | create a collection |
+/// | `POST /videos?collection=c&id=v` (body) | Session | upload |
+/// | `GET /videos/<c>/<v>` | Pep | watch (read-enforced) |
+/// | `GET /videos/<c>/<v>/thumbnail?w&h` | Pep | poster frame (read-enforced) |
+/// | `POST /videos/<c>/<v>/clip?start&end` | Pep | trim (write-enforced) |
+/// | `POST /videos/<c>/<v>/append?from=<c2>/<v2>` | Pep | concat (write-enforced, read-enforced on source) |
+/// | `GET /collection/<c>` | Pep | list (list-enforced on `collection-meta/<c>`) |
 pub struct WebVideos {
     shell: AppShell,
 }
@@ -39,6 +43,14 @@ impl std::fmt::Debug for WebVideos {
 }
 
 impl WebVideos {
+    /// The video service's own routes, served after the shell's.
+    const ROUTES: &'static [Route<Self>] = &[
+        (Some(Post), "/collections", Session, Self::create_collection),
+        (Some(Post), "/videos", Session, Self::upload),
+        (None, "/videos/", Pep, Self::video_route),
+        (Some(Get), "/collection/", Pep, Self::list_collection),
+    ];
+
     /// Creates the video service at `authority`.
     #[must_use]
     pub fn new(authority: &str, clock: SimClock) -> Arc<Self> {
@@ -53,48 +65,31 @@ impl WebVideos {
         &self.shell
     }
 
-    fn create_collection(&self, req: &Request) -> Response {
-        let owner = match self.shell.require_subject(req) {
-            Ok(user) => user,
-            Err(resp) => return resp,
-        };
-        let Some(name) = req.param("name") else {
+    fn create_collection(&self, c: Call<'_>) -> Response {
+        let Some(name) = c.req.param("name") else {
             return Response::bad_request("name required");
         };
         let id = format!("collection-meta/{name}");
-        match self
-            .shell
-            .core
-            .put_resource(&id, &owner, "collection", Vec::new())
-        {
-            Ok(()) => Response::with_status(Status::Created).with_body(id),
-            Err(e) => Response::with_status(Status::Conflict).with_body(e.to_string()),
-        }
+        self.shell.create(&c, id, "collection", Vec::new())
     }
 
-    fn upload(&self, req: &Request) -> Response {
-        let owner = match self.shell.require_subject(req) {
-            Ok(user) => user,
-            Err(resp) => return resp,
+    fn upload(&self, c: Call<'_>) -> Response {
+        let (Some(collection), Some(video_id)) = (c.req.param("collection"), c.req.param("id"))
+        else {
+            return Response::bad_request("collection and id required");
         };
-        let (collection, video_id) = match (req.param("collection"), req.param("id")) {
-            (Some(c), Some(v)) => (c, v),
-            _ => return Response::bad_request("collection and id required"),
-        };
-        let Ok(bytes) = base64url_decode(&req.body) else {
+        let Ok(bytes) = base64url_decode(&c.req.body) else {
             return Response::bad_request("body must be base64url video data");
         };
         if let Err(e) = Video::from_bytes(&bytes) {
             return Response::bad_request(&format!("body is not a valid video: {e}"));
         }
         let id = format!("collections/{collection}/{video_id}");
-        match self.shell.core.put_resource(&id, &owner, "video", bytes) {
-            Ok(()) => Response::with_status(Status::Created).with_body(id),
-            Err(e) => Response::with_status(Status::Conflict).with_body(e.to_string()),
-        }
+        self.shell.create(&c, id, "video", bytes)
     }
 
-    fn video_route(&self, net: &dyn Transport, req: &Request) -> Response {
+    fn video_route(&self, c: Call<'_>) -> Response {
+        let req = c.req;
         let rest = req.url.path().trim_start_matches("/videos/");
         let segments: Vec<&str> = rest.split('/').filter(|s| !s.is_empty()).collect();
         let (collection, video_id, op) = match segments.as_slice() {
@@ -107,7 +102,7 @@ impl WebVideos {
             None | Some("thumbnail") => Action::Read,
             Some(_) => Action::Write,
         };
-        if let Err(resp) = self.shell.enforce_web(net, req, &id, &action) {
+        if let Err(resp) = self.shell.enforce_web(&c, &id, &action) {
             return resp;
         }
         let Some(resource) = self.shell.core.resource(&id) else {
@@ -152,7 +147,7 @@ impl WebVideos {
                 };
                 let source_id = format!("collections/{from}");
                 // The source is enforced too: appending republishes it.
-                if let Err(resp) = self.shell.enforce_web(net, req, &source_id, &Action::Read) {
+                if let Err(resp) = self.shell.enforce_web(&c, &source_id, &Action::Read) {
                     return resp;
                 }
                 let Some(source) = self.shell.core.resource(&source_id) else {
@@ -176,10 +171,10 @@ impl WebVideos {
         }
     }
 
-    fn list_collection(&self, net: &dyn Transport, req: &Request) -> Response {
-        let collection = req.url.path().trim_start_matches("/collection/");
+    fn list_collection(&self, c: Call<'_>) -> Response {
+        let collection = c.req.url.path().trim_start_matches("/collection/");
         let meta_id = format!("collection-meta/{collection}");
-        if let Err(resp) = self.shell.enforce_web(net, req, &meta_id, &Action::List) {
+        if let Err(resp) = self.shell.enforce_web(&c, &meta_id, &Action::List) {
             return resp;
         }
         let videos = self
@@ -196,18 +191,7 @@ impl WebApp for WebVideos {
     }
 
     fn handle(&self, net: &dyn Transport, req: &Request) -> Response {
-        if let Some(resp) = self.shell.route_common(net, req) {
-            return resp;
-        }
-        match (req.method, req.url.path()) {
-            (Method::Post, "/collections") => self.create_collection(req),
-            (Method::Post, "/videos") => self.upload(req),
-            (_, path) if path.starts_with("/videos/") => self.video_route(net, req),
-            (Method::Get, path) if path.starts_with("/collection/") => {
-                self.list_collection(net, req)
-            }
-            (_, other) => Response::not_found(other),
-        }
+        self.shell.serve(self, Self::ROUTES, net, req)
     }
 }
 
@@ -215,7 +199,7 @@ impl WebApp for WebVideos {
 mod tests {
     use super::*;
     use ucam_webenv::identity::IdentityProvider;
-    use ucam_webenv::SimNet;
+    use ucam_webenv::{Method, SimNet, Status};
 
     fn setup() -> (SimNet, Arc<WebVideos>, String) {
         let net = SimNet::new();
@@ -405,5 +389,41 @@ mod tests {
             .with_param("subject_token", &token),
         );
         assert_eq!(unknown.status, Status::BadRequest);
+    }
+
+    #[test]
+    fn every_video_route_answers_each_caller_as_pinned() {
+        use crate::shell::route_matrix::{check, pin};
+        let video = base64url_encode(&Video::test_pattern(2, 2, 2).to_bytes());
+        // Columns: anonymous, another user, the owner, a host registrant,
+        // the delegated host, a forged credential.
+        let expected = [
+            pin(
+                "/collections",
+                Post,
+                "/collections?name=new",
+                [401, 201, 201, 401, 401, 401],
+            ),
+            pin(
+                "/videos",
+                Post,
+                "/videos?collection=new&id=v",
+                [401, 201, 201, 401, 401, 401],
+            )
+            .with_body(&video),
+            pin(
+                "/videos/",
+                Get,
+                "/videos/trips/clip",
+                [302, 302, 200, 302, 302, 302],
+            ),
+            pin(
+                "/collection/",
+                Get,
+                "/collection/trips",
+                [302, 302, 200, 302, 302, 302],
+            ),
+        ];
+        check(WebVideos::ROUTES, &expected, |rig| &*rig.videos);
     }
 }

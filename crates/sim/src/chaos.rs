@@ -139,7 +139,9 @@ pub struct ChaosReport {
     pub requester_failovers: u64,
     /// High-water staleness served, in ms past TTL (≤ grace window).
     pub max_served_staleness_ms: u64,
-    /// Epoch pushes delivered to the Host across both AMs.
+    /// Epoch pushes delivered to the Host across both AMs, over the AMs'
+    /// lifetime: the set-up drain counts too. Read from the same
+    /// `EpochPushStats` snapshot as `sieves_pushed`.
     pub pushes_delivered: u64,
     /// Push delivery attempts lost to the fabric and retried.
     pub push_retries: u64,
@@ -157,7 +159,8 @@ pub struct ChaosReport {
     /// signing under its *own* delegation secret, every one of its
     /// bodies lands here — forged-signer coverage for free.
     pub sieve_rejects: u64,
-    /// Delivered epoch pushes that carried a sieve body (both AMs).
+    /// Delivered epoch pushes that carried a sieve body (both AMs), over
+    /// the same window as `pushes_delivered`, so never more than it.
     pub sieves_pushed: u64,
     /// Decision queries that left for the primary AM with an `if_epoch`
     /// precondition (DESIGN.md §16); fast-failed ones and their fallback
@@ -190,9 +193,10 @@ where
 }
 
 /// Gives both AMs' push channels one delivery round over the (possibly
-/// faulty) fabric; returns the number of pushes that landed.
-fn pump_pushes(rig: &Rig) -> u64 {
-    (rig.am_a.pump_epoch_pushes(&rig.net) + rig.am_b.pump_epoch_pushes(&rig.net)) as u64
+/// faulty) fabric.
+fn pump_pushes(rig: &Rig) {
+    rig.am_a.pump_epoch_pushes(&rig.net);
+    rig.am_b.pump_epoch_pushes(&rig.net);
 }
 
 /// Whether every scheduled epoch push from *either* AM has been
@@ -203,13 +207,12 @@ fn pushes_visible(rig: &Rig) -> bool {
 }
 
 /// Drains both push channels to empty on a healthy fabric, advancing the
-/// clock through retry backoff as needed; returns deliveries made.
-fn drain_pushes(rig: &Rig) -> u64 {
-    let mut delivered = 0;
+/// clock through retry backoff as needed.
+fn drain_pushes(rig: &Rig) {
     for _ in 0..10_000 {
-        delivered += pump_pushes(rig);
+        pump_pushes(rig);
         if rig.am_a.pending_epoch_pushes() == 0 && rig.am_b.pending_epoch_pushes() == 0 {
-            return delivered;
+            return;
         }
         rig.net.clock().advance_ms(50);
     }
@@ -438,7 +441,7 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
         // event: epoch advances travel the same faulty fabric as
         // everything else, and their delivery lag IS the
         // revocation-visibility window.
-        report.pushes_delivered += pump_pushes(&rig);
+        pump_pushes(&rig);
         if pushes_visible(&rig) {
             truth_visible.clone_from(&truth_now);
         }
@@ -526,7 +529,7 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
     // the grace window, breaker cooldown and flap period, every
     // (reader, resource) pair must land exactly on ground truth.
     heal_all(&rig);
-    report.pushes_delivered += drain_pushes(&rig);
+    drain_pushes(&rig);
     truth_visible.clone_from(&truth_now);
     rig.net
         .clock()
@@ -557,6 +560,7 @@ pub fn run(config: &ChaosConfig) -> ChaosReport {
 
     let push_a = rig.am_a.epoch_push_stats();
     let push_b = rig.am_b.epoch_push_stats();
+    report.pushes_delivered = push_a.delivered + push_b.delivered;
     report.push_retries = push_a.retries + push_b.retries;
     report.revocation_visibility_ms = push_a.max_lag_ms.max(push_b.max_lag_ms);
 
@@ -618,6 +622,11 @@ mod tests {
         // The sieve actually carried load end to end: pushed, installed,
         // and serving hits.
         assert!(report.sieves_pushed > 0, "{report:?}");
+        // Both push counters read one window.
+        assert!(
+            report.sieves_pushed <= report.pushes_delivered,
+            "{report:?}"
+        );
         assert!(report.sieve_installs > 0, "{report:?}");
         assert!(report.sieve_hits > 0, "{report:?}");
         // AM-B signs under its own secret, so every one of its bodies is
@@ -646,6 +655,10 @@ mod tests {
             assert_eq!(report.violations, 0, "seed {seed}: {report:?}");
             assert!(
                 report.max_served_staleness_ms <= grace,
+                "seed {seed}: {report:?}"
+            );
+            assert!(
+                report.sieves_pushed <= report.pushes_delivered,
                 "seed {seed}: {report:?}"
             );
         }

@@ -1,11 +1,13 @@
 //! End-to-end tests of the §VII future-work features, implemented:
 //! XRD/LRDD discovery, XACML policies at the AM, and RT₀ role credentials
-//! feeding group clauses.
+//! feeding group clauses; and of the §VI Hosts that act as Requesters for
+//! the user whose session calls them.
 
 use ucam::policy::prelude::*;
 use ucam::policy::rt::{Credential, RoleRef};
 use ucam::requester::AccessOutcome;
 use ucam::sim::world::{World, HOSTS};
+use ucam::webenv::{Method, Request, Response, Status};
 
 fn base_world() -> World {
     let mut world = World::bootstrap();
@@ -230,4 +232,107 @@ fn explicit_groups_and_rt_roles_combine() {
     assert!(world
         .friend_reads("chris", HOSTS[0], "/photos/rome/photo-0")
         .is_granted());
+}
+
+/// How a caller proves its session at the Host: the `subject_token` param
+/// or only the `ident` cookie.
+#[derive(Clone, Copy)]
+enum Login {
+    Param,
+    Cookie,
+}
+
+/// `user` asks `host` to copy `src` from `from` into `dest`, through
+/// WebStorage's `/backup` or WebPics' `/import`.
+fn copy_as(
+    world: &mut World,
+    user: &str,
+    login: Login,
+    route: &str,
+    params: &[(&str, &str)],
+) -> Response {
+    let assertion = world.assertion(user);
+    let host = if route == "/backup" {
+        HOSTS[1]
+    } else {
+        HOSTS[0]
+    };
+    let mut req = Request::new(Method::Post, &format!("https://{host}{route}"));
+    for (key, value) in params {
+        req = req.with_param(key, value);
+    }
+    req = match login {
+        Login::Param => req.with_param("subject_token", &assertion),
+        Login::Cookie => req.with_header("cookie", &format!("ident={assertion}")),
+    };
+    world.net.dispatch(&format!("browser:{user}"), req)
+}
+
+fn backup(world: &mut World, user: &str, login: Login, photo: &str, dest: &str) -> Response {
+    let src = format!("photos/rome/{photo}");
+    let params = [("from", HOSTS[0]), ("src", src.as_str()), ("dest", dest)];
+    copy_as(world, user, login, "/backup", &params)
+}
+
+fn import(world: &mut World, user: &str, login: Login, file: &str, id: &str) -> Response {
+    let src = format!("files/trips/{file}");
+    let params = [
+        ("from", HOSTS[1]),
+        ("src", src.as_str()),
+        ("album", "rome"),
+        ("id", id),
+    ];
+    copy_as(world, user, login, "/import", &params)
+}
+
+/// WebStorage's `/backup` and WebPics' `/import` act for the session's
+/// user only: each call reaches the AM with that user's own assertion
+/// (from the param or the cookie alike) and no token cached for an
+/// earlier caller. Bob shares with Alice; Chris is denied, however the
+/// calls interleave, and nothing is stored for him.
+#[test]
+fn hosts_acting_as_requesters_never_pass_a_token_or_identity_on() {
+    let mut world = base_world();
+    world.share_with_friends("bob", &["alice"]);
+    let stored = |world: &World, host: usize, id: &str| {
+        let shell = if host == 0 {
+            world.pics.shell()
+        } else {
+            world.storage.shell()
+        };
+        shell.core.resource(id).map(|r| r.owner)
+    };
+
+    // First, in a fresh world: Alice's cookie alone carries her identity.
+    let resp = backup(&mut world, "alice", Login::Cookie, "photo-0", "a-cookie");
+    assert_eq!(resp.status, Status::Created, "{}", resp.body);
+    assert_eq!(
+        stored(&world, 1, "files/a-cookie").as_deref(),
+        Some("alice")
+    );
+    let resp = backup(&mut world, "alice", Login::Param, "photo-0", "a-param");
+    assert_eq!(resp.status, Status::Created, "{}", resp.body);
+
+    // Right after Alice's backup, Chris's cookie-only backup of another
+    // photo cannot ride her assertion, and his backup of the photo she
+    // just copied cannot ride her token.
+    let resp = backup(&mut world, "chris", Login::Cookie, "photo-1", "c-cookie");
+    assert_eq!(resp.status, Status::Forbidden, "{}", resp.body);
+    assert_eq!(stored(&world, 1, "files/c-cookie"), None);
+    let resp = backup(&mut world, "chris", Login::Param, "photo-0", "c-param");
+    assert_eq!(resp.status, Status::Forbidden, "{}", resp.body);
+    assert_eq!(stored(&world, 1, "files/c-param"), None);
+
+    // The same at WebPics, importing from WebStorage.
+    let resp = import(&mut world, "alice", Login::Cookie, "file-0.txt", "a-cookie");
+    assert_eq!(resp.status, Status::Created, "{}", resp.body);
+    let resp = import(&mut world, "alice", Login::Param, "file-0.txt", "a-param");
+    assert_eq!(resp.status, Status::Created, "{}", resp.body);
+    assert_eq!(
+        stored(&world, 0, "albums/rome/a-param").as_deref(),
+        Some("alice")
+    );
+    let resp = import(&mut world, "chris", Login::Param, "file-0.txt", "c-param");
+    assert_eq!(resp.status, Status::Forbidden, "{}", resp.body);
+    assert_eq!(stored(&world, 0, "albums/rome/c-param"), None);
 }
