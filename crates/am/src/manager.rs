@@ -347,10 +347,11 @@ struct Candidate<'a> {
 /// in the spirit of OAuth dynamic client registration). The secret is
 /// the bearer credential for the rotate/deregister management endpoints
 /// and, for `kind == "host"`, for obtaining delegations over the wire.
+/// Only its SHA-256 digest is kept.
 struct Registration {
     kind: String,
     authority: String,
-    secret: String,
+    secret_digest: [u8; 32],
 }
 
 /// The Authorization Manager application. See the [module docs](self).
@@ -1769,15 +1770,16 @@ impl AuthorizationManager {
 
     /// Authenticates a registrant (`registrant_id` + `secret` params)
     /// against the registry and returns its id, kind and authority.
-    /// Secrets are compared as SHA-256 digests in constant time, so
-    /// neither content nor length of a wrong guess leaks through timing.
+    /// The presented secret's SHA-256 digest is compared with the stored
+    /// one in constant time, so neither content nor length of a wrong
+    /// guess leaks through timing.
     fn authenticate_registrant(&self, req: &Request) -> Result<(String, String, String), Response> {
         let (Some(id), Some(secret)) = (req.param("registrant_id"), req.param("secret")) else {
             return Err(Response::bad_request("registrant_id and secret required"));
         };
-        let digest = |s: &str| ucam_crypto::sha256(s.as_bytes());
+        let presented = ucam_crypto::sha256(secret.as_bytes());
         match self.registrants.lock().get(id) {
-            Some(r) if ucam_crypto::ct_eq(&digest(&r.secret), &digest(secret)) => {
+            Some(r) if ucam_crypto::ct_eq(&r.secret_digest, &presented) => {
                 Ok((id.to_owned(), r.kind.clone(), r.authority.clone()))
             }
             _ => Err(unauthorized("unknown registrant or bad secret")),
@@ -2052,7 +2054,7 @@ impl AuthorizationManager {
             Registration {
                 kind: body.kind,
                 authority: body.authority,
-                secret: secret.clone(),
+                secret_digest: ucam_crypto::sha256(secret.as_bytes()),
             },
         );
         Response::with_status(Status::Created).with_body(
@@ -2071,7 +2073,7 @@ impl AuthorizationManager {
         let secret = ucam_crypto::random_token(16);
         match self.registrants.lock().get_mut(&c.who.registrant) {
             Some(registrant) => {
-                registrant.secret = secret.clone();
+                registrant.secret_digest = ucam_crypto::sha256(secret.as_bytes());
                 Response::ok().with_body(
                     protocol::RegistrationReply {
                         registrant_id: c.who.registrant,

@@ -1422,6 +1422,13 @@ impl HostCore {
         self.state.read().resources.get(id).cloned()
     }
 
+    /// Reads only a resource's owner, for the routes that need nothing
+    /// else of it: the resource's data is not copied.
+    #[must_use]
+    pub(crate) fn owner_of(&self, id: &str) -> Option<String> {
+        self.state.read().resources.get(id).map(|r| r.owner.clone())
+    }
+
     /// Reads only a resource's content, as text (invalid UTF-8 replaced)
     /// — the serving path after a grant, which has no use for the
     /// metadata [`HostCore::resource`] would also clone. The bytes are

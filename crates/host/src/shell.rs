@@ -204,11 +204,11 @@ impl AppShell {
                 let Some(resource_id) = req.param("resource") else {
                     return Err(Response::bad_request("resource required"));
                 };
-                let Some(resource) = self.core.resource(resource_id) else {
+                let Some(owner) = self.core.owner_of(resource_id) else {
                     return Err(Response::not_found(resource_id));
                 };
                 match self.subject_of(req) {
-                    Some(subject) if subject == resource.owner => Ok(Some(subject)),
+                    Some(subject) if subject == owner => Ok(Some(subject)),
                     _ => Err(Response::forbidden("only the owner may edit sharing")),
                 }
             }
@@ -287,7 +287,7 @@ impl AppShell {
         let Some(resource_id) = c.req.param("resource") else {
             return Response::bad_request("resource required");
         };
-        let Some(resource) = self.core.resource(resource_id) else {
+        let Some(owner) = self.core.owner_of(resource_id) else {
             return Response::not_found(resource_id);
         };
         let mut xrd = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<XRD>\n");
@@ -296,11 +296,8 @@ impl AppShell {
             self.core.authority(),
             resource_id
         ));
-        xrd.push_str(&format!(
-            "  <Property type=\"owner\">{}</Property>\n",
-            resource.owner
-        ));
-        if let Some(delegation) = self.core.delegation_for(resource_id, &resource.owner) {
+        xrd.push_str(&format!("  <Property type=\"owner\">{owner}</Property>\n"));
+        if let Some(delegation) = self.core.delegation_for(resource_id, &owner) {
             xrd.push_str(&format!(
                 "  <Link rel=\"authorization-manager\" href=\"https://{}/authorize\"/>\n",
                 delegation.am
@@ -368,14 +365,14 @@ impl AppShell {
         let Some(resource_id) = c.req.param("resource") else {
             return Response::bad_request("resource required");
         };
-        let Some(resource) = self.core.resource(resource_id) else {
+        let Some(owner) = self.core.owner_of(resource_id) else {
             return Response::not_found(resource_id);
         };
-        match self.core.delegation_for(resource_id, &resource.owner) {
+        match self.core.delegation_for(resource_id, &owner) {
             Some(delegation) => {
                 let back = Url::new(self.core.authority(), "/shared");
                 let mut target = Url::new(&delegation.am, "/compose")
-                    .with_query("owner", &resource.owner)
+                    .with_query("owner", &owner)
                     .with_query("host", self.core.authority())
                     .with_query("resource", resource_id)
                     .with_query("return", &back.to_string());

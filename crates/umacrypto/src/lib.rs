@@ -7,6 +7,8 @@
 //! primitives the rest of the workspace uses to mint and verify such tokens:
 //!
 //! * [`sha256`] — a from-scratch SHA-256 implementation (FIPS 180-4),
+//!   whose block function runs on the x86-64 SHA extensions where the CPU
+//!   has them,
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), with [`HmacKey`] absorbing a key's
 //!   pad blocks once for keys that sign many messages,
 //! * [`base64`] — padding-free URL-safe base64 (RFC 4648 §5),
@@ -17,6 +19,17 @@
 //!
 //! No external cryptography crates are used; everything here is implemented
 //! from first principles so the workspace is self-contained.
+//!
+//! # Unsafe code
+//!
+//! The crate denies `unsafe` and allows it in one place: the call from
+//! the SHA-256 block function into its SHA-extension kernel
+//! ([`sha`]'s module docs). The kernel is a safe function compiled with
+//! extra target features, so calling it is sound exactly when the CPU has
+//! those features, and the call is made only after
+//! `is_x86_feature_detected!` has reported every one of them. The kernel
+//! reads and writes no raw pointer. Every other CPU and architecture runs
+//! the portable block function, which produces the same digests.
 //!
 //! # Example
 //!
@@ -30,7 +43,7 @@
 //! assert_eq!(sha256(b"abc").len(), 32);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod base64;

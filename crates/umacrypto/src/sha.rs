@@ -3,11 +3,31 @@
 //! Hashing is not a negligible cost here. A Host decision query opens two
 //! sealed tokens at the AM (two HMACs) and hashes the access tuple at both
 //! ends, so the block function runs more than a dozen times per decision.
-//! It is therefore written for speed within safe, portable Rust: the 64
-//! rounds are unrolled by macro over a rolling 16-word message schedule,
-//! full input blocks are compressed straight from the caller's slice, and
-//! [`Sha256::finalize`] writes its padding into the buffer in place. There
-//! is no SIMD or SHA-extension path; the crate forbids `unsafe`.
+//! Full input blocks are compressed straight from the caller's slice, and
+//! [`Sha256::finalize`] writes its padding into the buffer in place.
+//!
+//! There are two block functions, and `compress` picks one per block:
+//!
+//! * On an x86-64 CPU with the SHA extensions (`sha256rnds2`,
+//!   `sha256msg1`, `sha256msg2`) and SSSE3 and SSE4.1, it runs a kernel
+//!   built on those instructions: `sha256rnds2` runs two rounds, and the
+//!   other two together extend the message schedule by four words.
+//! * Every other CPU and architecture runs the portable function: the 64
+//!   rounds unrolled by macro over a rolling 16-word message schedule.
+//!   It is also the reference the tests compare the kernel against.
+//!
+//! The choice comes from the CPU at run time (`is_x86_feature_detected!`,
+//! which caches what it finds), so no build setting or option selects a
+//! path, and both produce the same digest for every input.
+//!
+//! The kernel is a safe function compiled with
+//! `#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]`. It moves words
+//! in with `_mm_set_epi32` and out with `_mm_extract_epi32`, so it reads
+//! and writes no raw pointer. Calling it is this crate's one `unsafe`
+//! operation, because running instructions the CPU lacks is undefined
+//! behaviour. `compress` makes that call only after detection has
+//! reported every one of those features (SSE2 is part of the x86-64
+//! baseline).
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes.
@@ -205,12 +225,31 @@ macro_rules! round {
     };
 }
 
-/// The SHA-256 compression function (FIPS 180-4 §6.2.2) on one block,
-/// fully unrolled. The message schedule rolls through 16 words: slot
-/// `t mod 16` holds `W[t]` while round `t` runs, and from round 16 on each
-/// round first overwrites its slot, which still holds `W[t-16]`, with
-/// `W[t]`.
+/// The SHA-256 compression function (FIPS 180-4 §6.2.2) on one block:
+/// the SHA-extension kernel where the CPU has it, else the portable
+/// function.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::detected() {
+        // SAFETY: `sha_ni::compress` is compiled with the `sha`, `sse2`,
+        // `ssse3` and `sse4.1` target features, so it may run only on a
+        // CPU that has all four. SSE2 is part of the x86-64 baseline, and
+        // `detected` has just reported the other three on this CPU. The
+        // kernel itself takes only references and touches no raw pointer.
+        #[allow(unsafe_code)]
+        unsafe {
+            sha_ni::compress(state, block);
+        }
+        return;
+    }
+    compress_portable(state, block);
+}
+
+/// The portable compression function, fully unrolled. The message
+/// schedule rolls through 16 words: slot `t mod 16` holds `W[t]` while
+/// round `t` runs, and from round 16 on each round first overwrites its
+/// slot, which still holds `W[t-16]`, with `W[t]`.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 16];
     for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
         *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
@@ -263,6 +302,112 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
 
     for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
         *word = word.wrapping_add(v);
+    }
+}
+
+/// The compression function on the x86-64 SHA extensions.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use std::arch::x86_64::{
+        _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32, _mm_sha256msg1_epu32,
+        _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    use super::K;
+
+    /// Whether this CPU has every feature [`compress`] is compiled with
+    /// (SSE2 is part of the x86-64 baseline).
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse4.1")
+            && is_x86_feature_detected!("ssse3")
+    }
+
+    /// One block, four rounds per step. The round instruction keeps the
+    /// eight working variables in two registers, named for their lanes
+    /// from high to low: `abef` holds (a, b, e, f) and `cdgh` holds
+    /// (c, d, g, h). Each schedule register holds four message words,
+    /// the earliest in the lowest lane.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let mut w = [0i32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = i32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        }
+        let [a, b, c, d, e, f, g, h] = state.map(|v| v as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        // Rounds `$t` to `$t + 3` on the schedule words in `$m`.
+        // `sha256rnds2` runs two rounds on the sums W + K in the two low
+        // lanes of its third operand and returns the new (a, b, e, f);
+        // the old (a, b, e, f) is then the new (c, d, g, h). Shuffling
+        // the high pair of sums down feeds the next two rounds.
+        macro_rules! rounds4 {
+            ($m:expr, $t:expr) => {
+                let wk = _mm_add_epi32(
+                    $m,
+                    _mm_set_epi32(
+                        K[$t + 3] as i32,
+                        K[$t + 2] as i32,
+                        K[$t + 1] as i32,
+                        K[$t] as i32,
+                    ),
+                );
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+            };
+        }
+        // `W[t..t+4]` from the sixteen words before it, given as four
+        // registers from the earliest: `sha256msg1` adds σ0(W[t-15..]) to
+        // `W[t-16..]`, the byte shift supplies `W[t-7..t-3]`, and
+        // `sha256msg2` adds σ1(W[t-2]) lane by lane, feeding each new
+        // word to the lanes after it.
+        macro_rules! schedule {
+            ($m0:expr, $m1:expr, $m2:expr, $m3:expr) => {
+                _mm_sha256msg2_epu32(
+                    _mm_add_epi32(
+                        _mm_sha256msg1_epu32($m0, $m1),
+                        _mm_alignr_epi8::<4>($m3, $m2),
+                    ),
+                    $m3,
+                )
+            };
+        }
+
+        let mut m0 = _mm_set_epi32(w[3], w[2], w[1], w[0]);
+        let mut m1 = _mm_set_epi32(w[7], w[6], w[5], w[4]);
+        let mut m2 = _mm_set_epi32(w[11], w[10], w[9], w[8]);
+        let mut m3 = _mm_set_epi32(w[15], w[14], w[13], w[12]);
+        rounds4!(m0, 0);
+        rounds4!(m1, 4);
+        rounds4!(m2, 8);
+        rounds4!(m3, 12);
+        for t in [16, 32, 48] {
+            m0 = schedule!(m0, m1, m2, m3);
+            rounds4!(m0, t);
+            m1 = schedule!(m1, m2, m3, m0);
+            rounds4!(m1, t + 4);
+            m2 = schedule!(m2, m3, m0, m1);
+            rounds4!(m2, t + 8);
+            m3 = schedule!(m3, m0, m1, m2);
+            rounds4!(m3, t + 12);
+        }
+
+        let abef = _mm_add_epi32(abef, abef_in);
+        let cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|v| v as u32);
     }
 }
 
@@ -344,6 +489,49 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split at {split}");
         }
+    }
+
+    /// `compress` against the portable function on 100,000 seeded random
+    /// (state, block) pairs. `compress` takes the SHA-extension kernel
+    /// where the CPU has it; elsewhere the two are one function, so the
+    /// test says it compared nothing.
+    #[test]
+    fn kernel_matches_portable_on_random_blocks() {
+        #[cfg(target_arch = "x86_64")]
+        let kernel = sha_ni::detected();
+        #[cfg(not(target_arch = "x86_64"))]
+        let kernel = false;
+        if !kernel {
+            println!("no SHA-extension kernel on this CPU: compared nothing");
+            return;
+        }
+        // splitmix64, so every run draws the same cases.
+        let mut seed = 0x243f_6a88_85a3_08d3_u64;
+        let mut next = || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        const CASES: usize = 100_000;
+        for case in 0..CASES {
+            let mut state = [0u32; 8];
+            for pair in state.chunks_exact_mut(2) {
+                let v = next();
+                pair[0] = v as u32;
+                pair[1] = (v >> 32) as u32;
+            }
+            let mut block = [0u8; 64];
+            for bytes in block.chunks_exact_mut(8) {
+                bytes.copy_from_slice(&next().to_le_bytes());
+            }
+            let mut portable = state;
+            compress(&mut state, &block);
+            compress_portable(&mut portable, &block);
+            assert_eq!(state, portable, "case {case}");
+        }
+        println!("SHA-extension kernel matched the portable function on {CASES} random blocks");
     }
 
     #[test]
