@@ -343,6 +343,25 @@ mod tests {
             .for_action(Action::Read)
     }
 
+    /// At the cap each stripe keeps its newest entries, so the hub keeps
+    /// the newest `cap` in record order; a lower cap trims the stripe
+    /// the next record lands on.
+    #[test]
+    fn a_capped_hub_keeps_the_newest_entries() {
+        let hub = AuditHub::new();
+        hub.set_cap(16);
+        for at in 0..40 {
+            hub.record(decision("bob", "h1", "req-a", true, at));
+        }
+        let times: Vec<u64> = hub.snapshot().entries().iter().map(|e| e.at_ms).collect();
+        assert_eq!(times, (24..40).collect::<Vec<_>>());
+
+        hub.set_cap(8);
+        hub.record(decision("bob", "h1", "req-a", true, 40));
+        assert_eq!(hub.len(), 15);
+        assert_eq!(hub.snapshot().entries()[0].at_ms, 25);
+    }
+
     #[test]
     fn record_and_filter_by_owner() {
         let mut log = AuditLog::new();

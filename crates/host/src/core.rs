@@ -241,239 +241,6 @@ pub struct AccessAttempt {
     pub return_url: Url,
 }
 
-/// `(requester, resource id, action)` — what a cached decision answers for.
-type CacheKey = (String, String, Action);
-
-/// One cached permit decision (§V.B.6).
-///
-/// A cached entry may satisfy a later request only when *all* of these
-/// hold: the same requester presents the **same bearer token** (the
-/// access tuple's full digest matches), the entry's TTL has not elapsed,
-/// and the owner's policy epoch has not advanced since the AM stamped
-/// the decision.
-#[derive(Debug)]
-struct CachedDecision {
-    expires_at_ms: u64,
-    /// [`protocol::tuple_digest`] of the `(token, resource, action,
-    /// requester)` tuple that earned the permit. A permit is bound to its
-    /// token by all 256 bits; a different (possibly garbage) bearer must
-    /// take the full decision-query path.
-    digest: [u8; 32],
-    /// Resource owner whose policies produced the decision.
-    owner: String,
-    /// The owner's policy epoch at decision time.
-    epoch: u64,
-    /// Second-chance bit: set on every hit, cleared once by the evictor
-    /// before the entry becomes an eviction victim.
-    referenced: AtomicBool,
-}
-
-/// Whether `entry` was stamped before its owner's freshest known policy
-/// epoch: such an entry is dead for every use.
-fn behind_floor(owner_epochs: &HashMap<String, u64>, entry: &CachedDecision) -> bool {
-    entry.epoch < owner_epochs.get(&entry.owner).copied().unwrap_or(0)
-}
-
-/// The bounded decision cache. Eviction is second-chance (clock) over
-/// insertion order — deterministic for a deterministic request sequence,
-/// unlike anything keyed on map iteration order.
-struct DecisionCache {
-    /// At most this many entries; 0 caches nothing.
-    capacity: usize,
-    entries: HashMap<CacheKey, CachedDecision>,
-    /// Keys in insertion order, driving the second-chance sweep.
-    order: VecDeque<CacheKey>,
-    /// Freshest policy epoch seen per owner (from decision responses or
-    /// pushed via [`HostCore::note_policy_epoch`]). Entries stamped with
-    /// an older epoch are dead.
-    owner_epochs: HashMap<String, u64>,
-    /// Degraded-mode grace window (ms past TTL expiry) within which an
-    /// expired **permit** may still be served when the AM is unreachable
-    /// at the transport level. 0 (the default) disables degraded mode.
-    /// Epoch-stale entries are never grace-served: a policy change
-    /// always fails closed regardless of this window.
-    stale_grace_ms: u64,
-    /// A lower bound on every entry's `expires_at_ms` (`u64::MAX` when
-    /// nothing was inserted since the last sweep). Until it plus the
-    /// grace window has passed no entry can be swept, so
-    /// [`DecisionCache::insert`] skips the sweep.
-    earliest_expiry_ms: u64,
-}
-
-impl DecisionCache {
-    fn new() -> Self {
-        DecisionCache {
-            capacity: DEFAULT_DECISION_CACHE_CAPACITY,
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            owner_epochs: HashMap::new(),
-            stale_grace_ms: 0,
-            earliest_expiry_ms: u64::MAX,
-        }
-    }
-
-    /// The entry for `key` if it is bound to `digest` and not behind its
-    /// owner's epoch floor: the validity every lookup, revalidation and
-    /// re-arm shares before its own TTL or epoch test.
-    fn bound_entry(&self, key: &CacheKey, digest: &[u8; 32]) -> Option<&CachedDecision> {
-        let entry = self.entries.get(key)?;
-        (&entry.digest == digest && !behind_floor(&self.owner_epochs, entry)).then_some(entry)
-    }
-
-    /// Serves a hit iff unexpired, token-bound, and epoch-fresh.
-    fn lookup(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> bool {
-        match self.bound_entry(key, digest) {
-            Some(entry) if entry.expires_at_ms > now => {
-                entry.referenced.store(true, Ordering::Relaxed);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Degraded-mode lookup: serves an **expired** permit that is still
-    /// within the grace window, token-bound and epoch-fresh. Returns the
-    /// staleness (ms past expiry) on a hit; the caller asserts it stays
-    /// within the window it configured. Only ever consulted after a
-    /// transport-level AM failure — a fresh entry would already have been
-    /// served by [`DecisionCache::lookup`].
-    fn lookup_stale(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> Option<u64> {
-        if self.stale_grace_ms == 0 {
-            return None;
-        }
-        // A policy change (epoch advance) always fails closed.
-        let entry = self.bound_entry(key, digest)?;
-        // Past the grace window: fail closed, the permit is gone.
-        if now >= entry.expires_at_ms.saturating_add(self.stale_grace_ms) {
-            return None;
-        }
-        entry.referenced.store(true, Ordering::Relaxed);
-        Some(now.saturating_sub(entry.expires_at_ms))
-    }
-
-    /// Inserts under the caller's write lock, re-checking the capacity
-    /// there (no decide-then-insert race), sweeping expired entries once the
-    /// earliest expiry plus the grace window has passed, and evicting
-    /// down to capacity. An entry stamped below its owner's epoch floor
-    /// (a decision reply that lost the race against a push) is refused:
-    /// no entry ever sits below its floor, so nothing later can revive
-    /// one.
-    fn insert(&mut self, key: CacheKey, entry: CachedDecision, now: u64) {
-        if self.capacity == 0 || behind_floor(&self.owner_epochs, &entry) {
-            return;
-        }
-        if self.earliest_expiry_ms.saturating_add(self.stale_grace_ms) <= now {
-            self.sweep_dead(now);
-        }
-        self.earliest_expiry_ms = self.earliest_expiry_ms.min(entry.expires_at_ms);
-        if !self.entries.contains_key(&key) {
-            while self.entries.len() >= self.capacity {
-                self.evict_one();
-            }
-            self.order.push_back(key.clone());
-        }
-        self.entries.insert(key, entry);
-    }
-
-    /// Drops expired entries and recomputes the earliest expiry. With a
-    /// grace window configured, expired-but-graceable permits are
-    /// retained until the window closes (they are what degraded mode
-    /// serves from). Epoch-stale entries need no sweep: none is ever
-    /// kept below its floor.
-    fn sweep_dead(&mut self, now: u64) {
-        let entries = &mut self.entries;
-        let grace = self.stale_grace_ms;
-        let mut earliest = u64::MAX;
-        self.order.retain(|key| match entries.get(key) {
-            Some(e) if e.expires_at_ms.saturating_add(grace) > now => {
-                earliest = earliest.min(e.expires_at_ms);
-                true
-            }
-            _ => {
-                entries.remove(key);
-                false
-            }
-        });
-        self.earliest_expiry_ms = earliest;
-    }
-
-    /// Second-chance eviction: recently referenced entries get one more
-    /// round; the first unreferenced one goes.
-    fn evict_one(&mut self) {
-        while let Some(key) = self.order.pop_front() {
-            let Some(entry) = self.entries.get(&key) else {
-                continue;
-            };
-            if entry.referenced.swap(false, Ordering::Relaxed) {
-                self.order.push_back(key);
-            } else {
-                self.entries.remove(&key);
-                return;
-            }
-        }
-    }
-
-    /// Records a (possibly newer) policy epoch for `owner`, purging that
-    /// owner's now-stale entries.
-    fn note_epoch(&mut self, owner: &str, epoch: u64) {
-        // Look the owner up before keying a new entry: nearly every note
-        // repeats an epoch already known, and that must not allocate.
-        match self.owner_epochs.get_mut(owner) {
-            Some(known) if epoch <= *known => return,
-            Some(known) => *known = epoch,
-            None => {
-                self.owner_epochs.insert(owner.to_owned(), epoch);
-                if epoch == 0 {
-                    return;
-                }
-            }
-        }
-        let entries = &mut self.entries;
-        self.order.retain(|key| {
-            let live = entries
-                .get(key)
-                .is_some_and(|e| e.owner != owner || e.epoch >= epoch);
-            if !live {
-                entries.remove(key);
-            }
-            live
-        });
-    }
-
-    /// The epoch of an **expired** but otherwise valid entry — same
-    /// token, epoch-fresh — that a conditional `if_epoch` revalidation
-    /// query could cheaply re-arm. `None` when there is nothing worth
-    /// revalidating (no entry, live entry, different token, stale epoch).
-    fn revalidation_epoch(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> Option<u64> {
-        let entry = self.bound_entry(key, digest)?;
-        (entry.expires_at_ms <= now).then_some(entry.epoch)
-    }
-
-    /// Re-arms an expired entry after the AM confirmed it unchanged:
-    /// extends its TTL without re-learning the decision. Fail-closed on
-    /// any mismatch (entry gone, different token, epoch moved) — the
-    /// unchanged reply then re-arms nothing and the caller refuses.
-    fn rearm(&mut self, key: &CacheKey, digest: &[u8; 32], epoch: u64, expires_at_ms: u64) -> bool {
-        let valid = self
-            .bound_entry(key, digest)
-            .is_some_and(|entry| entry.epoch == epoch);
-        match self.entries.get_mut(key) {
-            Some(entry) if valid => {
-                entry.expires_at_ms = expires_at_ms;
-                entry.referenced.store(true, Ordering::Relaxed);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
-        self.earliest_expiry_ms = u64::MAX;
-    }
-}
-
 /// A host-local access-log entry (the per-host view E13 contrasts with the
 /// AM's central audit log).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -627,9 +394,9 @@ impl std::error::Error for HostError {}
 struct HostState {
     resources: BTreeMap<String, Resource>,
     /// user -> delegation for all their resources on this host.
-    user_delegations: HashMap<String, DelegationConfig>,
+    user_delegations: HashMap<String, Arc<DelegationConfig>>,
     /// resource id -> delegation override (different AM per resource).
-    resource_delegations: HashMap<String, DelegationConfig>,
+    resource_delegations: HashMap<String, Arc<DelegationConfig>>,
     /// resource id -> built-in ACL (legacy mechanism).
     legacy_acls: HashMap<String, AclMatrix>,
 }
@@ -667,7 +434,7 @@ impl From<Pep> for usize {
     }
 }
 
-// -- tier-1 capability sieve (DESIGN.md §12) ----------------------------------
+// -- the permit store: tier-1 sieve, tier-2 decision cache (DESIGN.md §8, §12) --
 
 /// Hasher for sieve fingerprints. A fingerprint is already the truncated
 /// output of SHA-256, so its first 8 bytes are a uniformly distributed
@@ -713,82 +480,382 @@ impl BuildHasher for FpHashBuilder {
 /// tier-2 round trip.
 type SieveMap = HashMap<protocol::SieveFingerprint, u64, FpHashBuilder>;
 
-/// The tier-1 enforcement table, held by value under
-/// [`HostCore::sieve`]'s swap lock. Only `entries` is published: readers
-/// clone its `Arc` and probe without any lock, and an edit copies it
-/// (`Arc::make_mut`) only when it adds, moves or removes fingerprints
-/// while readers hold it. The indexes and epoch floors are edited in
-/// place and never cloned.
-#[derive(Default)]
-struct SieveTable {
-    /// fingerprint → expiry (ms since epoch), the map readers probe.
-    entries: Arc<SieveMap>,
-    /// owner → that owner's fingerprints, for epoch and delegation-change
-    /// purges.
-    owner_index: HashMap<String, Vec<protocol::SieveFingerprint>>,
-    /// resource id → fingerprints, for resource deletion / re-delegation
-    /// purges.
-    resource_index: HashMap<String, Vec<protocol::SieveFingerprint>>,
-    /// owner → policy epoch the installed sieve was compiled under. Kept
-    /// monotonic: an arriving sieve stamped older than this is rejected.
-    owner_epochs: HashMap<String, u64>,
+/// `(requester, resource id, action)` — what a cached decision answers for.
+type CacheKey = (String, String, Action);
+
+/// One cached permit decision (§V.B.6).
+///
+/// A cached entry may satisfy a later request only when *all* of these
+/// hold: the same requester presents the **same bearer token** (the
+/// access tuple's full digest matches), the entry's TTL has not elapsed,
+/// and the owner's policy epoch has not advanced since the AM stamped
+/// the decision.
+#[derive(Debug)]
+struct CachedDecision {
+    expires_at_ms: u64,
+    /// [`protocol::tuple_digest`] of the `(token, resource, action,
+    /// requester)` tuple that earned the permit. A permit is bound to its
+    /// token by all 256 bits; a different (possibly garbage) bearer must
+    /// take the full decision-query path.
+    digest: [u8; 32],
+    /// Resource owner whose policies produced the decision.
+    owner: String,
+    /// The owner's policy epoch at decision time.
+    epoch: u64,
+    /// Second-chance bit: set on every hit, cleared once by the evictor
+    /// before the entry becomes an eviction victim.
+    referenced: AtomicBool,
 }
 
-impl SieveTable {
-    /// Drops every entry belonging to `owner`. Keeps `owner_epochs` — the
-    /// epoch floor must survive the purge or a delayed old sieve could
-    /// resurrect revoked permits.
-    fn purge_owner(&mut self, owner: &str) {
-        if let Some(fps) = self.owner_index.remove(owner) {
-            let entries = Arc::make_mut(&mut self.entries);
+/// Every AM decision the Host holds, in two tiers under one lock
+/// ([`HostCore::permits`]) and one epoch floor per owner.
+///
+/// * Tier 1 is the capability sieve (DESIGN.md §12): what AM-signed
+///   sieves vouched for. Only `sieve` is published: readers clone its
+///   `Arc` and probe without any lock, and an edit copies it
+///   (`Arc::make_mut`) only when it adds, moves or removes fingerprints
+///   while readers hold it. The indexes are edited in place and never
+///   cloned.
+/// * Tier 2 is the decision cache (§V.B.6): permits learned from
+///   decision replies, bounded, evicted second-chance over insertion
+///   order — deterministic for a deterministic request sequence, unlike
+///   anything keyed on map iteration order.
+///
+/// Each Host mutation that can void a permit is one method here that
+/// covers both tiers: an epoch advance, a sieve body or delta, a
+/// cacheable reply, a resource deletion or override, and an owner's
+/// delegation change. None leaves one tier serving what it dropped from
+/// the other.
+struct PermitStore {
+    /// Tier 1: fingerprint → expiry (ms since epoch), the map readers
+    /// probe.
+    sieve: Arc<SieveMap>,
+    /// owner → that owner's fingerprints.
+    owner_index: HashMap<String, Vec<protocol::SieveFingerprint>>,
+    /// resource id → its fingerprints.
+    resource_index: HashMap<String, Vec<protocol::SieveFingerprint>>,
+    /// owner → the generation of their installed sieve: the epoch it was
+    /// compiled under, or the advance that emptied it. A delta applies
+    /// only on exactly this base.
+    generations: HashMap<String, u64>,
+    /// Tier 2: at most this many entries; 0 caches nothing.
+    capacity: usize,
+    entries: HashMap<CacheKey, CachedDecision>,
+    /// Keys in insertion order, driving the second-chance sweep.
+    order: VecDeque<CacheKey>,
+    /// Degraded-mode grace window (ms past TTL expiry) within which an
+    /// expired tier-2 **permit** may still be served when the AM is
+    /// unreachable at the transport level. 0 (the default) disables
+    /// degraded mode. Epoch-stale entries are never grace-served: a
+    /// policy change always fails closed regardless of this window.
+    stale_grace_ms: u64,
+    /// A lower bound on every tier-2 entry's `expires_at_ms` (`u64::MAX`
+    /// when nothing was inserted since the last sweep). Until it plus the
+    /// grace window has passed no entry can be swept, so
+    /// [`PermitStore::insert`] skips the sweep.
+    earliest_expiry_ms: u64,
+    /// owner → the freshest policy epoch seen for them: pushed, installed
+    /// with a sieve or stamped on a decision reply. It only rises, and no
+    /// generation is above it. A tier-2 entry stamped below it is dead and
+    /// never kept; a sieve body or delta must clear it.
+    floors: HashMap<String, u64>,
+}
+
+impl PermitStore {
+    fn new() -> Self {
+        PermitStore {
+            sieve: Arc::default(),
+            owner_index: HashMap::new(),
+            resource_index: HashMap::new(),
+            generations: HashMap::new(),
+            capacity: DEFAULT_DECISION_CACHE_CAPACITY,
+            entries: HashMap::new(),
+            order: VecDeque::new(),
+            stale_grace_ms: 0,
+            earliest_expiry_ms: u64::MAX,
+            floors: HashMap::new(),
+        }
+    }
+
+    /// `owner`'s epoch floor (0 while none is known).
+    fn floor(&self, owner: &str) -> u64 {
+        self.floors.get(owner).copied().unwrap_or(0)
+    }
+
+    /// Whether `entry` was stamped before its owner's floor: such an
+    /// entry is dead for every use.
+    fn behind_floor(&self, entry: &CachedDecision) -> bool {
+        entry.epoch < self.floor(&entry.owner)
+    }
+
+    // -- mutations, each covering both tiers ----------------------------------
+
+    /// An epoch advance for `owner` (a push, or a note relayed out of
+    /// band): raises the floor, dropping the owner's tier-2 entries
+    /// stamped below it, and drops their tier-1 entries when the
+    /// installed generation is older.
+    fn advance(&mut self, owner: &str, epoch: u64) {
+        self.raise_floor(owner, epoch);
+        if self.generations.get(owner).is_some_and(|&g| g < epoch) {
+            self.drop_sieve_owner(owner);
+            self.generations.insert(owner.to_owned(), epoch);
+        }
+    }
+
+    /// A full sieve body for `owner` at `epoch`, its entries vouched:
+    /// replaces the owner's tier 1 iff `epoch` clears the floor, so a
+    /// delayed push can never resurrect revoked permits. Returns whether
+    /// it was installed.
+    fn install_body(&mut self, owner: &str, epoch: u64, vouched: &[protocol::SieveEntry]) -> bool {
+        if epoch < self.floor(owner) {
+            return false;
+        }
+        self.drop_sieve_owner(owner);
+        self.install(owner, epoch, vouched);
+        true
+    }
+
+    /// A sieve delta, its added entries vouched: applies iff the owner's
+    /// installed generation is exactly the delta's base and its epoch
+    /// clears both the base and the floor. Returns whether it applied.
+    fn install_delta(
+        &mut self,
+        delta: &protocol::SieveDeltaBody,
+        vouched: &[protocol::SieveEntry],
+    ) -> bool {
+        let admit = self.generations.get(&delta.owner) == Some(&delta.base_epoch)
+            && delta.epoch >= delta.base_epoch
+            && delta.epoch >= self.floor(&delta.owner);
+        if admit {
+            self.remove_fingerprints(&delta.removed);
+            self.install(&delta.owner, delta.epoch, vouched);
+        }
+        admit
+    }
+
+    /// A cacheable decision reply: raises the owner's floor to the
+    /// reply's epoch (tier 1 keeps what its signer vouched for) and
+    /// caches the permit.
+    fn learn(&mut self, key: CacheKey, entry: CachedDecision, now: u64) {
+        self.raise_floor(&entry.owner, entry.epoch);
+        self.insert(key, entry, now);
+    }
+
+    /// A resource deleted, or overridden to another delegation: drops its
+    /// permits from both tiers.
+    fn purge_resource(&mut self, resource_id: &str) {
+        if let Some(fps) = self.resource_index.remove(resource_id) {
+            let sieve = Arc::make_mut(&mut self.sieve);
             for fp in &fps {
-                entries.remove(fp);
+                sieve.remove(fp);
+            }
+            for list in self.owner_index.values_mut() {
+                list.retain(|fp| sieve.contains_key(fp));
+            }
+            self.owner_index.retain(|_, v| !v.is_empty());
+        }
+        self.retain_entries(|(_, resource, _), _| resource != resource_id);
+    }
+
+    /// An owner's delegation set, switched or removed: drops their permits
+    /// from both tiers, since they were vouched under the old delegation's
+    /// secret. The floor and the generation stay, or a delayed old sieve
+    /// could resurrect revoked permits.
+    fn purge_owner(&mut self, owner: &str) {
+        self.drop_sieve_owner(owner);
+        self.retain_entries(|_, entry| entry.owner != owner);
+    }
+
+    // -- tier 2 ----------------------------------------------------------------
+
+    /// The tier-2 entry for `key` if it is bound to `digest` and not
+    /// behind its owner's floor: the validity every lookup, revalidation
+    /// and re-arm shares before its own TTL or epoch test.
+    fn bound_entry(&self, key: &CacheKey, digest: &[u8; 32]) -> Option<&CachedDecision> {
+        let entry = self.entries.get(key)?;
+        (&entry.digest == digest && !self.behind_floor(entry)).then_some(entry)
+    }
+
+    /// Serves a hit iff unexpired, token-bound, and epoch-fresh.
+    fn lookup(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> bool {
+        match self.bound_entry(key, digest) {
+            Some(entry) if entry.expires_at_ms > now => {
+                entry.referenced.store(true, Ordering::Relaxed);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Degraded-mode lookup: serves an **expired** permit that is still
+    /// within the grace window, token-bound and epoch-fresh. Returns the
+    /// staleness (ms past expiry) on a hit; the caller asserts it stays
+    /// within the window it configured. Only ever consulted after a
+    /// transport-level AM failure — a fresh entry would already have been
+    /// served by [`PermitStore::lookup`].
+    fn lookup_stale(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> Option<u64> {
+        if self.stale_grace_ms == 0 {
+            return None;
+        }
+        // A policy change (epoch advance) always fails closed.
+        let entry = self.bound_entry(key, digest)?;
+        // Past the grace window: fail closed, the permit is gone.
+        if now >= entry.expires_at_ms.saturating_add(self.stale_grace_ms) {
+            return None;
+        }
+        entry.referenced.store(true, Ordering::Relaxed);
+        Some(now.saturating_sub(entry.expires_at_ms))
+    }
+
+    /// The epoch of an **expired** but otherwise valid entry — same
+    /// token, epoch-fresh — that a conditional `if_epoch` revalidation
+    /// query could cheaply re-arm. `None` when there is nothing worth
+    /// revalidating (no entry, live entry, different token, stale epoch).
+    fn revalidation_epoch(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> Option<u64> {
+        let entry = self.bound_entry(key, digest)?;
+        (entry.expires_at_ms <= now).then_some(entry.epoch)
+    }
+
+    /// Re-arms an expired entry after the AM confirmed it unchanged:
+    /// extends its TTL without re-learning the decision. Fail-closed on
+    /// any mismatch (entry gone, different token, epoch moved) — the
+    /// unchanged reply then re-arms nothing and the caller refuses.
+    fn rearm(&mut self, key: &CacheKey, digest: &[u8; 32], epoch: u64, expires_at_ms: u64) -> bool {
+        let valid = self
+            .bound_entry(key, digest)
+            .is_some_and(|entry| entry.epoch == epoch);
+        match self.entries.get_mut(key) {
+            Some(entry) if valid => {
+                entry.expires_at_ms = expires_at_ms;
+                entry.referenced.store(true, Ordering::Relaxed);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Raises `owner`'s floor to `epoch`, dropping their tier-2 entries
+    /// stamped below it.
+    fn raise_floor(&mut self, owner: &str, epoch: u64) {
+        // Look the owner up before keying a new entry: nearly every note
+        // repeats an epoch already known, and that must not allocate.
+        match self.floors.get_mut(owner) {
+            Some(known) if epoch <= *known => return,
+            Some(known) => *known = epoch,
+            None => {
+                self.floors.insert(owner.to_owned(), epoch);
+                if epoch == 0 {
+                    return;
+                }
+            }
+        }
+        self.retain_entries(|_, entry| entry.owner != owner || entry.epoch >= epoch);
+    }
+
+    /// Keeps the tier-2 entries `keep` accepts, in one pass.
+    fn retain_entries(&mut self, keep: impl Fn(&CacheKey, &CachedDecision) -> bool) {
+        let entries = &mut self.entries;
+        self.order.retain(|key| {
+            let live = entries.get(key).is_some_and(|entry| keep(key, entry));
+            if !live {
+                entries.remove(key);
+            }
+            live
+        });
+    }
+
+    /// Inserts under the caller's write lock, re-checking the capacity
+    /// there (no decide-then-insert race), sweeping expired entries once the
+    /// earliest expiry plus the grace window has passed, and evicting
+    /// down to capacity. An entry stamped below its owner's floor (a
+    /// decision reply that lost the race against a push) is refused: no
+    /// entry ever sits below its floor, so nothing later can revive one.
+    fn insert(&mut self, key: CacheKey, entry: CachedDecision, now: u64) {
+        if self.capacity == 0 || self.behind_floor(&entry) {
+            return;
+        }
+        if self.earliest_expiry_ms.saturating_add(self.stale_grace_ms) <= now {
+            self.sweep_dead(now);
+        }
+        self.earliest_expiry_ms = self.earliest_expiry_ms.min(entry.expires_at_ms);
+        if !self.entries.contains_key(&key) {
+            while self.entries.len() >= self.capacity {
+                self.evict_one();
+            }
+            self.order.push_back(key.clone());
+        }
+        self.entries.insert(key, entry);
+    }
+
+    /// Drops expired entries and recomputes the earliest expiry. With a
+    /// grace window configured, expired-but-graceable permits are
+    /// retained until the window closes (they are what degraded mode
+    /// serves from). Epoch-stale entries need no sweep: none is ever
+    /// kept below its floor.
+    fn sweep_dead(&mut self, now: u64) {
+        let entries = &mut self.entries;
+        let grace = self.stale_grace_ms;
+        let mut earliest = u64::MAX;
+        self.order.retain(|key| match entries.get(key) {
+            Some(e) if e.expires_at_ms.saturating_add(grace) > now => {
+                earliest = earliest.min(e.expires_at_ms);
+                true
+            }
+            _ => {
+                entries.remove(key);
+                false
+            }
+        });
+        self.earliest_expiry_ms = earliest;
+    }
+
+    /// Second-chance eviction: recently referenced entries get one more
+    /// round; the first unreferenced one goes.
+    fn evict_one(&mut self) {
+        while let Some(key) = self.order.pop_front() {
+            let Some(entry) = self.entries.get(&key) else {
+                continue;
+            };
+            if entry.referenced.swap(false, Ordering::Relaxed) {
+                self.order.push_back(key);
+            } else {
+                self.entries.remove(&key);
+                return;
+            }
+        }
+    }
+
+    /// Drops every tier-2 entry; the floors stay.
+    fn clear_cache(&mut self) {
+        self.entries.clear();
+        self.order.clear();
+        self.earliest_expiry_ms = u64::MAX;
+    }
+
+    // -- tier 1 ----------------------------------------------------------------
+
+    /// Drops every tier-1 entry belonging to `owner`.
+    fn drop_sieve_owner(&mut self, owner: &str) {
+        if let Some(fps) = self.owner_index.remove(owner) {
+            let sieve = Arc::make_mut(&mut self.sieve);
+            for fp in &fps {
+                sieve.remove(fp);
             }
             for list in self.resource_index.values_mut() {
-                list.retain(|fp| entries.contains_key(fp));
+                list.retain(|fp| sieve.contains_key(fp));
             }
             self.resource_index.retain(|_, v| !v.is_empty());
         }
     }
 
-    /// Drops every entry for `resource_id` (deleted or re-delegated).
-    fn purge_resource(&mut self, resource_id: &str) {
-        if let Some(fps) = self.resource_index.remove(resource_id) {
-            let entries = Arc::make_mut(&mut self.entries);
-            for fp in &fps {
-                entries.remove(fp);
-            }
-            for list in self.owner_index.values_mut() {
-                list.retain(|fp| entries.contains_key(fp));
-            }
-            self.owner_index.retain(|_, v| !v.is_empty());
-        }
-    }
-
-    /// Whether the sieve installed for `owner` was compiled under an
-    /// epoch older than `epoch`.
-    fn is_behind(&self, owner: &str, epoch: u64) -> bool {
-        self.owner_epochs
-            .get(owner)
-            .is_some_and(|&installed| installed < epoch)
-    }
-
-    /// The owner-floor advance: when `owner`'s installed sieve is behind
-    /// `epoch`, purges the owner and raises their floor to `epoch`.
-    fn advance_floor(&mut self, owner: &str, epoch: u64) {
-        if self.is_behind(owner, epoch) {
-            self.purge_owner(owner);
-            self.owner_epochs.insert(owner.to_owned(), epoch);
-        }
-    }
-
     /// Inserts vouched `entries` for `owner` with their index rows and
-    /// stamps the owner's sieve with `epoch`. A fingerprint already
-    /// present (a delta moving an entry's deadline, or a body repeating
-    /// one) only moves its expiry; the indexes already know it.
+    /// stamps the owner's sieve with `epoch`, raising the floor to it. A
+    /// fingerprint already present (a delta moving an entry's deadline,
+    /// or a body repeating one) only moves its expiry; the indexes
+    /// already know it.
     fn install(&mut self, owner: &str, epoch: u64, entries: &[protocol::SieveEntry]) {
         if !entries.is_empty() {
-            let map = Arc::make_mut(&mut self.entries);
+            let map = Arc::make_mut(&mut self.sieve);
             for entry in entries {
                 if map.insert(entry.fingerprint, entry.expires_at_ms).is_none() {
                     self.owner_index
@@ -802,26 +869,27 @@ impl SieveTable {
                 }
             }
         }
-        self.owner_epochs.insert(owner.to_owned(), epoch);
+        self.generations.insert(owner.to_owned(), epoch);
+        self.raise_floor(owner, epoch);
     }
 
     /// Drops a specific fingerprint set (a delta's `removed` list).
     /// Removal only narrows access, so no ownership check is needed —
     /// the worst a bad list can do is force extra tier-2 round trips.
     fn remove_fingerprints(&mut self, dead: &[protocol::SieveFingerprint]) {
-        if !dead.iter().any(|fp| self.entries.contains_key(fp)) {
+        if !dead.iter().any(|fp| self.sieve.contains_key(fp)) {
             return;
         }
-        let entries = Arc::make_mut(&mut self.entries);
+        let sieve = Arc::make_mut(&mut self.sieve);
         for fp in dead {
-            entries.remove(fp);
+            sieve.remove(fp);
         }
         for list in self.owner_index.values_mut() {
-            list.retain(|fp| entries.contains_key(fp));
+            list.retain(|fp| sieve.contains_key(fp));
         }
         self.owner_index.retain(|_, v| !v.is_empty());
         for list in self.resource_index.values_mut() {
-            list.retain(|fp| entries.contains_key(fp));
+            list.retain(|fp| sieve.contains_key(fp));
         }
         self.resource_index.retain(|_, v| !v.is_empty());
     }
@@ -837,7 +905,7 @@ const SIEVE_CACHE_SLOTS: usize = 8;
 thread_local! {
     /// Per-thread `(host id, generation, published map)` slots. The warm
     /// path revalidates with one `Acquire` load of the generation and
-    /// only touches [`HostCore::sieve`]'s mutex when an edit actually
+    /// only takes [`HostCore::permits`]' lock when an edit actually
     /// replaced the map — the same pattern `SimNet` uses for its config
     /// snapshot.
     static SIEVE_SNAPSHOT_CACHE: RefCell<Vec<(u64, u64, Arc<SieveMap>)>> =
@@ -968,14 +1036,20 @@ pub struct HostCore {
     clock: SimClock,
     /// Resource store and delegation config.
     state: RwLock<HostState>,
-    /// The decision cache, behind its own lock so the hot path never
-    /// contends with resource CRUD.
-    cache: RwLock<DecisionCache>,
+    /// Both permit tiers (DESIGN.md §12), behind their own lock so the
+    /// hot path never contends with resource CRUD. A tier-2 lookup reads
+    /// it, and so does a reader whose snapshot of the published sieve is
+    /// stale; every mutation writes it once. A sieve hit takes no lock:
+    /// it clones the published map's `Arc` from a thread-local slot
+    /// revalidated against [`HostCore::sieve_gen`]. Lock order: `state`,
+    /// then `permits`. A resource deletion and each delegation change
+    /// hold `state` across their store call (DESIGN.md §8).
+    permits: RwLock<PermitStore>,
     /// Host-local access log, separate from both of the above: a ring of
     /// the newest [`HOST_LOG_CAP`] entries.
     log: Mutex<VecDeque<HostLogEntry>>,
     /// Lock-free PEP counters: the enforcement hot path bumps these
-    /// without touching any lock the store or the cache is behind.
+    /// without touching any lock the resources or the permits are behind.
     stats: Counters<PEP_CELLS>,
     /// Opt-in Host→AM resilience knobs (DESIGN.md §10). Read-mostly:
     /// taken once per decision query, never on the warm cache path.
@@ -986,11 +1060,6 @@ pub struct HostCore {
     /// degraded mode — the chaos soak asserts it never exceeds the
     /// configured grace window.
     max_served_staleness_ms: AtomicU64,
-    /// Current tier-1 capability sieve (DESIGN.md §12). The mutex guards
-    /// edits, not reads: the warm path clones the published map's `Arc`
-    /// from a thread-local slot revalidated against
-    /// [`HostCore::sieve_gen`].
-    sieve: Mutex<SieveTable>,
     /// Bumped (Release) whenever an edit replaces the published map;
     /// readers load it (Acquire) to revalidate their thread-local slot.
     sieve_gen: AtomicU64,
@@ -1016,13 +1085,12 @@ impl HostCore {
             authority: authority.to_owned(),
             clock,
             state: RwLock::new(HostState::default()),
-            cache: RwLock::new(DecisionCache::new()),
+            permits: RwLock::new(PermitStore::new()),
             log: Mutex::new(VecDeque::new()),
             stats: Counters::new(),
             resilience: RwLock::new(ResilienceConfig::default()),
             breaker_states: Mutex::new(HashMap::new()),
             max_served_staleness_ms: AtomicU64::new(0),
-            sieve: Mutex::new(SieveTable::default()),
             sieve_gen: AtomicU64::new(0),
             sieve_id: NEXT_SIEVE_ID.fetch_add(1, Ordering::Relaxed),
         }
@@ -1037,34 +1105,35 @@ impl HostCore {
     /// Bounds the number of cached decisions (default
     /// [`DEFAULT_DECISION_CACHE_CAPACITY`]); 0 disables caching outright.
     pub fn set_decision_cache_capacity(&self, capacity: usize) {
-        let mut cache = self.cache.write();
-        cache.capacity = capacity;
+        let mut permits = self.permits.write();
+        permits.capacity = capacity;
         let now = self.clock.now_ms();
-        cache.sweep_dead(now);
-        while cache.entries.len() > cache.capacity {
-            cache.evict_one();
+        permits.sweep_dead(now);
+        while permits.entries.len() > permits.capacity {
+            permits.evict_one();
         }
     }
 
     /// Number of currently cached decisions (test/observability hook).
     #[must_use]
     pub fn decision_cache_len(&self) -> usize {
-        self.cache.read().entries.len()
+        self.permits.read().entries.len()
     }
 
     /// Drops all cached decisions (e.g. after the user edited policies).
+    /// The sieve and the epoch floors stay.
     pub fn flush_decision_cache(&self) {
-        self.cache.write().clear();
+        self.permits.write().clear_cache();
     }
 
     /// Records that `owner`'s policies are now at `epoch` (pushed by the
-    /// AM or relayed by the environment). Cached decisions stamped with
-    /// an older epoch are dropped and will never be served again, and any
-    /// installed sieve compiled under an older epoch is purged the same
-    /// way — both tiers go stale together.
+    /// AM or relayed by the environment): one advance of the owner's one
+    /// epoch floor. Cached decisions stamped with an older epoch are
+    /// dropped and will never be served again, and so is an installed
+    /// sieve compiled under an older epoch — both tiers in one step,
+    /// under one lock.
     pub fn note_policy_epoch(&self, owner: &str, epoch: u64) {
-        self.cache.write().note_epoch(owner, epoch);
-        self.edit_sieve(|sieve| sieve.advance_floor(owner, epoch));
+        self.edit_permits(|permits| permits.advance(owner, epoch));
     }
 
     /// Does nothing. Conditional revalidation is always on: a
@@ -1079,8 +1148,8 @@ impl HostCore {
     // -- tier-1 capability sieve (DESIGN.md §12) ------------------------------
 
     /// The published sieve map, via this thread's slot cache. One
-    /// `Acquire` generation load on the warm path; the mutex is taken
-    /// only when an edit actually replaced the map.
+    /// `Acquire` generation load on the warm path; the permit store's
+    /// lock is taken only when an edit actually replaced the map.
     fn sieve_snapshot(&self) -> Arc<SieveMap> {
         let generation = self.sieve_gen.load(Ordering::Acquire);
         SIEVE_SNAPSHOT_CACHE.with(|slots| {
@@ -1090,12 +1159,12 @@ impl HostCore {
                     *slot = (
                         self.sieve_id,
                         generation,
-                        Arc::clone(&self.sieve.lock().entries),
+                        Arc::clone(&self.permits.read().sieve),
                     );
                 }
                 return Arc::clone(&slot.2);
             }
-            let snapshot = Arc::clone(&self.sieve.lock().entries);
+            let snapshot = Arc::clone(&self.permits.read().sieve);
             if slots.len() >= SIEVE_CACHE_SLOTS {
                 slots.remove(0);
             }
@@ -1104,30 +1173,20 @@ impl HostCore {
         })
     }
 
-    /// Runs `edit` on the sieve table under its swap lock. An edit that
-    /// changes the published map while readers hold it gets a copy
-    /// (`Arc::make_mut`), and the generation bump sends readers to it; an
-    /// edit the map did not see, or one made in place because no reader
-    /// held the map, needs no bump. Cold path only (installs and purges).
-    fn edit_sieve<R>(&self, edit: impl FnOnce(&mut SieveTable) -> R) -> R {
-        let mut table = self.sieve.lock();
-        let published = Arc::as_ptr(&table.entries);
-        let result = edit(&mut table);
-        if !std::ptr::eq(published, Arc::as_ptr(&table.entries)) {
+    /// Runs one mutation on the permit store under its write lock. A
+    /// mutation that changes the published sieve map while readers hold
+    /// it gets a copy (`Arc::make_mut`), and the generation bump sends
+    /// readers to it; one the map did not see, or one made in place
+    /// because no reader held the map, needs no bump. Cold path only
+    /// (advances, installs and purges).
+    fn edit_permits<R>(&self, edit: impl FnOnce(&mut PermitStore) -> R) -> R {
+        let mut permits = self.permits.write();
+        let published = Arc::as_ptr(&permits.sieve);
+        let result = edit(&mut permits);
+        if !std::ptr::eq(published, Arc::as_ptr(&permits.sieve)) {
             self.sieve_gen.fetch_add(1, Ordering::Release);
         }
         result
-    }
-
-    /// Drops `owner`'s sieve entries (their delegation changed, so the
-    /// signing key the entries were vouched under is void).
-    fn purge_sieve_owner(&self, owner: &str) {
-        self.edit_sieve(|sieve| sieve.purge_owner(owner));
-    }
-
-    /// Drops `resource_id`'s sieve entries (deleted or re-delegated).
-    fn purge_sieve_resource(&self, resource_id: &str) {
-        self.edit_sieve(|sieve| sieve.purge_resource(resource_id));
     }
 
     /// The trust step both sieve installs share: returns `entries` only
@@ -1164,13 +1223,6 @@ impl HostCore {
         vouched.then_some(entries)
     }
 
-    /// The freshest policy epoch the decision cache has seen for `owner`
-    /// — one of the floors a pushed sieve must clear.
-    fn cache_epoch(&self, owner: &str) -> u64 {
-        let cache = self.cache.read();
-        cache.owner_epochs.get(owner).copied().unwrap_or(0)
-    }
-
     /// Installs a pushed capability sieve, fail-closed on any doubt.
     /// Returns `true` iff the sieve was installed.
     ///
@@ -1178,31 +1230,19 @@ impl HostCore {
     /// delegation this Host itself holds for the claimed owner, and that
     /// signer must speak for every entry — each resource exists here,
     /// belongs to the owner and is not re-delegated under another secret,
-    /// and each entry is unexpired. The body's epoch must be no older
-    /// than the freshest epoch this Host has seen for the owner from
-    /// *either* tier, so a delayed push can never resurrect revoked
-    /// permits.
+    /// and each entry is unexpired. The body's epoch must clear the
+    /// owner's epoch floor, the freshest epoch this Host has seen for
+    /// them from a push, a sieve or a decision reply, so a delayed push
+    /// can never resurrect revoked permits.
     pub fn install_sieve(&self, sieve: &protocol::SieveBody) -> bool {
         let verify = |key: &[u8]| sieve.verify(key);
         let Some(accepted) = self.vouched_entries(&sieve.owner, verify, &sieve.entries) else {
             self.stats.add(Pep::SieveRejects, 1);
             return false;
         };
-        // Epoch floor: freshest epoch known from the decision cache or a
-        // previously installed sieve.
-        let cache_epoch = self.cache_epoch(&sieve.owner);
-        let installed = self.edit_sieve(|table| {
-            let floor = table.owner_epochs.get(&sieve.owner).copied();
-            let admit = sieve.epoch >= floor.unwrap_or(0).max(cache_epoch);
-            if admit {
-                table.purge_owner(&sieve.owner);
-                table.install(&sieve.owner, sieve.epoch, accepted);
-            }
-            admit
-        });
+        let installed =
+            self.edit_permits(|permits| permits.install_body(&sieve.owner, sieve.epoch, accepted));
         if installed {
-            // Keep the decision cache's epoch floor in step.
-            self.cache.write().note_epoch(&sieve.owner, sieve.epoch);
             self.stats.add(Pep::SieveInstalls, 1);
         } else {
             self.stats.add(Pep::SieveRejects, 1);
@@ -1216,7 +1256,7 @@ impl HostCore {
     /// check (under the delta's own domain separator) for everything
     /// `added`. On top of that, a delta only applies when the installed
     /// sieve for the owner sits **exactly** at the delta's `base_epoch`
-    /// and the delta's epoch clears every epoch floor; any mismatch
+    /// and the delta's epoch clears the owner's epoch floor; any mismatch
     /// returns [`SieveDeltaOutcome::BaseMismatch`] so the caller can
     /// request a full-body resync. Removals need no ownership proof:
     /// dropping an entry can only narrow access.
@@ -1226,21 +1266,7 @@ impl HostCore {
             self.stats.add(Pep::SieveRejects, 1);
             return SieveDeltaOutcome::Rejected;
         };
-        let cache_epoch = self.cache_epoch(&delta.owner);
-        let applied = self.edit_sieve(|table| {
-            // Exact base match, and the result must clear both epoch
-            // floors — a delta that would rewind either tier resyncs.
-            let admit = table.owner_epochs.get(&delta.owner) == Some(&delta.base_epoch)
-                && delta.epoch >= delta.base_epoch
-                && delta.epoch >= cache_epoch;
-            if admit {
-                table.remove_fingerprints(&delta.removed);
-                table.install(&delta.owner, delta.epoch, accepted);
-            }
-            admit
-        });
-        if applied {
-            self.cache.write().note_epoch(&delta.owner, delta.epoch);
+        if self.edit_permits(|permits| permits.install_delta(delta, accepted)) {
             self.stats.add(Pep::SieveDeltaInstalls, 1);
             SieveDeltaOutcome::Installed
         } else {
@@ -1294,11 +1320,11 @@ impl HostCore {
         let grace = config.stale_grace_ms;
         *self.resilience.write() = config;
         self.breaker_states.lock().clear();
-        let mut cache = self.cache.write();
-        cache.stale_grace_ms = grace;
+        let mut permits = self.permits.write();
+        permits.stale_grace_ms = grace;
         // Shrinking the window may strand now-dead entries; sweep them.
         let now = self.clock.now_ms();
-        cache.sweep_dead(now);
+        permits.sweep_dead(now);
     }
 
     /// A snapshot of the current resilience configuration — read, adjust
@@ -1446,14 +1472,15 @@ impl HostCore {
     ///
     /// Returns [`HostError::NotFound`] when absent.
     pub fn delete_resource(&self, id: &str) -> Result<Resource, HostError> {
-        let removed = self
-            .state
-            .write()
+        let mut state = self.state.write();
+        let removed = state
             .resources
             .remove(id)
             .ok_or_else(|| HostError::NotFound(id.to_owned()))?;
-        // A sieve entry must never outlive its resource.
-        self.purge_sieve_resource(id);
+        // No cached permit, in either tier, outlives its resource. The
+        // state guard is held across the purge, so no `classify` sees the
+        // deletion (or a re-creation) while the old permits still serve.
+        self.edit_permits(|permits| permits.purge_resource(id));
         Ok(removed)
     }
 
@@ -1486,30 +1513,32 @@ impl HostCore {
     /// Records that `user` delegated access control (for all their
     /// resources here) to the AM in `config`.
     pub fn set_user_delegation(&self, user: &str, config: DelegationConfig) {
-        self.state
-            .write()
+        let mut state = self.state.write();
+        state
             .user_delegations
-            .insert(user.to_owned(), config);
-        // Entries were vouched under the old delegation's secret.
-        self.purge_sieve_owner(user);
+            .insert(user.to_owned(), Arc::new(config));
+        // Permits were vouched under the old delegation's secret.
+        self.edit_permits(|permits| permits.purge_owner(user));
     }
 
     /// Records a per-resource delegation override (possibly a different AM
     /// than the user-level one, §V.A.3).
     pub fn set_resource_delegation(&self, resource_id: &str, config: DelegationConfig) {
-        self.state
-            .write()
+        let mut state = self.state.write();
+        state
             .resource_delegations
-            .insert(resource_id.to_owned(), config);
-        // The overriding AM, not the sieve's signer, now governs it.
-        self.purge_sieve_resource(resource_id);
+            .insert(resource_id.to_owned(), Arc::new(config));
+        // The overriding AM, not the one that vouched for the cached
+        // permits, now governs it.
+        self.edit_permits(|permits| permits.purge_resource(resource_id));
     }
 
     /// Removes `user`'s delegation (back to built-in access control).
     pub fn clear_user_delegation(&self, user: &str) -> Option<DelegationConfig> {
-        let removed = self.state.write().user_delegations.remove(user);
-        self.purge_sieve_owner(user);
-        removed
+        let mut state = self.state.write();
+        let removed = state.user_delegations.remove(user);
+        self.edit_permits(|permits| permits.purge_owner(user));
+        removed.map(Arc::unwrap_or_clone)
     }
 
     /// The delegation governing `resource_id` owned by `owner`:
@@ -1521,7 +1550,7 @@ impl HostCore {
             .resource_delegations
             .get(resource_id)
             .or_else(|| state.user_delegations.get(owner))
-            .cloned()
+            .map(|config| DelegationConfig::clone(config))
     }
 
     // -- legacy built-in ACLs (§III) -------------------------------------------
@@ -1590,7 +1619,7 @@ impl HostCore {
         // same token turns the full query into an `if_epoch`
         // precondition the AM can collapse to a tiny *unchanged* reply.
         miss.if_epoch = self
-            .cache
+            .permits
             .read()
             .revalidation_epoch(&miss.cache_key, &miss.digest, now);
         let resilience = self.resilience.read().clone();
@@ -1715,8 +1744,9 @@ impl HostCore {
         // this (token, resource, action, requester) grants before any
         // lock is taken. Entries only exist for resources that were
         // present and delegated at install time, and every mutation that
-        // could invalidate them (deletion, re-delegation, epoch advance)
-        // purges, so a hit is as trustworthy as a decision-cache hit.
+        // could void them (deletion, re-delegation, epoch advance) purges
+        // both permit tiers in one store call (DESIGN.md §8), so a sieve
+        // hit and a decision-cache hit vouch for the same thing.
         let mut probed = None;
         if let Some(token) = bearer {
             match self.sieve_probe(net, requester, resource_id, action, token, now) {
@@ -1782,7 +1812,7 @@ impl HostCore {
         // resource/delegation clones, no dispatch.
         let cache_key = (requester.to_owned(), resource_id.to_owned(), action.clone());
         let digest = probed.unwrap_or_else(|| access_digest(token, resource_id, action, requester));
-        if self.cache.read().lookup(&cache_key, &digest, now) {
+        if self.permits.read().lookup(&cache_key, &digest, now) {
             drop(state);
             self.stats.add(Pep::CacheHits, 1);
             // Lazy label: free (one atomic load) while tracing is off.
@@ -1800,7 +1830,7 @@ impl HostCore {
             return Classified::Settled(Enforcement::Grant);
         }
         Classified::Miss(Miss {
-            delegation: delegation.clone(),
+            delegation: Arc::clone(delegation),
             owner: resource.owner.clone(),
             token,
             cache_key,
@@ -1951,7 +1981,7 @@ impl HostCore {
                 // fail closed, per the wire contract.
                 let rearmed = if_epoch.is_some_and(|epoch| {
                     let expires_at_ms = now + body.cacheable_ms;
-                    self.cache
+                    self.permits
                         .write()
                         .rearm(&cache_key, &digest, epoch, expires_at_ms)
                 });
@@ -2001,7 +2031,7 @@ impl HostCore {
             DecisionOutcome::Transport => {
                 let stale_now = self.clock.now_ms();
                 let stale = self
-                    .cache
+                    .permits
                     .read()
                     .lookup_stale(&cache_key, &digest, stale_now);
                 match stale {
@@ -2036,14 +2066,10 @@ impl HostCore {
             net.trace().note_with(&self.authority, || {
                 format!("cached permit: {requester} {action} {resource_id} ({cacheable_ms} ms)")
             });
-            // One write lock for the whole insert: the capacity is
-            // re-checked inside, so a concurrent
+            // One write lock for the floor and the insert: the capacity
+            // is re-checked inside, so a concurrent
             // `set_decision_cache_capacity(0)` cannot be overtaken.
-            let mut cache = self.cache.write();
-            if let Some(epoch) = policy_epoch {
-                cache.note_epoch(&owner, epoch);
-            }
-            cache.insert(
+            self.permits.write().learn(
                 cache_key,
                 CachedDecision {
                     expires_at_ms: now + cacheable_ms,
@@ -2248,8 +2274,9 @@ fn classify_batch(resp: &Response, expected: usize) -> Vec<DecisionOutcome> {
 /// settle locally: it needs an AM decision. Carries what the query and
 /// [`HostCore::settle_decision`] need; the access tuple is the cache key.
 struct Miss<'t> {
-    /// The delegation governing the resource (primary AM, host token).
-    delegation: DelegationConfig,
+    /// The delegation governing the resource (primary AM, host token),
+    /// shared with the Host's state rather than copied.
+    delegation: Arc<DelegationConfig>,
     /// The resource owner.
     owner: String,
     /// The bearer token presented.
@@ -2736,6 +2763,70 @@ mod tests {
         }
         assert_eq!(h.stats().cache_hits, 0);
         assert_eq!(h.stats().am_queries, 2);
+    }
+
+    /// Caches a permit for `r1` (bob's, token "good", granted by the fake
+    /// AM at `am.example`), lets `change` edit the Host, and reads again.
+    /// The second read must query `governing`, the AM that now governs
+    /// `r1`, and be refused as that AM refuses (401): no cached permit
+    /// outlives its resource or its delegation.
+    fn second_read_asks(governing: &str, change: impl FnOnce(&HostCore, &FakeAm)) {
+        let net = SimNet::new();
+        let am = FakeAm::new();
+        am.grant("good", &permit_body(60_000, 1));
+        net.register(am.clone());
+        net.register(FakeAm::new_at("am-b.example")); // grants nothing
+        let h = delegated_host(&net);
+        let url = Url::new("h.example", "/r1");
+        let read = || h.enforce(&net, "req", None, "r1", &Action::Read, Some("good"), &url);
+        assert!(read().is_grant());
+        assert_eq!(h.decision_cache_len(), 1);
+
+        change(&h, &am);
+        let asked = net.stats().edge("h.example", governing);
+        match read() {
+            Enforcement::Block(resp) => assert_eq!(resp.status, Status::Unauthorized),
+            Enforcement::Grant => panic!("a cached permit outlived the change"),
+        }
+        assert_eq!((h.stats().am_queries, h.stats().cache_hits), (2, 0));
+        assert_eq!(net.stats().edge("h.example", governing), asked + 1);
+    }
+
+    /// The second delegation the tests switch to: another AM.
+    fn am_b() -> DelegationConfig {
+        DelegationConfig {
+            am: "am-b.example".into(),
+            host_token: "ht-b".into(),
+            delegation_id: "d-b".into(),
+        }
+    }
+
+    #[test]
+    fn a_deleted_resource_takes_its_cached_permits_along() {
+        second_read_asks("am.example", |h, am| {
+            h.delete_resource("r1").unwrap();
+            h.put_resource("r1", "carol", "file", b"carol's".to_vec())
+                .unwrap();
+            let carol = DelegationConfig {
+                am: "am.example".into(),
+                host_token: "ht-carol".into(),
+                delegation_id: "d-carol".into(),
+            };
+            h.set_user_delegation("carol", carol);
+            am.revoke("good");
+        });
+    }
+
+    #[test]
+    fn a_per_resource_override_voids_the_cached_permits() {
+        second_read_asks("am-b.example", |h, _| {
+            h.set_resource_delegation("r1", am_b());
+        });
+    }
+
+    #[test]
+    fn an_owner_switching_ams_voids_their_cached_permits() {
+        second_read_asks("am-b.example", |h, _| h.set_user_delegation("bob", am_b()));
     }
 
     #[test]
@@ -3716,7 +3807,7 @@ mod tests {
         let rebump = delta_of(5, 4, &[("tok2", "r2", "read", "req")], &[]);
         assert_eq!(h.install_sieve_delta(&rebump), SieveDeltaOutcome::Installed);
         assert_eq!(h.sieve_snapshot().len(), 1);
-        let table = h.sieve.lock();
+        let table = h.permits.read();
         assert_eq!(table.owner_index.get("bob").map(Vec::len), Some(1));
     }
 

@@ -1,0 +1,110 @@
+#!/usr/bin/env bash
+# Fail-closed mutants. Each mutant weakens one fail-closed check by
+# changing one line, and the tests its row names must fail on it:
+#
+# * route classes (DESIGN.md §17): one route-table row's caller class,
+#   killed by the route-authorization matrix tests
+#   (`*_answers_each_caller_as_pinned`);
+# * the Host's permit store (DESIGN.md §12): an epoch-floor or base
+#   check, a sieve entry's expiry check, or a tier-2 purge, each killed
+#   by the unit test named in its row.
+#
+#   bash scripts/mutants.sh            # every mutant
+#   bash scripts/mutants.sh NAME...    # the named mutants only
+#
+# The tree is copied to a temporary directory and each mutant is applied
+# there, one at a time; the working tree is never edited. First every
+# named test filter must select at least one test and pass on the
+# unmutated copy. Then each mutant must change exactly one line and
+# build, and the lib tests its filter selects in its crate must fail.
+# All runs share one CARGO_TARGET_DIR (the caller's if set, else one
+# inside the temporary directory), so the dependencies build once.
+# Prints one verdict per mutant and the total runtime; exits 1 if a
+# filter is empty or fails unmutated, or a mutant survives, does not
+# apply or does not build.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+routes='_answers_each_caller_as_pinned'
+core='crates/host/src/core.rs'
+
+# name @@ crate @@ killing test filter @@ file @@ line as written @@ line mutated
+MUTANTS=(
+  "am-audit-view-anyone @@ ucam-am @@ $routes @@ crates/am/src/manager.rs @@ "'        ("/audit/view", Owner(Param("owner")), Self::web_audit_view), @@         ("/audit/view", Anyone, Self::web_audit_view),'
+  "am-v2-delegate-registrant @@ ucam-am @@ $routes @@ crates/am/src/manager.rs @@ "'        (DELEGATE_V2_PATH, RegisteredHost("user"), Self::web_onboard), @@         (DELEGATE_V2_PATH, Registrant, Self::web_onboard),'
+  "am-consent-pending-anyone @@ ucam-am @@ $routes @@ crates/am/src/manager.rs @@ "'        ("/consent/pending", Owner(Param("owner")), Self::web_pending), @@         ("/consent/pending", Anyone, Self::web_pending),'
+  "host-delegate-done-anyone @@ ucam-host @@ $routes @@ crates/host/src/shell.rs @@ "'        (None, "/delegate/done", SessionFor("user"), Self::delegated), @@         (None, "/delegate/done", Anyone, Self::delegated),'
+  "host-acl-anyone @@ ucam-host @@ $routes @@ crates/host/src/shell.rs @@ "'        (None, "/acl", ResourceOwner, Self::edit_acl), @@         (None, "/acl", Anyone, Self::edit_acl),'
+  "storage-backup-anyone @@ ucam-host @@ $routes @@ crates/host/src/webstorage.rs @@ "'        (Some(Post), "/backup", Session, Self::backup), @@         (Some(Post), "/backup", crate::shell::Caller::Anyone, Self::backup),'
+  "pics-import-anyone @@ ucam-host @@ $routes @@ crates/host/src/webpics.rs @@ "'        (Some(Post), "/import", Session, Self::import), @@         (Some(Post), "/import", crate::shell::Caller::Anyone, Self::import),'
+  "cache-insert-below-floor @@ ucam-host @@ late_permit_below_floor_is_never_revived @@ $core @@ "'        if self.capacity == 0 || self.behind_floor(&entry) { @@         if self.capacity == 0 {'
+  "delta-any-base @@ ucam-host @@ sieve_delta_base_mismatch_answers_resync @@ $core @@ "'        let admit = self.generations.get(&delta.owner) == Some(&delta.base_epoch) @@         let admit = true'
+  "delta-below-floor @@ ucam-host @@ sieve_delta_base_mismatch_answers_resync @@ $core @@ "'            && delta.epoch >= self.floor(&delta.owner); @@             && true;'
+  "body-below-floor @@ ucam-host @@ epoch_advance_purges_the_sieve_and_blocks_stale_reinstalls @@ $core @@ "'        if epoch < self.floor(owner) { @@         if false {'
+  "sieve-entry-expired @@ ucam-host @@ sieve_installs_fail_closed_on_any_doubt @@ $core @@ "'                resource_ok && delegation_ok && entry.expires_at_ms > now @@                 resource_ok && delegation_ok'
+  "deletion-keeps-cache @@ ucam-host @@ a_deleted_resource_takes_its_cached_permits_along @@ $core @@ "'        self.retain_entries(|(_, resource, _), _| resource != resource_id); @@         self.retain_entries(|_, _| true);'
+  "delegation-keeps-cache @@ ucam-host @@ an_owner_switching_ams_voids_their_cached_permits @@ $core @@ "'        self.retain_entries(|_, entry| entry.owner != owner); @@         self.retain_entries(|_, _| true);'
+)
+
+started=$(date +%s)
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+tar --exclude=./target --exclude=./perfbench/target --exclude=./.git -cf - . | tar -xf - -C "$tmp"
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$tmp/target}"
+
+# Splits a mutant row into its six fields.
+fields() {
+  local rest="$1"
+  name="${rest%% @@ *}" && rest="${rest#* @@ }"
+  crate="${rest%% @@ *}" && rest="${rest#* @@ }"
+  filter="${rest%% @@ *}" && rest="${rest#* @@ }"
+  file="${rest%% @@ *}" && rest="${rest#* @@ }"
+  from="${rest%% @@ *}"
+  to="${rest#* @@ }"
+}
+
+# Whether the mutant just split is among the ones the command line names.
+selected() {
+  [ "$#" -eq 0 ] || [[ " $* " == *" $name "* ]]
+}
+
+failed=0
+declare -A checked=()
+for mutant in "${MUTANTS[@]}"; do
+  fields "$mutant"
+  selected "$@" || continue
+  [ -z "${checked[$crate $filter]:-}" ] || continue
+  checked[$crate $filter]=1
+  if ! out="$(cd "$tmp" && cargo test -q -p "$crate" --lib "$filter" 2>&1)"; then
+    echo "FAIL $crate $filter: fails on the unmutated tree"
+    failed=1
+  elif ! grep -q '^running [1-9]' <<<"$out"; then
+    echo "FAIL $crate $filter: selects no test"
+    failed=1
+  fi
+done
+
+for mutant in "${MUTANTS[@]}"; do
+  fields "$mutant"
+  selected "$@" || continue
+  awk -v from="$from" -v to="$to" \
+    '$0 == from { print to; next } { print }' \
+    "$file" >"$tmp/$file"
+  changed="$(diff "$file" "$tmp/$file" | grep -c '^[<>]' || true)"
+  if [ "$changed" != 2 ]; then
+    echo "FAIL $name: the mutant changed $((changed / 2)) lines of $file, not one"
+    failed=1
+  elif ! (cd "$tmp" && cargo test -q -p "$crate" --lib --no-run >/dev/null 2>&1); then
+    echo "FAIL $name: the mutant does not build"
+    failed=1
+  elif (cd "$tmp" && cargo test -q -p "$crate" --lib "$filter" >/dev/null 2>&1); then
+    echo "FAIL $name: survived, no test matching $filter failed"
+    failed=1
+  else
+    echo "ok   $name: killed by $filter"
+  fi
+  cp "$file" "$tmp/$file"
+done
+
+echo "mutants: $(($(date +%s) - started)) s"
+exit "$failed"

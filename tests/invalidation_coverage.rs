@@ -4,7 +4,8 @@
 //! permits, and a sieve body vouches again only for what the AM still
 //! permits. A token that newer grants pushed off the AM's capped
 //! issued-grants registry is in no sieve, so its permit falls back to
-//! that owner-wide purge.
+//! that owner-wide purge. A deleted resource takes its cached permits
+//! along, whoever later creates one under the same id.
 
 use std::sync::Arc;
 
@@ -13,13 +14,14 @@ use ucam::host::{DelegationConfig, WebStorage};
 use ucam::policy::prelude::*;
 use ucam::requester::{AccessSpec, RequesterClient};
 use ucam::webenv::identity::IdentityProvider;
-use ucam::webenv::{Method, Request, SimNet, Url};
+use ucam::webenv::{Method, Request, SimNet, Status, Url};
 
 const HOST: &str = "storage.example";
 const FILE: &str = "files/shared/f0.txt";
 
 struct Rig {
     net: Arc<SimNet>,
+    idp: Arc<IdentityProvider>,
     am: Arc<AuthorizationManager>,
     host: Arc<WebStorage>,
     alice: RequesterClient,
@@ -45,24 +47,8 @@ fn rig_with_cached_permit() -> Rig {
     idp.register_user("alice", "pw");
     am.register_user("bob");
     am.subscribe_epoch_push(HOST, "bob");
-    let (delegation, host_token) = am.establish_delegation(HOST, "bob").unwrap();
-    host.shell().core.set_user_delegation(
-        "bob",
-        DelegationConfig {
-            am: "am.example".into(),
-            host_token,
-            delegation_id: delegation.id,
-        },
-    );
-    let bob = idp.login("bob", "pw").unwrap().token;
-    let resp = net.dispatch(
-        "browser:bob",
-        Request::new(Method::Post, &format!("https://{HOST}/files"))
-            .with_param("path", "shared/f0.txt")
-            .with_param("subject_token", &bob)
-            .with_body("secret"),
-    );
-    assert!(resp.status.is_success(), "upload failed: {}", resp.body);
+    delegate(&am, &host, "bob");
+    upload(&net, &idp, "bob", "secret");
     am.pap("bob", |account| {
         let policy = account.create_policy(
             "open-read",
@@ -84,6 +70,7 @@ fn rig_with_cached_permit() -> Rig {
     alice.set_subject_token(Some(idp.login("alice", "pw").unwrap().token));
     let mut rig = Rig {
         net,
+        idp,
         am,
         host,
         alice,
@@ -97,6 +84,32 @@ fn rig_with_cached_permit() -> Rig {
         "the Host caches Alice's permit"
     );
     rig
+}
+
+/// `user` delegates the Host to the AM.
+fn delegate(am: &AuthorizationManager, host: &WebStorage, user: &str) {
+    let (delegation, host_token) = am.establish_delegation(HOST, user).unwrap();
+    host.shell().core.set_user_delegation(
+        user,
+        DelegationConfig {
+            am: "am.example".into(),
+            host_token,
+            delegation_id: delegation.id,
+        },
+    );
+}
+
+/// `user` uploads `data` as the file, from their browser.
+fn upload(net: &SimNet, idp: &IdentityProvider, user: &str, data: &str) {
+    let session = idp.login(user, "pw").unwrap().token;
+    let resp = net.dispatch(
+        &format!("browser:{user}"),
+        Request::new(Method::Post, &format!("https://{HOST}/files"))
+            .with_param("path", "shared/f0.txt")
+            .with_param("subject_token", &session)
+            .with_body(data),
+    );
+    assert!(resp.status.is_success(), "upload failed: {}", resp.body);
 }
 
 /// Alice reads the file, presenting the token she holds.
@@ -204,4 +217,34 @@ fn sieve_pushed_permit_is_revoked_then_restored() {
         1,
         "the restore's sieve serves it"
     );
+}
+
+/// Bob deletes the file, and Carol uploads her own at the same path.
+/// WebStorage ids are `files/{path}`, so hers is the same resource id,
+/// and she delegates to the same AM. Alice's token was earned under
+/// Bob's policy: the permit it cached died with Bob's file, so her next
+/// read goes to the AM, which owes her nothing of Carol's.
+#[test]
+fn a_deleted_file_takes_its_cached_permit_along() {
+    let mut rig = rig_with_cached_permit();
+    let bob = rig.idp.login("bob", "pw").unwrap().token;
+    let resp = rig.net.dispatch(
+        "browser:bob",
+        Request::new(Method::Delete, &format!("https://{HOST}/{FILE}"))
+            .with_param("subject_token", &bob),
+    );
+    assert_eq!(resp.status, Status::NoContent, "delete: {}", resp.body);
+
+    rig.idp.register_user("carol", "pw");
+    rig.am.register_user("carol");
+    upload(&rig.net, &rig.idp, "carol", "carol's private notes");
+    delegate(&rig.am, &rig.host, "carol");
+    let core = &rig.host.shell().core;
+    assert_eq!(core.resource(FILE).unwrap().owner, "carol");
+
+    let before = core.stats();
+    assert!(!alice_reads(&mut rig), "a permit outlived its file");
+    let after = rig.host.shell().core.stats();
+    assert_eq!(after.cache_hits, before.cache_hits, "no cache hit");
+    assert!(after.am_queries > before.am_queries, "the AM was asked");
 }
