@@ -249,6 +249,159 @@ impl AuditLog {
 /// How many ways [`AuditHub`] stripes its entries.
 const AUDIT_STRIPES: usize = 8;
 
+/// An audit record with its text borrowed from wherever it lives: what
+/// [`AuditHub`] packs into a ring slot. [`AuditHub::record`] borrows an
+/// [`AuditEntry`]'s fields; the AM's decision path borrows the tuple it
+/// evaluated. The policies come as two slices so that a decision's
+/// general and specific policy need no vector.
+#[derive(Debug)]
+pub(crate) struct AuditRecord<'a> {
+    /// Event time (simulated ms).
+    pub(crate) at_ms: u64,
+    /// Resource owner the event concerns.
+    pub(crate) owner: &'a str,
+    /// Host involved, when applicable.
+    pub(crate) host: Option<&'a str>,
+    /// Resource involved, when applicable.
+    pub(crate) resource: Option<&'a ResourceRef>,
+    /// Requester involved, when applicable.
+    pub(crate) requester: Option<&'a str>,
+    /// Human subject behind the requester, when known.
+    pub(crate) subject: Option<&'a str>,
+    /// Action requested, when applicable.
+    pub(crate) action: Option<&'a Action>,
+    /// Policies that contributed to a decision, the first slice first.
+    pub(crate) policies: [&'a [PolicyId]; 2],
+    /// The event itself.
+    pub(crate) event: AuditEvent,
+}
+
+/// Bits of [`Slot::present`]: which optional text fields a record has.
+const HOST: u8 = 1;
+const RESOURCE: u8 = 2;
+const REQUESTER: u8 = 4;
+const SUBJECT: u8 = 8;
+
+/// How many times its record's needs a slot's buffers may hold before a
+/// refill gives the excess back. With [`SLOT_FLOOR`] this bounds a slot's
+/// text buffer by `4 × max(record text, 64)` bytes and its field ends by
+/// four times the record's field count.
+const SLOT_SLACK: usize = 4;
+
+/// The text capacity a slot always keeps, however short its record.
+const SLOT_FLOOR: usize = 64;
+
+/// One retained record, packed. Its text fields sit back to back in one
+/// buffer the slot reuses, beside its small typed fields; at the cap a
+/// record overwrites its stripe's oldest slot in place, so recording
+/// allocates and frees nothing in steady state (DESIGN.md §13).
+#[derive(Debug)]
+struct Slot {
+    /// Global record order.
+    seq: u64,
+    /// Event time (simulated ms).
+    at_ms: u64,
+    /// Owner, host, resource host, resource id, requester, subject, then
+    /// each policy id; an absent field is empty.
+    text: String,
+    /// Where each field of `text` ends, in that order.
+    ends: Vec<usize>,
+    /// Which of host, resource, requester and subject are present.
+    present: u8,
+    /// Action requested, when applicable.
+    action: Option<Action>,
+    /// The event itself.
+    event: AuditEvent,
+}
+
+impl Slot {
+    /// A slot holding `record`.
+    fn new(seq: u64, record: AuditRecord<'_>) -> Self {
+        let mut slot = Slot {
+            seq,
+            at_ms: 0,
+            text: String::new(),
+            ends: Vec::new(),
+            present: 0,
+            action: None,
+            event: AuditEvent::Delegation { established: false },
+        };
+        slot.fill(seq, record);
+        slot
+    }
+
+    /// Overwrites the slot with `record`, reusing its buffers; one that
+    /// holds more than [`SLOT_SLACK`] times the record's needs gives the
+    /// excess back first.
+    fn fill(&mut self, seq: u64, record: AuditRecord<'_>) {
+        let resource = record.resource;
+        let fields = [
+            Some(record.owner),
+            record.host,
+            resource.map(|r| r.host.as_str()),
+            resource.map(|r| r.id.as_str()),
+            record.requester,
+            record.subject,
+        ];
+        let policies = record.policies.into_iter().flatten().map(PolicyId::as_str);
+        let texts = fields.into_iter().map(|f| f.unwrap_or("")).chain(policies);
+        let len: usize = texts.clone().map(str::len).sum();
+        let count = texts.clone().count();
+        self.text.clear();
+        if self.text.capacity() > SLOT_SLACK * len.max(SLOT_FLOOR) {
+            self.text.shrink_to(len.max(SLOT_FLOOR));
+        }
+        self.text.reserve_exact(len);
+        self.ends.clear();
+        if self.ends.capacity() > SLOT_SLACK * count {
+            self.ends.shrink_to(count);
+        }
+        self.ends.reserve_exact(count);
+        for text in texts {
+            self.text.push_str(text);
+            self.ends.push(self.text.len());
+        }
+        self.seq = seq;
+        self.at_ms = record.at_ms;
+        self.present = [
+            (record.host.is_some(), HOST),
+            (resource.is_some(), RESOURCE),
+            (record.requester.is_some(), REQUESTER),
+            (record.subject.is_some(), SUBJECT),
+        ]
+        .into_iter()
+        .filter_map(|(set, bit)| set.then_some(bit))
+        .fold(0, |bits, bit| bits | bit);
+        self.action = record.action.cloned();
+        self.event = record.event;
+    }
+
+    /// Rebuilds the entry the slot holds, exactly as it was recorded.
+    fn entry(&self) -> AuditEntry {
+        let mut start = 0;
+        let mut fields = self.ends.iter().map(|&end| {
+            let field = &self.text[start..end];
+            start = end;
+            field
+        });
+        let mut next = || fields.next().unwrap_or_default();
+        let (owner, host, resource_host, resource_id) = (next(), next(), next(), next());
+        let (requester, subject) = (next(), next());
+        let has = |bit: u8| self.present & bit != 0;
+        AuditEntry {
+            at_ms: self.at_ms,
+            owner: owner.to_owned(),
+            host: has(HOST).then(|| host.to_owned()),
+            resource: has(RESOURCE).then(|| ResourceRef::new(resource_host, resource_id)),
+            requester: has(REQUESTER).then(|| requester.to_owned()),
+            subject: has(SUBJECT).then(|| subject.to_owned()),
+            action: self.action.clone(),
+            policies: fields.map(PolicyId::from).collect(),
+            event: self.event.clone(),
+        }
+    }
+}
+
 /// The striped, concurrent front-end to the audit log.
 ///
 /// Recording is the hot-path operation — every token issuance and every
@@ -256,12 +409,14 @@ const AUDIT_STRIPES: usize = 8;
 /// [`AuditHub::record`] takes a global sequence number (one atomic
 /// fetch-add) and appends to the stripe the sequence lands on; readers
 /// call [`AuditHub::snapshot`] to merge the stripes back into one
-/// [`AuditLog`] in exact record order. Recording scales with the stripe
-/// count; snapshotting is O(n log n) and meant for observability, not for
-/// per-request work (DESIGN.md §13).
+/// [`AuditLog`] in exact record order. Each stripe is a ring of packed
+/// slots: at the cap a record overwrites the stripe's oldest slot in
+/// place. Recording scales with the stripe count; snapshotting is
+/// O(n log n) and meant for observability, not for per-request work
+/// (DESIGN.md §13).
 #[derive(Debug, Default)]
 pub struct AuditHub {
-    stripes: [Mutex<VecDeque<(u64, AuditEntry)>>; AUDIT_STRIPES],
+    stripes: [Mutex<VecDeque<Slot>>; AUDIT_STRIPES],
     seq: AtomicU64,
     /// Total retained-entry cap, 0 = unbounded. Million-entity runs set
     /// this so the log is a ring, not a leak; eviction is oldest-first
@@ -286,16 +441,56 @@ impl AuditHub {
 
     /// Appends an entry to the stripe its global sequence number lands on.
     pub fn record(&self, entry: AuditEntry) {
+        let AuditEntry {
+            at_ms,
+            owner,
+            host,
+            resource,
+            requester,
+            subject,
+            action,
+            policies,
+            event,
+        } = entry;
+        self.append(AuditRecord {
+            at_ms,
+            owner: &owner,
+            host: host.as_deref(),
+            resource: resource.as_ref(),
+            requester: requester.as_deref(),
+            subject: subject.as_deref(),
+            action: action.as_ref(),
+            policies: [&policies, &[]],
+            event,
+        });
+    }
+
+    /// Packs `record` into the stripe its global sequence number lands on:
+    /// into the stripe's oldest slot when the stripe is at its share of
+    /// the cap (a lowered cap first drops the slots past it), else into a
+    /// new one.
+    pub(crate) fn append(&self, record: AuditRecord<'_>) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut stripe = self.stripes[(seq as usize) % AUDIT_STRIPES].lock();
-        stripe.push_back((seq, entry));
         let cap = self.cap.load(Ordering::Relaxed);
-        if cap > 0 {
+        let oldest = if cap > 0 {
             let per_stripe = (cap / AUDIT_STRIPES).max(1);
-            while stripe.len() > per_stripe {
-                stripe.pop_front();
+            let excess = stripe.len().saturating_sub(per_stripe);
+            stripe.drain(..excess);
+            (stripe.len() == per_stripe)
+                .then(|| stripe.pop_front())
+                .flatten()
+        } else {
+            None
+        };
+        let slot = match oldest {
+            Some(mut slot) => {
+                slot.fill(seq, record);
+                slot
             }
-        }
+            None => Slot::new(seq, record),
+        };
+        stripe.push_back(slot);
     }
 
     /// Entries recorded so far (retained, across all stripes).
@@ -315,7 +510,7 @@ impl AuditHub {
     pub fn snapshot(&self) -> AuditLog {
         let mut stamped: Vec<(u64, AuditEntry)> = Vec::with_capacity(self.len());
         for stripe in &self.stripes {
-            stamped.extend(stripe.lock().iter().cloned());
+            stamped.extend(stripe.lock().iter().map(|slot| (slot.seq, slot.entry())));
         }
         stamped.sort_by_key(|(seq, _)| *seq);
         let mut log = AuditLog::new();
@@ -329,7 +524,208 @@ impl AuditHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ucam_policy::DenyReason;
+    use proptest::prelude::*;
+    use ucam_policy::{ClaimRequirement, DenyReason};
+
+    /// Draws the parts of a generated entry from one seed (splitmix64).
+    struct Draw(u64);
+
+    impl Draw {
+        /// A number below `n`.
+        fn pick(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// An empty, short or 1 KiB text of `tag`s.
+        fn text(&mut self, tag: char) -> String {
+            match self.pick(3) {
+                0 => String::new(),
+                1 => format!("{tag}{}", self.pick(100)),
+                _ => std::iter::repeat_n(tag, 1024).collect(),
+            }
+        }
+
+        /// A text half the time.
+        fn opt(&mut self, tag: char) -> Option<String> {
+            (self.pick(2) == 1).then(|| self.text(tag))
+        }
+    }
+
+    /// An entry drawn from `seed`: every event and outcome variant, custom
+    /// actions, absent and present optional fields (a host that is not
+    /// the resource's among them), texts empty, short and 1 KiB long, and
+    /// zero to three policies.
+    fn entry_of(seed: u64, at_ms: u64) -> AuditEntry {
+        let mut d = Draw(seed);
+        let outcome = match d.pick(8) {
+            0 => Outcome::Permit,
+            1 => Outcome::Deny(DenyReason::ExplicitDeny),
+            2 => Outcome::Deny(DenyReason::NoApplicablePolicy),
+            3 => Outcome::Deny(DenyReason::ConditionFailed(d.text('c'))),
+            4 => Outcome::Deny(DenyReason::GeneralPolicyDeny),
+            5 => Outcome::NotApplicable,
+            6 => Outcome::RequiresConsent,
+            _ => Outcome::RequiresClaims(vec![ClaimRequirement {
+                kind: d.text('k'),
+                issuer: d.opt('i'),
+            }]),
+        };
+        let event = match d.pick(5) {
+            0 => AuditEvent::Delegation {
+                established: d.pick(2) == 1,
+            },
+            1 => AuditEvent::PolicyChange {
+                operation: d.text('o'),
+            },
+            2 => AuditEvent::TokenRequested {
+                issued: d.pick(2) == 1,
+            },
+            3 => AuditEvent::Decision { outcome },
+            _ => AuditEvent::Consent {
+                consent_id: d.text('n'),
+                what: d.text('w'),
+            },
+        };
+        let action = match d.pick(4) {
+            0 => None,
+            1 => Some(Action::Read),
+            2 => Some(Action::Share),
+            _ => Some(Action::Custom(d.text('a'))),
+        };
+        let resource = (d.pick(2) == 1).then(|| ResourceRef::new(&d.text('h'), &d.text('r')));
+        AuditEntry {
+            at_ms,
+            owner: d.text('b'),
+            host: d.opt('h'),
+            resource,
+            requester: d.opt('q'),
+            subject: d.opt('s'),
+            action,
+            policies: (0..d.pick(4)).map(|_| PolicyId(d.text('p'))).collect(),
+            event,
+        }
+    }
+
+    /// The log the packed hub must match: the hub's striping and cap,
+    /// holding whole entries.
+    #[derive(Default)]
+    struct Unpacked {
+        stripes: [VecDeque<(u64, AuditEntry)>; AUDIT_STRIPES],
+        seq: u64,
+        cap: usize,
+    }
+
+    impl Unpacked {
+        fn record(&mut self, entry: AuditEntry) {
+            let seq = self.seq;
+            self.seq += 1;
+            let stripe = &mut self.stripes[(seq as usize) % AUDIT_STRIPES];
+            stripe.push_back((seq, entry));
+            if self.cap > 0 {
+                let per_stripe = (self.cap / AUDIT_STRIPES).max(1);
+                while stripe.len() > per_stripe {
+                    stripe.pop_front();
+                }
+            }
+        }
+
+        fn entries(&self) -> Vec<AuditEntry> {
+            let mut stamped: Vec<&(u64, AuditEntry)> = self.stripes.iter().flatten().collect();
+            stamped.sort_by_key(|(seq, _)| *seq);
+            stamped
+                .into_iter()
+                .map(|(_, entry)| entry.clone())
+                .collect()
+        }
+    }
+
+    proptest! {
+        /// The packed hub returns exactly what an unpacked log of the same
+        /// records returns, in order, under any cap, a lowered one
+        /// included. Half the records arrive as entries, half as borrowed
+        /// records whose policies are split across the two slices, as a
+        /// decision's general and specific policy are.
+        #[test]
+        fn the_packed_hub_returns_exactly_what_it_was_given(
+            ops in proptest::collection::vec((0u8..12, any::<u64>()), 1..160),
+            cap in 0usize..48,
+        ) {
+            let hub = AuditHub::new();
+            let mut unpacked = Unpacked { cap, ..Unpacked::default() };
+            hub.set_cap(cap);
+            for (at_ms, (op, seed)) in (0..).zip(ops) {
+                let entry = entry_of(seed, at_ms);
+                match op {
+                    0 => {
+                        let lowered = 1 + (seed % 40) as usize;
+                        hub.set_cap(lowered);
+                        unpacked.cap = lowered;
+                    }
+                    1..=5 => hub.record(entry.clone()),
+                    _ => {
+                        let split = (seed as usize) % (entry.policies.len() + 1);
+                        let (general, specific) = entry.policies.split_at(split);
+                        hub.append(AuditRecord {
+                            at_ms: entry.at_ms,
+                            owner: &entry.owner,
+                            host: entry.host.as_deref(),
+                            resource: entry.resource.as_ref(),
+                            requester: entry.requester.as_deref(),
+                            subject: entry.subject.as_deref(),
+                            action: entry.action.as_ref(),
+                            policies: [general, specific],
+                            event: entry.event.clone(),
+                        });
+                    }
+                }
+                if op != 0 {
+                    unpacked.record(entry);
+                }
+            }
+            prop_assert_eq!(hub.snapshot().entries(), unpacked.entries().as_slice());
+            prop_assert_eq!(hub.len(), unpacked.entries().len());
+        }
+    }
+
+    /// A slot that held a long record gives the excess back when a short
+    /// one overwrites it: no buffer keeps more than [`SLOT_SLACK`] times
+    /// what its record needs (the text never less than [`SLOT_FLOOR`]).
+    #[test]
+    fn a_slot_gives_back_what_a_long_record_left() {
+        let hub = AuditHub::new();
+        hub.set_cap(AUDIT_STRIPES);
+        let many: Vec<PolicyId> = (0..500).map(|i| PolicyId(i.to_string())).collect();
+        for at in 0..AUDIT_STRIPES as u64 {
+            let long = "x".repeat(64 * 1024);
+            hub.record(
+                AuditEntry::new(at, &long, AuditEvent::TokenRequested { issued: true })
+                    .with_policies(many.clone()),
+            );
+        }
+        for at in 0..AUDIT_STRIPES as u64 {
+            hub.record(decision("bob", "h1", "req-a", true, at));
+        }
+        for stripe in &hub.stripes {
+            for slot in stripe.lock().iter() {
+                let (text, ends) = (&slot.text, &slot.ends);
+                assert!(text.len() < 64, "{}", text.len());
+                assert!(
+                    text.capacity() <= SLOT_SLACK * text.len().max(SLOT_FLOOR),
+                    "{}",
+                    text.capacity()
+                );
+                assert!(
+                    ends.capacity() <= SLOT_SLACK * ends.len(),
+                    "{}",
+                    ends.capacity()
+                );
+            }
+        }
+    }
 
     fn decision(owner: &str, host: &str, requester: &str, permit: bool, at: u64) -> AuditEntry {
         let outcome = if permit {

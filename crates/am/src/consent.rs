@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use ucam_policy::{Action, ResourceRef};
+use ucam_policy::{AccessRequest, Action, ResourceRef};
 
 /// Delivery channel of a consent notification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,9 +170,11 @@ impl fmt::Display for ConsentError {
 
 impl std::error::Error for ConsentError {}
 
-/// `(requester, subject, resource, action)`: one access tuple, the
-/// shape the PDP asks about consent (and counts uses) in.
-pub type AccessTuple = (String, Option<String>, ResourceRef, Action);
+/// One access tuple, the shape the PDP asks about consent (and counts
+/// uses) in: the [`AccessRequest`] it evaluates, with the requester as
+/// its `requester_app`. The PDP builds it once per decision and every
+/// lookup borrows it.
+pub type AccessTuple = AccessRequest;
 /// The tuple `open` deduplicates on (adds the owner).
 type PendingKey = (String, String, Option<String>, ResourceRef, Action);
 
@@ -318,7 +320,12 @@ impl ConsentQueue {
         let key = Self::pending_key(request);
         if state == ConsentState::Granted {
             let (_, requester, subject, resource, action) = key.clone();
-            self.granted.insert((requester, subject, resource, action));
+            self.granted.insert(AccessRequest {
+                subject,
+                requester_app: Some(requester),
+                action,
+                resource,
+            });
         }
         self.pending_index.remove(&key);
         Ok(())
@@ -520,12 +527,12 @@ mod tests {
 
     /// The access tuple for `action` on [`photo`].
     fn on_photo(requester: &str, subject: Option<&str>, action: Action) -> AccessTuple {
-        (
-            requester.to_owned(),
-            subject.map(str::to_owned),
-            photo(),
+        AccessRequest {
+            subject: subject.map(str::to_owned),
+            requester_app: Some(requester.to_owned()),
             action,
-        )
+            resource: photo(),
+        }
     }
 
     #[test]

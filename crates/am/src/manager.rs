@@ -33,7 +33,7 @@ use ucam_webenv::{
     protocol, DecisionBody, Method, Request, Response, SimClock, Status, Transport, Url, WebApp,
 };
 
-use crate::audit::{AuditEntry, AuditEvent, AuditHub, AuditLog};
+use crate::audit::{AuditEntry, AuditEvent, AuditHub, AuditLog, AuditRecord};
 use crate::claims::{ClaimIssuer, ClaimVerifier};
 use crate::consent::{
     AccessTuple, Channel, ConsentHub, ConsentState, Notification, NotificationOutbox,
@@ -293,7 +293,8 @@ struct AmState {
 /// One shard of the per-requester evaluation context.
 #[derive(Default)]
 struct CtxShard {
-    /// Granted uses so far, per access tuple.
+    /// Granted uses so far, per access tuple. A tuple's key is the one
+    /// its first permit's decision built.
     use_counts: HashMap<AccessTuple, u32>,
     /// Claims verified at token-issuance time, reused at decision time,
     /// keyed by requester, then resource: a lookup borrows both.
@@ -319,7 +320,7 @@ struct ShippedSieve {
 /// [`AuthorizationManager::gather`]): the tuple itself, the owner's
 /// consent, and the requester's satisfied claims and prior uses.
 struct Gathered {
-    key: AccessTuple,
+    tuple: AccessTuple,
     consent_granted: bool,
     claims: Vec<Claim>,
     prior_uses: u32,
@@ -809,16 +810,19 @@ impl AuthorizationManager {
         let gathered: Vec<Gathered> = candidates
             .iter()
             .map(|c| {
-                let key = (
-                    c.grant.requester.to_string(),
-                    c.grant.subject.as_deref().map(str::to_owned),
-                    ResourceRef::new(host, c.resource_id),
-                    c.action.clone(),
+                let tuple = access_tuple(
+                    &c.grant.requester,
+                    c.grant.subject.as_deref(),
+                    host,
+                    c.resource_id,
+                    c.action,
                 );
-                self.gather(owner, key)
+                self.gather(owner, tuple)
             })
             .collect();
-        let (evaluated, cache_ttl_ms, epoch) = self.evaluate(owner, now, &gathered)?;
+        let (evaluated, cache_ttl_ms, epoch) = self.evaluate(owner, now, |judge| {
+            gathered.iter().map(judge).collect::<Vec<_>>()
+        })?;
         let until = candidates
             .iter()
             .zip(evaluated)
@@ -1034,24 +1038,24 @@ impl AuthorizationManager {
     /// Phase A for one access tuple: the owner's consent (consent hub),
     /// then the requester's satisfied claims and prior uses (one
     /// context-shard read). Each is its own lock scope; nothing is
-    /// written. `key` is the tuple; it comes back inside the result so
-    /// `decide` bumps exactly the use count it read. Every lookup borrows
-    /// it.
-    fn gather(&self, owner: &str, key: AccessTuple) -> Gathered {
-        let consent_granted = self.consent.is_granted(owner, &key);
-        let (requester, _, resource, _) = &key;
+    /// written. The tuple comes back inside the result, so the engine
+    /// evaluates it, `decide` bumps exactly the use count it read and
+    /// the audit record borrows it. Every lookup borrows it.
+    fn gather(&self, owner: &str, tuple: AccessTuple) -> Gathered {
+        let consent_granted = self.consent.is_granted(owner, &tuple);
+        let requester = tuple.requester_app.as_deref().unwrap_or_default();
         let (claims, prior_uses) = {
             let ctx = self.ctx_for(requester).read();
             let claims = ctx
                 .satisfied_claims
-                .get(requester.as_str())
-                .and_then(|by_resource| by_resource.get(resource))
+                .get(requester)
+                .and_then(|by_resource| by_resource.get(&tuple.resource))
                 .cloned()
                 .unwrap_or_default();
-            (claims, ctx.use_counts.get(&key).copied().unwrap_or(0))
+            (claims, ctx.use_counts.get(&tuple).copied().unwrap_or(0))
         };
         Gathered {
-            key,
+            tuple,
             consent_granted,
             claims,
             prior_uses,
@@ -1060,56 +1064,47 @@ impl AuthorizationManager {
 
     /// Phase B: evaluates gathered tuples against `owner`'s policies under
     /// one owner-shard read, so it runs concurrently with evaluations for
-    /// owners on other shards and with central bookkeeping. Returns the
-    /// evaluations in order, with the owner's cache TTL and the policy
-    /// epoch read in that same scope; `None` when the owner is unknown.
-    fn evaluate<'g>(
+    /// owners on other shards and with central bookkeeping. `run` gets the
+    /// judge of one tuple and applies it to each; returns what `run`
+    /// returns, with the owner's cache TTL and the policy epoch read in
+    /// that same scope; `None` when the owner is unknown.
+    fn evaluate<R>(
         &self,
         owner: &str,
         now: u64,
-        tuples: impl IntoIterator<Item = &'g Gathered>,
-    ) -> Option<(Vec<Evaluated>, u64, u64)> {
+        run: impl FnOnce(&dyn Fn(&Gathered) -> Evaluated) -> R,
+    ) -> Option<(R, u64, u64)> {
         let shard = self.shard_for(owner).read();
         let slot = shard.get(owner)?;
         let account = &slot.account;
         let oracle = account.group_oracle();
-        let decisions = tuples
-            .into_iter()
-            .map(|g| {
-                let (requester, subject, resource, action) = &g.key;
-                let mut access = AccessRequest::new(&resource.host, &resource.id, action.clone())
-                    .via_app(requester);
-                if let Some(subject) = subject {
-                    access = access.by_user(subject);
-                }
-                let mut ctx = EvalContext::new(&access, now)
-                    .with_groups(&oracle)
-                    .with_claims(&g.claims)
-                    .with_prior_uses(g.prior_uses);
-                if g.consent_granted {
-                    ctx = ctx.with_consent();
-                }
-                let decision = PolicyEngine::evaluate(account.policies(), &ctx);
-                let stable_until = [&decision.general_policy, &decision.specific_policy]
-                    .into_iter()
-                    .flatten()
-                    .filter_map(|id| account.policies().get(id))
-                    .map(|policy| policy.stable_until(now))
-                    .min()
-                    .unwrap_or(u64::MAX);
-                Evaluated {
-                    decision,
-                    stable_until,
-                }
-            })
-            .collect();
-        Some((decisions, account.cache_ttl_ms(), slot.epoch))
+        let judged = run(&|g: &Gathered| {
+            let mut ctx = EvalContext::new(&g.tuple, now)
+                .with_groups(&oracle)
+                .with_claims(&g.claims)
+                .with_prior_uses(g.prior_uses);
+            if g.consent_granted {
+                ctx = ctx.with_consent();
+            }
+            let decision = PolicyEngine::evaluate(account.policies(), &ctx);
+            let stable_until = [&decision.general_policy, &decision.specific_policy]
+                .into_iter()
+                .flatten()
+                .filter_map(|id| account.policies().get(id))
+                .map(|policy| policy.stable_until(now))
+                .min()
+                .unwrap_or(u64::MAX);
+            Evaluated {
+                decision,
+                stable_until,
+            }
+        });
+        Some((judged, account.cache_ttl_ms(), slot.epoch))
     }
 
     /// [`Self::evaluate`] for a single tuple.
     fn evaluate_one(&self, owner: &str, now: u64, g: &Gathered) -> Option<(Evaluated, u64, u64)> {
-        let (mut evaluated, cache_ttl_ms, epoch) = self.evaluate(owner, now, [g])?;
-        Some((evaluated.pop()?, cache_ttl_ms, epoch))
+        self.evaluate(owner, now, |judge| judge(g))
     }
 
     // -- token issuance (Fig. 5) ----------------------------------------------
@@ -1132,13 +1127,14 @@ impl AuthorizationManager {
             }
             state.claim_verifier.verify_all(&request.claim_tokens)
         };
-        let key = (
-            request.requester.clone(),
-            request.subject.clone(),
-            ResourceRef::new(&request.host, &request.resource_id),
-            request.action.clone(),
+        let tuple = access_tuple(
+            &request.requester,
+            request.subject.as_deref(),
+            &request.host,
+            &request.resource_id,
+            &request.action,
         );
-        let mut gathered = self.gather(&request.owner, key);
+        let mut gathered = self.gather(&request.owner, tuple);
         let previous = std::mem::replace(&mut gathered.claims, verified);
         gathered.claims.extend(previous);
 
@@ -1147,7 +1143,12 @@ impl AuthorizationManager {
             return AuthorizeOutcome::Denied(format!("unknown owner {}", request.owner));
         };
         let decision = evaluated.decision;
-        let (resource, claims) = (&gathered.key.2, gathered.claims);
+        let (tuple, claims) = (&gathered.tuple, gathered.claims);
+        let resource = &tuple.resource;
+        let token_record = |issued| {
+            let event = AuditEvent::TokenRequested { issued };
+            tuple_record(now, &request.owner, tuple, &decision, event)
+        };
 
         // Phase C — act on the outcome. All bookkeeping goes to sharded
         // or striped structures; the central lock is never taken.
@@ -1181,8 +1182,7 @@ impl AuthorizationManager {
                     }
                     issued.push_back((token.clone(), grant.clone()));
                 }
-                self.audit
-                    .record(audit_token_entry(now, request, resource, true, &decision));
+                self.audit.append(token_record(true));
                 AuthorizeOutcome::Token { token, grant }
             }
             Outcome::RequiresConsent => {
@@ -1222,14 +1222,11 @@ impl AuthorizationManager {
                 AuthorizeOutcome::NeedsClaims(requirements.clone())
             }
             Outcome::Deny(ref reason) => {
-                let reason = reason.to_string();
-                self.audit
-                    .record(audit_token_entry(now, request, resource, false, &decision));
-                AuthorizeOutcome::Denied(reason)
+                self.audit.append(token_record(false));
+                AuthorizeOutcome::Denied(reason.to_string())
             }
             Outcome::NotApplicable => {
-                self.audit
-                    .record(audit_token_entry(now, request, resource, false, &decision));
+                self.audit.append(token_record(false));
                 AuthorizeOutcome::Denied("no applicable policy".to_owned())
             }
         }
@@ -1290,13 +1287,15 @@ impl AuthorizationManager {
         // Phase A (consent hub, context shard), then phase B (owner
         // shard): the cache TTL and the epoch the decision is stamped
         // with are read together with the policies. No central lock.
-        let key = (
-            query.requester.to_owned(),
-            grant.subject.as_deref().map(str::to_owned),
-            ResourceRef::new(&host_grant.host, query.resource_id),
-            query.action.clone(),
+        // The tuple is built once; every later step borrows it.
+        let tuple = access_tuple(
+            query.requester,
+            grant.subject.as_deref(),
+            &host_grant.host,
+            query.resource_id,
+            &query.action,
         );
-        let gathered = self.gather(&grant.owner, key);
+        let gathered = self.gather(&grant.owner, tuple);
         let Some((evaluated, cache_ttl_ms, policy_epoch)) =
             self.evaluate_one(&grant.owner, now, &gathered)
         else {
@@ -1304,33 +1303,28 @@ impl AuthorizationManager {
         };
         let engine_decision = evaluated.decision;
 
-        // Phase C — a context-shard use-count bump plus a striped audit
-        // record. The writes land on structures partitioned by requester
-        // and record order, so eight decision threads no longer convoy on
-        // one central writer lock (the old 8-thread p99 cliff). A repeat
-        // permit bumps its count in place, so the tuple is still whole
-        // to move into the audit entry.
-        let key = gathered.key;
-        if engine_decision.is_permit() {
-            let mut ctx = self.ctx_for(query.requester).write();
-            match ctx.use_counts.get_mut(&key) {
-                Some(uses) => *uses += 1,
-                None => {
-                    ctx.use_counts.insert(key.clone(), 1);
-                }
-            }
-        }
-        let (requester, subject, resource, action) = key;
+        // Phase C — a striped audit record plus a context-shard use-count
+        // bump. The writes land on structures partitioned by record order
+        // and requester, so eight decision threads no longer convoy on
+        // one central writer lock (the old 8-thread p99 cliff). The
+        // record packs the borrowed tuple into a reused ring slot; then a
+        // first permit moves the tuple into the use counts, and a repeat
+        // bumps its count in place.
         let event = AuditEvent::Decision {
             outcome: engine_decision.outcome.clone(),
         };
-        self.audit.record(AuditEntry {
-            requester: Some(requester),
-            subject,
-            action: Some(action),
-            policies: contributing_policies(&engine_decision),
-            ..AuditEntry::new(now, &grant.owner, event).on_resource(resource)
-        });
+        let tuple = gathered.tuple;
+        self.audit.append(tuple_record(
+            now,
+            &grant.owner,
+            &tuple,
+            &engine_decision,
+            event,
+        ));
+        if engine_decision.is_permit() {
+            let mut ctx = self.ctx_for(query.requester).write();
+            *ctx.use_counts.entry(tuple).or_insert(0) += 1;
+        }
 
         match engine_decision.outcome {
             Outcome::Permit => {
@@ -1527,27 +1521,48 @@ fn cacheable_ms(cache_ttl_ms: u64, grant: &AuthzGrant<'_>, now: u64, stable_unti
         .min(stable_until.saturating_sub(now))
 }
 
-fn contributing_policies(decision: &EngineDecision) -> Vec<ucam_policy::PolicyId> {
-    decision
-        .general_policy
-        .iter()
-        .chain(decision.specific_policy.iter())
-        .cloned()
-        .collect()
+/// The access tuple the PDP evaluates `requester`'s `action` on
+/// `host`/`resource_id` as: the one owned copy a decision or token
+/// request builds.
+fn access_tuple(
+    requester: &str,
+    subject: Option<&str>,
+    host: &str,
+    resource_id: &str,
+    action: &Action,
+) -> AccessTuple {
+    AccessRequest {
+        subject: subject.map(str::to_owned),
+        requester_app: Some(requester.to_owned()),
+        action: action.clone(),
+        resource: ResourceRef::new(host, resource_id),
+    }
 }
 
-fn audit_token_entry(
-    now: u64,
-    request: &AuthorizeRequest,
-    resource: &ResourceRef,
-    issued: bool,
-    decision: &EngineDecision,
-) -> AuditEntry {
-    AuditEntry::new(now, &request.owner, AuditEvent::TokenRequested { issued })
-        .on_resource(resource.clone())
-        .by_requester(&request.requester, request.subject.as_deref())
-        .for_action(request.action.clone())
-        .with_policies(contributing_policies(decision))
+/// The audit record of one evaluated `tuple` of `owner`'s: on its
+/// resource and host, by its requester and subject, for its action, with
+/// the general and the specific policy that contributed to `decision`.
+fn tuple_record<'a>(
+    at_ms: u64,
+    owner: &'a str,
+    tuple: &'a AccessTuple,
+    decision: &'a EngineDecision,
+    event: AuditEvent,
+) -> AuditRecord<'a> {
+    AuditRecord {
+        at_ms,
+        owner,
+        host: Some(&tuple.resource.host),
+        resource: Some(&tuple.resource),
+        requester: tuple.requester_app.as_deref(),
+        subject: tuple.subject.as_deref(),
+        action: Some(&tuple.action),
+        policies: [
+            decision.general_policy.as_slice(),
+            decision.specific_policy.as_slice(),
+        ],
+        event,
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -69,6 +69,14 @@ pub const DEFAULT_DECISION_CACHE_CAPACITY: usize = 1024;
 /// does.
 const HOST_LOG_CAP: usize = 4096;
 
+/// How many times its record's text a log slot's buffer may hold before
+/// a refill gives the excess back; with [`LOG_SLOT_FLOOR`] this bounds a
+/// slot's buffer by `4 × max(record text, 64)` bytes.
+const LOG_SLOT_SLACK: usize = 4;
+
+/// The text capacity a log slot always keeps, however short its record.
+const LOG_SLOT_FLOOR: usize = 64;
+
 /// Circuit breaker configuration for the Host→AM decision channel.
 ///
 /// The breaker is **opt-in** ([`ResilienceConfig::with_breaker`] applied
@@ -257,6 +265,64 @@ pub struct HostLogEntry {
     pub granted: bool,
     /// How the decision was reached.
     pub via: DecisionPath,
+}
+
+/// One access-log record, packed: requester and resource id back to back
+/// in one buffer the slot reuses, beside the record's typed fields. At
+/// the cap a record overwrites the oldest slot in place, so logging
+/// allocates and frees nothing in steady state.
+#[derive(Debug)]
+struct LogSlot {
+    at_ms: u64,
+    /// The requester, then the resource id.
+    text: String,
+    /// Where the requester ends in `text`.
+    requester_end: usize,
+    action: Action,
+    granted: bool,
+    via: DecisionPath,
+}
+
+impl LogSlot {
+    /// Overwrites the slot with one record, reusing its buffer; a buffer
+    /// holding more than [`LOG_SLOT_SLACK`] times the record's text gives
+    /// the excess back first.
+    fn fill(
+        &mut self,
+        at_ms: u64,
+        requester: &str,
+        resource_id: &str,
+        action: &Action,
+        granted: bool,
+        via: DecisionPath,
+    ) {
+        let len = requester.len() + resource_id.len();
+        self.text.clear();
+        if self.text.capacity() > LOG_SLOT_SLACK * len.max(LOG_SLOT_FLOOR) {
+            self.text.shrink_to(len.max(LOG_SLOT_FLOOR));
+        }
+        self.text.reserve_exact(len);
+        self.text.push_str(requester);
+        self.requester_end = self.text.len();
+        self.text.push_str(resource_id);
+        self.at_ms = at_ms;
+        self.action.clone_from(action);
+        self.granted = granted;
+        self.via = via;
+    }
+
+    /// Rebuilds the entry the slot holds.
+    fn entry(&self) -> HostLogEntry {
+        let (requester, resource_id) = self.text.split_at(self.requester_end);
+        HostLogEntry {
+            at_ms: self.at_ms,
+            requester: requester.to_owned(),
+            resource_id: resource_id.to_owned(),
+            action: self.action.clone(),
+            granted: self.granted,
+            via: self.via,
+        }
+    }
 }
 
 /// How the PEP reached its verdict.
@@ -480,26 +546,33 @@ impl BuildHasher for FpHashBuilder {
 /// tier-2 round trip.
 type SieveMap = HashMap<protocol::SieveFingerprint, u64, FpHashBuilder>;
 
-/// `(requester, resource id, action)` — what a cached decision answers for.
-type CacheKey = (String, String, Action);
+/// Tier 2's map, keyed by the [`protocol::tuple_digest`] of the
+/// `(token, resource, action, requester)` tuple that earned each permit —
+/// the digest the sieve probe already computes, hashed by [`FpHasher`]
+/// as tier 1's fingerprints are. A permit is bound to its token by all
+/// 256 bits; a different (possibly garbage) bearer must take the full
+/// decision-query path.
+type CacheMap = HashMap<[u8; 32], CachedDecision, FpHashBuilder>;
 
-/// One cached permit decision (§V.B.6).
+/// One cached permit decision (§V.B.6), stored under its tuple's digest.
 ///
 /// A cached entry may satisfy a later request only when *all* of these
 /// hold: the same requester presents the **same bearer token** (the
-/// access tuple's full digest matches), the entry's TTL has not elapsed,
-/// and the owner's policy epoch has not advanced since the AM stamped
-/// the decision.
+/// access tuple's full digest is the key), the resource is still
+/// governed by the delegation the permit was learned under, the entry's
+/// TTL has not elapsed, and the owner's policy epoch under that
+/// delegation has not advanced since the AM stamped the decision.
 #[derive(Debug)]
 struct CachedDecision {
     expires_at_ms: u64,
-    /// [`protocol::tuple_digest`] of the `(token, resource, action,
-    /// requester)` tuple that earned the permit. A permit is bound to its
-    /// token by all 256 bits; a different (possibly garbage) bearer must
-    /// take the full decision-query path.
-    digest: [u8; 32],
     /// Resource owner whose policies produced the decision.
     owner: String,
+    /// The resource the permit is for, for purges.
+    resource_id: String,
+    /// The delegation the decision query went out under. The entry is
+    /// served only while this same delegation governs the resource, and
+    /// its epoch is judged against this delegation's floor.
+    delegation: Arc<DelegationConfig>,
     /// The owner's policy epoch at decision time.
     epoch: u64,
     /// Second-chance bit: set on every hit, cleared once by the evictor
@@ -507,8 +580,38 @@ struct CachedDecision {
     referenced: AtomicBool,
 }
 
+/// The epochs the Host tracks for one owner under one delegation, named
+/// by the delegation's host token. Epochs are per AM: another AM's run
+/// independently, so switching AMs starts a fresh floor, while
+/// re-installing the same delegation (the same host token) keeps this
+/// one.
+#[derive(Debug)]
+struct Epochs {
+    /// The delegation, shared with whoever installed it, not copied.
+    delegation: Arc<DelegationConfig>,
+    /// The freshest policy epoch seen for the owner under this
+    /// delegation: pushed, installed with a sieve or stamped on a
+    /// decision reply. It only rises, and the generation is never above
+    /// it. A tier-2 entry stamped below it is dead and never kept; a
+    /// sieve body or delta must clear it.
+    floor: u64,
+    /// The generation of the owner's sieve installed under this
+    /// delegation: the epoch it was compiled under, or the advance that
+    /// emptied it. A delta applies only on exactly this base.
+    generation: Option<u64>,
+}
+
+impl Epochs {
+    /// Raises the floor to `epoch`; returns whether it rose.
+    fn raise(&mut self, epoch: u64) -> bool {
+        let rose = epoch > self.floor;
+        self.floor = self.floor.max(epoch);
+        rose
+    }
+}
+
 /// Every AM decision the Host holds, in two tiers under one lock
-/// ([`HostCore::permits`]) and one epoch floor per owner.
+/// ([`HostCore::permits`]) and one epoch floor per owner and delegation.
 ///
 /// * Tier 1 is the capability sieve (DESIGN.md §12): what AM-signed
 ///   sieves vouched for. Only `sieve` is published: readers clone its
@@ -517,9 +620,10 @@ struct CachedDecision {
 ///   while readers hold it. The indexes are edited in place and never
 ///   cloned.
 /// * Tier 2 is the decision cache (§V.B.6): permits learned from
-///   decision replies, bounded, evicted second-chance over insertion
-///   order — deterministic for a deterministic request sequence, unlike
-///   anything keyed on map iteration order.
+///   decision replies, keyed by the access tuple's digest, bounded,
+///   evicted second-chance over insertion order — deterministic for a
+///   deterministic request sequence, unlike anything keyed on map
+///   iteration order.
 ///
 /// Each Host mutation that can void a permit is one method here that
 /// covers both tiers: an epoch advance, a sieve body or delta, a
@@ -534,15 +638,11 @@ struct PermitStore {
     owner_index: HashMap<String, Vec<protocol::SieveFingerprint>>,
     /// resource id → its fingerprints.
     resource_index: HashMap<String, Vec<protocol::SieveFingerprint>>,
-    /// owner → the generation of their installed sieve: the epoch it was
-    /// compiled under, or the advance that emptied it. A delta applies
-    /// only on exactly this base.
-    generations: HashMap<String, u64>,
     /// Tier 2: at most this many entries; 0 caches nothing.
     capacity: usize,
-    entries: HashMap<CacheKey, CachedDecision>,
-    /// Keys in insertion order, driving the second-chance sweep.
-    order: VecDeque<CacheKey>,
+    entries: CacheMap,
+    /// Digests in insertion order, driving the second-chance sweep.
+    order: VecDeque<[u8; 32]>,
     /// Degraded-mode grace window (ms past TTL expiry) within which an
     /// expired tier-2 **permit** may still be served when the AM is
     /// unreachable at the transport level. 0 (the default) disables
@@ -554,11 +654,9 @@ struct PermitStore {
     /// grace window has passed no entry can be swept, so
     /// [`PermitStore::insert`] skips the sweep.
     earliest_expiry_ms: u64,
-    /// owner → the freshest policy epoch seen for them: pushed, installed
-    /// with a sieve or stamped on a decision reply. It only rises, and no
-    /// generation is above it. A tier-2 entry stamped below it is dead and
-    /// never kept; a sieve body or delta must clear it.
-    floors: HashMap<String, u64>,
+    /// owner → their [`Epochs`], one per delegation the Host has seen an
+    /// epoch under.
+    epochs: HashMap<String, Vec<Epochs>>,
 }
 
 impl PermitStore {
@@ -567,78 +665,129 @@ impl PermitStore {
             sieve: Arc::default(),
             owner_index: HashMap::new(),
             resource_index: HashMap::new(),
-            generations: HashMap::new(),
             capacity: DEFAULT_DECISION_CACHE_CAPACITY,
-            entries: HashMap::new(),
+            entries: CacheMap::default(),
             order: VecDeque::new(),
             stale_grace_ms: 0,
             earliest_expiry_ms: u64::MAX,
-            floors: HashMap::new(),
+            epochs: HashMap::new(),
         }
     }
 
-    /// `owner`'s epoch floor (0 while none is known).
-    fn floor(&self, owner: &str) -> u64 {
-        self.floors.get(owner).copied().unwrap_or(0)
+    /// `owner`'s [`Epochs`] under `delegation` (by its host token), made
+    /// (at floor 0) when missing. The owner is copied only then: nearly
+    /// every call names a known pair.
+    fn epochs_mut(&mut self, owner: &str, delegation: &Arc<DelegationConfig>) -> &mut Epochs {
+        if !self.epochs.contains_key(owner) {
+            self.epochs.insert(owner.to_owned(), Vec::new());
+        }
+        let list = self
+            .epochs
+            .get_mut(owner)
+            .expect("the owner was keyed above");
+        let token = &delegation.host_token;
+        let at = match list.iter().position(|e| &e.delegation.host_token == token) {
+            Some(at) => at,
+            None => {
+                list.reserve_exact(1);
+                list.push(Epochs {
+                    delegation: Arc::clone(delegation),
+                    floor: 0,
+                    generation: None,
+                });
+                list.len() - 1
+            }
+        };
+        &mut list[at]
     }
 
-    /// Whether `entry` was stamped before its owner's floor: such an
-    /// entry is dead for every use.
+    /// `owner`'s epoch floor under `token`'s delegation (0 while none is
+    /// known).
+    fn floor(&self, owner: &str, token: &str) -> u64 {
+        epochs_under(self.epochs.get(owner), token).map_or(0, |epochs| epochs.floor)
+    }
+
+    /// Whether `entry` was stamped before its owner's floor under its
+    /// delegation: such an entry is dead for every use.
     fn behind_floor(&self, entry: &CachedDecision) -> bool {
-        entry.epoch < self.floor(&entry.owner)
+        entry.epoch < self.floor(&entry.owner, &entry.delegation.host_token)
     }
 
     // -- mutations, each covering both tiers ----------------------------------
 
     /// An epoch advance for `owner` (a push, or a note relayed out of
-    /// band): raises the floor, dropping the owner's tier-2 entries
-    /// stamped below it, and drops their tier-1 entries when the
-    /// installed generation is older.
-    fn advance(&mut self, owner: &str, epoch: u64) {
-        self.raise_floor(owner, epoch);
-        if self.generations.get(owner).is_some_and(|&g| g < epoch) {
+    /// band), which names no delegation: raises each of the owner's
+    /// floors and the one under `current`, the host token of the owner's
+    /// delegation here, dropping the tier-2 entries stamped below them.
+    /// Drops the owner's tier-1 entries when the generation installed
+    /// under `current` is older.
+    fn advance(&mut self, owner: &str, current: Option<&Arc<DelegationConfig>>, epoch: u64) {
+        let mut rose = false;
+        if let Some(delegation) = current {
+            rose |= self.epochs_mut(owner, delegation).raise(epoch);
+        }
+        for epochs in self.epochs.get_mut(owner).into_iter().flatten() {
+            rose |= epochs.raise(epoch);
+        }
+        if rose {
+            self.drop_below_floors(owner);
+        }
+        let Some(delegation) = current else { return };
+        let epochs = self.epochs_mut(owner, delegation);
+        if epochs.generation.is_some_and(|g| g < epoch) {
+            epochs.generation = Some(epoch);
             self.drop_sieve_owner(owner);
-            self.generations.insert(owner.to_owned(), epoch);
         }
     }
 
-    /// A full sieve body for `owner` at `epoch`, its entries vouched:
-    /// replaces the owner's tier 1 iff `epoch` clears the floor, so a
-    /// delayed push can never resurrect revoked permits. Returns whether
-    /// it was installed.
-    fn install_body(&mut self, owner: &str, epoch: u64, vouched: &[protocol::SieveEntry]) -> bool {
-        if epoch < self.floor(owner) {
+    /// A full sieve body for `owner` at `epoch`, its entries vouched under
+    /// `delegation`: replaces the owner's tier 1 iff `epoch` clears that
+    /// delegation's floor, so a delayed push can never resurrect revoked
+    /// permits. Returns whether it was installed.
+    fn install_body(
+        &mut self,
+        owner: &str,
+        delegation: &Arc<DelegationConfig>,
+        epoch: u64,
+        vouched: &[protocol::SieveEntry],
+    ) -> bool {
+        if epoch < self.floor(owner, &delegation.host_token) {
             return false;
         }
         self.drop_sieve_owner(owner);
-        self.install(owner, epoch, vouched);
+        self.install(owner, delegation, epoch, vouched);
         true
     }
 
-    /// A sieve delta, its added entries vouched: applies iff the owner's
-    /// installed generation is exactly the delta's base and its epoch
-    /// clears both the base and the floor. Returns whether it applied.
+    /// A sieve delta, its added entries vouched under `delegation`:
+    /// applies iff the generation installed under it is exactly the
+    /// delta's base and its epoch clears both the base and that
+    /// delegation's floor. Returns whether it applied.
     fn install_delta(
         &mut self,
         delta: &protocol::SieveDeltaBody,
+        delegation: &Arc<DelegationConfig>,
         vouched: &[protocol::SieveEntry],
     ) -> bool {
-        let admit = self.generations.get(&delta.owner) == Some(&delta.base_epoch)
+        let token = &delegation.host_token;
+        let epochs = epochs_under(self.epochs.get(&delta.owner), token);
+        let admit = epochs.and_then(|e| e.generation) == Some(delta.base_epoch)
             && delta.epoch >= delta.base_epoch
-            && delta.epoch >= self.floor(&delta.owner);
+            && delta.epoch >= self.floor(&delta.owner, token);
         if admit {
             self.remove_fingerprints(&delta.removed);
-            self.install(&delta.owner, delta.epoch, vouched);
+            self.install(&delta.owner, delegation, delta.epoch, vouched);
         }
         admit
     }
 
-    /// A cacheable decision reply: raises the owner's floor to the
-    /// reply's epoch (tier 1 keeps what its signer vouched for) and
-    /// caches the permit.
-    fn learn(&mut self, key: CacheKey, entry: CachedDecision, now: u64) {
-        self.raise_floor(&entry.owner, entry.epoch);
-        self.insert(key, entry, now);
+    /// A cacheable decision reply: raises the owner's floor under the
+    /// delegation the query went out under to the reply's epoch (tier 1
+    /// keeps what its signer vouched for) and caches the permit under the
+    /// tuple's `digest`.
+    fn learn(&mut self, digest: [u8; 32], entry: CachedDecision, now: u64) {
+        self.raise_floor(&entry.owner, &entry.delegation, entry.epoch);
+        self.insert(digest, entry, now);
     }
 
     /// A resource deleted, or overridden to another delegation: drops its
@@ -654,31 +803,44 @@ impl PermitStore {
             }
             self.owner_index.retain(|_, v| !v.is_empty());
         }
-        self.retain_entries(|(_, resource, _), _| resource != resource_id);
+        retain(&mut self.entries, &mut self.order, |entry| {
+            entry.resource_id != resource_id
+        });
     }
 
     /// An owner's delegation set, switched or removed: drops their permits
     /// from both tiers, since they were vouched under the old delegation's
-    /// secret. The floor and the generation stay, or a delayed old sieve
-    /// could resurrect revoked permits.
+    /// secret. Each delegation's floor and generation stay, so re-installing
+    /// the same delegation cannot let a delayed old sieve resurrect revoked
+    /// permits.
     fn purge_owner(&mut self, owner: &str) {
         self.drop_sieve_owner(owner);
-        self.retain_entries(|_, entry| entry.owner != owner);
+        retain(&mut self.entries, &mut self.order, |entry| {
+            entry.owner != owner
+        });
     }
 
     // -- tier 2 ----------------------------------------------------------------
 
-    /// The tier-2 entry for `key` if it is bound to `digest` and not
-    /// behind its owner's floor: the validity every lookup, revalidation
-    /// and re-arm shares before its own TTL or epoch test.
-    fn bound_entry(&self, key: &CacheKey, digest: &[u8; 32]) -> Option<&CachedDecision> {
-        let entry = self.entries.get(key)?;
-        (&entry.digest == digest && !self.behind_floor(entry)).then_some(entry)
+    /// The tier-2 entry for the tuple `digest` names if it was learned
+    /// under `delegation`, the one governing the resource now: the
+    /// validity every lookup, revalidation and re-arm shares before its
+    /// own TTL or epoch test. No entry sits below its floor (`insert`
+    /// refuses one, every floor raise drops them), so none is checked
+    /// here.
+    fn bound_entry(
+        &self,
+        digest: &[u8; 32],
+        delegation: &Arc<DelegationConfig>,
+    ) -> Option<&CachedDecision> {
+        let entry = self.entries.get(digest)?;
+        Arc::ptr_eq(&entry.delegation, delegation).then_some(entry)
     }
 
-    /// Serves a hit iff unexpired, token-bound, and epoch-fresh.
-    fn lookup(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> bool {
-        match self.bound_entry(key, digest) {
+    /// Serves a hit iff unexpired, token-bound, and epoch-fresh under the
+    /// governing delegation.
+    fn lookup(&self, digest: &[u8; 32], delegation: &Arc<DelegationConfig>, now: u64) -> bool {
+        match self.bound_entry(digest, delegation) {
             Some(entry) if entry.expires_at_ms > now => {
                 entry.referenced.store(true, Ordering::Relaxed);
                 true
@@ -693,12 +855,17 @@ impl PermitStore {
     /// within the window it configured. Only ever consulted after a
     /// transport-level AM failure — a fresh entry would already have been
     /// served by [`PermitStore::lookup`].
-    fn lookup_stale(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> Option<u64> {
+    fn lookup_stale(
+        &self,
+        digest: &[u8; 32],
+        delegation: &Arc<DelegationConfig>,
+        now: u64,
+    ) -> Option<u64> {
         if self.stale_grace_ms == 0 {
             return None;
         }
         // A policy change (epoch advance) always fails closed.
-        let entry = self.bound_entry(key, digest)?;
+        let entry = self.bound_entry(digest, delegation)?;
         // Past the grace window: fail closed, the permit is gone.
         if now >= entry.expires_at_ms.saturating_add(self.stale_grace_ms) {
             return None;
@@ -711,8 +878,13 @@ impl PermitStore {
     /// token, epoch-fresh — that a conditional `if_epoch` revalidation
     /// query could cheaply re-arm. `None` when there is nothing worth
     /// revalidating (no entry, live entry, different token, stale epoch).
-    fn revalidation_epoch(&self, key: &CacheKey, digest: &[u8; 32], now: u64) -> Option<u64> {
-        let entry = self.bound_entry(key, digest)?;
+    fn revalidation_epoch(
+        &self,
+        digest: &[u8; 32],
+        delegation: &Arc<DelegationConfig>,
+        now: u64,
+    ) -> Option<u64> {
+        let entry = self.bound_entry(digest, delegation)?;
         (entry.expires_at_ms <= now).then_some(entry.epoch)
     }
 
@@ -720,11 +892,17 @@ impl PermitStore {
     /// extends its TTL without re-learning the decision. Fail-closed on
     /// any mismatch (entry gone, different token, epoch moved) — the
     /// unchanged reply then re-arms nothing and the caller refuses.
-    fn rearm(&mut self, key: &CacheKey, digest: &[u8; 32], epoch: u64, expires_at_ms: u64) -> bool {
+    fn rearm(
+        &mut self,
+        digest: &[u8; 32],
+        delegation: &Arc<DelegationConfig>,
+        epoch: u64,
+        expires_at_ms: u64,
+    ) -> bool {
         let valid = self
-            .bound_entry(key, digest)
+            .bound_entry(digest, delegation)
             .is_some_and(|entry| entry.epoch == epoch);
-        match self.entries.get_mut(key) {
+        match self.entries.get_mut(digest) {
             Some(entry) if valid => {
                 entry.expires_at_ms = expires_at_ms;
                 entry.referenced.store(true, Ordering::Relaxed);
@@ -734,33 +912,21 @@ impl PermitStore {
         }
     }
 
-    /// Raises `owner`'s floor to `epoch`, dropping their tier-2 entries
-    /// stamped below it.
-    fn raise_floor(&mut self, owner: &str, epoch: u64) {
-        // Look the owner up before keying a new entry: nearly every note
-        // repeats an epoch already known, and that must not allocate.
-        match self.floors.get_mut(owner) {
-            Some(known) if epoch <= *known => return,
-            Some(known) => *known = epoch,
-            None => {
-                self.floors.insert(owner.to_owned(), epoch);
-                if epoch == 0 {
-                    return;
-                }
-            }
+    /// Raises `owner`'s floor under `delegation` to `epoch`, dropping the
+    /// tier-2 entries it leaves stamped below it.
+    fn raise_floor(&mut self, owner: &str, delegation: &Arc<DelegationConfig>, epoch: u64) {
+        if self.epochs_mut(owner, delegation).raise(epoch) {
+            self.drop_below_floors(owner);
         }
-        self.retain_entries(|_, entry| entry.owner != owner || entry.epoch >= epoch);
     }
 
-    /// Keeps the tier-2 entries `keep` accepts, in one pass.
-    fn retain_entries(&mut self, keep: impl Fn(&CacheKey, &CachedDecision) -> bool) {
-        let entries = &mut self.entries;
-        self.order.retain(|key| {
-            let live = entries.get(key).is_some_and(|entry| keep(key, entry));
-            if !live {
-                entries.remove(key);
-            }
-            live
+    /// Drops `owner`'s tier-2 entries stamped below their delegation's
+    /// floor.
+    fn drop_below_floors(&mut self, owner: &str) {
+        let list = self.epochs.get(owner);
+        let floor = |token: &str| epochs_under(list, token).map_or(0, |epochs| epochs.floor);
+        retain(&mut self.entries, &mut self.order, |e| {
+            e.owner != owner || e.epoch >= floor(&e.delegation.host_token)
         });
     }
 
@@ -770,7 +936,7 @@ impl PermitStore {
     /// down to capacity. An entry stamped below its owner's floor (a
     /// decision reply that lost the race against a push) is refused: no
     /// entry ever sits below its floor, so nothing later can revive one.
-    fn insert(&mut self, key: CacheKey, entry: CachedDecision, now: u64) {
+    fn insert(&mut self, digest: [u8; 32], entry: CachedDecision, now: u64) {
         if self.capacity == 0 || self.behind_floor(&entry) {
             return;
         }
@@ -778,13 +944,13 @@ impl PermitStore {
             self.sweep_dead(now);
         }
         self.earliest_expiry_ms = self.earliest_expiry_ms.min(entry.expires_at_ms);
-        if !self.entries.contains_key(&key) {
+        if !self.entries.contains_key(&digest) {
             while self.entries.len() >= self.capacity {
                 self.evict_one();
             }
-            self.order.push_back(key.clone());
+            self.order.push_back(digest);
         }
-        self.entries.insert(key, entry);
+        self.entries.insert(digest, entry);
     }
 
     /// Drops expired entries and recomputes the earliest expiry. With a
@@ -849,11 +1015,17 @@ impl PermitStore {
     }
 
     /// Inserts vouched `entries` for `owner` with their index rows and
-    /// stamps the owner's sieve with `epoch`, raising the floor to it. A
-    /// fingerprint already present (a delta moving an entry's deadline,
-    /// or a body repeating one) only moves its expiry; the indexes
-    /// already know it.
-    fn install(&mut self, owner: &str, epoch: u64, entries: &[protocol::SieveEntry]) {
+    /// stamps the owner's sieve under `delegation` with `epoch`, raising
+    /// that delegation's floor to it. A fingerprint already present (a
+    /// delta moving an entry's deadline, or a body repeating one) only
+    /// moves its expiry; the indexes already know it.
+    fn install(
+        &mut self,
+        owner: &str,
+        delegation: &Arc<DelegationConfig>,
+        epoch: u64,
+        entries: &[protocol::SieveEntry],
+    ) {
         if !entries.is_empty() {
             let map = Arc::make_mut(&mut self.sieve);
             for entry in entries {
@@ -869,8 +1041,8 @@ impl PermitStore {
                 }
             }
         }
-        self.generations.insert(owner.to_owned(), epoch);
-        self.raise_floor(owner, epoch);
+        self.epochs_mut(owner, delegation).generation = Some(epoch);
+        self.raise_floor(owner, delegation, epoch);
     }
 
     /// Drops a specific fingerprint set (a delta's `removed` list).
@@ -893,6 +1065,29 @@ impl PermitStore {
         }
         self.resource_index.retain(|_, v| !v.is_empty());
     }
+}
+
+/// The [`Epochs`] under `token` in one owner's `list`.
+fn epochs_under<'e>(list: Option<&'e Vec<Epochs>>, token: &str) -> Option<&'e Epochs> {
+    list.into_iter()
+        .flatten()
+        .find(|epochs| epochs.delegation.host_token == token)
+}
+
+/// Keeps the tier-2 entries `keep` accepts, in one pass over the
+/// insertion order.
+fn retain(
+    entries: &mut CacheMap,
+    order: &mut VecDeque<[u8; 32]>,
+    keep: impl Fn(&CachedDecision) -> bool,
+) {
+    order.retain(|digest| {
+        let live = entries.get(digest).is_some_and(&keep);
+        if !live {
+            entries.remove(digest);
+        }
+        live
+    });
 }
 
 /// Per-process id source for [`HostCore::sieve_id`], keying the
@@ -1046,8 +1241,8 @@ pub struct HostCore {
     /// hold `state` across their store call (DESIGN.md §8).
     permits: RwLock<PermitStore>,
     /// Host-local access log, separate from both of the above: a ring of
-    /// the newest [`HOST_LOG_CAP`] entries.
-    log: Mutex<VecDeque<HostLogEntry>>,
+    /// the newest [`HOST_LOG_CAP`] entries, packed.
+    log: Mutex<VecDeque<LogSlot>>,
     /// Lock-free PEP counters: the enforcement hot path bumps these
     /// without touching any lock the resources or the permits are behind.
     stats: Counters<PEP_CELLS>,
@@ -1127,13 +1322,16 @@ impl HostCore {
     }
 
     /// Records that `owner`'s policies are now at `epoch` (pushed by the
-    /// AM or relayed by the environment): one advance of the owner's one
-    /// epoch floor. Cached decisions stamped with an older epoch are
-    /// dropped and will never be served again, and so is an installed
-    /// sieve compiled under an older epoch — both tiers in one step,
-    /// under one lock.
+    /// AM or relayed by the environment): one advance of the owner's
+    /// epoch floors. The note names no AM, so it raises the floor of the
+    /// owner's current delegation and every other floor the owner has.
+    /// Cached decisions stamped with an older epoch are dropped and will
+    /// never be served again, and so is an installed sieve compiled under
+    /// an older epoch — both tiers in one step, under one lock.
     pub fn note_policy_epoch(&self, owner: &str, epoch: u64) {
-        self.edit_permits(|permits| permits.advance(owner, epoch));
+        let state = self.state.read();
+        let current = state.user_delegations.get(owner);
+        self.edit_permits(|permits| permits.advance(owner, current, epoch));
     }
 
     /// Does nothing. Conditional revalidation is always on: a
@@ -1189,22 +1387,26 @@ impl HostCore {
         result
     }
 
-    /// The trust step both sieve installs share: returns `entries` only
-    /// when `verify` accepts the body under the `host_token` of the
-    /// delegation this Host itself holds for `owner` — the shared secret
-    /// from the delegation handshake, which only the real AM knows — and
-    /// that signer speaks for every entry. Per entry, the resource must
-    /// exist here and belong to the owner, must not be re-delegated under
+    /// The trust step both sieve installs share: runs `install` with
+    /// `entries` and the delegation they were vouched under only when
+    /// `verify` accepts the body under the `host_token` of the delegation
+    /// this Host itself holds for `owner` — the shared secret from the
+    /// delegation handshake, which only the real AM knows — and that
+    /// signer speaks for every entry. Per entry, the resource must exist
+    /// here and belong to the owner, must not be re-delegated under
     /// another secret (a per-resource override pointing at a different
     /// AM means the signer does not govern it), and the entry must be
-    /// unexpired. One bad entry rejects the whole body: a well-behaved AM
-    /// never compiles one, so it is either corruption or forgery.
-    fn vouched_entries<'e>(
+    /// unexpired. One bad entry rejects the whole body (`None`): a
+    /// well-behaved AM never compiles one, so it is either corruption or
+    /// forgery. The state lock is held across the install, so no
+    /// delegation change lands between the check and the install.
+    fn vouched_entries<R>(
         &self,
         owner: &str,
         verify: impl FnOnce(&[u8]) -> bool,
-        entries: &'e [protocol::SieveEntry],
-    ) -> Option<&'e [protocol::SieveEntry]> {
+        entries: &[protocol::SieveEntry],
+        install: impl FnOnce(&mut PermitStore, &Arc<DelegationConfig>, &[protocol::SieveEntry]) -> R,
+    ) -> Option<R> {
         let now = self.clock.now_ms();
         let state = self.state.read();
         let config = state.user_delegations.get(owner)?;
@@ -1220,7 +1422,7 @@ impl HostCore {
                     .is_none_or(|over| over.host_token == config.host_token);
                 resource_ok && delegation_ok && entry.expires_at_ms > now
             });
-        vouched.then_some(entries)
+        vouched.then(|| self.edit_permits(|permits| install(permits, config, entries)))
     }
 
     /// Installs a pushed capability sieve, fail-closed on any doubt.
@@ -1236,12 +1438,12 @@ impl HostCore {
     /// can never resurrect revoked permits.
     pub fn install_sieve(&self, sieve: &protocol::SieveBody) -> bool {
         let verify = |key: &[u8]| sieve.verify(key);
-        let Some(accepted) = self.vouched_entries(&sieve.owner, verify, &sieve.entries) else {
-            self.stats.add(Pep::SieveRejects, 1);
-            return false;
+        let install = |permits: &mut PermitStore, delegation: &Arc<_>, accepted: &[_]| {
+            permits.install_body(&sieve.owner, delegation, sieve.epoch, accepted)
         };
-        let installed =
-            self.edit_permits(|permits| permits.install_body(&sieve.owner, sieve.epoch, accepted));
+        let installed = self
+            .vouched_entries(&sieve.owner, verify, &sieve.entries, install)
+            .unwrap_or(false);
         if installed {
             self.stats.add(Pep::SieveInstalls, 1);
         } else {
@@ -1262,16 +1464,22 @@ impl HostCore {
     /// dropping an entry can only narrow access.
     pub fn install_sieve_delta(&self, delta: &protocol::SieveDeltaBody) -> SieveDeltaOutcome {
         let verify = |key: &[u8]| delta.verify(key);
-        let Some(accepted) = self.vouched_entries(&delta.owner, verify, &delta.added) else {
-            self.stats.add(Pep::SieveRejects, 1);
-            return SieveDeltaOutcome::Rejected;
+        let install = |permits: &mut PermitStore, delegation: &Arc<_>, accepted: &[_]| {
+            permits.install_delta(delta, delegation, accepted)
         };
-        if self.edit_permits(|permits| permits.install_delta(delta, accepted)) {
-            self.stats.add(Pep::SieveDeltaInstalls, 1);
-            SieveDeltaOutcome::Installed
-        } else {
-            self.stats.add(Pep::SieveResyncs, 1);
-            SieveDeltaOutcome::BaseMismatch
+        match self.vouched_entries(&delta.owner, verify, &delta.added, install) {
+            None => {
+                self.stats.add(Pep::SieveRejects, 1);
+                SieveDeltaOutcome::Rejected
+            }
+            Some(true) => {
+                self.stats.add(Pep::SieveDeltaInstalls, 1);
+                SieveDeltaOutcome::Installed
+            }
+            Some(false) => {
+                self.stats.add(Pep::SieveResyncs, 1);
+                SieveDeltaOutcome::BaseMismatch
+            }
         }
     }
 
@@ -1393,7 +1601,7 @@ impl HostCore {
     /// entries (at most 4,096), oldest first.
     #[must_use]
     pub fn log(&self) -> Vec<HostLogEntry> {
-        self.log.lock().iter().cloned().collect()
+        self.log.lock().iter().map(LogSlot::entry).collect()
     }
 
     // -- resource store ------------------------------------------------------
@@ -1621,7 +1829,7 @@ impl HostCore {
         miss.if_epoch = self
             .permits
             .read()
-            .revalidation_epoch(&miss.cache_key, &miss.digest, now);
+            .revalidation_epoch(&miss.digest, &miss.delegation, now);
         let resilience = self.resilience.read().clone();
         let resp = self.query(net, &resilience, &miss, None, "decision", &|to, primary| {
             // Never conditional against the fallback: the cached
@@ -1629,14 +1837,13 @@ impl HostCore {
             // and a numerically equal epoch at the mirror would
             // falsely re-arm it.
             let if_epoch = miss.if_epoch.filter(|_| primary);
-            let (requester, resource_id, action) = &miss.cache_key;
             let url = Url::new(&to.am, protocol::DECISION_V2_PATH);
             let mut req = Request::to_url(Method::Post, url)
                 .with_param("host_token", &to.host_token)
                 .with_param("token", miss.token)
-                .with_param("resource", resource_id)
-                .with_param("action", action_label(action))
-                .with_param("requester", requester);
+                .with_param("resource", miss.resource_id)
+                .with_param("action", action_label(miss.action))
+                .with_param("requester", miss.requester);
             if let Some(epoch) = if_epoch {
                 req = req.with_param("if_epoch", &epoch.to_string());
             }
@@ -1732,10 +1939,10 @@ impl HostCore {
     fn classify<'t>(
         &self,
         net: &dyn Transport,
-        requester: &str,
+        requester: &'t str,
         subject: Option<&str>,
-        resource_id: &str,
-        action: &Action,
+        resource_id: &'t str,
+        action: &'t Action,
         bearer: Option<&'t str>,
         return_url: &Url,
         now: u64,
@@ -1805,14 +2012,14 @@ impl HostCore {
         };
 
         // §V.B.6 warm path: a cached decision is valid only for the same
-        // bearer token (by the access tuple's digest, which the sieve
-        // probe has usually hashed already), within its TTL, and while
-        // the owner's policy epoch is unchanged. A hit is granted while
+        // bearer token (the access tuple's digest, which the sieve probe
+        // has usually hashed already, is its key), under the delegation
+        // that governs the resource now, within its TTL, and while the
+        // owner's policy epoch is unchanged. A hit is granted while
         // everything is still borrowed from the one state read — no
-        // resource/delegation clones, no dispatch.
-        let cache_key = (requester.to_owned(), resource_id.to_owned(), action.clone());
+        // key, resource or delegation copies, no dispatch.
         let digest = probed.unwrap_or_else(|| access_digest(token, resource_id, action, requester));
-        if self.permits.read().lookup(&cache_key, &digest, now) {
+        if self.permits.read().lookup(&digest, delegation, now) {
             drop(state);
             self.stats.add(Pep::CacheHits, 1);
             // Lazy label: free (one atomic load) while tracing is off.
@@ -1833,7 +2040,9 @@ impl HostCore {
             delegation: Arc::clone(delegation),
             owner: resource.owner.clone(),
             token,
-            cache_key,
+            requester,
+            resource_id,
+            action,
             digest,
             if_epoch: None,
         })
@@ -1961,13 +2170,15 @@ impl HostCore {
         now: u64,
     ) -> Enforcement {
         let Miss {
+            delegation,
             owner,
-            cache_key,
+            requester,
+            resource_id,
+            action,
             digest,
             if_epoch,
             ..
         } = miss;
-        let (requester, resource_id, action) = &cache_key;
         // A permit's cache window and epoch, cached once it is logged.
         let mut cacheable = None;
         let (at_ms, via, enforcement) = match outcome {
@@ -1983,7 +2194,7 @@ impl HostCore {
                     let expires_at_ms = now + body.cacheable_ms;
                     self.permits
                         .write()
-                        .rearm(&cache_key, &digest, epoch, expires_at_ms)
+                        .rearm(&digest, &delegation, epoch, expires_at_ms)
                 });
                 if rearmed {
                     self.stats.add(Pep::RevalidationsUnchanged, 1);
@@ -2033,7 +2244,7 @@ impl HostCore {
                 let stale = self
                     .permits
                     .read()
-                    .lookup_stale(&cache_key, &digest, stale_now);
+                    .lookup_stale(&digest, &delegation, stale_now);
                 match stale {
                     Some(staleness) => {
                         self.stats.add(Pep::StaleServed, 1);
@@ -2070,11 +2281,12 @@ impl HostCore {
             // is re-checked inside, so a concurrent
             // `set_decision_cache_capacity(0)` cannot be overtaken.
             self.permits.write().learn(
-                cache_key,
+                digest,
                 CachedDecision {
                     expires_at_ms: now + cacheable_ms,
-                    digest,
                     owner,
+                    resource_id: resource_id.to_owned(),
+                    delegation,
                     epoch: policy_epoch.unwrap_or(0),
                     referenced: AtomicBool::new(false),
                 },
@@ -2197,17 +2409,21 @@ impl HostCore {
         via: DecisionPath,
     ) {
         let mut log = self.log.lock();
-        if log.len() == HOST_LOG_CAP {
-            log.pop_front();
-        }
-        log.push_back(HostLogEntry {
+        let oldest = if log.len() == HOST_LOG_CAP {
+            log.pop_front()
+        } else {
+            None
+        };
+        let mut slot = oldest.unwrap_or_else(|| LogSlot {
             at_ms,
-            requester: requester.to_owned(),
-            resource_id: resource_id.to_owned(),
-            action: action.clone(),
+            text: String::new(),
+            requester_end: 0,
+            action: Action::Read,
             granted,
             via,
         });
+        slot.fill(at_ms, requester, resource_id, action, granted, via);
+        log.push_back(slot);
     }
 }
 
@@ -2272,16 +2488,23 @@ fn classify_batch(resp: &Response, expected: usize) -> Vec<DecisionOutcome> {
 
 /// A delegated, token-bearing access that classification could not
 /// settle locally: it needs an AM decision. Carries what the query and
-/// [`HostCore::settle_decision`] need; the access tuple is the cache key.
+/// [`HostCore::settle_decision`] need, the access tuple borrowed; its
+/// digest is the cache key.
 struct Miss<'t> {
     /// The delegation governing the resource (primary AM, host token),
-    /// shared with the Host's state rather than copied.
+    /// shared with the Host's state rather than copied. A permit learned
+    /// from this query is tagged with it.
     delegation: Arc<DelegationConfig>,
     /// The resource owner.
     owner: String,
     /// The bearer token presented.
     token: &'t str,
-    cache_key: CacheKey,
+    /// The requester presenting it.
+    requester: &'t str,
+    /// The resource accessed.
+    resource_id: &'t str,
+    /// The action attempted.
+    action: &'t Action,
     /// [`protocol::tuple_digest`] of the access tuple.
     digest: [u8; 32],
     /// The epoch an expired, epoch-fresh cached permit for this token
@@ -2313,9 +2536,9 @@ fn batch_items(chunk: &[(usize, Miss<'_>)]) -> Vec<BatchItem> {
         .iter()
         .map(|(_, miss)| BatchItem {
             token: miss.token.to_owned(),
-            resource: miss.cache_key.1.clone(),
-            action: miss.cache_key.2.to_string(),
-            requester: miss.cache_key.0.clone(),
+            resource: miss.resource_id.to_owned(),
+            action: miss.action.to_string(),
+            requester: miss.requester.to_owned(),
         })
         .collect()
 }
@@ -2607,6 +2830,48 @@ mod tests {
         }
     }
 
+    /// The memo compares each field's bytes, not just its length. For
+    /// each field, a tuple whose fields have the bound tuple's lengths,
+    /// differing in that field's bytes and sharing the bound tuple's memo
+    /// slot, is hashed right after it and must get its own digest.
+    #[test]
+    fn the_digest_memo_compares_bytes_not_lengths() {
+        const DIGITS: &[u8] = b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+        let bound = ["good-token", "r1", "read", "req"];
+        let digest = |[token, resource, action, requester]: [&str; 4]| {
+            let action = crate::shell::parse_action(action);
+            access_digest(token, resource, &action, requester)
+        };
+        for field in 0..4 {
+            let variant: [String; 4] = (0..)
+                .map(|i: usize| {
+                    let mut variant = bound.map(str::to_owned);
+                    let mut n = i;
+                    variant[field] = (0..bound[field].len())
+                        .map(|_| {
+                            let digit = DIGITS[n % DIGITS.len()];
+                            n /= DIGITS.len();
+                            char::from(digit)
+                        })
+                        .collect();
+                    variant
+                })
+                .find(|variant| {
+                    let fields = variant.each_ref().map(String::as_str);
+                    fields != bound && memo_slot(fields) == memo_slot(bound)
+                })
+                .expect("some same-length variant shares the bound tuple's slot");
+            let fields = variant.each_ref().map(String::as_str);
+            digest(bound);
+            let [token, resource, action, requester] = fields;
+            assert_eq!(
+                digest(fields),
+                protocol::tuple_digest(token, resource, action, requester),
+                "{variant:?} got the digest of {bound:?}"
+            );
+        }
+    }
+
     /// The slot size DESIGN.md §8 states the memo's per-thread bound
     /// with.
     #[cfg(target_pointer_width = "64")]
@@ -2767,9 +3032,10 @@ mod tests {
 
     /// Caches a permit for `r1` (bob's, token "good", granted by the fake
     /// AM at `am.example`), lets `change` edit the Host, and reads again.
-    /// The second read must query `governing`, the AM that now governs
-    /// `r1`, and be refused as that AM refuses (401): no cached permit
-    /// outlives its resource or its delegation.
+    /// The change must drop the permit, and the second read must query
+    /// `governing`, the AM that now governs `r1`, and be refused as that
+    /// AM refuses (401): no cached permit outlives its resource or its
+    /// delegation.
     fn second_read_asks(governing: &str, change: impl FnOnce(&HostCore, &FakeAm)) {
         let net = SimNet::new();
         let am = FakeAm::new();
@@ -2783,6 +3049,7 @@ mod tests {
         assert_eq!(h.decision_cache_len(), 1);
 
         change(&h, &am);
+        assert_eq!(h.decision_cache_len(), 0, "the change kept a permit");
         let asked = net.stats().edge("h.example", governing);
         match read() {
             Enforcement::Block(resp) => assert_eq!(resp.status, Status::Unauthorized),
@@ -2827,6 +3094,96 @@ mod tests {
     #[test]
     fn an_owner_switching_ams_voids_their_cached_permits() {
         second_read_asks("am-b.example", |h, _| h.set_user_delegation("bob", am_b()));
+    }
+
+    /// Epochs are per AM. Bob is at epoch 50 at `am.example` and moves to
+    /// `am-b.example`, whose epochs for him start at 1 (an imported
+    /// account). The old AM's floor must not hold the new AM's permits
+    /// and sieve bodies back: the second read under `am-b` is a cache
+    /// hit, and an `am-b` body at epoch 1 installs.
+    #[test]
+    fn an_owner_moving_to_an_am_with_lower_epochs_is_cached_again() {
+        let net = SimNet::new();
+        let am = FakeAm::new();
+        am.grant("good", &permit_body(60_000, 50));
+        net.register(am.clone());
+        let am_b_app = FakeAm::new_at("am-b.example");
+        am_b_app.grant("good", &permit_body(60_000, 1));
+        net.register(am_b_app);
+        let h = delegated_host(&net);
+        let url = Url::new("h.example", "/r1");
+        let read = || h.enforce(&net, "req", None, "r1", &Action::Read, Some("good"), &url);
+        assert!(read().is_grant());
+        h.note_policy_epoch("bob", 50);
+
+        h.set_user_delegation("bob", am_b());
+        assert!(read().is_grant());
+        assert!(read().is_grant());
+        assert_eq!((h.stats().am_queries, h.stats().cache_hits), (2, 1));
+        assert_eq!(net.stats().edge("h.example", "am-b.example"), 1);
+
+        let entries = vec![protocol::SieveEntry {
+            fingerprint: protocol::sieve_fingerprint("good", "r1", "read", "req"),
+            resource: "r1".into(),
+            expires_at_ms: 60_000,
+        }];
+        assert!(h.install_sieve(&SieveBody::build("bob", 1, entries, b"ht-b")));
+        assert_eq!(h.stats().sieve_rejects, 0);
+    }
+
+    /// Re-installing the delegation a floor was raised under keeps that
+    /// floor: a delayed body from below it is still refused.
+    #[test]
+    fn reinstalling_the_same_delegation_keeps_its_floor() {
+        let net = SimNet::new();
+        let h = delegated_host(&net);
+        assert!(h.install_sieve(&sieve_of(5, 60_000, &[("tok", "r1", "read", "req")])));
+        let same = DelegationConfig {
+            am: "am.example".into(),
+            host_token: "ht".into(),
+            delegation_id: "d-1".into(),
+        };
+        h.set_user_delegation("bob", same);
+        assert!(!h.install_sieve(&sieve_of(4, 60_000, &[("tok", "r1", "read", "req")])));
+        assert_eq!(h.stats().sieve_rejects, 1);
+        assert!(h.install_sieve(&sieve_of(5, 60_000, &[("tok", "r1", "read", "req")])));
+    }
+
+    /// A decision query sent under the old delegation and settled after
+    /// the owner switched AMs: its permit is learned under the old
+    /// delegation, so it is never served under the new one. The next read
+    /// asks `am-b`, which refuses the token.
+    #[test]
+    fn a_permit_settled_after_a_switch_is_not_served_under_the_new_delegation() {
+        let net = SimNet::new();
+        net.register(FakeAm::new());
+        net.register(FakeAm::new_at("am-b.example")); // grants nothing
+        let h = delegated_host(&net);
+        let url = Url::new("h.example", "/r1");
+        let now = net.clock().now_ms();
+        let classified = h.classify(
+            &net,
+            "req",
+            None,
+            "r1",
+            &Action::Read,
+            Some("good"),
+            &url,
+            now,
+        );
+        let Classified::Miss(miss) = classified else {
+            panic!("nothing is cached yet");
+        };
+        h.set_user_delegation("bob", am_b());
+        let permit = DecisionOutcome::Body(DecisionBody::permit(60_000, 1));
+        assert!(h.settle_decision(&net, permit, miss, now).is_grant());
+
+        match h.enforce(&net, "req", None, "r1", &Action::Read, Some("good"), &url) {
+            Enforcement::Block(resp) => assert_eq!(resp.status, Status::Unauthorized),
+            Enforcement::Grant => panic!("a permit learned under the old delegation was served"),
+        }
+        assert_eq!(h.stats().cache_hits, 0);
+        assert_eq!(net.stats().edge("h.example", "am-b.example"), 1);
     }
 
     #[test]
@@ -3636,6 +3993,110 @@ mod tests {
         }
         let kept: Vec<u64> = h.log().iter().map(|entry| entry.at_ms).collect();
         assert_eq!(kept, (5..cap + 5).collect::<Vec<u64>>());
+    }
+
+    /// A number below `n`, drawn from `state` (splitmix64).
+    fn draw(state: &mut u64, n: u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+
+    /// An empty, short or 1 KiB text of `tag`s, drawn from `state`.
+    fn draw_text(state: &mut u64, tag: char) -> String {
+        match draw(state, 3) {
+            0 => String::new(),
+            1 => format!("{tag}{}", draw(state, 100)),
+            _ => std::iter::repeat_n(tag, 1024).collect(),
+        }
+    }
+
+    /// The access-log entry `seed` draws: requester and resource id
+    /// empty, short or 1 KiB long, built-in and custom actions, either
+    /// verdict and every path.
+    fn log_entry_of(seed: u64, at_ms: u64) -> HostLogEntry {
+        let mut state = seed;
+        let requester = draw_text(&mut state, 'q');
+        let resource_id = draw_text(&mut state, 'r');
+        let action = match draw(&mut state, 3) {
+            0 => Action::Read,
+            1 => Action::Delete,
+            _ => Action::Custom(draw_text(&mut state, 'a')),
+        };
+        let via = [
+            DecisionPath::AmQuery,
+            DecisionPath::Cache,
+            DecisionPath::LegacyAcl,
+            DecisionPath::RedirectedToAm,
+            DecisionPath::Refused,
+            DecisionPath::StaleGrace,
+        ][draw(&mut state, 6) as usize];
+        HostLogEntry {
+            at_ms,
+            requester,
+            resource_id,
+            action,
+            granted: draw(&mut state, 2) == 1,
+            via,
+        }
+    }
+
+    proptest::proptest! {
+        /// The packed log returns exactly the newest [`HOST_LOG_CAP`]
+        /// records it was given, oldest first, as an unpacked ring would,
+        /// whether or not it ever wrapped.
+        #[test]
+        fn the_packed_access_log_returns_exactly_what_it_was_given(
+            records in 0..HOST_LOG_CAP + 300,
+            seed in proptest::any::<u64>(),
+        ) {
+            let h = host();
+            let mut unpacked = VecDeque::new();
+            for at_ms in 0..records as u64 {
+                let e = log_entry_of(seed ^ at_ms, at_ms);
+                h.record(e.at_ms, &e.requester, &e.resource_id, &e.action, e.granted, e.via);
+                if unpacked.len() == HOST_LOG_CAP {
+                    unpacked.pop_front();
+                }
+                unpacked.push_back(e);
+            }
+            proptest::prop_assert_eq!(h.log(), Vec::from(unpacked));
+        }
+    }
+
+    /// A log slot that held a long record gives the excess back when a
+    /// short one overwrites it: no slot keeps more than [`LOG_SLOT_SLACK`]
+    /// times its record's text (never less than [`LOG_SLOT_FLOOR`]).
+    #[test]
+    fn a_log_slot_gives_back_what_a_long_record_left() {
+        let h = host();
+        let long = "x".repeat(64 * 1024);
+        for at_ms in 0..2 * HOST_LOG_CAP as u64 {
+            let requester = if at_ms < HOST_LOG_CAP as u64 {
+                &long
+            } else {
+                "req"
+            };
+            h.record(
+                at_ms,
+                requester,
+                "r1",
+                &Action::Read,
+                true,
+                DecisionPath::Cache,
+            );
+        }
+        for slot in h.log.lock().iter() {
+            let text = &slot.text;
+            assert_eq!(text.len(), "reqr1".len());
+            assert!(
+                text.capacity() <= LOG_SLOT_SLACK * text.len().max(LOG_SLOT_FLOOR),
+                "{}",
+                text.capacity()
+            );
+        }
     }
 
     // -- tier-1 capability sieve ----------------------------------------------

@@ -7,6 +7,7 @@
 //! service for online photo albums" — see the `/backup` route. A backup
 //! acts for the session's user, with that user's own assertion.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use ucam_policy::Action;
@@ -83,8 +84,15 @@ impl WebStorage {
     }
 
     fn file_route(&self, c: Call<'_>) -> Response {
-        let path = c.req.url.path().trim_start_matches("/files/");
-        let id = format!("files/{path}");
+        // The resource id is the URL path after "/files/", prefixed with
+        // "files/": the path itself past its slash, unless the prefix
+        // repeats and was stripped more than once.
+        let full = c.req.url.path();
+        let path = full.trim_start_matches("/files/");
+        let id: Cow<'_, str> = match full.strip_suffix(path) {
+            Some("/files/") => Cow::Borrowed(&full[1..]),
+            _ => Cow::Owned(format!("files/{path}")),
+        };
         let action = match c.req.method {
             Method::Get => Action::Read,
             Method::Post | Method::Put => Action::Write,

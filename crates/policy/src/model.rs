@@ -164,7 +164,7 @@ impl fmt::Display for Subject {
 }
 
 /// One concrete access request, as seen by the Authorization Manager.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AccessRequest {
     /// Authenticated user identity of the requester, if any.
     pub subject: Option<String>,

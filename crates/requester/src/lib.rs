@@ -24,7 +24,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use ucam_webenv::{protocol, Method, Request, Response, RetryPolicy, Status, Transport, Url};
 
@@ -209,6 +211,50 @@ impl PreAuthorization {
 /// held for.
 type TokenKey = (String, String, String);
 
+/// A token key's three parts, owned or borrowed. The token map is keyed
+/// by the owned form and looked up by the borrowed one, so a lookup
+/// copies nothing; both hash their parts exactly as the owned tuple does.
+trait TokenKeyParts {
+    fn parts(&self) -> (&str, &str, &str);
+}
+
+impl TokenKeyParts for TokenKey {
+    fn parts(&self) -> (&str, &str, &str) {
+        (&self.0, &self.1, &self.2)
+    }
+}
+
+impl TokenKeyParts for (&str, &str, &str) {
+    fn parts(&self) -> (&str, &str, &str) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn TokenKeyParts + 'a> for TokenKey {
+    fn borrow(&self) -> &(dyn TokenKeyParts + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn TokenKeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn TokenKeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn TokenKeyParts + '_ {}
+
+/// The borrowed token key of `spec`.
+fn key_parts(spec: &AccessSpec) -> (&str, &str, &str) {
+    (spec.url.authority(), spec.url.path(), &spec.action)
+}
+
 /// A protocol-aware client for accessing AM-protected resources.
 ///
 /// # Example
@@ -319,15 +365,14 @@ impl RequesterClient {
     /// Performs one access, transparently running the token flow.
     pub fn access(&mut self, net: &dyn Transport, spec: &AccessSpec) -> AccessOutcome {
         self.stats.accesses += 1;
-        let cache_key = self.cache_key(spec);
-        let cached = self.tokens.get(&cache_key);
+        let cached = self.held_token(spec);
         let req = self.host_request(spec, cached.map(String::as_str));
         if cached.is_some() {
             self.stats.cache_hits += 1;
         }
 
         let first = self.dispatch_retrying(net, req);
-        self.settle_first(net, spec, cache_key, first)
+        self.settle_first(net, spec, first)
     }
 
     /// Performs `specs.len()` accesses as one client-side pipelined
@@ -358,21 +403,20 @@ impl RequesterClient {
 
         let mut outcomes: Vec<Option<AccessOutcome>> = Vec::with_capacity(specs.len());
         outcomes.resize_with(specs.len(), || None);
-        let mut warm: Vec<(usize, TokenKey)> = Vec::with_capacity(specs.len());
+        let mut warm: Vec<usize> = Vec::with_capacity(specs.len());
         let mut reqs: Vec<Request> = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
-            let cache_key = self.cache_key(spec);
-            if let Some(token) = self.tokens.get(&cache_key) {
+            if let Some(token) = self.held_token(spec) {
                 reqs.push(self.host_request(spec, Some(token)));
-                warm.push((i, cache_key));
+                warm.push(i);
                 self.stats.accesses += 1;
                 self.stats.cache_hits += 1;
             }
         }
         if !warm.is_empty() {
             let resps = net.dispatch_pipelined(&self.label, reqs);
-            for ((i, cache_key), resp) in warm.into_iter().zip(resps) {
-                outcomes[i] = Some(self.settle_first(net, &specs[i], cache_key, resp));
+            for (i, resp) in warm.into_iter().zip(resps) {
+                outcomes[i] = Some(self.settle_first(net, &specs[i], resp));
             }
         }
         for (i, spec) in specs.iter().enumerate() {
@@ -478,7 +522,7 @@ impl RequesterClient {
     ) -> PreAuthorization {
         match reply {
             protocol::AuthorizeReply::Token(token) => {
-                self.tokens.insert(self.cache_key(&request.spec), token);
+                self.hold_token(&request.spec, token);
                 PreAuthorization::Authorized
             }
             protocol::AuthorizeReply::Denied(reason) => PreAuthorization::Denied(reason),
@@ -500,20 +544,19 @@ impl RequesterClient {
         &mut self,
         net: &dyn Transport,
         spec: &AccessSpec,
-        cache_key: TokenKey,
         first: Response,
     ) -> AccessOutcome {
         match self.classify(net, first) {
             Classified::Done(outcome) => outcome,
-            Classified::GotToken(token) => self.retry_with(net, spec, cache_key, token),
+            Classified::GotToken(token) => self.retry_with(net, spec, token),
             Classified::TokenRejected => {
                 // One transparent re-authorization (expired/stale token).
                 self.stats.reauthorizations += 1;
-                self.tokens.remove(&cache_key);
+                self.drop_token(spec);
                 let retry = self.send(net, spec, None);
                 match self.classify(net, retry) {
                     Classified::Done(outcome) => outcome,
-                    Classified::GotToken(token) => self.retry_with(net, spec, cache_key, token),
+                    Classified::GotToken(token) => self.retry_with(net, spec, token),
                     Classified::TokenRejected => {
                         AccessOutcome::Denied("token rejected twice; giving up".to_owned())
                     }
@@ -522,27 +565,34 @@ impl RequesterClient {
         }
     }
 
-    /// Caches a fresh `token` under `cache_key` and retries the access
-    /// with it.
+    /// Caches a fresh `token` for `spec` and retries the access with it.
     fn retry_with(
         &mut self,
         net: &dyn Transport,
         spec: &AccessSpec,
-        cache_key: TokenKey,
         token: String,
     ) -> AccessOutcome {
         let req = self.host_request(spec, Some(&token));
-        self.tokens.insert(cache_key, token);
+        self.hold_token(spec, token);
         let resp = self.dispatch_retrying(net, req);
         self.finish(resp)
     }
 
-    fn cache_key(&self, spec: &AccessSpec) -> TokenKey {
-        (
-            spec.url.authority().to_owned(),
-            spec.url.path().to_owned(),
-            spec.action.clone(),
-        )
+    /// The token held for `spec`, looked up without copying its key.
+    fn held_token(&self, spec: &AccessSpec) -> Option<&String> {
+        self.tokens.get(&key_parts(spec) as &dyn TokenKeyParts)
+    }
+
+    /// Holds `token` for `spec`: the one place a token key is copied.
+    fn hold_token(&mut self, spec: &AccessSpec, token: String) {
+        let (host, path, action) = key_parts(spec);
+        let key = (host.to_owned(), path.to_owned(), action.to_owned());
+        self.tokens.insert(key, token);
+    }
+
+    /// Forgets the token held for `spec`, if any.
+    fn drop_token(&mut self, spec: &AccessSpec) {
+        self.tokens.remove(&key_parts(spec) as &dyn TokenKeyParts);
     }
 
     /// The Host-bound request for one access, as both [`Self::access`]
@@ -581,7 +631,7 @@ impl RequesterClient {
         match resp.status {
             Status::Found => match resp.location() {
                 Some(location) if location.path() == "/authorize" => {
-                    self.request_token(net, &location)
+                    self.request_token(net, location)
                 }
                 _ => Classified::Done(AccessOutcome::Failed(resp)),
             },
@@ -604,18 +654,25 @@ impl RequesterClient {
         url
     }
 
-    /// Follows the Host's redirect to the AM's `/authorize` (Fig. 5).
-    fn request_token(&mut self, net: &dyn Transport, authorize: &Url) -> Classified {
+    /// Follows the Host's redirect to the AM's `/authorize` (Fig. 5). The
+    /// URL moves into the request; it is read beforehand only to keep its
+    /// AM and, where a secondary AM is configured, its re-homed copy.
+    fn request_token(&mut self, net: &dyn Transport, authorize: Url) -> Classified {
         self.stats.token_requests += 1;
-        let url = self.with_credentials(authorize.clone());
+        let am = authorize.authority().to_owned();
+        let failover = self
+            .fallback_ams
+            .get(&am)
+            .map(|secondary| rehome(&authorize, secondary));
+        let url = self.with_credentials(authorize);
         let mut resp = self.dispatch_retrying(net, Request::to_url(Method::Get, url));
         // Multi-AM failover: when the primary's authorize endpoint is
         // unreachable at the transport level (after any retries), re-home
         // the authorize URL to the configured secondary AM and try there.
         if resp.transport_error().is_some() {
-            if let Some(secondary) = self.fallback_ams.get(authorize.authority()) {
+            if let Some(rehomed) = failover {
                 self.stats.failovers += 1;
-                let rehomed = self.with_credentials(rehome(authorize, secondary));
+                let rehomed = self.with_credentials(rehomed);
                 resp = self.dispatch_retrying(net, Request::to_url(Method::Get, rehomed));
             }
         }
@@ -631,7 +688,7 @@ impl RequesterClient {
             // AM returned the token directly (no return URL configured).
             Status::Ok => Classified::GotToken(resp.body),
             Status::Accepted => Classified::Done(AccessOutcome::PendingConsent {
-                am: authorize.authority().to_owned(),
+                am,
                 consent_id: resp.body,
             }),
             Status::PaymentRequired => Classified::Done(AccessOutcome::NeedsClaims(resp.body)),
@@ -681,14 +738,13 @@ impl RequesterClient {
     ) -> AccessOutcome {
         self.stats.accesses += 1;
         let host = spec.url.authority().to_owned();
-        let cache_key = self.cache_key(spec);
-        if let Some(token) = self.tokens.get(&cache_key).cloned() {
+        if let Some(token) = self.held_token(spec).cloned() {
             self.stats.cache_hits += 1;
             let resp = self.send(net, spec, Some(&token));
             if resp.status != Status::Unauthorized {
                 return self.finish(resp);
             }
-            self.tokens.remove(&cache_key);
+            self.drop_token(spec);
             self.stats.reauthorizations += 1;
         }
         let Some(discovered) = self.discover_am(net, &host, resource_id) else {
@@ -704,8 +760,8 @@ impl RequesterClient {
             .with_query("resource", resource_id)
             .with_query("action", &spec.action)
             .with_query("requester", &self.label);
-        match self.request_token(net, &authorize) {
-            Classified::GotToken(token) => self.retry_with(net, spec, cache_key, token),
+        match self.request_token(net, authorize) {
+            Classified::GotToken(token) => self.retry_with(net, spec, token),
             Classified::Done(outcome) => outcome,
             Classified::TokenRejected => {
                 AccessOutcome::Denied("authorization manager rejected the request".to_owned())
@@ -868,9 +924,7 @@ mod tests {
         let mut client = RequesterClient::new("requester:test");
         let spec = AccessSpec::read(Url::new("host.example", "/protected"));
         // Pre-poison the cache.
-        client
-            .tokens
-            .insert(client.cache_key(&spec), "stale".to_owned());
+        client.hold_token(&spec, "stale".to_owned());
         let outcome = client.access(&net, &spec);
         assert!(outcome.is_granted());
         assert_eq!(client.stats().reauthorizations, 1);
@@ -902,7 +956,7 @@ mod tests {
         // Direct the fake host redirect at the consent-producing resource.
         // Craft a redirect manually by calling the AM with resource=consent:
         let authorize = Url::new("am.example", "/authorize").with_query("resource", "consent");
-        let classified = client.request_token(&net, &authorize);
+        let classified = client.request_token(&net, authorize);
         let Classified::Done(AccessOutcome::PendingConsent { am, consent_id }) = classified else {
             panic!("expected pending consent");
         };
@@ -915,7 +969,7 @@ mod tests {
         let net = net();
         let mut client = RequesterClient::new("requester:test");
         let authorize = Url::new("am.example", "/authorize").with_query("resource", "paid");
-        let classified = client.request_token(&net, &authorize);
+        let classified = client.request_token(&net, authorize);
         let Classified::Done(AccessOutcome::NeedsClaims(msg)) = classified else {
             panic!("expected claims requirement");
         };
@@ -943,7 +997,7 @@ mod tests {
         client.add_claim_token("claim-a");
         client.add_claim_token("claim-b");
         let authorize = Url::new("am.example", "/authorize");
-        let Classified::GotToken(token) = client.request_token(&net, &authorize) else {
+        let Classified::GotToken(token) = client.request_token(&net, authorize) else {
             panic!("expected token");
         };
         assert_eq!(token, "assert-1/claim-a,claim-b");

@@ -346,15 +346,8 @@ mod sha_ni {
         // the high pair of sums down feeds the next two rounds.
         macro_rules! rounds4 {
             ($m:expr, $t:expr) => {
-                let wk = _mm_add_epi32(
-                    $m,
-                    _mm_set_epi32(
-                        K[$t + 3] as i32,
-                        K[$t + 2] as i32,
-                        K[$t + 1] as i32,
-                        K[$t] as i32,
-                    ),
-                );
+                let [k0, k1, k2, k3] = [0, 1, 2, 3].map(|i| K[$t + i] as i32);
+                let wk = _mm_add_epi32($m, _mm_set_epi32(k3, k2, k1, k0));
                 cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
                 abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
             };

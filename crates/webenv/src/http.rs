@@ -278,10 +278,15 @@ impl Request {
         self
     }
 
-    /// Sets the authorization header to `Bearer <token>`.
+    /// Sets the authorization header to `Bearer <token>`, building its
+    /// value in one allocation.
     #[must_use]
-    pub fn with_bearer(self, token: &str) -> Self {
-        self.with_header("authorization", &format!("Bearer {token}"))
+    pub fn with_bearer(mut self, token: &str) -> Self {
+        let mut value = String::with_capacity("Bearer ".len() + token.len());
+        value.push_str("Bearer ");
+        value.push_str(token);
+        self.headers.insert("authorization".to_owned(), value);
+        self
     }
 
     /// Sets the raw body.

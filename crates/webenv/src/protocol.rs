@@ -42,6 +42,9 @@
 //! separators, so neither can ever be parsed — or replayed — as the
 //! other.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
 /// Retired v1 single-decision route; the AM answers it with 404. Its
 /// query and answer live on [`DECISION_V2_PATH`].
 pub const DECISION_PATH: &str = "/protection/v1/decision";
@@ -174,11 +177,11 @@ impl DecisionBody {
         push_json_string(&mut out, &self.decision);
         if let Some(ms) = self.cacheable_ms {
             out.push_str(",\"cacheable_ms\":");
-            out.push_str(&ms.to_string());
+            push_u64(&mut out, ms);
         }
         if let Some(epoch) = self.policy_epoch {
             out.push_str(",\"policy_epoch\":");
-            out.push_str(&epoch.to_string());
+            push_u64(&mut out, epoch);
         }
         if let Some(reason) = &self.reason {
             out.push_str(",\"reason\":");
@@ -201,12 +204,12 @@ impl DecisionBody {
         Self::from_value(&value)
     }
 
-    fn from_value(value: &Json) -> Result<Self, WireError> {
+    fn from_value(value: &Json<'_>) -> Result<Self, WireError> {
         let Json::Object(fields) = value else {
             return Err(WireError::new("decision body is not a JSON object"));
         };
         let decision = match find(fields, "decision") {
-            Some(Json::String(s)) => s.clone(),
+            Some(Json::String(s)) => s.to_string(),
             Some(_) => return Err(WireError::new("decision field is not a string")),
             None => return Err(WireError::new("decision field missing")),
         };
@@ -246,7 +249,7 @@ impl UnchangedBody {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(48);
         out.push_str("{\"unchanged\":true,\"cacheable_ms\":");
-        out.push_str(&self.cacheable_ms.to_string());
+        push_u64(&mut out, self.cacheable_ms);
         out.push('}');
         out
     }
@@ -270,7 +273,7 @@ impl UnchangedBody {
 
     /// The unchanged reply `fields` spell, if they spell one: a
     /// literal-`true` `unchanged` and an integer `cacheable_ms`.
-    fn from_fields(fields: &[(String, Json)]) -> Option<Self> {
+    fn from_fields(fields: &Fields<'_>) -> Option<Self> {
         match find(fields, "unchanged") {
             Some(Json::Bool(true)) => opt_u64(fields, "cacheable_ms")
                 .ok()
@@ -342,13 +345,13 @@ impl BatchItem {
         out
     }
 
-    fn from_value(value: &Json) -> Result<Self, WireError> {
+    fn from_value(value: &Json<'_>) -> Result<Self, WireError> {
         let Json::Object(fields) = value else {
             return Err(WireError::new("batch item is not a JSON object"));
         };
         let get = |key: &str| -> Result<String, WireError> {
             match find(fields, key) {
-                Some(Json::String(s)) => Ok(s.clone()),
+                Some(Json::String(s)) => Ok(s.to_string()),
                 _ => Err(WireError::new(&format!(
                     "batch item field {key} missing or not a string"
                 ))),
@@ -448,13 +451,13 @@ impl AuthorizeItem {
         out
     }
 
-    fn from_value(value: &Json) -> Result<Self, WireError> {
+    fn from_value(value: &Json<'_>) -> Result<Self, WireError> {
         let Json::Object(fields) = value else {
             return Err(WireError::new("authorize item is not a JSON object"));
         };
         let get = |key: &str| -> Result<String, WireError> {
             match find(fields, key) {
-                Some(Json::String(s)) => Ok(s.clone()),
+                Some(Json::String(s)) => Ok(s.to_string()),
                 _ => Err(WireError::new(&format!(
                     "authorize item field {key} missing or not a string"
                 ))),
@@ -523,24 +526,24 @@ impl AuthorizeReply {
         out
     }
 
-    fn from_value(value: &Json) -> Result<Self, WireError> {
+    fn from_value(value: &Json<'_>) -> Result<Self, WireError> {
         let Json::Object(fields) = value else {
             return Err(WireError::new("authorize reply is not a JSON object"));
         };
         let mut reply = None;
         for (key, value) in fields {
-            let parsed = match (key.as_str(), value) {
-                ("token", Json::String(s)) => AuthorizeReply::Token(s.clone()),
-                ("denied", Json::String(s)) => AuthorizeReply::Denied(s.clone()),
-                ("pending", Json::String(s)) => AuthorizeReply::Pending(s.clone()),
-                ("error", Json::String(s)) => AuthorizeReply::Error(s.clone()),
+            let parsed = match (key.as_ref(), value) {
+                ("token", Json::String(s)) => AuthorizeReply::Token(s.to_string()),
+                ("denied", Json::String(s)) => AuthorizeReply::Denied(s.to_string()),
+                ("pending", Json::String(s)) => AuthorizeReply::Pending(s.to_string()),
+                ("error", Json::String(s)) => AuthorizeReply::Error(s.to_string()),
                 ("claims", Json::Array(values)) => {
                     let mut kinds = Vec::with_capacity(values.len());
                     for v in values {
                         let Json::String(kind) = v else {
                             return Err(WireError::new("authorize claims kind is not a string"));
                         };
-                        kinds.push(kind.clone());
+                        kinds.push(kind.to_string());
                     }
                     AuthorizeReply::NeedsClaims(kinds)
                 }
@@ -638,14 +641,14 @@ impl RegisterBody {
             return Err(WireError::new("register body is not a JSON object"));
         };
         let kind = match find(&fields, "kind") {
-            Some(Json::String(s)) => s.clone(),
+            Some(Json::String(s)) => s.to_string(),
             _ => return Err(WireError::new("register kind missing or not a string")),
         };
         if kind != "host" && kind != "requester" {
             return Err(WireError::new("register kind must be host or requester"));
         }
         let authority = match find(&fields, "authority") {
-            Some(Json::String(s)) if !s.is_empty() => s.clone(),
+            Some(Json::String(s)) if !s.is_empty() => s.to_string(),
             _ => {
                 return Err(WireError::new(
                     "register authority missing, empty, or not a string",
@@ -693,7 +696,7 @@ impl RegistrationReply {
         };
         let get = |key: &str| -> Result<String, WireError> {
             match find(&fields, key) {
-                Some(Json::String(s)) if !s.is_empty() => Ok(s.clone()),
+                Some(Json::String(s)) if !s.is_empty() => Ok(s.to_string()),
                 _ => Err(WireError::new(&format!(
                     "registration reply {key} missing, empty, or not a string"
                 ))),
@@ -742,7 +745,7 @@ impl DelegateReply {
         };
         let get = |key: &str| -> Result<String, WireError> {
             match find(&fields, key) {
-                Some(Json::String(s)) if !s.is_empty() => Ok(s.clone()),
+                Some(Json::String(s)) if !s.is_empty() => Ok(s.to_string()),
                 _ => Err(WireError::new(&format!(
                     "delegate reply {key} missing, empty, or not a string"
                 ))),
@@ -908,7 +911,7 @@ impl SieveBody {
     }
 
     /// The full body `head`'s fields spell.
-    fn from_head(head: &PushHead) -> Result<Self, WireError> {
+    fn from_head(head: &PushHead<'_>) -> Result<Self, WireError> {
         Ok(Self {
             entries: entries_from_json(&head.fields, "entries", "sieve")?,
             owner: head.owner.clone(),
@@ -1004,7 +1007,7 @@ impl SieveDeltaBody {
         let capacity = 128 + self.added.len() * 72 + self.removed.len() * 36;
         let mut out = json_head(&self.owner, self.epoch, capacity);
         out.push_str(",\"base_epoch\":");
-        out.push_str(&self.base_epoch.to_string());
+        push_u64(&mut out, self.base_epoch);
         push_entries_json(&mut out, "added", &self.added);
         push_fingerprints_json(&mut out, "removed", &self.removed);
         json_close(&mut out, &self.sig);
@@ -1024,7 +1027,7 @@ impl SieveDeltaBody {
     }
 
     /// The delta `head`'s fields spell.
-    fn from_head(head: &PushHead) -> Result<Self, WireError> {
+    fn from_head(head: &PushHead<'_>) -> Result<Self, WireError> {
         let base_epoch = opt_u64(&head.fields, "base_epoch")?
             .ok_or_else(|| WireError::new("sieve delta base_epoch missing"))?;
         Ok(Self {
@@ -1097,10 +1100,7 @@ fn signing_head(
     capacity: usize,
 ) -> String {
     let mut out = String::with_capacity(capacity);
-    out.push_str(&format!(
-        "{domain}\n{}:{owner}\n{epoch_line}\n",
-        owner.len()
-    ));
+    let _ = write!(out, "{domain}\n{}:{owner}\n{epoch_line}\n", owner.len());
     out
 }
 
@@ -1111,11 +1111,12 @@ fn push_entry_lines(out: &mut String, marker: &str, entries: &[SieveEntry]) {
         out.push_str(marker);
         push_hex(out, &entry.fingerprint);
         let resource = &entry.resource;
-        out.push_str(&format!(
-            " {} {}:{resource}\n",
+        let _ = writeln!(
+            out,
+            " {} {}:{resource}",
             entry.expires_at_ms,
             resource.len()
-        ));
+        );
     }
 }
 
@@ -1135,7 +1136,7 @@ fn json_head(owner: &str, epoch: u64, capacity: usize) -> String {
     out.push_str("{\"owner\":");
     push_json_string(&mut out, owner);
     out.push_str(",\"epoch\":");
-    out.push_str(&epoch.to_string());
+    push_u64(&mut out, epoch);
     out
 }
 
@@ -1149,7 +1150,7 @@ fn json_close(out: &mut String, sig: &str) {
 /// Appends `,"<field>":[…]` with each entry as a
 /// `["<fp hex>", expires_at_ms, "resource"]` triple.
 fn push_entries_json(out: &mut String, field: &str, entries: &[SieveEntry]) {
-    out.push_str(&format!(",\"{field}\":["));
+    let _ = write!(out, ",\"{field}\":[");
     for (i, entry) in entries.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -1157,7 +1158,7 @@ fn push_entries_json(out: &mut String, field: &str, entries: &[SieveEntry]) {
         out.push_str("[\"");
         push_hex(out, &entry.fingerprint);
         out.push_str("\",");
-        out.push_str(&entry.expires_at_ms.to_string());
+        push_u64(out, entry.expires_at_ms);
         out.push(',');
         push_json_string(out, &entry.resource);
         out.push(']');
@@ -1167,7 +1168,7 @@ fn push_entries_json(out: &mut String, field: &str, entries: &[SieveEntry]) {
 
 /// Appends `,"<field>":[…]` with each fingerprint as a hex string.
 fn push_fingerprints_json(out: &mut String, field: &str, fingerprints: &[SieveFingerprint]) {
-    out.push_str(&format!(",\"{field}\":["));
+    let _ = write!(out, ",\"{field}\":[");
     for (i, fp) in fingerprints.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -1181,28 +1182,30 @@ fn push_fingerprints_json(out: &mut String, field: &str, fingerprints: &[SieveFi
 
 /// The fields every push body carries, parsed fail-closed, plus the rest
 /// of the object for the body-specific fields.
-struct PushHead {
-    fields: Vec<(String, Json)>,
+struct PushHead<'a> {
+    fields: Vec<(Cow<'a, str>, Json<'a>)>,
     owner: String,
     epoch: u64,
     sig: String,
 }
 
-impl PushHead {
+impl<'a> PushHead<'a> {
     /// Parses `body` as a JSON object with a string `owner`, an unsigned
     /// `epoch` and a string `sig`; `kind` names the body in errors.
-    fn parse(body: &str, kind: &str) -> Result<Self, WireError> {
+    fn parse(body: &'a str, kind: &str) -> Result<Self, WireError> {
         let fail = |what: &str| WireError::new(&format!("{kind} {what}"));
         let Json::Object(fields) = parse_json(body)? else {
             return Err(fail("body is not a JSON object"));
         };
-        let Some(Json::String(owner)) = find(&fields, "owner").cloned() else {
+        let Some(Json::String(owner)) = find(&fields, "owner") else {
             return Err(fail("owner missing or not a string"));
         };
+        let owner = owner.to_string();
         let epoch = opt_u64(&fields, "epoch")?.ok_or_else(|| fail("epoch missing"))?;
-        let Some(Json::String(sig)) = find(&fields, "sig").cloned() else {
+        let Some(Json::String(sig)) = find(&fields, "sig") else {
             return Err(fail("sig missing or not a string"));
         };
+        let sig = sig.to_string();
         Ok(Self {
             fields,
             owner,
@@ -1216,7 +1219,7 @@ impl PushHead {
 /// is not a `[fp, expires, resource]` triple with a 32-hex-char
 /// fingerprint and an unsigned expiry rejects the whole list.
 fn entries_from_json(
-    fields: &[(String, Json)],
+    fields: &Fields<'_>,
     field: &str,
     kind: &str,
 ) -> Result<Vec<SieveEntry>, WireError> {
@@ -1237,7 +1240,7 @@ fn entries_from_json(
             Ok(SieveEntry {
                 fingerprint: hex_decode::<16>(fp_hex)
                     .ok_or_else(|| fail("entry fingerprint is not 32 hex chars"))?,
-                resource: resource.clone(),
+                resource: resource.to_string(),
                 expires_at_ms: expires
                     .parse::<u64>()
                     .map_err(|_| fail("entry expiry is not an unsigned integer"))?,
@@ -1249,7 +1252,7 @@ fn entries_from_json(
 /// Decodes a push body's `field` fingerprint list, fail-closed: one
 /// element that is not a 32-hex-char string rejects the whole list.
 fn fingerprints_from_json(
-    fields: &[(String, Json)],
+    fields: &Fields<'_>,
     field: &str,
     kind: &str,
 ) -> Result<Vec<SieveFingerprint>, WireError> {
@@ -1342,23 +1345,33 @@ fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// The subset of JSON values the protocol uses. Numbers keep their raw
-/// text so integer fields parse losslessly.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(String),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
+/// Appends `n` in decimal, straight into `out`.
+fn push_u64(out: &mut String, n: u64) {
+    let _ = write!(out, "{n}");
 }
 
-fn find<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
+/// The subset of JSON values the protocol uses, borrowed from the parsed
+/// text where it can be: numbers keep their raw text so integer fields
+/// parse losslessly, and a string or key owns its text only when it has
+/// escapes to decode.
+#[derive(Debug, Clone, PartialEq)]
+enum Json<'a> {
+    Null,
+    Bool(bool),
+    Number(&'a str),
+    String(Cow<'a, str>),
+    Array(Vec<Json<'a>>),
+    Object(Vec<(Cow<'a, str>, Json<'a>)>),
+}
+
+/// An object's fields, in document order.
+type Fields<'a> = [(Cow<'a, str>, Json<'a>)];
+
+fn find<'j, 'a>(fields: &'j Fields<'a>, key: &str) -> Option<&'j Json<'a>> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn opt_u64(fields: &[(String, Json)], key: &str) -> Result<Option<u64>, WireError> {
+fn opt_u64(fields: &Fields<'_>, key: &str) -> Result<Option<u64>, WireError> {
     match find(fields, key) {
         None | Some(Json::Null) => Ok(None),
         Some(Json::Number(raw)) => raw
@@ -1369,10 +1382,10 @@ fn opt_u64(fields: &[(String, Json)], key: &str) -> Result<Option<u64>, WireErro
     }
 }
 
-fn opt_string(fields: &[(String, Json)], key: &str) -> Result<Option<String>, WireError> {
+fn opt_string(fields: &Fields<'_>, key: &str) -> Result<Option<String>, WireError> {
     match find(fields, key) {
         None | Some(Json::Null) => Ok(None),
-        Some(Json::String(s)) => Ok(Some(s.clone())),
+        Some(Json::String(s)) => Ok(Some(s.to_string())),
         Some(_) => Err(WireError::new(&format!("{key} is not a string"))),
     }
 }
@@ -1384,12 +1397,11 @@ fn opt_string(fields: &[(String, Json)], key: &str) -> Result<Option<String>, Wi
 const MAX_DEPTH: usize = 8;
 
 /// Parses a complete JSON document; trailing non-whitespace is an error.
-fn parse_json(input: &str) -> Result<Json, WireError> {
-    let bytes = input.as_bytes();
+fn parse_json(input: &str) -> Result<Json<'_>, WireError> {
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos, 0)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(WireError::new("trailing characters after JSON value"));
     }
     Ok(value)
@@ -1402,24 +1414,30 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 }
 
 /// Parses one value inside `depth` enclosing arrays and objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+fn parse_value<'a>(input: &'a str, pos: &mut usize, depth: usize) -> Result<Json<'a>, WireError> {
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         Some(b'{' | b'[') if depth == MAX_DEPTH => Err(WireError::new(&format!(
             "JSON nests deeper than {MAX_DEPTH} levels"
         ))),
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'"') => parse_string(bytes, pos).map(Json::String),
+        Some(b'{') => parse_object(input, pos, depth + 1),
+        Some(b'[') => parse_array(input, pos, depth + 1),
+        Some(b'"') => parse_string(input, pos).map(Json::String),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
+        Some(b'-' | b'0'..=b'9') => parse_number(input, pos),
         _ => Err(WireError::new("unexpected character in JSON")),
     }
 }
 
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, WireError> {
+fn parse_literal<'a>(
+    bytes: &[u8],
+    pos: &mut usize,
+    lit: &str,
+    value: Json<'a>,
+) -> Result<Json<'a>, WireError> {
     if bytes[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(value)
@@ -1428,7 +1446,8 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resul
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+fn parse_number<'a>(input: &'a str, pos: &mut usize) -> Result<Json<'a>, WireError> {
+    let bytes = input.as_bytes();
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -1441,37 +1460,64 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
     if *pos == start {
         return Err(WireError::new("empty number"));
     }
-    let raw = core::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| WireError::new("invalid number bytes"))?;
+    // Every byte of the run is ASCII, so it ends on a char boundary.
+    let raw = input
+        .get(start..*pos)
+        .ok_or_else(|| WireError::new("invalid number bytes"))?;
     // Validate it is at least float-shaped; raw text is kept for
     // lossless integer extraction later.
     raw.parse::<f64>()
         .map_err(|_| WireError::new("malformed number"))?;
-    Ok(Json::Number(raw.to_owned()))
+    Ok(Json::Number(raw))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
+/// Parses a string at `pos` (its opening quote). A string without
+/// escapes is borrowed from `input`; one with escapes is decoded into an
+/// owned copy.
+fn parse_string<'a>(input: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, WireError> {
+    let bytes = input.as_bytes();
     debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
     *pos += 1;
-    let mut out = String::new();
+    let mut out: Option<String> = None;
     loop {
+        // The run of plain bytes up to the next `"` or `\`. Both are
+        // ASCII, so the run ends on a char boundary, and it starts on one
+        // (after a quote or an escape).
+        let start = *pos;
+        let run = bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - start);
+        let plain = input
+            .get(start..start + run)
+            .ok_or_else(|| WireError::new("invalid UTF-8"))?;
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err(WireError::new("unterminated string")),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
+                return Ok(match out {
+                    None => Cow::Borrowed(plain),
+                    Some(mut owned) => {
+                        owned.push_str(plain);
+                        Cow::Owned(owned)
+                    }
+                });
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A `\`: decode one escape into the owned copy.
+                let owned = out.get_or_insert_with(String::new);
+                owned.push_str(plain);
                 *pos += 1;
                 match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
+                    Some(b'"') => owned.push('"'),
+                    Some(b'\\') => owned.push('\\'),
+                    Some(b'/') => owned.push('/'),
+                    Some(b'n') => owned.push('\n'),
+                    Some(b'r') => owned.push('\r'),
+                    Some(b't') => owned.push('\t'),
+                    Some(b'b') => owned.push('\u{8}'),
+                    Some(b'f') => owned.push('\u{c}'),
                     Some(b'u') => {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
@@ -1483,7 +1529,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
                         // Surrogates are not paired here: the encoder never
                         // emits them and the protocol carries no astral
                         // escapes, so a lone surrogate is simply an error.
-                        out.push(
+                        owned.push(
                             char::from_u32(code)
                                 .ok_or_else(|| WireError::new("invalid \\u code point"))?,
                         );
@@ -1493,25 +1539,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Copy the whole run of plain bytes up to the next `"` or
-                // `\` in one step. Both are ASCII, so the run ends on a
-                // char boundary and stays valid UTF-8 (the input is &str).
-                let rest = &bytes[*pos..];
-                let run = rest
-                    .iter()
-                    .position(|&b| b == b'"' || b == b'\\')
-                    .unwrap_or(rest.len());
-                let s = core::str::from_utf8(&rest[..run])
-                    .map_err(|_| WireError::new("invalid UTF-8"))?;
-                out.push_str(s);
-                *pos += run;
-            }
         }
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+fn parse_object<'a>(input: &'a str, pos: &mut usize, depth: usize) -> Result<Json<'a>, WireError> {
+    let bytes = input.as_bytes();
     debug_assert_eq!(bytes.get(*pos), Some(&b'{'));
     *pos += 1;
     let mut fields = Vec::new();
@@ -1525,13 +1558,13 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Wir
         if bytes.get(*pos) != Some(&b'"') {
             return Err(WireError::new("expected object key"));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(input, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(WireError::new("expected ':' after key"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos, depth)?;
+        let value = parse_value(input, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -1547,7 +1580,8 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Wir
 
 /// Parses an array; `depth` counts the arrays and objects enclosing its
 /// items, itself included.
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+fn parse_array<'a>(input: &'a str, pos: &mut usize, depth: usize) -> Result<Json<'a>, WireError> {
+    let bytes = input.as_bytes();
     debug_assert_eq!(bytes.get(*pos), Some(&b'['));
     *pos += 1;
     let mut values = Vec::new();
@@ -1563,7 +1597,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Wire
                 "batch holds more than {MAX_BATCH} items"
             )));
         }
-        let value = parse_value(bytes, pos, depth)?;
+        let value = parse_value(input, pos, depth)?;
         values.push(value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {

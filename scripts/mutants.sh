@@ -5,9 +5,15 @@
 # * route classes (DESIGN.md §17): one route-table row's caller class,
 #   killed by the route-authorization matrix tests
 #   (`*_answers_each_caller_as_pinned`);
-# * the Host's permit store (DESIGN.md §12): an epoch-floor or base
-#   check, a sieve entry's expiry check, or a tier-2 purge, each killed
-#   by the unit test named in its row.
+# * the Host's permit store (DESIGN.md §8, §12): an epoch-floor or base
+#   check, a sieve entry's per-entry checks, a tier-2 purge, or a tier-2
+#   lookup that ignores the expiry, the floor or the delegation tag, each
+#   killed by the unit test named in its row;
+# * the Host's digest memo (DESIGN.md §8): its field compares and its
+#   length cap;
+# * the SHA-256 block kernel: two schedule words, two round-constant
+#   lanes. These run only where the CPU has the SHA extensions (on any
+#   other CPU no test reaches the kernel) and are skipped elsewhere.
 #
 #   bash scripts/mutants.sh            # every mutant
 #   bash scripts/mutants.sh NAME...    # the named mutants only
@@ -27,6 +33,7 @@ cd "$(dirname "$0")/.."
 
 routes='_answers_each_caller_as_pinned'
 core='crates/host/src/core.rs'
+sha='crates/umacrypto/src/sha.rs'
 
 # name @@ crate @@ killing test filter @@ file @@ line as written @@ line mutated
 MUTANTS=(
@@ -38,12 +45,22 @@ MUTANTS=(
   "storage-backup-anyone @@ ucam-host @@ $routes @@ crates/host/src/webstorage.rs @@ "'        (Some(Post), "/backup", Session, Self::backup), @@         (Some(Post), "/backup", crate::shell::Caller::Anyone, Self::backup),'
   "pics-import-anyone @@ ucam-host @@ $routes @@ crates/host/src/webpics.rs @@ "'        (Some(Post), "/import", Session, Self::import), @@         (Some(Post), "/import", crate::shell::Caller::Anyone, Self::import),'
   "cache-insert-below-floor @@ ucam-host @@ late_permit_below_floor_is_never_revived @@ $core @@ "'        if self.capacity == 0 || self.behind_floor(&entry) { @@         if self.capacity == 0 {'
-  "delta-any-base @@ ucam-host @@ sieve_delta_base_mismatch_answers_resync @@ $core @@ "'        let admit = self.generations.get(&delta.owner) == Some(&delta.base_epoch) @@         let admit = true'
-  "delta-below-floor @@ ucam-host @@ sieve_delta_base_mismatch_answers_resync @@ $core @@ "'            && delta.epoch >= self.floor(&delta.owner); @@             && true;'
-  "body-below-floor @@ ucam-host @@ epoch_advance_purges_the_sieve_and_blocks_stale_reinstalls @@ $core @@ "'        if epoch < self.floor(owner) { @@         if false {'
+  "delta-any-base @@ ucam-host @@ sieve_delta_base_mismatch_answers_resync @@ $core @@ "'        let admit = epochs.and_then(|e| e.generation) == Some(delta.base_epoch) @@         let admit = true'
+  "delta-below-floor @@ ucam-host @@ sieve_delta_base_mismatch_answers_resync @@ $core @@ "'            && delta.epoch >= self.floor(&delta.owner, token); @@             && true;'
+  "body-below-floor @@ ucam-host @@ epoch_advance_purges_the_sieve_and_blocks_stale_reinstalls @@ $core @@ "'        if epoch < self.floor(owner, &delegation.host_token) { @@         if false {'
   "sieve-entry-expired @@ ucam-host @@ sieve_installs_fail_closed_on_any_doubt @@ $core @@ "'                resource_ok && delegation_ok && entry.expires_at_ms > now @@                 resource_ok && delegation_ok'
-  "deletion-keeps-cache @@ ucam-host @@ a_deleted_resource_takes_its_cached_permits_along @@ $core @@ "'        self.retain_entries(|(_, resource, _), _| resource != resource_id); @@         self.retain_entries(|_, _| true);'
-  "delegation-keeps-cache @@ ucam-host @@ an_owner_switching_ams_voids_their_cached_permits @@ $core @@ "'        self.retain_entries(|_, entry| entry.owner != owner); @@         self.retain_entries(|_, _| true);'
+  "sieve-entry-any-owner @@ ucam-host @@ sieve_installs_fail_closed_on_any_doubt @@ $core @@ "'                    .is_some_and(|r| r.owner == owner); @@                     .is_some();'
+  "sieve-entry-overridden @@ ucam-host @@ sieve_installs_fail_closed_on_any_doubt @@ $core @@ "'                    .is_none_or(|over| over.host_token == config.host_token); @@                     .is_none_or(|_| true);'
+  "deletion-keeps-cache @@ ucam-host @@ a_deleted_resource_takes_its_cached_permits_along @@ $core @@ "'            entry.resource_id != resource_id @@             true'
+  "delegation-keeps-cache @@ ucam-host @@ an_owner_switching_ams_voids_their_cached_permits @@ $core @@ "'            entry.owner != owner @@             true'
+  "lookup-ignores-expiry @@ ucam-host @@ stale_grace_serves_expired_permit_until_window_closes @@ $core @@ "'            Some(entry) if entry.expires_at_ms > now => { @@             Some(entry) => {'
+  "lookup-ignores-floor @@ ucam-host @@ policy_epoch_advance_invalidates_cached_permit @@ $core @@ "'            e.owner != owner || e.epoch >= floor(&e.delegation.host_token) @@             true'
+  "lookup-ignores-delegation @@ ucam-host @@ a_permit_settled_after_a_switch_is_not_served_under_the_new_delegation @@ $core @@ "'        Arc::ptr_eq(&entry.delegation, delegation).then_some(entry) @@         Some(entry)'
+  "memo-compares-lengths @@ ucam-host @@ the_digest_memo_compares_bytes_not_lengths @@ $core @@ "'            held == field.as_bytes() @@             held.len() == field.len()'
+  "memo-skips-requester @@ ucam-host @@ cached_permit_is_bound_to_the_whole_access_tuple @@ $core @@ "'        fields.iter().zip(self.ends).all(|(field, end)| { @@         fields.iter().zip(self.ends).take(3).all(|(field, end)| {'
+  "memo-no-length-cap @@ ucam-host @@ an_oversized_tuple_bypasses_the_digest_memo @@ $core @@ "'    if len > DIGEST_MEMO_TUPLE_CAP { @@     if false {'
+  "sha-schedule-words @@ ucam-crypto @@ kernel_matches_portable_on_random_blocks @@ $sha @@ "'        let mut m0 = _mm_set_epi32(w[3], w[2], w[1], w[0]); @@         let mut m0 = _mm_set_epi32(w[2], w[3], w[1], w[0]);'
+  "sha-round-constant-lanes @@ ucam-crypto @@ kernel_matches_portable_on_random_blocks @@ $sha @@ "'                let wk = _mm_add_epi32($m, _mm_set_epi32(k3, k2, k1, k0)); @@                 let wk = _mm_add_epi32($m, _mm_set_epi32(k2, k3, k1, k0));'
 )
 
 started=$(date +%s)
@@ -68,11 +85,18 @@ selected() {
   [ "$#" -eq 0 ] || [[ " $* " == *" $name "* ]]
 }
 
+# Whether the mutant just split can be reached on this CPU: a SHA-256
+# kernel mutant needs the SHA extensions, the rest need nothing.
+reachable() {
+  [ "$file" != "$sha" ] || grep -qw sha_ni /proc/cpuinfo 2>/dev/null
+}
+
 failed=0
 declare -A checked=()
 for mutant in "${MUTANTS[@]}"; do
   fields "$mutant"
   selected "$@" || continue
+  reachable || continue
   [ -z "${checked[$crate $filter]:-}" ] || continue
   checked[$crate $filter]=1
   if ! out="$(cd "$tmp" && cargo test -q -p "$crate" --lib "$filter" 2>&1)"; then
@@ -87,6 +111,10 @@ done
 for mutant in "${MUTANTS[@]}"; do
   fields "$mutant"
   selected "$@" || continue
+  if ! reachable; then
+    echo "skip $name: no test reaches the SHA-256 kernel on this CPU"
+    continue
+  fi
   awk -v from="$from" -v to="$to" \
     '$0 == from { print to; next } { print }' \
     "$file" >"$tmp/$file"
