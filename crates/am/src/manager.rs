@@ -149,15 +149,30 @@ impl AuthorizeRequest {
     }
 }
 
-/// The result of an authorization-token request.
+/// An [`AuthorizeRequest`] borrowed from wherever it arrived: the native
+/// API's owned request, or a web route's params.
+struct Asking<'a> {
+    host: &'a str,
+    owner: &'a str,
+    resource_id: &'a str,
+    action: &'a Action,
+    requester: &'a str,
+    subject: Option<&'a str>,
+    claim_tokens: &'a [String],
+}
+
+/// The result of an authorization-token request. `G` is what an issued
+/// token's outcome carries of its grant: the grant itself for
+/// [`AuthorizationManager::authorize`]'s callers, nothing (`()`) for the
+/// AM's own web routes, which only pass the token on.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AuthorizeOutcome {
+pub enum AuthorizeOutcome<G = AuthzGrant<'static>> {
     /// A token was issued.
     Token {
         /// The sealed authorization token.
         token: String,
         /// The grant embedded in it.
-        grant: AuthzGrant<'static>,
+        grant: G,
     },
     /// The request was denied.
     Denied(String),
@@ -1112,6 +1127,26 @@ impl AuthorizationManager {
     /// Evaluates an access request and, if policy allows, issues an
     /// authorization token bound to it (§V.B.3).
     pub fn authorize(&self, request: &AuthorizeRequest) -> AuthorizeOutcome {
+        let asking = Asking {
+            host: &request.host,
+            owner: &request.owner,
+            resource_id: &request.resource_id,
+            action: &request.action,
+            requester: &request.requester,
+            subject: request.subject.as_deref(),
+            claim_tokens: &request.claim_tokens,
+        };
+        self.authorize_as(&asking, |grant| grant.clone().into_owned())
+    }
+
+    /// [`Self::authorize`] on a borrowed request. An issued token's
+    /// outcome carries what `copy` makes of its grant; the grant's one
+    /// owned copy goes to the issued-grants registry.
+    fn authorize_as<G>(
+        &self,
+        request: &Asking<'_>,
+        copy: impl FnOnce(&AuthzGrant<'_>) -> G,
+    ) -> AuthorizeOutcome<G> {
         let now = self.clock.now_ms();
 
         // Phase A — central read (trust, claim verification), then
@@ -1119,27 +1154,27 @@ impl AuthorizationManager {
         // requester satisfied earlier.
         let verified = {
             let state = self.state.read();
-            if state.trust.check(&request.host, &request.owner).is_err() {
+            if state.trust.check(request.host, request.owner).is_err() {
                 return AuthorizeOutcome::Denied(format!(
                     "host {} has not delegated access control for user {}",
                     request.host, request.owner
                 ));
             }
-            state.claim_verifier.verify_all(&request.claim_tokens)
+            state.claim_verifier.verify_all(request.claim_tokens)
         };
         let tuple = access_tuple(
-            &request.requester,
-            request.subject.as_deref(),
-            &request.host,
-            &request.resource_id,
-            &request.action,
+            request.requester,
+            request.subject,
+            request.host,
+            request.resource_id,
+            request.action,
         );
-        let mut gathered = self.gather(&request.owner, tuple);
+        let mut gathered = self.gather(request.owner, tuple);
         let previous = std::mem::replace(&mut gathered.claims, verified);
         gathered.claims.extend(previous);
 
         // Phase B — owner-shard read.
-        let Some((evaluated, ..)) = self.evaluate_one(&request.owner, now, &gathered) else {
+        let Some((evaluated, ..)) = self.evaluate_one(request.owner, now, &gathered) else {
             return AuthorizeOutcome::Denied(format!("unknown owner {}", request.owner));
         };
         let decision = evaluated.decision;
@@ -1147,7 +1182,7 @@ impl AuthorizationManager {
         let resource = &tuple.resource;
         let token_record = |issued| {
             let event = AuditEvent::TokenRequested { issued };
-            tuple_record(now, &request.owner, tuple, &decision, event)
+            tuple_record(now, request.owner, tuple, &decision, event)
         };
 
         // Phase C — act on the outcome. All bookkeeping goes to sharded
@@ -1156,40 +1191,40 @@ impl AuthorizationManager {
             Outcome::Permit => {
                 let grant = self.tokens.grant(
                     decision.realm.as_deref(),
-                    &request.resource_id,
-                    &request.host,
-                    &request.requester,
-                    request.subject.as_deref(),
-                    &request.owner,
+                    request.resource_id,
+                    request.host,
+                    request.requester,
+                    request.subject,
+                    request.owner,
                 );
                 let token = self.tokens.mint_authz_token(&grant);
-                let grant = grant.into_owned();
+                let (grant, owned) = (copy(&grant), grant.into_owned());
                 if !claims.is_empty() {
-                    self.ctx_for(&request.requester)
+                    self.ctx_for(request.requester)
                         .write()
                         .satisfied_claims
-                        .entry(request.requester.clone())
+                        .entry(request.requester.to_owned())
                         .or_default()
                         .insert(resource.clone(), claims);
                 }
                 // The sieve compiler replays this grant into the owner's
                 // next epoch push; the shard lock is held for this only.
                 {
-                    let mut shard = self.issued_for(&request.owner).lock();
-                    let issued = shard.entry(request.owner.clone()).or_default();
+                    let mut shard = self.issued_for(request.owner).lock();
+                    let issued = shard.entry(request.owner.to_owned()).or_default();
                     if issued.len() >= ISSUED_GRANTS_CAP {
                         issued.pop_front();
                     }
-                    issued.push_back((token.clone(), grant.clone()));
+                    issued.push_back((token.clone(), owned));
                 }
                 self.audit.append(token_record(true));
                 AuthorizeOutcome::Token { token, grant }
             }
             Outcome::RequiresConsent => {
                 let consent_id = self.consent.open(
-                    &request.owner,
-                    &request.requester,
-                    request.subject.as_deref(),
+                    request.owner,
+                    request.requester,
+                    request.subject,
                     resource.clone(),
                     request.action.clone(),
                     now,
@@ -1200,7 +1235,7 @@ impl AuthorizationManager {
                 // [`Self::pump_notifications`], so a policy with thousands
                 // of pending consents never blocks the request path.
                 self.outbox.lock().enqueue(Notification {
-                    to_user: request.owner.clone(),
+                    to_user: request.owner.to_owned(),
                     channel: Channel::Email,
                     message: format!(
                         "{} requests {} on {} — approve at https://{}/consent",
@@ -1210,7 +1245,7 @@ impl AuthorizationManager {
                 });
                 self.audit.record(AuditEntry::new(
                     now,
-                    &request.owner,
+                    request.owner,
                     AuditEvent::Consent {
                         consent_id: consent_id.clone(),
                         what: "opened".into(),
@@ -1808,23 +1843,22 @@ impl AuthorizationManager {
             return Response::bad_request("host and user required");
         };
         match self.establish_delegation(host, c.user()) {
-            Ok((delegation, token)) => match c.req.param("return").map(str::parse::<Url>) {
-                Some(Ok(url)) => Response::redirect(
-                    &url.with_query("host_token", &token)
-                        .with_query("delegation_id", &delegation.id),
-                ),
-                Some(Err(_)) => Response::bad_request("invalid return url"),
-                None => Response::ok().with_body(token),
-            },
+            Ok((delegation, token)) => {
+                let pairs = [
+                    ("host_token", token.as_str()),
+                    ("delegation_id", &delegation.id),
+                ];
+                let back = protocol::redirect_back(c.req, &pairs);
+                back.unwrap_or_else(|| Response::ok().with_body(token))
+            }
             Err(e) => Response::bad_request(&e.to_string()),
         }
     }
 
     fn web_compose(&self, c: Call<'_>) -> Response {
         let req = c.req;
-        let (host, resource_id) = match (req.param("host"), req.param("resource")) {
-            (Some(h), Some(r)) => (h, r),
-            _ => return Response::bad_request("host and resource required"),
+        let Some([host, resource_id]) = req.params(["host", "resource"]) else {
+            return Response::bad_request("host and resource required");
         };
         let resource = ResourceRef::new(host, resource_id);
 
@@ -1845,11 +1879,8 @@ impl AuthorizationManager {
             Ok::<(), String>(())
         });
         match result {
-            Ok(Ok(())) => match req.param("return").map(str::parse::<Url>) {
-                Some(Ok(url)) => Response::redirect(&url.with_query("linked", "1")),
-                Some(Err(_)) => Response::bad_request("invalid return url"),
-                None => Response::ok().with_body("policy linked"),
-            },
+            Ok(Ok(())) => protocol::redirect_back(req, &[("linked", "1")])
+                .unwrap_or_else(|| Response::ok().with_body("policy linked")),
             Ok(Err(msg)) => Response::bad_request(&msg),
             Err(e) => Response::bad_request(&e.to_string()),
         }
@@ -1857,28 +1888,26 @@ impl AuthorizationManager {
 
     fn web_authorize(&self, c: Call<'_>) -> Response {
         let req = c.req;
-        let (host, owner, resource) =
-            match (req.param("host"), req.param("owner"), req.param("resource")) {
-                (Some(h), Some(o), Some(r)) => (h, o, r),
-                _ => return Response::bad_request("host, owner, resource required"),
-            };
+        let Some([host, owner, resource_id]) = req.params(["host", "owner", "resource"]) else {
+            return Response::bad_request("host, owner, resource required");
+        };
         let Some(requester) = req.param("requester") else {
             return Response::bad_request("requester required");
         };
-        let action = parse_action(req.param("action"));
-        let mut authz = AuthorizeRequest::new(host, owner, resource, action, requester);
-        authz.subject = c.who.user;
-        if let Some(claims) = req.param("claims") {
-            authz.claim_tokens = claims.split(',').map(str::to_owned).collect();
-        }
+        let authz = Asking {
+            host,
+            owner,
+            resource_id,
+            action: &parse_action(req.param("action")),
+            requester,
+            subject: c.who.user.as_deref(),
+            claim_tokens: &claim_tokens(req),
+        };
 
-        match self.authorize(&authz) {
+        match self.authorize_as(&authz, |_| ()) {
             AuthorizeOutcome::Token { token, .. } => {
-                match req.param("return").map(str::parse::<Url>) {
-                    Some(Ok(url)) => Response::redirect(&url.with_query("authz_token", &token)),
-                    Some(Err(_)) => Response::bad_request("invalid return url"),
-                    None => Response::ok().with_body(token),
-                }
+                let back = protocol::redirect_back(req, &[("authz_token", &token)]);
+                back.unwrap_or_else(|| Response::ok().with_body(token))
             }
             AuthorizeOutcome::Denied(reason) => Response::forbidden(&reason),
             AuthorizeOutcome::PendingConsent { consent_id } => {
@@ -2006,31 +2035,27 @@ impl AuthorizationManager {
     /// Outcomes are per-item, so one denial cannot poison its neighbors.
     fn web_authorize_batch(&self, c: Call<'_>) -> Response {
         let req = c.req;
-        let (host, requester) = match (req.param("host"), req.param("requester")) {
-            (Some(h), Some(r)) => (h, r),
-            _ => return Response::bad_request("host and requester required"),
+        let Some([host, requester]) = req.params(["host", "requester"]) else {
+            return Response::bad_request("host and requester required");
         };
         let items = match protocol::parse_authorize_request(&req.body) {
             Ok(items) => items,
             Err(e) => return Response::bad_request(&e.to_string()),
         };
-        let claim_tokens: Vec<String> = req
-            .param("claims")
-            .map(|c| c.split(',').map(str::to_owned).collect())
-            .unwrap_or_default();
+        let claims = claim_tokens(req);
         let replies: Vec<protocol::AuthorizeReply> = items
             .iter()
             .map(|item| {
-                let mut authz = AuthorizeRequest::new(
+                let authz = Asking {
                     host,
-                    &item.owner,
-                    &item.resource,
-                    parse_action(Some(item.action.as_str())),
+                    owner: &item.owner,
+                    resource_id: &item.resource,
+                    action: &parse_action(Some(item.action.as_str())),
                     requester,
-                );
-                authz.subject.clone_from(&c.who.user);
-                authz.claim_tokens = claim_tokens.clone();
-                match self.authorize(&authz) {
+                    subject: c.who.user.as_deref(),
+                    claim_tokens: &claims,
+                };
+                match self.authorize_as(&authz, |_| ()) {
                     AuthorizeOutcome::Token { token, .. } => protocol::AuthorizeReply::Token(token),
                     AuthorizeOutcome::Denied(reason) => protocol::AuthorizeReply::Denied(reason),
                     AuthorizeOutcome::PendingConsent { consent_id } => {
@@ -2254,23 +2279,28 @@ fn unauthorized(why: &str) -> Response {
 /// Parses the decision query the single-decision routes carry in their
 /// params; a missing param is a 400.
 fn parse_decision_query(req: &Request) -> Result<DecisionQuery<'_>, Response> {
-    match (
-        req.param("host_token"),
-        req.param("token"),
-        req.param("resource"),
-        req.param("requester"),
-    ) {
-        (Some(ht), Some(t), Some(r), Some(rq)) => Ok(DecisionQuery {
-            host_token: ht,
-            authz_token: t,
-            resource_id: r,
-            action: parse_action(req.param("action")),
-            requester: rq,
-        }),
-        _ => Err(Response::bad_request(
+    let Some([host_token, authz_token, resource_id, requester]) =
+        req.params(["host_token", "token", "resource", "requester"])
+    else {
+        return Err(Response::bad_request(
             "host_token, token, resource, requester required",
-        )),
-    }
+        ));
+    };
+    let action = parse_action(req.param("action"));
+    Ok(DecisionQuery {
+        host_token,
+        authz_token,
+        resource_id,
+        action,
+        requester,
+    })
+}
+
+/// The claim tokens (§VII) a request presents in its comma-separated
+/// `claims` param.
+fn claim_tokens(req: &Request) -> Vec<String> {
+    let claims = req.param("claims").into_iter().flat_map(|c| c.split(','));
+    claims.map(str::to_owned).collect()
 }
 
 fn parse_action(param: Option<&str>) -> Action {

@@ -9,8 +9,10 @@
 //! their scratch buffers are warm — a counting global allocator proves
 //! it here, so an accidental `String`/`Vec` on the hot path fails the
 //! bench run instead of quietly re-taxing every round trip. The owned
-//! promotions (`build_request`/`build_response`) allocate by design and
-//! are measured for ns/op only.
+//! promotions (`build_request`/`build_response`) fill one buffer per
+//! message part (DESIGN.md §14), so their allocations are gated too:
+//! at most [`BUILD_REQUEST_BUDGET`] per decision query and
+//! [`BUILD_RESPONSE_BUDGET`] per decision reply.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,6 +59,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Allocations `build_request` may make for the decision query: the
+/// dispatcher's label, the URL's buffer and the form's buffer (its body
+/// is empty and it has no header left once the envelope is stripped).
+const BUILD_REQUEST_BUDGET: u64 = 3;
+
+/// Allocations `build_response` may make for the decision reply: its
+/// body (it has no header left once the framing is stripped).
+const BUILD_RESPONSE_BUDGET: u64 = 1;
 
 /// Runs `f` with allocation counting armed and returns how many heap
 /// allocations it performed.
@@ -111,6 +122,34 @@ fn bench_http_codec(c: &mut Criterion) {
         "steady-state encode/scan/parse allocated {allocs} times in 1000 iterations"
     );
     println!("http_codec: steady-state allocations per round trip = 0 (gate passed)");
+
+    // ---- the promotion budget ---------------------------------------
+    let promote = |wire: &[u8], head_end: usize, build: &dyn Fn(&codec::Head<'_>, &[u8])| {
+        count_allocs(|| {
+            for _ in 0..1_000 {
+                let head = codec::parse_head(black_box(&wire[..head_end])).expect("head parses");
+                build(&head, black_box(&wire[head_end..]));
+            }
+        }) / 1_000
+    };
+    let request_allocs = promote(&req_wire, req_head_end, &|head, body| {
+        black_box(codec::build_request(head, body).expect("request builds"));
+    });
+    let response_allocs = promote(&resp_wire, resp_head_end, &|head, body| {
+        black_box(codec::build_response(head, body).expect("response builds"));
+    });
+    for (name, allocs, budget) in [
+        ("build_request", request_allocs, BUILD_REQUEST_BUDGET),
+        ("build_response", response_allocs, BUILD_RESPONSE_BUDGET),
+    ] {
+        assert!(
+            allocs <= budget,
+            "{name} allocated {allocs} times per decision message, over its budget of {budget}"
+        );
+        println!(
+            "http_codec: {name} allocations per decision message = {allocs} (budget {budget})"
+        );
+    }
 
     // ---- ns/op ------------------------------------------------------
     let mut group = c.benchmark_group("http_codec");

@@ -31,8 +31,8 @@ use parking_lot::{Mutex, RwLock};
 
 use ucam_policy::{AccessRequest, AclMatrix, Action, EvalContext, Outcome};
 use ucam_webenv::{
-    protocol, BatchItem, Counters, DecisionBody, Method, Request, Response, RetryPolicy, SimClock,
-    Status, Transport, TransportError, Url,
+    protocol, BatchItem, Counters, DecisionBody, Request, Response, RetryPolicy, SimClock, Status,
+    Transport, TransportError, Url,
 };
 
 /// A stored Web resource.
@@ -1836,18 +1836,15 @@ impl HostCore {
             // entry's epoch lives in the *primary* AM's epoch space,
             // and a numerically equal epoch at the mirror would
             // falsely re-arm it.
-            let if_epoch = miss.if_epoch.filter(|_| primary);
-            let url = Url::new(&to.am, protocol::DECISION_V2_PATH);
-            let mut req = Request::to_url(Method::Post, url)
-                .with_param("host_token", &to.host_token)
-                .with_param("token", miss.token)
-                .with_param("resource", miss.resource_id)
-                .with_param("action", action_label(miss.action))
-                .with_param("requester", miss.requester);
-            if let Some(epoch) = if_epoch {
-                req = req.with_param("if_epoch", &epoch.to_string());
-            }
-            req
+            protocol::decision_request(
+                &to.am,
+                &to.host_token,
+                miss.token,
+                miss.resource_id,
+                action_label(miss.action),
+                miss.requester,
+                miss.if_epoch.filter(|_| primary),
+            )
         });
         self.settle_decision(net, classify_decision(&resp), miss, now)
     }
@@ -1986,15 +1983,15 @@ impl HostCore {
             ));
         };
         let Some(token) = bearer else {
-            // Fig. 5: "a Host redirects a Requester to the AM along with
-            // information about the Host and the resource".
-            let authorize = Url::new(&delegation.am, "/authorize")
-                .with_query("host", &self.authority)
-                .with_query("owner", &resource.owner)
-                .with_query("resource", resource_id)
-                .with_query("action", &action.to_string())
-                .with_query("requester", requester)
-                .with_query("return", &return_url.to_string());
+            let redirect = protocol::authorize_redirect(
+                &delegation.am,
+                &self.authority,
+                &resource.owner,
+                resource_id,
+                action_label(action),
+                requester,
+                return_url,
+            );
             drop(state);
             self.record(
                 now,
@@ -2005,10 +2002,7 @@ impl HostCore {
                 DecisionPath::RedirectedToAm,
             );
             self.stats.add(Pep::Redirects, 1);
-            return Classified::Settled(Enforcement::Block(
-                Response::redirect(&authorize)
-                    .with_header("www-authenticate", "Bearer realm=\"ucam\""),
-            ));
+            return Classified::Settled(Enforcement::Block(redirect));
         };
 
         // §V.B.6 warm path: a cached decision is valid only for the same
@@ -2119,7 +2113,8 @@ impl HostCore {
                 .map(|(chunk, body)| {
                     self.note_flush(net, chunk);
                     self.stats.add(Pep::AmQueries, 1);
-                    batch_request(&chunk[0].1.delegation, body)
+                    let to = &chunk[0].1.delegation;
+                    protocol::batch_decisions_request(&to.am, &to.host_token, body)
                 })
                 .collect();
             sent = net.dispatch_pipelined(&self.authority, reqs);
@@ -2131,7 +2126,7 @@ impl HostCore {
                 self.note_flush(net, &chunk);
             }
             let resp = self.query(net, resilience, &chunk[0].1, sent, "batch", &|to, _| {
-                batch_request(to, body)
+                protocol::batch_decisions_request(&to.am, &to.host_token, body)
             });
             let now = self.clock.now_ms();
             let outcomes = classify_batch(&resp, chunk.len());
@@ -2541,16 +2536,6 @@ fn batch_items(chunk: &[(usize, Miss<'_>)]) -> Vec<BatchItem> {
             requester: miss.requester.to_owned(),
         })
         .collect()
-}
-
-/// A `/protection/v1/decisions` request carrying `body` to `to`'s AM.
-fn batch_request(to: &DelegationConfig, body: &str) -> Request {
-    Request::to_url(
-        Method::Post,
-        Url::new(&to.am, protocol::BATCH_DECISIONS_PATH),
-    )
-    .with_param("host_token", &to.host_token)
-    .with_body(body)
 }
 
 /// The body of a 401 telling the requester to fetch a fresh token.

@@ -598,9 +598,11 @@ impl RequesterClient {
     /// The Host-bound request for one access, as both [`Self::access`]
     /// and [`Self::access_batch`] send it.
     fn host_request(&self, spec: &AccessSpec, bearer: Option<&str>) -> Request {
-        let req = Request::to_url(spec.method, spec.url.clone())
-            .with_header("x-requester", &self.label)
-            .with_body(spec.body.clone());
+        // Both headers share one buffer, sized once.
+        let room = "x-requesterauthorizationBearer ".len() + self.label.len();
+        let mut req = Request::to_url(spec.method, spec.url.clone()).with_body(spec.body.clone());
+        req.headers.reserve(room + bearer.map_or(0, str::len));
+        let req = req.with_header("x-requester", &self.label);
         match bearer {
             Some(token) => req.with_bearer(token),
             None => req,
@@ -663,7 +665,7 @@ impl RequesterClient {
         let failover = self
             .fallback_ams
             .get(&am)
-            .map(|secondary| rehome(&authorize, secondary));
+            .map(|secondary| authorize.clone().with_authority(secondary));
         let url = self.with_credentials(authorize);
         let mut resp = self.dispatch_retrying(net, Request::to_url(Method::Get, url));
         // Multi-AM failover: when the primary's authorize endpoint is
@@ -802,16 +804,6 @@ pub struct Discovered {
     pub authorize: Url,
     /// The resource owner.
     pub owner: String,
-}
-
-/// Rebuilds `url` on a different authority, keeping path and query (used
-/// to re-home an `/authorize` URL onto a fallback AM).
-fn rehome(url: &Url, authority: &str) -> Url {
-    let mut out = Url::new(authority, url.path());
-    for (k, v) in url.query_pairs() {
-        out = out.with_query(k, v);
-    }
-    out
 }
 
 /// Extracts the text between the first occurrence of `start` and the next

@@ -28,12 +28,17 @@
 //! allocation of their own; the head parser borrows slices out of the
 //! caller's read buffer and allocates nothing. Owned [`Request`] /
 //! [`Response`] values are only materialized by [`build_request`] /
-//! [`build_response`] (allocation there is inherent — the structs own
-//! their strings). The criterion bench `http_codec` pins both the ns/op
-//! and the zero-allocation property of the fast path.
+//! [`build_response`], which fill each message part's one buffer (a
+//! [`Fields`], a [`Url`]) straight from the borrowed head, sized once:
+//! a decision query costs one allocation per part. The criterion bench
+//! `http_codec` pins the ns/op, the zero-allocation property of the fast
+//! path and the promotions' allocation budget.
 
+use std::fmt;
+
+use crate::fields::Fields;
 use crate::http::{Method, Request, Response, Status};
-use crate::url::{decode_component, Url};
+use crate::url::{encoded_len, write_encoded, Url};
 
 /// Upper bound on one HTTP message (start line + headers + body). The
 /// protocol's largest real messages are epoch sieve pushes at a few
@@ -120,31 +125,21 @@ fn decimal_len(n: usize) -> usize {
     digits
 }
 
-/// Appends `s` percent-encoded exactly like the shared [`Url`] escaper
-/// (unreserved bytes pass, everything else becomes `%XX`).
-fn push_encoded(out: &mut Vec<u8>, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789ABCDEF";
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => out.push(b),
-            _ => {
-                out.push(b'%');
-                out.push(HEX[usize::from(b >> 4)]);
-                out.push(HEX[usize::from(b & 0x0f)]);
-            }
-        }
+/// The wire buffer as a sink for the shared [`Url`] escaper.
+struct Wire<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for Wire<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
     }
 }
 
-/// Encoded length of a percent-encoded component (arithmetic twin of
-/// [`push_encoded`]).
-fn encoded_len(s: &str) -> usize {
-    s.bytes()
-        .map(|b| match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => 1,
-            _ => 3,
-        })
-        .sum()
+/// Appends `s` percent-encoded by the shared [`Url`] escaper (unreserved
+/// bytes pass, everything else becomes `%XX`); its length is
+/// `encoded_len(s)`.
+fn push_encoded(out: &mut Vec<u8>, s: &str) {
+    let _ = write_encoded(&mut Wire(out), s);
 }
 
 /// Serializes a [`Request`] into one HTTP/1.1 message, appended to a
@@ -170,7 +165,7 @@ pub fn encode_request_into(out: &mut Vec<u8>, from: &str, req: &Request) {
     if !req.form.is_empty() {
         out.extend_from_slice(b"x-ucam-form: ");
         let mut first = true;
-        for (k, v) in &req.form {
+        for (k, v) in req.form.iter() {
             if !first {
                 out.push(b'&');
             }
@@ -181,7 +176,7 @@ pub fn encode_request_into(out: &mut Vec<u8>, from: &str, req: &Request) {
         }
         out.extend_from_slice(b"\r\n");
     }
-    for (name, value) in &req.headers {
+    for (name, value) in req.headers.iter() {
         push_header(out, name, value);
     }
     out.extend_from_slice(b"content-length: ");
@@ -195,24 +190,22 @@ pub fn encode_request_into(out: &mut Vec<u8>, from: &str, req: &Request) {
 /// accounts `bytes_on_wire` for messages that never touch a socket.
 #[must_use]
 pub fn request_wire_len(from: &str, req: &Request) -> usize {
-    let mut n = method_str(req.method).len() + 1 + req.url.path().len();
-    for (k, v) in req.url.query_pairs() {
-        n += 2 + encoded_len(k) + encoded_len(v); // separator + '='
-    }
+    let mut n = method_str(req.method).len() + 1 + req.url.path().len() + req.url.query_len();
     n += " HTTP/1.1\r\n".len();
     n += header_line_len("host", req.url.authority());
     n += header_line_len("x-ucam-from", from);
     if !req.form.is_empty() {
-        n += "x-ucam-form: ".len() + 2 + req.form.len() - 1; // prefix, CRLF, '&'s
-        for (k, v) in &req.form {
-            n += encoded_len(k) + 1 + encoded_len(v);
-        }
+        // Prefix, CRLF, the '&'s and '='s, every name and value encoded.
+        n += "x-ucam-form: ".len() + 2 + 2 * req.form.len() - 1 + encoded_len(req.form.text());
     }
-    for (name, value) in &req.headers {
-        n += header_line_len(name, value);
-    }
+    n += headers_len(&req.headers);
     n += "content-length: ".len() + decimal_len(req.body.len()) + 4; // CRLF CRLF
     n + req.body.len()
+}
+
+/// The length of `headers`' lines: `name: value\r\n` each.
+fn headers_len(headers: &Fields) -> usize {
+    headers.text().len() + 4 * headers.len()
 }
 
 /// Serializes a [`Response`]'s status line and headers (everything up to
@@ -226,7 +219,7 @@ pub fn encode_response_head_into(out: &mut Vec<u8>, resp: &Response) {
     out.push(b' ');
     out.extend_from_slice(resp.status.reason().as_bytes());
     out.extend_from_slice(b"\r\n");
-    for (name, value) in &resp.headers {
+    for (name, value) in resp.headers.iter() {
         push_header(out, name, value);
     }
     out.extend_from_slice(b"content-length: ");
@@ -251,9 +244,7 @@ pub fn response_wire_len(resp: &Response) -> usize {
         + 1
         + resp.status.reason().len()
         + 2;
-    for (name, value) in &resp.headers {
-        n += header_line_len(name, value);
-    }
+    n += headers_len(&resp.headers);
     n += "content-length: ".len() + decimal_len(resp.body.len()) + 4;
     n + resp.body.len()
 }
@@ -353,7 +344,8 @@ pub fn parse_head(head: &[u8]) -> Result<Head<'_>, &'static str> {
 /// Rebuilds the dispatched `(from, Request)` from a parsed head and its
 /// body bytes — the inverse of [`encode_request_into`]. Envelope headers
 /// ([`RESERVED_REQUEST_HEADERS`]) are consumed, everything else lands in
-/// the request's header map under its lower-cased name.
+/// the request's headers under its lower-cased name; of repeated
+/// headers, form pairs or query pairs the last one wins.
 pub fn build_request(head: &Head<'_>, body: &[u8]) -> Result<(String, Request), &'static str> {
     let mut parts = head.start_line().split_whitespace();
     let method = match parts.next() {
@@ -370,37 +362,26 @@ pub fn build_request(head: &Head<'_>, body: &[u8]) -> Result<(String, Request), 
     let host = head.header("host").ok_or("missing host header")?;
     let from = head.header("x-ucam-from").unwrap_or("unknown").to_owned();
 
-    let (path, query_str) = match target.split_once('?') {
+    let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
     };
     if !path.starts_with('/') {
         return Err("target not origin-form");
     }
-    let mut url = Url::new(host, path);
-    if let Some(qs) = query_str {
-        for pair in qs.split('&').filter(|p| !p.is_empty()) {
-            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            url = url.with_query(&decode_component(k), &decode_component(v));
-        }
-    }
-
-    let mut req = Request::to_url(method, url).with_body(String::from_utf8_lossy(body));
+    let mut req = Request::to_url(method, Url::from_target(host, path, query))
+        .with_body(String::from_utf8_lossy(body));
     if let Some(form) = head.header("x-ucam-form") {
-        for pair in form.split('&').filter(|p| !p.is_empty()) {
-            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            req.form.insert(decode_component(k), decode_component(v));
-        }
+        // Decoding never lengthens text: the encoded form is room enough.
+        req.form = Fields::with_capacity(form.len());
+        req.form.extend_decoded(form);
     }
-    for (name, value) in head.headers() {
-        if !RESERVED_REQUEST_HEADERS
+    let reserved = |name: &str| {
+        RESERVED_REQUEST_HEADERS
             .iter()
             .any(|r| name.eq_ignore_ascii_case(r))
-        {
-            req.headers
-                .insert(name.to_ascii_lowercase(), value.to_owned());
-        }
-    }
+    };
+    req.headers = collect_headers(head, reserved);
     Ok((from, req))
 }
 
@@ -419,14 +400,25 @@ pub fn build_response(head: &Head<'_>, body: &[u8]) -> Result<Response, &'static
     let status = Status::from_code(code).ok_or("unknown status code")?;
 
     let mut resp = Response::with_status(status).with_body(String::from_utf8_lossy(body));
-    for (name, value) in head.headers() {
-        if !name.eq_ignore_ascii_case("content-length") && !name.eq_ignore_ascii_case("connection")
-        {
-            resp.headers
-                .insert(name.to_ascii_lowercase(), value.to_owned());
-        }
-    }
+    resp.headers = collect_headers(head, |name| {
+        name.eq_ignore_ascii_case("content-length") || name.eq_ignore_ascii_case("connection")
+    });
     Ok(resp)
+}
+
+/// The head's headers but the `skipped` ones, under lower-cased names, in
+/// one buffer sized once; a repeated header keeps its last value.
+fn collect_headers(head: &Head<'_>, skipped: impl Fn(&str) -> bool) -> Fields {
+    let kept = || head.headers().filter(|(name, _)| !skipped(name));
+    let mut fields = Fields::with_capacity(kept().map(|(n, v)| n.len() + v.len()).sum());
+    fields.extend_with(kept(), |buf, (name, value)| {
+        let start = buf.len();
+        buf.push_str(name);
+        buf[start..].make_ascii_lowercase();
+        buf.push_str(value);
+        name.len()
+    });
+    fields
 }
 
 #[cfg(test)]
@@ -585,7 +577,102 @@ mod tests {
         );
     }
 
+    /// Any text: every ASCII byte (controls, `%`, `&`, `=`, CR and LF
+    /// among them), Latin-1, and two- to four-byte characters.
+    const ANY_TEXT: &str = "[\\u{0}-\\u{ff}\\u{20ac}\\u{1F600}]{0,24}";
+
+    /// A header the codec carries as is: a lower-case name outside the
+    /// envelope's, and a value with no CR or LF and no whitespace at
+    /// either end (the parser trims it).
+    struct AnyHeader;
+
+    impl Strategy for AnyHeader {
+        type Value = (String, String);
+
+        fn sample(&self, rng: &mut proptest::TestRng) -> (String, String) {
+            let name = "[a-z][a-z0-9-]{0,10}".sample(rng);
+            let name = if RESERVED_REQUEST_HEADERS.contains(&name.as_str()) {
+                format!("x-{name}")
+            } else {
+                name
+            };
+            let value = match (0u8..4).sample(rng) {
+                0 => String::new(),
+                _ => [
+                    "[!-~\\u{e9}\\u{20ac}]".sample(rng),
+                    "[ -~\\u{e9}\\u{20ac}\\u{1F600}]{0,20}".sample(rng),
+                    "[!-~\\u{1F600}]".sample(rng),
+                ]
+                .concat(),
+            };
+            (name, value)
+        }
+    }
+
+    /// Any request the codec carries: any method, an origin-form path
+    /// without `?` or whitespace, and any query, form, headers and body.
+    struct AnyRequest;
+
+    impl Strategy for AnyRequest {
+        type Value = Request;
+
+        fn sample(&self, rng: &mut proptest::TestRng) -> Request {
+            let method =
+                [Method::Get, Method::Post, Method::Put, Method::Delete][(0usize..4).sample(rng)];
+            let path = format!(
+                "/{}",
+                "[a-zA-Z0-9/._~%!$'()*+,;:@#=&\\u{e9}-]{0,16}".sample(rng)
+            );
+            let mut url = Url::new("[a-z.-]{1,12}".sample(rng).as_str(), &path);
+            for (k, v) in proptest::collection::vec((ANY_TEXT, ANY_TEXT), 0..4).sample(rng) {
+                url = url.with_query(&k, &v);
+            }
+            let mut req = Request::to_url(method, url).with_body(ANY_TEXT.sample(rng));
+            for (k, v) in proptest::collection::vec((ANY_TEXT, ANY_TEXT), 0..4).sample(rng) {
+                req = req.with_param(&k, &v);
+            }
+            for (name, value) in proptest::collection::vec(AnyHeader, 0..4).sample(rng) {
+                req = req.with_header(&name, &value);
+            }
+            req
+        }
+    }
+
     proptest! {
+        #[test]
+        fn any_request_survives_the_wire(req in AnyRequest, from in "[a-z.:-]{1,16}") {
+            let mut out = Vec::new();
+            encode_request_into(&mut out, &from, &req);
+            prop_assert_eq!(out.len(), request_wire_len(&from, &req));
+            let head_end = find_head_end(&out, 0).unwrap();
+            let head = parse_head(&out[..head_end]).unwrap();
+            prop_assert_eq!(head.content_length().unwrap(), out.len() - head_end);
+            let (got_from, back) = build_request(&head, &out[head_end..]).unwrap();
+            prop_assert_eq!(got_from, from);
+            prop_assert_eq!(back, req);
+        }
+
+        #[test]
+        fn any_response_survives_the_wire(
+            code_ix in 0usize..12,
+            headers in proptest::collection::vec(AnyHeader, 0..4),
+            body in ANY_TEXT,
+        ) {
+            let codes = [200u16, 201, 202, 204, 302, 400, 401, 402, 403, 404, 409, 503];
+            let mut resp = Response::with_status(Status::from_code(codes[code_ix]).unwrap())
+                .with_body(body);
+            for (name, value) in headers.iter().filter(|(n, _)| n != "connection" && n != "content-length") {
+                resp = resp.with_header(name, value);
+            }
+            let mut out = Vec::new();
+            encode_response_into(&mut out, &resp);
+            prop_assert_eq!(out.len(), response_wire_len(&resp));
+            let head_end = find_head_end(&out, 0).unwrap();
+            let head = parse_head(&out[..head_end]).unwrap();
+            let back = build_response(&head, &out[head_end..]).unwrap();
+            prop_assert_eq!(back, resp);
+        }
+
         #[test]
         fn encoded_request_len_matches_arithmetic_twin(
             path_seg in "[a-z0-9]{0,12}",

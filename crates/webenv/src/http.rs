@@ -2,9 +2,9 @@
 //!
 //! [`SimNet`]: crate::net::SimNet
 
-use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::fields::Fields;
 use crate::url::Url;
 
 /// An HTTP request method.
@@ -181,8 +181,9 @@ impl fmt::Display for TransportError {
 /// An HTTP-like request.
 ///
 /// Query parameters from the URL and form/body parameters are merged into a
-/// single parameter map ([`Request::param`]), which is how the simulated
-/// applications read protocol fields.
+/// single parameter view ([`Request::param`]), which is how the simulated
+/// applications read protocol fields. The URL, the headers and the form
+/// are one buffer each ([`Fields`]).
 ///
 /// # Example
 ///
@@ -202,9 +203,9 @@ pub struct Request {
     /// The target URL.
     pub url: Url,
     /// Header fields (lower-case names).
-    pub headers: BTreeMap<String, String>,
+    pub headers: Fields,
     /// Form parameters (merged with URL query by [`Request::param`]).
-    pub form: BTreeMap<String, String>,
+    pub form: Fields,
     /// Raw request body (JSON for REST endpoints).
     pub body: String,
 }
@@ -227,8 +228,8 @@ impl Request {
         Request {
             method,
             url,
-            headers: BTreeMap::new(),
-            form: BTreeMap::new(),
+            headers: Fields::new(),
+            form: Fields::new(),
             body: String::new(),
         }
     }
@@ -237,16 +238,35 @@ impl Request {
     /// query string.
     #[must_use]
     pub fn param(&self, key: &str) -> Option<&str> {
-        self.form
-            .get(key)
-            .map(String::as_str)
-            .or_else(|| self.url.query(key))
+        self.form.get(key).or_else(|| self.url.query(key))
+    }
+
+    /// Returns the parameters `keys`, each as [`Request::param`] reads
+    /// it, or `None` when any of them is missing.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ucam_webenv::{Method, Request};
+    ///
+    /// let req = Request::new(Method::Post, "https://am.example/t?owner=bob")
+    ///     .with_param("realm", "r");
+    /// assert_eq!(req.params(["realm", "owner"]), Some(["r", "bob"]));
+    /// assert_eq!(req.params(["realm", "host"]), None);
+    /// ```
+    #[must_use]
+    pub fn params<const N: usize>(&self, keys: [&str; N]) -> Option<[&str; N]> {
+        let mut values = [""; N];
+        for (value, key) in values.iter_mut().zip(keys) {
+            *value = self.param(key)?;
+        }
+        Some(values)
     }
 
     /// Returns the header `key` (case-sensitive, use lower-case).
     #[must_use]
     pub fn header(&self, key: &str) -> Option<&str> {
-        self.headers.get(key).map(String::as_str)
+        self.headers.get(key)
     }
 
     /// Returns the bearer token from the `authorization` header, if present.
@@ -267,25 +287,23 @@ impl Request {
     /// Adds a form parameter.
     #[must_use]
     pub fn with_param(mut self, key: &str, value: &str) -> Self {
-        self.form.insert(key.to_owned(), value.to_owned());
+        self.form.insert(key, value);
         self
     }
 
     /// Adds a header field.
     #[must_use]
     pub fn with_header(mut self, key: &str, value: &str) -> Self {
-        self.headers.insert(key.to_owned(), value.to_owned());
+        self.headers.insert(key, value);
         self
     }
 
-    /// Sets the authorization header to `Bearer <token>`, building its
-    /// value in one allocation.
+    /// Sets the authorization header to `Bearer <token>`, written straight
+    /// into the header buffer.
     #[must_use]
     pub fn with_bearer(mut self, token: &str) -> Self {
-        let mut value = String::with_capacity("Bearer ".len() + token.len());
-        value.push_str("Bearer ");
-        value.push_str(token);
-        self.headers.insert("authorization".to_owned(), value);
+        self.headers
+            .insert_parts("authorization", &["Bearer ", token]);
         self
     }
 
@@ -313,7 +331,7 @@ pub struct Response {
     /// The response status.
     pub status: Status,
     /// Header fields (lower-case names).
-    pub headers: BTreeMap<String, String>,
+    pub headers: Fields,
     /// Response body (HTML placeholder text or JSON).
     pub body: String,
 }
@@ -324,7 +342,7 @@ impl Response {
     pub fn with_status(status: Status) -> Self {
         Response {
             status,
-            headers: BTreeMap::new(),
+            headers: Fields::new(),
             body: String::new(),
         }
     }
@@ -335,10 +353,16 @@ impl Response {
         Response::with_status(Status::Ok)
     }
 
-    /// Creates a `302 Found` redirect to `location`.
+    /// Creates a `302 Found` redirect to `location`, rendered once
+    /// straight into the header buffer.
     #[must_use]
     pub fn redirect(location: &Url) -> Self {
-        Response::with_status(Status::Found).with_header("location", &location.to_string())
+        let mut resp = Response::with_status(Status::Found);
+        resp.headers = Fields::with_capacity("location".len() + location.rendered_len());
+        resp.headers.insert_with("location", |value| {
+            let _ = location.write_to(value);
+        });
+        resp
     }
 
     /// Creates a `404 Not Found` response with a short explanation.
@@ -362,7 +386,7 @@ impl Response {
     /// Returns the header `key`.
     #[must_use]
     pub fn header(&self, key: &str) -> Option<&str> {
-        self.headers.get(key).map(String::as_str)
+        self.headers.get(key)
     }
 
     /// Returns the parsed redirect target, if this is a redirect.
@@ -377,7 +401,7 @@ impl Response {
     /// Adds a header field.
     #[must_use]
     pub fn with_header(mut self, key: &str, value: &str) -> Self {
-        self.headers.insert(key.to_owned(), value.to_owned());
+        self.headers.insert(key, value);
         self
     }
 
@@ -390,8 +414,9 @@ impl Response {
 
     /// Adds a `set-cookie` header establishing a session cookie.
     #[must_use]
-    pub fn with_cookie(self, name: &str, value: &str) -> Self {
-        self.with_header("set-cookie", &format!("{name}={value}"))
+    pub fn with_cookie(mut self, name: &str, value: &str) -> Self {
+        self.headers.insert_parts("set-cookie", &[name, "=", value]);
+        self
     }
 
     /// Attaches a transport-error classification (`x-error-kind` header).

@@ -7,7 +7,8 @@
 //!
 //! * [`Url`] — a small URL type (scheme, authority, path, query),
 //! * [`Request`] / [`Response`] / [`Method`] / [`Status`] — HTTP-like
-//!   messages,
+//!   messages, each part one buffer ([`Fields`]: packed name/value pairs
+//!   in name order),
 //! * [`WebApp`] — the trait every simulated application implements,
 //! * [`Transport`] — the message edge connecting the three parties, with
 //!   two backends behind one trait:
@@ -60,6 +61,7 @@ pub mod browser;
 pub mod clock;
 pub mod codec;
 pub mod counters;
+pub mod fields;
 pub mod http;
 pub mod httpnet;
 pub mod identity;
@@ -74,6 +76,7 @@ pub mod url;
 pub use browser::Browser;
 pub use clock::SimClock;
 pub use counters::Counters;
+pub use fields::{Fields, Pairs};
 pub use http::{Method, Request, Response, Status, TransportError};
 pub use httpnet::HttpTransport;
 pub use latency::LatencyModel;

@@ -51,6 +51,7 @@ use parking_lot::Mutex;
 
 use crate::clock::SimClock;
 use crate::counters::{thread_stripe, Counters, STRIPES};
+use crate::fields::Fields;
 use crate::http::{Request, Response, Status, TransportError};
 use crate::latency::{splitmix64, LatencyModel};
 use crate::trace::{TraceKind, TraceRecorder};
@@ -165,9 +166,12 @@ impl NetAccounting {
                 }
             }
         }
-        let payload = message_bytes(&req.body, req.headers.values())
-            + req.form.values().map(String::len).sum::<usize>()
-            + message_bytes(&resp.body, resp.headers.values());
+        let values = |fields: &Fields| fields.values().map(str::len).sum::<usize>();
+        let payload = req.body.len()
+            + values(&req.headers)
+            + values(&req.form)
+            + resp.body.len()
+            + values(&resp.headers);
         self.cells.add(PAYLOAD_BYTES, payload as u64);
         if resp.transport_error().is_none() {
             // Arithmetic twins of the codec encoders: the exact bytes this
@@ -646,11 +650,6 @@ impl Transport for SimNet {
     fn reset_stats(&self) {
         SimNet::reset_stats(self);
     }
-}
-
-/// Sums the modelled size of a message: body plus header values.
-fn message_bytes<'a>(body: &str, headers: impl Iterator<Item = &'a String>) -> usize {
-    body.len() + headers.map(String::len).sum::<usize>()
 }
 
 /// A request's trace label: method, path, and the interesting params.

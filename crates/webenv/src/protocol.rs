@@ -45,6 +45,9 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
+use crate::http::{Method, Request, Response};
+use crate::url::Url;
+
 /// Retired v1 single-decision route; the AM answers it with 404. Its
 /// query and answer live on [`DECISION_V2_PATH`].
 pub const DECISION_PATH: &str = "/protection/v1/decision";
@@ -96,6 +99,94 @@ pub const DELEGATE_V2_PATH: &str = "/protection/v2/delegate";
 /// decoder stops reading one at item `MAX_BATCH + 1`, so an oversized
 /// body costs no more to refuse than a full one.
 pub const MAX_BATCH: usize = 32;
+
+/// The Host's single decision query (Fig. 6): a POST to `am`'s
+/// [`DECISION_V2_PATH`] whose form carries the access tuple, the host
+/// token and, for a conditional revalidation, `if_epoch`. The form is one
+/// buffer sized once and filled in name order, so every field is
+/// appended; the epoch's digits are written into it in place.
+#[must_use]
+pub fn decision_request(
+    am: &str,
+    host_token: &str,
+    token: &str,
+    resource: &str,
+    action: &str,
+    requester: &str,
+    if_epoch: Option<u64>,
+) -> Request {
+    let values = [action, host_token, requester, resource, token];
+    let room = "actionhost_tokenrequesterresourcetoken".len()
+        + values.iter().map(|v| v.len()).sum::<usize>()
+        + if_epoch.map_or(0, |_| "if_epoch".len() + 20);
+    let mut form = crate::fields::Fields::with_capacity(room);
+    form.insert("action", action);
+    form.insert("host_token", host_token);
+    if let Some(epoch) = if_epoch {
+        form.insert_with("if_epoch", |out| push_u64(out, epoch));
+    }
+    form.insert("requester", requester);
+    form.insert("resource", resource);
+    form.insert("token", token);
+    let mut req = Request::to_url(Method::Post, Url::new(am, DECISION_V2_PATH));
+    req.form = form;
+    req
+}
+
+/// A Host's batch of decision queries: a POST to `am`'s
+/// [`BATCH_DECISIONS_PATH`] carrying the host token and a body of
+/// [`BatchItem`]s ([`encode_batch_request`]).
+#[must_use]
+pub fn batch_decisions_request(am: &str, host_token: &str, body: &str) -> Request {
+    Request::to_url(Method::Post, Url::new(am, BATCH_DECISIONS_PATH))
+        .with_param("host_token", host_token)
+        .with_body(body)
+}
+
+/// The Host's redirect of a Requester to `am`'s `/authorize` (Fig. 5:
+/// "a Host redirects a Requester to the AM along with information about
+/// the Host and the resource"), with a bearer challenge. The authorize
+/// URL is one buffer sized once and filled in name order, the return URL
+/// rendered into it in place; the `Location` is rendered once.
+#[must_use]
+pub fn authorize_redirect(
+    am: &str,
+    host: &str,
+    owner: &str,
+    resource: &str,
+    action: &str,
+    requester: &str,
+    return_url: &Url,
+) -> Response {
+    let fields = [
+        ("action", action),
+        ("host", host),
+        ("owner", owner),
+        ("requester", requester),
+        ("resource", resource),
+    ];
+    let room = fields.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>()
+        + "return".len()
+        + return_url.rendered_len();
+    let mut authorize = Url::with_room(am, "/authorize", room);
+    for (name, value) in fields {
+        authorize = authorize.with_query(name, value);
+    }
+    let authorize = authorize.with_query_url("return", return_url);
+    Response::redirect(&authorize).with_header("www-authenticate", "Bearer realm=\"ucam\"")
+}
+
+/// Sends the browser back to the request's `return` URL with `pairs`
+/// added to its query, as a delegation (Fig. 3), a policy link and a
+/// token grant (Fig. 5) end. `None` when the request names no return
+/// URL; a 400 when the one it names does not parse.
+#[must_use]
+pub fn redirect_back(req: &Request, pairs: &[(&str, &str)]) -> Option<Response> {
+    Some(match req.param("return")?.parse::<Url>() {
+        Ok(url) => Response::redirect(&pairs.iter().fold(url, |url, (k, v)| url.with_query(k, v))),
+        Err(_) => Response::bad_request("invalid return url"),
+    })
+}
 
 /// The decision body a Host receives from an AM (Fig. 6 step 6).
 ///

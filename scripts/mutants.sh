@@ -13,7 +13,10 @@
 #   length cap;
 # * the SHA-256 block kernel: two schedule words, two round-constant
 #   lanes. These run only where the CPU has the SHA extensions (on any
-#   other CPU no test reaches the kernel) and are skipped elsewhere.
+#   other CPU no test reaches the kernel) and are skipped elsewhere;
+# * the message model (DESIGN.md §14): a packed field list's name
+#   compare, the decoder's last-duplicate-wins rule, and the escaper's
+#   reserved bytes.
 #
 #   bash scripts/mutants.sh            # every mutant
 #   bash scripts/mutants.sh NAME...    # the named mutants only
@@ -34,6 +37,7 @@ cd "$(dirname "$0")/.."
 routes='_answers_each_caller_as_pinned'
 core='crates/host/src/core.rs'
 sha='crates/umacrypto/src/sha.rs'
+fields='crates/webenv/src/fields.rs'
 
 # name @@ crate @@ killing test filter @@ file @@ line as written @@ line mutated
 MUTANTS=(
@@ -61,6 +65,9 @@ MUTANTS=(
   "memo-no-length-cap @@ ucam-host @@ an_oversized_tuple_bypasses_the_digest_memo @@ $core @@ "'    if len > DIGEST_MEMO_TUPLE_CAP { @@     if false {'
   "sha-schedule-words @@ ucam-crypto @@ kernel_matches_portable_on_random_blocks @@ $sha @@ "'        let mut m0 = _mm_set_epi32(w[3], w[2], w[1], w[0]); @@         let mut m0 = _mm_set_epi32(w[2], w[3], w[1], w[0]);'
   "sha-round-constant-lanes @@ ucam-crypto @@ kernel_matches_portable_on_random_blocks @@ $sha @@ "'                let wk = _mm_add_epi32($m, _mm_set_epi32(k3, k2, k1, k0)); @@                 let wk = _mm_add_epi32($m, _mm_set_epi32(k2, k3, k1, k0));'
+  "fields-compare-lengths @@ ucam-webenv @@ names_are_compared_by_their_bytes_not_their_lengths @@ $fields @@ "'                && &self.buf.as_bytes()[start..name_end] == name.as_bytes() @@                 && true'
+  "decoder-keeps-first-duplicate @@ ucam-webenv @@ last_value @@ $fields @@ "'            let later = order.get(i + 1).map(|&next| self.pair(next).0); @@             let later = i.checked_sub(1).map(|prev| self.pair(order[prev]).0);'
+  "escaper-passes-percent-and-amp @@ ucam-webenv @@ the_escaper @@ crates/webenv/src/url.rs @@     matches!(b, b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~') @@     matches!(b, b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' | b'%' | b'&')"
 )
 
 started=$(date +%s)

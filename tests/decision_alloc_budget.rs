@@ -19,8 +19,16 @@
 //!   requester follows the redirect to `/authorize`, fetches a fresh
 //!   token and retries, and the Host asks the AM again.
 //!
-//! Each class's mean is printed (run with `--nocapture` to see them) and
-//! held to a budget. Run it optimised, as CI does:
+//! Three message rows count one message step each, on the protocol's
+//! real shapes: the Host's decision query (built and dropped, with a
+//! real host token and authorization token), the requester's Host
+//! request (one access with a held token against a stub Host that
+//! answers without allocating), and one redirect's `Response::redirect`
+//! plus `location()`.
+//!
+//! Each class's mean and each row's count is printed (run with
+//! `--nocapture` to see them) and held to a budget. Run it optimised, as
+//! CI does:
 //!
 //! ```text
 //! cargo test --release -q --test decision_alloc_budget -- --nocapture
@@ -31,11 +39,11 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use ucam::am::tokens::AUTHZ_TOKEN_TTL_MS;
-use ucam::am::AuthorizationManager;
+use ucam::am::{AuthorizationManager, AuthorizeOutcome, AuthorizeRequest};
 use ucam::host::{DelegationConfig, WebStorage};
 use ucam::policy::prelude::*;
 use ucam::requester::{AccessSpec, RequesterClient};
-use ucam::webenv::{SimNet, Url};
+use ucam::webenv::{protocol, Request, Response, SimNet, Transport, Url, WebApp};
 
 /// Counts the allocations of the thread that armed it (see [`count`]).
 struct CountingAlloc;
@@ -111,7 +119,9 @@ const ROUNDS: u32 = 200;
 
 struct Rig {
     net: SimNet,
+    am: Arc<AuthorizationManager>,
     host: Arc<WebStorage>,
+    host_token: String,
     alice: RequesterClient,
     spec: AccessSpec,
 }
@@ -138,7 +148,7 @@ impl Rig {
             "bob",
             DelegationConfig {
                 am: AM.into(),
-                host_token,
+                host_token: host_token.clone(),
                 delegation_id: delegation.id,
             },
         );
@@ -173,7 +183,9 @@ impl Rig {
 
         let mut rig = Rig {
             net,
+            am,
             host,
+            host_token,
             alice: RequesterClient::new("requester:alice"),
             spec,
         };
@@ -222,6 +234,113 @@ fn advance(ms: u64) -> impl Fn(&Rig) {
     }
 }
 
+/// A Host that grants any bearer, redirects a request without one to
+/// its own `/authorize`, and there hands out `TOKEN`: a requester's
+/// granted access against it allocates only for its own request.
+struct StubHost;
+
+const STUB: &str = "stub.example";
+
+impl WebApp for StubHost {
+    fn authority(&self) -> &str {
+        STUB
+    }
+
+    fn handle(&self, _net: &dyn Transport, req: &Request) -> Response {
+        match (req.url.path(), req.bearer_token()) {
+            ("/authorize", _) => Response::ok().with_body(TOKEN),
+            (_, Some(_)) => Response::ok(),
+            (_, None) => Response::redirect(&Url::new(STUB, "/authorize")),
+        }
+    }
+}
+
+/// An authorization-token-sized bearer (the AM's are about 200 bytes).
+const TOKEN: &str = "v1.stub-authorization-token-0123456789abcdefghijklmnopqrstuvwxyz\
+    0123456789abcdefghijklmnopqrstuvwxyz0123456789abcdefghijklmnopqrstuvwxyz\
+    0123456789abcdefghijklmnopqrstuvwxyz0123456789";
+
+/// Allocations of one message step, as the minimum of 31 runs (the
+/// count is exact; the minimum only skips a first run's warm-up).
+fn message_row(name: &str, mut step: impl FnMut()) -> u64 {
+    let allocs = (0..31).map(|_| count(&mut step)).min().unwrap_or(0);
+    println!("decision_alloc_budget: {name}: {allocs} allocations");
+    allocs
+}
+
+/// The three message rows, each against its budget.
+#[test]
+fn message_steps_stay_within_their_allocation_budget() {
+    let rig = Rig::new();
+    let AuthorizeOutcome::Token { token, .. } = rig.am.authorize(&AuthorizeRequest::new(
+        HOST,
+        "bob",
+        FILE,
+        Action::Read,
+        "requester:alice",
+    )) else {
+        panic!("the policy grants Alice");
+    };
+    let (host_token, token) = (rig.host_token.as_str(), token.as_str());
+    let query = |if_epoch| {
+        move || {
+            drop(protocol::decision_request(
+                AM,
+                host_token,
+                token,
+                FILE,
+                "read",
+                "requester:alice",
+                if_epoch,
+            ));
+        }
+    };
+    let decision_query = message_row("Host decision query, built and dropped", query(None));
+    let conditional_query = message_row(
+        "Host decision query with if_epoch, built and dropped",
+        query(Some(u64::MAX)),
+    );
+
+    let net = SimNet::new();
+    net.trace().set_enabled(false);
+    net.register(Arc::new(StubHost));
+    let spec = AccessSpec::read(Url::new(STUB, &format!("/{FILE}")));
+    let mut client = RequesterClient::new("requester:alice");
+    assert!(client.access(&net, &spec).is_granted());
+    assert_eq!(client.cached_tokens(), 1);
+    let host_request = message_row("requester's Host request, one granted access", || {
+        assert!(client.access(&net, &spec).is_granted());
+    });
+
+    let return_url = Url::new(HOST, &format!("/{FILE}"));
+    let authorize = Url::new(AM, "/authorize")
+        .with_query("host", HOST)
+        .with_query("owner", "bob")
+        .with_query("resource", FILE)
+        .with_query("action", "read")
+        .with_query("requester", "requester:alice")
+        .with_query("return", &return_url.to_string());
+    let redirect = message_row("redirect, Response::redirect + location()", || {
+        let back = Response::redirect(&authorize).location();
+        assert_eq!(back.as_ref(), Some(&authorize));
+    });
+
+    // Before 0.24.0 packed each message part into one buffer, these
+    // steps (built as the Host built them then) made 14, 17, 8 and 71
+    // allocations.
+    for (name, allocs, budget) in [
+        ("decision query", decision_query, 2),
+        ("decision query with if_epoch", conditional_query, 2),
+        ("Host request", host_request, 2),
+        ("redirect round trip", redirect, 2),
+    ] {
+        assert!(
+            allocs <= budget,
+            "{name}: {allocs} allocations, over its budget of {budget}"
+        );
+    }
+}
+
 /// The four classes' steady-state allocation counts, each against its
 /// budget: the counts this tree measures, rounded up.
 #[test]
@@ -244,14 +363,16 @@ fn decision_class_accesses_stay_within_their_allocation_budget() {
     });
 
     // Before 0.23.0 packed the rings and keyed tier 2 by the digest, this
-    // rig measured 62.0, 57.0, 20.0 and 287.8. The re-authorization mean
-    // reads 224.7 or 224.8: each run mints other tokens, so the maps keyed
-    // by their digests rehash at other points.
+    // rig measured 62.0, 57.0, 20.0 and 287.8; before 0.24.0 packed each
+    // message part into one buffer, 34.0, 34.0, 9.0 and 224.8. The
+    // re-authorization mean moves by a tenth between runs: each run mints
+    // other tokens, so the maps keyed by their digests rehash at other
+    // points.
     for (name, mean, budget) in [
-        ("decision", decision, 34.0),
-        ("revalidation", revalidation, 34.0),
-        ("local hit", local, 9.0),
-        ("re-authorization", reauthorization, 225.0),
+        ("decision", decision, 16.0),
+        ("revalidation", revalidation, 13.0),
+        ("local hit", local, 3.0),
+        ("re-authorization", reauthorization, 62.0),
     ] {
         assert!(
             mean <= budget,
