@@ -988,17 +988,8 @@ impl AuthorizationManager {
     ///
     /// Returns [`AmError::UnknownUser`] when the user has no account.
     pub fn pap<R>(&self, user: &str, f: impl FnOnce(&mut Account) -> R) -> Result<R, AmError> {
-        let (result, epoch) = {
-            let mut shard = self.shard_for(user).write();
-            let slot = shard
-                .get_mut(user)
-                .ok_or_else(|| AmError::UnknownUser(user.to_owned()))?;
-            let result = f(&mut slot.account);
-            slot.epoch += 1;
-            (result, slot.epoch)
-        };
-        self.schedule_epoch_push(user, epoch);
-        Ok(result)
+        // An account is keyed by its own user, who may always administer it.
+        self.pap_as(user, user, f)
     }
 
     /// Runs `f` with mutable access to `owner`'s PAP account on behalf of
@@ -1211,7 +1202,11 @@ impl AuthorizationManager {
                 // next epoch push; the shard lock is held for this only.
                 {
                     let mut shard = self.issued_for(request.owner).lock();
-                    let issued = shard.entry(request.owner.to_owned()).or_default();
+                    let issued = match shard.get_mut(request.owner) {
+                        Some(issued) => issued,
+                        // The owner's first token: only now is their name copied.
+                        None => shard.entry(request.owner.to_owned()).or_default(),
+                    };
                     if issued.len() >= ISSUED_GRANTS_CAP {
                         issued.pop_front();
                     }
@@ -1968,7 +1963,7 @@ impl AuthorizationManager {
                     let body = decision_wire(&decision).to_json();
                     (verdict, Response::ok().with_body(body))
                 }
-                Err(e) => ("refused", unauthorized(&e.to_string())),
+                Err(e) => ("refused", unauthorized(e)),
             },
         };
         // Lazy label: while tracing is off (every hot loop) this is one
@@ -2271,9 +2266,12 @@ impl AuthorizationManager {
     }
 }
 
-/// A 401 with `why` as its body.
-fn unauthorized(why: &str) -> Response {
-    Response::with_status(Status::Unauthorized).with_body(why)
+/// A 401 with `why` as its body, written once into one buffer: every
+/// reason this AM gives fits its first 64 bytes.
+fn unauthorized(why: impl fmt::Display) -> Response {
+    let mut body = String::with_capacity(64);
+    let _ = fmt::Write::write_fmt(&mut body, format_args!("{why}"));
+    Response::with_status(Status::Unauthorized).with_body(body)
 }
 
 /// Parses the decision query the single-decision routes carry in their

@@ -9,11 +9,12 @@
 //! * **Server**: every registered authority gets its own `127.0.0.1:0`
 //!   listener with one blocking acceptor, and every accepted connection
 //!   gets one blocking reader thread. The reader takes whatever bytes
-//!   have arrived, serves every complete request among them in order,
-//!   answers them all with one write and blocks again: a pipelining
-//!   client costs one wake-up per stride instead of one per request, an
-//!   idle server burns no CPU, and a handler that blocks holds only its
-//!   own connection.
+//!   have arrived, serves every complete request among them in order
+//!   from a cursor into its buffer (compacted once per read), answers
+//!   them all with one write and blocks again: a pipelining client costs
+//!   one wake-up per stride instead of one per request, an idle server
+//!   burns no CPU, and a handler that blocks holds only its own
+//!   connection.
 //! * **Client**: one persistent connection per `(thread, transport,
 //!   authority)`, found by a linear scan of a thread-local vector (no
 //!   locks, no hashing, no allocation on the warm path), with the read
@@ -45,6 +46,11 @@
 //! idle for the server's read timeout is dropped on the floor, which the
 //! client observes (and classifies) as a reset. Wire input never panics
 //! a reader, and an idle keep-alive connection may wait indefinitely.
+//! Requests that arrived ahead of a malformed message in the same read
+//! have run, so their answers are flushed before the drop: the client
+//! then holds some answers, takes its partial-failure path and classifies
+//! the rest without sending anything again — the transport never
+//! double-dispatches.
 //!
 //! [`kill_listener`](HttpTransport::kill_listener) and
 //! [`set_stall`](HttpTransport::set_stall) exist so tests can produce
@@ -605,43 +611,44 @@ fn read_more(conn: &mut ClientConn, chunk: &mut [u8]) -> io::Result<()> {
     }
 }
 
-/// Reads one complete response out of the connection's reassembly
-/// buffer, pulling more bytes off the socket as needed, and drains the
-/// consumed bytes so pipelined successors parse from a clean front.
-fn read_response(conn: &mut ClientConn, chunk: &mut [u8]) -> io::Result<Response> {
-    let mut scan_from = 0;
-    let head_end = loop {
-        if let Some(end) = codec::find_head_end(&conn.buf, scan_from) {
-            break end;
+/// Reads the response that starts at `*at` in the connection's
+/// reassembly buffer, pulling more bytes off the socket as needed, and
+/// moves `*at` past it, where its pipelined successor starts. Only
+/// before a read are the bytes of the responses already returned
+/// dropped: one compaction per read, not one per response.
+fn read_response(conn: &mut ClientConn, chunk: &mut [u8], at: &mut usize) -> io::Result<Response> {
+    let mut scan_from = *at;
+    loop {
+        if let Some(head_end) = codec::find_head_end(&conn.buf, scan_from) {
+            // Usually head and body are both buffered (a pipelined peer
+            // coalesces its responses) and one parse does it all.
+            let head = codec::parse_head(&conn.buf[*at..head_end]).map_err(malformed)?;
+            let end = head_end + head.content_length().map_err(malformed)?;
+            if end <= conn.buf.len() {
+                let body = &conn.buf[head_end..end];
+                let resp = codec::build_response(&head, body).map_err(malformed)?;
+                *at = end;
+                return Ok(resp);
+            }
+            // Body still in flight: the head is re-found once it lands.
+            scan_from = *at;
+        } else {
+            scan_from = conn.buf.len().saturating_sub(3).max(*at);
+            if conn.buf.len() - *at > MAX_MESSAGE_BYTES {
+                return Err(malformed("response head too large"));
+            }
         }
-        scan_from = conn.buf.len().saturating_sub(3);
-        if conn.buf.len() > MAX_MESSAGE_BYTES {
-            return Err(malformed("response head too large"));
-        }
+        conn.buf.drain(..*at);
+        scan_from -= *at;
+        *at = 0;
         read_more(conn, chunk)?;
-    };
-    // Fast path: head and body already buffered (the usual case when a
-    // pipelined peer coalesces its responses) — one parse does it all.
-    // Only a body still in flight forces the re-parse after `read_more`
-    // invalidates the borrowed head.
-    let (resp, consumed) = loop {
-        let head = codec::parse_head(&conn.buf[..head_end]).map_err(malformed)?;
-        let body_len = head.content_length().map_err(malformed)?;
-        if conn.buf.len() < head_end + body_len {
-            read_more(conn, chunk)?;
-            continue;
-        }
-        let resp = codec::build_response(&head, &conn.buf[head_end..head_end + body_len])
-            .map_err(malformed)?;
-        break (resp, head_end + body_len);
-    };
-    conn.buf.drain(..consumed);
-    Ok(resp)
+    }
 }
 
 /// Writes a pipelined group (one buffered block of `n` requests) and
-/// reads the `n` responses back. On error, returns every response that
-/// made it in before the failure alongside the error.
+/// reads the `n` responses back, then drops the bytes the last of them
+/// took from the reassembly buffer. On error, returns every response
+/// that made it in before the failure alongside the error.
 fn exchange_group(
     conn: &mut ClientConn,
     batch: &[u8],
@@ -652,12 +659,14 @@ fn exchange_group(
         return (Vec::new(), Some(err));
     }
     let mut resps = Vec::with_capacity(n);
+    let mut at = 0;
     for _ in 0..n {
-        match read_response(conn, chunk) {
+        match read_response(conn, chunk, &mut at) {
             Ok(resp) => resps.push(resp),
             Err(err) => return (resps, Some(err)),
         }
     }
+    conn.buf.drain(..at);
     (resps, None)
 }
 
@@ -751,12 +760,17 @@ fn admit(state: &RouteState, id: u64, stream: &TcpStream) -> bool {
 /// request they finish in order, answers them all with one write, and
 /// blocks again. Coalescing the answers into one write means a
 /// pipelining client is woken once per stride instead of once per
-/// response.
+/// response. A stride is served from a cursor into the read buffer, and
+/// the buffer is compacted once per read, after the stride.
 ///
 /// Returns — dropping the connection, which the client classifies as a
 /// reset — on hang-up, oversize, a malformed head or body, a failed
 /// write, a partial message idle for [`SERVER_READ_TIMEOUT`], or a
-/// shutdown (which resets the socket under the blocked read).
+/// shutdown (which resets the socket under the blocked read). A
+/// malformed message or a shutdown met mid-stride first flushes the
+/// answers to the requests before it: those requests ran, and a client
+/// that saw no answer at all would take its stale keep-alive path and
+/// send them again.
 fn serve_conn(
     mut stream: TcpStream,
     app: &dyn WebApp,
@@ -777,50 +791,61 @@ fn serve_conn(
             Err(err) if is_timeout(&err) && buf.is_empty() => continue,
             Err(_) => return,
         }
+        // Every byte in `buf` is unconsumed here.
         if buf.len() > MAX_MESSAGE_BYTES {
             return;
         }
         out.clear();
-        loop {
+        // The cursor: where the first request no answer covers starts.
+        let mut at = 0;
+        // The handle handlers dispatch through, taken once per read.
+        let mut net = None;
+        let open = 'stride: loop {
             let Some(head_end) = codec::find_head_end(&buf, scan_from) else {
-                scan_from = buf.len().saturating_sub(3);
-                break;
+                scan_from = buf.len().saturating_sub(3).max(at);
+                break true;
             };
-            let Ok(parsed) = codec::parse_head(&buf[..head_end]) else {
-                return;
+            let Ok(parsed) = codec::parse_head(&buf[at..head_end]) else {
+                break false;
             };
             let Ok(body_len) = parsed.content_length() else {
-                return;
+                break false;
             };
-            if buf.len() < head_end + body_len {
+            let end = head_end + body_len;
+            if buf.len() < end {
                 // Body still in flight: the head is re-found in one
                 // cheap pass once it lands.
-                break;
+                scan_from = at;
+                break true;
             }
-            let Ok((_from, req)) =
-                codec::build_request(&parsed, &buf[head_end..head_end + body_len])
-            else {
-                return;
+            let Ok((_from, req)) = codec::build_request(&parsed, &buf[head_end..end]) else {
+                break false;
             };
-            buf.drain(..head_end + body_len);
-            scan_from = 0;
+            (at, scan_from) = (end, end);
 
             // Hold the response while stalled (hung-server fault injection).
             while state.stall.load(Ordering::Acquire) {
                 if state.dead.load(Ordering::Acquire) {
-                    return;
+                    break 'stride false;
                 }
                 std::thread::sleep(POLL_INTERVAL);
             }
-            let Some(inner) = inner.upgrade() else {
-                return;
+            let handle = net
+                .take()
+                .or_else(|| inner.upgrade().map(|inner| HttpTransport { inner }));
+            let Some(handle) = handle else {
+                break false;
             };
-            let resp = app.handle(&HttpTransport { inner }, &req);
+            let resp = app.handle(&handle, &req);
+            net = Some(handle);
             codec::encode_response_head_into(&mut head, &resp);
             out.extend_from_slice(&head);
             out.extend_from_slice(resp.body.as_bytes());
-        }
-        if !out.is_empty() && stream.write_all(&out).is_err() {
+        };
+        drop(net);
+        buf.drain(..at);
+        scan_from -= at;
+        if !out.is_empty() && stream.write_all(&out).is_err() || !open {
             return;
         }
     }
@@ -1244,6 +1269,117 @@ mod tests {
         assert_eq!(ping.body, "/ping");
         for answer in answers {
             assert_eq!(answer.body, "/block");
+        }
+    }
+
+    /// Counts the `/create` requests it serves.
+    #[derive(Default)]
+    struct Creates(AtomicU64);
+
+    impl WebApp for Creates {
+        fn authority(&self) -> &str {
+            "creates.example"
+        }
+        fn handle(&self, _net: &dyn Transport, req: &Request) -> Response {
+            if req.url.path() == "/create" {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+            Response::ok().with_body(req.url.path().to_owned())
+        }
+    }
+
+    #[test]
+    fn a_malformed_message_mid_stride_is_answered_after_the_requests_before_it() {
+        let creates = Arc::new(Creates::default());
+        let t = HttpTransport::new();
+        t.register(creates.clone());
+        // A warm keep-alive connection: a drop with no answer on it reads
+        // as a stale one, and the client sends the whole group again.
+        let warm = t.dispatch(
+            "tester",
+            Request::new(Method::Get, "https://creates.example/warm"),
+        );
+        assert_eq!(warm.status, Status::Ok);
+        let mut bloated = Request::new(Method::Get, "https://creates.example/bloated");
+        for i in 0..=codec::MAX_HEADERS {
+            bloated = bloated.with_header(&format!("x-pad-{i}"), "1");
+        }
+        let create = Request::new(Method::Post, "https://creates.example/create");
+        let resps = t.dispatch_pipelined("tester", vec![create, bloated]);
+        assert_eq!(creates.0.load(Ordering::SeqCst), 1, "/create ran twice");
+        assert_eq!(resps[0].status, Status::Ok);
+        assert_eq!(resps[0].body, "/create");
+        assert_eq!(resps[1].status, Status::Unavailable);
+        assert_eq!(
+            resps[1].transport_error(),
+            Some(TransportError::Unreachable)
+        );
+
+        // A body over the message cap after a good request: the good one
+        // is answered, then the connection drops.
+        let addr = t.listener_addr("creates.example").unwrap();
+        let mut wire = Vec::new();
+        let create = Request::new(Method::Post, "https://creates.example/create");
+        codec::encode_request_into(&mut wire, "tester", &create);
+        let over = format!(
+            "POST /create HTTP/1.1\r\nhost: creates.example\r\ncontent-length: {}\r\n\r\n",
+            MAX_MESSAGE_BYTES + 1
+        );
+        wire.extend_from_slice(over.as_bytes());
+        let back = String::from_utf8(exchange_raw(addr, &wire, None)).unwrap();
+        assert!(back.starts_with("HTTP/1.1 200 OK\r\n"), "{back:?}");
+        assert!(back.ends_with("\r\n\r\n/create"), "{back:?}");
+        assert_eq!(back.matches("HTTP/1.1").count(), 1, "{back:?}");
+        assert_eq!(creates.0.load(Ordering::SeqCst), 2);
+    }
+
+    /// Writes `wire` to a fresh connection to `addr`, in two writes split
+    /// at `cut` (with a pause between, so the server most likely reads
+    /// them apart), half-closes, and returns everything read back.
+    fn exchange_raw(addr: SocketAddr, wire: &[u8], cut: Option<usize>) -> Vec<u8> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.set_read_timeout(Some(SERVER_READ_TIMEOUT)).unwrap();
+        let cut = cut.unwrap_or(wire.len());
+        stream.write_all(&wire[..cut]).unwrap();
+        if 0 < cut && cut < wire.len() {
+            std::thread::sleep(Duration::from_micros(500));
+        }
+        stream.write_all(&wire[cut..]).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut back = Vec::new();
+        stream.read_to_end(&mut back).unwrap();
+        back
+    }
+
+    #[test]
+    fn a_pipelined_stride_split_anywhere_is_answered_in_order() {
+        const K: usize = 3;
+        let t = echo_transport();
+        let addr = t.listener_addr("echo.example").unwrap();
+        let (mut block, mut wire) = (Vec::new(), Vec::new());
+        for i in 0..K {
+            let req = Request::new(Method::Post, &format!("https://echo.example/s?p={i}"))
+                .with_body(format!("b{i}"));
+            codec::encode_request_into(&mut wire, "tester", &req);
+            block.extend_from_slice(&wire);
+        }
+        for cut in 0..=block.len() {
+            let back = exchange_raw(addr, &block, Some(cut));
+            let mut at = 0;
+            for i in 0..K {
+                let head_end = codec::find_head_end(&back, at).expect("a whole answer");
+                let head = codec::parse_head(&back[at..head_end]).unwrap();
+                let end = head_end + head.content_length().unwrap();
+                let resp = codec::build_response(&head, &back[head_end..end]).unwrap();
+                assert_eq!(
+                    resp.body,
+                    format!("POST /s body=b{i} p={i}"),
+                    "cut at {cut}"
+                );
+                at = end;
+            }
+            assert_eq!(at, back.len(), "cut at {cut}: more than {K} answers");
         }
     }
 

@@ -16,7 +16,10 @@
 #   other CPU no test reaches the kernel) and are skipped elsewhere;
 # * the message model (DESIGN.md §14): a packed field list's name
 #   compare, the decoder's last-duplicate-wins rule, and the escaper's
-#   reserved bytes.
+#   reserved bytes;
+# * the HTTP/1.1 head codec (DESIGN.md §15): the head terminator test,
+#   the refusal of a header line without a colon, the MAX_HEADERS cap,
+#   and the MAX_MESSAGE_BYTES cap on a declared content-length.
 #
 #   bash scripts/mutants.sh            # every mutant
 #   bash scripts/mutants.sh NAME...    # the named mutants only
@@ -38,6 +41,7 @@ routes='_answers_each_caller_as_pinned'
 core='crates/host/src/core.rs'
 sha='crates/umacrypto/src/sha.rs'
 fields='crates/webenv/src/fields.rs'
+codec='crates/webenv/src/codec.rs'
 
 # name @@ crate @@ killing test filter @@ file @@ line as written @@ line mutated
 MUTANTS=(
@@ -68,6 +72,11 @@ MUTANTS=(
   "fields-compare-lengths @@ ucam-webenv @@ names_are_compared_by_their_bytes_not_their_lengths @@ $fields @@ "'                && &self.buf.as_bytes()[start..name_end] == name.as_bytes() @@                 && true'
   "decoder-keeps-first-duplicate @@ ucam-webenv @@ last_value @@ $fields @@ "'            let later = order.get(i + 1).map(|&next| self.pair(next).0); @@             let later = i.checked_sub(1).map(|prev| self.pair(order[prev]).0);'
   "escaper-passes-percent-and-amp @@ ucam-webenv @@ the_escaper @@ crates/webenv/src/url.rs @@     matches!(b, b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~') @@     matches!(b, b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' | b'%' | b'&')"
+  # awk reads a row's two lines with escapes, so `\\r` stands for `\r`.
+  "head-end-bare-lf @@ ucam-webenv @@ find_head_end_needs_a_full_crlf_pair @@ $codec @@ "'        if buf[lf - 3..lf] == *b"\\r\\n\\r" { @@         if buf[lf - 2..lf] == *b"\\n\\r" {'
+  "header-without-colon-skipped @@ ucam-webenv @@ malformed_heads_fail_closed @@ $codec @@ "'            return Err("bad header"); @@             continue;'
+  "max-headers-lifted @@ ucam-webenv @@ malformed_heads_fail_closed @@ $codec @@ "'        if count == MAX_HEADERS { @@         if false {'
+  "content-length-uncapped @@ ucam-webenv @@ content_length_bounds @@ $codec @@ "'        if len > MAX_MESSAGE_BYTES { @@         if false {'
 )
 
 started=$(date +%s)

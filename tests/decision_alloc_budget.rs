@@ -364,7 +364,9 @@ fn decision_class_accesses_stay_within_their_allocation_budget() {
 
     // Before 0.23.0 packed the rings and keyed tier 2 by the digest, this
     // rig measured 62.0, 57.0, 20.0 and 287.8; before 0.24.0 packed each
-    // message part into one buffer, 34.0, 34.0, 9.0 and 224.8. The
+    // message part into one buffer, 34.0, 34.0, 9.0 and 224.8; before
+    // 0.25.0 copied the owner's name once per owner (not per token) and
+    // wrote a refusal's body once, 61.8 for a re-authorization. The
     // re-authorization mean moves by a tenth between runs: each run mints
     // other tokens, so the maps keyed by their digests rehash at other
     // points.
@@ -372,7 +374,7 @@ fn decision_class_accesses_stay_within_their_allocation_budget() {
         ("decision", decision, 16.0),
         ("revalidation", revalidation, 13.0),
         ("local hit", local, 3.0),
-        ("re-authorization", reauthorization, 62.0),
+        ("re-authorization", reauthorization, 59.0),
     ] {
         assert!(
             mean <= budget,
