@@ -8,12 +8,12 @@
 //! Every protocol-relevant event at the AM lands here. Experiment E13
 //! compares the correlation power of this log against per-host logs.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
-use ucam_policy::{Action, Outcome, PolicyId, ResourceRef};
+use ucam_policy::{Action, DenyReason, Outcome, PolicyId, ResourceRef};
+use ucam_webenv::{RecordFields, RecordRing};
 
 /// What kind of event an audit entry records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -276,129 +276,96 @@ pub(crate) struct AuditRecord<'a> {
     pub(crate) event: AuditEvent,
 }
 
-/// Bits of [`Slot::present`]: which optional text fields a record has.
+/// Bits of `AuditMeta::present`: which optional text fields a record
+/// has, and whether its host is its resource's (then kept once).
 const HOST: u8 = 1;
 const RESOURCE: u8 = 2;
 const REQUESTER: u8 = 4;
 const SUBJECT: u8 = 8;
+const RESOURCE_HOST: u8 = 16;
 
-/// How many times its record's needs a slot's buffers may hold before a
-/// refill gives the excess back. With [`SLOT_FLOOR`] this bounds a slot's
-/// text buffer by `4 × max(record text, 64)` bytes and its field ends by
-/// four times the record's field count.
-const SLOT_SLACK: usize = 4;
+/// `AuditMeta::action` of a record without an action: past every code
+/// [`Action::pack`] gives.
+const NO_ACTION: u8 = u8::MAX;
 
-/// The text capacity a slot always keeps, however short its record.
-const SLOT_FLOOR: usize = 64;
+/// The events a slot keeps as their index here. Every other event holds
+/// text of its own and is boxed beside the record.
+static CODED_EVENTS: [AuditEvent; 10] = [
+    AuditEvent::Decision {
+        outcome: Outcome::Permit,
+    },
+    AuditEvent::Decision {
+        outcome: Outcome::Deny(DenyReason::NoApplicablePolicy),
+    },
+    AuditEvent::Decision {
+        outcome: Outcome::Deny(DenyReason::ExplicitDeny),
+    },
+    AuditEvent::Decision {
+        outcome: Outcome::Deny(DenyReason::GeneralPolicyDeny),
+    },
+    AuditEvent::Decision {
+        outcome: Outcome::NotApplicable,
+    },
+    AuditEvent::Decision {
+        outcome: Outcome::RequiresConsent,
+    },
+    AuditEvent::TokenRequested { issued: true },
+    AuditEvent::TokenRequested { issued: false },
+    AuditEvent::Delegation { established: true },
+    AuditEvent::Delegation { established: false },
+];
 
-/// One retained record, packed. Its text fields sit back to back in one
-/// buffer the slot reuses, beside its small typed fields; at the cap a
-/// record overwrites its stripe's oldest slot in place, so recording
-/// allocates and frees nothing in steady state (DESIGN.md §13).
+/// A record's typed part in its ring slot, 32 bytes. Its text fields are
+/// the owner, host (empty when it is the resource's), resource host and
+/// id, requester, subject and a custom action's name (an absent one
+/// empty), then each policy id.
 #[derive(Debug)]
-struct Slot {
+struct AuditMeta {
     /// Global record order.
     seq: u64,
     /// Event time (simulated ms).
     at_ms: u64,
-    /// Owner, host, resource host, resource id, requester, subject, then
-    /// each policy id; an absent field is empty.
-    text: String,
-    /// Where each field of `text` ends, in that order.
-    ends: Vec<usize>,
-    /// Which of host, resource, requester and subject are present.
+    /// An event outside [`CODED_EVENTS`]; `None` for a coded one.
+    rare: Option<Box<AuditEvent>>,
+    /// The event's index in [`CODED_EVENTS`] when it is coded.
+    event: u8,
+    /// The `present` bits: [`HOST`], [`RESOURCE`], [`REQUESTER`],
+    /// [`SUBJECT`] and [`RESOURCE_HOST`].
     present: u8,
-    /// Action requested, when applicable.
-    action: Option<Action>,
-    /// The event itself.
-    event: AuditEvent,
+    /// The action as [`Action::pack`] packs it, or [`NO_ACTION`].
+    action: u8,
 }
 
-impl Slot {
-    /// A slot holding `record`.
-    fn new(seq: u64, record: AuditRecord<'_>) -> Self {
-        let mut slot = Slot {
-            seq,
-            at_ms: 0,
-            text: String::new(),
-            ends: Vec::new(),
-            present: 0,
-            action: None,
-            event: AuditEvent::Delegation { established: false },
-        };
-        slot.fill(seq, record);
-        slot
-    }
+/// One stripe: its records in 128-byte slots of 84 text bytes and ten
+/// fields, which the records the protocol makes fit (DESIGN.md §13).
+type Stripe = RecordRing<AuditMeta, 84, 10>;
 
-    /// Overwrites the slot with `record`, reusing its buffers; one that
-    /// holds more than [`SLOT_SLACK`] times the record's needs gives the
-    /// excess back first.
-    fn fill(&mut self, seq: u64, record: AuditRecord<'_>) {
-        let resource = record.resource;
-        let fields = [
-            Some(record.owner),
-            record.host,
-            resource.map(|r| r.host.as_str()),
-            resource.map(|r| r.id.as_str()),
-            record.requester,
-            record.subject,
-        ];
-        let policies = record.policies.into_iter().flatten().map(PolicyId::as_str);
-        let texts = fields.into_iter().map(|f| f.unwrap_or("")).chain(policies);
-        let len: usize = texts.clone().map(str::len).sum();
-        let count = texts.clone().count();
-        self.text.clear();
-        if self.text.capacity() > SLOT_SLACK * len.max(SLOT_FLOOR) {
-            self.text.shrink_to(len.max(SLOT_FLOOR));
-        }
-        self.text.reserve_exact(len);
-        self.ends.clear();
-        if self.ends.capacity() > SLOT_SLACK * count {
-            self.ends.shrink_to(count);
-        }
-        self.ends.reserve_exact(count);
-        for text in texts {
-            self.text.push_str(text);
-            self.ends.push(self.text.len());
-        }
-        self.seq = seq;
-        self.at_ms = record.at_ms;
-        self.present = [
-            (record.host.is_some(), HOST),
-            (resource.is_some(), RESOURCE),
-            (record.requester.is_some(), REQUESTER),
-            (record.subject.is_some(), SUBJECT),
-        ]
-        .into_iter()
-        .filter_map(|(set, bit)| set.then_some(bit))
-        .fold(0, |bits, bit| bits | bit);
-        self.action = record.action.cloned();
-        self.event = record.event;
-    }
-
-    /// Rebuilds the entry the slot holds, exactly as it was recorded.
-    fn entry(&self) -> AuditEntry {
-        let mut start = 0;
-        let mut fields = self.ends.iter().map(|&end| {
-            let field = &self.text[start..end];
-            start = end;
-            field
-        });
-        let mut next = || fields.next().unwrap_or_default();
-        let (owner, host, resource_host, resource_id) = (next(), next(), next(), next());
-        let (requester, subject) = (next(), next());
-        let has = |bit: u8| self.present & bit != 0;
-        AuditEntry {
-            at_ms: self.at_ms,
-            owner: owner.to_owned(),
-            host: has(HOST).then(|| host.to_owned()),
-            resource: has(RESOURCE).then(|| ResourceRef::new(resource_host, resource_id)),
-            requester: has(REQUESTER).then(|| requester.to_owned()),
-            subject: has(SUBJECT).then(|| subject.to_owned()),
-            action: self.action.clone(),
-            policies: fields.map(PolicyId::from).collect(),
-            event: self.event.clone(),
-        }
+/// Rebuilds the entry a stripe holds, exactly as it was recorded.
+fn entry(meta: &AuditMeta, mut fields: RecordFields<'_>) -> AuditEntry {
+    let mut next = || fields.next().unwrap_or_default();
+    let (owner, host, resource_host, resource_id) = (next(), next(), next(), next());
+    let (requester, subject, custom) = (next(), next(), next());
+    let has = |bit: u8| meta.present & bit != 0;
+    let host = if has(RESOURCE_HOST) {
+        resource_host
+    } else {
+        host
+    };
+    let action = (meta.action != NO_ACTION).then(|| Action::unpack(meta.action, custom));
+    let event = match &meta.rare {
+        Some(rare) => AuditEvent::clone(rare),
+        None => CODED_EVENTS[usize::from(meta.event)].clone(),
+    };
+    AuditEntry {
+        at_ms: meta.at_ms,
+        owner: owner.to_owned(),
+        host: has(HOST).then(|| host.to_owned()),
+        resource: has(RESOURCE).then(|| ResourceRef::new(resource_host, resource_id)),
+        requester: has(REQUESTER).then(|| requester.to_owned()),
+        subject: has(SUBJECT).then(|| subject.to_owned()),
+        action,
+        policies: fields.map(PolicyId::from).collect(),
+        event,
     }
 }
 
@@ -409,19 +376,19 @@ impl Slot {
 /// [`AuditHub::record`] takes a global sequence number (one atomic
 /// fetch-add) and appends to the stripe the sequence lands on; readers
 /// call [`AuditHub::snapshot`] to merge the stripes back into one
-/// [`AuditLog`] in exact record order. Each stripe is a ring of packed
-/// slots: at the cap a record overwrites the stripe's oldest slot in
-/// place. Recording scales with the stripe count; snapshotting is
-/// O(n log n) and meant for observability, not for per-request work
-/// (DESIGN.md §13).
+/// [`AuditLog`] in exact record order. Each stripe is a [`RecordRing`]:
+/// a record packs into one slot, and at the stripe's share of the cap it
+/// overwrites the stripe's oldest slot in place. Recording scales with
+/// the stripe count; snapshotting is O(n log n) and meant for
+/// observability, not for per-request work (DESIGN.md §13).
 #[derive(Debug, Default)]
 pub struct AuditHub {
-    stripes: [Mutex<VecDeque<Slot>>; AUDIT_STRIPES],
+    stripes: [Mutex<Stripe>; AUDIT_STRIPES],
     seq: AtomicU64,
     /// Total retained-entry cap, 0 = unbounded. Million-entity runs set
-    /// this so the log is a ring, not a leak; eviction is oldest-first
-    /// per stripe, which round-robin assignment makes globally
-    /// approximately oldest-first.
+    /// this so the log is a ring, not a leak. The stripes' shares sum to
+    /// it; eviction is oldest-first per stripe, which round-robin
+    /// assignment makes globally approximately oldest-first.
     cap: AtomicUsize,
 }
 
@@ -432,9 +399,10 @@ impl AuditHub {
         AuditHub::default()
     }
 
-    /// Bounds the total retained entries (0 = unbounded). Dropping old
-    /// entries only narrows the observability window; ground truth for
-    /// decisions lives in the policy store, not here.
+    /// Bounds the total retained entries (0 = unbounded): a full hub
+    /// holds exactly `cap`. Dropping old entries only narrows the
+    /// observability window; ground truth for decisions lives in the
+    /// policy store, not here.
     pub fn set_cap(&self, cap: usize) {
         self.cap.store(cap, Ordering::Relaxed);
     }
@@ -465,32 +433,55 @@ impl AuditHub {
         });
     }
 
-    /// Packs `record` into the stripe its global sequence number lands on:
-    /// into the stripe's oldest slot when the stripe is at its share of
-    /// the cap (a lowered cap first drops the slots past it), else into a
-    /// new one.
+    /// Packs `record` into the stripe its global sequence number lands on,
+    /// which keeps its share of the cap: `cap / 8`, one more for the
+    /// first `cap % 8` stripes.
     pub(crate) fn append(&self, record: AuditRecord<'_>) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut stripe = self.stripes[(seq as usize) % AUDIT_STRIPES].lock();
-        let cap = self.cap.load(Ordering::Relaxed);
-        let oldest = if cap > 0 {
-            let per_stripe = (cap / AUDIT_STRIPES).max(1);
-            let excess = stripe.len().saturating_sub(per_stripe);
-            stripe.drain(..excess);
-            (stripe.len() == per_stripe)
-                .then(|| stripe.pop_front())
-                .flatten()
-        } else {
-            None
+        let stripe = (seq as usize) % AUDIT_STRIPES;
+        let share = match self.cap.load(Ordering::Relaxed) {
+            0 => usize::MAX,
+            cap => cap / AUDIT_STRIPES + usize::from(stripe < cap % AUDIT_STRIPES),
         };
-        let slot = match oldest {
-            Some(mut slot) => {
-                slot.fill(seq, record);
-                slot
-            }
-            None => Slot::new(seq, record),
+        let (action, custom) = record.action.map_or((NO_ACTION, ""), Action::pack);
+        let resource = record.resource;
+        let resource_host = resource.map(|r| r.host.as_str());
+        let same_host = record.host.is_some() && record.host == resource_host;
+        let present = [
+            (record.host.is_some(), HOST),
+            (resource.is_some(), RESOURCE),
+            (record.requester.is_some(), REQUESTER),
+            (record.subject.is_some(), SUBJECT),
+            (same_host, RESOURCE_HOST),
+        ]
+        .into_iter()
+        .fold(0, |bits, (set, bit)| if set { bits | bit } else { bits });
+        let fields = [
+            Some(record.owner),
+            record.host.filter(|_| !same_host),
+            resource_host,
+            resource.map(|r| r.id.as_str()),
+            record.requester,
+            record.subject,
+            Some(custom),
+        ];
+        let policies = record.policies.into_iter().flatten().map(PolicyId::as_str);
+        let (event, rare) = match CODED_EVENTS.iter().position(|e| *e == record.event) {
+            Some(code) => (code as u8, None),
+            None => (0, Some(Box::new(record.event))),
         };
-        stripe.push_back(slot);
+        let meta = AuditMeta {
+            seq,
+            at_ms: record.at_ms,
+            rare,
+            event,
+            present,
+            action,
+        };
+        let texts = fields.into_iter().map(Option::unwrap_or_default);
+        self.stripes[stripe]
+            .lock()
+            .push(share, meta, texts.chain(policies));
     }
 
     /// Entries recorded so far (retained, across all stripes).
@@ -510,7 +501,12 @@ impl AuditHub {
     pub fn snapshot(&self) -> AuditLog {
         let mut stamped: Vec<(u64, AuditEntry)> = Vec::with_capacity(self.len());
         for stripe in &self.stripes {
-            stamped.extend(stripe.lock().iter().map(|slot| (slot.seq, slot.entry())));
+            let stripe = stripe.lock();
+            stamped.extend(
+                stripe
+                    .iter()
+                    .map(|(meta, fields)| (meta.seq, entry(meta, fields))),
+            );
         }
         stamped.sort_by_key(|(seq, _)| *seq);
         let mut log = AuditLog::new();
@@ -525,7 +521,8 @@ impl AuditHub {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use ucam_policy::{ClaimRequirement, DenyReason};
+    use std::collections::VecDeque;
+    use ucam_policy::ClaimRequirement;
 
     /// Draws the parts of a generated entry from one seed (splitmix64).
     struct Draw(u64);
@@ -558,7 +555,7 @@ mod tests {
     /// An entry drawn from `seed`: every event and outcome variant, custom
     /// actions, absent and present optional fields (a host that is not
     /// the resource's among them), texts empty, short and 1 KiB long, and
-    /// zero to three policies.
+    /// zero to three or twelve policies.
     fn entry_of(seed: u64, at_ms: u64) -> AuditEntry {
         let mut d = Draw(seed);
         let outcome = match d.pick(8) {
@@ -605,8 +602,19 @@ mod tests {
             requester: d.opt('q'),
             subject: d.opt('s'),
             action,
-            policies: (0..d.pick(4)).map(|_| PolicyId(d.text('p'))).collect(),
+            policies: (0..[0, 1, 2, 3, 12][d.pick(5) as usize])
+                .map(|_| PolicyId(d.text('p')))
+                .collect(),
             event,
+        }
+    }
+
+    /// Stripe `stripe`'s share of `cap` (0 = unbounded): the shares sum
+    /// to the cap.
+    fn share(cap: usize, stripe: usize) -> usize {
+        match cap {
+            0 => usize::MAX,
+            cap => cap / AUDIT_STRIPES + usize::from(stripe < cap % AUDIT_STRIPES),
         }
     }
 
@@ -623,13 +631,11 @@ mod tests {
         fn record(&mut self, entry: AuditEntry) {
             let seq = self.seq;
             self.seq += 1;
-            let stripe = &mut self.stripes[(seq as usize) % AUDIT_STRIPES];
+            let at = (seq as usize) % AUDIT_STRIPES;
+            let stripe = &mut self.stripes[at];
             stripe.push_back((seq, entry));
-            if self.cap > 0 {
-                let per_stripe = (self.cap / AUDIT_STRIPES).max(1);
-                while stripe.len() > per_stripe {
-                    stripe.pop_front();
-                }
+            while stripe.len() > share(self.cap, at) {
+                stripe.pop_front();
             }
         }
 
@@ -656,73 +662,188 @@ mod tests {
         ) {
             let hub = AuditHub::new();
             let mut unpacked = Unpacked { cap, ..Unpacked::default() };
+            let slots = slot_ring::SlotHub::default();
             hub.set_cap(cap);
+            slots.set_cap(cap);
             for (at_ms, (op, seed)) in (0..).zip(ops) {
                 let entry = entry_of(seed, at_ms);
+                let split = (seed as usize) % (entry.policies.len() + 1);
+                let (general, specific) = entry.policies.split_at(split);
+                let record = || AuditRecord {
+                    at_ms: entry.at_ms,
+                    owner: &entry.owner,
+                    host: entry.host.as_deref(),
+                    resource: entry.resource.as_ref(),
+                    requester: entry.requester.as_deref(),
+                    subject: entry.subject.as_deref(),
+                    action: entry.action.as_ref(),
+                    policies: [general, specific],
+                    event: entry.event.clone(),
+                };
                 match op {
                     0 => {
-                        let lowered = 1 + (seed % 40) as usize;
-                        hub.set_cap(lowered);
-                        unpacked.cap = lowered;
+                        // Lowered, or raised past what the stripes hold.
+                        let moved = 1 + (seed % 60) as usize;
+                        hub.set_cap(moved);
+                        slots.set_cap(moved);
+                        unpacked.cap = moved;
                     }
                     1..=5 => hub.record(entry.clone()),
-                    _ => {
-                        let split = (seed as usize) % (entry.policies.len() + 1);
-                        let (general, specific) = entry.policies.split_at(split);
-                        hub.append(AuditRecord {
-                            at_ms: entry.at_ms,
-                            owner: &entry.owner,
-                            host: entry.host.as_deref(),
-                            resource: entry.resource.as_ref(),
-                            requester: entry.requester.as_deref(),
-                            subject: entry.subject.as_deref(),
-                            action: entry.action.as_ref(),
-                            policies: [general, specific],
-                            event: entry.event.clone(),
-                        });
-                    }
+                    _ => hub.append(record()),
                 }
                 if op != 0 {
-                    unpacked.record(entry);
+                    slots.append(record());
+                    unpacked.record(entry.clone());
                 }
             }
             prop_assert_eq!(hub.snapshot().entries(), unpacked.entries().as_slice());
             prop_assert_eq!(hub.len(), unpacked.entries().len());
+            prop_assert_eq!(hub.snapshot().entries(), slots.snapshot().as_slice());
         }
     }
 
-    /// A slot that held a long record gives the excess back when a short
-    /// one overwrites it: no buffer keeps more than [`SLOT_SLACK`] times
-    /// what its record needs (the text never less than [`SLOT_FLOOR`]).
+    /// A full hub keeps exactly its cap, however the cap divides among
+    /// the stripes, and keeps the newest records of each stripe.
     #[test]
-    fn a_slot_gives_back_what_a_long_record_left() {
-        let hub = AuditHub::new();
-        hub.set_cap(AUDIT_STRIPES);
-        let many: Vec<PolicyId> = (0..500).map(|i| PolicyId(i.to_string())).collect();
-        for at in 0..AUDIT_STRIPES as u64 {
-            let long = "x".repeat(64 * 1024);
-            hub.record(
-                AuditEntry::new(at, &long, AuditEvent::TokenRequested { issued: true })
-                    .with_policies(many.clone()),
-            );
+    fn a_full_hub_keeps_exactly_its_cap() {
+        for cap in [1, 3, 7, 12, 4_095, 4_096] {
+            let hub = AuditHub::new();
+            hub.set_cap(cap);
+            let recorded = 2 * cap as u64 + 50;
+            for at in 0..recorded {
+                hub.record(decision("bob", "h1", "req-a", true, at));
+            }
+            assert_eq!(hub.len(), cap, "cap {cap}");
+            let times: Vec<u64> = hub.snapshot().entries().iter().map(|e| e.at_ms).collect();
+            assert_eq!(times.len(), cap, "cap {cap}");
+            let newest = (recorded - AUDIT_STRIPES as u64..recorded).filter(|at| {
+                (*at as usize % AUDIT_STRIPES) < cap % AUDIT_STRIPES || cap >= AUDIT_STRIPES
+            });
+            for at in newest {
+                assert!(times.contains(&at), "cap {cap}: record {at} dropped");
+            }
         }
-        for at in 0..AUDIT_STRIPES as u64 {
-            hub.record(decision("bob", "h1", "req-a", true, at));
+    }
+
+    /// The audit ring as 0.25.0 packed it, one slot of reused buffers per
+    /// record, with the hub's stripe shares: the reference the ring slots
+    /// must return the same log as.
+    mod slot_ring {
+        use super::*;
+
+        #[derive(Default)]
+        pub(super) struct SlotHub {
+            stripes: [Mutex<VecDeque<Slot>>; AUDIT_STRIPES],
+            seq: AtomicU64,
+            cap: AtomicUsize,
         }
-        for stripe in &hub.stripes {
-            for slot in stripe.lock().iter() {
-                let (text, ends) = (&slot.text, &slot.ends);
-                assert!(text.len() < 64, "{}", text.len());
-                assert!(
-                    text.capacity() <= SLOT_SLACK * text.len().max(SLOT_FLOOR),
-                    "{}",
-                    text.capacity()
-                );
-                assert!(
-                    ends.capacity() <= SLOT_SLACK * ends.len(),
-                    "{}",
-                    ends.capacity()
-                );
+
+        struct Slot {
+            seq: u64,
+            at_ms: u64,
+            text: String,
+            ends: Vec<usize>,
+            present: u8,
+            action: Option<Action>,
+            event: AuditEvent,
+        }
+
+        impl Slot {
+            fn fill(&mut self, seq: u64, record: AuditRecord<'_>) {
+                let resource = record.resource;
+                let fields = [
+                    Some(record.owner),
+                    record.host,
+                    resource.map(|r| r.host.as_str()),
+                    resource.map(|r| r.id.as_str()),
+                    record.requester,
+                    record.subject,
+                ];
+                let policies = record.policies.into_iter().flatten().map(PolicyId::as_str);
+                self.text.clear();
+                self.ends.clear();
+                for text in fields.into_iter().map(|f| f.unwrap_or("")).chain(policies) {
+                    self.text.push_str(text);
+                    self.ends.push(self.text.len());
+                }
+                self.seq = seq;
+                self.at_ms = record.at_ms;
+                self.present = [
+                    (record.host.is_some(), HOST),
+                    (resource.is_some(), RESOURCE),
+                    (record.requester.is_some(), REQUESTER),
+                    (record.subject.is_some(), SUBJECT),
+                ]
+                .into_iter()
+                .filter_map(|(set, bit)| set.then_some(bit))
+                .fold(0, |bits, bit| bits | bit);
+                self.action = record.action.cloned();
+                self.event = record.event;
+            }
+
+            fn entry(&self) -> AuditEntry {
+                let mut start = 0;
+                let mut fields = self.ends.iter().map(|&end| {
+                    let field = &self.text[start..end];
+                    start = end;
+                    field
+                });
+                let mut next = || fields.next().unwrap_or_default();
+                let (owner, host, resource_host, resource_id) = (next(), next(), next(), next());
+                let (requester, subject) = (next(), next());
+                let has = |bit: u8| self.present & bit != 0;
+                AuditEntry {
+                    at_ms: self.at_ms,
+                    owner: owner.to_owned(),
+                    host: has(HOST).then(|| host.to_owned()),
+                    resource: has(RESOURCE).then(|| ResourceRef::new(resource_host, resource_id)),
+                    requester: has(REQUESTER).then(|| requester.to_owned()),
+                    subject: has(SUBJECT).then(|| subject.to_owned()),
+                    action: self.action.clone(),
+                    policies: fields.map(PolicyId::from).collect(),
+                    event: self.event.clone(),
+                }
+            }
+        }
+
+        impl SlotHub {
+            pub(super) fn set_cap(&self, cap: usize) {
+                self.cap.store(cap, Ordering::Relaxed);
+            }
+
+            pub(super) fn append(&self, record: AuditRecord<'_>) {
+                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+                let at = (seq as usize) % AUDIT_STRIPES;
+                let mut stripe = self.stripes[at].lock();
+                let share = share(self.cap.load(Ordering::Relaxed), at);
+                let excess = stripe.len().saturating_sub(share);
+                stripe.drain(..excess);
+                if share == 0 {
+                    return;
+                }
+                let oldest = (stripe.len() == share)
+                    .then(|| stripe.pop_front())
+                    .flatten();
+                let mut slot = oldest.unwrap_or_else(|| Slot {
+                    seq,
+                    at_ms: 0,
+                    text: String::new(),
+                    ends: Vec::new(),
+                    present: 0,
+                    action: None,
+                    event: AuditEvent::Delegation { established: false },
+                });
+                slot.fill(seq, record);
+                stripe.push_back(slot);
+            }
+
+            pub(super) fn snapshot(&self) -> Vec<AuditEntry> {
+                let mut stamped: Vec<(u64, AuditEntry)> = Vec::new();
+                for stripe in &self.stripes {
+                    stamped.extend(stripe.lock().iter().map(|slot| (slot.seq, slot.entry())));
+                }
+                stamped.sort_by_key(|(seq, _)| *seq);
+                stamped.into_iter().map(|(_, entry)| entry).collect()
             }
         }
     }

@@ -31,8 +31,8 @@ use parking_lot::{Mutex, RwLock};
 
 use ucam_policy::{AccessRequest, AclMatrix, Action, EvalContext, Outcome};
 use ucam_webenv::{
-    protocol, BatchItem, Counters, DecisionBody, Request, Response, RetryPolicy, SimClock, Status,
-    Transport, TransportError, Url,
+    protocol, BatchItem, Counters, DecisionBody, RecordFields, RecordRing, Request, Response,
+    RetryPolicy, SimClock, Status, Transport, TransportError, Url,
 };
 
 /// A stored Web resource.
@@ -68,14 +68,6 @@ pub const DEFAULT_DECISION_CACHE_CAPACITY: usize = 1024;
 /// first. A long-running Host's log stays bounded, as the AM's audit log
 /// does.
 const HOST_LOG_CAP: usize = 4096;
-
-/// How many times its record's text a log slot's buffer may hold before
-/// a refill gives the excess back; with [`LOG_SLOT_FLOOR`] this bounds a
-/// slot's buffer by `4 × max(record text, 64)` bytes.
-const LOG_SLOT_SLACK: usize = 4;
-
-/// The text capacity a log slot always keeps, however short its record.
-const LOG_SLOT_FLOOR: usize = 64;
 
 /// Circuit breaker configuration for the Host→AM decision channel.
 ///
@@ -267,63 +259,20 @@ pub struct HostLogEntry {
     pub via: DecisionPath,
 }
 
-/// One access-log record, packed: requester and resource id back to back
-/// in one buffer the slot reuses, beside the record's typed fields. At
-/// the cap a record overwrites the oldest slot in place, so logging
-/// allocates and frees nothing in steady state.
+/// An access-log record's typed part in its ring slot. Its text fields
+/// are the requester, the resource id and a custom action's name.
 #[derive(Debug)]
-struct LogSlot {
+struct LogMeta {
     at_ms: u64,
-    /// The requester, then the resource id.
-    text: String,
-    /// Where the requester ends in `text`.
-    requester_end: usize,
-    action: Action,
+    /// The action as [`Action::pack`] packs it.
+    action: u8,
     granted: bool,
     via: DecisionPath,
 }
 
-impl LogSlot {
-    /// Overwrites the slot with one record, reusing its buffer; a buffer
-    /// holding more than [`LOG_SLOT_SLACK`] times the record's text gives
-    /// the excess back first.
-    fn fill(
-        &mut self,
-        at_ms: u64,
-        requester: &str,
-        resource_id: &str,
-        action: &Action,
-        granted: bool,
-        via: DecisionPath,
-    ) {
-        let len = requester.len() + resource_id.len();
-        self.text.clear();
-        if self.text.capacity() > LOG_SLOT_SLACK * len.max(LOG_SLOT_FLOOR) {
-            self.text.shrink_to(len.max(LOG_SLOT_FLOOR));
-        }
-        self.text.reserve_exact(len);
-        self.text.push_str(requester);
-        self.requester_end = self.text.len();
-        self.text.push_str(resource_id);
-        self.at_ms = at_ms;
-        self.action.clone_from(action);
-        self.granted = granted;
-        self.via = via;
-    }
-
-    /// Rebuilds the entry the slot holds.
-    fn entry(&self) -> HostLogEntry {
-        let (requester, resource_id) = self.text.split_at(self.requester_end);
-        HostLogEntry {
-            at_ms: self.at_ms,
-            requester: requester.to_owned(),
-            resource_id: resource_id.to_owned(),
-            action: self.action.clone(),
-            granted: self.granted,
-            via: self.via,
-        }
-    }
-}
+/// The access log: its records in 64-byte slots of 43 text bytes and
+/// three fields, which the records the protocol makes fit (DESIGN.md §13).
+type AccessLog = RecordRing<LogMeta, 43, 3>;
 
 /// How the PEP reached its verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1242,7 +1191,7 @@ pub struct HostCore {
     permits: RwLock<PermitStore>,
     /// Host-local access log, separate from both of the above: a ring of
     /// the newest [`HOST_LOG_CAP`] entries, packed.
-    log: Mutex<VecDeque<LogSlot>>,
+    log: Mutex<AccessLog>,
     /// Lock-free PEP counters: the enforcement hot path bumps these
     /// without touching any lock the resources or the permits are behind.
     stats: Counters<PEP_CELLS>,
@@ -1281,7 +1230,7 @@ impl HostCore {
             clock,
             state: RwLock::new(HostState::default()),
             permits: RwLock::new(PermitStore::new()),
-            log: Mutex::new(VecDeque::new()),
+            log: Mutex::new(AccessLog::new()),
             stats: Counters::new(),
             resilience: RwLock::new(ResilienceConfig::default()),
             breaker_states: Mutex::new(HashMap::new()),
@@ -1601,7 +1550,20 @@ impl HostCore {
     /// entries (at most 4,096), oldest first.
     #[must_use]
     pub fn log(&self) -> Vec<HostLogEntry> {
-        self.log.lock().iter().map(LogSlot::entry).collect()
+        let log = self.log.lock();
+        let entry = |(meta, mut fields): (&LogMeta, RecordFields<'_>)| {
+            let mut next = || fields.next().unwrap_or_default().to_owned();
+            let (requester, resource_id, custom) = (next(), next(), next());
+            HostLogEntry {
+                at_ms: meta.at_ms,
+                requester,
+                resource_id,
+                action: Action::unpack(meta.action, &custom),
+                granted: meta.granted,
+                via: meta.via,
+            }
+        };
+        log.iter().map(entry).collect()
     }
 
     // -- resource store ------------------------------------------------------
@@ -2403,22 +2365,15 @@ impl HostCore {
         granted: bool,
         via: DecisionPath,
     ) {
-        let mut log = self.log.lock();
-        let oldest = if log.len() == HOST_LOG_CAP {
-            log.pop_front()
-        } else {
-            None
-        };
-        let mut slot = oldest.unwrap_or_else(|| LogSlot {
+        let (action, custom) = action.pack();
+        let meta = LogMeta {
             at_ms,
-            text: String::new(),
-            requester_end: 0,
-            action: Action::Read,
+            action,
             granted,
             via,
-        });
-        slot.fill(at_ms, requester, resource_id, action, granted, via);
-        log.push_back(slot);
+        };
+        let fields = [requester, resource_id, custom];
+        self.log.lock().push(HOST_LOG_CAP, meta, fields);
     }
 }
 
@@ -4028,10 +3983,62 @@ mod tests {
         }
     }
 
+    /// The access log as 0.25.0 packed it: one slot of a reused buffer
+    /// per record, in a queue of the newest [`HOST_LOG_CAP`]. The
+    /// reference the ring slots must return the same log as.
+    #[derive(Default)]
+    struct SlotLog(VecDeque<LogSlot>);
+
+    struct LogSlot {
+        at_ms: u64,
+        text: String,
+        requester_end: usize,
+        action: Action,
+        granted: bool,
+        via: DecisionPath,
+    }
+
+    impl SlotLog {
+        fn record(&mut self, e: &HostLogEntry) {
+            let oldest = (self.0.len() == HOST_LOG_CAP).then(|| self.0.pop_front());
+            let mut slot = oldest.flatten().unwrap_or_else(|| LogSlot {
+                at_ms: 0,
+                text: String::new(),
+                requester_end: 0,
+                action: Action::Read,
+                granted: false,
+                via: DecisionPath::Refused,
+            });
+            slot.text.clear();
+            slot.text.push_str(&e.requester);
+            slot.requester_end = slot.text.len();
+            slot.text.push_str(&e.resource_id);
+            slot.at_ms = e.at_ms;
+            slot.action.clone_from(&e.action);
+            (slot.granted, slot.via) = (e.granted, e.via);
+            self.0.push_back(slot);
+        }
+
+        fn log(&self) -> Vec<HostLogEntry> {
+            let entry = |slot: &LogSlot| {
+                let (requester, resource_id) = slot.text.split_at(slot.requester_end);
+                HostLogEntry {
+                    at_ms: slot.at_ms,
+                    requester: requester.to_owned(),
+                    resource_id: resource_id.to_owned(),
+                    action: slot.action.clone(),
+                    granted: slot.granted,
+                    via: slot.via,
+                }
+            };
+            self.0.iter().map(entry).collect()
+        }
+    }
+
     proptest::proptest! {
         /// The packed log returns exactly the newest [`HOST_LOG_CAP`]
-        /// records it was given, oldest first, as an unpacked ring would,
-        /// whether or not it ever wrapped.
+        /// records it was given, oldest first, as an unpacked ring and
+        /// the 0.25.0 slot ring would, whether or not it ever wrapped.
         #[test]
         fn the_packed_access_log_returns_exactly_what_it_was_given(
             records in 0..HOST_LOG_CAP + 300,
@@ -4039,48 +4046,18 @@ mod tests {
         ) {
             let h = host();
             let mut unpacked = VecDeque::new();
+            let mut slots = SlotLog::default();
             for at_ms in 0..records as u64 {
                 let e = log_entry_of(seed ^ at_ms, at_ms);
                 h.record(e.at_ms, &e.requester, &e.resource_id, &e.action, e.granted, e.via);
+                slots.record(&e);
                 if unpacked.len() == HOST_LOG_CAP {
                     unpacked.pop_front();
                 }
                 unpacked.push_back(e);
             }
             proptest::prop_assert_eq!(h.log(), Vec::from(unpacked));
-        }
-    }
-
-    /// A log slot that held a long record gives the excess back when a
-    /// short one overwrites it: no slot keeps more than [`LOG_SLOT_SLACK`]
-    /// times its record's text (never less than [`LOG_SLOT_FLOOR`]).
-    #[test]
-    fn a_log_slot_gives_back_what_a_long_record_left() {
-        let h = host();
-        let long = "x".repeat(64 * 1024);
-        for at_ms in 0..2 * HOST_LOG_CAP as u64 {
-            let requester = if at_ms < HOST_LOG_CAP as u64 {
-                &long
-            } else {
-                "req"
-            };
-            h.record(
-                at_ms,
-                requester,
-                "r1",
-                &Action::Read,
-                true,
-                DecisionPath::Cache,
-            );
-        }
-        for slot in h.log.lock().iter() {
-            let text = &slot.text;
-            assert_eq!(text.len(), "reqr1".len());
-            assert!(
-                text.capacity() <= LOG_SLOT_SLACK * text.len().max(LOG_SLOT_FLOOR),
-                "{}",
-                text.capacity()
-            );
+            proptest::prop_assert_eq!(h.log(), slots.log());
         }
     }
 

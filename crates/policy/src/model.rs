@@ -102,6 +102,29 @@ impl Action {
         Action::List,
         Action::Share,
     ];
+
+    /// The action as a log record packs it: its index in
+    /// [`Action::BUILTIN`] with no name, or `BUILTIN.len()` with a custom
+    /// action's name. [`Action::unpack`] reverses it.
+    #[must_use]
+    pub fn pack(&self) -> (u8, &str) {
+        let code = match self {
+            Action::Read => 0,
+            Action::Write => 1,
+            Action::Delete => 2,
+            Action::List => 3,
+            Action::Share => 4,
+            Action::Custom(name) => return (Action::BUILTIN.len() as u8, name),
+        };
+        (code, "")
+    }
+
+    /// The action [`Action::pack`] packed as `code` and `name`.
+    #[must_use]
+    pub fn unpack(code: u8, name: &str) -> Action {
+        let builtin = Action::BUILTIN.get(usize::from(code)).cloned();
+        builtin.unwrap_or_else(|| Action::Custom(name.to_owned()))
+    }
 }
 
 impl fmt::Display for Action {
@@ -510,6 +533,20 @@ mod tests {
             ResourceRef::new("h.example", "a/b").to_string(),
             "h.example/a/b"
         );
+    }
+
+    /// Every built-in action packs to its index in `BUILTIN`, and every
+    /// action unpacks to itself, a custom one named like a built-in too.
+    #[test]
+    fn actions_pack_and_unpack_to_themselves() {
+        for (code, action) in Action::BUILTIN.iter().enumerate() {
+            assert_eq!(action.pack(), (code as u8, ""));
+        }
+        let customs = ["", "print", "read"].map(|name| Action::Custom(name.to_owned()));
+        for action in Action::BUILTIN.iter().chain(&customs) {
+            let (code, name) = action.pack();
+            assert_eq!(&Action::unpack(code, name), action);
+        }
     }
 
     #[test]

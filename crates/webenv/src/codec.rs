@@ -161,6 +161,13 @@ fn push_encoded(out: &mut Vec<u8>, s: &str) {
 /// the final header. The target authority is the request URL's.
 pub fn encode_request_into(out: &mut Vec<u8>, from: &str, req: &Request) {
     out.clear();
+    append_request(out, from, req);
+}
+
+/// Appends `req` as [`encode_request_into`] serializes it after whatever
+/// `out` already holds, so a pipelined group encodes each request
+/// straight into its batch.
+pub(crate) fn append_request(out: &mut Vec<u8>, from: &str, req: &Request) {
     out.extend_from_slice(method_str(req.method).as_bytes());
     out.push(b' ');
     out.extend_from_slice(req.url.path().as_bytes());

@@ -18,16 +18,18 @@
 //! * **Client**: one persistent connection per `(thread, transport,
 //!   authority)`, found by a linear scan of a thread-local vector (no
 //!   locks, no hashing, no allocation on the warm path), with the read
-//!   timeout applied only when it changes. Requests serialize into a
-//!   reused thread-local buffer; responses parse out of a reused read
-//!   buffer via the codec's borrowed-slice head parser.
+//!   timeout applied only when it changes. Requests serialize straight
+//!   into a reused thread-local batch buffer; responses parse out of a
+//!   reused read buffer via the codec's borrowed-slice head parser.
 //! * **Pipelining**: [`Transport::dispatch_pipelined`] groups a batch by
 //!   authority and writes each group's requests as one buffered block on
 //!   the persistent connection, then reads the N responses back; a
 //!   single dispatch is a one-request batch. Message accounting and
 //!   trace events are committed per request, in input order, exactly as
 //!   N sequential dispatches would have — batching is invisible to
-//!   everything but the wall clock.
+//!   everything but the wall clock. An exchange's `bytes_on_wire` are
+//!   the bytes it moved: its request's span in the batch written and its
+//!   response's span in the bytes read.
 //!
 //! No external HTTP stack, no async runtime, no new dependencies.
 //!
@@ -138,10 +140,10 @@ struct ClientConn {
 /// encode/read buffers that make the steady state allocation-free.
 struct ClientState {
     conns: Vec<ClientConn>,
-    /// One encoded request (reused per request).
-    wire: Vec<u8>,
     /// A pipelined group's worth of encoded requests.
     batch: Vec<u8>,
+    /// Each request's length in `batch`, in order.
+    sent: Vec<usize>,
     /// Fixed read chunk (boxed so the thread-local stays small).
     chunk: Box<[u8]>,
 }
@@ -150,8 +152,8 @@ thread_local! {
     /// This thread's persistent connections and codec scratch buffers.
     static CLIENT: RefCell<ClientState> = RefCell::new(ClientState {
         conns: Vec::new(),
-        wire: Vec::new(),
         batch: Vec::new(),
+        sent: Vec::new(),
         chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
     });
 
@@ -372,9 +374,10 @@ impl HttpTransport {
 
     /// Sends one authority's slice of a batch: every request encoded
     /// back-to-back into one buffered write, then the responses read
-    /// back in order. Returns exactly `ixs.len()` responses. The warm
-    /// path — a cached healthy connection — touches no locks at all: it
-    /// never consults the route table.
+    /// back in order. Returns exactly `ixs.len()` responses, each with the
+    /// bytes its exchange moved (none for a failed one). The warm path —
+    /// a cached healthy connection — touches no locks at all: it never
+    /// consults the route table.
     ///
     /// Retry rule: a failure on the *cached* connection with **zero**
     /// responses received means a stale keep-alive (idle-reaped, killed,
@@ -383,22 +386,31 @@ impl HttpTransport {
     /// responses in) classifies the remainder without resending: those
     /// requests may already have executed, and the transport never
     /// double-dispatches.
-    fn send_group(&self, from: &str, to: &str, reqs: &[Request], ixs: &[usize]) -> Vec<Response> {
+    fn send_group(
+        &self,
+        from: &str,
+        to: &str,
+        reqs: &[Request],
+        ixs: &[usize],
+    ) -> Vec<(Response, usize)> {
         CLIENT.with(|state| {
             let mut state = state.borrow_mut();
             let state = &mut *state;
             state.batch.clear();
+            state.sent.clear();
             for &i in ixs {
-                codec::encode_request_into(&mut state.wire, from, &reqs[i]);
-                state.batch.extend_from_slice(&state.wire);
+                let start = state.batch.len();
+                codec::append_request(&mut state.batch, from, &reqs[i]);
+                state.sent.push(state.batch.len() - start);
             }
             let timeout_ms = self.inner.client_timeout_ms.load(Ordering::Relaxed);
             let n = ixs.len();
+            let (batch, sent) = (&state.batch[..], &state.sent[..]);
 
             if let Some(ix) = cached_ix(&state.conns, self.inner.id, to) {
                 let mut conn = state.conns.swap_remove(ix);
                 if apply_timeout(&mut conn, timeout_ms).is_ok() {
-                    let (resps, err) = exchange_group(&mut conn, &state.batch, n, &mut state.chunk);
+                    let (resps, err) = exchange_group(&mut conn, batch, sent, &mut state.chunk);
                     match err {
                         None => {
                             cache_conn(&mut state.conns, conn);
@@ -414,9 +426,9 @@ impl HttpTransport {
 
             let mut conn = match self.connect_fresh(to, timeout_ms) {
                 Ok(conn) => conn,
-                Err(failure) => return vec![failure; n],
+                Err(failure) => return vec![(failure, 0); n],
             };
-            let (resps, err) = exchange_group(&mut conn, &state.batch, n, &mut state.chunk);
+            let (resps, err) = exchange_group(&mut conn, batch, sent, &mut state.chunk);
             match err {
                 None => {
                     cache_conn(&mut state.conns, conn);
@@ -427,15 +439,17 @@ impl HttpTransport {
         })
     }
 
-    /// Traces and accounts one finished exchange, exactly as `SimNet`
-    /// labels and counts it (both events after the fact: the exchange
-    /// already happened on the wire).
-    fn record_exchange(&self, from: &str, req: &Request, resp: &Response) {
+    /// Traces and accounts one finished exchange that moved `moved`
+    /// bytes, exactly as `SimNet` labels and counts it (both events after
+    /// the fact: the exchange already happened on the wire).
+    fn record_exchange(&self, from: &str, req: &Request, resp: &Response, moved: usize) {
         let to = req.url.authority();
         let trace = &self.inner.trace;
         trace.record_with(from, to, TraceKind::Request, || request_label(req));
         trace.record_with(from, to, TraceKind::Response, || response_label(resp));
-        self.inner.accounting.record_round_trip(from, req, resp);
+        self.inner
+            .accounting
+            .record_round_trip(from, req, resp, || moved);
     }
 }
 
@@ -497,12 +511,12 @@ impl Transport for HttpTransport {
         }
 
         let started = Instant::now();
-        let mut slots: Vec<Option<Response>> = Vec::with_capacity(reqs.len());
+        let mut slots: Vec<Option<(Response, usize)>> = Vec::with_capacity(reqs.len());
         slots.resize_with(reqs.len(), || None);
         for (to, ixs) in &groups {
             let resps = self.send_group(from, to, &reqs, ixs);
-            for (resp, &i) in resps.into_iter().zip(ixs) {
-                slots[i] = Some(resp);
+            for (exchange, &i) in resps.into_iter().zip(ixs) {
+                slots[i] = Some(exchange);
             }
         }
         let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -512,8 +526,8 @@ impl Transport for HttpTransport {
         // the conformance logs and every work-count cell stay identical.
         let mut responses = Vec::with_capacity(reqs.len());
         for (req, slot) in reqs.iter().zip(slots) {
-            let resp = slot.expect("one response per pipelined request");
-            self.record_exchange(from, req, &resp);
+            let (resp, moved) = slot.expect("one response per pipelined request");
+            self.record_exchange(from, req, &resp, moved);
             responses.push(resp);
         }
         self.inner.accounting.add_latency(wall_us);
@@ -613,10 +627,15 @@ fn read_more(conn: &mut ClientConn, chunk: &mut [u8]) -> io::Result<()> {
 
 /// Reads the response that starts at `*at` in the connection's
 /// reassembly buffer, pulling more bytes off the socket as needed, and
-/// moves `*at` past it, where its pipelined successor starts. Only
-/// before a read are the bytes of the responses already returned
-/// dropped: one compaction per read, not one per response.
-fn read_response(conn: &mut ClientConn, chunk: &mut [u8], at: &mut usize) -> io::Result<Response> {
+/// moves `*at` past it, where its pipelined successor starts; returns it
+/// with its length on the wire. Only before a read are the bytes of the
+/// responses already returned dropped: one compaction per read, not one
+/// per response.
+fn read_response(
+    conn: &mut ClientConn,
+    chunk: &mut [u8],
+    at: &mut usize,
+) -> io::Result<(Response, usize)> {
     let mut scan_from = *at;
     loop {
         if let Some(head_end) = codec::find_head_end(&conn.buf, scan_from) {
@@ -627,8 +646,9 @@ fn read_response(conn: &mut ClientConn, chunk: &mut [u8], at: &mut usize) -> io:
             if end <= conn.buf.len() {
                 let body = &conn.buf[head_end..end];
                 let resp = codec::build_response(&head, body).map_err(malformed)?;
+                let len = end - *at;
                 *at = end;
-                return Ok(resp);
+                return Ok((resp, len));
             }
             // Body still in flight: the head is re-found once it lands.
             scan_from = *at;
@@ -645,24 +665,26 @@ fn read_response(conn: &mut ClientConn, chunk: &mut [u8], at: &mut usize) -> io:
     }
 }
 
-/// Writes a pipelined group (one buffered block of `n` requests) and
-/// reads the `n` responses back, then drops the bytes the last of them
-/// took from the reassembly buffer. On error, returns every response
-/// that made it in before the failure alongside the error.
+/// Writes a pipelined group (one buffered block of requests, `sent`
+/// holding each one's length) and reads a response back per request,
+/// then drops the bytes the last of them took from the reassembly
+/// buffer. Each response comes with the bytes its exchange moved: its
+/// request's and its own. On error, returns every response that made it
+/// in before the failure alongside the error.
 fn exchange_group(
     conn: &mut ClientConn,
     batch: &[u8],
-    n: usize,
+    sent: &[usize],
     chunk: &mut [u8],
-) -> (Vec<Response>, Option<io::Error>) {
+) -> (Vec<(Response, usize)>, Option<io::Error>) {
     if let Err(err) = conn.stream.write_all(batch) {
         return (Vec::new(), Some(err));
     }
-    let mut resps = Vec::with_capacity(n);
+    let mut resps = Vec::with_capacity(sent.len());
     let mut at = 0;
-    for _ in 0..n {
+    for &request_len in sent {
         match read_response(conn, chunk, &mut at) {
-            Ok(resp) => resps.push(resp),
+            Ok((resp, len)) => resps.push((resp, request_len + len)),
             Err(err) => return (resps, Some(err)),
         }
     }
@@ -671,13 +693,14 @@ fn exchange_group(
 }
 
 /// Pads a partially-completed group out to `n` responses, classifying
-/// the requests that never got an answer from the group's error.
+/// the requests that never got an answer from the group's error; those
+/// moved no bytes.
 fn fill_group_failures(
-    mut resps: Vec<Response>,
+    mut resps: Vec<(Response, usize)>,
     err: &io::Error,
     to: &str,
     n: usize,
-) -> Vec<Response> {
+) -> Vec<(Response, usize)> {
     let failure = if is_timeout(err) {
         transport_failure(
             TransportError::Timeout,
@@ -689,9 +712,7 @@ fn fill_group_failures(
             &format!("connection to {to} reset"),
         )
     };
-    while resps.len() < n {
-        resps.push(failure.clone());
-    }
+    resps.resize(n, (failure, 0));
     resps
 }
 
@@ -1180,6 +1201,64 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(http.stats().bytes_on_wire, sim.stats().bytes_on_wire);
         assert!(http.stats().bytes_on_wire > 0);
+    }
+
+    /// A pipelined batch over two authorities (one of them dispatching a
+    /// nested request) with one failed exchange, a reset, and a second
+    /// batch: HTTP counts the bytes it moved, SimNet its arithmetic
+    /// twins, and every other cell and edge the same way. Latency is left
+    /// out: HTTP's is measured wall time.
+    #[test]
+    fn a_pipelined_batch_accounts_on_http_as_on_simnet() {
+        use crate::net::SimNet;
+        let http = echo_transport();
+        http.register(Arc::new(Proxy));
+        let sim = SimNet::new();
+        sim.register(Arc::new(Echo));
+        sim.register(Arc::new(Proxy));
+        let first = || {
+            vec![
+                Request::new(Method::Post, "https://echo.example/a?p=0&q=a%20b")
+                    .with_param("realm", "r&1")
+                    .with_body("payload"),
+                Request::new(Method::Get, "https://proxy.example/"),
+                Request::new(Method::Get, "https://ghost.example/x"),
+                Request::new(Method::Get, "https://echo.example/b").with_header("x-echo", "polo"),
+            ]
+        };
+        let second = || {
+            vec![
+                Request::new(Method::Get, "https://proxy.example/again"),
+                Request::new(Method::Put, "https://echo.example/c").with_body("é"),
+            ]
+        };
+        let counts = |t: &dyn Transport| NetStats {
+            modelled_latency_ms: 0,
+            ..t.stats()
+        };
+        let transports: [&dyn Transport; 2] = [&http, &sim];
+        let mut before_reset = Vec::new();
+        let mut after = Vec::new();
+        for t in transports {
+            let resps = t.dispatch_pipelined("tester", first());
+            assert_eq!(
+                resps[2].transport_error(),
+                Some(TransportError::Unreachable)
+            );
+            before_reset.push((resps, counts(t)));
+            t.reset_stats();
+            after.push((t.dispatch_pipelined("tester", second()), counts(t)));
+        }
+        assert_eq!(before_reset[0], before_reset[1]);
+        assert_eq!(after[0], after[1]);
+        let stats = &before_reset[0].1;
+        assert_eq!(stats.round_trips, 5);
+        assert_eq!(stats.edge("tester", "ghost.example"), 1);
+        assert_eq!(stats.edge("proxy.example", "echo.example"), 1);
+        assert!(stats.bytes_on_wire > 0);
+        assert_eq!(after[0].1.round_trips, 3);
+        assert_eq!(after[0].1.edge("tester", "ghost.example"), 0);
+        assert_eq!(after[0].1.per_edge.len(), 3);
     }
 
     #[test]

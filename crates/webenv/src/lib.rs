@@ -69,6 +69,7 @@ pub mod latency;
 pub mod net;
 pub mod protocol;
 pub mod retry;
+pub mod ring;
 pub mod trace;
 pub mod transport;
 pub mod url;
@@ -83,6 +84,7 @@ pub use latency::LatencyModel;
 pub use net::{FlapSchedule, NetStats, SimNet, WebApp};
 pub use protocol::{BatchItem, DecisionBody, WireError};
 pub use retry::{RetryPolicy, RetryReport};
+pub use ring::{RecordFields, RecordRing};
 pub use trace::{TraceEvent, TraceKind, TraceRecorder};
 pub use transport::Transport;
 pub use url::{ParseUrlError, Url};

@@ -38,7 +38,8 @@
 //! * statistics land in this thread's stripe of one [`Counters`] block
 //!   plus a per-stripe edge map, shared with
 //!   [`HttpTransport`](crate::httpnet::HttpTransport) and only aggregated
-//!   when [`SimNet::stats`] takes a snapshot;
+//!   when [`SimNet::stats`] takes a snapshot; a round trip reaches its
+//!   edge's count through a per-thread memo, without the map's lock;
 //! * the loss model is an atomic counter — the no-loss path performs one
 //!   relaxed load and no read-modify-write.
 
@@ -51,7 +52,6 @@ use parking_lot::Mutex;
 
 use crate::clock::SimClock;
 use crate::counters::{thread_stripe, Counters, STRIPES};
-use crate::fields::Fields;
 use crate::http::{Request, Response, Status, TransportError};
 use crate::latency::{splitmix64, LatencyModel};
 use crate::trace::{TraceKind, TraceRecorder};
@@ -120,9 +120,14 @@ const BYTES_ON_WIRE: usize = 1;
 const ROUND_TRIPS: usize = 2;
 const LATENCY: usize = 3;
 
-/// `from -> to -> count`, two-level so the warm path can bump an
-/// existing edge with borrowed keys (no per-dispatch allocation).
-type EdgeMap = HashMap<String, HashMap<String, u64>>;
+/// One edge's round trips on one stripe, on a cache line of its own.
+#[repr(align(64))]
+#[derive(Default)]
+struct EdgeCount(AtomicU64);
+
+/// `from -> to -> count`, two-level so a lookup borrows its keys. Only a
+/// memo miss and a snapshot read it, under its stripe's lock.
+type EdgeMap = HashMap<String, HashMap<String, Arc<EdgeCount>>>;
 
 /// One stripe's edge map, aligned like the counter stripes so two
 /// threads' mutexes never share a cache line.
@@ -130,12 +135,61 @@ type EdgeMap = HashMap<String, HashMap<String, u64>>;
 #[derive(Default)]
 struct EdgeStripe(Mutex<EdgeMap>);
 
+/// Source of unique accounting ids for the per-thread edge memo.
+static NEXT_ACCOUNTING_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Slots in each thread's edge memo (a power of two).
+const EDGE_MEMO_SLOTS: usize = 256;
+
+/// One edge of one accounting block, remembered by a thread: both names
+/// in full, and the edge's count on the thread's stripe.
+struct EdgeMemo {
+    block: u64,
+    from: String,
+    to: String,
+    count: Arc<EdgeCount>,
+}
+
+thread_local! {
+    /// This thread's direct-mapped edge memo, allocated on first use.
+    static EDGE_MEMO: RefCell<Vec<Option<EdgeMemo>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A name's first and last eight bytes (a shorter name's bytes in one
+/// word, twice), which with the lengths pick an edge's memo slot.
+fn name_words(name: &str) -> [u64; 2] {
+    let bytes = name.as_bytes();
+    match (bytes.first_chunk::<8>(), bytes.last_chunk::<8>()) {
+        (Some(&first), Some(&last)) => [u64::from_le_bytes(first), u64::from_le_bytes(last)],
+        _ => {
+            let word = bytes.iter().fold(0, |w, &b| w << 8 | u64::from(b));
+            [word, word]
+        }
+    }
+}
+
+/// The memo slot of edge `from -> to` of accounting block `block`: a
+/// multiplicative mix of the block, both lengths and both names' ends.
+/// Names alike at both ends share a slot; the slot compares them in full.
+fn memo_slot(block: u64, from: &str, to: &str) -> usize {
+    let [f0, f1] = name_words(from);
+    let [t0, t1] = name_words(to);
+    let lens = (from.len() as u64) << 32 | to.len() as u64;
+    let h = [lens, f0, f1, t0, t1].into_iter().fold(block, |h, w| {
+        (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29)
+    });
+    (h >> 32) as usize & (EDGE_MEMO_SLOTS - 1)
+}
+
 /// The message accounting both transport backends share: the four
 /// [`NetStats`] cells in one [`Counters`] block plus an edge map per
-/// stripe, all under the block's seqlock. Each backend keeps its own
-/// trace-event timing; only the labels ([`request_label`],
-/// [`response_label`]) are shared.
+/// stripe, all under the block's seqlock. A round trip finds its edge's
+/// count through this thread's memo, so a warm one takes no lock and
+/// hashes no name. Each backend keeps its own trace-event timing; only
+/// the labels ([`request_label`], [`response_label`]) are shared.
 pub(crate) struct NetAccounting {
+    /// Keys this block's edges in the per-thread memos.
+    id: u64,
     cells: Counters<4>,
     edges: [EdgeStripe; STRIPES],
     /// Latency-cell units per reported millisecond: 1 for SimNet's
@@ -146,6 +200,7 @@ pub(crate) struct NetAccounting {
 impl NetAccounting {
     pub(crate) fn new(latency_per_ms: u64) -> Self {
         NetAccounting {
+            id: NEXT_ACCOUNTING_ID.fetch_add(1, Ordering::Relaxed),
             cells: Counters::new(),
             edges: std::array::from_fn(|_| EdgeStripe::default()),
             latency_per_ms,
@@ -153,35 +208,72 @@ impl NetAccounting {
     }
 
     /// Commits one round trip on this thread's stripe: its edge, payload
-    /// and wire bytes, then the trip itself.
-    pub(crate) fn record_round_trip(&self, from: &str, req: &Request, resp: &Response) {
-        let to = req.url.authority();
-        {
-            let mut edges = self.edges[thread_stripe()].0.lock();
-            match edges.get_mut(from).and_then(|inner| inner.get_mut(to)) {
-                Some(count) => *count += 1,
-                None => {
-                    let inner = edges.entry(from.to_owned()).or_default();
-                    inner.insert(to.to_owned(), 1);
-                }
-            }
-        }
-        let values = |fields: &Fields| fields.values().map(str::len).sum::<usize>();
+    /// and wire bytes, then the trip itself. `wire` gives the bytes the
+    /// exchange occupies on the wire; it is asked only when the exchange
+    /// succeeded, since failed ones count none.
+    pub(crate) fn record_round_trip(
+        &self,
+        from: &str,
+        req: &Request,
+        resp: &Response,
+        wire: impl FnOnce() -> usize,
+    ) {
+        self.bump_edge(from, req.url.authority());
         let payload = req.body.len()
-            + values(&req.headers)
-            + values(&req.form)
+            + req.headers.value_bytes()
+            + req.form.value_bytes()
             + resp.body.len()
-            + values(&resp.headers);
+            + resp.headers.value_bytes();
         self.cells.add(PAYLOAD_BYTES, payload as u64);
         if resp.transport_error().is_none() {
-            // Arithmetic twins of the codec encoders: the exact bytes this
-            // round trip occupies on the HTTP backend's wire, without
-            // serializing anything. Failed dispatches count none.
-            let wire =
-                crate::codec::request_wire_len(from, req) + crate::codec::response_wire_len(resp);
-            self.cells.add(BYTES_ON_WIRE, wire as u64);
+            self.cells.add(BYTES_ON_WIRE, wire() as u64);
         }
         self.cells.add(ROUND_TRIPS, 1);
+    }
+
+    /// Counts one round trip on `from -> to` through this thread's memo;
+    /// only a memo miss takes the stripe's lock to find the edge's count.
+    fn bump_edge(&self, from: &str, to: &str) {
+        EDGE_MEMO.with(|memo| {
+            let mut memo = memo.borrow_mut();
+            if memo.is_empty() {
+                memo.resize_with(EDGE_MEMO_SLOTS, || None);
+            }
+            let slot = &mut memo[memo_slot(self.id, from, to)];
+            match slot {
+                Some(held) if held.block == self.id && held.from == from && held.to == to => {
+                    held.count.0.fetch_add(1, Ordering::Release);
+                }
+                _ => {
+                    let count = self.edge_count(from, to);
+                    count.0.fetch_add(1, Ordering::Release);
+                    // The evicted edge's name buffers are reused.
+                    let held = slot.get_or_insert_with(|| EdgeMemo {
+                        block: self.id,
+                        from: String::new(),
+                        to: String::new(),
+                        count: Arc::clone(&count),
+                    });
+                    held.block = self.id;
+                    held.from.clear();
+                    held.from.push_str(from);
+                    held.to.clear();
+                    held.to.push_str(to);
+                    held.count = count;
+                }
+            }
+        });
+    }
+
+    /// The count of `from -> to` on this thread's stripe, registered at
+    /// zero the first time the stripe sees the edge.
+    fn edge_count(&self, from: &str, to: &str) -> Arc<EdgeCount> {
+        let mut edges = self.edges[thread_stripe()].0.lock();
+        if let Some(count) = edges.get(from).and_then(|inner| inner.get(to)) {
+            return Arc::clone(count);
+        }
+        let inner = edges.entry(from.to_owned()).or_default();
+        Arc::clone(inner.entry(to.to_owned()).or_default())
     }
 
     /// Charges latency (in the backend's units) for round trips already
@@ -192,14 +284,18 @@ impl NetAccounting {
         }
     }
 
-    /// Cells and edge maps from one validated seqlock generation.
+    /// Cells and edges from one validated seqlock generation. An edge
+    /// enters `per_edge` only with a nonzero count.
     pub(crate) fn snapshot(&self) -> NetStats {
         let (cells, per_edge) = self.cells.snapshot_with(|| {
             let mut per_edge = BTreeMap::new();
             for stripe in &self.edges {
                 for (from, inner) in stripe.0.lock().iter() {
                     for (to, count) in inner {
-                        *per_edge.entry((from.clone(), to.clone())).or_insert(0) += count;
+                        let count = count.0.load(Ordering::Acquire);
+                        if count > 0 {
+                            *per_edge.entry((from.clone(), to.clone())).or_insert(0) += count;
+                        }
                     }
                 }
             }
@@ -214,11 +310,17 @@ impl NetAccounting {
         }
     }
 
-    /// Zeroes the cells and clears the edge maps in one odd generation.
+    /// Zeroes the cells and every edge count in one odd generation. The
+    /// edges stay registered (the memos hold their counts), so a snapshot
+    /// leaves out the zeroed ones.
     pub(crate) fn reset(&self) {
         self.cells.reset_with(|| {
             for stripe in &self.edges {
-                stripe.0.lock().clear();
+                for inner in stripe.0.lock().values() {
+                    for count in inner.values() {
+                        count.0.store(0, Ordering::Relaxed);
+                    }
+                }
             }
         });
     }
@@ -516,7 +618,7 @@ impl SimNet {
         let config = self.config();
         let mut latency_ms = self.charge(&config, from, to);
 
-        let app = config.apps.get(to).cloned();
+        let app = config.apps.get(to);
         let offline = (!config.offline.is_empty() && config.offline.contains(to))
             || (!config.flaps.is_empty()
                 && config
@@ -540,7 +642,11 @@ impl SimNet {
             .record_with(from, to, TraceKind::Response, || response_label(&resp));
         // The round trip is committed before its latency, so a
         // concurrent `stats()` snapshot never sees latency lead the trips.
-        self.accounting.record_round_trip(from, &req, &resp);
+        // SimNet serializes nothing: the codec's arithmetic twins give the
+        // bytes the exchange would occupy on the HTTP backend's wire.
+        self.accounting.record_round_trip(from, &req, &resp, || {
+            crate::codec::request_wire_len(from, &req) + crate::codec::response_wire_len(&resp)
+        });
         self.accounting.add_latency(latency_ms);
         resp
     }
@@ -1237,6 +1343,137 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         writer.join().unwrap();
+    }
+
+    /// Two senders and two authorities whose names have the same lengths
+    /// and the same first and last eight bytes share one memo slot; their
+    /// four edges are still counted apart, since a slot compares both
+    /// names in full.
+    #[test]
+    fn edges_alike_at_both_ends_are_counted_apart() {
+        let (froms, tos) = (
+            ["requester:one:end-of-name", "requester:two:end-of-name"],
+            ["echo-twin.one.the-example", "echo-twin.two.the-example"],
+        );
+        let net = SimNet::new();
+        for to in tos {
+            net.register(Arc::new(Echo {
+                authority: to.to_owned(),
+            }));
+        }
+        let slot = memo_slot(net.accounting.id, froms[0], tos[0]);
+        let edges: Vec<(&str, &str)> = froms
+            .iter()
+            .flat_map(|&from| tos.iter().map(move |&to| (from, to)))
+            .collect();
+        for &(from, to) in &edges {
+            assert_eq!(memo_slot(net.accounting.id, from, to), slot);
+        }
+        for _ in 0..10 {
+            for (k, &(from, to)) in edges.iter().enumerate() {
+                for _ in 0..=k {
+                    let url = format!("https://{to}/p");
+                    assert_eq!(
+                        net.dispatch(from, Request::new(Method::Get, &url)).status,
+                        Status::Ok
+                    );
+                }
+            }
+        }
+        let stats = net.stats();
+        let want: BTreeMap<(String, String), u64> = (1..)
+            .zip(&edges)
+            .map(|(k, &(from, to))| ((from.to_owned(), to.to_owned()), 10 * k))
+            .collect();
+        assert_eq!(stats.per_edge, want);
+        assert_eq!(stats.round_trips, 100);
+    }
+
+    /// More dispatching threads than stripes (so threads share stripes and
+    /// every thread shares the four edges) run in rounds, while two threads
+    /// take snapshots throughout and the test thread resets between rounds.
+    /// No snapshot shows latency ahead of the round trips or a round trip
+    /// without its edge, and each round's totals are exact. (A reset that
+    /// races an in-flight dispatch may split that dispatch's counts: a
+    /// snapshot is a reading, not a barrier. So resets fall between rounds.)
+    #[test]
+    fn many_threads_keep_the_accounting_exact_beside_snapshots_and_resets() {
+        const DISPATCHERS: usize = STRIPES + 4;
+        const ROUNDS: usize = 3;
+        const EACH: u64 = 200;
+        const HOP_MS: u64 = 3;
+        let (froms, tos) = (
+            ["tester-a", "tester-b"],
+            ["echo-0.example", "echo-1.example"],
+        );
+        let net = Arc::new(SimNet::new());
+        net.set_latency(LatencyModel::constant(HOP_MS));
+        for to in tos {
+            net.register(Arc::new(Echo {
+                authority: to.to_owned(),
+            }));
+        }
+        let barrier = Arc::new(std::sync::Barrier::new(DISPATCHERS + 1));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let snapshotters: Vec<_> = (0..2)
+            .map(|_| {
+                let (net, stop) = (Arc::clone(&net), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let mut taken = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let stats = net.stats();
+                        let edges: u64 = stats.per_edge.values().sum();
+                        assert!(stats.modelled_latency_ms <= stats.round_trips * 2 * HOP_MS);
+                        assert!(
+                            edges >= stats.round_trips,
+                            "{edges} < {}",
+                            stats.round_trips
+                        );
+                        taken += 1;
+                    }
+                    taken
+                })
+            })
+            .collect();
+        let dispatchers: Vec<_> = (0..DISPATCHERS)
+            .map(|_| {
+                let (net, barrier) = (Arc::clone(&net), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    for _ in 0..ROUNDS {
+                        barrier.wait();
+                        for i in 0..EACH as usize {
+                            let url = format!("https://{}/pp", tos[(i / 2) % 2]);
+                            let req = Request::new(Method::Post, &url).with_body("xyz");
+                            assert_eq!(net.dispatch(froms[i % 2], req).status, Status::Ok);
+                        }
+                        barrier.wait();
+                    }
+                })
+            })
+            .collect();
+        let total = DISPATCHERS as u64 * EACH;
+        for _ in 0..ROUNDS {
+            barrier.wait();
+            barrier.wait();
+            let stats = net.stats();
+            assert_eq!(stats.round_trips, total);
+            assert_eq!(stats.per_edge.len(), 4);
+            for (edge, &count) in &stats.per_edge {
+                assert_eq!(count, total / 4, "{edge:?}");
+            }
+            // Body "xyz" (3) + response body "/pp" (3) per dispatch.
+            assert_eq!(stats.payload_bytes, total * 6);
+            assert_eq!(stats.modelled_latency_ms, total * 2 * HOP_MS);
+            net.reset_stats();
+            assert_eq!(net.stats(), NetStats::default());
+        }
+        for dispatcher in dispatchers {
+            dispatcher.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        for snapshotter in snapshotters {
+            assert!(snapshotter.join().unwrap() > 0);
+        }
     }
 
     #[test]

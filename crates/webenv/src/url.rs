@@ -222,8 +222,16 @@ impl Url {
 }
 
 /// Whether `b` passes the escaper as itself: RFC 3986's unreserved set.
+/// Written without branches (`b | 0x20` folds the upper-case letters
+/// onto the lower-case ones and nothing else onto them), so a loop over
+/// it vectorizes.
 const fn is_unreserved(b: u8) -> bool {
-    matches!(b, b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~')
+    ((b | 0x20).wrapping_sub(b'a') < 26)
+        | (b.wrapping_sub(b'0') < 10)
+        | (b == b'-')
+        | (b == b'_')
+        | (b == b'.')
+        | (b == b'~')
 }
 
 /// [`is_unreserved`] of every byte: the escaper's loops look it up, which
@@ -283,9 +291,27 @@ pub(crate) fn write_encoded(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
 }
 
 /// The length of `s` as [`write_encoded`] writes it: two more bytes for
-/// each escaped one.
+/// each escaped one. One pass: sixteen bytes at a time, each byte tested
+/// without a branch and counted in its own `u8` lane (which the compiler
+/// keeps in one vector register), the lanes summed every 255 blocks; the
+/// tail of fewer than sixteen bytes by the table.
 pub(crate) fn encoded_len(s: &str) -> usize {
-    s.len() + 2 * s.bytes().filter(|&b| !UNRESERVED[usize::from(b)]).count()
+    let blocks = s.as_bytes().chunks_exact(16);
+    let tail = blocks.remainder();
+    let mut lanes = [0u8; 16];
+    let mut escaped = 0;
+    for (i, block) in blocks.enumerate() {
+        for (lane, &b) in lanes.iter_mut().zip(block) {
+            *lane += u8::from(!is_unreserved(b));
+        }
+        if i % 255 == 254 {
+            escaped += lanes.iter().map(|&n| usize::from(n)).sum::<usize>();
+            lanes = [0; 16];
+        }
+    }
+    escaped += lanes.iter().map(|&n| usize::from(n)).sum::<usize>();
+    let table = |&&b: &&u8| !UNRESERVED[usize::from(b)];
+    s.len() + 2 * (escaped + tail.iter().filter(table).count())
 }
 
 /// Appends `s` percent-decoded to `out`. A `%` that does not start an
@@ -557,6 +583,32 @@ mod tests {
         let _ = write_encoded(&mut out, "a%b&c=d e?f#g/h~i.j-k_l\u{e9}");
         assert_eq!(out, "a%25b%26c%3Dd%20e%3Ff%23g%2Fh~i.j-k_l%C3%A9");
         assert_eq!(encoded_len("a%b&c=d e?f#g/h~i.j-k_l\u{e9}"), out.len());
+    }
+
+    /// The branch-free test agrees with the range match on every byte, and
+    /// the count holds across the 16-byte blocks, the lane sums every 255
+    /// blocks and the tail: texts up to two lane sums long, built from
+    /// every byte the escaper passes or escapes.
+    #[test]
+    fn the_escape_count_holds_on_every_byte_and_across_blocks() {
+        for b in 0..=u8::MAX {
+            let want =
+                matches!(b, b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~');
+            assert_eq!(is_unreserved(b), want, "byte {b:#04x}");
+        }
+        let every: String = (0..=0x7f_u8)
+            .map(char::from)
+            .chain(['\u{e9}', '\u{20ac}'])
+            .collect();
+        for len in [
+            0, 1, 15, 16, 17, 255, 4_079, 4_080, 4_081, 4_096, 8_161, 8_200,
+        ] {
+            let text: String = every.chars().cycle().take(len).collect();
+            let mut out = String::new();
+            let _ = write_encoded(&mut out, &text);
+            assert_eq!(encoded_len(&text), out.len(), "{len} characters");
+        }
+        assert_eq!(encoded_len(&"&".repeat(10_000)), 30_000);
     }
 
     #[test]

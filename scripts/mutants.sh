@@ -19,7 +19,9 @@
 #   reserved bytes;
 # * the HTTP/1.1 head codec (DESIGN.md §15): the head terminator test,
 #   the refusal of a header line without a colon, the MAX_HEADERS cap,
-#   and the MAX_MESSAGE_BYTES cap on a declared content-length.
+#   and the MAX_MESSAGE_BYTES cap on a declared content-length;
+# * the round-trip accounting (DESIGN.md §9): the edge memo's compare of
+#   both names, without which edges sharing a memo slot count as one.
 #
 #   bash scripts/mutants.sh            # every mutant
 #   bash scripts/mutants.sh NAME...    # the named mutants only
@@ -71,7 +73,8 @@ MUTANTS=(
   "sha-round-constant-lanes @@ ucam-crypto @@ kernel_matches_portable_on_random_blocks @@ $sha @@ "'                let wk = _mm_add_epi32($m, _mm_set_epi32(k3, k2, k1, k0)); @@                 let wk = _mm_add_epi32($m, _mm_set_epi32(k2, k3, k1, k0));'
   "fields-compare-lengths @@ ucam-webenv @@ names_are_compared_by_their_bytes_not_their_lengths @@ $fields @@ "'                && &self.buf.as_bytes()[start..name_end] == name.as_bytes() @@                 && true'
   "decoder-keeps-first-duplicate @@ ucam-webenv @@ last_value @@ $fields @@ "'            let later = order.get(i + 1).map(|&next| self.pair(next).0); @@             let later = i.checked_sub(1).map(|prev| self.pair(order[prev]).0);'
-  "escaper-passes-percent-and-amp @@ ucam-webenv @@ the_escaper @@ crates/webenv/src/url.rs @@     matches!(b, b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~') @@     matches!(b, b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' | b'%' | b'&')"
+  "escaper-passes-percent-and-amp @@ ucam-webenv @@ the_escaper @@ crates/webenv/src/url.rs @@         | (b == b'~') @@         | (b == b'~') | (b == b'%') | (b == b'&')"
+  "edge-memo-trusts-its-slot @@ ucam-webenv @@ edges_alike_at_both_ends_are_counted_apart @@ crates/webenv/src/net.rs @@ "'                Some(held) if held.block == self.id && held.from == from && held.to == to => { @@                 Some(held) if held.block == self.id => {'
   # awk reads a row's two lines with escapes, so `\\r` stands for `\r`.
   "head-end-bare-lf @@ ucam-webenv @@ find_head_end_needs_a_full_crlf_pair @@ $codec @@ "'        if buf[lf - 3..lf] == *b"\\r\\n\\r" { @@         if buf[lf - 2..lf] == *b"\\n\\r" {'
   "header-without-colon-skipped @@ ucam-webenv @@ malformed_heads_fail_closed @@ $codec @@ "'            return Err("bad header"); @@             continue;'

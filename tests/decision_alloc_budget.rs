@@ -26,6 +26,13 @@
 //! answers without allocating), and one redirect's `Response::redirect`
 //! plus `location()`.
 //!
+//! Two more tests count the bookkeeping beside the protocol work. Once
+//! warm, a SimNet round trip's accounting, an AM audit append at the cap
+//! and a Host enforcement served from its decision cache (its access-log
+//! append at the cap) allocate nothing. And the bytes the audit ring and
+//! the access log retain per record, for records shaped like
+//! `churn_sim`'s, stay within their budgets.
+//!
 //! Each class's mean and each row's count is printed (run with
 //! `--nocapture` to see them) and held to a budget. Run it optimised, as
 //! CI does:
@@ -38,59 +45,71 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use ucam::am::audit::{AuditEntry, AuditEvent, AuditHub};
 use ucam::am::tokens::AUTHZ_TOKEN_TTL_MS;
 use ucam::am::{AuthorizationManager, AuthorizeOutcome, AuthorizeRequest};
-use ucam::host::{DelegationConfig, WebStorage};
+use ucam::host::{DelegationConfig, HostCore, WebStorage};
 use ucam::policy::prelude::*;
 use ucam::requester::{AccessSpec, RequesterClient};
-use ucam::webenv::{protocol, Request, Response, SimNet, Transport, Url, WebApp};
+use ucam::webenv::{protocol, Method, Request, Response, SimNet, Transport, Url, WebApp};
 
-/// Counts the allocations of the thread that armed it (see [`count`]).
+/// Counts the allocations of the thread that armed it (see [`count`]),
+/// and the bytes they hold (see [`retained`]).
 struct CountingAlloc;
 
 thread_local! {
-    /// Whether this thread counts its allocations. Both cells are
+    /// Whether this thread counts its allocations. All three cells are
     /// const-initialized and have no destructor, so touching them from
     /// the allocator never allocates.
     static ARMED: Cell<bool> = const { Cell::new(false) };
     /// Allocations counted on this thread while armed.
     static COUNTED: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated less bytes freed on this thread while armed.
+    static HELD: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Counts one allocation if this thread is armed. A thread being torn
-/// down has no cells left; it counts nothing.
-fn note() {
+/// Counts one allocation of `bytes` (or a free, negative) if this thread
+/// is armed. A thread being torn down has no cells left; it counts
+/// nothing.
+fn note(allocations: u64, bytes: i64) {
     let _ = ARMED.try_with(|armed| {
         if armed.get() {
-            COUNTED.with(|n| n.set(n.get() + 1));
+            COUNTED.with(|n| n.set(n.get() + allocations));
+            HELD.with(|held| held.set(held.get() + bytes));
         }
     });
 }
 
+/// A size in bytes as a signed count.
+fn signed(size: usize) -> i64 {
+    i64::try_from(size).unwrap_or(i64::MAX)
+}
+
 // SAFETY: every method hands its arguments to `System` unchanged and
 // returns what `System` returns, so each upholds exactly the contract
-// `System` does. The counting beside it touches two thread-local cells
+// `System` does. The counting beside it touches three thread-local cells
 // that never allocate, so it cannot re-enter the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(1, signed(layout.size()));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -signed(layout.size()));
         // SAFETY: `ptr` was allocated by `System` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(1, signed(layout.size()));
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(1, signed(new_size) - signed(layout.size()));
         // SAFETY: `ptr` was allocated by `System` with `layout`, and the
         // caller upholds `GlobalAlloc::realloc`'s contract for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -102,11 +121,25 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Runs `f` with this thread's counting armed; returns its allocations.
 fn count(f: impl FnOnce()) -> u64 {
+    armed(f).0
+}
+
+/// Runs `f` with this thread's counting armed; returns the bytes still
+/// allocated of what it allocated (what it freed of its own is netted
+/// out, so `f` must free nothing allocated before it).
+fn retained(f: impl FnOnce()) -> i64 {
+    armed(f).1
+}
+
+/// Runs `f` with this thread's counting armed; returns its allocations
+/// and the bytes it left allocated.
+fn armed(f: impl FnOnce()) -> (u64, i64) {
     COUNTED.with(|n| n.set(0));
+    HELD.with(|held| held.set(0));
     ARMED.with(|armed| armed.set(true));
     f();
     ARMED.with(|armed| armed.set(false));
-    COUNTED.with(Cell::get)
+    (COUNTED.with(Cell::get), HELD.with(Cell::get))
 }
 
 const AM: &str = "am.example";
@@ -382,3 +415,176 @@ fn decision_class_accesses_stay_within_their_allocation_budget() {
         );
     }
 }
+
+/// The most allocations any of `runs` calls of `step` makes.
+fn most_allocations(runs: u32, mut step: impl FnMut() -> u64) -> u64 {
+    (0..runs).map(|_| step()).max().unwrap_or(0)
+}
+
+/// The bookkeeping beside the protocol work allocates nothing once warm:
+/// a SimNet round trip's accounting (to an app that answers without
+/// allocating), an audit append at the cap, and a Host enforcement its
+/// decision cache serves, whose access-log append is at the cap.
+#[test]
+fn bookkeeping_appends_allocate_nothing() {
+    let net = SimNet::new();
+    net.trace().set_enabled(false);
+    net.register(Arc::new(StubHost));
+    let url = format!("https://{STUB}/{FILE}");
+    let get = || Request::new(Method::Get, &url).with_bearer(TOKEN);
+    assert_eq!(net.dispatch("requester:alice", get()).status.code(), 200);
+    let round_trip = most_allocations(31, || {
+        let req = get();
+        count(|| drop(net.dispatch("requester:alice", req)))
+    });
+    println!("decision_alloc_budget: SimNet round trip accounting: {round_trip} allocations");
+
+    let hub = AuditHub::new();
+    hub.set_cap(4_096);
+    for at in 0..4_200 {
+        hub.record(churn_shaped_entry(at));
+    }
+    let audit = most_allocations(31, || {
+        let entry = churn_shaped_entry(0);
+        count(|| hub.record(entry))
+    });
+    println!("decision_alloc_budget: audit append at the cap: {audit} allocations");
+
+    let rig = Rig::new();
+    let AuthorizeOutcome::Token { token, .. } = rig.am.authorize(&AuthorizeRequest::new(
+        HOST,
+        "bob",
+        FILE,
+        Action::Read,
+        "requester:alice",
+    )) else {
+        panic!("the policy grants Alice");
+    };
+    let core = &rig.host.shell().core;
+    let return_url = Url::new(HOST, &format!("/{FILE}"));
+    let enforce = || {
+        let verdict = core.enforce(
+            &rig.net,
+            "requester:alice",
+            None,
+            FILE,
+            &Action::Read,
+            Some(&token),
+            &return_url,
+        );
+        assert!(verdict.is_grant());
+    };
+    for _ in 0..4_200 {
+        enforce();
+    }
+    assert_eq!(core.log().len(), 4_096, "the access log is at its cap");
+    let hits = core.stats().cache_hits;
+    let cache_hit = most_allocations(31, || count(enforce));
+    assert_eq!(
+        core.stats().cache_hits - hits,
+        31,
+        "the decision cache served"
+    );
+    println!("decision_alloc_budget: Host cache hit with its log append: {cache_hit} allocations");
+
+    for (name, allocs) in [
+        ("SimNet round trip accounting", round_trip),
+        ("audit append at the cap", audit),
+        ("Host cache hit and its log append at the cap", cache_hit),
+    ] {
+        assert_eq!(
+            allocs, 0,
+            "{name}: {allocs} allocations, over its budget of 0"
+        );
+    }
+}
+
+/// An audit entry shaped like `churn_sim`'s decision records: an owner of
+/// 10 bytes, a Host of 14, a resource id of 20, a requester of 15 and
+/// one policy.
+fn churn_shaped_entry(at: u64) -> AuditEntry {
+    AuditEntry::new(
+        at,
+        "owner-0007",
+        AuditEvent::Decision {
+            outcome: Outcome::Permit,
+        },
+    )
+    .on_resource(ResourceRef::new(CHURN_HOST, CHURN_RESOURCE))
+    .by_requester(CHURN_REQUESTER, None)
+    .for_action(Action::Read)
+    .with_policies(vec![PolicyId::from("p-17")])
+}
+
+const CHURN_HOST: &str = "host-1.example";
+const CHURN_RESOURCE: &str = "files/pop/r000000017";
+const CHURN_REQUESTER: &str = "requester:req-5";
+
+/// The bytes the AM's audit ring and the Host's access log retain per
+/// record, at their 4,096-record caps, for `churn_sim`-shaped records;
+/// each against its budget, the figure this tree measures. (0.25.0's
+/// packed slots, one reused buffer or two per record, held 281 and 109.)
+#[test]
+fn ring_records_retain_their_budgeted_bytes() {
+    const RECORDS: u64 = 4_096;
+    let hub = AuditHub::new();
+    hub.set_cap(4_096);
+    let audit = retained(|| {
+        for at in 0..RECORDS {
+            hub.record(churn_shaped_entry(at));
+        }
+    });
+    assert_eq!(hub.len(), 4_096);
+
+    let net = SimNet::new();
+    net.trace().set_enabled(false);
+    let host = |clock| {
+        let core = HostCore::new(CHURN_HOST, clock);
+        core.put_resource(CHURN_RESOURCE, "owner-0007", "file", b"x".to_vec())
+            .unwrap();
+        core
+    };
+    let return_url = Url::new(CHURN_HOST, &format!("/{CHURN_RESOURCE}"));
+    let access = |core: &HostCore| {
+        // No delegation and no ACL: the legacy check refuses and logs.
+        let verdict = core.enforce(
+            &net,
+            CHURN_REQUESTER,
+            None,
+            CHURN_RESOURCE,
+            &Action::Read,
+            None,
+            &return_url,
+        );
+        assert!(!verdict.is_grant());
+    };
+    // A first access on this thread, on another Host, sets up whatever
+    // the thread keeps for every Host.
+    access(&host(net.clock().clone()));
+    let core = host(net.clock().clone());
+    let log = retained(|| {
+        for _ in 0..RECORDS {
+            access(&core);
+        }
+    });
+    assert_eq!(core.log().len(), 4_096);
+
+    let per_record = |bytes: i64| bytes as f64 / RECORDS as f64;
+    let (audit, log) = (per_record(audit), per_record(log));
+    println!("decision_alloc_budget: audit ring: {audit:.1} bytes per record");
+    println!("decision_alloc_budget: access log: {log:.1} bytes per record");
+    for (name, bytes, budget) in [
+        ("audit ring", audit, AUDIT_BYTES),
+        ("access log", log, LOG_BYTES),
+    ] {
+        assert!(
+            bytes <= budget,
+            "{name}: {bytes:.1} bytes per record, over its budget of {budget}"
+        );
+    }
+}
+
+/// Retained bytes per `churn_sim`-shaped audit record.
+const AUDIT_BYTES: f64 = 128.0;
+/// Retained bytes per `churn_sim`-shaped access-log record.
+const LOG_BYTES: f64 = 64.0;
