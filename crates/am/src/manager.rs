@@ -13,16 +13,18 @@
 //! exposing the protocol endpoints of Figs. 3–6 plus the REST policy API of
 //! §VI.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use ucam_policy::{
-    AccessRequest, Action, Claim, ClaimRequirement, EngineDecision, EvalContext, Outcome,
-    PolicyEngine, ResourceRef,
+    AccessRequest, Action, Claim, ClaimRequirement, EngineDecision, EvalContext, GroupLookup,
+    Outcome, PolicyEngine, PolicySet, ResourceRef,
 };
 use ucam_webenv::identity::IdentityVerifier;
 use ucam_webenv::protocol::{
@@ -253,9 +255,10 @@ const CTX_SHARDS: usize = 16;
 /// sharded, by owner hash.
 const ISSUED_SHARDS: usize = 16;
 
-/// Per-owner cap on the issued-grants registry the sieve compiler replays.
-/// Oldest entries fall off first; a dropped entry only means the matching
-/// token falls back to the tier-2 protocol path, never a wrong grant.
+/// Per-owner cap on the live grants the issued-grants registry holds for
+/// the sieve compiler. Oldest entries fall off first; a dropped entry only
+/// means the matching token falls back to the tier-2 protocol path, never
+/// a wrong grant.
 const ISSUED_GRANTS_CAP: usize = 4096;
 
 thread_local! {
@@ -316,10 +319,23 @@ struct CtxShard {
     satisfied_claims: HashMap<String, HashMap<ResourceRef, Vec<Claim>>>,
 }
 
-/// One shard of the issued-grants registry: owner → `(token, grant)`
-/// newest last — the raw material the sieve compiler replays. Every
-/// issued token is recorded; capped at [`ISSUED_GRANTS_CAP`].
-type IssuedShard = HashMap<String, VecDeque<(String, AuthzGrant<'static>)>>;
+/// One issued token and its grant, shared by the registry and the
+/// compiles that replay it.
+type Issued = Arc<(String, AuthzGrant<'static>)>;
+
+/// One shard of the issued-grants registry: owner → live `(token, grant)`
+/// handles, newest last — the raw material the sieve compiler replays.
+/// Every issued token is recorded until it expires; at most
+/// [`ISSUED_GRANTS_CAP`] per owner.
+type IssuedShard = HashMap<String, VecDeque<Issued>>;
+
+/// Drops the expired grants off the front of an owner's registry. Every
+/// token has the same lifetime, so the list is in expiry order.
+fn drop_expired(list: &mut VecDeque<Issued>, now: u64) {
+    while list.front().is_some_and(|e| e.1.expires_at_ms <= now) {
+        list.pop_front();
+    }
+}
 
 /// What the AM last successfully shipped to one (host, owner) pair with
 /// a sieve body: the epoch it was compiled under and its fingerprint set.
@@ -341,22 +357,27 @@ struct Gathered {
     prior_uses: u32,
 }
 
+impl Gathered {
+    /// The engine's context for the tuple at `now`, with the owner's
+    /// group memberships.
+    fn context<'a>(&'a self, groups: &'a dyn GroupLookup, now: u64) -> EvalContext<'a> {
+        EvalContext {
+            consent_granted: self.consent_granted,
+            ..EvalContext::new(&self.tuple, now)
+                .with_groups(groups)
+                .with_claims(&self.claims)
+                .with_prior_uses(self.prior_uses)
+        }
+    }
+}
+
 /// What phase B returns for one tuple (see
-/// [`AuthorizationManager::evaluate`]): the engine's decision, and until
+/// [`AuthorizationManager::evaluate_one`]): the engine's decision, and until
 /// when the consulted policies' conditions cannot change it on their own
 /// (the nearest [`ucam_policy::Policy::stable_until`]).
 struct Evaluated {
     decision: EngineDecision,
     stable_until: u64,
-}
-
-/// One tuple the sieve compiler asks about: a live token's grant applied
-/// to one resource and action.
-struct Candidate<'a> {
-    token: &'a str,
-    grant: &'a AuthzGrant<'a>,
-    resource_id: &'a str,
-    action: &'a Action,
 }
 
 /// A dynamically registered Host or Requester (`/protection/v2/register`,
@@ -567,30 +588,25 @@ impl AuthorizationManager {
                     .iter()
                     .map(|e| (e.fingerprint, e.expires_at_ms))
                     .collect();
-                let base = {
-                    let shipped = self.shipped.lock();
-                    shipped.get(&pair).map(|s| (s.epoch, s.entries.clone()))
-                };
-                let body = match base {
-                    Some((base_epoch, prev)) => {
-                        // Delta against the last confirmed ship: an entry
-                        // is `added` when its fingerprint is new *or* its
-                        // expiry moved (reissued token), `removed` when it
-                        // vanished entirely.
+                // Delta against the last confirmed ship, diffed under its
+                // lock: an entry is `added` when its fingerprint is new
+                // *or* its expiry moved (reissued token), `removed` when it
+                // vanished entirely.
+                let body = match self.shipped.lock().get(&pair) {
+                    Some(prev) => {
                         let added: Vec<protocol::SieveEntry> = entries
                             .iter()
-                            .filter(|e| prev.get(&e.fingerprint) != Some(&e.expires_at_ms))
+                            .filter(|e| prev.entries.get(&e.fingerprint) != Some(&e.expires_at_ms))
                             .cloned()
                             .collect();
-                        let removed: Vec<protocol::SieveFingerprint> = prev
-                            .keys()
+                        let removed: Vec<protocol::SieveFingerprint> = (prev.entries.keys())
                             .filter(|fp| !next.contains_key(*fp))
                             .copied()
                             .collect();
                         protocol::SieveDeltaBody::build(
                             &push.owner,
                             epoch,
-                            base_epoch,
+                            prev.epoch,
                             added,
                             removed,
                             host_token.as_bytes(),
@@ -699,21 +715,13 @@ impl AuthorizationManager {
     ) -> Option<(Vec<protocol::SieveEntry>, u64, String)> {
         let now = self.clock.now_ms();
         let (host_token, trusted) = self.push_key(host, owner)?;
-        // Issued shard: the owner's live grants for this host.
-        let grants: Vec<(String, AuthzGrant<'static>)> = if trusted {
-            self.issued_for(owner)
-                .lock()
-                .get(owner)
-                .map(|g| {
-                    g.iter()
-                        .filter(|(_, grant)| grant.host == host && grant.expires_at_ms > now)
-                        .cloned()
-                        .collect()
-                })
-                .unwrap_or_default()
-        } else {
-            Vec::new()
-        };
+        // Issued shard: the owner's live grants for this host, as handles.
+        let mut grants: Vec<Issued> = Vec::new();
+        if let Some(issued) = self.issued_for(owner).lock().get_mut(owner) {
+            drop_expired(issued, now);
+            let live = |e: &&Issued| trusted && e.1.host == host && e.1.expires_at_ms > now;
+            grants.extend(issued.iter().filter(live).cloned());
+        }
         if grants.is_empty() {
             // Epoch 0 never beats an installed sieve; read the real epoch
             // so an empty sieve still supersedes older entries.
@@ -728,67 +736,50 @@ impl AuthorizationManager {
         // misses just take tier-2.
         let realm_resources: HashMap<String, Vec<String>> = {
             let shard = self.shard_for(owner).read();
-            let slot = shard.get(owner)?;
+            let policies = shard.get(owner)?.account.policies();
             let mut map: HashMap<String, Vec<String>> = HashMap::new();
-            for (_, grant) in &grants {
-                let Some(realm) = &grant.realm else { continue };
-                if map.contains_key(realm.as_ref()) {
-                    continue;
+            for realm in grants.iter().filter_map(|e| e.1.realm.as_deref()) {
+                if !map.contains_key(realm) {
+                    let members = policies.realm_members(realm).into_iter();
+                    let here = members.filter(|rr| rr.host == host).map(|rr| rr.id.clone());
+                    map.insert(realm.to_owned(), here.collect());
                 }
-                let members = slot
-                    .account
-                    .policies()
-                    .realm_members(realm)
-                    .into_iter()
-                    .filter(|rr| rr.host == host)
-                    .map(|rr| rr.id.clone())
-                    .collect();
-                map.insert(realm.to_string(), members);
             }
             map
         };
 
-        // Candidate tuples: every (token, resource, built-in action). The
-        // web layer maps unknown action strings to `Action::Custom`, which
-        // the compiler cannot enumerate — custom actions stay tier-2.
-        let builtin = Action::BUILTIN;
+        // Candidates: every (token, resource) pair, each judged for every
+        // built-in action. The web layer maps unknown action strings to
+        // `Action::Custom`, which the compiler cannot enumerate — custom
+        // actions stay tier-2.
         let mut candidates = Vec::new();
-        for (token, grant) in &grants {
+        for entry in &grants {
+            let grant = &entry.1;
+            let realm = grant.realm.as_deref().and_then(|r| realm_resources.get(r));
             let mut resources = vec![grant.resource_id.as_ref()];
-            if let Some(realm) = &grant.realm {
-                for id in realm_resources.get(realm.as_ref()).into_iter().flatten() {
-                    if !resources.contains(&id.as_str()) {
-                        resources.push(id);
-                    }
+            for id in realm.into_iter().flatten() {
+                if !resources.contains(&id.as_str()) {
+                    resources.push(id);
                 }
             }
-            for resource_id in resources {
-                for action in &builtin {
-                    candidates.push(Candidate {
-                        token,
-                        grant,
-                        resource_id,
-                        action,
-                    });
-                }
-            }
+            candidates.extend(resources.into_iter().map(|id| (entry, id)));
         }
 
         let (until, epoch) = self.cacheable_until(host, owner, now, &candidates)?;
-        let entries = candidates
-            .iter()
-            .zip(until)
-            .filter_map(|(c, until)| {
-                let expires_at_ms = until?;
-                Some(protocol::SieveEntry {
-                    fingerprint: protocol::sieve_fingerprint(
-                        c.token,
-                        c.resource_id,
-                        &c.action.to_string(),
-                        &c.grant.requester,
-                    ),
-                    resource: c.resource_id.to_owned(),
-                    expires_at_ms,
+        let entries = (candidates.iter().zip(until))
+            .flat_map(|(&(entry, resource_id), until)| {
+                let (token, grant) = &**entry;
+                (Action::BUILTIN.iter().zip(until)).filter_map(move |(action, until)| {
+                    Some(protocol::SieveEntry {
+                        fingerprint: protocol::sieve_fingerprint(
+                            token,
+                            resource_id,
+                            action.as_str(),
+                            &grant.requester,
+                        ),
+                        resource: resource_id.to_owned(),
+                        expires_at_ms: until?,
+                    })
                 })
             })
             .collect();
@@ -807,43 +798,54 @@ impl AuthorizationManager {
         Some((token.clone(), state.trust.check(host, owner).is_ok()))
     }
 
-    /// The question the sieve compiler asks: which `candidates` would
-    /// [`Self::decide`] still answer with a cacheable permit, and until
-    /// when? Each candidate goes through phase A ([`Self::gather`]), then
-    /// all of them through one phase B ([`Self::evaluate`]) — `decide`'s
-    /// own evaluation without its audit record and use-count bump.
-    /// Returns each candidate's cache expiry (`None`: not a cacheable
-    /// permit) and the epoch read with the policies; `None` when the
-    /// owner is unknown.
+    /// The question the sieve compiler asks: for which built-in actions
+    /// would [`Self::decide`] still answer each of `candidates` with a
+    /// cacheable permit, and until when? Phase A ([`Self::gather`]) builds
+    /// one tuple per candidate and looks its claims up once; each action,
+    /// swapped into the tuple in place, adds only its consent and prior
+    /// uses. Phase B ([`Self::evaluate`]) resolves each candidate's
+    /// policies once and judges every action against them: `decide`'s own
+    /// evaluation without its audit record and use-count bump. Returns
+    /// each candidate's cache expiry per action of [`Action::BUILTIN`]
+    /// (`None`: not a cacheable permit) and the epoch read with the
+    /// policies; `None` when the owner is unknown.
     fn cacheable_until(
         &self,
         host: &str,
         owner: &str,
         now: u64,
-        candidates: &[Candidate<'_>],
-    ) -> Option<(Vec<Option<u64>>, u64)> {
-        let gathered: Vec<Gathered> = candidates
-            .iter()
-            .map(|c| {
-                let tuple = access_tuple(
-                    &c.grant.requester,
-                    c.grant.subject.as_deref(),
-                    host,
-                    c.resource_id,
-                    c.action,
-                );
-                self.gather(owner, tuple)
+        candidates: &[(&Issued, &str)],
+    ) -> Option<(Vec<[Option<u64>; 5]>, u64)> {
+        let builtin = &Action::BUILTIN;
+        let mut gathered: Vec<_> = (candidates.iter())
+            .map(|&(entry, resource_id)| {
+                let (requester, subject) = (&entry.1.requester, entry.1.subject.as_deref());
+                let tuple = access_tuple(requester, subject, host, resource_id, &builtin[0]);
+                let mut g = self.gather(owner, tuple);
+                let mut seen = [(g.consent_granted, g.prior_uses); 5];
+                for (slot, action) in seen.iter_mut().zip(builtin).skip(1) {
+                    g.tuple.action = action.clone();
+                    *slot = self.consent_and_uses(owner, &g.tuple);
+                }
+                (g, seen)
             })
             .collect();
-        let (evaluated, cache_ttl_ms, epoch) = self.evaluate(owner, now, |judge| {
-            gathered.iter().map(judge).collect::<Vec<_>>()
+        let (judged, cache_ttl_ms, epoch) = self.evaluate(owner, |policies, groups| {
+            let judge = |(g, seen): &mut (Gathered, [(bool, u32); 5])| {
+                let resolution = PolicyEngine::resolve(policies, &g.tuple.resource);
+                let permits: [bool; 5] = std::array::from_fn(|i| {
+                    g.tuple.action = builtin[i].clone();
+                    (g.consent_granted, g.prior_uses) = seen[i];
+                    resolution.outcome(&g.context(groups, now)).is_permit()
+                });
+                (permits, resolution.stable_until(now))
+            };
+            gathered.iter_mut().map(judge).collect::<Vec<_>>()
         })?;
-        let until = candidates
-            .iter()
-            .zip(evaluated)
-            .map(|(c, e)| {
-                let cacheable_ms = cacheable_ms(cache_ttl_ms, c.grant, now, e.stable_until);
-                (e.decision.is_permit() && cacheable_ms > 0).then_some(now + cacheable_ms)
+        let until = (candidates.iter().zip(judged))
+            .map(|(&(entry, _), (permits, stable_until))| {
+                let cacheable_ms = cacheable_ms(cache_ttl_ms, &entry.1, now, stable_until);
+                permits.map(|permit| (permit && cacheable_ms > 0).then_some(now + cacheable_ms))
             })
             .collect();
         Some((until, epoch))
@@ -1068,49 +1070,44 @@ impl AuthorizationManager {
         }
     }
 
-    /// Phase B: evaluates gathered tuples against `owner`'s policies under
-    /// one owner-shard read, so it runs concurrently with evaluations for
-    /// owners on other shards and with central bookkeeping. `run` gets the
-    /// judge of one tuple and applies it to each; returns what `run`
-    /// returns, with the owner's cache TTL and the policy epoch read in
-    /// that same scope; `None` when the owner is unknown.
+    /// Phase A for another action on a gathered tuple (the sieve
+    /// compiler's): the owner's consent and the requester's prior uses.
+    fn consent_and_uses(&self, owner: &str, tuple: &AccessTuple) -> (bool, u32) {
+        let requester = tuple.requester_app.as_deref().unwrap_or_default();
+        let ctx = self.ctx_for(requester).read();
+        let uses = ctx.use_counts.get(tuple).copied().unwrap_or(0);
+        drop(ctx);
+        (self.consent.is_granted(owner, tuple), uses)
+    }
+
+    /// Phase B: runs `run` on `owner`'s policies and group memberships
+    /// under one owner-shard read, so it runs concurrently with
+    /// evaluations for owners on other shards and with central
+    /// bookkeeping. Returns what `run` returns, with the owner's cache TTL
+    /// and the policy epoch read in that same scope; `None` when the owner
+    /// is unknown.
     fn evaluate<R>(
         &self,
         owner: &str,
-        now: u64,
-        run: impl FnOnce(&dyn Fn(&Gathered) -> Evaluated) -> R,
+        run: impl FnOnce(&PolicySet, &dyn GroupLookup) -> R,
     ) -> Option<(R, u64, u64)> {
         let shard = self.shard_for(owner).read();
         let slot = shard.get(owner)?;
         let account = &slot.account;
-        let oracle = account.group_oracle();
-        let judged = run(&|g: &Gathered| {
-            let mut ctx = EvalContext::new(&g.tuple, now)
-                .with_groups(&oracle)
-                .with_claims(&g.claims)
-                .with_prior_uses(g.prior_uses);
-            if g.consent_granted {
-                ctx = ctx.with_consent();
-            }
-            let decision = PolicyEngine::evaluate(account.policies(), &ctx);
-            let stable_until = [&decision.general_policy, &decision.specific_policy]
-                .into_iter()
-                .flatten()
-                .filter_map(|id| account.policies().get(id))
-                .map(|policy| policy.stable_until(now))
-                .min()
-                .unwrap_or(u64::MAX);
-            Evaluated {
-                decision,
-                stable_until,
-            }
-        });
+        let judged = run(account.policies(), &account.group_oracle());
         Some((judged, account.cache_ttl_ms(), slot.epoch))
     }
 
-    /// [`Self::evaluate`] for a single tuple.
+    /// [`Self::evaluate`] for a single tuple: the engine's decision, and
+    /// the nearest `stable_until` of the policies it consulted.
     fn evaluate_one(&self, owner: &str, now: u64, g: &Gathered) -> Option<(Evaluated, u64, u64)> {
-        self.evaluate(owner, now, |judge| judge(g))
+        self.evaluate(owner, |policies, groups| {
+            let resolution = PolicyEngine::resolve(policies, &g.tuple.resource);
+            Evaluated {
+                decision: resolution.decide(&g.context(groups, now)),
+                stable_until: resolution.stable_until(now),
+            }
+        })
     }
 
     // -- token issuance (Fig. 5) ----------------------------------------------
@@ -1168,7 +1165,9 @@ impl AuthorizationManager {
         let Some((evaluated, ..)) = self.evaluate_one(request.owner, now, &gathered) else {
             return AuthorizeOutcome::Denied(format!("unknown owner {}", request.owner));
         };
-        let decision = evaluated.decision;
+        let mut decision = evaluated.decision;
+        // The audit record names no realm: the grant takes the engine's copy.
+        let realm = decision.realm.take();
         let (tuple, claims) = (&gathered.tuple, gathered.claims);
         let resource = &tuple.resource;
         let token_record = |issued| {
@@ -1180,14 +1179,15 @@ impl AuthorizationManager {
         // or striped structures; the central lock is never taken.
         match decision.outcome {
             Outcome::Permit => {
-                let grant = self.tokens.grant(
-                    decision.realm.as_deref(),
+                let mut grant = self.tokens.grant(
+                    None,
                     request.resource_id,
                     request.host,
                     request.requester,
                     request.subject,
                     request.owner,
                 );
+                grant.realm = realm.map(Cow::Owned);
                 let token = self.tokens.mint_authz_token(&grant);
                 let (grant, owned) = (copy(&grant), grant.into_owned());
                 if !claims.is_empty() {
@@ -1207,10 +1207,11 @@ impl AuthorizationManager {
                         // The owner's first token: only now is their name copied.
                         None => shard.entry(request.owner.to_owned()).or_default(),
                     };
+                    drop_expired(issued, now);
                     if issued.len() >= ISSUED_GRANTS_CAP {
                         issued.pop_front();
                     }
-                    issued.push_back((token.clone(), owned));
+                    issued.push_back(Arc::new((token.clone(), owned)));
                 }
                 self.audit.append(token_record(true));
                 AuthorizeOutcome::Token { token, grant }
@@ -2625,5 +2626,108 @@ mod route_matrix {
             let resp = rig.am.handle(&rig.net, &req);
             assert_eq!(resp.status, want, "{registrant} with {user}: {}", resp.body);
         }
+    }
+}
+
+#[cfg(test)]
+mod sieve_compile {
+    //! The issued-grants registry and the sieve compiler (DESIGN.md §12,
+    //! §13): the registry keeps live grants only, and the compiler judges
+    //! each built-in action of a (grant, resource) pair on its own.
+
+    use std::collections::HashSet;
+
+    use ucam_policy::{PolicyBody, Rule, RulePolicy, Subject};
+
+    use super::*;
+    use crate::tokens::AUTHZ_TOKEN_TTL_MS;
+
+    const HOST: &str = "h.example";
+    const RESOURCES: [&str; 2] = ["doc-1", "doc-2"];
+
+    /// Bob delegates [`HOST`] and lets everyone read the realm holding
+    /// [`RESOURCES`]; nothing else is permitted.
+    fn am() -> AuthorizationManager {
+        let am = AuthorizationManager::new("am.example", SimClock::new());
+        am.register_user("bob");
+        am.establish_delegation(HOST, "bob").unwrap();
+        am.pap("bob", |account| {
+            let read = Rule::permit()
+                .for_subject(Subject::Public)
+                .for_action(Action::Read);
+            let id = account.create_policy(
+                "read-only",
+                PolicyBody::Rules(RulePolicy::new().with_rule(read)),
+            );
+            for id in RESOURCES {
+                account.assign_realm(ResourceRef::new(HOST, id), "docs");
+            }
+            account.link_general("docs", &id).unwrap();
+        })
+        .unwrap();
+        am
+    }
+
+    /// A token for `requester` reading the first resource.
+    fn token(am: &AuthorizationManager, requester: &str) -> String {
+        let request = AuthorizeRequest::new(HOST, "bob", RESOURCES[0], Action::Read, requester);
+        match am.authorize(&request) {
+            AuthorizeOutcome::Token { token, .. } => token,
+            other => panic!("the realm policy grants {requester}: {other:?}"),
+        }
+    }
+
+    /// Bob's registry: each grant's expiry, oldest first.
+    fn registry(am: &AuthorizationManager) -> Vec<u64> {
+        let shard = am.issued_for("bob").lock();
+        let issued = shard.get("bob").into_iter().flatten();
+        issued.map(|entry| entry.1.expires_at_ms).collect()
+    }
+
+    #[test]
+    fn the_registry_forgets_a_grant_once_it_expires() {
+        let am = am();
+        token(&am, "requester:a");
+        token(&am, "requester:b");
+        assert_eq!(registry(&am).len(), 2);
+
+        am.clock().advance_ms(AUTHZ_TOKEN_TTL_MS + 1);
+        token(&am, "requester:c");
+        let now = am.clock().now_ms();
+        let held = registry(&am);
+        assert_eq!(held.len(), 1, "only the live grant stays: {held:?}");
+        assert!(held.iter().all(|&expires| expires > now));
+
+        // A compile prunes the same way, with no token issued.
+        am.clock().advance_ms(AUTHZ_TOKEN_TTL_MS + 1);
+        let (entries, ..) = am.compile_sieve(HOST, "bob").unwrap();
+        assert!(entries.is_empty());
+        assert!(registry(&am).is_empty());
+    }
+
+    #[test]
+    fn the_compile_judges_each_action_on_its_own() {
+        let am = am();
+        let requesters = ["requester:a", "requester:b"];
+        let tokens = requesters.map(|requester| token(&am, requester));
+        let (entries, ..) = am.compile_sieve(HOST, "bob").unwrap();
+        let compiled: HashSet<_> = entries.iter().map(|e| e.fingerprint).collect();
+        assert_eq!(compiled.len(), entries.len());
+
+        // Exactly the read fingerprint of every (token, realm member).
+        for (token, requester) in tokens.iter().zip(requesters) {
+            for resource in RESOURCES {
+                for action in Action::BUILTIN {
+                    let fingerprint =
+                        protocol::sieve_fingerprint(token, resource, action.as_str(), requester);
+                    assert_eq!(
+                        compiled.contains(&fingerprint),
+                        action == Action::Read,
+                        "{requester} {action} {resource}"
+                    );
+                }
+            }
+        }
+        assert_eq!(entries.len(), requesters.len() * RESOURCES.len());
     }
 }

@@ -336,7 +336,9 @@ impl PolicySet {
 pub struct PolicyEngine;
 
 impl PolicyEngine {
-    /// Runs the §VI pipeline over `set` for the request in `ctx`.
+    /// Runs the §VI pipeline over `set` for the request in `ctx`: the
+    /// request's resource [resolved](Self::resolve), then
+    /// [decided](Resolution::decide).
     ///
     /// Stage 1 evaluates the realm's general policy: an explicit deny
     /// short-circuits. Stage 2 evaluates the resource's specific policy; its
@@ -346,48 +348,73 @@ impl PolicyEngine {
     /// default deny ([`DenyReason::NoApplicablePolicy`]).
     #[must_use]
     pub fn evaluate(set: &PolicySet, ctx: &EvalContext<'_>) -> EngineDecision {
-        let resource = &ctx.request.resource;
-        let realm = set.realm_of(resource).map(str::to_owned);
+        Self::resolve(set, &ctx.request.resource).decide(ctx)
+    }
 
-        let general_id = realm
-            .as_deref()
-            .and_then(|r| set.general_binding(r))
-            .cloned();
-        let specific_id = set.specific_binding(resource).cloned();
-
-        // Stage 1: general policy.
-        let general_outcome = match &general_id {
-            Some(id) => match set.get(id) {
-                Some(policy) => policy.evaluate(ctx),
-                None => Outcome::NotApplicable,
-            },
-            None => Outcome::NotApplicable,
-        };
-        if let Outcome::Deny(_) = general_outcome {
-            return EngineDecision {
-                outcome: Outcome::Deny(DenyReason::GeneralPolicyDeny),
-                general_policy: general_id,
-                specific_policy: specific_id,
-                realm,
-            };
-        }
-
-        // Stage 2: specific policy.
-        let specific_outcome = match &specific_id {
-            Some(id) => match set.get(id) {
-                Some(policy) => policy.evaluate(ctx),
-                None => Outcome::NotApplicable,
-            },
-            None => Outcome::NotApplicable,
-        };
-
-        let outcome = combine(general_outcome, specific_outcome);
-        EngineDecision {
-            outcome,
-            general_policy: general_id,
-            specific_policy: specific_id,
+    /// The part of [`Self::evaluate`] that depends on the resource only:
+    /// its realm and the general and specific policies bound to it. One
+    /// resolution judges any number of requests on that resource.
+    #[must_use]
+    pub fn resolve<'a>(set: &'a PolicySet, resource: &ResourceRef) -> Resolution<'a> {
+        let realm = set.realm_of(resource);
+        let bound = |id: Option<&'a PolicyId>| id.map(|id| (id, set.get(id)));
+        Resolution {
             realm,
+            general: bound(realm.and_then(|r| set.general_binding(r))),
+            specific: bound(set.specific_binding(resource)),
         }
+    }
+}
+
+/// One resource's policies as [`PolicyEngine::resolve`] found them: the
+/// realm it belongs to, and the general and specific policy bound to it
+/// (each binding's id, and its policy when the set holds one).
+#[derive(Debug, Clone, Copy)]
+pub struct Resolution<'a> {
+    realm: Option<&'a str>,
+    general: Option<(&'a PolicyId, Option<&'a Policy>)>,
+    specific: Option<(&'a PolicyId, Option<&'a Policy>)>,
+}
+
+impl Resolution<'_> {
+    /// The two stages' combined outcome for the request in `ctx`, which
+    /// must be on the resolved resource.
+    #[must_use]
+    pub fn outcome(&self, ctx: &EvalContext<'_>) -> Outcome {
+        let stage = |bound: Option<(&PolicyId, Option<&Policy>)>| match bound {
+            Some((_, Some(policy))) => policy.evaluate(ctx),
+            _ => Outcome::NotApplicable,
+        };
+        let general = stage(self.general);
+        if let Outcome::Deny(_) = general {
+            return Outcome::Deny(DenyReason::GeneralPolicyDeny);
+        }
+        combine(general, stage(self.specific))
+    }
+
+    /// [`Self::outcome`] with the realm and the policies consulted, as
+    /// [`PolicyEngine::evaluate`] reports them.
+    #[must_use]
+    pub fn decide(&self, ctx: &EvalContext<'_>) -> EngineDecision {
+        EngineDecision {
+            outcome: self.outcome(ctx),
+            general_policy: self.general.map(|(id, _)| id.clone()),
+            specific_policy: self.specific.map(|(id, _)| id.clone()),
+            realm: self.realm.map(str::to_owned),
+        }
+    }
+
+    /// Until when every verdict of this resolution holds without an edit:
+    /// the nearest [`Policy::stable_until`] of the resolved policies
+    /// (`u64::MAX` with none).
+    #[must_use]
+    pub fn stable_until(&self, now_ms: u64) -> u64 {
+        [self.general, self.specific]
+            .into_iter()
+            .filter_map(|bound| bound?.1)
+            .map(|policy| policy.stable_until(now_ms))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 }
 
@@ -732,6 +759,268 @@ mod tests {
         assert_eq!(set.unbind_general("album"), Some(PolicyId::from("general")));
         assert_eq!(set.unbind_general("album"), None);
         assert_eq!(set.unbind_specific(&photo()), None);
+    }
+
+    mod resolve_once {
+        //! The resolve-once, judge-per-action path against a test copy of
+        //! the 0.26.0 engine, which resolved the resource's policies anew
+        //! for every request, and against the AM's 0.26.0 `stable_until`,
+        //! which looked the consulted policies up again by the decision's
+        //! ids: one resolution, judged for each built-in action, must give
+        //! each action's outcome, realm and policies, and the same bound.
+
+        use super::*;
+        use crate::condition::{Claim, ClaimRequirement, Condition};
+        use crate::groups::GroupStore;
+        use crate::matrix::AclMatrix;
+        use crate::model::{AccessRequest, Action, Subject};
+        use crate::rule::{Rule, RulePolicy};
+        use crate::xacml::{Combining, Target, XExpr, XacmlPolicy, XacmlPolicySet, XacmlRule};
+        use proptest::prelude::*;
+
+        /// `PolicyEngine::evaluate` as of 0.26.0.
+        fn evaluate_0_26(set: &PolicySet, ctx: &EvalContext<'_>) -> EngineDecision {
+            let resource = &ctx.request.resource;
+            let realm = set.realm_of(resource).map(str::to_owned);
+            let general_id = realm
+                .as_deref()
+                .and_then(|r| set.general_binding(r))
+                .cloned();
+            let specific_id = set.specific_binding(resource).cloned();
+            let general_outcome = match &general_id {
+                Some(id) => match set.get(id) {
+                    Some(policy) => policy.evaluate(ctx),
+                    None => Outcome::NotApplicable,
+                },
+                None => Outcome::NotApplicable,
+            };
+            if let Outcome::Deny(_) = general_outcome {
+                return EngineDecision {
+                    outcome: Outcome::Deny(DenyReason::GeneralPolicyDeny),
+                    general_policy: general_id,
+                    specific_policy: specific_id,
+                    realm,
+                };
+            }
+            let specific_outcome = match &specific_id {
+                Some(id) => match set.get(id) {
+                    Some(policy) => policy.evaluate(ctx),
+                    None => Outcome::NotApplicable,
+                },
+                None => Outcome::NotApplicable,
+            };
+            EngineDecision {
+                outcome: combine(general_outcome, specific_outcome),
+                general_policy: general_id,
+                specific_policy: specific_id,
+                realm,
+            }
+        }
+
+        /// The AM's 0.26.0 bound on one decision: the nearest
+        /// `stable_until` of the policies its ids name.
+        fn stable_until_0_26(set: &PolicySet, decision: &EngineDecision, now: u64) -> u64 {
+            [&decision.general_policy, &decision.specific_policy]
+                .into_iter()
+                .flatten()
+                .filter_map(|id| set.get(id))
+                .map(|policy| policy.stable_until(now))
+                .min()
+                .unwrap_or(u64::MAX)
+        }
+
+        fn subject(code: u8) -> Subject {
+            match code % 6 {
+                0 => Subject::Public,
+                1 => Subject::Authenticated,
+                2 => Subject::User("alice".into()),
+                3 => Subject::User("bob".into()),
+                4 => Subject::Group("friends".into()),
+                _ => Subject::App("requester:a".into()),
+            }
+        }
+
+        /// A built-in action, or (code 5) a custom one no request uses.
+        fn action(code: u8) -> Action {
+            Action::BUILTIN
+                .get(usize::from(code % 6))
+                .cloned()
+                .unwrap_or_else(|| Action::Custom("print".into()))
+        }
+
+        fn payment() -> ClaimRequirement {
+            ClaimRequirement::of_kind("payment")
+        }
+
+        /// A rule condition around instant `t`, or none (code 5).
+        fn condition(code: u8, t: u64) -> Option<Condition> {
+            Some(match code % 6 {
+                0 => Condition::TimeWindow {
+                    start_ms: t,
+                    end_ms: t + 40,
+                },
+                1 => Condition::ValidUntil(t),
+                2 => Condition::MaxUses(u32::from(code / 6 % 3)),
+                3 => Condition::RequiresConsent,
+                4 => Condition::RequiresClaims(vec![payment()]),
+                _ => return None,
+            })
+        }
+
+        /// An XACML condition around instant `t`, nested while `depth`
+        /// lasts.
+        fn expr(code: u8, t: u64, depth: u8) -> XExpr {
+            let inner = |shift: u8| expr(code.rotate_left(u32::from(shift)), t + 7, depth - 1);
+            match code % 11 {
+                8 if depth > 0 => XExpr::Not(Box::new(inner(3))),
+                9 if depth > 0 => XExpr::And(vec![inner(2), inner(5)]),
+                10 if depth > 0 => XExpr::Or(vec![inner(1), inner(4)]),
+                1 => XExpr::TimeBefore(t),
+                2 => XExpr::TimeAtOrAfter(t),
+                3 => XExpr::SubjectIs("alice".into()),
+                4 => XExpr::SubjectInGroup("friends".into()),
+                5 => XExpr::UsesBelow(u32::from(code / 11 % 3)),
+                6 => XExpr::HasClaim(payment()),
+                7 => XExpr::ConsentGranted,
+                _ => XExpr::True,
+            }
+        }
+
+        fn combining(code: u8) -> Combining {
+            match code % 3 {
+                0 => Combining::DenyOverrides,
+                1 => Combining::PermitOverrides,
+                _ => Combining::FirstApplicable,
+            }
+        }
+
+        /// One clause: (effect, subject, action, condition, instant).
+        type Clause = (u8, u8, u8, u8, u8);
+
+        /// A policy named `name` in the language `kind` picks, from
+        /// `clauses`. An action code of 6 or more leaves a rule or a
+        /// target open to every action.
+        fn policy(name: &str, kind: u8, clauses: &[Clause]) -> Policy {
+            match kind % 3 {
+                0 => Policy::matrix(
+                    name,
+                    clauses
+                        .iter()
+                        .map(|&(_, s, a, _, _)| (subject(s), action(a)))
+                        .collect::<AclMatrix>(),
+                ),
+                1 => {
+                    let mut rules = RulePolicy::new();
+                    for &(effect, s, a, c, t) in clauses {
+                        let rule = if effect % 3 == 0 {
+                            Rule::deny()
+                        } else {
+                            Rule::permit()
+                        };
+                        let mut rule = rule.for_subject(subject(s));
+                        if a % 12 < 6 {
+                            rule = rule.for_action(action(a));
+                        }
+                        if let Some(condition) = condition(c, u64::from(t)) {
+                            rule = rule.with_condition(condition);
+                        }
+                        rules.push(rule);
+                    }
+                    Policy::rules(name, rules)
+                }
+                _ => {
+                    let mut inner = XacmlPolicy::new("p", combining(kind / 3));
+                    for (i, &(effect, s, a, c, t)) in clauses.iter().enumerate() {
+                        let id = format!("r{i}");
+                        let rule = if effect % 3 == 0 {
+                            XacmlRule::deny(&id)
+                        } else {
+                            XacmlRule::permit(&id)
+                        };
+                        let mut target = Target::any().with_subject(subject(s));
+                        if a % 12 < 6 {
+                            target = target.with_action(action(a));
+                        }
+                        let rule = rule.with_target(target);
+                        inner = inner.with_rule(match c % 4 {
+                            0 => rule,
+                            _ => rule.with_condition(expr(c, u64::from(t), 2)),
+                        });
+                    }
+                    let set = XacmlPolicySet::new("ps", combining(kind / 9)).with_policy(inner);
+                    Policy::xacml(name, set)
+                }
+            }
+        }
+
+        fn clauses() -> impl Strategy<Value = Vec<Clause>> {
+            proptest::collection::vec((0u8..255, 0u8..255, 0u8..255, 0u8..255, 0u8..200), 1..5)
+        }
+
+        fn photo() -> ResourceRef {
+            ResourceRef::new("h.example", "photo")
+        }
+
+        proptest! {
+            /// Over matrix, rule and XACML bodies bound as general and
+            /// specific policies (or not), with time, use-count, consent
+            /// and claim conditions: one resolution judged per built-in
+            /// action equals the 0.26.0 engine on each action, and its
+            /// bound equals the 0.26.0 minimum.
+            #[test]
+            fn one_resolution_judges_every_action_as_the_0_26_engine(
+                general in (0u8..255, clauses()),
+                specific in (0u8..255, clauses()),
+                bindings in 0u8..8,
+                requester in (0u8..3, any::<bool>(), 0u32..3, any::<bool>()),
+                now in 0u64..240,
+            ) {
+                let mut set = PolicySet::new();
+                set.add(policy("general", general.0, &general.1)).unwrap();
+                set.add(policy("specific", specific.0, &specific.1)).unwrap();
+                // An unrelated binding the resolution must not pick up.
+                let other = ResourceRef::new("h.example", "other");
+                set.bind_specific(other.clone(), &PolicyId::from("general")).unwrap();
+                set.assign_realm(other, "elsewhere");
+                if bindings & 1 != 0 {
+                    set.assign_realm(photo(), "album");
+                }
+                if bindings & 2 != 0 {
+                    set.bind_general("album", &PolicyId::from("general")).unwrap();
+                }
+                if bindings & 4 != 0 {
+                    set.bind_specific(photo(), &PolicyId::from("specific")).unwrap();
+                }
+                let mut groups = GroupStore::new();
+                groups.add_member("friends", "alice");
+                let (who, via_app, prior_uses, consent) = requester;
+                let claims = [Claim::new("payment", "paid", "bank.example")];
+                let presented: &[Claim] = if consent == (prior_uses == 1) { &claims } else { &[] };
+
+                let resolution = PolicyEngine::resolve(&set, &photo());
+                let mut request = AccessRequest::new("h.example", "photo", Action::Read);
+                request.subject = ["alice", "bob"].get(usize::from(who)).map(|u| (*u).to_owned());
+                request.requester_app = via_app.then(|| "requester:a".to_owned());
+                for built_in in Action::BUILTIN {
+                    request.action = built_in;
+                    let mut ctx = EvalContext::new(&request, now)
+                        .with_groups(&groups)
+                        .with_claims(presented)
+                        .with_prior_uses(prior_uses);
+                    if consent {
+                        ctx = ctx.with_consent();
+                    }
+                    let expected = evaluate_0_26(&set, &ctx);
+                    prop_assert_eq!(resolution.outcome(&ctx), expected.outcome.clone());
+                    prop_assert_eq!(resolution.decide(&ctx), expected.clone());
+                    prop_assert_eq!(PolicyEngine::evaluate(&set, &ctx), expected.clone());
+                    prop_assert_eq!(
+                        resolution.stable_until(now),
+                        stable_until_0_26(&set, &expected, now)
+                    );
+                }
+            }
+        }
     }
 
     mod properties {

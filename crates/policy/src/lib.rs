@@ -64,7 +64,7 @@ pub mod xml;
 /// Convenient glob-import of the commonly used policy types.
 pub mod prelude {
     pub use crate::condition::{Claim, ClaimRequirement, Condition};
-    pub use crate::engine::{EngineDecision, PolicyEngine, PolicySet};
+    pub use crate::engine::{EngineDecision, PolicyEngine, PolicySet, Resolution};
     pub use crate::groups::{GroupLookup, GroupStore};
     pub use crate::matrix::AclMatrix;
     pub use crate::model::{

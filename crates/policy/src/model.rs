@@ -125,18 +125,25 @@ impl Action {
         let builtin = Action::BUILTIN.get(usize::from(code)).cloned();
         builtin.unwrap_or_else(|| Action::Custom(name.to_owned()))
     }
+
+    /// The action's wire name: a static label for a built-in action, the
+    /// name of a custom one.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        match self {
+            Action::Read => "read",
+            Action::Write => "write",
+            Action::Delete => "delete",
+            Action::List => "list",
+            Action::Share => "share",
+            Action::Custom(s) => s,
+        }
+    }
 }
 
 impl fmt::Display for Action {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Action::Read => f.write_str("read"),
-            Action::Write => f.write_str("write"),
-            Action::Delete => f.write_str("delete"),
-            Action::List => f.write_str("list"),
-            Action::Share => f.write_str("share"),
-            Action::Custom(s) => f.write_str(s),
-        }
+        f.write_str(self.as_str())
     }
 }
 

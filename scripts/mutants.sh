@@ -21,13 +21,17 @@
 #   the refusal of a header line without a colon, the MAX_HEADERS cap,
 #   and the MAX_MESSAGE_BYTES cap on a declared content-length;
 # * the round-trip accounting (DESIGN.md §9): the edge memo's compare of
-#   both names, without which edges sharing a memo slot count as one.
+#   both names, without which edges sharing a memo slot count as one;
+# * the AM's sieve compiler (DESIGN.md §12): each built-in action of a
+#   (grant, resource) pair judged on its own, not as the first one.
 #
 #   bash scripts/mutants.sh            # every mutant
 #   bash scripts/mutants.sh NAME...    # the named mutants only
 #
-# The tree is copied to a temporary directory and each mutant is applied
-# there, one at a time; the working tree is never edited. First every
+# The tree is copied to a temporary directory, every file stamped with the
+# time of the copy (so cargo never takes an earlier run's mutated build in
+# the same target directory as fresh), and each mutant is applied there,
+# one at a time; the working tree is never edited. First every
 # named test filter must select at least one test and pass on the
 # unmutated copy. Then each mutant must change exactly one line and
 # build, and the lib tests its filter selects in its crate must fail.
@@ -80,12 +84,13 @@ MUTANTS=(
   "header-without-colon-skipped @@ ucam-webenv @@ malformed_heads_fail_closed @@ $codec @@ "'            return Err("bad header"); @@             continue;'
   "max-headers-lifted @@ ucam-webenv @@ malformed_heads_fail_closed @@ $codec @@ "'        if count == MAX_HEADERS { @@         if false {'
   "content-length-uncapped @@ ucam-webenv @@ content_length_bounds @@ $codec @@ "'        if len > MAX_MESSAGE_BYTES { @@         if false {'
+  "compile-judges-one-action @@ ucam-am @@ the_compile_judges_each_action_on_its_own @@ crates/am/src/manager.rs @@ "'                    g.tuple.action = builtin[i].clone(); @@                     g.tuple.action = builtin[0].clone();'
 )
 
 started=$(date +%s)
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-tar --exclude=./target --exclude=./perfbench/target --exclude=./.git -cf - . | tar -xf - -C "$tmp"
+tar --exclude=./target --exclude=./perfbench/target --exclude=./.git -cf - . | tar -xmf - -C "$tmp"
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$tmp/target}"
 
 # Splits a mutant row into its six fields.

@@ -33,6 +33,12 @@
 //! the access log retain per record, for records shaped like
 //! `churn_sim`'s, stay within their budgets.
 //!
+//! Two rows count the edit path: one `churn_sim`-shaped edit (the policy
+//! edit, the push drain and the Host's delta install) at three owner
+//! shapes, held to a budget that grows with the (live grant, resource)
+//! pairs the sieve compiler replays; and the bytes the AM's issued-grants
+//! registry retains once earlier tokens have expired, per live grant.
+//!
 //! Each class's mean and each row's count is printed (run with
 //! `--nocapture` to see them) and held to a budget. Run it optimised, as
 //! CI does:
@@ -588,3 +594,213 @@ fn ring_records_retain_their_budgeted_bytes() {
 const AUDIT_BYTES: f64 = 128.0;
 /// Retained bytes per `churn_sim`-shaped access-log record.
 const LOG_BYTES: f64 = 64.0;
+
+/// An owner shaped like `churn_sim`'s, for the edit rows: `grants` live
+/// realm tokens, one per requester, over a realm of `resources` files on
+/// one WebStorage Host that holds their pushed sieve. One edit unlinks
+/// or relinks the realm's read policy, then drains the push (a delta the
+/// Host installs).
+struct EditRig {
+    net: SimNet,
+    am: Arc<AuthorizationManager>,
+    host: Arc<WebStorage>,
+    policy: PolicyId,
+}
+
+impl EditRig {
+    fn new(grants: usize, resources: usize) -> EditRig {
+        let net = SimNet::new();
+        net.trace().set_enabled(false);
+        let clock = net.clock().clone();
+        let am = Arc::new(AuthorizationManager::new(AM, clock.clone()));
+        am.set_audit_cap(64);
+        let host = WebStorage::new(HOST, clock);
+        net.register(am.clone());
+        net.register(host.clone());
+        am.register_user("bob");
+        am.subscribe_epoch_push(HOST, "bob");
+        let (delegation, host_token) = am.establish_delegation(HOST, "bob").unwrap();
+        host.shell().core.set_user_delegation(
+            "bob",
+            DelegationConfig {
+                am: AM.into(),
+                host_token,
+                delegation_id: delegation.id,
+            },
+        );
+        let files: Vec<String> = (0..resources)
+            .map(|r| format!("files/pop/r{r:09}"))
+            .collect();
+        for file in &files {
+            host.shell()
+                .core
+                .put_resource(file, "bob", "file", b"x".to_vec())
+                .unwrap();
+        }
+        let policy = am
+            .pap("bob", |account| {
+                let read = Rule::permit()
+                    .for_subject(Subject::Public)
+                    .for_action(Action::Read);
+                let policy = account.create_policy(
+                    "open-read",
+                    PolicyBody::Rules(RulePolicy::new().with_rule(read)),
+                );
+                for file in &files {
+                    account.assign_realm(ResourceRef::new(HOST, file), "pop");
+                }
+                account.link_general("pop", &policy).unwrap();
+                policy
+            })
+            .unwrap();
+        for g in 0..grants {
+            let requester = format!("requester:r{g:03}");
+            let request = AuthorizeRequest::new(HOST, "bob", &files[0], Action::Read, &requester);
+            assert!(matches!(
+                am.authorize(&request),
+                AuthorizeOutcome::Token { .. }
+            ));
+        }
+        am.schedule_sieve_refresh();
+        while am.pump_epoch_pushes(&net) > 0 {}
+        EditRig {
+            net,
+            am,
+            host,
+            policy,
+        }
+    }
+
+    /// One edit: the realm's policy unlinked (`revoke`) or linked again,
+    /// then every push drained and installed.
+    fn edit(&self, revoke: bool) {
+        self.am
+            .pap("bob", |account| {
+                if revoke {
+                    account.unlink_general("pop");
+                } else {
+                    account.link_general("pop", &self.policy).unwrap();
+                }
+            })
+            .unwrap();
+        while self.am.pump_epoch_pushes(&self.net) > 0 {}
+    }
+
+    /// Mean allocations of one edit, over `pairs` revoke-restore pairs
+    /// after two uncounted ones; every edit is a delta the Host installs.
+    fn mean_edit_allocs(&self, pairs: u32) -> f64 {
+        let deltas = || self.host.shell().core.stats().sieve_delta_installs;
+        for revoke in [true, false, true, false] {
+            self.edit(revoke);
+        }
+        let before = deltas();
+        let mut total = 0;
+        for _ in 0..pairs {
+            total += count(|| self.edit(true));
+            total += count(|| self.edit(false));
+        }
+        assert_eq!(
+            deltas() - before,
+            u64::from(2 * pairs),
+            "one delta per edit"
+        );
+        total as f64 / f64::from(2 * pairs)
+    }
+}
+
+/// Allocations per edit (the policy edit, the push drain and the Host's
+/// delta install, on one thread on SimNet) at three owner shapes, each
+/// against a budget of [`EDIT_BASE`] plus [`EDIT_PER_PAIR`] per (live
+/// grant, resource) pair. Half the edits revoke the realm (every pair
+/// compiles to no entry) and half restore it (every pair to one read
+/// entry). 0.26.0 judged each pair once per built-in action, each judgement
+/// on a tuple and a decision of its own, and copied every live grant
+/// into each compile: the figures it measured are printed beside.
+#[test]
+fn edits_stay_within_their_allocation_budget() {
+    // (grants, resources, what 0.26.0 measured)
+    for (grants, resources, parent) in [(8, 4, 973.0), (28, 2, 1_763.0), (16, 8, 3_574.0)] {
+        let rig = EditRig::new(grants, resources);
+        let mean = rig.mean_edit_allocs(4);
+        let pairs = (grants * resources) as f64;
+        let budget = EDIT_BASE + EDIT_PER_PAIR * pairs;
+        println!(
+            "decision_alloc_budget: edit, {grants} grants x {resources} resources: \
+             {mean:.1} allocations (budget {budget:.0}; 0.26.0 {parent:.1})"
+        );
+        assert!(
+            mean <= budget,
+            "{grants} x {resources}: {mean:.1} allocations per edit, over its budget of {budget:.0}"
+        );
+    }
+}
+
+/// Allocations of one edit beyond the pairs it replays.
+const EDIT_BASE: f64 = 60.0;
+/// Allocations of one edit per (live grant, resource) pair.
+const EDIT_PER_PAIR: f64 = 12.0;
+
+/// The bytes the AM's issued-grants registry retains for one owner once
+/// its earlier tokens have expired: eight batches of 32 tokens, the clock
+/// passing the token lifetime after each, then a ninth batch. Only the
+/// ninth is live, and only it may stay; 0.26.0 kept all nine.
+#[test]
+fn the_issued_grants_registry_retains_only_live_grants() {
+    const LIVE: usize = 32;
+    const EXPIRED_BATCHES: usize = 8;
+    let net = SimNet::new();
+    let clock = net.clock().clone();
+    let am = AuthorizationManager::new(AM, clock.clone());
+    am.set_audit_cap(64);
+    for owner in ["owner-0007", "owner-0008"] {
+        am.register_user(owner);
+        am.establish_delegation(CHURN_HOST, owner).unwrap();
+        am.pap(owner, |account| {
+            let read = Rule::permit()
+                .for_subject(Subject::Public)
+                .for_action(Action::Read);
+            let policy =
+                account.create_policy("p-17", PolicyBody::Rules(RulePolicy::new().with_rule(read)));
+            account.assign_realm(ResourceRef::new(CHURN_HOST, CHURN_RESOURCE), "pop");
+            account.link_general("pop", &policy).unwrap();
+        })
+        .unwrap();
+    }
+    let batch = |owner: &str| {
+        for r in 0..LIVE {
+            let requester = format!("requester:r{r:03}");
+            let request =
+                AuthorizeRequest::new(CHURN_HOST, owner, CHURN_RESOURCE, Action::Read, &requester);
+            assert!(matches!(
+                am.authorize(&request),
+                AuthorizeOutcome::Token { .. }
+            ));
+        }
+    };
+    // Another owner's tokens fill the audit ring past its cap first, so
+    // the count below is the registry's alone.
+    for _ in 0..3 {
+        batch("owner-0008");
+    }
+    let bytes = retained(|| {
+        for _ in 0..EXPIRED_BATCHES {
+            batch("owner-0007");
+            clock.advance_ms(AUTHZ_TOKEN_TTL_MS + 1);
+        }
+        batch("owner-0007");
+    });
+    let per_live = bytes as f64 / LIVE as f64;
+    println!(
+        "decision_alloc_budget: issued-grants registry: {per_live:.1} bytes per live grant \
+         (0.26.0 {REGISTRY_BYTES_0_26:.1}, holding every expired one)"
+    );
+    assert!(
+        per_live <= REGISTRY_BYTES,
+        "{per_live:.1} bytes per live grant, over its budget of {REGISTRY_BYTES}"
+    );
+}
+
+/// Retained registry bytes per live grant.
+const REGISTRY_BYTES: f64 = 483.0;
+/// What 0.26.0 retained per live grant in the same run.
+const REGISTRY_BYTES_0_26: f64 = 5_296.9;
