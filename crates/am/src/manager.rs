@@ -22,6 +22,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
+use ucam_crypto::HmacKey;
 use ucam_policy::{
     AccessRequest, Action, Claim, ClaimRequirement, EngineDecision, EvalContext, GroupLookup,
     Outcome, PolicyEngine, PolicySet, ResourceRef,
@@ -41,9 +42,9 @@ use crate::consent::{
     AccessTuple, Channel, ConsentHub, ConsentState, Notification, NotificationOutbox,
 };
 use crate::pap::{Account, ExportFormat};
-use crate::push::{EpochPushStats, PushFanOut};
+use crate::push::{EpochPushStats, PendingPush, PushFanOut, ShippedSieve};
 use crate::tokens::{AuthzGrant, HostGrant, TokenError, TokenService};
-use crate::trust::{Delegation, TrustError, TrustRegistry};
+use crate::trust::{Delegation, Pair, TrustError, TrustRegistry};
 use Caller::{Anyone, Host, Owner, RegisteredHost, Registrant, Requester, User};
 use OwnerOf::{Consent, Param, Snapshot};
 
@@ -261,6 +262,12 @@ const ISSUED_SHARDS: usize = 16;
 /// a wrong grant.
 const ISSUED_GRANTS_CAP: usize = 4096;
 
+/// Epoch pushes one pump compiles, sends in one pipelined flush and
+/// settles before it compiles the next, so a drain holds one stride's
+/// requests and bodies at a time. Chosen by measurement on a 1,024-push
+/// sieve refresh over loopback HTTP (DESIGN.md §13).
+const PUSH_STRIDE: usize = 64;
+
 thread_local! {
     /// The payload buffers [`AuthorizationManager::decide`] opens its
     /// host and authorization tokens into, reused by every decision on
@@ -293,18 +300,16 @@ type AccountShard = HashMap<String, AccountSlot>;
 /// Read-mostly central state behind the AM's lock. Everything written on
 /// the per-request hot path was evicted into sharded or striped
 /// structures (DESIGN.md §13): what stays here changes only on
-/// administrative events (delegations, IdP/claim-issuer config), so
-/// `authorize`/`decide` take this lock for *reading* exclusively and the
-/// 8-thread writer convoy the old monolithic state produced is gone.
+/// administrative events (delegations, subscriptions, IdP/claim-issuer
+/// config) and on a confirmed sieve push, so `authorize`/`decide` take
+/// this lock for *reading* exclusively and the 8-thread writer convoy
+/// the old monolithic state produced is gone.
 #[derive(Default)]
 struct AmState {
+    /// One record per (host, user) pair: its delegation, subscription,
+    /// prepared push key and last confirmed sieve.
     trust: TrustRegistry,
     claim_verifier: ClaimVerifier,
-    /// Host tokens retained at delegation time, keyed by (host, user).
-    /// Each doubles as the HMAC key a compiled sieve for that delegation
-    /// is signed with — a secret both ends already share, so the sieve
-    /// needs no new key exchange.
-    host_tokens: HashMap<(String, String), String>,
     idp: Option<IdentityVerifier>,
 }
 
@@ -335,16 +340,6 @@ fn drop_expired(list: &mut VecDeque<Issued>, now: u64) {
     while list.front().is_some_and(|e| e.1.expires_at_ms <= now) {
         list.pop_front();
     }
-}
-
-/// What the AM last successfully shipped to one (host, owner) pair with
-/// a sieve body: the epoch it was compiled under and its fingerprint set.
-/// The delta encoder diffs the next compile against this; the map is
-/// updated only on confirmed delivery, so it can never run ahead of what
-/// the Host actually installed.
-struct ShippedSieve {
-    epoch: u64,
-    entries: HashMap<protocol::SieveFingerprint, u64>,
 }
 
 /// What phase A gathers for one access tuple (see
@@ -446,9 +441,6 @@ pub struct AuthorizationManager {
     audit: AuditHub,
     /// Asynchronous AM→Host epoch push fan-out (internally synchronized).
     pushes: PushFanOut,
-    /// Last sieve state confirmed delivered per (host, owner) — the base
-    /// the delta encoder diffs against (DESIGN.md §13).
-    shipped: Mutex<HashMap<(String, String), ShippedSieve>>,
     /// Dynamically registered Hosts/Requesters, keyed by registrant id.
     /// Management traffic only — never touched by `authorize`/`decide`.
     registrants: Mutex<HashMap<String, Registration>>,
@@ -482,7 +474,6 @@ impl AuthorizationManager {
             outbox: Mutex::new(NotificationOutbox::default()),
             audit: AuditHub::new(),
             pushes: PushFanOut::default(),
-            shipped: Mutex::new(HashMap::default()),
             registrants: Mutex::new(HashMap::default()),
             registrant_seq: AtomicU64::new(0),
         }
@@ -529,14 +520,14 @@ impl AuthorizationManager {
     /// runs: epochs propagate as real network messages, not as an
     /// instantaneous side effect (see [`crate::push`]).
     pub fn subscribe_epoch_push(&self, host: &str, owner: &str) {
-        self.pushes.subscribe(host, owner);
+        self.state.write().trust.subscribe(host, owner);
     }
 
     /// Queues an epoch advance for delivery to every subscribed target.
     fn schedule_epoch_push(&self, owner: &str, epoch: u64) {
-        if self.pushes.has_targets() {
-            self.pushes.schedule(self.clock.now_ms(), owner, epoch);
-        }
+        let (now, state) = (self.clock.now_ms(), self.state.read());
+        self.pushes
+            .schedule(now, state.trust.subscribed(owner), epoch);
     }
 
     /// Attempts delivery of every due epoch push over `net`, returning how
@@ -554,112 +545,100 @@ impl AuthorizationManager {
     ///
     /// Each delivery carries either a full [`protocol::SieveBody`] (first
     /// ship to a pair, or after a resync) or a [`protocol::SieveDeltaBody`]
-    /// diffed against the last *confirmed-delivered* sieve; a pair with no
-    /// retained host token goes out plain. A Host that cannot apply the
+    /// diffed against the last *confirmed-delivered* sieve; a pair whose
+    /// Host never got a delegation goes out plain. A Host that cannot apply the
     /// delta (its installed base doesn't match) answers
     /// [`protocol::SIEVE_RESYNC`]; the AM then forgets the pair's shipped
     /// state and requeues immediately, so the next pump ships a full body
     /// — the fallback that makes deltas safe against restarts and missed
     /// generations.
     pub fn pump_epoch_pushes_bounded(&self, net: &dyn Transport, limit: usize) -> usize {
-        let due = self.pushes.take_due(self.clock.now_ms(), limit);
-        if due.is_empty() {
-            return 0;
-        }
-
-        // Stage 1 — compile every due push into its wire request upfront.
-        // The queue coalesces per (host, owner), so no two requests in one
-        // drain touch the same shipped-sieve entry and the compiles are
-        // independent of each other's outcomes.
-        let mut reqs = Vec::with_capacity(due.len());
-        let mut plans = Vec::with_capacity(due.len());
-        for push in due {
-            let mut req = Request::to_url(
-                Method::Post,
-                Url::new(&push.host, protocol::EPOCH_PUSH_PATH),
-            )
-            .with_param("owner", &push.owner)
-            .with_param("epoch", &push.epoch.to_string());
-            let pair = (push.host.clone(), push.owner.clone());
-            let mut shipped_update: Option<ShippedSieve> = None;
-            if let Some((entries, epoch, host_token)) = self.compile_sieve(&push.host, &push.owner)
-            {
-                let next: HashMap<protocol::SieveFingerprint, u64> = entries
-                    .iter()
-                    .map(|e| (e.fingerprint, e.expires_at_ms))
-                    .collect();
-                // Delta against the last confirmed ship, diffed under its
-                // lock: an entry is `added` when its fingerprint is new
-                // *or* its expiry moved (reissued token), `removed` when it
-                // vanished entirely.
-                let body = match self.shipped.lock().get(&pair) {
-                    Some(prev) => {
-                        let added: Vec<protocol::SieveEntry> = entries
-                            .iter()
-                            .filter(|e| prev.entries.get(&e.fingerprint) != Some(&e.expires_at_ms))
-                            .cloned()
-                            .collect();
-                        let removed: Vec<protocol::SieveFingerprint> = (prev.entries.keys())
-                            .filter(|fp| !next.contains_key(*fp))
-                            .copied()
-                            .collect();
-                        protocol::SieveDeltaBody::build(
-                            &push.owner,
-                            epoch,
-                            prev.epoch,
-                            added,
-                            removed,
-                            host_token.as_bytes(),
-                        )
-                        .to_json()
-                    }
-                    None => protocol::SieveBody::build(
-                        &push.owner,
-                        epoch,
-                        entries,
-                        host_token.as_bytes(),
-                    )
-                    .to_json(),
-                };
-                shipped_update = Some(ShippedSieve {
-                    epoch,
-                    entries: next,
-                });
-                req = req.with_body(body);
-            }
-            reqs.push(req);
-            plans.push((push, pair, shipped_update));
-        }
-
-        // Stage 2 — one pipelined flush: over HTTP a drain of N pushes to
-        // one Host costs one buffered write and one read loop instead of
-        // N serialized round trips; `SimNet` runs the same requests
-        // sequentially with identical accounting.
-        let resps = net.dispatch_pipelined(&self.authority, reqs);
-
-        // Stage 3 — settle each delivery in input order.
+        let now = self.clock.now_ms();
+        let due = self.pushes.take_due(now, limit);
         let mut delivered = 0;
-        for ((push, pair, shipped_update), resp) in plans.into_iter().zip(resps) {
-            let now = self.clock.now_ms();
-            if resp.transport_error().is_some() {
-                self.pushes.requeue(push, now);
-            } else if resp.body == protocol::SIEVE_RESYNC {
-                // The Host heard us (delivery confirmed) but could not
-                // apply the delta; reship a full body on the next pump.
-                self.pushes.record_delivery(now, &push);
-                self.shipped.lock().remove(&pair);
-                self.pushes.requeue_for_resync(push, now);
-                delivered += 1;
-            } else {
-                self.pushes.record_delivery(now, &push);
-                if let Some(update) = shipped_update {
-                    self.pushes.record_sieved();
-                    self.shipped.lock().insert(pair, update);
+        // In strides: each is compiled into its wire requests, sent in one
+        // pipelined flush (over HTTP one buffered write and one read loop
+        // per Host; `SimNet` runs them in turn with identical accounting)
+        // and settled in input order before the next is compiled. The
+        // queue coalesces per (host, owner), so no two pushes of one drain
+        // touch the same record, and every stride compiles at the drain's
+        // `now`: the requests are those one all-at-once flush would send.
+        for stride in due.chunks(PUSH_STRIDE) {
+            let (reqs, updates): (Vec<_>, Vec<_>) = (stride.iter())
+                .map(|(pair, push)| self.push_request(pair, push, now))
+                .unzip();
+            let resps = net.dispatch_pipelined(&self.authority, reqs);
+            for (((pair, push), update), resp) in stride.iter().zip(updates).zip(resps) {
+                let now = self.clock.now_ms();
+                if resp.transport_error().is_some() {
+                    self.pushes.requeue(pair.clone(), *push, now);
+                    continue;
                 }
+                // A Host that heard us but could not apply the delta gets
+                // a full body on the next pump.
+                let resync = resp.body == protocol::SIEVE_RESYNC;
+                let sieved = update.is_some() && !resync;
+                self.pushes.record_delivery(now, push, sieved);
                 delivered += 1;
+                if resync || sieved {
+                    let mut state = self.state.write();
+                    if let Some(record) = state.trust.record_mut(&pair.host, &pair.owner) {
+                        record.shipped = update.filter(|_| sieved);
+                    }
+                }
+                if resync {
+                    self.pushes.requeue_for_resync(pair.clone(), *push, now);
+                }
             }
         }
         delivered
+    }
+
+    /// One due push's wire request, compiled at `now`, and the sieve it
+    /// ships, which becomes the pair's delta base once delivered. It
+    /// carries a full [`protocol::SieveBody`] when no base was confirmed,
+    /// else a [`protocol::SieveDeltaBody`] diffed against the base under
+    /// the state lock: an entry is `added` when its fingerprint is new *or*
+    /// its expiry moved (reissued token), `removed` when it vanished.
+    fn push_request(
+        &self,
+        pair: &Pair,
+        push: &PendingPush,
+        now: u64,
+    ) -> (Request, Option<ShippedSieve>) {
+        let (host, owner) = (&*pair.host, &*pair.owner);
+        let req = Request::to_url(Method::Post, Url::new(host, protocol::EPOCH_PUSH_PATH))
+            .with_param("owner", owner)
+            .with_param("epoch", &push.epoch.to_string());
+        let Some((compiled, epoch, key)) = self.compile_sieve(host, owner, now) else {
+            return (req, None);
+        };
+        let entries: HashMap<protocol::SieveFingerprint, u64> = (compiled.iter())
+            .map(|e| (e.fingerprint, e.expires_at_ms))
+            .collect();
+        let delta = {
+            let state = self.state.read();
+            let base = state
+                .trust
+                .record(host, owner)
+                .and_then(|r| r.shipped.as_ref());
+            base.map(|prev| {
+                let added: Vec<protocol::SieveEntry> = (compiled.iter())
+                    .filter(|e| prev.entries.get(&e.fingerprint) != Some(&e.expires_at_ms))
+                    .cloned()
+                    .collect();
+                let removed = (prev.entries.keys()).filter(|fp| !entries.contains_key(*fp));
+                (prev.epoch, added, removed.copied().collect())
+            })
+        };
+        let body = match delta {
+            Some((base, added, removed)) => {
+                protocol::SieveDeltaBody::build_keyed(owner, epoch, base, added, removed, &key)
+                    .to_json()
+            }
+            None => protocol::SieveBody::build_keyed(owner, epoch, compiled, &key).to_json(),
+        };
+        (req.with_body(body), Some(ShippedSieve { epoch, entries }))
     }
 
     /// Does nothing. Every epoch push carries the owner's compiled
@@ -690,13 +669,13 @@ impl AuthorizationManager {
     /// Compiles the capability sieve for one (host, owner) delegation:
     /// replays every live issued token through [`Self::cacheable_until`]
     /// — the evaluation step [`Self::decide`] runs — and keeps the
-    /// cacheable permits. Returns the raw `(entries, epoch, host_token)`
-    /// triple; the pump decides whether to ship it as a full
-    /// [`protocol::SieveBody`] or as a delta against the last confirmed
-    /// ship.
+    /// cacheable permits at `now`. Returns the raw `(entries, epoch, key)`
+    /// triple, `key` the pair's prepared host token; the pump decides
+    /// whether to ship it as a full [`protocol::SieveBody`] or as a delta
+    /// against the last confirmed ship.
     ///
-    /// Returns `None` when no host token was ever retained for the pair
-    /// (nothing to sign with — the push goes out plain). A *revoked*
+    /// Returns `None` when no delegation was ever established for the
+    /// pair (nothing to sign with — the push goes out plain). A *revoked*
     /// delegation still compiles: the result is an empty, signed sieve,
     /// which is exactly how revocation propagates to the Host's tier-1
     /// table ahead of cache expiry.
@@ -712,9 +691,9 @@ impl AuthorizationManager {
         &self,
         host: &str,
         owner: &str,
-    ) -> Option<(Vec<protocol::SieveEntry>, u64, String)> {
-        let now = self.clock.now_ms();
-        let (host_token, trusted) = self.push_key(host, owner)?;
+        now: u64,
+    ) -> Option<(Vec<protocol::SieveEntry>, u64, HmacKey)> {
+        let (key, trusted) = self.state.read().trust.push_key(host, owner)?;
         // Issued shard: the owner's live grants for this host, as handles.
         let mut grants: Vec<Issued> = Vec::new();
         if let Some(issued) = self.issued_for(owner).lock().get_mut(owner) {
@@ -726,7 +705,7 @@ impl AuthorizationManager {
             // Epoch 0 never beats an installed sieve; read the real epoch
             // so an empty sieve still supersedes older entries.
             let epoch = self.policy_epoch(owner);
-            return Some((Vec::new(), epoch, host_token));
+            return Some((Vec::new(), epoch, key));
         }
 
         // Shard read: expand realm grants to their member resources on
@@ -770,6 +749,8 @@ impl AuthorizationManager {
             .flat_map(|(&(entry, resource_id), until)| {
                 let (token, grant) = &**entry;
                 (Action::BUILTIN.iter().zip(until)).filter_map(move |(action, until)| {
+                    // Only a cacheable permit is fingerprinted and copied.
+                    let expires_at_ms = until?;
                     Some(protocol::SieveEntry {
                         fingerprint: protocol::sieve_fingerprint(
                             token,
@@ -778,24 +759,12 @@ impl AuthorizationManager {
                             &grant.requester,
                         ),
                         resource: resource_id.to_owned(),
-                        expires_at_ms: until?,
+                        expires_at_ms,
                     })
                 })
             })
             .collect();
-        Some((entries, epoch, host_token))
-    }
-
-    /// The sieve compiler's central read: the delegation's retained host
-    /// token, which signs the push body (`None` when none was ever
-    /// retained for the pair), and whether the delegation is still
-    /// trusted.
-    fn push_key(&self, host: &str, owner: &str) -> Option<(String, bool)> {
-        let state = self.state.read();
-        let token = state
-            .host_tokens
-            .get(&(host.to_owned(), owner.to_owned()))?;
-        Some((token.clone(), state.trust.check(host, owner).is_ok()))
+        Some((entries, epoch, key))
     }
 
     /// The question the sieve compiler asks: for which built-in actions
@@ -935,11 +904,9 @@ impl AuthorizationManager {
             let mut state = self.state.write();
             let delegation = state.trust.establish(host, user, now);
             let token = self.tokens.mint_host_token(host, user, &delegation.id);
-            // Retained as the sieve-signing key for this delegation; a
-            // token embeds its mint time, so it cannot be re-derived later.
-            state
-                .host_tokens
-                .insert((host.to_owned(), user.to_owned()), token.clone());
+            // Kept, prepared, as the sieve-signing key for this delegation;
+            // a token embeds its mint time, so it cannot be re-derived later.
+            state.trust.prepare_key(host, user, &token);
             (delegation, token)
         };
         self.audit.record(
@@ -952,7 +919,7 @@ impl AuthorizationManager {
     /// and the user's policy epoch advances so cached decisions die too.
     pub fn revoke_delegation(&self, user: &str, delegation_id: &str) -> bool {
         let now = self.clock.now_ms();
-        let revoked = self.state.write().trust.revoke(delegation_id);
+        let revoked = self.state.write().trust.revoke(user, delegation_id);
         if revoked {
             self.audit.record(AuditEntry::new(
                 now,
@@ -2700,7 +2667,7 @@ mod sieve_compile {
 
         // A compile prunes the same way, with no token issued.
         am.clock().advance_ms(AUTHZ_TOKEN_TTL_MS + 1);
-        let (entries, ..) = am.compile_sieve(HOST, "bob").unwrap();
+        let (entries, ..) = am.compile_sieve(HOST, "bob", am.clock().now_ms()).unwrap();
         assert!(entries.is_empty());
         assert!(registry(&am).is_empty());
     }
@@ -2710,7 +2677,7 @@ mod sieve_compile {
         let am = am();
         let requesters = ["requester:a", "requester:b"];
         let tokens = requesters.map(|requester| token(&am, requester));
-        let (entries, ..) = am.compile_sieve(HOST, "bob").unwrap();
+        let (entries, ..) = am.compile_sieve(HOST, "bob", am.clock().now_ms()).unwrap();
         let compiled: HashSet<_> = entries.iter().map(|e| e.fingerprint).collect();
         assert_eq!(compiled.len(), entries.len());
 
@@ -2729,5 +2696,135 @@ mod sieve_compile {
             }
         }
         assert_eq!(entries.len(), requesters.len() * RESOURCES.len());
+    }
+}
+
+#[cfg(test)]
+mod pair_records {
+    //! One record per (host, owner) pair (DESIGN.md §13): its `active`
+    //! check guards decisions and compiles, and its prepared key signs
+    //! that pair's pushes and no other's.
+
+    use std::sync::Arc;
+
+    use ucam_policy::{PolicyBody, Rule, RulePolicy, Subject};
+    use ucam_webenv::SimNet;
+
+    use super::*;
+
+    const HOSTS: [&str; 2] = ["a.example", "b.example"];
+    const FILE: &str = "doc";
+    const REQUESTER: &str = "requester:r";
+
+    /// Stands at one Host's authority and keeps every push body.
+    struct Capture {
+        authority: &'static str,
+        bodies: Mutex<Vec<String>>,
+    }
+
+    impl WebApp for Capture {
+        fn authority(&self) -> &str {
+            self.authority
+        }
+
+        fn handle(&self, _net: &dyn Transport, req: &Request) -> Response {
+            self.bodies.lock().push(req.body.clone());
+            Response::ok()
+        }
+    }
+
+    /// Bob delegates both [`HOSTS`], each subscribed to his pushes and
+    /// each holding a [`FILE`] everyone may read, and [`REQUESTER`] holds
+    /// a token for each. Returns the host tokens and the requester's
+    /// tokens, in [`HOSTS`] order.
+    fn rig() -> (SimNet, AuthorizationManager, [String; 2], [String; 2]) {
+        let net = SimNet::new();
+        let am = AuthorizationManager::new("am.example", net.clock().clone());
+        am.register_user("bob");
+        let host_tokens = HOSTS.map(|host| {
+            am.subscribe_epoch_push(host, "bob");
+            am.establish_delegation(host, "bob").unwrap().1
+        });
+        am.pap("bob", |account| {
+            let read = Rule::permit()
+                .for_subject(Subject::Public)
+                .for_action(Action::Read);
+            let id =
+                account.create_policy("open", PolicyBody::Rules(RulePolicy::new().with_rule(read)));
+            for host in HOSTS {
+                account
+                    .link_specific(ResourceRef::new(host, FILE), &id)
+                    .unwrap();
+            }
+        })
+        .unwrap();
+        let tokens = HOSTS.map(|host| {
+            let request = AuthorizeRequest::new(host, "bob", FILE, Action::Read, REQUESTER);
+            match am.authorize(&request) {
+                AuthorizeOutcome::Token { token, .. } => token,
+                other => panic!("the open policy grants the read: {other:?}"),
+            }
+        });
+        (net, am, host_tokens, tokens)
+    }
+
+    fn query<'a>(host_token: &'a str, token: &'a str) -> DecisionQuery<'a> {
+        DecisionQuery {
+            host_token,
+            authz_token: token,
+            resource_id: FILE,
+            action: Action::Read,
+            requester: REQUESTER,
+        }
+    }
+
+    #[test]
+    fn a_revoked_delegation_refuses_its_host_token_and_compiles_an_empty_sieve() {
+        let (_net, am, host_tokens, tokens) = rig();
+        let now = am.clock().now_ms();
+        let decision = am.decide(&query(&host_tokens[0], &tokens[0])).unwrap();
+        assert!(decision.is_permit());
+        assert_eq!(am.compile_sieve(HOSTS[0], "bob", now).unwrap().0.len(), 1);
+
+        let grant = am.check_host_token(&host_tokens[0]).unwrap();
+        assert!(am.revoke_delegation("bob", &grant.delegation_id));
+        assert!(matches!(
+            am.decide(&query(&host_tokens[0], &tokens[0])),
+            Err(AmError::Trust(TrustError::DelegationRevoked))
+        ));
+        assert!(am.check_host_token(&host_tokens[0]).is_err());
+        let again = AuthorizeRequest::new(HOSTS[0], "bob", FILE, Action::Read, REQUESTER);
+        assert!(matches!(am.authorize(&again), AuthorizeOutcome::Denied(_)));
+        let (entries, ..) = am.compile_sieve(HOSTS[0], "bob", now).unwrap();
+        assert!(
+            entries.is_empty(),
+            "a revoked delegation pre-authorizes nothing"
+        );
+
+        // The other Host's delegation is its own record.
+        let other = am.decide(&query(&host_tokens[1], &tokens[1])).unwrap();
+        assert!(other.is_permit());
+    }
+
+    #[test]
+    fn each_hosts_pushes_are_signed_with_its_own_delegations_key() {
+        let (net, am, host_tokens, _) = rig();
+        let captures = HOSTS.map(|authority| {
+            let capture = Arc::new(Capture {
+                authority,
+                bodies: Mutex::new(Vec::new()),
+            });
+            net.register(capture.clone());
+            capture
+        });
+        am.schedule_sieve_refresh();
+        assert_eq!(am.pump_epoch_pushes(&net), 2);
+        for (i, capture) in captures.iter().enumerate() {
+            let bodies = capture.bodies.lock();
+            let sieve = protocol::SieveBody::from_json(&bodies[0]).unwrap();
+            assert_eq!(sieve.entries.len(), 1, "{}'s one grant", HOSTS[i]);
+            assert!(sieve.verify(host_tokens[i].as_bytes()), "{}", HOSTS[i]);
+            assert!(!sieve.verify(host_tokens[1 - i].as_bytes()), "{}", HOSTS[i]);
+        }
     }
 }

@@ -11,12 +11,13 @@
 //!
 //! At population scale the channel is a **fan-out**, not a list: one AM
 //! serves up to thousands of Hosts, but any one owner's resources live on
-//! a handful of them. `PushFanOut` therefore keeps one *subscription set
-//! per owner*, and a subscription is the only way a Host hears pushes:
-//! an epoch advance fans out only to the Hosts subscribed to that owner,
-//! and the pending queue is sharded by (host, owner) hash with O(1)
+//! a handful of them. A subscription, kept on the (host, owner) pair's
+//! record in the trust registry, is the only way a Host hears pushes: an
+//! epoch advance fans out only to the pairs subscribed to that owner, and
+//! the pending queue is sharded by (host, owner) hash with O(1)
 //! coalescing — a 512-Host epoch advance neither scans one flat vector
-//! nor serializes behind one lock (DESIGN.md §13).
+//! nor serializes behind one lock (DESIGN.md §13). A pending push is
+//! keyed by the pair's shared names (`trust::Pair`) and copies neither.
 //!
 //! Properties the rest of the system relies on:
 //!
@@ -46,7 +47,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
+use ucam_webenv::protocol::SieveFingerprint;
+
+use crate::trust::Pair;
 
 /// Delivery counters for the epoch push channel.
 ///
@@ -57,8 +61,8 @@ use parking_lot::{Mutex, RwLock};
 /// push; `delivered` counts per-Host deliveries (each a POST that landed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochPushStats {
-    /// Owner epoch advances handed to the channel (one per schedule call,
-    /// regardless of how many Hosts it fans out to).
+    /// Owner epoch advances (one per schedule call, regardless of how
+    /// many Hosts, if any, it fans out to).
     pub scheduled: u64,
     /// Per-(host, owner) pushes produced by subscription fan-out.
     pub fanned_out: u64,
@@ -72,22 +76,18 @@ pub struct EpochPushStats {
     /// Worst observed scheduling-to-delivery lag in milliseconds — the
     /// measured revocation-visibility window contribution of the channel.
     pub max_lag_ms: u64,
-    /// Delivered pushes that carried a compiled capability sieve body
-    /// (always ≤ `delivered`; a push to a Host whose delegation secret the
-    /// AM never retained goes out plain).
+    /// Delivered pushes that carried a compiled capability sieve body the
+    /// Host took (always ≤ `delivered`; a push to a Host the owner never
+    /// delegated to goes out plain).
     pub sieved: u64,
     /// Delta sieve bodies a Host rejected for an unknown base generation;
     /// each forces one full-body reship (DESIGN.md §13).
     pub resyncs: u64,
 }
 
-/// One undelivered epoch push.
-#[derive(Debug, Clone)]
+/// One undelivered epoch push; its (host, owner) pair is its key.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingPush {
-    /// Host authority to deliver to.
-    pub(crate) host: String,
-    /// Owner whose epoch advanced.
-    pub(crate) owner: String,
     /// The (coalesced, maximum) epoch to announce.
     pub(crate) epoch: u64,
     /// When the oldest coalesced-in advance was scheduled — the basis of
@@ -108,17 +108,26 @@ const MAX_BACKOFF_MS: u64 = 400;
 /// (host, owner) pair only contends with pairs hashing to the same shard.
 const PUSH_SHARDS: usize = 16;
 
+/// What the AM last successfully shipped to one (host, owner) pair with
+/// a sieve body: the epoch it was compiled under and its fingerprint set.
+/// The delta encoder diffs the next compile against this; the pair's
+/// record is updated only on confirmed delivery, so it can never run
+/// ahead of what the Host actually installed.
+#[derive(Debug)]
+pub(crate) struct ShippedSieve {
+    pub(crate) epoch: u64,
+    pub(crate) entries: HashMap<SieveFingerprint, u64>,
+}
+
 /// One pending-queue shard. Ordered so a bounded drain selects a
 /// deterministic subset without scanning (or sorting) the whole backlog.
-type PendingShard = BTreeMap<(String, String), PendingPush>;
+type PendingShard = BTreeMap<Pair, PendingPush>;
 
-/// The push fan-out owned by an `AuthorizationManager`. Internally
-/// synchronized: subscriptions behind a read-mostly lock, the pending
-/// queue sharded by (host, owner) hash, counters as atomics.
+/// The pending pushes of an `AuthorizationManager`. Internally
+/// synchronized: the queue sharded by (host, owner) hash, counters as
+/// atomics.
 #[derive(Debug, Default)]
 pub(crate) struct PushFanOut {
-    /// owner → the Hosts subscribed to that owner's epoch pushes.
-    subs: RwLock<HashMap<String, Vec<String>>>,
     shards: [Mutex<PendingShard>; PUSH_SHARDS],
     scheduled: AtomicU64,
     fanned_out: AtomicU64,
@@ -145,34 +154,19 @@ fn fnv1a(parts: &[&str]) -> u64 {
 }
 
 impl PushFanOut {
-    /// Subscribes `host` to `owner`'s epoch pushes; idempotent.
-    pub(crate) fn subscribe(&self, host: &str, owner: &str) {
-        let mut subs = self.subs.write();
-        let hosts = subs.entry(owner.to_owned()).or_default();
-        if !hosts.iter().any(|t| t == host) {
-            hosts.push(host.to_owned());
-        }
+    fn shard_for(&self, pair: &Pair) -> &Mutex<PendingShard> {
+        &self.shards[(fnv1a(&[&pair.host, &pair.owner]) as usize) % PUSH_SHARDS]
     }
 
-    /// Whether any Host is subscribed at all (lets callers skip lock
-    /// traffic on the common no-push configuration).
-    pub(crate) fn has_targets(&self) -> bool {
-        !self.subs.read().is_empty()
-    }
-
-    fn shard_for(&self, host: &str, owner: &str) -> &Mutex<PendingShard> {
-        &self.shards[(fnv1a(&[host, owner]) as usize) % PUSH_SHARDS]
-    }
-
-    /// Queues `owner`'s new epoch for every subscribed Host, coalescing
-    /// with any still-pending push for the same (host, owner).
-    pub(crate) fn schedule(&self, now_ms: u64, owner: &str, epoch: u64) {
+    /// Queues one owner's new epoch for each of `targets` (the pairs
+    /// subscribed to that owner), coalescing with any still-pending push
+    /// for the same pair.
+    pub(crate) fn schedule(&self, now_ms: u64, targets: impl Iterator<Item = Pair>, epoch: u64) {
         self.scheduled.fetch_add(1, Ordering::Relaxed);
-        let targets = self.subs.read().get(owner).cloned().unwrap_or_default();
-        for host in targets {
+        for pair in targets {
             self.fanned_out.fetch_add(1, Ordering::Relaxed);
-            let mut shard = self.shard_for(&host, owner).lock();
-            match shard.entry((host.clone(), owner.to_owned())) {
+            let mut shard = self.shard_for(&pair).lock();
+            match shard.entry(pair) {
                 std::collections::btree_map::Entry::Occupied(mut slot) => {
                     let existing = slot.get_mut();
                     existing.epoch = existing.epoch.max(epoch);
@@ -180,8 +174,6 @@ impl PushFanOut {
                 }
                 std::collections::btree_map::Entry::Vacant(slot) => {
                     slot.insert(PendingPush {
-                        host,
-                        owner: owner.to_owned(),
                         epoch,
                         first_scheduled_ms: now_ms,
                         due_at_ms: now_ms,
@@ -199,73 +191,49 @@ impl PushFanOut {
     /// one pump over a million-owner backlog does O(limit) work plus the
     /// skip-scan over not-yet-due entries, not an O(backlog) drain-sort-
     /// reinsert cycle.
-    pub(crate) fn take_due(&self, now_ms: u64, limit: usize) -> Vec<PendingPush> {
-        let mut due: Vec<PendingPush> = Vec::new();
+    pub(crate) fn take_due(&self, now_ms: u64, limit: usize) -> Vec<(Pair, PendingPush)> {
+        let mut due: Vec<(Pair, PendingPush)> = Vec::new();
         for shard in &self.shards {
             if due.len() >= limit {
                 break;
             }
             let mut shard = shard.lock();
-            if shard.is_empty() {
-                continue;
-            }
-            let mut keys: Vec<(String, String)> = Vec::new();
-            for (key, push) in shard.iter() {
-                if push.due_at_ms <= now_ms {
-                    keys.push(key.clone());
-                    if due.len() + keys.len() >= limit {
-                        break;
-                    }
-                }
-            }
-            for key in keys {
-                if let Some(push) = shard.remove(&key) {
-                    due.push(push);
-                }
-            }
+            let taken = shard.extract_if(.., |_, push| push.due_at_ms <= now_ms);
+            due.extend(taken.take(limit - due.len()));
         }
-        due.sort_by(|a, b| (&a.host, &a.owner).cmp(&(&b.host, &b.owner)));
+        due.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         due
-    }
-
-    /// Puts a push back untouched (excess from a bounded drain), merging
-    /// with anything scheduled for the pair in the meantime.
-    fn reinsert(&self, push: PendingPush) {
-        let mut shard = self.shard_for(&push.host, &push.owner).lock();
-        merge_into(&mut shard, push);
     }
 
     /// Requeues a push whose delivery failed at the transport, with the
     /// next slot of the deterministic backoff schedule. If a newer epoch
     /// was scheduled for the same (host, owner) while this one was in
     /// flight, the two merge.
-    pub(crate) fn requeue(&self, mut push: PendingPush, now_ms: u64) {
+    pub(crate) fn requeue(&self, pair: Pair, mut push: PendingPush, now_ms: u64) {
         self.retries.fetch_add(1, Ordering::Relaxed);
         push.attempts += 1;
         let backoff = (BASE_BACKOFF_MS << push.attempts.min(16)).min(MAX_BACKOFF_MS);
         push.due_at_ms = now_ms + backoff;
-        self.reinsert(push);
+        merge_into(&mut self.shard_for(&pair).lock(), pair, push);
     }
 
     /// Requeues a push whose delta body the Host rejected (unknown base
     /// generation): due immediately — the reship is a correctness matter,
     /// not a transport failure, so it skips the backoff schedule.
-    pub(crate) fn requeue_for_resync(&self, mut push: PendingPush, now_ms: u64) {
+    pub(crate) fn requeue_for_resync(&self, pair: Pair, mut push: PendingPush, now_ms: u64) {
         self.resyncs.fetch_add(1, Ordering::Relaxed);
         push.due_at_ms = now_ms;
-        self.reinsert(push);
+        merge_into(&mut self.shard_for(&pair).lock(), pair, push);
     }
 
-    /// Records a successful delivery and folds its lag into the stats.
-    pub(crate) fn record_delivery(&self, now_ms: u64, push: &PendingPush) {
+    /// Records a successful delivery, which `sieved` says carried a
+    /// compiled sieve body the Host took, and folds its lag into the
+    /// stats.
+    pub(crate) fn record_delivery(&self, now_ms: u64, push: &PendingPush, sieved: bool) {
         self.delivered.fetch_add(1, Ordering::Relaxed);
+        self.sieved.fetch_add(u64::from(sieved), Ordering::Relaxed);
         let lag = now_ms.saturating_sub(push.first_scheduled_ms);
         self.max_lag_ms.fetch_max(lag, Ordering::Relaxed);
-    }
-
-    /// Records that a delivered push carried a compiled sieve body.
-    pub(crate) fn record_sieved(&self) {
-        self.sieved.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Undelivered push count.
@@ -288,41 +256,47 @@ impl PushFanOut {
     }
 }
 
-/// Merges `push` into a shard, keeping max epoch, oldest schedule time,
-/// earliest due time and the worst attempt count.
-fn merge_into(shard: &mut PendingShard, push: PendingPush) {
-    match shard.entry((push.host.clone(), push.owner.clone())) {
-        std::collections::btree_map::Entry::Occupied(mut slot) => {
-            let existing = slot.get_mut();
-            existing.epoch = existing.epoch.max(push.epoch);
-            existing.first_scheduled_ms = existing.first_scheduled_ms.min(push.first_scheduled_ms);
-            existing.due_at_ms = existing.due_at_ms.min(push.due_at_ms);
-            existing.attempts = existing.attempts.max(push.attempts);
-        }
-        std::collections::btree_map::Entry::Vacant(slot) => {
-            slot.insert(push);
-        }
-    }
+/// Puts a push back into its shard, merging with anything scheduled for
+/// the pair in the meantime: max epoch, oldest schedule time, earliest
+/// due time and the worst attempt count.
+fn merge_into(shard: &mut PendingShard, pair: Pair, push: PendingPush) {
+    let existing = shard.entry(pair).or_insert(push);
+    existing.epoch = existing.epoch.max(push.epoch);
+    existing.first_scheduled_ms = existing.first_scheduled_ms.min(push.first_scheduled_ms);
+    existing.due_at_ms = existing.due_at_ms.min(push.due_at_ms);
+    existing.attempts = existing.attempts.max(push.attempts);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trust::TrustRegistry;
+
+    /// The pairs subscribed to `owner` in a registry where `hosts` are.
+    fn subscribed(hosts: &[&str], owner: &str) -> Vec<Pair> {
+        let mut trust = TrustRegistry::new();
+        for host in hosts {
+            trust.subscribe(host, owner);
+        }
+        trust.subscribed(owner).collect()
+    }
+
+    fn names((pair, _): &(Pair, PendingPush)) -> (&str, &str) {
+        (&pair.host, &pair.owner)
+    }
 
     #[test]
     fn schedules_coalesce_to_max_epoch_per_host_owner() {
         let ch = PushFanOut::default();
-        ch.subscribe("host-a.example", "bob");
-        ch.subscribe("host-b.example", "bob");
-        ch.subscribe("host-a.example", "bob"); // idempotent
-        ch.schedule(100, "bob", 2);
-        ch.schedule(150, "bob", 4);
-        ch.schedule(150, "bob", 3);
+        let bob = subscribed(&["host-a.example", "host-b.example"], "bob");
+        ch.schedule(100, bob.iter().cloned(), 2);
+        ch.schedule(150, bob.iter().cloned(), 4);
+        ch.schedule(150, bob.iter().cloned(), 3);
         assert_eq!(ch.pending_len(), 2); // one per host, coalesced
         let due = ch.take_due(200, usize::MAX);
         assert_eq!(due.len(), 2);
-        assert!(due.iter().all(|p| p.epoch == 4));
-        assert!(due.iter().all(|p| p.first_scheduled_ms == 100));
+        assert!(due.iter().all(|(_, p)| p.epoch == 4));
+        assert!(due.iter().all(|(_, p)| p.first_scheduled_ms == 100));
     }
 
     /// Pins the counter semantics the fan-out introduced: `scheduled`
@@ -333,18 +307,17 @@ mod tests {
     #[test]
     fn stats_distinguish_fanout_from_schedules() {
         let ch = PushFanOut::default();
-        ch.subscribe("host-a.example", "bob");
-        ch.subscribe("host-b.example", "bob");
-        ch.schedule(100, "bob", 2);
-        ch.schedule(150, "bob", 4);
-        ch.schedule(150, "bob", 3);
+        let bob = subscribed(&["host-a.example", "host-b.example"], "bob");
+        ch.schedule(100, bob.iter().cloned(), 2);
+        ch.schedule(150, bob.iter().cloned(), 4);
+        ch.schedule(150, bob.iter().cloned(), 3);
         let stats = ch.stats();
         assert_eq!(stats.scheduled, 3, "one per owner epoch advance");
         assert_eq!(stats.fanned_out, 6, "each advance reaches two hosts");
         assert_eq!(stats.coalesced, 4, "later advances merged per host");
         assert_eq!(stats.delivered, 0);
-        for push in ch.take_due(200, usize::MAX) {
-            ch.record_delivery(200, &push);
+        for (_, push) in ch.take_due(200, usize::MAX) {
+            ch.record_delivery(200, &push, false);
         }
         let stats = ch.stats();
         assert_eq!(stats.delivered, 2, "one delivery per host, not per advance");
@@ -354,23 +327,17 @@ mod tests {
     #[test]
     fn per_owner_subscriptions_scope_the_fan_out() {
         let ch = PushFanOut::default();
-        ch.subscribe("host-a.example", "alice");
-        ch.subscribe("host-b.example", "bob");
-        ch.subscribe("host-b.example", "bob"); // idempotent
-        assert!(ch.has_targets());
-        ch.schedule(10, "alice", 2);
-        ch.schedule(10, "bob", 5);
-        ch.schedule(10, "carol", 9); // nobody subscribed to carol
+        let mut trust = TrustRegistry::new();
+        trust.subscribe("host-a.example", "alice");
+        trust.subscribe("host-b.example", "bob");
+        trust.subscribe("host-b.example", "bob"); // idempotent
+        for (owner, epoch) in [("alice", 2), ("bob", 5), ("carol", 9)] {
+            ch.schedule(10, trust.subscribed(owner), epoch); // nobody has carol
+        }
         let due = ch.take_due(10, usize::MAX);
         assert_eq!(due.len(), 2);
-        assert_eq!(
-            (due[0].host.as_str(), due[0].owner.as_str()),
-            ("host-a.example", "alice")
-        );
-        assert_eq!(
-            (due[1].host.as_str(), due[1].owner.as_str()),
-            ("host-b.example", "bob")
-        );
+        assert_eq!(names(&due[0]), ("host-a.example", "alice"));
+        assert_eq!(names(&due[1]), ("host-b.example", "bob"));
         let stats = ch.stats();
         assert_eq!(stats.scheduled, 3);
         assert_eq!(stats.fanned_out, 2, "carol's advance fans out to nobody");
@@ -379,41 +346,35 @@ mod tests {
     #[test]
     fn subscribing_twice_pushes_once() {
         let ch = PushFanOut::default();
-        ch.subscribe("host.example", "bob");
-        ch.subscribe("host.example", "bob");
-        ch.schedule(0, "bob", 1);
-        assert_eq!(
-            ch.pending_len(),
-            1,
-            "a repeated subscription must not double-push"
-        );
-        ch.schedule(0, "alice", 1);
-        assert_eq!(
-            ch.pending_len(),
-            1,
-            "a subscription hears its own owner only"
-        );
+        let mut trust = TrustRegistry::new();
+        trust.subscribe("host.example", "bob");
+        trust.subscribe("host.example", "bob");
+        ch.schedule(0, trust.subscribed("bob"), 1);
+        let once = "a repeated subscription must not double-push";
+        assert_eq!(ch.pending_len(), 1, "{once}");
+        ch.schedule(0, trust.subscribed("alice"), 1);
+        let own = "a subscription hears its own owner only";
+        assert_eq!(ch.pending_len(), 1, "{own}");
     }
 
     #[test]
     fn bounded_drain_leaves_excess_queued_and_due() {
         let ch = PushFanOut::default();
-        for i in 0..8 {
-            ch.subscribe(&format!("host-{i}.example"), "bob");
-        }
-        ch.schedule(0, "bob", 1);
+        let hosts: Vec<String> = (0..8).map(|i| format!("host-{i}.example")).collect();
+        let hosts: Vec<&str> = hosts.iter().map(String::as_str).collect();
+        ch.schedule(0, subscribed(&hosts, "bob").into_iter(), 1);
         let first = ch.take_due(0, 3);
         assert_eq!(first.len(), 3);
         assert_eq!(ch.pending_len(), 5, "excess stays queued");
         // Each batch is sorted, and successive bounded drains cover every
         // subscribed host exactly once — nothing is lost or duplicated.
-        assert!(first.windows(2).all(|w| w[0].host <= w[1].host));
+        assert!(first.windows(2).all(|w| w[0].0 <= w[1].0));
         let rest = ch.take_due(0, usize::MAX);
         assert_eq!(rest.len(), 5, "excess is still due, not backed off");
         let mut hosts: Vec<&str> = first
             .iter()
             .chain(rest.iter())
-            .map(|p| p.host.as_str())
+            .map(|d| names(d).0)
             .collect();
         hosts.sort_unstable();
         hosts.dedup();
@@ -423,29 +384,30 @@ mod tests {
     #[test]
     fn take_due_respects_due_time_and_orders_deterministically() {
         let ch = PushFanOut::default();
-        ch.subscribe("z.example", "bob");
-        ch.subscribe("a.example", "bob");
-        ch.schedule(100, "bob", 2);
+        ch.schedule(
+            100,
+            subscribed(&["z.example", "a.example"], "bob").into_iter(),
+            2,
+        );
         assert!(ch.take_due(99, usize::MAX).is_empty());
         let due = ch.take_due(100, usize::MAX);
         assert_eq!(due.len(), 2);
-        assert_eq!(due[0].host, "a.example");
-        assert_eq!(due[1].host, "z.example");
+        assert_eq!(names(&due[0]).0, "a.example");
+        assert_eq!(names(&due[1]).0, "z.example");
         assert_eq!(ch.pending_len(), 0);
     }
 
     #[test]
     fn requeue_backs_off_and_merges_with_fresher_schedules() {
         let ch = PushFanOut::default();
-        ch.subscribe("host.example", "bob");
-        ch.schedule(0, "bob", 2);
-        let mut due = ch.take_due(0, usize::MAX);
-        let push = due.pop().unwrap();
+        let bob = subscribed(&["host.example"], "bob");
+        ch.schedule(0, bob.iter().cloned(), 2);
+        let (pair, push) = ch.take_due(0, usize::MAX).pop().unwrap();
         // A fresher epoch lands while the first delivery is in flight.
-        ch.schedule(10, "bob", 3);
-        ch.requeue(push, 20);
+        ch.schedule(10, bob.iter().cloned(), 3);
+        ch.requeue(pair, push, 20);
         assert_eq!(ch.pending_len(), 1);
-        let merged = ch.take_due(u64::MAX, usize::MAX).pop().unwrap();
+        let (_, merged) = ch.take_due(u64::MAX, usize::MAX).pop().unwrap();
         assert_eq!(merged.epoch, 3);
         assert_eq!(merged.first_scheduled_ms, 0);
         assert_eq!(ch.stats().retries, 1);
@@ -454,12 +416,11 @@ mod tests {
     #[test]
     fn backoff_is_capped() {
         let ch = PushFanOut::default();
-        ch.subscribe("host.example", "bob");
-        ch.schedule(0, "bob", 2);
-        let mut push = ch.take_due(0, usize::MAX).pop().unwrap();
+        ch.schedule(0, subscribed(&["host.example"], "bob").into_iter(), 2);
+        let (mut pair, mut push) = ch.take_due(0, usize::MAX).pop().unwrap();
         for _ in 0..10 {
-            ch.requeue(push.clone(), 1000);
-            push = ch.take_due(u64::MAX, usize::MAX).pop().unwrap();
+            ch.requeue(pair, push, 1000);
+            (pair, push) = ch.take_due(u64::MAX, usize::MAX).pop().unwrap();
         }
         assert!(push.due_at_ms <= 1000 + MAX_BACKOFF_MS);
     }
@@ -467,11 +428,10 @@ mod tests {
     #[test]
     fn resync_requeue_is_immediate_and_counted() {
         let ch = PushFanOut::default();
-        ch.subscribe("host.example", "bob");
-        ch.schedule(0, "bob", 2);
-        let push = ch.take_due(0, usize::MAX).pop().unwrap();
-        ch.requeue_for_resync(push, 40);
-        let again = ch.take_due(40, usize::MAX).pop().unwrap();
+        ch.schedule(0, subscribed(&["host.example"], "bob").into_iter(), 2);
+        let (pair, push) = ch.take_due(0, usize::MAX).pop().unwrap();
+        ch.requeue_for_resync(pair, push, 40);
+        let (_, again) = ch.take_due(40, usize::MAX).pop().unwrap();
         assert_eq!(again.epoch, 2, "resync reships without backoff");
         let stats = ch.stats();
         assert_eq!(stats.resyncs, 1);
@@ -481,10 +441,9 @@ mod tests {
     #[test]
     fn delivery_tracks_worst_lag() {
         let ch = PushFanOut::default();
-        ch.subscribe("host.example", "bob");
-        ch.schedule(100, "bob", 2);
-        let push = ch.take_due(100, usize::MAX).pop().unwrap();
-        ch.record_delivery(340, &push);
+        ch.schedule(100, subscribed(&["host.example"], "bob").into_iter(), 2);
+        let (_, push) = ch.take_due(100, usize::MAX).pop().unwrap();
+        ch.record_delivery(340, &push, false);
         assert_eq!(ch.stats().delivered, 1);
         assert_eq!(ch.stats().max_lag_ms, 240);
     }

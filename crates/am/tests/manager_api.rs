@@ -1666,3 +1666,148 @@ fn compiled_pushes_agree_with_decide() {
     assert!(!covered.contains("counted"), "{covered:?}");
     assert_eq!(covered.len(), PUSH_RESOURCES.len() - 1, "{covered:?}");
 }
+
+// ---------------------------------------------------------------------------
+// A drain longer than one stride
+// ---------------------------------------------------------------------------
+
+/// Stands at a Host's authority and notes every push it receives, per
+/// owner, as `full E` or `delta E on B`; while `refuse_deltas` is set it
+/// answers a delta with [`protocol::SIEVE_RESYNC`].
+struct NotingHost {
+    authority: &'static str,
+    refuse_deltas: std::sync::atomic::AtomicBool,
+    noted: Mutex<HashMap<String, Vec<String>>>,
+}
+
+impl NotingHost {
+    fn new(authority: &'static str) -> Arc<NotingHost> {
+        Arc::new(NotingHost {
+            authority,
+            refuse_deltas: std::sync::atomic::AtomicBool::new(false),
+            noted: Mutex::new(HashMap::new()),
+        })
+    }
+
+    /// What each owner received so far, and forgets it.
+    fn take(&self) -> HashMap<String, Vec<String>> {
+        std::mem::take(&mut *self.noted.lock().unwrap())
+    }
+}
+
+impl WebApp for NotingHost {
+    fn authority(&self) -> &str {
+        self.authority
+    }
+
+    fn handle(&self, _net: &dyn Transport, req: &Request) -> Response {
+        let (owner, note, delta) = match protocol::parse_push_body(&req.body).unwrap() {
+            protocol::PushBody::Sieve(s) => (s.owner, format!("full {}", s.epoch), false),
+            protocol::PushBody::Delta(d) => (
+                d.owner,
+                format!("delta {} on {}", d.epoch, d.base_epoch),
+                true,
+            ),
+        };
+        self.noted
+            .lock()
+            .unwrap()
+            .entry(owner)
+            .or_default()
+            .push(note);
+        if delta && self.refuse_deltas.load(std::sync::atomic::Ordering::SeqCst) {
+            return Response::ok().with_body(protocol::SIEVE_RESYNC);
+        }
+        Response::ok().with_body("epoch noted")
+    }
+}
+
+/// A drain of more pushes than one pump stride, over two Hosts: one
+/// offline (each push requeued with backoff until it returns) and one
+/// answering deltas with `SIEVE_RESYNC` (each pair's base forgotten and
+/// its full body reshipped on the next pump). Every pair sees what one
+/// all-at-once flush gave it: the same deliveries, bases, requeues and
+/// counters.
+#[test]
+fn a_drain_in_strides_delivers_requeues_and_resyncs_per_pair() {
+    const OWNERS: usize = 80;
+    let net = SimNet::new();
+    let am = AuthorizationManager::new("am.example", net.clock().clone());
+    let (offline, resync) = (NotingHost::new("a.example"), NotingHost::new("b.example"));
+    net.register(offline.clone());
+    net.register(resync.clone());
+    net.set_offline("a.example", true);
+    let owners: Vec<String> = (0..OWNERS).map(|i| format!("owner-{i:03}")).collect();
+    for owner in &owners {
+        am.register_user(owner);
+        for host in ["a.example", "b.example"] {
+            am.establish_delegation(host, owner).unwrap();
+            am.subscribe_epoch_push(host, owner);
+        }
+    }
+    let epoch = am.policy_epoch(&owners[0]);
+    let stats = |before: ucam_am::EpochPushStats| {
+        let now = am.epoch_push_stats();
+        [
+            now.scheduled - before.scheduled,
+            now.coalesced - before.coalesced,
+            now.delivered - before.delivered,
+            now.retries - before.retries,
+            now.sieved - before.sieved,
+            now.resyncs - before.resyncs,
+        ]
+    };
+    let each = |noted: &HashMap<String, Vec<String>>, want: &[&str]| {
+        assert_eq!(noted.len(), OWNERS, "every owner heard");
+        for (owner, got) in noted {
+            assert_eq!(got, &want, "{owner}");
+        }
+    };
+    let before = am.epoch_push_stats();
+
+    // 160 due pushes: the offline Host's 80 fail, the other's 80 land in
+    // full, each pair's base now at `epoch`.
+    am.schedule_sieve_refresh();
+    assert_eq!(am.pump_epoch_pushes(&net), OWNERS);
+    assert_eq!(
+        am.pending_epoch_pushes(),
+        OWNERS,
+        "the offline Host's, backing off"
+    );
+    each(&resync.take(), &[&format!("full {epoch}")]);
+    assert!(offline.take().is_empty());
+    assert_eq!(stats(before), [80, 0, 80, 80, 80, 0]);
+
+    // A refresh: the offline pairs' pushes absorb it, the others go out
+    // as deltas on `epoch` and are refused, so their bases are forgotten.
+    resync
+        .refuse_deltas
+        .store(true, std::sync::atomic::Ordering::SeqCst);
+    am.schedule_sieve_refresh();
+    assert_eq!(am.pump_epoch_pushes(&net), OWNERS);
+    each(&resync.take(), &[&format!("delta {epoch} on {epoch}")]);
+    assert_eq!(am.pending_epoch_pushes(), 2 * OWNERS, "resyncs due again");
+    assert_eq!(stats(before), [160, 80, 160, 80, 80, 80]);
+
+    // The next pump reships each in full; the offline pairs still wait.
+    resync
+        .refuse_deltas
+        .store(false, std::sync::atomic::Ordering::SeqCst);
+    assert_eq!(am.pump_epoch_pushes(&net), OWNERS);
+    each(&resync.take(), &[&format!("full {epoch}")]);
+    assert_eq!(stats(before), [160, 80, 240, 80, 160, 80]);
+
+    // Back online and past its backoff, the offline Host gets full bodies.
+    net.set_offline("a.example", false);
+    net.clock().advance_ms(400);
+    assert_eq!(am.pump_epoch_pushes(&net), OWNERS);
+    each(&offline.take(), &[&format!("full {epoch}")]);
+    assert_eq!(am.pending_epoch_pushes(), 0);
+    assert_eq!(stats(before), [160, 80, 320, 80, 240, 80]);
+
+    // Each base is confirmed now: a refresh goes out as deltas on it.
+    am.schedule_sieve_refresh();
+    assert_eq!(am.pump_epoch_pushes(&net), 2 * OWNERS);
+    each(&offline.take(), &[&format!("delta {epoch} on {epoch}")]);
+    each(&resync.take(), &[&format!("delta {epoch} on {epoch}")]);
+}

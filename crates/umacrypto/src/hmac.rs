@@ -3,7 +3,8 @@
 //! HMAC hashes two 64-byte pad blocks derived from the key, one in front
 //! of the message and one in front of the inner digest. Those blocks
 //! depend on the key alone, so [`HmacKey`] absorbs them once when the key
-//! is built and keeps the two hash states. Each [`HmacKey::mac`] then
+//! is built and keeps the two 32-byte chaining values they leave (64
+//! bytes in all, less than most keys it stands for). Each [`HmacKey::mac`] then
 //! hashes only the message, its padding and one outer block, two block
 //! compressions fewer than a one-shot HMAC: for the AM's 115-byte
 //! authorization-token payloads, three instead of five. [`hmac_sha256`]
@@ -16,9 +17,10 @@ use crate::sha::{sha256, Sha256};
 const BLOCK: usize = 64;
 
 /// An HMAC-SHA256 key with its inner and outer pad blocks already
-/// absorbed.
+/// absorbed: the two SHA-256 chaining values after those blocks, 64
+/// bytes.
 ///
-/// The absorbed states are as secret as the key itself: `Debug` prints
+/// The chaining values are as secret as the key itself: `Debug` prints
 /// neither.
 ///
 /// # Example
@@ -32,10 +34,10 @@ const BLOCK: usize = 64;
 /// ```
 #[derive(Clone)]
 pub struct HmacKey {
-    /// SHA-256 state after the block `key ^ ipad`.
-    inner: Sha256,
-    /// SHA-256 state after the block `key ^ opad`.
-    outer: Sha256,
+    /// SHA-256 chaining value after the block `key ^ ipad`.
+    inner: [u32; 8],
+    /// SHA-256 chaining value after the block `key ^ opad`.
+    outer: [u32; 8],
 }
 
 impl fmt::Debug for HmacKey {
@@ -66,7 +68,7 @@ impl HmacKey {
             }
             let mut state = Sha256::new();
             state.update(&block);
-            state
+            state.midstate()
         };
         HmacKey {
             inner: pad(0x36),
@@ -77,9 +79,9 @@ impl HmacKey {
     /// Computes `HMAC-SHA256(key, message)`.
     #[must_use]
     pub fn mac(&self, message: &[u8]) -> [u8; 32] {
-        let mut inner = self.inner.clone();
+        let mut inner = Sha256::resume(self.inner, 1);
         inner.update(message);
-        let mut outer = self.outer.clone();
+        let mut outer = Sha256::resume(self.outer, 1);
         outer.update(&inner.finalize());
         outer.finalize()
     }
@@ -186,6 +188,11 @@ mod tests {
                 "len {len}"
             );
         }
+    }
+
+    #[test]
+    fn a_prepared_key_is_its_two_chaining_values() {
+        assert_eq!(std::mem::size_of::<HmacKey>(), 64);
     }
 
     #[test]

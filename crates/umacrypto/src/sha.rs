@@ -151,6 +151,24 @@ impl Sha256 {
         }
     }
 
+    /// A hasher resumed at a block boundary: `state` is the chaining
+    /// value after `blocks` whole 64-byte blocks, nothing buffered.
+    pub(crate) fn resume(state: [u32; 8], blocks: u64) -> Self {
+        Sha256 {
+            state,
+            buf: [0u8; 64],
+            buf_len: 0,
+            total_len: blocks * 64,
+        }
+    }
+
+    /// The chaining value, taken at a block boundary (nothing buffered),
+    /// so that [`Sha256::resume`] can pick it up again.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buf_len, 0, "a midstate is taken at a block boundary");
+        self.state
+    }
+
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);

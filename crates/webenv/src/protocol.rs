@@ -48,6 +48,8 @@ use std::fmt::Write as _;
 use crate::http::{Method, Request, Response};
 use crate::url::Url;
 
+use ucam_crypto::HmacKey;
+
 /// Retired v1 single-decision route; the AM answers it with 404. Its
 /// query and answer live on [`DECISION_V2_PATH`].
 pub const DECISION_PATH: &str = "/protection/v1/decision";
@@ -951,6 +953,13 @@ impl SieveBody {
     /// `host_token` bytes.
     #[must_use]
     pub fn build(owner: &str, epoch: u64, entries: Vec<SieveEntry>, key: &[u8]) -> Self {
+        Self::build_keyed(owner, epoch, entries, &HmacKey::new(key))
+    }
+
+    /// [`SieveBody::build`] under a key prepared once from the
+    /// `host_token` bytes; the signature is the same.
+    #[must_use]
+    pub fn build_keyed(owner: &str, epoch: u64, entries: Vec<SieveEntry>, key: &HmacKey) -> Self {
         let mut body = Self {
             owner: owner.to_owned(),
             epoch,
@@ -1058,6 +1067,21 @@ impl SieveDeltaBody {
         removed: Vec<SieveFingerprint>,
         key: &[u8],
     ) -> Self {
+        let key = HmacKey::new(key);
+        Self::build_keyed(owner, epoch, base_epoch, added, removed, &key)
+    }
+
+    /// [`SieveDeltaBody::build`] under a key prepared once from the
+    /// `host_token` bytes; the signature is the same.
+    #[must_use]
+    pub fn build_keyed(
+        owner: &str,
+        epoch: u64,
+        base_epoch: u64,
+        added: Vec<SieveEntry>,
+        removed: Vec<SieveFingerprint>,
+        key: &HmacKey,
+    ) -> Self {
         let mut body = Self {
             owner: owner.to_owned(),
             epoch,
@@ -1163,10 +1187,10 @@ pub fn parse_push_body(body: &str) -> Result<PushBody, WireError> {
 // -- the codec the two push bodies share --------------------------------------
 
 /// Hex HMAC-SHA256 of a push body's signing payload under the shared
-/// delegation `host_token` bytes.
-fn sign(key: &[u8], payload: &str) -> String {
+/// delegation `host_token`, prepared as a key.
+fn sign(key: &HmacKey, payload: &str) -> String {
     let mut sig = String::with_capacity(64);
-    push_hex(&mut sig, &ucam_crypto::hmac_sha256(key, payload.as_bytes()));
+    push_hex(&mut sig, &key.mac(payload.as_bytes()));
     sig
 }
 

@@ -23,7 +23,10 @@
 # * the round-trip accounting (DESIGN.md §9): the edge memo's compare of
 #   both names, without which edges sharing a memo slot count as one;
 # * the AM's sieve compiler (DESIGN.md §12): each built-in action of a
-#   (grant, resource) pair judged on its own, not as the first one.
+#   (grant, resource) pair judged on its own, not as the first one;
+# * the AM's (host, owner) records (DESIGN.md §13): a record's `active`
+#   check, and the push key looked up by both names, not by the owner's
+#   first record.
 #
 #   bash scripts/mutants.sh            # every mutant
 #   bash scripts/mutants.sh NAME...    # the named mutants only
@@ -85,6 +88,8 @@ MUTANTS=(
   "max-headers-lifted @@ ucam-webenv @@ malformed_heads_fail_closed @@ $codec @@ "'        if count == MAX_HEADERS { @@         if false {'
   "content-length-uncapped @@ ucam-webenv @@ content_length_bounds @@ $codec @@ "'        if len > MAX_MESSAGE_BYTES { @@         if false {'
   "compile-judges-one-action @@ ucam-am @@ the_compile_judges_each_action_on_its_own @@ crates/am/src/manager.rs @@ "'                    g.tuple.action = builtin[i].clone(); @@                     g.tuple.action = builtin[0].clone();'
+  "record-ignores-revocation @@ ucam-am @@ a_revoked_delegation_refuses_its_host_token @@ crates/am/src/trust.rs @@ "'        if !record.active { @@         if false {'
+  "push-key-by-owner-only @@ ucam-am @@ each_hosts_pushes_are_signed_with_its_own_delegations_key @@ crates/am/src/trust.rs @@ "'        let record = self.record(host, user)?; @@         let record = self.by_user.get(user)?.first()?;'
 )
 
 started=$(date +%s)

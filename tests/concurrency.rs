@@ -4,14 +4,15 @@
 //! counters must not lose updates.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
-use ucam::am::AuthorizationManager;
+use ucam::am::{AuthorizationManager, AuthorizeOutcome, AuthorizeRequest, DecisionQuery};
 use ucam::host::{DelegationConfig, WebStorage};
 use ucam::policy::prelude::*;
 use ucam::requester::{AccessSpec, RequesterClient};
 use ucam::webenv::identity::IdentityProvider;
-use ucam::webenv::{Method, Request, SimNet, Url};
+use ucam::webenv::protocol::{self, PushBody};
+use ucam::webenv::{Method, Request, Response, SimNet, Transport, Url, WebApp};
 
 const THREADS: usize = 8;
 const ACCESSES_PER_THREAD: usize = 50;
@@ -265,4 +266,195 @@ fn epoch_churn_never_serves_stale_cached_permit() {
         rig.host.shell().core.stats().cache_hits > 0,
         "expected warm decision-cache hits during allow phases"
     );
+}
+
+/// Owners whose delegations the key-replacement test revokes and
+/// re-establishes while other threads decide and pump.
+const KEYED_OWNERS: [&str; 4] = ["o0", "o1", "o2", "o3"];
+const KEYED_HOST: &str = "pics.example";
+const KEYED_FILE: &str = "doc";
+const KEYED_REQUESTER: &str = "requester:r";
+
+/// The delegations (id and host token) one owner was issued, oldest
+/// first, how many of the oldest are dead (revoked or replaced), and how
+/// many were replaced by a newer one. A token is listed, and counted, only
+/// once the AM's call has returned. A revoked delegation that is not yet
+/// replaced still signs its pair's pushes: the empty sieve that carries
+/// the revocation.
+#[derive(Default)]
+struct Ledger {
+    tokens: Mutex<Vec<(String, String)>>,
+    dead: AtomicUsize,
+    replaced: AtomicUsize,
+}
+
+/// Stands at [`KEYED_HOST`] and keeps every push body it receives.
+#[derive(Default)]
+struct PushLog {
+    bodies: Mutex<Vec<String>>,
+}
+
+impl WebApp for PushLog {
+    fn authority(&self) -> &str {
+        KEYED_HOST
+    }
+
+    fn handle(&self, _net: &dyn Transport, req: &Request) -> Response {
+        self.bodies.lock().unwrap().push(req.body.clone());
+        Response::ok()
+    }
+}
+
+/// The owner a push body names, and whether `key` signed it.
+fn signed_under<'a>(body: &'a PushBody, key: &[u8]) -> (&'a str, bool) {
+    match body {
+        PushBody::Sieve(b) => (&b.owner, b.verify(key)),
+        PushBody::Delta(d) => (&d.owner, d.verify(key)),
+    }
+}
+
+/// Decisions on four threads, beside a thread that pumps pushes and one
+/// that revokes and re-establishes the same owners' delegations, each a
+/// fresh host token and push key. No decision may accept a host token
+/// that was dead before it started, and no push compiled after a key was
+/// replaced may be signed under the replaced key. Every thread works in
+/// each round, so each round's changes land among its decisions and
+/// pumps.
+#[test]
+fn no_decision_or_push_outlives_a_replaced_delegation() {
+    const DECIDERS: usize = 4;
+    const ROUNDS: usize = 40;
+    const DECISIONS_PER_ROUND: usize = 60;
+    const PUMPS_PER_ROUND: usize = 4;
+    let net = SimNet::new();
+    let am = AuthorizationManager::new("am.example", net.clock().clone());
+    let log = Arc::new(PushLog::default());
+    net.register(log.clone());
+    let ledgers: Vec<Ledger> = KEYED_OWNERS.iter().map(|_| Ledger::default()).collect();
+    let mut authz = Vec::new();
+    for (owner, ledger) in KEYED_OWNERS.iter().zip(&ledgers) {
+        am.register_user(owner);
+        let (delegation, token) = am.establish_delegation(KEYED_HOST, owner).unwrap();
+        ledger.tokens.lock().unwrap().push((delegation.id, token));
+        am.subscribe_epoch_push(KEYED_HOST, owner);
+        am.pap(owner, |account| {
+            let read = Rule::permit()
+                .for_subject(Subject::Public)
+                .for_action(Action::Read);
+            let id =
+                account.create_policy("open", PolicyBody::Rules(RulePolicy::new().with_rule(read)));
+            let file = ResourceRef::new(KEYED_HOST, KEYED_FILE);
+            account.link_specific(file, &id).unwrap();
+        })
+        .unwrap();
+        let request =
+            AuthorizeRequest::new(KEYED_HOST, owner, KEYED_FILE, Action::Read, KEYED_REQUESTER);
+        match am.authorize(&request) {
+            AuthorizeOutcome::Token { token, .. } => authz.push(token),
+            other => panic!("the open policy grants {owner}: {other:?}"),
+        }
+    }
+    let round_over = Barrier::new(DECIDERS + 2);
+    let (accepted, refused, signed) = (
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+    );
+
+    std::thread::scope(|scope| {
+        for t in 0..DECIDERS {
+            let (am, ledgers, authz, round_over) = (&am, &ledgers, &authz, &round_over);
+            let (accepted, refused) = (&accepted, &refused);
+            scope.spawn(move || {
+                for j in 0..ROUNDS * DECISIONS_PER_ROUND {
+                    let i = j * DECIDERS + t;
+                    let o = i % KEYED_OWNERS.len();
+                    let dead = ledgers[o].dead.load(Ordering::SeqCst);
+                    let (generation, host_token) = {
+                        let tokens = ledgers[o].tokens.lock().unwrap();
+                        // The newest token half the time, an older one else.
+                        let g = if i.is_multiple_of(2) {
+                            tokens.len() - 1
+                        } else {
+                            i % tokens.len()
+                        };
+                        (g, tokens[g].1.clone())
+                    };
+                    let query = DecisionQuery {
+                        host_token: &host_token,
+                        authz_token: &authz[o],
+                        resource_id: KEYED_FILE,
+                        action: Action::Read,
+                        requester: KEYED_REQUESTER,
+                    };
+                    let decision = am.decide(&query);
+                    if generation < dead {
+                        assert!(
+                            decision.is_err(),
+                            "{}: a decision accepted dead host token {generation}",
+                            KEYED_OWNERS[o]
+                        );
+                    }
+                    let counter = if decision.is_ok() { accepted } else { refused };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    if (j + 1).is_multiple_of(DECISIONS_PER_ROUND) {
+                        round_over.wait();
+                    }
+                }
+            });
+        }
+        scope.spawn(|| {
+            for _ in 0..ROUNDS {
+                for _ in 0..PUMPS_PER_ROUND {
+                    let replaced: Vec<usize> = (ledgers.iter())
+                        .map(|l| l.replaced.load(Ordering::SeqCst))
+                        .collect();
+                    am.pump_epoch_pushes(&net);
+                    for body in std::mem::take(&mut *log.bodies.lock().unwrap()) {
+                        let body = protocol::parse_push_body(&body).expect("a signed push body");
+                        let owner = signed_under(&body, b"").0;
+                        let o = KEYED_OWNERS.iter().position(|n| *n == owner).unwrap();
+                        let tokens = ledgers[o].tokens.lock().unwrap();
+                        let key = (tokens.iter())
+                            .position(|(_, token)| signed_under(&body, token.as_bytes()).1)
+                            .expect("every push is signed under one of its owner's keys");
+                        assert!(
+                            key >= replaced[o],
+                            "{owner}: a push compiled after key {key} was replaced is signed under it"
+                        );
+                        signed.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                round_over.wait();
+            }
+        });
+        for round in 0..ROUNDS {
+            for (owner, ledger) in KEYED_OWNERS.iter().zip(&ledgers) {
+                // The token is listed under the ledger's lock, so a pump
+                // that used the new key finds it listed.
+                let mut tokens = ledger.tokens.lock().unwrap();
+                if round % 2 == 0 {
+                    let id = &tokens.last().unwrap().0;
+                    assert!(am.revoke_delegation(owner, id));
+                    ledger.dead.store(tokens.len(), Ordering::SeqCst);
+                }
+                let (delegation, token) = am.establish_delegation(KEYED_HOST, owner).unwrap();
+                tokens.push((delegation.id, token));
+                ledger.dead.store(tokens.len() - 1, Ordering::SeqCst);
+                ledger.replaced.store(tokens.len() - 1, Ordering::SeqCst);
+            }
+            am.schedule_sieve_refresh();
+            round_over.wait();
+        }
+    });
+    let (accepted, refused, signed) = (
+        accepted.into_inner(),
+        refused.into_inner(),
+        signed.into_inner(),
+    );
+    println!(
+        "concurrency: {accepted} decisions accepted, {refused} refused, {signed} pushes checked"
+    );
+    assert!(accepted > 0 && refused > 0, "both outcomes were exercised");
+    assert!(signed > 0, "pushes were delivered and checked");
 }

@@ -39,6 +39,13 @@
 //! pairs the sieve compiler replays; and the bytes the AM's issued-grants
 //! registry retains once earlier tokens have expired, per live grant.
 //!
+//! Three rows count the push channel at `warm_http`'s shape (owners with
+//! no grant, each push an empty signed sieve, delivered to a Host that
+//! allocates nothing): the bytes the AM keeps per (Host, owner)
+//! delegation with its subscription and one delivered push; how a
+//! refresh drain's heap peak grows with its backlog past one stride; and
+//! the allocations of one empty push and of scheduling a refresh.
+//!
 //! Each class's mean and each row's count is printed (run with
 //! `--nocapture` to see them) and held to a budget. Run it optimised, as
 //! CI does:
@@ -72,6 +79,8 @@ thread_local! {
     static COUNTED: Cell<u64> = const { Cell::new(0) };
     /// Bytes allocated less bytes freed on this thread while armed.
     static HELD: Cell<i64> = const { Cell::new(0) };
+    /// The most `HELD` has been since it was last zeroed.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Counts one allocation of `bytes` (or a free, negative) if this thread
@@ -81,7 +90,11 @@ fn note(allocations: u64, bytes: i64) {
     let _ = ARMED.try_with(|armed| {
         if armed.get() {
             COUNTED.with(|n| n.set(n.get() + allocations));
-            HELD.with(|held| held.set(held.get() + bytes));
+            let held = HELD.with(|held| {
+                held.set(held.get() + bytes);
+                held.get()
+            });
+            PEAK.with(|peak| peak.set(peak.get().max(held)));
         }
     });
 }
@@ -142,10 +155,18 @@ fn retained(f: impl FnOnce()) -> i64 {
 fn armed(f: impl FnOnce()) -> (u64, i64) {
     COUNTED.with(|n| n.set(0));
     HELD.with(|held| held.set(0));
+    PEAK.with(|peak| peak.set(0));
     ARMED.with(|armed| armed.set(true));
     f();
     ARMED.with(|armed| armed.set(false));
     (COUNTED.with(Cell::get), HELD.with(Cell::get))
+}
+
+/// Runs `f` with this thread's counting armed; returns the most bytes it
+/// held allocated at once.
+fn peak(f: impl FnOnce()) -> i64 {
+    armed(f);
+    PEAK.with(Cell::get)
 }
 
 const AM: &str = "am.example";
@@ -716,6 +737,9 @@ impl EditRig {
 /// entry). 0.26.0 judged each pair once per built-in action, each judgement
 /// on a tuple and a decision of its own, and copied every live grant
 /// into each compile: the figures it measured are printed beside.
+/// 0.27.0 also fingerprinted and copied every action of a pair before
+/// dropping the non-permits, and made 425.5, 723.5 and 1,489.5 against
+/// 60 + 12 per pair.
 #[test]
 fn edits_stay_within_their_allocation_budget() {
     // (grants, resources, what 0.26.0 measured)
@@ -738,7 +762,7 @@ fn edits_stay_within_their_allocation_budget() {
 /// Allocations of one edit beyond the pairs it replays.
 const EDIT_BASE: f64 = 60.0;
 /// Allocations of one edit per (live grant, resource) pair.
-const EDIT_PER_PAIR: f64 = 12.0;
+const EDIT_PER_PAIR: f64 = 8.0;
 
 /// The bytes the AM's issued-grants registry retains for one owner once
 /// its earlier tokens have expired: eight batches of 32 tokens, the clock
@@ -804,3 +828,151 @@ fn the_issued_grants_registry_retains_only_live_grants() {
 const REGISTRY_BYTES: f64 = 483.0;
 /// What 0.26.0 retained per live grant in the same run.
 const REGISTRY_BYTES_0_26: f64 = 5_296.9;
+
+/// A Host that takes every epoch push and answers it without allocating.
+struct PushSink;
+
+const SINK: &str = "host-0.example";
+
+impl WebApp for PushSink {
+    fn authority(&self) -> &str {
+        SINK
+    }
+
+    fn handle(&self, _net: &dyn Transport, _req: &Request) -> Response {
+        Response::ok()
+    }
+}
+
+/// An AM shaped like `warm_http`'s: `owners` accounts named like its
+/// population's (`u0`, `u1`, ...) with no grant, so each push carries an
+/// empty sieve, delivered on SimNet to [`PushSink`]. An owner outside
+/// the population filled the audit ring past its cap and ran one push,
+/// so per-thread buffers are sized.
+fn push_rig(owners: usize) -> (SimNet, Arc<AuthorizationManager>, Vec<String>) {
+    let net = SimNet::new();
+    net.trace().set_enabled(false);
+    let am = Arc::new(AuthorizationManager::new(AM, net.clock().clone()));
+    am.set_audit_cap(64);
+    net.register(am.clone());
+    net.register(Arc::new(PushSink));
+    am.register_user("warm-up");
+    for _ in 0..80 {
+        am.establish_delegation(SINK, "warm-up").unwrap();
+    }
+    am.subscribe_epoch_push(SINK, "warm-up");
+    am.schedule_sieve_refresh();
+    while am.pump_epoch_pushes(&net) > 0 {}
+    let names: Vec<String> = (0..owners).map(|u| format!("u{u}")).collect();
+    for owner in &names {
+        am.register_user(owner);
+    }
+    (net, am, names)
+}
+
+/// Delegates and subscribes every one of `owners` at [`SINK`].
+fn delegate_all(am: &AuthorizationManager, owners: &[String]) {
+    for owner in owners {
+        am.establish_delegation(SINK, owner).unwrap();
+        am.subscribe_epoch_push(SINK, owner);
+    }
+}
+
+/// The bytes the AM keeps per (Host, owner) delegation at `warm_http`'s
+/// 1,024 owners, counted from each owner's account on: the delegation,
+/// its push subscription and what one delivered push leaves (an empty
+/// sieve's base). 0.27.0 kept the four in separate maps, each with its
+/// own copies of both names, and the host token itself: its figure is
+/// printed beside.
+#[test]
+fn a_delegation_retains_its_budgeted_bytes() {
+    const OWNERS: usize = 1_024;
+    let (net, am, owners) = push_rig(OWNERS);
+    let bytes = retained(|| {
+        delegate_all(&am, &owners);
+        am.schedule_sieve_refresh();
+        while am.pump_epoch_pushes(&net) > 0 {}
+    });
+    let per_pair = bytes as f64 / OWNERS as f64;
+    println!(
+        "decision_alloc_budget: AM delegation, subscription and one push: {per_pair:.1} bytes \
+         per (Host, owner) (budget {DELEGATION_BYTES}; 0.27.0 {DELEGATION_BYTES_0_27:.1})"
+    );
+    assert!(
+        per_pair <= DELEGATION_BYTES,
+        "{per_pair:.1} bytes per (Host, owner), over its budget of {DELEGATION_BYTES}"
+    );
+}
+
+/// Retained AM bytes per (Host, owner) delegation (276.4 at 0.28.0).
+const DELEGATION_BYTES: f64 = 280.0;
+/// What 0.27.0 retained per (Host, owner) in the same run.
+const DELEGATION_BYTES_0_27: f64 = 998.3;
+
+/// The heap a refresh drain holds at its peak above where it started,
+/// at two backlog sizes: past the first stride, each further due push
+/// may add at most [`DRAIN_PEAK_PER_PUSH`] bytes. 0.27.0 compiled every
+/// due push before it sent any: its slope is printed beside.
+#[test]
+fn a_refresh_drain_holds_one_stride_at_a_time() {
+    let drain_peak = |owners: usize| {
+        let (net, am, names) = push_rig(owners);
+        delegate_all(&am, &names);
+        am.schedule_sieve_refresh();
+        peak(|| while am.pump_epoch_pushes(&net) > 0 {})
+    };
+    let (small, large) = (128, 1_024);
+    let (low, high) = (drain_peak(small), drain_peak(large));
+    let per_push = (high - low) as f64 / (large - small) as f64;
+    println!(
+        "decision_alloc_budget: refresh drain peak: {low} bytes at {small} pushes, {high} at \
+         {large}: {per_push:.1} bytes per further push (budget {DRAIN_PEAK_PER_PUSH}; \
+         0.27.0 {DRAIN_PEAK_PER_PUSH_0_27:.1})"
+    );
+    assert!(
+        per_push <= DRAIN_PEAK_PER_PUSH,
+        "{per_push:.1} bytes of drain peak per push, over its budget of {DRAIN_PEAK_PER_PUSH}"
+    );
+}
+
+/// Drain peak bytes per due push past the first stride (11.5 at 0.28.0:
+/// the drained batch's 64-byte (pair, push) records).
+const DRAIN_PEAK_PER_PUSH: f64 = 16.0;
+/// The same slope on 0.27.0.
+const DRAIN_PEAK_PER_PUSH_0_27: f64 = 687.1;
+
+/// Allocations of an empty push (an owner with no grant: the request, its
+/// empty signed sieve and the settle) and of scheduling a refresh, per
+/// owner, over 256 owners' first refresh; 0.27.0's are printed beside.
+#[test]
+fn an_empty_push_stays_within_its_allocation_budget() {
+    const OWNERS: usize = 256;
+    let (net, am, owners) = push_rig(OWNERS);
+    delegate_all(&am, &owners);
+    let per_owner = |n: u64| n as f64 / OWNERS as f64;
+    let schedule = per_owner(count(|| am.schedule_sieve_refresh()));
+    let push = per_owner(count(|| while am.pump_epoch_pushes(&net) > 0 {}));
+    println!(
+        "decision_alloc_budget: empty push: {push:.1} allocations (budget {PUSH_ALLOCS}; \
+         0.27.0 {PUSH_ALLOCS_0_27}), refresh schedule: {schedule:.1} per owner (budget \
+         {SCHEDULE_ALLOCS}; 0.27.0 {SCHEDULE_ALLOCS_0_27})"
+    );
+    assert!(
+        push <= PUSH_ALLOCS,
+        "{push:.1} allocations per empty push, over its budget of {PUSH_ALLOCS}"
+    );
+    assert!(
+        schedule <= SCHEDULE_ALLOCS,
+        "{schedule:.1} allocations per owner to schedule a refresh, over its budget of \
+         {SCHEDULE_ALLOCS}"
+    );
+}
+
+/// Allocations per empty push (9.1 at 0.28.0).
+const PUSH_ALLOCS: f64 = 9.5;
+/// What 0.27.0 made per empty push.
+const PUSH_ALLOCS_0_27: f64 = 16.4;
+/// Allocations per owner to schedule a refresh (1.2 at 0.28.0).
+const SCHEDULE_ALLOCS: f64 = 1.5;
+/// What 0.27.0 made per owner.
+const SCHEDULE_ALLOCS_0_27: f64 = 6.2;
