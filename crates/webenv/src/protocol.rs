@@ -950,16 +950,9 @@ pub struct SieveBody {
 
 impl SieveBody {
     /// Assembles and signs a sieve with the shared delegation
-    /// `host_token` bytes.
+    /// `host_token`, prepared as a key.
     #[must_use]
-    pub fn build(owner: &str, epoch: u64, entries: Vec<SieveEntry>, key: &[u8]) -> Self {
-        Self::build_keyed(owner, epoch, entries, &HmacKey::new(key))
-    }
-
-    /// [`SieveBody::build`] under a key prepared once from the
-    /// `host_token` bytes; the signature is the same.
-    #[must_use]
-    pub fn build_keyed(owner: &str, epoch: u64, entries: Vec<SieveEntry>, key: &HmacKey) -> Self {
+    pub fn build(owner: &str, epoch: u64, entries: Vec<SieveEntry>, key: &HmacKey) -> Self {
         let mut body = Self {
             owner: owner.to_owned(),
             epoch,
@@ -1057,24 +1050,9 @@ pub struct SieveDeltaBody {
 
 impl SieveDeltaBody {
     /// Assembles and signs a delta with the shared delegation
-    /// `host_token` bytes.
+    /// `host_token`, prepared as a key.
     #[must_use]
     pub fn build(
-        owner: &str,
-        epoch: u64,
-        base_epoch: u64,
-        added: Vec<SieveEntry>,
-        removed: Vec<SieveFingerprint>,
-        key: &[u8],
-    ) -> Self {
-        let key = HmacKey::new(key);
-        Self::build_keyed(owner, epoch, base_epoch, added, removed, &key)
-    }
-
-    /// [`SieveDeltaBody::build`] under a key prepared once from the
-    /// `host_token` bytes; the signature is the same.
-    #[must_use]
-    pub fn build_keyed(
         owner: &str,
         epoch: u64,
         base_epoch: u64,
@@ -1927,7 +1905,7 @@ mod tests {
                 expires_at_ms: 45_000,
             },
         ];
-        SieveBody::build("bob", 7, entries, key)
+        SieveBody::build("bob", 7, entries, &HmacKey::new(key))
     }
 
     #[test]
@@ -1942,7 +1920,7 @@ mod tests {
 
     #[test]
     fn empty_sieve_is_legal_and_signed() {
-        let body = SieveBody::build("bob", 9, Vec::new(), b"k");
+        let body = SieveBody::build("bob", 9, Vec::new(), &HmacKey::new(b"k"));
         let parsed = SieveBody::from_json(&body.to_json()).unwrap();
         assert!(parsed.entries.is_empty());
         assert!(parsed.verify(b"k"));
@@ -2003,7 +1981,7 @@ mod tests {
                 "read",
                 "requester:app",
             )],
-            key,
+            &HmacKey::new(key),
         )
     }
 

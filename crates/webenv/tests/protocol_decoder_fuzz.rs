@@ -22,6 +22,7 @@
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
+use ucam_crypto::HmacKey;
 use ucam_webenv::protocol::{
     encode_authorize_request, encode_authorize_response, encode_batch_request,
     encode_batch_response, parse_authorize_request, parse_authorize_response, parse_batch_request,
@@ -299,9 +300,21 @@ fn bodies_with(text: &str) -> Vec<Decoded> {
         Decoded::Unchanged(UnchangedBody {
             cacheable_ms: 60_000,
         }),
-        Decoded::Sieve(SieveBody::build(text, 7, entries.clone(), KEY)),
-        Decoded::Sieve(SieveBody::build(text, 0, Vec::new(), KEY)),
-        Decoded::Delta(SieveDeltaBody::build(text, 8, 7, entries, dead, KEY)),
+        Decoded::Sieve(SieveBody::build(
+            text,
+            7,
+            entries.clone(),
+            &HmacKey::new(KEY),
+        )),
+        Decoded::Sieve(SieveBody::build(text, 0, Vec::new(), &HmacKey::new(KEY))),
+        Decoded::Delta(SieveDeltaBody::build(
+            text,
+            8,
+            7,
+            entries,
+            dead,
+            &HmacKey::new(KEY),
+        )),
     ]
     .into_iter()
     .chain(v2_bodies_with(text))
@@ -621,8 +634,8 @@ proptest! {
             Decoded::Decision(DecisionBody::permit(expires, epoch)),
             Decoded::Decision(DecisionBody::deny(&reason)),
             Decoded::Unchanged(UnchangedBody { cacheable_ms: expires }),
-            Decoded::Sieve(SieveBody::build(&owner, epoch, entries.clone(), KEY)),
-            Decoded::Delta(SieveDeltaBody::build(&owner, epoch, expires, entries, dead, KEY)),
+            Decoded::Sieve(SieveBody::build(&owner, epoch, entries.clone(), &HmacKey::new(KEY))),
+            Decoded::Delta(SieveDeltaBody::build(&owner, epoch, expires, entries, dead, &HmacKey::new(KEY))),
             Decoded::BatchRequest(vec![batch_item(&owner), batch_item(&resource)]),
             Decoded::BatchResponse(vec![DecisionBody::permit(expires, epoch), DecisionBody::deny(&reason)]),
             Decoded::AuthorizeRequest(vec![authorize_item(&owner), authorize_item(&resource)]),
